@@ -7,6 +7,7 @@ boundary instances are classified correctly.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -24,7 +25,11 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        # exact integers only: operator.index rejects floats, but takes bools
+        if bool in set(map(type, degrees)):
+            raise TypeError("a degree must be an integer, not bool")
+        degrees = tuple(map(operator.index, degrees))
         for d in degrees:
             if d < 0:
                 raise ValueError(f"negative degree {d}")
@@ -80,8 +85,11 @@ class ParamBounds:
     c2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, float)):
+                raise TypeError(f"{name} must be an exact rational, not {type(value).__name__}")
+            object.__setattr__(self, name, Fraction(value))
         if not 0 <= self.c1 <= self.c2 <= 1:
             raise ValueError(f"need 0 <= c1 <= c2 <= 1, got c1={self.c1}, c2={self.c2}")
 

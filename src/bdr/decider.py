@@ -43,7 +43,7 @@ class Decision:
 
 def classify_region(bounds: ParamBounds) -> RegionClass:
     c1, c2 = bounds.c1, bounds.c2
-    if c2 < 1 and c1 * (1 - c2) >= c2 * c2:
+    if threshold_at_or_below(c1, c2):
         return RegionClass.LOW_TRACTABLE
     if c1 > HALF:
         return RegionClass.HIGH_TRACTABLE
@@ -156,9 +156,6 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     pre = precheck(ds)
     if pre is not None:
         return pre.with_region(region)
-    if region is RegionClass.HIGH_TRACTABLE:
-        # unreachable in practice: the precheck min-degree rule fires first
-        return Decision("NotBipartite", "min-degree-too-large", region=region)
     if region is RegionClass.LOW_TRACTABLE:
         split = find_equal_sum_split(ds)
         if split is None:

@@ -40,6 +40,10 @@ class ReductionPreconditionError(BdrError):
     """Source sequence violates a precondition of the padding construction."""
 
 
+class ReductionInvariantError(BdrError):
+    """A derived constant or the lift audit of the padding construction fails."""
+
+
 class ProjectionAuditError(BdrError):
     """Residual-degree audit failure while projecting a padded realization.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import DegreeSequence
 from .errors import InvalidMoveError
@@ -56,7 +57,9 @@ class BipartiteRealization:
 
 
 def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int, ...],
-                      *, check_all_k: bool = False) -> bool:
+                      ks: Iterable[int] | None = None) -> bool:
+    """Equal sums plus the Gale–Ryser inequality at each 1-based k in ``ks``
+    (default: the drop points of the sorted first class, and k = n)."""
     a = sorted(d1, reverse=True)
     b = sorted(d2, reverse=True)
     if sum(a) != sum(b):
@@ -71,9 +74,7 @@ def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int
     bsuffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         bsuffix[i] = bsuffix[i + 1] + b[i]
-    if check_all_k:
-        ks = range(1, n + 1)
-    else:
+    if ks is None:
         ks = [k for k in range(1, n) if a[k - 1] > a[k]] + [n]
     for k in ks:
         # sum_j min(k, b_j): entries > k contribute k, the rest their value
@@ -86,7 +87,8 @@ def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int
 
 def is_bigraphic(pair: BipartitePair, *, check_all_k: bool = False) -> bool:
     """Gale–Ryser: equal sums plus the prefix inequalities on the first class."""
-    return _gale_ryser_lists(pair.d1.degrees, pair.d2.degrees, check_all_k=check_all_k)
+    ks = range(1, pair.d1.n + 1) if check_all_k else None
+    return _gale_ryser_lists(pair.d1.degrees, pair.d2.degrees, ks)
 
 
 def bipartite_to_unipartite(pair: BipartitePair) -> DegreeSequence:

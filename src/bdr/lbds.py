@@ -58,25 +58,13 @@ def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass,
             f"class sums differ: {class1.sigma} != {class2.sigma}")
     l1 = lbds(class1)
     l2 = lbds(class2)
-    if full_check:
-        return is_bigraphic(BipartitePair(l1, l2))
     n1, sigma, d, delta = class1.n, class1.sigma, class1.d, class1.delta
-    if delta == d or sigma == n1 * d or n1 == 0:
+    if full_check or delta == d or sigma == n1 * d or n1 == 0:
         return is_bigraphic(BipartitePair(l1, l2))
     num = sigma - n1 * d
     den = delta - d
     # floor and ceiling of the critical index, plus the k = n1 inequality
     # (needed when second-class degrees exceed n1; the sorted prefix has no
     # drop point there otherwise)
-    ks = {num // den, -(-num // den), n1}
-    ks = {min(max(k, 1), n1) for k in ks}
-    a = l1.degrees  # already non-increasing
-    b = sorted(l2.degrees, reverse=True)
-    if l1.sigma != l2.sigma:
-        return False
-    for k in ks:
-        lhs = sum(a[:k])
-        rhs = sum(min(k, bj) for bj in b)
-        if lhs > rhs:
-            return False
-    return True
+    ks = {min(max(k, 1), n1) for k in (num // den, -(-num // den), n1)}
+    return _gale_ryser_lists(l1.degrees, l2.degrees, ks)

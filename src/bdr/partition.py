@@ -1,9 +1,11 @@
 """Equal-sum splitting via subset-sum dynamic programming.
 
-The DP runs over a bitset of achievable sums (a Python int), so memory is
-O(sigma) bits.  Splits are unordered; enumeration canonicalizes by keeping
-the first nonzero entry on the U side, and zero degrees are excluded from
-the subset keys and attached to the U side afterwards.
+The DP runs over a bitset of achievable sums (a Python int).  Deciding
+existence keeps one bitset, O(sigma) bits; finding a witness keeps one per
+prefix of the degrees, n+1 bitsets or Theta(n*sigma) bits.  Splits are
+unordered; enumeration canonicalizes by keeping the first nonzero entry on
+the U side, and zero degrees are excluded from the subset keys and attached
+to the U side afterwards.
 """
 
 from __future__ import annotations

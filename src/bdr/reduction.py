@@ -16,8 +16,10 @@ from math import gcd, isqrt
 from .core import DegreeSequence, ParamBounds, in_class
 from .decider import RegionClass, classify_region
 from .errors import (NotInHardRegionError, ProjectionAuditError,
-                     ReductionPreconditionError)
-from .gale_ryser import BipartiteRealization, construct_realization
+                     ReductionInvariantError, ReductionPreconditionError)
+# construct_realization is unused here, but perfbench/tracing.py wraps it at
+# this module's binding, so the name must stay
+from .gale_ryser import BipartiteRealization, construct_realization  # noqa: F401
 from .partition import SplitWitness
 
 
@@ -43,27 +45,23 @@ class ReductionInstance:
     n: int
     d_prime: DegreeSequence
     roles: tuple[Role, ...]
+    big_value: int    # c2~*n + S/2
+    small_value: int  # c1~*n
+    shift_base: int   # (c1~+c2~)/2*n: the filler degree and the source shift
+    big_count: int    # (c1~+c2~)*n
+    small_count: int  # n - big_count
+    semi_deg: int     # (c2~-c1~)/2*n: degree of L in the semi-regular blocks
 
-    @property
-    def big_value(self) -> int:
-        return int(self.c2_tilde * self.n) + self.S // 2
 
-    @property
-    def small_value(self) -> int:
-        return int(self.c1_tilde * self.n)
+def _c_tilde(r: Fraction) -> tuple[Fraction, Fraction]:
+    """The padded instance's relative bounds (c1~, c2~) = ((1-r)^2/2, (1-r^2)/2)."""
+    return (1 - r) ** 2 / 2, (1 - r * r) / 2
 
-    @property
-    def shift_base(self) -> int:
-        # (c1~ + c2~)/2 * n, the filler degree and the shift of source degrees
-        return int((self.c1_tilde + self.c2_tilde) / 2 * self.n)
 
-    @property
-    def big_count(self) -> int:
-        return int((self.c1_tilde + self.c2_tilde) * self.n)
-
-    @property
-    def small_count(self) -> int:
-        return self.n - self.big_count
+def _exact_int(value: Fraction, name: str) -> int:
+    if value.denominator != 1:
+        raise ReductionInvariantError(f"{name} = {value} is not an integer")
+    return value.numerator
 
 
 # --- exact decimal machinery ------------------------------------------------
@@ -129,13 +127,12 @@ def compute_rational_r(bounds: ParamBounds) -> Fraction:
         # strict bracket, square-compared: sqrt(wa) < r and r < 1 - sqrt(wb)
         if not (r > 0 and r * r > wa and r < 1 and (1 - r) ** 2 > wb):
             continue
-        c1t = (1 - r) ** 2 / 2
-        c2t = (1 - r * r) / 2
-        # implied by the bracket; asserted as a derivation tripwire
-        assert c1 < c1t and c2t < c2
-        assert (c1t + c2t) ** 2 == 2 * c1t
+        c1t, c2t = _c_tilde(r)
+        # implied by the bracket; checked as a derivation tripwire
+        if not (c1 < c1t and c2t < c2 and (c1t + c2t) ** 2 == 2 * c1t):
+            raise ReductionInvariantError(f"r = {r} breaks the identities of the bracket")
         return r
-    raise AssertionError("no admissible r found; bracket endpoints too close")
+    raise ReductionInvariantError("no admissible r found; bracket endpoints too close")
 
 
 def choose_padding_n(S: int, bounds: ParamBounds, r: Fraction) -> int:
@@ -148,8 +145,7 @@ def choose_padding_n(S: int, bounds: ParamBounds, r: Fraction) -> int:
     """
     if S < 2 or S % 2 != 0:
         raise ReductionPreconditionError(f"S must be even and >= 2, got {S}")
-    c1t = (1 - r) ** 2 / 2
-    c2t = (1 - r * r) / 2
+    c1t, c2t = _c_tilde(r)
     cm = (c1t + c2t) / 2
     half_s = S // 2
     moduli = [cm.denominator, ((c2t - c1t) / 2).denominator, 2]
@@ -158,7 +154,6 @@ def choose_padding_n(S: int, bounds: ParamBounds, r: Fraction) -> int:
     step = math.lcm(*moduli)
     n = step
     while True:
-        assert (c1t * n).denominator == 1 and (c2t * n).denominator == 1
         if (c2t * n + half_s) < bounds.c2 * (n + S) and c1t * n > bounds.c1 * (n + S):
             return n
         n += step
@@ -176,14 +171,21 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
         raise ReductionPreconditionError(
             "a degree of at least S/2 must be resolved by the precheck first")
     r = compute_rational_r(bounds)
-    c1t = (1 - r) ** 2 / 2
-    c2t = (1 - r * r) / 2
+    c1t, c2t = _c_tilde(r)
     n = choose_padding_n(S, bounds, r)
-    big_value = int(c2t * n) + S // 2
-    small_value = int(c1t * n)
-    shift = int((c1t + c2t) / 2 * n)
-    big_count = int((c1t + c2t) * n)
+    half_s = S // 2
+    big_value = _exact_int(c2t * n, "c2~*n") + half_s
+    small_value = _exact_int(c1t * n, "c1~*n")
+    shift = _exact_int((c1t + c2t) / 2 * n, "(c1~+c2~)/2*n")
+    big_count = 2 * shift
     small_count = n - big_count
+    semi_deg = _exact_int((c2t - c1t) / 2 * n, "(c2~-c1~)/2*n")
+    s_side = _exact_int(Fraction(n, 2), "n/2") - shift
+    # block arithmetic of the proof: L vertices reach the big degree, and the
+    # semi-regular blocks L x S have equal degree sums on both sides
+    if shift + half_s + semi_deg != big_value or shift * semi_deg != s_side * small_value:
+        raise ReductionInvariantError(
+            f"padding n = {n} breaks the block identities of the construction")
     filler_count = S - source.n
 
     degrees: list[int] = []
@@ -199,17 +201,21 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
     roles += [Role("small")] * small_count
 
     d_prime = DegreeSequence(degrees)
-    assert d_prime.n == n + S
-    assert in_class(d_prime, bounds)
-    return ReductionInstance(source, S, r, c1t, c2t, n, d_prime, tuple(roles))
+    if not in_class(d_prime, bounds):
+        raise ReductionInvariantError(f"padded sequence of n = {n} is not in the class")
+    return ReductionInstance(source, S, r, c1t, c2t, n, d_prime, tuple(roles),
+                             big_value, small_value, shift, big_count, small_count,
+                             semi_deg)
 
 
 def semiregular_bipartite(a_count: int, a_deg: int,
                           b_count: int, b_deg: int) -> BipartiteRealization:
     """A bipartite graph with constant degrees a_deg and b_deg per class.
 
-    Built by the modular round-robin pattern; the greedy constructor is a
-    fallback should the pattern ever collide.
+    Built by the modular round-robin pattern: vertex i takes the a_deg
+    consecutive residues from i*a_deg mod b_count.  As a_deg <= b_count, no
+    pair repeats; the runs tile 0 .. a_count*a_deg - 1 = b_count*b_deg - 1,
+    so every residue is taken exactly b_deg times.
     """
     if min(a_count, a_deg, b_count, b_deg) < 0:
         raise ValueError("all parameters must be nonnegative")
@@ -220,18 +226,9 @@ def semiregular_bipartite(a_count: int, a_deg: int,
         return BipartiteRealization(a_count, b_count, frozenset())
     if a_deg > b_count or b_deg > a_count:
         raise ValueError("degree exceeds the opposite class size")
-    edges = {(i, (i * a_deg + t) % b_count)
-             for i in range(a_count) for t in range(a_deg)}
-    g = BipartiteRealization(a_count, b_count, frozenset(edges))
-    if set(g.u_degrees()) <= {a_deg} and set(g.v_degrees()) <= {b_deg}:
-        return g
-    from .core import DegreeSequence as DS
-    from .gale_ryser import BipartitePair
-    g = construct_realization(BipartitePair(DS((a_deg,) * a_count),
-                                            DS((b_deg,) * b_count)))
-    if g is None:
-        raise ValueError("infeasible semi-regular parameters")
-    return g
+    edges = frozenset((i, (i * a_deg + t) % b_count)
+                      for i in range(a_count) for t in range(a_deg))
+    return BipartiteRealization(a_count, b_count, edges)
 
 
 def lift_realization(g: BipartiteRealization, split: SplitWitness,
@@ -255,19 +252,9 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     shift = inst.shift_base          # |U_L| = |V_L|
     half_n = inst.n // 2
     s_side = half_n - shift          # |U_S| = |V_S|
-    semi_deg = (inst.c2_tilde - inst.c1_tilde) / 2 * inst.n
-    assert semi_deg.denominator == 1
-    semi_deg = int(semi_deg)
-    # block arithmetic of the proof, asserted at runtime
-    assert shift + half_s + semi_deg == inst.big_value
-    assert shift * semi_deg == s_side * inst.small_value
-
     # vertex layout per side: S/2 source slots (split members then zero
     # padding), then the L block, then the S block
-    def side_offsets():
-        return half_s, half_s + shift  # start of L, start of S
-
-    l_off, s_off = side_offsets()
+    l_off, s_off = half_s, half_s + shift
     total = half_s + half_n
     edges: set[tuple[int, int]] = set(g.edges)
     # complete bipartite blocks: U_L x V_L, U_L x V_G, V_L x U_G
@@ -280,7 +267,7 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
         for ug in range(half_s):
             edges.add((ug, vl))
     # semi-regular blocks: U_L x V_S and V_L x U_S
-    semi = semiregular_bipartite(shift, semi_deg, s_side, inst.small_value)
+    semi = semiregular_bipartite(shift, inst.semi_deg, s_side, inst.small_value)
     for a, b in semi.edges:
         edges.add((l_off + a, s_off + b))
         edges.add((s_off + b, l_off + a))
@@ -288,7 +275,8 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
 
     expected: list[int] = sorted(inst.d_prime.degrees)
     got = sorted(lifted.u_degrees() + lifted.v_degrees())
-    assert got == expected, "lifted degree audit failed"
+    if got != expected:
+        raise ReductionInvariantError("lifted degree audit failed")
     return lifted
 
 

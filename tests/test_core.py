@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,3 +99,21 @@ class TestInClass:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             ParamBounds(Fraction(1, 2), Fraction(1, 3))
+
+    @pytest.mark.parametrize("c1, c2", [(0.1, Fraction(1, 5)), (0, 1.0), (False, 1), (0, True)])
+    def test_inexact_bounds_rejected(self, c1, c2):
+        # 0.1 would otherwise become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            ParamBounds(c1, c2)
+
+
+class TestDegreeSequence:
+    @pytest.mark.parametrize("degrees", [[2.7, True], [2.0], [True], [1, False]])
+    def test_inexact_degrees_rejected(self, degrees):
+        # int() would have truncated 2.7 to 2 and taken True as 1
+        with pytest.raises(TypeError):
+            DegreeSequence(degrees)
+
+    def test_numpy_integers_accepted(self):
+        degrees = DegreeSequence(np.array([3, 0])).degrees
+        assert degrees == (3, 0) and all(type(d) is int for d in degrees)

@@ -142,6 +142,14 @@ class TestDecideBdr:
         assert d.verdict == "NotBipartite"
         assert d.region is RegionClass.HIGH_TRACTABLE
 
+    @pytest.mark.parametrize("c1, c2", [(F(3, 5), F(4, 5)), (F(0), F(1, 5)),
+                                        (F(1, 10), F(2, 5))])
+    def test_empty_sequence_never_not_bipartite(self, c1, c2):
+        # the empty graph realizes it; no precheck rule fires on it
+        d = decide_bdr(DegreeSequence(()), ParamBounds(c1, c2))
+        assert d.verdict != "NotBipartite"
+        assert decide_exact(DegreeSequence(())).verdict == "Bipartite"
+
     def test_hard_region_undecided(self):
         bounds = ParamBounds(F(1, 10), F(2, 5))
         ds = DegreeSequence((4, 4, 2, 2, 1, 1, 1, 1, 2, 2))

@@ -9,7 +9,7 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  in_class, lift_realization, project_realization,
                  semiregular_bipartite, verify_reduction_roundtrip)
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
-                        ReductionPreconditionError)
+                        ReductionInvariantError, ReductionPreconditionError)
 from bdr.gale_ryser import BipartitePair, BipartiteRealization, construct_realization
 from bdr.oracle import brute_force_bipartite_realizable
 from bdr.reduction import _floor_linear_sqrt
@@ -142,6 +142,15 @@ class TestBuildHardInstance:
             build_hard_instance(DegreeSequence((0, 0)), HARD)
 
 
+    @pytest.mark.parametrize("n", [50, 8])
+    def test_inadmissible_padding_rejected(self, monkeypatch, n):
+        # 50: c1~*n = 25/4 is not an integer; 8: the constants are integers
+        # and the block identities hold, but the big degree exceeds c2*(n+S)
+        monkeypatch.setattr("bdr.reduction.choose_padding_n", lambda S, bounds, r: n)
+        with pytest.raises(ReductionInvariantError):
+            build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
+
+
 class TestSemiregular:
     def test_round_robin(self):
         g = semiregular_bipartite(4, 3, 6, 2)
@@ -160,26 +169,21 @@ class TestSemiregular:
             semiregular_bipartite(2, 4, 3, 8)
 
     def test_random_parameters(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            a_count = rng.randint(1, 10)
-            a_deg = rng.randint(0, 10)
-            total = a_count * a_deg
-            divisors = [b for b in range(1, 11)
-                        if total % b == 0 and total // b <= 10 and b >= a_deg
-                        and (total == 0 or total // b > 0)]
-            if total == 0:
-                b_count, b_deg = rng.randint(1, 10), 0
-            elif divisors:
-                b_count = rng.choice(divisors)
-                b_deg = total // b_count
-                if b_deg > a_count:
-                    continue
-            else:
-                continue
-            g = semiregular_bipartite(a_count, a_deg, b_count, b_deg)
-            assert set(g.u_degrees()) <= {a_deg}
-            assert set(g.v_degrees()) <= {b_deg}
+        # every feasible parameter set with both counts <= 12: the round-robin
+        # pattern alone must produce exact degrees, with no repeated edge
+        checked = 0
+        for a_count in range(1, 13):
+            for b_count in range(1, 13):
+                for a_deg in range(b_count + 1):
+                    if a_count * a_deg % b_count:
+                        continue
+                    b_deg = a_count * a_deg // b_count
+                    g = semiregular_bipartite(a_count, a_deg, b_count, b_deg)
+                    assert g.u_degrees() == (a_deg,) * a_count
+                    assert g.v_degrees() == (b_deg,) * b_count
+                    assert len(g.edges) == a_count * a_deg
+                    checked += 1
+        assert checked == 432
 
 
 class TestLiftProject:
