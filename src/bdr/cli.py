@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import core, decider, gale_ryser, oracle, partition, reduction
 from .lbds import lbds as compute_lbds
 from .core import DegreeClass, DegreeSequence, ParamBounds
-from .errors import BdrError, BudgetExceededError, InputOutOfClassError, ParseError
+from .errors import BdrError, BudgetExceededError, ParseError
 
 EXIT_BIPARTITE = 0
 EXIT_NOT_BIPARTITE = 1
@@ -66,11 +66,10 @@ def _emit(payload: dict) -> None:
 
 def run_decide(args) -> int:
     ds = _read_sequence(args.file)
-    bounds = _bounds(args)
-    decision = decider.decide_bdr(ds, bounds)
+    decision = decider.decide_bdr(ds, _bounds(args))
     if decision.verdict == "Undecided" and args.exact:
         decision = decider.decide_exact(ds, budget=args.budget).with_region(
-            decider.classify_region(bounds))
+            decision.region)
     _emit(_json_decision(decision))
     return {"Bipartite": EXIT_BIPARTITE,
             "NotBipartite": EXIT_NOT_BIPARTITE,
@@ -259,13 +258,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else 0
     try:
         return args.func(args)
-    except (ParseError, InputOutOfClassError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BdrError as exc:
+    except (BdrError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

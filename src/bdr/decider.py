@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, in_class
-from .errors import BudgetExceededError, InputOutOfClassError
+from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartitePair, BipartiteRealization,
                          construct_realization, is_bigraphic)
 from .partition import (SplitWitness, enumerate_equal_sum_splits,
-                        find_equal_sum_split)
+                        find_equal_sum_split, split_with_u)
 
 HALF = Fraction(1, 2)
 
@@ -86,62 +86,41 @@ def max_degree_gap() -> tuple[float, float]:
     return c_star, gap(c_star)
 
 
-def _attach_zeros(realization: BipartiteRealization,
-                  zero_count: int) -> BipartiteRealization:
-    # isolated vertices are appended to the U side
-    return BipartiteRealization(realization.u_count + zero_count,
-                                realization.v_count, realization.edges)
-
-
-def _witness_for_nonzero(ds: DegreeSequence, nonzero_u: set[int]) -> SplitWitness:
-    labels = tuple(0 if (d == 0 or i in nonzero_u) else 1
-                   for i, d in enumerate(ds.degrees))
-    return SplitWitness(labels, ds.sigma // 2)
+def _split_pair(ds: DegreeSequence, split: SplitWitness) -> BipartitePair:
+    """The two sides of ``split`` as a pair; u-vertex i is u_indices()[i]."""
+    return BipartitePair(DegreeSequence([ds.degrees[i] for i in split.u_indices()]),
+                         DegreeSequence([ds.degrees[i] for i in split.v_indices()]))
 
 
 def precheck(ds: DegreeSequence) -> Decision | None:
     """Cheap dispositions applied before any region logic.
 
-    Zeros are stripped first and re-attached to the witness; None means no
-    rule fired and the caller should continue.
+    The rules look at the nonzero degrees only.  A witness comes from
+    ``split_with_u``, which puts the zeros on U as isolated u-vertices; None
+    means no rule fired and the caller should continue.
     """
     sigma = ds.sigma
     work = ds.nonzero()
-    zeros = ds.n - len(work)
     if sigma % 2 != 0:
         return Decision("NotBipartite", "no-equal-sum-split")
     half = sigma // 2
     if any(d > half for d in work):
         return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
     n_half = sum(1 for d in work if d == half)
-    if work == (1, 1):
-        g = BipartiteRealization(1, 1, frozenset({(0, 0)}))
-        u_index = ds.degrees.index(1)
-        return Decision("Bipartite", "trivial-(1,1)",
-                        split=_witness_for_nonzero(ds, {u_index}),
-                        realization=_attach_zeros(g, zeros))
-    if n_half >= 2:
-        return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
-    if n_half == 1 and half > 0:
-        star_pos = next(i for i, d in enumerate(ds.degrees) if d == half)
-        rest = tuple(d for i, d in enumerate(ds.degrees) if i != star_pos and d > 0)
-        g = construct_realization(BipartitePair(DegreeSequence((half,)),
-                                                DegreeSequence(rest)))
+    if n_half == 1 or work == (1, 1):
+        # a vertex of degree sigma/2 is alone on its side: a star
+        split = split_with_u(ds, {ds.degrees.index(half)})
+        g = construct_realization(_split_pair(ds, split))
         if g is None:
             # only possible for non-graphic input
             return Decision("NotBipartite", "gale-ryser-violation")
-        return Decision("Bipartite", "split-found",
-                        split=_witness_for_nonzero(ds, {star_pos}),
-                        realization=_attach_zeros(g, zeros))
+        return Decision("Bipartite", "trivial-(1,1)" if work == (1, 1) else "split-found",
+                        split=split, realization=g)
+    if n_half >= 2:
+        return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
     if work and min(work) * 2 > len(work):
         return Decision("NotBipartite", "min-degree-too-large")
     return None
-
-
-def _realize_split(ds: DegreeSequence, split: SplitWitness) -> BipartiteRealization | None:
-    pair = BipartitePair(DegreeSequence([ds.degrees[i] for i in split.u_indices()]),
-                         DegreeSequence([ds.degrees[i] for i in split.v_indices()]))
-    return construct_realization(pair)
 
 
 def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
@@ -160,8 +139,9 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
         split = find_equal_sum_split(ds)
         if split is None:
             return Decision("NotBipartite", "no-equal-sum-split", region=region)
-        g = _realize_split(ds, split)
-        assert g is not None, "in-region equal-sum split must be bigraphic"
+        g = construct_realization(_split_pair(ds, split))
+        if g is None:
+            raise InvariantError("in-region equal-sum split must be bigraphic")
         return Decision("Bipartite", "split-found", split=split,
                         realization=g, region=region)
     return Decision("Undecided", "exact-search", region=region)
@@ -181,12 +161,11 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if budget is not None and examined > budget:
             raise BudgetExceededError(
                 f"examined more than {budget} equal-sum splits")
-        pair = BipartitePair(
-            DegreeSequence([ds.degrees[i] for i in split.u_indices()]),
-            DegreeSequence([ds.degrees[i] for i in split.v_indices()]))
+        pair = _split_pair(ds, split)
         if is_bigraphic(pair):
             g = construct_realization(pair)
-            assert g is not None
+            if g is None:
+                raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
             return Decision("Bipartite", "exact-search", split=split, realization=g)
     if not found_any:
         return Decision("NotBipartite", "no-equal-sum-split")

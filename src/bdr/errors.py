@@ -40,7 +40,14 @@ class ReductionPreconditionError(BdrError):
     """Source sequence violates a precondition of the padding construction."""
 
 
-class ReductionInvariantError(BdrError):
+class InvariantError(BdrError):
+    """A condition that a proof guarantees fails; this signals a bug.
+
+    A typed exception, so the check also runs under ``python -O``.
+    """
+
+
+class ReductionInvariantError(InvariantError):
     """A derived constant or the lift audit of the padding construction fails."""
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import DegreeSequence
-from .errors import InvalidMoveError
+from .errors import InvalidMoveError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class BipartitePair:
 
     d1: DegreeSequence
     d2: DegreeSequence
-
-    def sums_equal(self) -> bool:
-        return self.d1.sigma == self.d2.sigma
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
     for v in nbr_j:
         if v not in nbr_i:
             return hinge_flip(g, j, i, v)
-    raise AssertionError("no eligible v found; contradicts the pigeonhole argument")
+    raise InvariantError("no eligible v found; contradicts the pigeonhole argument")
 
 
 def format_realization(g: BipartiteRealization) -> str:

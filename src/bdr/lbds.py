@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DegreeClass, DegreeSequence
-from .errors import InfeasibleClassError, InvalidPairError
+from .errors import InfeasibleClassError, InvalidPairError, InvariantError
 from .gale_ryser import BipartitePair, _gale_ryser_lists, is_bigraphic
 
 
@@ -31,7 +31,8 @@ def lbds_shape(cls: DegreeClass) -> LbdsShape:
         return LbdsShape(n - 1, d, 0, cls)
     k = min((sigma - n * d) // (delta - d), n - 1)
     d_int = sigma - k * delta - (n - k - 1) * d
-    assert d <= d_int <= delta
+    if not d <= d_int <= delta:
+        raise InvariantError(f"intermediate degree {d_int} outside [{d}, {delta}]")
     return LbdsShape(k, d_int, n - k - 1, cls)
 
 

@@ -4,16 +4,19 @@ The DP runs over a bitset of achievable sums (a Python int).  Deciding
 existence keeps one bitset, O(sigma) bits; finding a witness keeps one per
 prefix of the degrees, n+1 bitsets or Theta(n*sigma) bits.  Splits are
 unordered; enumeration canonicalizes by keeping the first nonzero entry on
-the U side, and zero degrees are excluded from the subset keys and attached
-to the U side afterwards.
+the U side and has no limit (a caller that needs one stops iterating).
+Zero degrees are never part of a subset key: ``split_with_u`` puts every
+one of them on the U side, for every split this module returns.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import DegreeSequence
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -30,16 +33,36 @@ class SplitWitness:
         return tuple(i for i, s in enumerate(self.side_assignment) if s == 1)
 
 
+def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
+    """The split with the indices ``u_side`` and every zero degree on U.
+
+    ``u_side`` must sum to sigma/2.  The zeros become isolated u-vertices
+    of any realization of the split.
+    """
+    labels = [1 if d else 0 for d in ds.degrees]
+    for i in u_side:
+        labels[i] = 0
+    return SplitWitness(tuple(labels), ds.sigma // 2)
+
+
+def _subset_sums(degrees: Iterable[int], target: int) -> Iterator[int]:
+    """For each prefix of ``degrees``, the empty one first, the bitset of its
+    subset sums up to ``target``."""
+    cap = (1 << (target + 1)) - 1
+    reach = 1
+    yield reach
+    for d in degrees:
+        reach = (reach | (reach << d)) & cap
+        yield reach
+
+
 def equal_sum_split_exists(ds: DegreeSequence) -> bool:
     """True iff some subset of the degrees sums to sigma/2."""
     sigma = ds.sigma
     if sigma % 2 != 0:
         return False
     target = sigma // 2
-    cap = (1 << (target + 1)) - 1
-    reach = 1
-    for d in ds.degrees:
-        reach = (reach | (reach << d)) & cap
+    reach = deque(_subset_sums(ds.degrees, target), maxlen=1).pop()
     return bool(reach >> target & 1)
 
 
@@ -53,53 +76,36 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     if sigma % 2 != 0:
         return None
     target = sigma // 2
-    cap = (1 << (target + 1)) - 1
-    reachable = [1]
-    for d in ds.degrees:
-        reachable.append((reachable[-1] | (reachable[-1] << d)) & cap)
+    reachable = list(_subset_sums(ds.degrees, target))
     if not reachable[-1] >> target & 1:
         return None
-    labels = [0] * ds.n
+    u_side = []
     cur = target
     for i in range(ds.n - 1, -1, -1):
-        d = ds.degrees[i]
-        if reachable[i] >> cur & 1:
-            labels[i] = 1 if d > 0 else 0  # zeros stay on the U side
-        else:
-            labels[i] = 0
-            cur -= d
-    assert cur == 0
-    return SplitWitness(tuple(labels), target)
+        if not reachable[i] >> cur & 1:
+            u_side.append(i)
+            cur -= ds.degrees[i]
+    if cur != 0:
+        raise InvariantError(f"split reconstruction left {cur} of {target} unassigned")
+    return split_with_u(ds, u_side)
 
 
-def enumerate_equal_sum_splits(ds: DegreeSequence,
-                               limit: int | None = None) -> Iterator[SplitWitness]:
-    """Yield distinct unordered equal-sum splits, up to ``limit``.
+def enumerate_equal_sum_splits(ds: DegreeSequence) -> Iterator[SplitWitness]:
+    """Yield every distinct unordered equal-sum split.
 
     Canonical form: the first nonzero index is always on the U side.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1 or None")
     sigma = ds.sigma
     if sigma % 2 != 0:
         return
     target = sigma // 2
     nz = [i for i, d in enumerate(ds.degrees) if d > 0]
     if not nz:
-        yield SplitWitness((0,) * ds.n, 0)
+        yield split_with_u(ds, ())
         return
     suffix = [0] * (len(nz) + 1)
     for i in range(len(nz) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + ds.degrees[nz[i]]
-
-    emitted = 0
-
-    def emit(chosen: list[int]) -> SplitWitness:
-        labels = [0] * ds.n
-        in_u = set(chosen)
-        for i in nz:
-            labels[i] = 0 if i in in_u else 1
-        return SplitWitness(tuple(labels), target)
 
     # first nonzero entry fixed on the U side
     stack: list[tuple[int, int, list[int]]] = [(1, target - ds.degrees[nz[0]], [nz[0]])]
@@ -108,10 +114,7 @@ def enumerate_equal_sum_splits(ds: DegreeSequence,
     while stack:
         pos, rem, chosen = stack.pop()
         if rem == 0:
-            yield emit(chosen)
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+            yield split_with_u(ds, chosen)
             continue
         if pos >= len(nz) or rem > suffix[pos]:
             continue

@@ -43,6 +43,16 @@ class TestDecide:
         assert code in (0, 1)
         assert json.loads(out)["verdict"] in ("Bipartite", "NotBipartite")
 
+    def test_zero_before_star(self, tmp_path, capsys):
+        # u-vertex 0 is input position 0, degree 0; the 1 at position 1 is
+        # u-vertex 1
+        f = write(tmp_path, "d.txt", "0 1 1\n")
+        code, out, _ = run(capsys, ["decide", "--c1", "0", "--c2", "1", f])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["split"] == {"u_indices": [0, 1], "v_indices": [2]}
+        assert payload["realization"] == [[1, 0]]
+
     def test_out_of_class(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "1 9 9 9\n")
         code, _, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", f])

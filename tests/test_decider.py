@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
                  classify_region, decide_bdr, decide_exact, max_degree_gap,
                  precheck, threshold_at_or_below, threshold_c2)
-from bdr.errors import BudgetExceededError, InputOutOfClassError
+from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable
 
 
@@ -217,3 +218,64 @@ class TestDecisionDataclass:
         d = Decision("Undecided", "exact-search")
         assert d.with_region(RegionClass.UNCLASSIFIED).region is RegionClass.UNCLASSIFIED
         assert d.region is None
+
+
+def assert_witness(degrees, d):
+    """The documented witness contract: u-vertex i is u_indices[i], v-vertex
+    j is v_indices[j], zeros sit on U, and each vertex has as many edges as
+    its degree."""
+    u, v = d.split.u_indices(), d.split.v_indices()
+    assert sorted(u + v) == list(range(len(degrees)))
+    assert all(i in u for i, x in enumerate(degrees) if x == 0)
+    g = d.realization
+    assert (g.u_count, g.v_count) == (len(u), len(v))
+    assert g.u_degrees() == tuple(degrees[i] for i in u)
+    assert g.v_degrees() == tuple(degrees[j] for j in v)
+
+
+class TestWitnessContract:
+    ZERO_LOW = ParamBounds(F(0), F(1))
+
+    @pytest.mark.parametrize("seq", [(0, 1, 0, 1, 0), (1, 0, 3, 1, 1, 0), (0, 1, 1)])
+    def test_zero_before_the_u_vertex(self, seq):
+        # the trivial-(1,1) and star branches: a zero ahead of the u-vertex
+        # must keep its own u-vertex number, not shift the edges onto it
+        ds = DegreeSequence(seq)
+        for d in (precheck(ds), decide_bdr(ds, self.ZERO_LOW), decide_exact(ds)):
+            assert d.verdict == "Bipartite"
+            assert_witness(seq, d)
+
+    def test_all_zero_low_region(self):
+        d = decide_bdr(DegreeSequence((0, 0, 0)), ParamBounds(F(0), F(0)))
+        assert d.verdict == "Bipartite" and d.reason == "split-found"
+        assert_witness((0, 0, 0), d)
+
+    def test_random_sequences_with_zeros(self):
+        rng = random.Random(23)
+        reasons = Counter()
+        for _ in range(1500):
+            n = rng.randint(2, 10)
+            seq = [min(rng.choice((0, 1, 1, 1, 2, 2, 3)), n) for _ in range(n)]
+            seq[rng.randrange(n)] = 0
+            if sum(seq) % 2:
+                seq[seq.index(max(seq))] -= 1
+            ds = DegreeSequence(seq)
+            for d in (precheck(ds), decide_bdr(ds, self.ZERO_LOW), decide_exact(ds)):
+                if d is not None and d.verdict == "Bipartite":
+                    assert_witness(seq, d)
+                    reasons[d.reason] += 1
+        # every witness-building branch is exercised
+        assert set(reasons) == {"trivial-(1,1)", "split-found", "exact-search"}
+        assert min(reasons.values()) >= 100
+
+
+class TestInvariants:
+    def test_unrealizable_low_region_split_raises(self, monkeypatch):
+        monkeypatch.setattr("bdr.decider.construct_realization", lambda pair: None)
+        with pytest.raises(InvariantError):
+            decide_bdr(DegreeSequence((4,) * 10), ParamBounds(F(3, 10), F(2, 5)))
+
+    def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
+        monkeypatch.setattr("bdr.decider.construct_realization", lambda pair: None)
+        with pytest.raises(InvariantError):
+            decide_exact(DegreeSequence((2, 2, 2, 2)))

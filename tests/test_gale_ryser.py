@@ -5,7 +5,7 @@ from bdr import (BipartitePair, BipartiteRealization, DegreeSequence,
                  balancing_hinge_flip, bipartite_to_unipartite,
                  construct_realization, format_realization, hinge_flip,
                  is_bigraphic, is_graphic)
-from bdr.errors import InvalidMoveError
+from bdr.errors import InvalidMoveError, InvariantError
 from bdr.oracle import exhaustive_pair_search
 
 
@@ -109,6 +109,14 @@ class TestBalancingHingeFlip:
     def test_no_gap_rejected(self):
         g = construct_realization(pair((2, 2), (2, 2)))
         with pytest.raises(InvalidMoveError):
+            balancing_hinge_flip(g, 0, 1)
+
+    def test_no_eligible_v_raises(self, monkeypatch):
+        # degrees that claim a gap the edges do not have: the pigeonhole
+        # argument fails, and the flip raises rather than returning
+        g = BipartiteRealization(2, 1, frozenset({(0, 0), (1, 0)}))
+        monkeypatch.setattr(BipartiteRealization, "u_degrees", lambda self: (0, 2))
+        with pytest.raises(InvariantError):
             balancing_hinge_flip(g, 0, 1)
 
     def test_u_sum_conserved_and_v_unchanged(self):

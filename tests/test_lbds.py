@@ -5,7 +5,7 @@ import pytest
 from bdr import (BipartitePair, DegreeClass, DegreeSequence,
                  balancing_hinge_flip, construct_realization, is_bigraphic,
                  lbds, lbds_pair_bigraphic, lbds_shape)
-from bdr.errors import InfeasibleClassError, InvalidPairError
+from bdr.errors import InfeasibleClassError, InvalidPairError, InvariantError
 
 
 class TestLbds:
@@ -24,6 +24,13 @@ class TestLbds:
     def test_empty_class(self):
         with pytest.raises(InfeasibleClassError):
             lbds(DegreeClass(3, 20, 1, 4))
+
+    def test_intermediate_degree_out_of_range_raises(self, monkeypatch):
+        # an empty class that slips past the emptiness check has no
+        # intermediate degree within [d, delta]
+        monkeypatch.setattr(DegreeClass, "is_empty", property(lambda self: False))
+        with pytest.raises(InvariantError):
+            lbds_shape(DegreeClass(3, 100, 1, 2))
 
     def test_shape_identity(self):
         shape = lbds_shape(DegreeClass(6, 17, 2, 4))

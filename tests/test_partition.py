@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdr import (DegreeSequence, enumerate_equal_sum_splits,
                  equal_sum_split_exists, find_equal_sum_split)
+from bdr.errors import InvariantError
 
 
 def brute_force_exists(seq):
@@ -61,6 +62,16 @@ class TestFindSplit:
         w = find_equal_sum_split(DegreeSequence((0, 1, 0, 1)))
         assert w.side_assignment[0] == 0 and w.side_assignment[2] == 0
 
+    def test_inconsistent_dp_table_raises(self, monkeypatch):
+        # a table that claims every sum for every prefix: the reconstruction
+        # picks nothing and must not return a split that misses the target
+        def every_sum(degrees, target):
+            yield from [(1 << (target + 1)) - 1] * (len(degrees) + 1)
+
+        monkeypatch.setattr("bdr.partition._subset_sums", every_sum)
+        with pytest.raises(InvariantError):
+            find_equal_sum_split(DegreeSequence((2, 1, 1)))
+
 
 class TestEnumerate:
     def test_count_1111(self):
@@ -71,13 +82,6 @@ class TestEnumerate:
         splits = list(enumerate_equal_sum_splits(DegreeSequence((2, 1, 1))))
         assert len(splits) == 1
         assert splits[0].u_indices() == (0,)
-
-    def test_limit(self):
-        assert len(list(enumerate_equal_sum_splits(DegreeSequence((3, 3)), limit=5))) == 1
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            list(enumerate_equal_sum_splits(DegreeSequence((1, 1)), limit=0))
 
     def test_zero_degrees_do_not_multiply_splits(self):
         base = len(list(enumerate_equal_sum_splits(DegreeSequence((1, 1, 1, 1)))))
