@@ -50,7 +50,7 @@ def _json_decision(decision: decider.Decision) -> dict:
                  "v_indices": list(decision.split.v_indices())}
     realization = None
     if decision.realization is not None:
-        realization = [list(e) for e in decision.realization.sorted_edges()]
+        realization = decision.realization.sorted_edges()
     return {
         "verdict": decision.verdict,
         "reason": decision.reason,

@@ -1,15 +1,15 @@
 """Bigraphicality testing and constructive bipartite realization.
 
 The Gale–Ryser test is run at the drop points of the sorted first class
-(plus k = n); the naive all-k scan stays available behind a flag for
-differential testing.  Realizations are immutable; hinge-flips return new
-values.
+(plus k = n), or at any given k's.  Realizations are immutable per-u
+neighbor tuples; hinge-flips return new values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable
 
 from .core import DegreeSequence
@@ -26,31 +26,38 @@ class BipartitePair:
 
 @dataclass(frozen=True)
 class BipartiteRealization:
-    """A simple bipartite graph; edges are (u-index, v-index) pairs."""
+    """A simple bipartite graph: ``neighbors[u]`` holds the v-indices adjacent
+    to u-vertex u, strictly increasing and in ``range(v_count)``."""
 
-    u_count: int
     v_count: int
-    edges: frozenset[tuple[int, int]]
+    neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.u_count and 0 <= v < self.v_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+        for u, nbrs in enumerate(self.neighbors):
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < self.v_count
+                             and all(map(lt, nbrs, nbrs[1:]))):
+                raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
+
+    @property
+    def u_count(self) -> int:
+        return len(self.neighbors)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def u_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.u_count
-        for u, _ in self.edges:
-            deg[u] += 1
-        return tuple(deg)
+        return tuple(map(len, self.neighbors))
 
     def v_degrees(self) -> tuple[int, ...]:
         deg = [0] * self.v_count
-        for _, v in self.edges:
-            deg[v] += 1
+        for nbrs in self.neighbors:
+            for v in nbrs:
+                deg[v] += 1
         return tuple(deg)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]
 
 
 def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int, ...],
@@ -82,10 +89,9 @@ def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int
     return True
 
 
-def is_bigraphic(pair: BipartitePair, *, check_all_k: bool = False) -> bool:
+def is_bigraphic(pair: BipartitePair) -> bool:
     """Gale–Ryser: equal sums plus the prefix inequalities on the first class."""
-    ks = range(1, pair.d1.n + 1) if check_all_k else None
-    return _gale_ryser_lists(pair.d1.degrees, pair.d2.degrees, ks)
+    return _gale_ryser_lists(pair.d1.degrees, pair.d2.degrees)
 
 
 def bipartite_to_unipartite(pair: BipartitePair) -> DegreeSequence:
@@ -107,32 +113,36 @@ def construct_realization(pair: BipartitePair) -> BipartiteRealization | None:
     if sum(d1) != sum(d2):
         return None
     residual = list(d2)
-    edges = []
+    order = list(range(len(d2)))  # re-sorted in place for each u-vertex
+    neighbors = [()] * len(d1)
     for u in sorted(range(len(d1)), key=lambda i: -d1[i]):
         need = d1[u]
         if need == 0:
             continue
-        chosen = sorted(range(len(d2)), key=lambda j: (-residual[j], j))[:need]
+        order.sort(key=lambda j: (-residual[j], j))
+        chosen = order[:need]
         if len(chosen) < need or residual[chosen[-1]] == 0:
             return None
         for v in chosen:
             residual[v] -= 1
-            edges.append((u, v))
+        neighbors[u] = tuple(sorted(chosen))
     if any(residual):
         return None
-    return BipartiteRealization(len(d1), len(d2), frozenset(edges))
+    return BipartiteRealization(len(d2), tuple(neighbors))
 
 
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:
     """Move the edge (u1, v) to (u2, v)."""
-    if u1 == u2:
-        raise InvalidMoveError("u1 and u2 must differ")
-    if (u1, v) not in g.edges:
+    if u1 == u2 or not (0 <= min(u1, u2) and max(u1, u2) < g.u_count):
+        raise InvalidMoveError(f"need distinct u1, u2 in range({g.u_count}), got {u1}, {u2}")
+    if v not in g.neighbors[u1]:
         raise InvalidMoveError(f"edge ({u1}, {v}) not present")
-    if (u2, v) in g.edges:
+    if v in g.neighbors[u2]:
         raise InvalidMoveError(f"edge ({u2}, {v}) already present")
-    return BipartiteRealization(g.u_count, g.v_count,
-                                g.edges - {(u1, v)} | {(u2, v)})
+    neighbors = list(g.neighbors)
+    neighbors[u1] = tuple(w for w in neighbors[u1] if w != v)
+    neighbors[u2] = tuple(sorted(neighbors[u2] + (v,)))
+    return BipartiteRealization(g.v_count, tuple(neighbors))
 
 
 def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRealization:
@@ -141,13 +151,14 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
     The lowest-index v adjacent to u_j but not to u_i is used; one exists by
     pigeonhole whenever the precondition holds.
     """
+    if not (0 <= min(i, j) and max(i, j) < g.u_count):
+        raise InvalidMoveError(f"need i, j in range({g.u_count}), got {i}, {j}")
     deg = g.u_degrees()
     if not deg[i] < deg[j] - 1:
         raise InvalidMoveError(
             f"need deg(u_{i}) < deg(u_{j}) - 1, got {deg[i]} and {deg[j]}")
-    nbr_i = {v for u, v in g.edges if u == i}
-    nbr_j = sorted(v for u, v in g.edges if u == j)
-    for v in nbr_j:
+    nbr_i = set(g.neighbors[i])
+    for v in g.neighbors[j]:
         if v not in nbr_i:
             return hinge_flip(g, j, i, v)
     raise InvariantError("no eligible v found; contradicts the pigeonhole argument")
@@ -155,6 +166,6 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
 
 def format_realization(g: BipartiteRealization) -> str:
     """CLI text format: header line then one "u v" line per edge."""
-    lines = [f"p bipartite {g.u_count} {g.v_count} {len(g.edges)}"]
+    lines = [f"p bipartite {g.u_count} {g.v_count} {sum(g.u_degrees())}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines)

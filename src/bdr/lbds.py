@@ -45,8 +45,7 @@ def lbds(cls: DegreeClass) -> DegreeSequence:
         (cls.delta,) * shape.k + (shape.d_int,) + (cls.d,) * shape.tail)
 
 
-def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass,
-                        *, full_check: bool = False) -> bool:
+def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass) -> bool:
     """Whether the pair of least balanced sequences of the two classes is
     bigraphic.
 
@@ -60,7 +59,7 @@ def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass,
     l1 = lbds(class1)
     l2 = lbds(class2)
     n1, sigma, d, delta = class1.n, class1.sigma, class1.d, class1.delta
-    if full_check or delta == d or sigma == n1 * d or n1 == 0:
+    if delta == d or sigma == n1 * d or n1 == 0:
         return is_bigraphic(BipartitePair(l1, l2))
     num = sigma - n1 * d
     den = delta - d

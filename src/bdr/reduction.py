@@ -223,12 +223,12 @@ def semiregular_bipartite(a_count: int, a_deg: int,
         raise ValueError(
             f"degree sums differ: {a_count}*{a_deg} != {b_count}*{b_deg}")
     if a_deg == 0:
-        return BipartiteRealization(a_count, b_count, frozenset())
+        return BipartiteRealization(b_count, ((),) * a_count)
     if a_deg > b_count or b_deg > a_count:
         raise ValueError("degree exceeds the opposite class size")
-    edges = frozenset((i, (i * a_deg + t) % b_count)
-                      for i in range(a_count) for t in range(a_deg))
-    return BipartiteRealization(a_count, b_count, edges)
+    return BipartiteRealization(b_count, tuple(
+        tuple(sorted((i * a_deg + t) % b_count for t in range(a_deg)))
+        for i in range(a_count)))
 
 
 def lift_realization(g: BipartiteRealization, split: SplitWitness,
@@ -243,8 +243,6 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     u_idx = split.u_indices()
     v_idx = split.v_indices()
     half_s = inst.S // 2
-    if g.u_count != len(u_idx) or g.v_count != len(v_idx):
-        raise ValueError("realization does not match the split's class sizes")
     if (g.u_degrees() != tuple(src.degrees[i] for i in u_idx)
             or g.v_degrees() != tuple(src.degrees[i] for i in v_idx)):
         raise ValueError("realization degrees do not match the split")
@@ -256,22 +254,19 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     # padding), then the L block, then the S block
     l_off, s_off = half_s, half_s + shift
     total = half_s + half_n
-    edges: set[tuple[int, int]] = set(g.edges)
-    # complete bipartite blocks: U_L x V_L, U_L x V_G, V_L x U_G
-    for ul in range(l_off, l_off + shift):
-        for vl in range(l_off, l_off + shift):
-            edges.add((ul, vl))
-        for vg in range(half_s):
-            edges.add((ul, vg))
-    for vl in range(l_off, l_off + shift):
-        for ug in range(half_s):
-            edges.add((ug, vl))
-    # semi-regular blocks: U_L x V_S and V_L x U_S
+    # U_G x V_L, U_L x V_G, U_L x V_L are complete; U_L x V_S, U_S x V_L semi-regular
+    l_block = tuple(range(l_off, s_off))
+    g_and_l = tuple(range(s_off))
     semi = semiregular_bipartite(shift, inst.semi_deg, s_side, inst.small_value)
-    for a, b in semi.edges:
-        edges.add((l_off + a, s_off + b))
-        edges.add((s_off + b, l_off + a))
-    lifted = BipartiteRealization(total, total, frozenset(edges))
+    u_s: list[list[int]] = [[] for _ in range(s_side)]
+    for a, nbrs in enumerate(semi.neighbors):
+        for b in nbrs:
+            u_s[b].append(l_off + a)
+    neighbors = ([nbrs + l_block for nbrs in g.neighbors]
+                 + [l_block] * (half_s - g.u_count)
+                 + [g_and_l + tuple(s_off + b for b in nbrs) for nbrs in semi.neighbors]
+                 + [tuple(nbrs) for nbrs in u_s])
+    lifted = BipartiteRealization(total, tuple(neighbors))
 
     expected: list[int] = sorted(inst.d_prime.degrees)
     got = sorted(lifted.u_degrees() + lifted.v_degrees())
@@ -293,20 +288,16 @@ def project_realization(g_prime: BipartiteRealization,
     big = inst.big_value
     shift = inst.shift_base
     expected_per_side = inst.big_count // 2
-    big_u = [i for i, d in enumerate(u_deg) if d == big]
-    big_v = [j for j, d in enumerate(v_deg) if d == big]
-    if len(big_u) != expected_per_side or len(big_v) != expected_per_side:
+    big_v = {j for j, d in enumerate(v_deg) if d == big}
+    if u_deg.count(big) != expected_per_side or len(big_v) != expected_per_side:
         raise ProjectionAuditError(
-            f"big-degree vertices split {len(big_u)}/{len(big_v)}, "
+            f"big-degree vertices split {u_deg.count(big)}/{len(big_v)}, "
             f"expected {expected_per_side} per side")
-    big_u_set, big_v_set = set(big_u), set(big_v)
-    residual_edges = {(u, v) for u, v in g_prime.edges
-                      if u not in big_u_set and v not in big_v_set}
-    res_u = [0] * g_prime.u_count
-    res_v = [0] * g_prime.v_count
-    for u, v in residual_edges:
-        res_u[u] += 1
-        res_v[v] += 1
+    residual = BipartiteRealization(g_prime.v_count, tuple(
+        () if d == big else tuple(v for v in nbrs if v not in big_v)
+        for d, nbrs in zip(u_deg, g_prime.neighbors)))
+    res_u = residual.u_degrees()
+    res_v = residual.v_degrees()
 
     shifted_values = sorted(d + shift for d in inst.source.degrees)
 
@@ -334,11 +325,10 @@ def project_realization(g_prime: BipartiteRealization,
     if sum(u_deg[i] - shift for i in keep_u) * 2 != inst.S:
         raise ProjectionAuditError("shifted degrees do not split the source sum evenly")
 
-    u_map = {old: new for new, old in enumerate(keep_u)}
+    # keep_v is increasing, so the remap keeps each neighbor tuple sorted
     v_map = {old: new for new, old in enumerate(keep_v)}
-    return BipartiteRealization(
-        len(keep_u), len(keep_v),
-        frozenset((u_map[u], v_map[v]) for u, v in residual_edges))
+    return BipartiteRealization(len(keep_v), tuple(
+        tuple(v_map[v] for v in residual.neighbors[u]) for u in keep_u))
 
 
 @dataclass(frozen=True)

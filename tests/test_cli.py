@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from bdr import DegreeSequence, ParamBounds, decide_bdr
 from bdr.cli import main
 
 
@@ -26,6 +28,16 @@ class TestDecide:
         assert payload["verdict"] == "Bipartite"
         assert payload["region"] == "LowTractable"
         assert payload["split"] is not None and payload["realization"] is not None
+
+    def test_realization_is_flattened_neighbors(self, tmp_path, capsys):
+        degrees = (4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2)
+        f = write(tmp_path, "d.txt", " ".join(map(str, degrees)) + "\n")
+        code, out, _ = run(capsys, ["decide", "--c1", "1/6", "--c2", "1/3", f])
+        assert code == 0
+        g = decide_bdr(DegreeSequence(degrees),
+                       ParamBounds(Fraction(1, 6), Fraction(1, 3))).realization
+        assert json.loads(out)["realization"] == [
+            [u, v] for u, nbrs in enumerate(g.neighbors) for v in nbrs]
 
     def test_not_bipartite(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "3 3 3 3 3 3 3 3 3\n")

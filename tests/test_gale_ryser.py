@@ -6,6 +6,7 @@ from bdr import (BipartitePair, BipartiteRealization, DegreeSequence,
                  construct_realization, format_realization, hinge_flip,
                  is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
+from bdr.gale_ryser import _gale_ryser_lists
 from bdr.oracle import exhaustive_pair_search
 
 
@@ -29,8 +30,7 @@ class TestIsBigraphic:
     @given(st.lists(st.integers(0, 4), max_size=5),
            st.lists(st.integers(0, 4), max_size=5))
     def test_drop_point_optimization_agrees_with_all_k(self, d1, d2):
-        p = pair(d1, d2)
-        assert is_bigraphic(p) == is_bigraphic(p, check_all_k=True)
+        assert is_bigraphic(pair(d1, d2)) == _gale_ryser_lists(d1, d2, range(1, len(d1) + 1))
 
     @given(st.lists(st.integers(0, 3), max_size=4),
            st.lists(st.integers(0, 3), max_size=4))
@@ -83,6 +83,21 @@ class TestConstructRealization:
             assert g is None
 
 
+class TestRealizationLayout:
+    def test_derived_views(self):
+        g = BipartiteRealization(3, ((0, 2), (), (1,)))
+        assert g.u_count == 3
+        assert g.u_degrees() == (2, 0, 1) and g.v_degrees() == (1, 1, 1)
+        assert g.sorted_edges() == [(0, 0), (0, 2), (2, 1)]
+        assert g.edges == frozenset(g.sorted_edges())
+
+    @pytest.mark.parametrize("neighbors", [((1, 0),), ((0, 0),), ((-1, 0),), ((0, 2),),
+                                           ((), (2,))])
+    def test_rejects_unsorted_repeated_or_out_of_range(self, neighbors):
+        with pytest.raises(ValueError):
+            BipartiteRealization(2, neighbors)
+
+
 class TestHingeFlip:
     def test_edge_already_present(self):
         g = construct_realization(pair((2, 2), (2, 2)))
@@ -90,14 +105,21 @@ class TestHingeFlip:
             hinge_flip(g, 0, 1, 0)
 
     def test_direct_move(self):
-        g = BipartiteRealization(2, 2, frozenset({(0, 0), (0, 1)}))
+        g = BipartiteRealization(2, ((0, 1), ()))
         assert hinge_flip(g, 0, 1, 1).edges == frozenset({(0, 0), (1, 1)})
 
     def test_degree_bookkeeping(self):
-        g = BipartiteRealization(2, 2, frozenset({(0, 0), (0, 1)}))
+        g = BipartiteRealization(2, ((0, 1), ()))
         flipped = hinge_flip(g, 0, 1, 1)
         assert g.u_degrees() == (2, 0) and flipped.u_degrees() == (1, 1)
         assert flipped.v_degrees() == g.v_degrees()
+
+    @pytest.mark.parametrize("u", [-1, 2])
+    def test_u_out_of_range(self, u):
+        g = BipartiteRealization(2, ((0, 1), ()))
+        for u1, u2 in ((u, 1), (0, u)):
+            with pytest.raises(InvalidMoveError):
+                hinge_flip(g, u1, u2, 0)
 
 
 class TestBalancingHingeFlip:
@@ -111,10 +133,19 @@ class TestBalancingHingeFlip:
         with pytest.raises(InvalidMoveError):
             balancing_hinge_flip(g, 0, 1)
 
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_u_out_of_range(self, u):
+        # i = -1 would wrap to u_2, whose degree 0 meets the precondition
+        # against u_0's degree 3
+        g = BipartiteRealization(3, ((0, 1, 2), (), ()))
+        for i, j in ((u, 0), (1, u)):
+            with pytest.raises(InvalidMoveError):
+                balancing_hinge_flip(g, i, j)
+
     def test_no_eligible_v_raises(self, monkeypatch):
         # degrees that claim a gap the edges do not have: the pigeonhole
         # argument fails, and the flip raises rather than returning
-        g = BipartiteRealization(2, 1, frozenset({(0, 0), (1, 0)}))
+        g = BipartiteRealization(1, ((0,), (0,)))
         monkeypatch.setattr(BipartiteRealization, "u_degrees", lambda self: (0, 2))
         with pytest.raises(InvariantError):
             balancing_hinge_flip(g, 0, 1)
@@ -133,5 +164,5 @@ class TestBalancingHingeFlip:
 
 class TestFormat:
     def test_header_and_edges(self):
-        g = BipartiteRealization(1, 2, frozenset({(0, 0), (0, 1)}))
+        g = BipartiteRealization(2, ((0, 1),))
         assert format_realization(g) == "p bipartite 1 2 2\n0 0\n0 1"

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -151,6 +154,39 @@ class TestBuildHardInstance:
             build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
 
 
+def test_typed_invariants_survive_python_O():
+    # under -O every assert is stripped; the proof invariants must still raise
+    script = """
+import sys
+from fractions import Fraction
+import bdr.reduction
+from bdr import DegreeSequence, ParamBounds
+from bdr.errors import ReductionInvariantError
+from bdr.gale_ryser import BipartiteRealization
+if __debug__:
+    sys.exit("not running under -O")
+bdr.reduction.choose_padding_n = lambda S, bounds, r: 50
+try:
+    bdr.reduction.build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)),
+                                      ParamBounds(Fraction(1, 10), Fraction(2, 5)))
+    sys.exit("inadmissible padding accepted")
+except ReductionInvariantError:
+    pass
+try:
+    BipartiteRealization(2, ((0, 2),))
+    sys.exit("out-of-range neighbor accepted")
+except ValueError:
+    pass
+print("ok")
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
 class TestSemiregular:
     def test_round_robin(self):
         g = semiregular_bipartite(4, 3, 6, 2)
@@ -216,7 +252,7 @@ class TestLiftProject:
 
     def test_lift_rejects_wrong_degrees(self):
         _, inst, split, g = self.lifted((2, 1, 1, 1, 1))
-        bad = BipartiteRealization(g.u_count, g.v_count, frozenset())
+        bad = BipartiteRealization(g.v_count, ((),) * g.u_count)
         with pytest.raises(ValueError):
             lift_realization(bad, split, inst)
 
@@ -227,10 +263,11 @@ class TestLiftProject:
         big = inst.big_value
         u_deg = lifted.u_degrees()
         v_deg = lifted.v_degrees()
-        victim = next((u, v) for u, v in lifted.edges
-                      if u_deg[u] != big and v_deg[v] != big)
-        tampered = BipartiteRealization(lifted.u_count, lifted.v_count,
-                                        lifted.edges - {victim})
+        u, v = next((u, v) for u, v in lifted.sorted_edges()
+                    if u_deg[u] != big and v_deg[v] != big)
+        neighbors = list(lifted.neighbors)
+        neighbors[u] = tuple(w for w in neighbors[u] if w != v)
+        tampered = BipartiteRealization(lifted.v_count, tuple(neighbors))
         with pytest.raises(ProjectionAuditError):
             project_realization(tampered, inst)
 
