@@ -23,6 +23,9 @@ EXIT_BIPARTITE = 0
 EXIT_NOT_BIPARTITE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+# points per scan grid axis, checked before any point is built, so that a
+# grid such as 0:1:1/1000000000 fails at once instead of filling memory
+MAX_GRID_POINTS = 1000
 
 
 def _read_sequence(path: str) -> DegreeSequence:
@@ -132,12 +135,10 @@ def _parse_grid(text: str) -> list[Fraction]:
     step = core.parse_rational(step_s)
     if step <= 0:
         raise ParseError("grid step must be positive")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    count = max(0, (stop - start) // step + 1)
+    if count > MAX_GRID_POINTS:
+        raise ParseError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
+    return [start + k * step for k in range(count)]
 
 
 def _random_graphic_in_window(rng: random.Random, n: int, lo: int, hi: int,
@@ -153,10 +154,11 @@ def _random_graphic_in_window(rng: random.Random, n: int, lo: int, hi: int,
 def run_scan(args) -> int:
     if args.samples < 1:
         raise ParseError("samples must be >= 1")
+    c1_grid, c2_grid = _parse_grid(args.c1_grid), _parse_grid(args.c2_grid)
     rng = random.Random(args.seed)
     print("c1,c2,region,frac_split,frac_bipartite,samples")
-    for c1 in _parse_grid(args.c1_grid):
-        for c2 in _parse_grid(args.c2_grid):
+    for c1 in c1_grid:
+        for c2 in c2_grid:
             if c1 > c2:
                 continue
             bounds = ParamBounds(c1, c2)

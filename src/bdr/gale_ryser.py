@@ -101,32 +101,70 @@ def bipartite_to_unipartite(pair: BipartitePair) -> DegreeSequence:
     return DegreeSequence(tuple(d + n - 1 for d in pair.d1.degrees) + pair.d2.degrees)
 
 
+def _push_run(runs: list[tuple[int, list[int]]], r: int, vs: list[int]) -> None:
+    """Append the run (r, vs) below ``runs``: dropped at residual 0, merged
+    into the last run when that has residual r."""
+    if not r:
+        return
+    if runs and runs[-1][0] == r:
+        runs[-1] = (r, sorted(runs[-1][1] + vs))
+    else:
+        runs.append((r, vs))
+
+
 def construct_realization(pair: BipartitePair) -> BipartiteRealization | None:
     """Greedy realization; None signals a non-bigraphic pair.
 
-    u-vertices are processed in non-increasing degree order; each connects
-    to the v-vertices of highest residual degree, ties to the lowest index.
-    Output degrees match the input lists in their original index order.
+    u-vertices are processed in non-increasing degree order (stable); each
+    connects to the v-vertices of highest residual degree, ties to the
+    lowest index.  Output degrees match the input lists in their original
+    index order.
+
+    The v-vertices of positive residual are kept as runs, (residual,
+    increasing indices) in strictly decreasing residual, which is the
+    (-residual, index) order.  A u-vertex takes whole runs from the top and
+    the lowest-index prefix of the boundary run; after the decrement only
+    the runs on either side of the boundary can share a residual, and they
+    are merged.  The cost is O(sigma + n) list work plus those merges, with
+    no per-vertex sort key.
     """
     d1 = pair.d1.degrees
     d2 = pair.d2.degrees
     if sum(d1) != sum(d2):
         return None
-    residual = list(d2)
-    order = list(range(len(d2)))  # re-sorted in place for each u-vertex
+    by_residual: dict[int, list[int]] = {}
+    for v, r in enumerate(d2):
+        if r:
+            by_residual.setdefault(r, []).append(v)
+    runs = sorted(by_residual.items(), reverse=True)
     neighbors = [()] * len(d1)
     for u in sorted(range(len(d1)), key=lambda i: -d1[i]):
         need = d1[u]
         if need == 0:
-            continue
-        order.sort(key=lambda j: (-residual[j], j))
-        chosen = order[:need]
-        if len(chosen) < need or residual[chosen[-1]] == 0:
-            return None
-        for v in chosen:
-            residual[v] -= 1
+            break  # every later u-vertex has degree 0 too
+        chosen: list[int] = []
+        head: list[tuple[int, list[int]]] = []  # replaces runs[:k]
+        k = 0
+        while need:
+            if k == len(runs):
+                return None
+            r, vs = runs[k]
+            k += 1
+            if len(vs) <= need:
+                chosen += vs
+                need -= len(vs)
+                _push_run(head, r - 1, vs)
+            else:
+                chosen += vs[:need]
+                _push_run(head, r, vs[need:])
+                _push_run(head, r - 1, vs[:need])
+                need = 0
+        if k < len(runs) and head and head[-1][0] == runs[k][0]:
+            _push_run(head, *runs[k])
+            k += 1
+        runs[:k] = head
         neighbors[u] = tuple(sorted(chosen))
-    if any(residual):
+    if runs:
         return None
     return BipartiteRealization(len(d2), tuple(neighbors))
 

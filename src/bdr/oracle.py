@@ -8,7 +8,6 @@ bipartite edge-set backtracking that does not trust Gale–Ryser at all.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from .core import DegreeSequence
@@ -62,11 +61,22 @@ def _normalized(seq) -> tuple[int, ...]:
     return tuple(sorted((d for d in seq if d > 0), reverse=True))
 
 
-@lru_cache(maxsize=None)
-def _pair_realizable(du: tuple[int, ...], dv: tuple[int, ...]) -> bool:
+# (du, dv) -> realizable, for the normalized pairs one top-level search met
+_Memo = dict[tuple[tuple[int, ...], tuple[int, ...]], bool]
+
+
+def _pair_realizable(du: tuple[int, ...], dv: tuple[int, ...], memo: _Memo) -> bool:
+    # ``memo`` belongs to one top-level search, so nothing is kept between
+    # searches; inputs are normalized: zero-free, non-increasing
+    key = (du, dv)
+    if key not in memo:
+        memo[key] = _pair_search(du, dv, memo)
+    return memo[key]
+
+
+def _pair_search(du: tuple[int, ...], dv: tuple[int, ...], memo: _Memo) -> bool:
     # exact bipartite realizability by backtracking over the neighborhoods
-    # of the u-vertices; pruning uses only sums and residual counts.
-    # inputs are normalized: zero-free, non-increasing
+    # of the u-vertices; pruning uses only sums and residual counts
     if sum(du) != sum(dv):
         return False
     if not du:
@@ -78,14 +88,14 @@ def _pair_realizable(du: tuple[int, ...], dv: tuple[int, ...]) -> bool:
         new_dv = list(dv)
         for j in picks:
             new_dv[j] -= 1
-        if _pair_realizable(rest, _normalized(new_dv)):
+        if _pair_realizable(rest, _normalized(new_dv), memo):
             return True
     return False
 
 
 def exhaustive_pair_search(d1, d2) -> bool:
     """Ground truth for a fixed bipartition, independent of Gale–Ryser."""
-    return _pair_realizable(_normalized(d1), _normalized(d2))
+    return _pair_realizable(_normalized(d1), _normalized(d2), {})
 
 
 def exhaustive_graph_search(ds: DegreeSequence) -> bool:
@@ -103,12 +113,13 @@ def exhaustive_graph_search(ds: DegreeSequence) -> bool:
         return False
     if n == 0:
         return True
+    memo: _Memo = {}
     # vertex 0 fixed on the U side; complements are symmetric
     for mask in range(1 << (n - 1)):
         du = [deg[0]] + [deg[i] for i in range(1, n) if mask >> (i - 1) & 1]
         dv = [deg[i] for i in range(1, n) if not mask >> (i - 1) & 1]
         if sum(du) != sigma // 2:
             continue
-        if _pair_realizable(_normalized(du), _normalized(dv)):
+        if _pair_realizable(_normalized(du), _normalized(dv), memo):
             return True
     return False

@@ -1,10 +1,12 @@
 """Equal-sum splitting via subset-sum dynamic programming.
 
-The DP runs over a bitset of achievable sums (a Python int).  Deciding
-existence keeps one bitset, O(sigma) bits; finding a witness keeps one per
-prefix of the degrees, n+1 bitsets or Theta(n*sigma) bits.  Splits are
-unordered; enumeration canonicalizes by keeping the first nonzero entry on
-the U side and has no limit (a caller that needs one stops iterating).
+The DP runs over a bitset of achievable sums (a Python int), n shifts of
+an O(sigma)-bit int.  Deciding existence keeps one bitset, O(sigma) bits;
+finding a witness keeps every ceil(sqrt(n))-th prefix bitset,
+O(sqrt(n)*sigma) bits, and returns the same split as a reconstruction from
+all n+1 of them would.  Splits are unordered; enumeration canonicalizes by
+keeping the first nonzero entry on the U side and has no limit (a caller
+that needs one stops iterating).
 Zero degrees are never part of a subset key: ``split_with_u`` puts every
 one of them on the U side, for every split this module returns.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .core import DegreeSequence
@@ -69,22 +72,46 @@ def equal_sum_split_exists(ds: DegreeSequence) -> bool:
 def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     """A witness via DP back-reconstruction, or None.
 
-    Deterministic: at each reconstruction step the current item is excluded
-    whenever the remaining sum is achievable without it.
+    Deterministic: at each reconstruction step, from the last item back,
+    the current item is excluded whenever the remaining sum is reachable by
+    the items before it.
+
+    Only every ceil(sqrt(n))-th prefix bitset is kept.  The reconstruction
+    runs back one block at a time: it recomputes the subset sums of each
+    prefix of the block alone and meets them with the block's checkpoint
+    (the remaining sum is reachable iff some block sum t has remaining - t
+    in the checkpoint).  Memory is O(sqrt(n)*sigma) bits.
     """
     sigma = ds.sigma
     if sigma % 2 != 0:
         return None
     target = sigma // 2
-    reachable = list(_subset_sums(ds.degrees, target))
-    if not reachable[-1] >> target & 1:
+    n = ds.n
+    block = isqrt(n - 1) + 1 if n else 1  # ceil(sqrt(n))
+    checkpoints = []
+    for i, reach in enumerate(_subset_sums(ds.degrees, target)):
+        if i % block == 0:
+            checkpoints.append(reach)
+    if not reach >> target & 1:
         return None
     u_side = []
     cur = target
-    for i in range(ds.n - 1, -1, -1):
-        if not reachable[i] >> cur & 1:
-            u_side.append(i)
-            cur -= ds.degrees[i]
+    for start in range(block * ((n - 1) // block), -1, -block):
+        items = ds.degrees[start:start + block]
+        # within[j]: the sums of items[:j]
+        within = list(_subset_sums(items[:-1], target))
+        # bit t of mirror: cur - t is a sum of the items before the block
+        width = sum(items) + 1
+        window = (checkpoints[start // block] << width >> (cur + 1)) & ((1 << width) - 1)
+        mirror = int(format(window, f"0{width}b")[::-1], 2)
+        taken = 0
+        for j in range(len(items) - 1, -1, -1):
+            # cur - taken is reachable without items[j:] iff some t in
+            # within[j] has bit taken + t of mirror set
+            if not mirror >> taken & within[j]:
+                u_side.append(start + j)
+                taken += items[j]
+        cur -= taken
     if cur != 0:
         raise InvariantError(f"split reconstruction left {cur} of {target} unassigned")
     return split_with_u(ds, u_side)

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from bdr import DegreeSequence, ParamBounds, decide_bdr
-from bdr.cli import main
+from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
+
+F = Fraction
 
 
 def write(tmp_path, name, text):
@@ -101,6 +105,37 @@ class TestRealize:
         assert code == 3
 
 
+class TestGoldenBytes:
+    """sha256 of stdout for fixed seeded inputs: the witness bytes of the
+    split DP and the realizer must not change silently."""
+
+    def test_decide_low_region(self, tmp_path, capsys):
+        rng = random.Random(600)
+        degrees = [rng.randint(60, 120) for _ in range(600)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(60, 120)
+        f = write(tmp_path, "d.txt", " ".join(map(str, degrees)) + "\n")
+        code, out, _ = run(capsys, ["decide", "--c1", "1/10", "--c2", "1/5", f])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0216617c60779c3a1882b0eb715cbbfdc091e92072ff5cb8621fa26dcd9028a5")
+
+    def test_realize_random_graph_degrees(self, tmp_path, capsys):
+        rng = random.Random(300)
+        d1, d2 = [0] * 60, [0] * 80
+        for u in range(60):
+            for v in range(80):
+                if rng.random() < 0.3:
+                    d1[u] += 1
+                    d2[v] += 1
+        f = write(tmp_path, "p.txt", " ".join(map(str, d1)) + "\n"
+                  + " ".join(map(str, d2)) + "\n")
+        code, out, _ = run(capsys, ["realize", f])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7cf81f2ec37a93bc87c12a2ec325fdb098ea2a3e15e075b27f272a3af1ff5bcd")
+
+
 class TestLbds:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, ["lbds", "5", "10", "3", "1"])
@@ -185,6 +220,16 @@ class TestScan:
         code, _, _ = run(capsys, ["scan", "--c1-grid", "oops",
                                   "--c2-grid", "0:1:1"])
         assert code == 3
+
+    def test_oversized_grid_rejected_before_sampling(self, capsys):
+        code, out, err = run(capsys, ["scan", "--c1-grid", "0:1:1/1000000000",
+                                      "--c2-grid", "0:1:1"])
+        assert code == 3 and out == "" and "1000000001 points" in err
+
+    def test_grid_points(self):
+        assert _parse_grid("1/10:3/10:1/10") == [F(1, 10), F(1, 5), F(3, 10)]
+        assert _parse_grid("1/2:1/4:1/10") == []
+        assert len(_parse_grid(f"0:1:1/{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
 
 
 class TestOracle:

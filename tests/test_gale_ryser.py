@@ -1,10 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bdr import (BipartitePair, BipartiteRealization, DegreeSequence,
                  balancing_hinge_flip, bipartite_to_unipartite,
                  construct_realization, format_realization, hinge_flip,
-                 is_bigraphic, is_graphic)
+                 find_equal_sum_split, is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_lists
 from bdr.oracle import exhaustive_pair_search
@@ -12,6 +14,61 @@ from bdr.oracle import exhaustive_pair_search
 
 def pair(d1, d2):
     return BipartitePair(DegreeSequence(d1), DegreeSequence(d2))
+
+
+def reference_realization(p):
+    """The per-u-vertex sort realizer the run-based one replaced: the same
+    u order, then the first need v-vertices by (-residual, index)."""
+    d1, d2 = p.d1.degrees, p.d2.degrees
+    if sum(d1) != sum(d2):
+        return None
+    residual = list(d2)
+    order = list(range(len(d2)))
+    neighbors = [()] * len(d1)
+    for u in sorted(range(len(d1)), key=lambda i: -d1[i]):
+        need = d1[u]
+        if need == 0:
+            continue
+        order.sort(key=lambda j: (-residual[j], j))
+        chosen = order[:need]
+        if len(chosen) < need or residual[chosen[-1]] == 0:
+            return None
+        for v in chosen:
+            residual[v] -= 1
+        neighbors[u] = tuple(sorted(chosen))
+    if any(residual):
+        return None
+    return BipartiteRealization(len(d2), tuple(neighbors))
+
+
+@st.composite
+def degree_pairs(draw):
+    """Unequal sums, equal sums (bigraphic or not, entries of d1 may exceed
+    len(d2)), and the degrees of random bipartite graphs, zeros included."""
+    kind = draw(st.sampled_from(["free", "equal", "graph"]))
+    if kind == "graph":
+        u_count, v_count = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        edges = draw(st.lists(st.booleans(), min_size=u_count * v_count,
+                              max_size=u_count * v_count))
+        d1 = [sum(edges[u * v_count:(u + 1) * v_count]) for u in range(u_count)]
+        d2 = [sum(edges[v::v_count]) for v in range(v_count)]
+        return d1, d2
+    d1 = draw(st.lists(st.integers(0, 9), max_size=7))
+    d2 = draw(st.lists(st.integers(0, 9), max_size=7))
+    if kind == "equal":
+        diff = sum(d1) - sum(d2)
+        (d2 if diff > 0 else d1).append(abs(diff))
+    return d1, d2
+
+
+def random_graph_degrees(rng, u_count, v_count, p):
+    d1, d2 = [0] * u_count, [0] * v_count
+    for u in range(u_count):
+        for v in range(v_count):
+            if rng.random() < p:
+                d1[u] += 1
+                d2[v] += 1
+    return d1, d2
 
 
 class TestIsBigraphic:
@@ -81,6 +138,38 @@ class TestConstructRealization:
             assert g.v_degrees() == tuple(d2)
         else:
             assert g is None
+
+
+class TestRealizerMatchesReference:
+    @given(degree_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_small_pairs(self, d1_d2):
+        p = pair(*d1_d2)
+        assert construct_realization(p) == reference_realization(p)
+
+    @pytest.mark.parametrize("d1,d2", [((9, 1), (1,) * 10), ((3,), (1, 1)),
+                                       ((0, 2, 0), (1, 0, 1)), ((2, 2), (3, 1))])
+    def test_edge_cases(self, d1, d2):
+        p = pair(d1, d2)
+        assert construct_realization(p) == reference_realization(p)
+
+    def test_seeded_low_region_split(self):
+        # the pair decide_bdr realizes for a seeded n = 2000 input with
+        # degrees in [n/10, n/5]
+        rng = random.Random(2000)
+        degrees = [rng.randint(200, 400) for _ in range(2000)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(200, 400)
+        split = find_equal_sum_split(DegreeSequence(degrees))
+        p = pair([degrees[i] for i in split.u_indices()],
+                 [degrees[i] for i in split.v_indices()])
+        g = construct_realization(p)
+        assert g is not None and g == reference_realization(p)
+
+    def test_seeded_random_graph(self):
+        p = pair(*random_graph_degrees(random.Random(7), 300, 400, 0.2))
+        g = construct_realization(p)
+        assert g is not None and g == reference_realization(p)
 
 
 class TestRealizationLayout:

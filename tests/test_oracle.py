@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdr import DegreeSequence
+from bdr import DegreeSequence, oracle
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
@@ -42,6 +42,26 @@ class TestPairSearch:
 
     def test_zeros_ignored(self):
         assert exhaustive_pair_search((2, 0, 2), (2, 2, 0))
+
+
+class TestMemo:
+    def test_second_call_starts_from_an_empty_memo(self, monkeypatch):
+        searched = []
+        search = oracle._pair_search
+
+        def counting(du, dv, memo):
+            searched.append((du, dv))
+            return search(du, dv, memo)
+
+        monkeypatch.setattr(oracle, "_pair_search", counting)
+        for run in (lambda: exhaustive_pair_search((3, 3, 2, 2), (3, 3, 2, 2)),
+                    lambda: exhaustive_graph_search(DegreeSequence((3, 3, 2, 2, 1, 1)))):
+            searched.clear()
+            first = run()
+            first_searched = list(searched)
+            searched.clear()
+            assert run() == first
+            assert searched == first_searched and len(searched) > 1
 
 
 class TestAgreement:

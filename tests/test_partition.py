@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bdr import (DegreeSequence, enumerate_equal_sum_splits,
                  equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
+from bdr.partition import _subset_sums, split_with_u
 
 
 def brute_force_exists(seq):
@@ -16,6 +18,25 @@ def brute_force_exists(seq):
     return any(sum(seq[i] for i in sub) == total // 2
                for r in range(len(seq) + 1)
                for sub in combinations(idx, r))
+
+
+def reference_split(ds):
+    """The full-table reconstruction the checkpointed one replaced: every
+    prefix bitset kept, item i excluded whenever its prefix reaches cur."""
+    if ds.sigma % 2:
+        return None
+    target = ds.sigma // 2
+    reachable = list(_subset_sums(ds.degrees, target))
+    if not reachable[-1] >> target & 1:
+        return None
+    u_side = []
+    cur = target
+    for i in range(ds.n - 1, -1, -1):
+        if not reachable[i] >> cur & 1:
+            u_side.append(i)
+            cur -= ds.degrees[i]
+    assert cur == 0
+    return split_with_u(ds, u_side)
 
 
 class TestExists:
@@ -71,6 +92,26 @@ class TestFindSplit:
         monkeypatch.setattr("bdr.partition._subset_sums", every_sum)
         with pytest.raises(InvariantError):
             find_equal_sum_split(DegreeSequence((2, 1, 1)))
+
+
+class TestSplitMatchesReference:
+    # n <= 3: at most two blocks; n = 15, 16, 17 (block size 4, 4, 5): a
+    # last block of 3, 4 and 2 items, where the reconstruction starts
+    @given(st.one_of(st.sampled_from([0, 1, 2, 3, 15, 16, 17]), st.integers(0, 60))
+           .flatmap(lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    @settings(max_examples=500, deadline=None)
+    def test_same_witness(self, seq):
+        ds = DegreeSequence(seq)
+        assert find_equal_sum_split(ds) == reference_split(ds)
+
+    def test_seeded_low_region(self):
+        rng = random.Random(2000)
+        degrees = [rng.randint(200, 400) for _ in range(2000)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(200, 400)
+        ds = DegreeSequence(degrees)
+        w = find_equal_sum_split(ds)
+        assert w is not None and w == reference_split(ds)
 
 
 class TestEnumerate:

@@ -159,9 +159,10 @@ def test_typed_invariants_survive_python_O():
     script = """
 import sys
 from fractions import Fraction
+import bdr.partition
 import bdr.reduction
 from bdr import DegreeSequence, ParamBounds
-from bdr.errors import ReductionInvariantError
+from bdr.errors import InvariantError, ReductionInvariantError
 from bdr.gale_ryser import BipartiteRealization
 if __debug__:
     sys.exit("not running under -O")
@@ -176,6 +177,13 @@ try:
     BipartiteRealization(2, ((0, 2),))
     sys.exit("out-of-range neighbor accepted")
 except ValueError:
+    pass
+bdr.partition._subset_sums = lambda degrees, target: iter(
+    [(1 << (target + 1)) - 1] * (len(degrees) + 1))
+try:
+    bdr.partition.find_equal_sum_split(DegreeSequence((2, 1, 1)))
+    sys.exit("inconsistent split table accepted")
+except InvariantError:
     pass
 print("ok")
 """
