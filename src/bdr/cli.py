@@ -154,6 +154,8 @@ def _random_graphic_in_window(rng: random.Random, n: int, lo: int, hi: int,
 def run_scan(args) -> int:
     if args.samples < 1:
         raise ParseError("samples must be >= 1")
+    if args.n < 0:
+        raise ParseError("n must be >= 0")
     c1_grid, c2_grid = _parse_grid(args.c1_grid), _parse_grid(args.c2_grid)
     rng = random.Random(args.seed)
     print("c1,c2,region,frac_split,frac_bipartite,samples")
@@ -163,8 +165,7 @@ def run_scan(args) -> int:
                 continue
             bounds = ParamBounds(c1, c2)
             region = decider.classify_region(bounds)
-            lo = -((-c1.numerator * args.n) // c1.denominator)  # ceil(c1*n)
-            hi = (c2.numerator * args.n) // c2.denominator      # floor(c2*n)
+            lo, hi = core.degree_window(bounds, args.n)
             found: list[DegreeSequence] = []
             if lo <= hi:
                 for _ in range(args.samples):

@@ -1,12 +1,14 @@
 """Fundamental types, parsing, and graphicality testing.
 
-Degree sequences are immutable value objects.  All comparisons against the
-relative degree bounds (c1, c2) are done with exact rationals so that
-boundary instances are classified correctly.
+Degree sequences are immutable value objects.  The relative degree bounds
+(c1, c2) are exact rationals; a sequence of length n is checked against the
+integer window [ceil(c1*n), floor(c2*n)] they admit, so that boundary
+instances are classified correctly.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from bisect import bisect_left
@@ -94,11 +96,19 @@ class ParamBounds:
             raise ValueError(f"need 0 <= c1 <= c2 <= 1, got c1={self.c1}, c2={self.c2}")
 
 
+def _plain(token: str) -> bool:
+    """False for what int() and Fraction() would coerce: digit-group
+    underscores and non-ASCII digits (full-width, Arabic-Indic, ...)."""
+    return token.isascii() and "_" not in token
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a terminating decimal, exactly (no float round-trip)."""
     text = text.strip()
     if not text:
         raise ParseError("empty rational")
+    if not _plain(text):
+        raise ParseError(f"bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -112,6 +122,8 @@ def parse_sequence(text: str) -> DegreeSequence:
         raise ParseError("empty degree sequence")
     degrees = []
     for tok in tokens:
+        if not _plain(tok):
+            raise ParseError(f"non-integer token {tok!r}")
         try:
             value = int(tok)
         except ValueError as exc:
@@ -158,9 +170,13 @@ def is_graphic(ds: DegreeSequence, *, check_all_k: bool = False) -> bool:
     return all(_erdos_gallai_holds(deg, k, prefix, suffix) for k in ks)
 
 
+def degree_window(bounds: ParamBounds, n: int) -> tuple[int, int]:
+    """(ceil(c1*n), floor(c2*n)): the integer degrees in [c1*n, c2*n]."""
+    # Fraction's ceil and floor are exact integer divisions
+    return math.ceil(bounds.c1 * n), math.floor(bounds.c2 * n)
+
+
 def in_class(ds: DegreeSequence, bounds: ParamBounds) -> bool:
     """Exact check that every degree lies in [c1*n, c2*n]."""
-    n = ds.n
-    lo = bounds.c1 * n
-    hi = bounds.c2 * n
+    lo, hi = degree_window(bounds, ds.n)
     return all(lo <= d <= hi for d in ds.degrees)

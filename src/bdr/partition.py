@@ -48,11 +48,12 @@ def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
     return SplitWitness(tuple(labels), ds.sigma // 2)
 
 
-def _subset_sums(degrees: Iterable[int], target: int) -> Iterator[int]:
-    """For each prefix of ``degrees``, the empty one first, the bitset of its
-    subset sums up to ``target``."""
+def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterator[int]:
+    """For each prefix of ``degrees``, the empty one first, the bitset of
+    the sums a + t up to ``target``, a in ``reach`` ({0} by default) and t a
+    subset sum of the prefix."""
     cap = (1 << (target + 1)) - 1
-    reach = 1
+    reach &= cap
     yield reach
     for d in degrees:
         reach = (reach | (reach << d)) & cap
@@ -77,10 +78,11 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     the items before it.
 
     Only every ceil(sqrt(n))-th prefix bitset is kept.  The reconstruction
-    runs back one block at a time: it recomputes the subset sums of each
-    prefix of the block alone and meets them with the block's checkpoint
-    (the remaining sum is reachable iff some block sum t has remaining - t
-    in the checkpoint).  Memory is O(sqrt(n)*sigma) bits.
+    runs back one block at a time and rebuilds the block's prefix bitsets
+    from its checkpoint, restricted to the sums in
+    [max(remaining - block sum, 0), remaining]: every remaining sum that
+    the block's steps test lies there, and so does the checkpoint part of
+    every way to reach it.  Memory is O(sqrt(n)*sigma) bits.
     """
     sigma = ds.sigma
     if sigma % 2 != 0:
@@ -98,20 +100,13 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     cur = target
     for start in range(block * ((n - 1) // block), -1, -block):
         items = ds.degrees[start:start + block]
-        # within[j]: the sums of items[:j]
-        within = list(_subset_sums(items[:-1], target))
-        # bit t of mirror: cur - t is a sum of the items before the block
-        width = sum(items) + 1
-        window = (checkpoints[start // block] << width >> (cur + 1)) & ((1 << width) - 1)
-        mirror = int(format(window, f"0{width}b")[::-1], 2)
-        taken = 0
+        low = max(cur - sum(items), 0)
+        # window[j]: the sums in [low, cur] of the first start + j items, minus low
+        window = list(_subset_sums(items[:-1], cur - low, checkpoints[start // block] >> low))
         for j in range(len(items) - 1, -1, -1):
-            # cur - taken is reachable without items[j:] iff some t in
-            # within[j] has bit taken + t of mirror set
-            if not mirror >> taken & within[j]:
+            if not window[j] >> (cur - low) & 1:
                 u_side.append(start + j)
-                taken += items[j]
-        cur -= taken
+                cur -= items[j]
     if cur != 0:
         raise InvariantError(f"split reconstruction left {cur} of {target} unassigned")
     return split_with_u(ds, u_side)

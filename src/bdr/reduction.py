@@ -2,8 +2,9 @@
 
 All derived constants are exact rationals.  The rational scaling factor r
 is found by comparing decimal expansions of the two irrational bracket
-endpoints with exact integer square roots; no floating point is involved
-anywhere in the construction.
+endpoints; each digit string is an integer square root (math.isqrt) of a
+scaled rational, so no floating point is involved anywhere in the
+construction.
 """
 
 from __future__ import annotations
@@ -64,42 +65,15 @@ def _exact_int(value: Fraction, name: str) -> int:
     return value.numerator
 
 
-# --- exact decimal machinery ------------------------------------------------
-
-def _floor_linear_sqrt(a: Fraction, b: Fraction, w: Fraction) -> int:
-    """floor(a + b*sqrt(w)) computed exactly (w >= 0 rational)."""
-    if b == 0 or w == 0:
-        return math.floor(a)
-    t = b * b * w
-    root_floor = isqrt(t.numerator // t.denominator)
-    if b > 0:
-        m = math.floor(a) + root_floor
-    else:
-        m = math.floor(a) - root_floor - 2
-
-    def at_most_value(candidate: int) -> bool:
-        # candidate <= a + b*sqrt(w)
-        rest = Fraction(candidate) - a
-        if b > 0:
-            if rest <= 0:
-                return True
-            return rest * rest <= t
-        if rest >= 0:
-            return False
-        return rest * rest >= t
-
-    while at_most_value(m + 1):
-        m += 1
-    while not at_most_value(m):
-        m -= 1
-    return m
+def _floor_sqrt(x: Fraction) -> int:
+    """floor(sqrt(x)) for rational x >= 0, exactly: floor(sqrt(x)) = isqrt(floor(x))."""
+    return isqrt(x.numerator // x.denominator)
 
 
-def _round_half_up(a: Fraction, b: Fraction, w: Fraction, digits: int) -> Fraction:
-    """(a + b*sqrt(w)) rounded half-up to ``digits`` decimal places."""
-    scale = 10 ** digits
-    rounded = _floor_linear_sqrt(a * scale + Fraction(1, 2), b * scale, w)
-    return Fraction(rounded, scale)
+def _ceil_sqrt(x: Fraction) -> int:
+    """ceil(sqrt(x)) for rational x >= 0; sqrt(x) is an integer only if x is its square."""
+    root = _floor_sqrt(x)
+    return root if root * root == x else root + 1
 
 
 def compute_rational_r(bounds: ParamBounds) -> Fraction:
@@ -116,14 +90,14 @@ def compute_rational_r(bounds: ParamBounds) -> Fraction:
     wa = 1 - 2 * c2  # lower endpoint is sqrt(wa)
     wb = 2 * c1      # upper endpoint is 1 - sqrt(wb)
     for digits in range(1, 400):
-        scale = 10 ** digits
-        trunc_a = _floor_linear_sqrt(Fraction(0) * scale, Fraction(scale), wa)
-        trunc_b = _floor_linear_sqrt(Fraction(scale), Fraction(-scale), wb)
-        if trunc_a == trunc_b:
+        s = 10 ** digits
+        # the endpoints truncated to `digits` places, times s
+        if _floor_sqrt(s * s * wa) == s - _ceil_sqrt(s * s * wb):
             continue
-        ra = _round_half_up(Fraction(0), Fraction(1), wa, digits)
-        rb = _round_half_up(Fraction(1), Fraction(-1), wb, digits)
-        r = (ra + rb) / 2
+        # rounded half up instead: floor(s*x + 1/2) = (floor(2*s*x) + 1) // 2
+        ra = (_floor_sqrt(4 * s * s * wa) + 1) // 2
+        rb = s + (1 - _ceil_sqrt(4 * s * s * wb)) // 2
+        r = Fraction(ra + rb, 2 * s)
         # strict bracket, square-compared: sqrt(wa) < r and r < 1 - sqrt(wb)
         if not (r > 0 and r * r > wa and r < 1 and (1 - r) ** 2 > wb):
             continue

@@ -23,6 +23,20 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _partitions(rem, largest):
+    if rem == 0:
+        yield ()
+        return
+    for first in range(min(rem, largest), 0, -1):
+        for rest in _partitions(rem - first, first):
+            yield (first,) + rest
+
+
+def reduction_corpus(max_sum):
+    """Zero-free multisets with even S <= max_sum and every degree < S/2."""
+    return [p for s in range(4, max_sum + 1, 2) for p in _partitions(s, s // 2 - 1)]
+
+
 class TestDecide:
     def test_bipartite(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "4 4 4 4 4 4 4 4 4 4\n")
@@ -135,6 +149,34 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7cf81f2ec37a93bc87c12a2ec325fdb098ea2a3e15e075b27f272a3af1ff5bcd")
 
+    @pytest.mark.parametrize("c1, c2, max_sum, digest", [
+        ("1/10", "2/5", 8,
+         "b8a2df6efb73bc0b8e2b39c5f701a5f93034a03d5d23de73ee6459b032da18fd"),
+        ("1/20", "9/20", 8,
+         "1bc25bb7fd5f6b9bbe7e1fd8ead1eb24f5e0c122631a5eb1725ed07c1afcd7de"),
+        ("3/20", "2/5", 6,
+         "452ec96a892db815b60eaa5990cc13cff43d45f9b80882354aa8ce6be9c70370"),
+    ])
+    def test_reduce_corpus(self, tmp_path, capsys, c1, c2, max_sum, digest):
+        # pins r, n and D' for every zero-free source with even S <= max_sum
+        # and all degrees < S/2
+        digest_of = hashlib.sha256()
+        for k, source in enumerate(reduction_corpus(max_sum)):
+            f = write(tmp_path, f"s{k}.txt", " ".join(map(str, source)) + "\n")
+            code, out, _ = run(capsys, ["reduce", "--c1", c1, "--c2", c2, f])
+            assert code == 0, source
+            digest_of.update(out.encode())
+        assert digest_of.hexdigest() == digest
+
+    def test_scan_grid(self, capsys):
+        # every region, and two cells whose integer window is empty
+        code, out, _ = run(capsys, ["scan", "--c1-grid", "0:3/5:1/10",
+                                    "--c2-grid", "1/5:4/5:1/5", "--samples", "4",
+                                    "--n", "12", "--seed", "3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "372c65e5fda056fec39a33039f4720b5f84197ede1f981974c1cb016ed21a227")
+
 
 class TestLbds:
     def test_worked_example(self, capsys):
@@ -220,6 +262,11 @@ class TestScan:
         code, _, _ = run(capsys, ["scan", "--c1-grid", "oops",
                                   "--c2-grid", "0:1:1"])
         assert code == 3
+
+    def test_negative_n_rejected_before_header(self, capsys):
+        code, out, err = run(capsys, ["scan", "--c1-grid", "0:1/5:1/10",
+                                      "--c2-grid", "1/5:2/5:1/10", "--n", "-3"])
+        assert code == 3 and out == "" and "n must be >= 0" in err
 
     def test_oversized_grid_rejected_before_sampling(self, capsys):
         code, out, err = run(capsys, ["scan", "--c1-grid", "0:1:1/1000000000",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdr import DegreeSequence, ParamBounds, in_class, is_graphic, parse_sequence
-from bdr.core import parse_rational
+from bdr.core import degree_window, parse_rational
 from bdr.errors import ParseError
 
 
@@ -33,6 +33,20 @@ class TestParseSequence:
         with pytest.raises(ParseError):
             parse_sequence("   ")
 
+    def test_digit_group_underscore_rejected(self):
+        # int() reads "1_000" as 1000
+        with pytest.raises(ParseError, match="1_000"):
+            parse_sequence("2 1_000")
+
+    def test_full_width_digit_rejected(self):
+        # int() reads the full-width digit three as 3
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_sequence("2 \uff13")
+
+    def test_negative_still_named(self):
+        with pytest.raises(ParseError, match="negative degree '-12'"):
+            parse_sequence("3 -12")
+
 
 class TestParseRational:
     def test_fraction(self):
@@ -44,6 +58,16 @@ class TestParseRational:
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_rational("1/0")
+
+    def test_digit_group_underscore_rejected(self):
+        # Fraction() reads "1_0/3" as 10/3
+        with pytest.raises(ParseError):
+            parse_rational("1_0/3")
+
+    def test_arabic_indic_digits_rejected(self):
+        # Fraction() reads ARABIC-INDIC ONE / TWO as 1/2
+        with pytest.raises(ParseError):
+            parse_rational("\u0661/\u0662")
 
 
 class TestIsGraphic:
@@ -95,6 +119,30 @@ class TestInClass:
 
     def test_full_range(self):
         assert in_class(DegreeSequence((2, 2, 3)), ParamBounds(Fraction(0), Fraction(1)))
+
+    def test_matches_fraction_comparison(self):
+        # every bound pair with denominators <= 12, n <= 24, and each degree
+        # from one below the window to one above it
+        fractions = sorted({Fraction(p, q) for q in range(1, 13) for p in range(q + 1)})
+        empty = 0
+        for c1 in fractions:
+            for c2 in (c2 for c2 in fractions if c2 >= c1):
+                bounds = ParamBounds(c1, c2)
+                for n in range(25):
+                    lo, hi = degree_window(bounds, n)
+                    empty += lo > hi
+                    for d in range(max(lo - 1, 0), hi + 2):
+                        ds = DegreeSequence((d,) * n)
+                        # the empty sequence is in every class
+                        expected = n == 0 or c1 * n <= d <= c2 * n
+                        assert in_class(ds, bounds) == expected, (c1, c2, n, d)
+        assert empty > 0
+
+    def test_window_of_length_zero(self):
+        assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 0) == (0, 0)
+        assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 5) == (2, 2)
+        assert degree_window(ParamBounds(Fraction(2, 5), Fraction(1, 2)), 7) == (3, 3)
+        assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 1) == (1, 0)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

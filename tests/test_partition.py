@@ -86,7 +86,7 @@ class TestFindSplit:
     def test_inconsistent_dp_table_raises(self, monkeypatch):
         # a table that claims every sum for every prefix: the reconstruction
         # picks nothing and must not return a split that misses the target
-        def every_sum(degrees, target):
+        def every_sum(degrees, target, reach=1):
             yield from [(1 << (target + 1)) - 1] * (len(degrees) + 1)
 
         monkeypatch.setattr("bdr.partition._subset_sums", every_sum)

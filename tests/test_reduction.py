@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -15,40 +16,97 @@ from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
 from bdr.gale_ryser import BipartitePair, BipartiteRealization, construct_realization
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.reduction import _floor_linear_sqrt
+from bdr.reduction import _ceil_sqrt, _floor_sqrt
 
 F = Fraction
 HARD = ParamBounds(F(1, 10), F(2, 5))
 
 
-class TestFloorLinearSqrt:
-    def test_pure_sqrt(self):
-        assert _floor_linear_sqrt(F(0), F(1), F(2)) == 1
-        assert _floor_linear_sqrt(F(0), F(10), F(2)) == 14
+class TestSqrt:
+    def test_zero(self):
+        assert _floor_sqrt(F(0)) == _ceil_sqrt(F(0)) == 0
 
-    def test_negative_coefficient(self):
-        # 10 - 10*sqrt(2) = -4.14...
-        assert _floor_linear_sqrt(F(10), F(-10), F(2)) == -5
+    def test_exact_rational_squares(self):
+        for m in range(1, 60):
+            for q in (1, 2, 7, 10):
+                # sqrt((m/q)^2) = m/q
+                x = F(m * m, q * q)
+                assert (_floor_sqrt(x), _ceil_sqrt(x)) == (m // q, -(-m // q))
 
-    def test_exact_square(self):
-        assert _floor_linear_sqrt(F(0), F(1), F(9)) == 3
-        assert _floor_linear_sqrt(F(0), F(-1), F(9)) == -3
+    def test_next_to_integer_squares(self):
+        for m in range(2, 60):
+            for q in (1, 2, 3, 997, 10 ** 12):
+                above, below = m * m + F(1, q), m * m - F(1, q)
+                assert (_floor_sqrt(above), _ceil_sqrt(above)) == (m, m + 1)
+                assert (_floor_sqrt(below), _ceil_sqrt(below)) == (m - 1, m)
 
-    def test_agrees_with_float(self):
+    def test_brackets_the_root(self):
         rng = random.Random(13)
-        for _ in range(500):
-            a = F(rng.randint(-50, 50), rng.randint(1, 9))
-            b = F(rng.randint(-50, 50), rng.randint(1, 9))
-            w = F(rng.randint(0, 50), rng.randint(1, 9))
-            exact = _floor_linear_sqrt(a, b, w)
-            approx = float(a) + float(b) * float(w) ** 0.5
-            assert abs(exact - approx) < 1.001, (a, b, w)
-            assert exact <= approx + 1e-9
+        for _ in range(2000):
+            x = F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
+            lo, hi = _floor_sqrt(x), _ceil_sqrt(x)
+            assert lo * lo <= x <= hi * hi and hi - lo <= 1
+            assert (lo == hi) == (lo * lo == x)
+
+
+def _old_floor_linear_sqrt(a, b, w):
+    """floor(a + b*sqrt(w)): the guess-and-correct loop compute_rational_r used."""
+    if b == 0 or w == 0:
+        return math.floor(a)
+    t = b * b * w
+    root_floor = math.isqrt(t.numerator // t.denominator)
+    m = math.floor(a) + root_floor if b > 0 else math.floor(a) - root_floor - 2
+
+    def at_most_value(candidate):
+        rest = F(candidate) - a
+        if b > 0:
+            return rest <= 0 or rest * rest <= t
+        return rest < 0 and rest * rest >= t
+
+    while at_most_value(m + 1):
+        m += 1
+    while not at_most_value(m):
+        m -= 1
+    return m
+
+
+def _old_rational_r(c1, c2):
+    """The decimal search as it was written with _old_floor_linear_sqrt."""
+    wa, wb = 1 - 2 * c2, 2 * c1
+    for digits in range(1, 400):
+        scale = 10 ** digits
+        if (_old_floor_linear_sqrt(F(0), F(scale), wa)
+                == _old_floor_linear_sqrt(F(scale), F(-scale), wb)):
+            continue
+        ra = F(_old_floor_linear_sqrt(F(1, 2), F(scale), wa), scale)
+        rb = F(_old_floor_linear_sqrt(scale + F(1, 2), F(-scale), wb), scale)
+        r = (ra + rb) / 2
+        if r > 0 and r * r > wa and r < 1 and (1 - r) ** 2 > wb:
+            return r
+    return None
 
 
 class TestComputeRationalR:
     def test_worked_value(self):
         assert compute_rational_r(HARD) == F(1, 2)
+
+    def test_matches_old_decimal_search(self):
+        # every conditionally hard pair with denominators <= 36, plus pairs
+        # whose endpoints are exact squares: 1 - 2*(3/8) = 1/4, 2*(1/18) = 1/9
+        from bdr import RegionClass, classify_region
+        fractions = sorted({F(p, q) for q in range(1, 37) for p in range(q + 1)})
+        pairs = [(c1, c2) for c1 in fractions for c2 in fractions if c1 <= c2]
+        pairs += [(F(1, 18), F(3, 8)), (F(1, 18), F(2, 5)), (F(1, 10), F(3, 8)),
+                  (F(1, 50), F(3, 8)), (F(1, 18), F(49, 100))]
+        checked = squares = 0
+        for c1, c2 in pairs:
+            bounds = ParamBounds(c1, c2)
+            if classify_region(bounds) is not RegionClass.CONDITIONALLY_HARD:
+                continue
+            assert compute_rational_r(bounds) == _old_rational_r(c1, c2), (c1, c2)
+            checked += 1
+            squares += c2 == F(3, 8) or c1 == F(1, 18)
+        assert checked > 2000 and squares >= 5
 
     def test_not_hard_region(self):
         with pytest.raises(NotInHardRegionError):
@@ -178,12 +236,19 @@ try:
     sys.exit("out-of-range neighbor accepted")
 except ValueError:
     pass
-bdr.partition._subset_sums = lambda degrees, target: iter(
+bdr.partition._subset_sums = lambda degrees, target, reach=1: iter(
     [(1 << (target + 1)) - 1] * (len(degrees) + 1))
 try:
     bdr.partition.find_equal_sum_split(DegreeSequence((2, 1, 1)))
     sys.exit("inconsistent split table accepted")
 except InvariantError:
+    pass
+# c2~ off by a third: the c~ identity (c1~ + c2~)^2 = 2*c1~ fails at r = 1/2
+bdr.reduction._c_tilde = lambda r: ((1 - r) ** 2 / 2, (1 - r * r) / 3)
+try:
+    bdr.reduction.compute_rational_r(ParamBounds(Fraction(1, 10), Fraction(2, 5)))
+    sys.exit("broken c~ identity accepted")
+except ReductionInvariantError:
     pass
 print("ok")
 """
