@@ -46,34 +46,54 @@ def _bounds(args) -> ParamBounds:
     return ParamBounds(core.parse_rational(args.c1), core.parse_rational(args.c2))
 
 
-def _json_decision(decision: decider.Decision) -> dict:
+def _emit_decision(decision: decider.Decision) -> None:
+    """Write the decision as ``_emit`` would, with sorted keys, but render the
+    edge list straight from the realization's neighbor tuples.  "realization"
+    is the first key in sorted order, so the edges come before the dump of
+    the other keys."""
     split = None
     if decision.split is not None:
         split = {"u_indices": list(decision.split.u_indices()),
                  "v_indices": list(decision.split.v_indices())}
-    realization = None
-    if decision.realization is not None:
-        realization = decision.realization.sorted_edges()
-    return {
+    rest = json.dumps({
         "verdict": decision.verdict,
         "reason": decision.reason,
         "split": split,
-        "realization": realization,
         "region": decision.region.value if decision.region is not None else None,
-    }
+    }, sort_keys=True)
+    out = sys.stdout
+    if decision.realization is None:
+        out.write('{"realization": null')
+    else:
+        out.write('{"realization": [')
+        chunks = gale_ryser.edge_chunks(decision.realization, "[{}, ", "]", ", ")
+        out.write(next(chunks, ""))
+        for chunk in chunks:
+            out.write(", ")
+            out.write(chunk)
+        out.write("]")
+    out.write(", " + rest[1:] + "\n")
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _budget(args) -> int | None:
+    """``--budget``, checked before any input is read; None means unlimited."""
+    if args.budget is not None and args.budget < 0:
+        raise ParseError("budget must be >= 0")
+    return args.budget
+
+
 def run_decide(args) -> int:
+    budget = _budget(args)
     ds = _read_sequence(args.file)
     decision = decider.decide_bdr(ds, _bounds(args))
     if decision.verdict == "Undecided" and args.exact:
-        decision = decider.decide_exact(ds, budget=args.budget).with_region(
+        decision = decider.decide_exact(ds, budget=budget).with_region(
             decision.region)
-    _emit(_json_decision(decision))
+    _emit_decision(decision)
     return {"Bipartite": EXIT_BIPARTITE,
             "NotBipartite": EXIT_NOT_BIPARTITE,
             "Undecided": EXIT_UNDECIDED}[decision.verdict]
@@ -112,9 +132,9 @@ def run_reduce(args) -> int:
 
 
 def run_verify_reduction(args) -> int:
+    budget = _budget(args)
     ds = _read_sequence(args.file)
-    report = reduction.verify_reduction_roundtrip(ds, _bounds(args),
-                                                  budget=args.budget)
+    report = reduction.verify_reduction_roundtrip(ds, _bounds(args), budget=budget)
     _emit({
         "source_realizable": report.source_realizable,
         "padded_realizable": report.padded_realizable,
@@ -156,6 +176,7 @@ def run_scan(args) -> int:
         raise ParseError("samples must be >= 1")
     if args.n < 0:
         raise ParseError("n must be >= 0")
+    budget = _budget(args)
     c1_grid, c2_grid = _parse_grid(args.c1_grid), _parse_grid(args.c2_grid)
     rng = random.Random(args.seed)
     print("c1,c2,region,frac_split,frac_bipartite,samples")
@@ -179,7 +200,7 @@ def run_scan(args) -> int:
                     n_split += 1
                 decision = decider.decide_bdr(ds, bounds)
                 if decision.verdict == "Undecided":
-                    decision = decider.decide_exact(ds, budget=args.budget)
+                    decision = decider.decide_exact(ds, budget=budget)
                 if decision.verdict == "Bipartite":
                     n_bip += 1
             count = len(found)
@@ -190,8 +211,9 @@ def run_scan(args) -> int:
 
 
 def run_oracle(args) -> int:
+    budget = _budget(args)
     ds = _read_sequence(args.file)
-    verdict = oracle.brute_force_bipartite_realizable(ds, budget=args.budget)
+    verdict = oracle.brute_force_bipartite_realizable(ds, budget=budget)
     _emit({"bipartite": verdict})
     return EXIT_BIPARTITE if verdict else EXIT_NOT_BIPARTITE
 

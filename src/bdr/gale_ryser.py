@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import DegreeSequence
 from .errors import InvalidMoveError, InvariantError
@@ -202,8 +202,22 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
     raise InvariantError("no eligible v found; contradicts the pigeonhole argument")
 
 
+def edge_chunks(g: BipartiteRealization, head: str, tail: str,
+                sep: str) -> Iterator[str]:
+    """Render the edges in (u, v) order without building any (u, v) pair.
+
+    Edge (u, v) reads ``head.format(u) + str(v) + tail``.  One chunk is
+    yielded per u-vertex with edges, its edges separated by ``sep``; joined
+    by ``sep``, the chunks give the whole edge list.
+    """
+    names = [str(v) for v in range(g.v_count)]
+    for u, nbrs in enumerate(g.neighbors):
+        if nbrs:
+            first = head.format(u)
+            yield first + (tail + sep + first).join(map(names.__getitem__, nbrs)) + tail
+
+
 def format_realization(g: BipartiteRealization) -> str:
     """CLI text format: header line then one "u v" line per edge."""
-    lines = [f"p bipartite {g.u_count} {g.v_count} {sum(g.u_degrees())}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines)
+    header = f"p bipartite {g.u_count} {g.v_count} {sum(g.u_degrees())}"
+    return "\n".join([header, *edge_chunks(g, "{} ", "", "\n")])

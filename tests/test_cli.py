@@ -1,12 +1,20 @@
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from bdr import DegreeSequence, ParamBounds, decide_bdr
+from bdr import (BipartiteRealization, DegreeSequence, ParamBounds, decide_bdr,
+                 decide_exact, format_realization)
+from bdr import cli
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
+from bdr.decider import Decision, RegionClass
+from bdr.partition import SplitWitness
 
 F = Fraction
 
@@ -176,6 +184,160 @@ class TestGoldenBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "372c65e5fda056fec39a33039f4720b5f84197ede1f981974c1cb016ed21a227")
+
+
+def reference_decide_stdout(decision):
+    """``decide`` stdout as one json.dumps of the payload with the edge list
+    built by ``sorted_edges()``."""
+    split = None
+    if decision.split is not None:
+        split = {"u_indices": list(decision.split.u_indices()),
+                 "v_indices": list(decision.split.v_indices())}
+    g = decision.realization
+    return json.dumps({
+        "verdict": decision.verdict,
+        "reason": decision.reason,
+        "split": split,
+        "realization": g.sorted_edges() if g is not None else None,
+        "region": decision.region.value if decision.region is not None else None,
+    }, sort_keys=True) + "\n"
+
+
+def reference_format(g):
+    lines = [f"p bipartite {g.u_count} {g.v_count} {sum(g.u_degrees())}"]
+    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    return "\n".join(lines)
+
+
+@st.composite
+def realizations(draw):
+    v_count = draw(st.integers(0, 7))
+    row = st.sets(st.integers(0, v_count - 1)) if v_count else st.just(set())
+    rows = draw(st.lists(row, max_size=7))
+    return BipartiteRealization(v_count, tuple(tuple(sorted(r)) for r in rows))
+
+
+def g_of(v_count, *rows):
+    return BipartiteRealization(v_count, rows)
+
+
+EDGE_CASES = [
+    g_of(3, (), (0, 2), (1,)),            # empty row first
+    g_of(3, (0, 1), (), (), (2,)),        # empty rows in the middle
+    g_of(3, (1,), (0, 2), ()),            # empty row last
+    g_of(0, (), ()),                      # v_count 0
+    g_of(4, (0, 1, 2, 3), (2,)),          # a u-vertex adjacent to every v
+    g_of(5, (), (), ()),                  # no edges
+    g_of(0),                              # no vertices at all
+    g_of(12, (9, 10, 11), (0, 11)),       # multi-digit v-indices
+]
+
+
+class TestEdgeWriter:
+    """``decide`` stdout and ``format_realization`` render edges from the
+    neighbor tuples; both must equal the edge-list rendering byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def sequence_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("writer") / "d.txt"
+        path.write_text("2 2 1 1\n")
+        return str(path)
+
+    def decide_stdout(self, sequence_file, decision):
+        out = io.StringIO()
+        with mock.patch.object(cli.decider, "decide_bdr", lambda ds, bounds: decision), \
+                redirect_stdout(out):
+            code = main(["decide", "--c1", "0", "--c2", "1", sequence_file])
+        assert code == {"Bipartite": 0, "NotBipartite": 1, "Undecided": 2}[decision.verdict]
+        return out.getvalue()
+
+    @pytest.mark.parametrize("g", EDGE_CASES)
+    def test_edge_cases(self, sequence_file, g):
+        split = SplitWitness((0,) * g.u_count + (1,) * g.v_count, 0)
+        decision = Decision("Bipartite", "split-found", split, g, RegionClass.LOW_TRACTABLE)
+        assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)
+        assert format_realization(g) == reference_format(g)
+
+    @given(g=realizations(),
+           verdict_reason=st.sampled_from([
+               ("Bipartite", "split-found"), ("Bipartite", "exact-search"),
+               ("NotBipartite", "gale-ryser-violation"),
+               ("NotBipartite", "no-equal-sum-split"), ("Undecided", "exact-search")]),
+           region=st.sampled_from([None, *RegionClass]),
+           sides=st.lists(st.integers(0, 1), max_size=9) | st.none())
+    def test_drawn_decisions(self, sequence_file, g, verdict_reason, region, sides):
+        verdict, reason = verdict_reason
+        split = None if sides is None else SplitWitness(tuple(sides), 0)
+        decision = Decision(verdict, reason, split,
+                            g if verdict == "Bipartite" else None, region)
+        assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)
+
+    @given(realizations())
+    @example(g_of(0))
+    @example(g_of(3, (), (), ()))
+    def test_format_realization(self, g):
+        assert format_realization(g) == reference_format(g)
+
+    @pytest.mark.parametrize("text, c1, c2, exact", [
+        ("0 0 0", "0", "1/5", True),                     # Bipartite, no edges
+        ("4 4 2 2 1 1 1 1 2 2", "1/10", "2/5", True),
+        ("4 4 2 2 1 1 1 1 2 2", "1/10", "2/5", False),   # Undecided
+        ("3 3 3 3 3 3 3 3 3", "1/3", "1/3", False),      # NotBipartite
+        ("4 4 3 3 3 3 2 2 2 2 2 2", "1/6", "1/3", False),
+        ("0 1 1", "0", "1", False),
+    ])
+    def test_real_decisions(self, tmp_path, capsys, text, c1, c2, exact):
+        f = write(tmp_path, "d.txt", text + "\n")
+        ds = DegreeSequence(tuple(map(int, text.split())))
+        decision = decide_bdr(ds, ParamBounds(Fraction(c1), Fraction(c2)))
+        if exact and decision.verdict == "Undecided":
+            decision = decide_exact(ds).with_region(decision.region)
+        _, out, _ = run(capsys, ["decide", "--c1", c1, "--c2", c2,
+                                 *(["--exact"] if exact else []), f])
+        assert out == reference_decide_stdout(decision)
+
+    def test_zero_sequence_exact(self, tmp_path, capsys):
+        # an edgeless witness is an empty list; null means no witness
+        f = write(tmp_path, "d.txt", "0 0 0\n")
+        code, out, _ = run(capsys, ["decide", "--c1", "0", "--c2", "1/5", "--exact", f])
+        assert code == 0
+        assert '"realization": []' in out and json.loads(out)["realization"] == []
+
+
+class TestBudget:
+    """A negative --budget is a usage error, raised before any input is read
+    or anything is printed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--c1", "1/10", "--c2", "2/5", "--exact", "--budget", "-5"],
+        ["decide", "--c1", "1/10", "--c2", "1/5", "--budget", "-1"],
+    ])
+    def test_decide(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["/no/such/file"])
+        assert code == 3 and out == "" and "budget must be >= 0" in err
+
+    def test_verify_reduction(self, capsys):
+        code, out, err = run(capsys, ["verify-reduction", "--c1", "1/10", "--c2", "2/5",
+                                      "--budget", "-1", "/no/such/file"])
+        assert code == 3 and out == "" and "budget must be >= 0" in err
+
+    def test_scan(self, capsys):
+        code, out, err = run(capsys, ["scan", "--c1-grid", "0:1/5:1/10",
+                                      "--c2-grid", "1/5:2/5:1/10", "--budget", "-2"])
+        assert code == 3 and out == "" and "budget must be >= 0" in err
+
+    def test_oracle(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--budget", "-1", "/no/such/file"])
+        assert code == 3 and out == "" and "budget must be >= 0" in err
+
+    def test_zero_budget_keeps_its_meaning(self, tmp_path, capsys):
+        f = write(tmp_path, "d.txt", "4 4 2 2 1 1 1 1 2 2\n")
+        code, out, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", "--exact",
+                                      "--budget", "0", f])
+        assert code == 3 and out == "" and err.startswith("budget exceeded")
+        code, out, _ = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",
+                                    "--budget", "0", write(tmp_path, "e.txt", "0 1 1\n")])
+        assert code == 0 and json.loads(out)["verdict"] == "Bipartite"
 
 
 class TestLbds:

@@ -92,6 +92,20 @@ class TestIsGraphic:
                 expected = padded in graphic_multisets_7
                 assert is_graphic(DegreeSequence(seq)) == expected, seq
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_graph_enumeration_matches_edge_subsets(self, graphic_multisets, n):
+        # every edge subset of K_n once, as the n = 7 fixture was first built
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        masks = np.arange(1 << len(pairs), dtype=np.uint32)
+        deg = np.zeros((1 << len(pairs), n), dtype=np.uint8)
+        for e, (i, j) in enumerate(pairs):
+            bit = ((masks >> e) & 1).astype(np.uint8)
+            deg[:, i] += bit
+            deg[:, j] += bit
+        deg.sort(axis=1)
+        expected = {tuple(int(x) for x in row) for row in deg}
+        assert graphic_multisets(n) == expected
+
     @given(st.lists(st.integers(0, 8), max_size=9), st.randoms())
     def test_permutation_invariant(self, seq, rnd):
         shuffled = list(seq)
