@@ -320,9 +320,11 @@ def verify_reduction_roundtrip(ds: DegreeSequence, bounds: ParamBounds,
                                budget: int | None = None) -> RoundTripReport:
     """Check that the source and the padded sequence get the same verdict.
 
-    Both sides use the brute-force oracle; the padded side stays feasible
-    because the oracle enumerates splits by value counts, and the padded
-    sequence has only a handful of distinct values.
+    Both sides use the brute-force oracle.  The padded side stays feasible
+    because the oracle enumerates splits by value counts, the padded
+    sequence has only a handful of distinct values, and the oracle enters a
+    count prefix only when the rest of the half sum is reachable by the
+    remaining values, so every count vector it builds has the half sum.
     """
     from .oracle import brute_force_bipartite_realizable
     inst = build_hard_instance(ds, bounds)

@@ -383,6 +383,15 @@ class TestVerifyReduction:
         assert payload["source_realizable"] is True
         assert payload["padded_realizable"] is True
 
+    def test_far_bound(self, tmp_path, capsys):
+        # n' = 6416 with six distinct degrees: the unpruned count-vector
+        # search ran for more than 60 s on the padded side
+        f = write(tmp_path, "d.txt", "4 3 3 2 2 2\n")
+        code, out, _ = run(capsys, ["verify-reduction", "--c1", "3/20", "--c2", "2/5", f])
+        assert code == 0
+        assert out == ('{"agree": true, "n": 6400, "padded_realizable": false, '
+                       '"r": "9/20", "source_realizable": false}\n')
+
 
 class TestScan:
     ARGS = ["scan", "--c1-grid", "1/10:3/10:1/10", "--c2-grid", "3/10:2/5:1/10",

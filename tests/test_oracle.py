@@ -1,9 +1,14 @@
-import random
+import os
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bdr import DegreeSequence, oracle
+from bdr import DegreeSequence, ParamBounds, build_hard_instance, oracle
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
@@ -86,8 +91,8 @@ class TestLimits:
             exhaustive_graph_search(DegreeSequence((1,) * 9))
 
     def test_budget(self):
-        rng = random.Random(3)
-        # many distinct values and an infeasible target force many vectors
+        # 35 = 17 + 13 + 5 is reachable, but the first count vector,
+        # (17, 13, 5) against the rest, is not bigraphic, so a second is needed
         seq = [17, 13, 11, 9, 7, 5, 3, 2, 2, 1]
         with pytest.raises(BudgetExceededError):
             brute_force_bipartite_realizable(DegreeSequence(seq), budget=1)
@@ -98,3 +103,130 @@ class TestLimits:
     def test_empty(self):
         assert brute_force_bipartite_realizable(DegreeSequence(()))
         assert exhaustive_graph_search(DegreeSequence(()))
+
+
+def _unpruned(ds, budget=None):
+    """The count-vector search before suffix reachability: every count of
+    every value within the ``max_tail`` bound, recursively."""
+    sigma = ds.sigma
+    if sigma % 2 != 0:
+        return False
+    target = sigma // 2
+    counts = sorted(Counter(ds.nonzero()).items(), reverse=True)
+    values = [v for v, _ in counts]
+    mult = [c for _, c in counts]
+    max_tail = [0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        max_tail[i] = max_tail[i + 1] + values[i] * mult[i]
+
+    examined = 0
+
+    def search(i, rem, chosen):
+        nonlocal examined
+        if rem == 0 and i == len(values):
+            examined += 1
+            if budget is not None and examined > budget:
+                raise BudgetExceededError(
+                    f"examined more than {budget} split count vectors")
+            side1 = [v for v, k in zip(values, chosen) for _ in range(k)]
+            side2 = [v for (v, c), k in zip(counts, chosen) for _ in range(c - k)]
+            return oracle._gale_ryser_lists(side1, side2)
+        if i == len(values) or rem > max_tail[i]:
+            return False
+        v, c = counts[i]
+        for k in range(min(c, rem // v), -1, -1):
+            if search(i + 1, rem - k * v, chosen + [k]):
+                return True
+        return False
+
+    return search(0, target, [])
+
+
+def _leaves(search, ds, budget=None):
+    """(verdict or the budget message, the Gale–Ryser calls in order)."""
+    calls = []
+    check = oracle._gale_ryser_lists
+
+    def spy(side1, side2):
+        calls.append((list(side1), list(side2)))
+        return check(side1, side2)
+
+    with mock.patch.object(oracle, "_gale_ryser_lists", spy):
+        try:
+            outcome = search(ds, budget)
+        except BudgetExceededError as exc:
+            outcome = str(exc)
+    return outcome, calls
+
+
+def _same_leaves(seq, budgets=True):
+    ds = DegreeSequence(seq)
+    old = _leaves(_unpruned, ds)
+    assert _leaves(brute_force_bipartite_realizable, ds) == old
+    if budgets:
+        n = len(old[1])
+        for b in sorted({0, 1, n // 2, max(n - 1, 0), n}):
+            outcome = _leaves(_unpruned, ds, b)
+            assert _leaves(brute_force_bipartite_realizable, ds, b) == outcome
+            assert isinstance(outcome[0], str) == (b < n)
+
+
+def _corpus(max_sum):
+    """Zero-free sources with even S <= max_sum and every degree < S/2."""
+    def partitions(rem, largest):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(min(rem, largest), 0, -1):
+            for rest in partitions(rem - first, first):
+                yield (first,) + rest
+
+    return [p for s in range(4, max_sum + 1, 2) for p in partitions(s, s // 2 - 1)]
+
+
+def _padded(source, c1, c2):
+    bounds = ParamBounds(Fraction(c1), Fraction(c2))
+    return build_hard_instance(DegreeSequence(source), bounds).d_prime.degrees
+
+
+class TestSameLeaves:
+    """The reachability prune drops only dead subtrees: Gale–Ryser sees the
+    same count vectors in the same order as in the unpruned search, and a
+    budget is exceeded exactly when it was, with the same message."""
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 9), max_size=14),
+        st.tuples(st.integers(0, 9), st.integers(0, 14)).map(lambda vc: [vc[0]] * vc[1])))
+    @example([])
+    @example([0, 0, 0])
+    @example([1, 1, 1])
+    @example([3])
+    @example([5] * 6)
+    @example([17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_drawn(self, seq):
+        _same_leaves(seq)
+
+    @pytest.mark.parametrize("source", _corpus(8))
+    def test_padded_hard(self, source):
+        _same_leaves(_padded(source, "1/10", "2/5"))
+
+    # n' = 1604-2406; the unpruned search takes up to a second on each, so
+    # budgets are checked on the smaller inputs only
+    @pytest.mark.parametrize("source", _corpus(6))
+    def test_padded_far(self, source):
+        _same_leaves(_padded(source, "3/20", "2/5"), budgets=False)
+
+
+def test_deep_search_needs_no_recursion(tmp_path):
+    # the star forest K_{1,1} + ... + K_{1,400}: 400 distinct degrees, so
+    # 400 levels of search, under a recursion limit of 200
+    k = 400
+    path = tmp_path / "stars.txt"
+    path.write_text(" ".join(map(str, [*range(k, 0, -1), *[1] * (k * (k + 1) // 2)])))
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    code = ("import sys; sys.setrecursionlimit(200); from bdr.cli import main; "
+            f"sys.exit(main(['oracle', {str(path)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"bipartite": true}\n', "")
