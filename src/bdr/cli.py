@@ -158,7 +158,10 @@ def _parse_grid(text: str) -> list[Fraction]:
     count = max(0, (stop - start) // step + 1)
     if count > MAX_GRID_POINTS:
         raise ParseError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
-    return [start + k * step for k in range(count)]
+    points = [start + k * step for k in range(count)]
+    if points and not 0 <= points[0] <= points[-1] <= 1:
+        raise ParseError(f"grid {text!r} has points outside [0, 1]")
+    return points
 
 
 def _random_graphic_in_window(rng: random.Random, n: int, lo: int, hi: int,
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BdrError, FileNotFoundError, ValueError) as exc:
+    except (BdrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

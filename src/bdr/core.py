@@ -143,12 +143,9 @@ def _erdos_gallai_holds(deg: tuple[int, ...], k: int, prefix: list[int], suffix:
     return prefix[k] <= rhs
 
 
-def is_graphic(ds: DegreeSequence, *, check_all_k: bool = False) -> bool:
-    """Erdős–Gallai test.
-
-    By default only the drop points (k with d_k > d_{k+1}) plus k = n are
-    checked; ``check_all_k`` runs every k for differential testing.
-    """
+def is_graphic(ds: DegreeSequence) -> bool:
+    """Erdős–Gallai test, at the drop points (k with d_k > d_{k+1}) plus
+    k = n; the inequality at any other k follows from these."""
     deg = ds.sorted_desc()
     n = len(deg)
     if n == 0:
@@ -163,10 +160,7 @@ def is_graphic(ds: DegreeSequence, *, check_all_k: bool = False) -> bool:
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + deg[i]
-    if check_all_k:
-        ks = range(1, n + 1)
-    else:
-        ks = [k for k in range(1, n) if deg[k - 1] > deg[k]] + [n]
+    ks = [k for k in range(1, n) if deg[k - 1] > deg[k]] + [n]
     return all(_erdos_gallai_holds(deg, k, prefix, suffix) for k in ks)
 
 

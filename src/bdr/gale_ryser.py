@@ -1,7 +1,7 @@
 """Bigraphicality testing and constructive bipartite realization.
 
-The Gale–Ryser test is run at the drop points of the sorted first class
-(plus k = n), or at any given k's.  Realizations are immutable per-u
+The Gale–Ryser test is run at the drop points of the sorted first class,
+plus k = n.  Realizations are immutable per-u
 neighbor tuples; hinge-flips return new values.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import DegreeSequence
 from .errors import InvalidMoveError, InvariantError
@@ -60,10 +60,9 @@ class BipartiteRealization:
         return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]
 
 
-def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int, ...],
-                      ks: Iterable[int] | None = None) -> bool:
-    """Equal sums plus the Gale–Ryser inequality at each 1-based k in ``ks``
-    (default: the drop points of the sorted first class, and k = n)."""
+def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int, ...]) -> bool:
+    """Equal sums plus the Gale–Ryser inequality at each drop point k
+    (a_k > a_{k+1}, 1-based) of the sorted first class, and at k = n."""
     a = sorted(d1, reverse=True)
     b = sorted(d2, reverse=True)
     if sum(a) != sum(b):
@@ -78,9 +77,7 @@ def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int
     bsuffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         bsuffix[i] = bsuffix[i + 1] + b[i]
-    if ks is None:
-        ks = [k for k in range(1, n) if a[k - 1] > a[k]] + [n]
-    for k in ks:
+    for k in [k for k in range(1, n) if a[k - 1] > a[k]] + [n]:
         # sum_j min(k, b_j): entries > k contribute k, the rest their value
         idx = bisect_left(b, -k, key=lambda v: -v)
         rhs = idx * k + bsuffix[idx]

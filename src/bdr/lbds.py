@@ -1,4 +1,5 @@
-"""Least balanced degree sequences and the fast extremal bigraphicality check."""
+"""Least balanced degree sequences and the extremal bigraphicality check:
+Gale–Ryser on a pair of LBDS, whose drop points are the critical indices."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import DegreeClass, DegreeSequence
 from .errors import InfeasibleClassError, InvalidPairError, InvariantError
-from .gale_ryser import BipartitePair, _gale_ryser_lists, is_bigraphic
+from .gale_ryser import BipartitePair, is_bigraphic
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,14 @@ def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass) -> bool:
     """Whether the pair of least balanced sequences of the two classes is
     bigraphic.
 
-    Only the two Gale–Ryser inequalities at the critical k (floor and
-    ceiling of (sigma - n1*d1)/(delta1 - d1)) are evaluated; a constant
-    first sequence has no critical k, so it falls back to the full scan.
+    This is the paper's check of the critical Gale–Ryser inequalities.  With
+    q = (sigma - n1*d1)/(delta1 - d1), the first LBDS is
+    delta1^k d_int d1^(n1-k-1) with k = min(floor(q), n1 - 1), so it drops
+    only after position k and after k + 1: its drop points, plus the k = n1
+    that ``is_bigraphic`` always checks, are floor(q), ceil(q) and n1,
+    clamped to [1, n1].  A constant first LBDS has no drop point.
     """
     if class1.sigma != class2.sigma:
         raise InvalidPairError(
             f"class sums differ: {class1.sigma} != {class2.sigma}")
-    l1 = lbds(class1)
-    l2 = lbds(class2)
-    n1, sigma, d, delta = class1.n, class1.sigma, class1.d, class1.delta
-    if delta == d or sigma == n1 * d or n1 == 0:
-        return is_bigraphic(BipartitePair(l1, l2))
-    num = sigma - n1 * d
-    den = delta - d
-    # floor and ceiling of the critical index, plus the k = n1 inequality
-    # (needed when second-class degrees exceed n1; the sorted prefix has no
-    # drop point there otherwise)
-    ks = {min(max(k, 1), n1) for k in (num // den, -(-num // den), n1)}
-    return _gale_ryser_lists(l1.degrees, l2.degrees, ks)
+    return is_bigraphic(BipartitePair(lbds(class1), lbds(class2)))

@@ -444,6 +444,14 @@ class TestScan:
                                       "--c2-grid", "0:1:1"])
         assert code == 3 and out == "" and "1000000001 points" in err
 
+    @pytest.mark.parametrize("c1_grid, c2_grid", [("0:0:1", "1/2:3/2:1/2"),
+                                                  ("-1/10:1/10:1/10", "1/2:1/2:1")])
+    def test_out_of_range_grid_rejected_before_header(self, capsys, c1_grid, c2_grid):
+        # "=" keeps argparse from reading "-1/10:..." as an option
+        code, out, err = run(capsys, ["scan", f"--c1-grid={c1_grid}", f"--c2-grid={c2_grid}",
+                                      "--samples", "1", "--n", "4"])
+        assert code == 3 and out == "" and "outside [0, 1]" in err
+
     def test_grid_points(self):
         assert _parse_grid("1/10:3/10:1/10") == [F(1, 10), F(1, 5), F(3, 10)]
         assert _parse_grid("1/2:1/4:1/10") == []
@@ -468,3 +476,11 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 3
+
+    @pytest.mark.parametrize("argv", [["decide", "--c1", "0", "--c2", "1"], ["realize"],
+                                      ["reduce", "--c1", "1/10", "--c2", "2/5"],
+                                      ["verify-reduction", "--c1", "1/10", "--c2", "2/5"],
+                                      ["oracle"]], ids=lambda argv: argv[0])
+    def test_directory_as_file(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, argv + [str(tmp_path)])
+        assert code == 3 and out == "" and err.startswith("error:")

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -6,6 +8,27 @@ from bdr import (BipartitePair, DegreeClass, DegreeSequence,
                  balancing_hinge_flip, construct_realization, is_bigraphic,
                  lbds, lbds_pair_bigraphic, lbds_shape)
 from bdr.errors import InfeasibleClassError, InvalidPairError, InvariantError
+
+
+def critical_k_check(class1, class2):
+    """The pair check as it was first written: the Gale–Ryser inequalities of
+    the LBDS pair at the critical indices floor(q), ceil(q) and n1 only, with
+    q = (sigma - n1*d1)/(delta1 - d1); every k when the first LBDS is
+    constant."""
+    a, b = lbds(class1).degrees, lbds(class2).degrees
+    n1, sigma, d, delta = class1.n, class1.sigma, class1.d, class1.delta
+    if delta == d or sigma == n1 * d:
+        ks = range(1, n1 + 1)
+    else:
+        num, den = sigma - n1 * d, delta - d
+        ks = {min(max(k, 1), n1) for k in (num // den, -(-num // den), n1)}
+    return all(sum(a[:k]) <= sum(min(k, x) for x in b) for k in ks)
+
+
+def drop_points(seq):
+    """The 1-based k with seq[k-1] > seq[k] in a non-increasing seq, and n."""
+    n = len(seq)
+    return {k for k in range(1, n) if seq[k - 1] > seq[k]} | {n}
 
 
 class TestLbds:
@@ -78,8 +101,7 @@ class TestLbdsPairBigraphic:
                             classes.append(cls)
             for c1 in classes:
                 for c2 in classes:
-                    assert (lbds_pair_bigraphic(c1, c2)
-                            == is_bigraphic(BipartitePair(lbds(c1), lbds(c2)))), (c1, c2)
+                    assert lbds_pair_bigraphic(c1, c2) == critical_k_check(c1, c2), (c1, c2)
 
     def test_fast_path_agrees_with_full_check_sampled_large(self):
         rng = random.Random(11)
@@ -95,8 +117,20 @@ class TestLbdsPairBigraphic:
             if any(c.is_empty for c in cs):
                 continue
             checked += 1
-            assert (lbds_pair_bigraphic(cs[0], cs[1])
-                    == is_bigraphic(BipartitePair(lbds(cs[0]), lbds(cs[1])))), cs
+            assert lbds_pair_bigraphic(cs[0], cs[1]) == critical_k_check(cs[0], cs[1]), cs
+
+    def test_lbds_drop_points_are_the_critical_indices(self):
+        checked = 0
+        for n in range(1, 13):
+            for delta in range(1, 15):
+                for d in range(delta):
+                    for sigma in range(n * d + 1, min(n * delta, 60) + 1):
+                        q = Fraction(sigma - n * d, delta - d)
+                        critical = {min(max(k, 1), n) for k in (floor(q), ceil(q), n)}
+                        seq = lbds(DegreeClass(n, sigma, d, delta)).degrees
+                        assert drop_points(seq) == critical, (n, sigma, d, delta)
+                        checked += 1
+        assert checked == 24644
 
 
 def random_member(rng, cls):
