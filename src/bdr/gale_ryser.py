@@ -1,8 +1,8 @@
 """Bigraphicality testing and constructive bipartite realization.
 
 The Gale–Ryser test is run at the drop points of the sorted first class,
-plus k = n.  Realizations are immutable per-u
-neighbor tuples; hinge-flips return new values.
+plus k = n.  Realizations are immutable per-u neighbor tuples; hinge-flips
+return new values.
 """
 
 from __future__ import annotations
