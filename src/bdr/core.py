@@ -96,18 +96,13 @@ class ParamBounds:
             raise ValueError(f"need 0 <= c1 <= c2 <= 1, got c1={self.c1}, c2={self.c2}")
 
 
-def _plain(token: str) -> bool:
-    """False for what int() and Fraction() would coerce: digit-group
-    underscores and non-ASCII digits (full-width, Arabic-Indic, ...)."""
-    return token.isascii() and "_" not in token
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a terminating decimal, exactly (no float round-trip)."""
     text = text.strip()
     if not text:
         raise ParseError("empty rational")
-    if not _plain(text):
+    # Fraction() would also take digit-group underscores and non-ASCII digits
+    if not text.isascii() or "_" in text:
         raise ParseError(f"bad rational {text!r}")
     try:
         return Fraction(text)
@@ -116,22 +111,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse whitespace- or comma-separated nonnegative integers."""
+    """Parse whitespace- or comma-separated nonnegative integers, each
+    written as plain ASCII digits (no sign)."""
     tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
     if not tokens:
         raise ParseError("empty degree sequence")
-    degrees = []
     for tok in tokens:
-        if not _plain(tok):
-            raise ParseError(f"non-integer token {tok!r}")
-        try:
-            value = int(tok)
-        except ValueError as exc:
-            raise ParseError(f"non-integer token {tok!r}") from exc
-        if value < 0:
-            raise ParseError(f"negative degree {tok!r}")
-        degrees.append(value)
-    return DegreeSequence(degrees)
+        # ASCII digits only: int() would also take a sign, "_" and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            negative = tok.isascii() and tok[0] == "-" and tok[1:].isdigit()
+            raise ParseError(f"{'negative degree' if negative else 'non-integer token'} {tok!r}")
+    return DegreeSequence(map(int, tokens))
 
 
 def _erdos_gallai_holds(deg: tuple[int, ...], k: int, prefix: list[int], suffix: list[int]) -> bool:

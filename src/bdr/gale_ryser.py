@@ -1,13 +1,11 @@
 """Bigraphicality testing and constructive bipartite realization.
 
-The Gale–Ryser test is run at the drop points of the sorted first class,
-plus k = n.  Realizations are immutable per-u neighbor tuples; hinge-flips
-return new values.
+The Gale–Ryser test works on (value, count) runs.  Realizations are
+immutable per-u neighbor tuples; hinge-flips return new values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import lt
 from typing import Iterator
@@ -60,42 +58,49 @@ class BipartiteRealization:
         return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]
 
 
-def _gale_ryser_lists(d1: list[int] | tuple[int, ...], d2: list[int] | tuple[int, ...]) -> bool:
-    """Equal sums plus the Gale–Ryser inequality at each drop point k
-    (a_k > a_{k+1}, 1-based) of the sorted first class, and at k = n."""
-    a = sorted(d1, reverse=True)
-    b = sorted(d2, reverse=True)
-    if sum(a) != sum(b):
+def _gale_ryser_runs(a, b) -> bool:
+    """Gale–Ryser on (value, count) runs in non-increasing value order;
+    zero counts, zero values and equal adjacent values are allowed.
+
+    Equal sums, then sum_{i<=k} a_i <= sum_j min(k, b_j) at each run end k
+    of ``a``; the run ends cover its drop points and k = n.  The right side
+    is k·(count of b above k) + (sum of b at or below k), kept by one
+    pointer moving up b's runs: O(runs(a) + runs(b)), no sort.
+    """
+    if sum([v * c for v, c in a]) != sum([v * c for v, c in b]):
         return False
-    n = len(a)
-    if n == 0 or (a and a[0] == 0):
-        return True
-    prefix = [0] * (n + 1)
-    for i, d in enumerate(a):
-        prefix[i + 1] = prefix[i] + d
-    m = len(b)
-    bsuffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        bsuffix[i] = bsuffix[i + 1] + b[i]
-    for k in [k for k in range(1, n) if a[k - 1] > a[k]] + [n]:
-        # sum_j min(k, b_j): entries > k contribute k, the rest their value
-        idx = bisect_left(b, -k, key=lambda v: -v)
-        rhs = idx * k + bsuffix[idx]
-        if prefix[k] > rhs:
+    j = len(b)  # b[j:] are the runs of value <= k
+    above = sum([c for _, c in b])
+    low = k = lhs = 0
+    for v, c in a:
+        k += c
+        lhs += v * c
+        while j and b[j - 1][0] <= k:
+            j -= 1
+            w, m = b[j]
+            above -= m
+            low += w * m
+        if lhs > k * above + low:
             return False
     return True
 
 
+def _runs(degrees) -> list[list[int]]:
+    """[value, count] runs of the degrees, largest value first."""
+    runs: list[list[int]] = []
+    last = None
+    for d in sorted(degrees, reverse=True):
+        if d == last:
+            runs[-1][1] += 1
+        else:
+            runs.append([d, 1])
+            last = d
+    return runs
+
+
 def is_bigraphic(pair: BipartitePair) -> bool:
-    """Gale–Ryser: equal sums plus the prefix inequalities on the first class."""
-    return _gale_ryser_lists(pair.d1.degrees, pair.d2.degrees)
-
-
-def bipartite_to_unipartite(pair: BipartitePair) -> DegreeSequence:
-    """Shift the first class by n-1 and concatenate; graphic iff the pair is
-    bigraphic (provided every second-class degree is at most n)."""
-    n = pair.d1.n
-    return DegreeSequence(tuple(d + n - 1 for d in pair.d1.degrees) + pair.d2.degrees)
+    """Gale–Ryser on the runs of the two classes (``_gale_ryser_runs``)."""
+    return _gale_ryser_runs(_runs(pair.d1.degrees), _runs(pair.d2.degrees))
 
 
 def _push_run(runs: list[tuple[int, list[int]]], r: int, vs: list[int]) -> None:

@@ -1,5 +1,6 @@
 """Least balanced degree sequences and the extremal bigraphicality check:
-Gale–Ryser on a pair of LBDS, whose drop points are the critical indices."""
+Gale–Ryser on the runs of a pair of LBDS, whose ends are the critical
+indices."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import DegreeClass, DegreeSequence
 from .errors import InfeasibleClassError, InvalidPairError, InvariantError
-from .gale_ryser import BipartitePair, is_bigraphic
+from .gale_ryser import _gale_ryser_runs
 
 
 @dataclass(frozen=True)
@@ -37,27 +38,27 @@ def lbds_shape(cls: DegreeClass) -> LbdsShape:
     return LbdsShape(k, d_int, n - k - 1, cls)
 
 
-def lbds(cls: DegreeClass) -> DegreeSequence:
-    """The extremal member of the class: maximal spread for the given sum."""
+def _runs(cls: DegreeClass) -> list[tuple[int, int]]:
+    """The LBDS as runs (delta, k), (d_int, 1), (d, n-k-1); none if n = 0."""
     shape = lbds_shape(cls)
     if cls.n == 0:
-        return DegreeSequence(())
-    return DegreeSequence(
-        (cls.delta,) * shape.k + (shape.d_int,) + (cls.d,) * shape.tail)
+        return []
+    return [(cls.delta, shape.k), (shape.d_int, 1), (cls.d, shape.tail)]
+
+
+def lbds(cls: DegreeClass) -> DegreeSequence:
+    """The extremal member of the class: maximal spread for the given sum."""
+    return DegreeSequence(v for v, c in _runs(cls) for _ in range(c))
 
 
 def lbds_pair_bigraphic(class1: DegreeClass, class2: DegreeClass) -> bool:
     """Whether the pair of least balanced sequences of the two classes is
-    bigraphic.
-
-    This is the paper's check of the critical Gale–Ryser inequalities.  With
-    q = (sigma - n1*d1)/(delta1 - d1), the first LBDS is
-    delta1^k d_int d1^(n1-k-1) with k = min(floor(q), n1 - 1), so it drops
-    only after position k and after k + 1: its drop points, plus the k = n1
-    that ``is_bigraphic`` always checks, are floor(q), ceil(q) and n1,
-    clamped to [1, n1].  A constant first LBDS has no drop point.
+    bigraphic: the paper's check of the critical Gale–Ryser inequalities,
+    taken literally.  The runs kernel gets the three runs of each LBDS and
+    checks the first at its run ends k, k + 1 and n1, the critical indices
+    (k = min(floor(q), n1 - 1), q = (sigma - n1*d1)/(delta1 - d1)), in O(1).
     """
     if class1.sigma != class2.sigma:
         raise InvalidPairError(
             f"class sums differ: {class1.sigma} != {class2.sigma}")
-    return is_bigraphic(BipartitePair(lbds(class1), lbds(class2)))
+    return _gale_ryser_runs(_runs(class1), _runs(class2))

@@ -8,7 +8,7 @@ Two independent levels:
   values after it (suffix-reachability bitsets, (d+1)·(⌊σ/2⌋+1) bits for
   d <= √(2σ) distinct nonzero degrees).  The prune drops only dead
   subtrees, so the count vectors checked, and their order, are those of
-  the unpruned search.
+  the unpruned search.  A leaf's count vector goes to Gale–Ryser unexpanded.
 - Raw bipartite edge-set backtracking that does not trust Gale–Ryser at
   all.
 """
@@ -20,7 +20,8 @@ from itertools import combinations
 
 from .core import DegreeSequence
 from .errors import BudgetExceededError
-from .gale_ryser import _gale_ryser_lists
+# bound under its old name, which perfbench/tracing.py patches to count leaves
+from .gale_ryser import _gale_ryser_runs as _gale_ryser_lists
 
 
 def brute_force_bipartite_realizable(ds: DegreeSequence,
@@ -42,9 +43,10 @@ def brute_force_bipartite_realizable(ds: DegreeSequence,
     order, the verdict and the point where ``budget`` is exceeded are
     those of the unpruned search.  The bitsets take (d + 1)·(⌊sigma/2⌋ + 1)
     bits, each rounded up to whole bytes, where d <= sqrt(2·sigma) is the
-    number of distinct nonzero degrees.  The search keeps an explicit
-    stack, so its depth is not bounded by the interpreter's recursion
-    limit.
+    number of distinct nonzero degrees.  A leaf passes the runs (v, k) and
+    (v, c - k) to Gale–Ryser, zero counts included: no degree list is built.
+    The search keeps an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     sigma = ds.sigma
     if sigma % 2 != 0:
@@ -81,9 +83,8 @@ def brute_force_bipartite_realizable(ds: DegreeSequence,
             if budget is not None and examined > budget:
                 raise BudgetExceededError(
                     f"examined more than {budget} split count vectors")
-            side1 = [v for (v, _), k in zip(counts, chosen) for _ in range(k)]
-            side2 = [v for (v, c), k in zip(counts, chosen) for _ in range(c - k)]
-            if _gale_ryser_lists(side1, side2):
+            if _gale_ryser_lists([(v, k) for (v, _), k in zip(counts, chosen)],
+                                 [(v, c - k) for (v, c), k in zip(counts, chosen)]):
                 return True
             continue
         v, c = counts[i]

@@ -47,6 +47,16 @@ class TestParseSequence:
         with pytest.raises(ParseError, match="negative degree '-12'"):
             parse_sequence("3 -12")
 
+    def test_plus_sign_rejected(self):
+        # int() reads "+3" as 3
+        with pytest.raises(ParseError, match=r"non-integer token '\+3'"):
+            parse_sequence("+3 0 3")
+
+    def test_minus_zero_rejected(self):
+        # int() reads "-0" as 0
+        with pytest.raises(ParseError, match="'-0'"):
+            parse_sequence("3 -0 3")
+
 
 class TestParseRational:
     def test_fraction(self):

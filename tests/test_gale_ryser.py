@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdr import (BipartitePair, BipartiteRealization, DegreeSequence,
-                 balancing_hinge_flip, bipartite_to_unipartite,
-                 construct_realization, format_realization, hinge_flip,
-                 find_equal_sum_split, is_bigraphic, is_graphic)
+                 balancing_hinge_flip, construct_realization,
+                 format_realization, hinge_flip, find_equal_sum_split,
+                 is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
+from bdr.gale_ryser import _gale_ryser_runs
 from bdr.oracle import exhaustive_pair_search
 
 
@@ -21,6 +22,17 @@ def gale_ryser_all_k(d1, d2):
     a = sorted(d1, reverse=True)
     return sum(d1) == sum(d2) and all(
         sum(a[:k]) <= sum(min(k, b) for b in d2) for k in range(1, len(a) + 1))
+
+
+def bipartite_to_unipartite(pair):
+    """Shift the first class by n-1 and concatenate; graphic iff the pair is
+    bigraphic (provided every second-class degree is at most n)."""
+    n = pair.d1.n
+    return DegreeSequence(tuple(d + n - 1 for d in pair.d1.degrees) + pair.d2.degrees)
+
+
+def expand(runs):
+    return [v for v, c in runs for _ in range(c)]
 
 
 def reference_realization(p):
@@ -68,6 +80,20 @@ def degree_pairs(draw):
     return d1, d2
 
 
+@st.composite
+def run_pairs(draw):
+    """Two sides as (value, count) runs in non-increasing value order, with
+    zero counts, zero values, equal adjacent values, an empty side and up
+    to 30 runs per side; about half the pairs have equal sums, evened out by
+    one vertex or by a run of 1s."""
+    runs = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 4)), max_size=30)
+    a, b = draw(runs), draw(runs)
+    if draw(st.booleans()):
+        diff = sum(expand(a)) - sum(expand(b))
+        (b if diff > 0 else a).append(draw(st.sampled_from([(abs(diff), 1), (1, abs(diff))])))
+    return tuple(sorted(side, key=lambda r: -r[0]) for side in (a, b))
+
+
 def random_graph_degrees(rng, u_count, v_count, p):
     d1, d2 = [0] * u_count, [0] * v_count
     for u in range(u_count):
@@ -100,6 +126,21 @@ class TestIsBigraphic:
            st.lists(st.integers(0, 3), max_size=4))
     def test_agrees_with_exhaustive_enumeration(self, d1, d2):
         assert is_bigraphic(pair(d1, d2)) == exhaustive_pair_search(d1, d2)
+
+
+class TestGaleRyserRuns:
+    @given(run_pairs())
+    @example(([], []))
+    @example(([(0, 3)], []))
+    @example(([(3, 0), (2, 2), (2, 0), (2, 1), (0, 2)], [(3, 2), (3, 0), (0, 5)]))
+    @example(([(1, 2)], [(3, 0), (2, 1)]))
+    # k jumps from 0 to 2, so the pointer must pass the runs of 0 and 1 at once
+    @example(([(2, 2)], [(3, 1), (1, 1), (0, 1)]))
+    @example(([(v, 1) for v in range(30, 0, -1)], [(v, 1) for v in range(30, 0, -1)]))
+    @settings(max_examples=300)
+    def test_agrees_with_all_k_on_the_expanded_lists(self, sides):
+        a, b = sides
+        assert _gale_ryser_runs(a, b) == gale_ryser_all_k(expand(a), expand(b))
 
 
 class TestBipartiteToUnipartite:

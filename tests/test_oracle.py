@@ -128,8 +128,8 @@ def _unpruned(ds, budget=None):
             if budget is not None and examined > budget:
                 raise BudgetExceededError(
                     f"examined more than {budget} split count vectors")
-            side1 = [v for v, k in zip(values, chosen) for _ in range(k)]
-            side2 = [v for (v, c), k in zip(counts, chosen) for _ in range(c - k)]
+            side1 = [(v, k) for v, k in zip(values, chosen)]
+            side2 = [(v, c - k) for (v, c), k in zip(counts, chosen)]
             return oracle._gale_ryser_lists(side1, side2)
         if i == len(values) or rem > max_tail[i]:
             return False
@@ -143,7 +143,8 @@ def _unpruned(ds, budget=None):
 
 
 def _leaves(search, ds, budget=None):
-    """(verdict or the budget message, the Gale–Ryser calls in order)."""
+    """(verdict or the budget message, the Gale–Ryser calls in order, each
+    as the two sides' (value, count) runs)."""
     calls = []
     check = oracle._gale_ryser_lists
 
