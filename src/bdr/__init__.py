@@ -10,9 +10,9 @@ from .core import (DegreeClass, DegreeSequence, ParamBounds, in_class,
 from .decider import (Decision, RegionClass, classify_region, decide_bdr,
                       decide_exact, max_degree_gap, precheck,
                       threshold_at_or_below, threshold_c2)
-from .gale_ryser import (BipartitePair, BipartiteRealization,
-                         balancing_hinge_flip, construct_realization,
-                         format_realization, hinge_flip, is_bigraphic)
+from .gale_ryser import (BipartiteRealization, balancing_hinge_flip,
+                         construct_realization, format_realization, hinge_flip,
+                         is_bigraphic)
 from .lbds import LbdsShape, lbds, lbds_pair_bigraphic, lbds_shape
 from .oracle import (brute_force_bipartite_realizable, exhaustive_graph_search,
                      exhaustive_pair_search)

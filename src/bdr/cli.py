@@ -9,6 +9,7 @@ identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -33,13 +34,13 @@ def _read_sequence(path: str) -> DegreeSequence:
         return core.parse_sequence(fh.read())
 
 
-def _read_pair(path: str) -> gale_ryser.BipartitePair:
+def _read_pair(path: str) -> list[tuple[int, ...]]:
+    """The degrees of the two classes, one parsed line each."""
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if len(lines) != 2:
         raise ParseError(f"expected two sequence lines in {path}, got {len(lines)}")
-    return gale_ryser.BipartitePair(core.parse_sequence(lines[0]),
-                                    core.parse_sequence(lines[1]))
+    return [core.parse_sequence(line).degrees for line in lines]
 
 
 def _bounds(args) -> ParamBounds:
@@ -100,8 +101,7 @@ def run_decide(args) -> int:
 
 
 def run_realize(args) -> int:
-    pair = _read_pair(args.file)
-    g = gale_ryser.construct_realization(pair)
+    g = gale_ryser.construct_realization(*_read_pair(args.file))
     if g is None:
         print("infeasible: pair is not bigraphic", file=sys.stderr)
         return EXIT_NOT_BIPARTITE
@@ -226,6 +226,7 @@ def _add_bounds(parser) -> None:
     parser.add_argument("--c2", required=True, help='upper bound, "p/q" or decimal')
 
 
+@functools.cache  # built once per process: the build costs more than most decisions
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bdr",
                                      description="bipartite degree realization tools")
@@ -279,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:

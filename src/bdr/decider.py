@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from .gale_ryser import (BipartitePair, BipartiteRealization,
-                         construct_realization, is_bigraphic)
+from .gale_ryser import BipartiteRealization, construct_realization, is_bigraphic
 from .partition import (SplitWitness, enumerate_equal_sum_splits,
                         find_equal_sum_split, split_with_u)
 
@@ -86,10 +85,11 @@ def max_degree_gap() -> tuple[float, float]:
     return c_star, gap(c_star)
 
 
-def _split_pair(ds: DegreeSequence, split: SplitWitness) -> BipartitePair:
-    """The two sides of ``split`` as a pair; u-vertex i is u_indices()[i]."""
-    return BipartitePair(DegreeSequence([ds.degrees[i] for i in split.u_indices()]),
-                         DegreeSequence([ds.degrees[i] for i in split.v_indices()]))
+def _split_pair(ds: DegreeSequence,
+                split: SplitWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The U and V degrees of ``split``; u-vertex i is ``split.u[i]``."""
+    degree = ds.degrees.__getitem__
+    return tuple(map(degree, split.u)), tuple(map(degree, split.v))
 
 
 def precheck(ds: DegreeSequence) -> Decision | None:
@@ -110,7 +110,7 @@ def precheck(ds: DegreeSequence) -> Decision | None:
     if n_half == 1 or work == (1, 1):
         # a vertex of degree sigma/2 is alone on its side: a star
         split = split_with_u(ds, {ds.degrees.index(half)})
-        g = construct_realization(_split_pair(ds, split))
+        g = construct_realization(*_split_pair(ds, split))
         if g is None:
             # only possible for non-graphic input
             return Decision("NotBipartite", "gale-ryser-violation")
@@ -139,7 +139,7 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
         split = find_equal_sum_split(ds)
         if split is None:
             return Decision("NotBipartite", "no-equal-sum-split", region=region)
-        g = construct_realization(_split_pair(ds, split))
+        g = construct_realization(*_split_pair(ds, split))
         if g is None:
             raise InvariantError("in-region equal-sum split must be bigraphic")
         return Decision("Bipartite", "split-found", split=split,
@@ -154,19 +154,16 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     more than ``budget`` splits have been examined.
     """
     examined = 0
-    found_any = False
     for split in enumerate_equal_sum_splits(ds):
-        found_any = True
         examined += 1
         if budget is not None and examined > budget:
-            raise BudgetExceededError(
-                f"examined more than {budget} equal-sum splits")
-        pair = _split_pair(ds, split)
-        if is_bigraphic(pair):
-            g = construct_realization(pair)
+            raise BudgetExceededError(budget, examined, "equal-sum splits")
+        d1, d2 = _split_pair(ds, split)
+        if is_bigraphic(d1, d2):
+            g = construct_realization(d1, d2)
             if g is None:
                 raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
             return Decision("Bipartite", "exact-search", split=split, realization=g)
-    if not found_any:
+    if not examined:
         return Decision("NotBipartite", "no-equal-sum-split")
     return Decision("NotBipartite", "gale-ryser-violation")

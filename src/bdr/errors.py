@@ -26,10 +26,12 @@ class InputOutOfClassError(BdrError):
 
 
 class BudgetExceededError(BdrError):
-    """An exact search that would exceed its configured budget.
+    """An exact search that examined more candidates (``what``, plural) than
+    its budget ``limit``; raised instead of a possibly wrong verdict."""
 
-    Raised instead of returning a possibly wrong verdict.
-    """
+    def __init__(self, limit: int, examined: int, what: str):
+        super().__init__(f"examined more than {limit} {what}")
+        self.limit, self.examined = limit, examined
 
 
 class NotInHardRegionError(BdrError):

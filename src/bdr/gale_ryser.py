@@ -1,25 +1,18 @@
 """Bigraphicality testing and constructive bipartite realization.
 
-The Gale–Ryser test works on (value, count) runs.  Realizations are
-immutable per-u neighbor tuples; hinge-flips return new values.
+Both take the degrees of the two vertex classes U and V as two int
+sequences.  The Gale–Ryser test works on their (value, count) runs.
+Realizations are immutable per-u neighbor tuples; hinge-flips return new
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import DegreeSequence
 from .errors import InvalidMoveError, InvariantError
-
-
-@dataclass(frozen=True)
-class BipartitePair:
-    """Degree sequences assigned to the two vertex classes U and V."""
-
-    d1: DegreeSequence
-    d2: DegreeSequence
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,12 @@ def _runs(degrees) -> list[list[int]]:
     return runs
 
 
-def is_bigraphic(pair: BipartitePair) -> bool:
+def is_bigraphic(d1: Sequence[int], d2: Sequence[int]) -> bool:
     """Gale–Ryser on the runs of the two classes (``_gale_ryser_runs``)."""
-    return _gale_ryser_runs(_runs(pair.d1.degrees), _runs(pair.d2.degrees))
+    a, b = _runs(d1), _runs(d2)
+    if a and a[-1][0] < 0 or b and b[-1][0] < 0:
+        return False  # a negative degree (the last run) has no realization
+    return _gale_ryser_runs(a, b)
 
 
 def _push_run(runs: list[tuple[int, list[int]]], r: int, vs: list[int]) -> None:
@@ -114,8 +110,10 @@ def _push_run(runs: list[tuple[int, list[int]]], r: int, vs: list[int]) -> None:
         runs.append((r, vs))
 
 
-def construct_realization(pair: BipartitePair) -> BipartiteRealization | None:
-    """Greedy realization; None signals a non-bigraphic pair.
+def construct_realization(d1: Sequence[int],
+                          d2: Sequence[int]) -> BipartiteRealization | None:
+    """Greedy realization of the U degrees ``d1`` and the V degrees ``d2``;
+    None signals a non-bigraphic pair.
 
     u-vertices are processed in non-increasing degree order (stable); each
     connects to the v-vertices of highest residual degree, ties to the
@@ -130,8 +128,6 @@ def construct_realization(pair: BipartitePair) -> BipartiteRealization | None:
     are merged.  The cost is O(sigma + n) list work plus those merges, with
     no per-vertex sort key.
     """
-    d1 = pair.d1.degrees
-    d2 = pair.d2.degrees
     if sum(d1) != sum(d2):
         return None
     by_residual: dict[int, list[int]] = {}

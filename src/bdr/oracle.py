@@ -81,8 +81,7 @@ def brute_force_bipartite_realizable(ds: DegreeSequence,
         if i == len(counts):  # rem == 0: the last bitset holds only the sum 0
             examined += 1
             if budget is not None and examined > budget:
-                raise BudgetExceededError(
-                    f"examined more than {budget} split count vectors")
+                raise BudgetExceededError(budget, examined, "split count vectors")
             if _gale_ryser_lists([(v, k) for (v, _), k in zip(counts, chosen)],
                                  [(v, c - k) for (v, c), k in zip(counts, chosen)]):
                 return True

@@ -7,15 +7,18 @@ O(sqrt(n)*sigma) bits, and returns the same split as a reconstruction from
 all n+1 of them would.  Splits are unordered; enumeration canonicalizes by
 keeping the first nonzero entry on the U side and has no limit (a caller
 that needs one stops iterating).
-Zero degrees are never part of a subset key: ``split_with_u`` puts every
-one of them on the U side, for every split this module returns.
+A split is its two index tuples, U and V, each increasing.  Zero degrees
+are never part of a subset key: ``split_with_u`` puts every one of them on
+the U side, for every split this module returns.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
+from operator import not_
 from typing import Iterable, Iterator
 
 from .core import DegreeSequence
@@ -24,16 +27,16 @@ from .errors import InvariantError
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """Per-index side labels (0 = U, 1 = V) and the common side sum."""
+    """The input indices on the U side and on the V side, each increasing."""
 
-    side_assignment: tuple[int, ...]
-    sum_each: int
+    u: tuple[int, ...]
+    v: tuple[int, ...]
 
     def u_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.side_assignment) if s == 0)
+        return self.u
 
     def v_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.side_assignment) if s == 1)
+        return self.v
 
 
 def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
@@ -42,10 +45,11 @@ def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
     ``u_side`` must sum to sigma/2.  The zeros become isolated u-vertices
     of any realization of the split.
     """
-    labels = [1 if d else 0 for d in ds.degrees]
+    on_u = list(map(not_, ds.degrees))
     for i in u_side:
-        labels[i] = 0
-    return SplitWitness(tuple(labels), ds.sigma // 2)
+        on_u[i] = True
+    return SplitWitness(tuple(compress(range(ds.n), on_u)),
+                        tuple(compress(range(ds.n), map(not_, on_u))))
 
 
 def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterator[int]:

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from bdr import (BipartitePair, DegreeClass, DegreeSequence, ParamBounds,
+from bdr import (DegreeClass, DegreeSequence, ParamBounds,
                  RegionClass, build_hard_instance, classify_region, decide_bdr,
                  equal_sum_split_exists, in_class,
                  is_bigraphic, is_graphic, lbds_pair_bigraphic,
@@ -31,8 +31,7 @@ def test_criterion_1_gale_ryser_oracle_concordance():
         for n2 in range(0, 9 - n1):
             for d1 in combinations_with_replacement(range(4, -1, -1), n1):
                 for d2 in combinations_with_replacement(range(4, -1, -1), n2):
-                    fast = is_bigraphic(BipartitePair(DegreeSequence(d1),
-                                                      DegreeSequence(d2)))
+                    fast = is_bigraphic(d1, d2)
                     slow = exhaustive_pair_search(d1, d2)
                     assert fast == slow, (d1, d2)
                     checked += 1
@@ -231,12 +230,9 @@ def test_criterion_8_lift_project_round_trip():
         split = None
         g = None
         for candidate in _all_splits(inst.source):
-            pair = BipartitePair(
-                DegreeSequence([inst.source.degrees[i]
-                                for i in candidate.u_indices()]),
-                DegreeSequence([inst.source.degrees[j]
-                                for j in candidate.v_indices()]))
-            g = construct_realization(pair)
+            g = construct_realization(
+                [inst.source.degrees[i] for i in candidate.u_indices()],
+                [inst.source.degrees[j] for j in candidate.v_indices()])
             if g is not None:
                 split = candidate
                 break
@@ -278,9 +274,8 @@ def test_criterion_9_lbds_extremality_sampled():
             continue
         found += 1
         for _ in range(20):
-            pair = BipartitePair(_random_member(rng, c1),
-                                 _random_member(rng, c2))
-            assert is_bigraphic(pair), (c1, c2, pair)
+            pair = (_random_member(rng, c1), _random_member(rng, c2))
+            assert is_bigraphic(*pair), (c1, c2, pair)
     print("criterion 9: PASS (1000 class pairs x 20 member pairs, "
           "0 violations)")
 
@@ -295,4 +290,4 @@ def _random_member(rng, cls):
         i = rng.randrange(cls.n)
         if seq[i] < cls.delta:
             seq[i] += 1
-    return DegreeSequence(seq)
+    return seq

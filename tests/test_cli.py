@@ -253,7 +253,8 @@ class TestEdgeWriter:
 
     @pytest.mark.parametrize("g", EDGE_CASES)
     def test_edge_cases(self, sequence_file, g):
-        split = SplitWitness((0,) * g.u_count + (1,) * g.v_count, 0)
+        split = SplitWitness(tuple(range(g.u_count)),
+                             tuple(range(g.u_count, g.u_count + g.v_count)))
         decision = Decision("Bipartite", "split-found", split, g, RegionClass.LOW_TRACTABLE)
         assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)
         assert format_realization(g) == reference_format(g)
@@ -267,7 +268,9 @@ class TestEdgeWriter:
            sides=st.lists(st.integers(0, 1), max_size=9) | st.none())
     def test_drawn_decisions(self, sequence_file, g, verdict_reason, region, sides):
         verdict, reason = verdict_reason
-        split = None if sides is None else SplitWitness(tuple(sides), 0)
+        split = None if sides is None else SplitWitness(
+            tuple(i for i, s in enumerate(sides) if s == 0),
+            tuple(i for i, s in enumerate(sides) if s == 1))
         decision = Decision(verdict, reason, split,
                             g if verdict == "Bipartite" else None, region)
         assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)

@@ -201,6 +201,19 @@ class TestDecideExact:
         with pytest.raises(BudgetExceededError):
             decide_exact(DegreeSequence((5, 3, 1, 1, 1, 1)), budget=2)
 
+    def test_budget_error_fields(self):
+        # both exact searches raise the error the same way: the limit, the
+        # count that passed it, and a message built from the two
+        with pytest.raises(BudgetExceededError) as exc:
+            decide_exact(DegreeSequence((5, 3, 1, 1, 1, 1)), budget=2)
+        assert (exc.value.limit, exc.value.examined) == (2, 3)
+        assert str(exc.value) == "examined more than 2 equal-sum splits"
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_bipartite_realizable(
+                DegreeSequence((17, 13, 11, 9, 7, 5, 3, 2, 2, 1)), budget=1)
+        assert (exc.value.limit, exc.value.examined) == (1, 2)
+        assert str(exc.value) == "examined more than 1 split count vectors"
+
     def test_matches_oracle(self):
         rng = random.Random(7)
         for _ in range(500):
@@ -271,11 +284,11 @@ class TestWitnessContract:
 
 class TestInvariants:
     def test_unrealizable_low_region_split_raises(self, monkeypatch):
-        monkeypatch.setattr("bdr.decider.construct_realization", lambda pair: None)
+        monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
         with pytest.raises(InvariantError):
             decide_bdr(DegreeSequence((4,) * 10), ParamBounds(F(3, 10), F(2, 5)))
 
     def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
-        monkeypatch.setattr("bdr.decider.construct_realization", lambda pair: None)
+        monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))

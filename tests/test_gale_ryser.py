@@ -3,17 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdr import (BipartitePair, BipartiteRealization, DegreeSequence,
+from bdr import (BipartiteRealization, DegreeSequence,
                  balancing_hinge_flip, construct_realization,
                  format_realization, hinge_flip, find_equal_sum_split,
                  is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_runs
 from bdr.oracle import exhaustive_pair_search
-
-
-def pair(d1, d2):
-    return BipartitePair(DegreeSequence(d1), DegreeSequence(d2))
 
 
 def gale_ryser_all_k(d1, d2):
@@ -24,21 +20,20 @@ def gale_ryser_all_k(d1, d2):
         sum(a[:k]) <= sum(min(k, b) for b in d2) for k in range(1, len(a) + 1))
 
 
-def bipartite_to_unipartite(pair):
+def bipartite_to_unipartite(d1, d2):
     """Shift the first class by n-1 and concatenate; graphic iff the pair is
     bigraphic (provided every second-class degree is at most n)."""
-    n = pair.d1.n
-    return DegreeSequence(tuple(d + n - 1 for d in pair.d1.degrees) + pair.d2.degrees)
+    n = len(d1)
+    return DegreeSequence(tuple(d + n - 1 for d in d1) + tuple(d2))
 
 
 def expand(runs):
     return [v for v, c in runs for _ in range(c)]
 
 
-def reference_realization(p):
+def reference_realization(d1, d2):
     """The per-u-vertex sort realizer the run-based one replaced: the same
     u order, then the first need v-vertices by (-residual, index)."""
-    d1, d2 = p.d1.degrees, p.d2.degrees
     if sum(d1) != sum(d2):
         return None
     residual = list(d2)
@@ -105,27 +100,33 @@ def random_graph_degrees(rng, u_count, v_count, p):
 
 
 class TestIsBigraphic:
+    @pytest.mark.parametrize("d1,d2", [((0,), (1, -1)), ((1, -1), (1, -1)),
+                                       ((2, -1), (1, 0)), ((-1,), (-1,))])
+    def test_negative_degree_has_no_realization(self, d1, d2):
+        assert not is_bigraphic(d1, d2)
+        assert construct_realization(d1, d2) is None
+
     def test_k22(self):
-        assert is_bigraphic(pair((2, 2), (2, 2)))
+        assert is_bigraphic((2, 2), (2, 2))
 
     def test_31_22_fails_at_k1(self):
-        assert not is_bigraphic(pair((3, 1), (2, 2)))
+        assert not is_bigraphic((3, 1), (2, 2))
 
     def test_k32(self):
-        assert is_bigraphic(pair((2, 2, 2), (3, 3)))
+        assert is_bigraphic((2, 2, 2), (3, 3))
 
     def test_unequal_sums(self):
-        assert not is_bigraphic(pair((2, 1), (2, 2)))
+        assert not is_bigraphic((2, 1), (2, 2))
 
     @given(st.lists(st.integers(0, 4), max_size=5),
            st.lists(st.integers(0, 4), max_size=5))
     def test_drop_point_optimization_agrees_with_all_k(self, d1, d2):
-        assert is_bigraphic(pair(d1, d2)) == gale_ryser_all_k(d1, d2)
+        assert is_bigraphic(d1, d2) == gale_ryser_all_k(d1, d2)
 
     @given(st.lists(st.integers(0, 3), max_size=4),
            st.lists(st.integers(0, 3), max_size=4))
     def test_agrees_with_exhaustive_enumeration(self, d1, d2):
-        assert is_bigraphic(pair(d1, d2)) == exhaustive_pair_search(d1, d2)
+        assert is_bigraphic(d1, d2) == exhaustive_pair_search(d1, d2)
 
 
 class TestGaleRyserRuns:
@@ -145,13 +146,13 @@ class TestGaleRyserRuns:
 
 class TestBipartiteToUnipartite:
     def test_shift_by_n_minus_one(self):
-        assert bipartite_to_unipartite(pair((2, 2), (2, 2))).degrees == (3, 3, 2, 2)
+        assert bipartite_to_unipartite((2, 2), (2, 2)).degrees == (3, 3, 2, 2)
 
     def test_single(self):
-        assert bipartite_to_unipartite(pair((1,), (1,))).degrees == (1, 1)
+        assert bipartite_to_unipartite((1,), (1,)).degrees == (1, 1)
 
     def test_mixed(self):
-        assert bipartite_to_unipartite(pair((2, 1, 1), (2, 1, 1))).degrees == (4, 3, 3, 2, 1, 1)
+        assert bipartite_to_unipartite((2, 1, 1), (2, 1, 1)).degrees == (4, 3, 3, 2, 1, 1)
 
     def test_equivalence_with_graphicality(self):
         # valid whenever every second-class degree is at most len(d1)
@@ -159,28 +160,26 @@ class TestBipartiteToUnipartite:
                  ((1, 1, 1), (3,)), ((2, 1), (1, 1, 1)), ((3, 3), (2, 2, 1, 1))]
         for d1, d2 in cases:
             if all(x <= len(d1) for x in d2):
-                p = pair(d1, d2)
-                assert is_bigraphic(p) == is_graphic(bipartite_to_unipartite(p))
+                assert is_bigraphic(d1, d2) == is_graphic(bipartite_to_unipartite(d1, d2))
 
 
 class TestConstructRealization:
     def test_forced_k22(self):
-        g = construct_realization(pair((2, 2), (2, 2)))
+        g = construct_realization((2, 2), (2, 2))
         assert len(g.edges) == 4
 
     def test_forced_star(self):
-        g = construct_realization(pair((2,), (1, 1)))
+        g = construct_realization((2,), (1, 1))
         assert g.edges == frozenset({(0, 0), (0, 1)})
 
     def test_infeasible(self):
-        assert construct_realization(pair((3, 1), (2, 2))) is None
+        assert construct_realization((3, 1), (2, 2)) is None
 
     @given(st.lists(st.integers(0, 4), max_size=5),
            st.lists(st.integers(0, 4), max_size=5))
     def test_succeeds_iff_bigraphic_and_degrees_match(self, d1, d2):
-        p = pair(d1, d2)
-        g = construct_realization(p)
-        if is_bigraphic(p):
+        g = construct_realization(d1, d2)
+        if is_bigraphic(d1, d2):
             assert g is not None
             assert g.u_degrees() == tuple(d1)
             assert g.v_degrees() == tuple(d2)
@@ -192,14 +191,12 @@ class TestRealizerMatchesReference:
     @given(degree_pairs())
     @settings(max_examples=500, deadline=None)
     def test_small_pairs(self, d1_d2):
-        p = pair(*d1_d2)
-        assert construct_realization(p) == reference_realization(p)
+        assert construct_realization(*d1_d2) == reference_realization(*d1_d2)
 
     @pytest.mark.parametrize("d1,d2", [((9, 1), (1,) * 10), ((3,), (1, 1)),
                                        ((0, 2, 0), (1, 0, 1)), ((2, 2), (3, 1))])
     def test_edge_cases(self, d1, d2):
-        p = pair(d1, d2)
-        assert construct_realization(p) == reference_realization(p)
+        assert construct_realization(d1, d2) == reference_realization(d1, d2)
 
     def test_seeded_low_region_split(self):
         # the pair decide_bdr realizes for a seeded n = 2000 input with
@@ -209,15 +206,15 @@ class TestRealizerMatchesReference:
         while sum(degrees) % 2:
             degrees[-1] = rng.randint(200, 400)
         split = find_equal_sum_split(DegreeSequence(degrees))
-        p = pair([degrees[i] for i in split.u_indices()],
-                 [degrees[i] for i in split.v_indices()])
-        g = construct_realization(p)
-        assert g is not None and g == reference_realization(p)
+        p = ([degrees[i] for i in split.u_indices()],
+             [degrees[i] for i in split.v_indices()])
+        g = construct_realization(*p)
+        assert g is not None and g == reference_realization(*p)
 
     def test_seeded_random_graph(self):
-        p = pair(*random_graph_degrees(random.Random(7), 300, 400, 0.2))
-        g = construct_realization(p)
-        assert g is not None and g == reference_realization(p)
+        p = random_graph_degrees(random.Random(7), 300, 400, 0.2)
+        g = construct_realization(*p)
+        assert g is not None and g == reference_realization(*p)
 
 
 class TestRealizationLayout:
@@ -237,7 +234,7 @@ class TestRealizationLayout:
 
 class TestHingeFlip:
     def test_edge_already_present(self):
-        g = construct_realization(pair((2, 2), (2, 2)))
+        g = construct_realization((2, 2), (2, 2))
         with pytest.raises(InvalidMoveError):
             hinge_flip(g, 0, 1, 0)
 
@@ -261,12 +258,12 @@ class TestHingeFlip:
 
 class TestBalancingHingeFlip:
     def test_balances_31(self):
-        g = construct_realization(pair((3, 1), (2, 1, 1)))
+        g = construct_realization((3, 1), (2, 1, 1))
         balanced = balancing_hinge_flip(g, 1, 0)
         assert sorted(balanced.u_degrees()) == [2, 2]
 
     def test_no_gap_rejected(self):
-        g = construct_realization(pair((2, 2), (2, 2)))
+        g = construct_realization((2, 2), (2, 2))
         with pytest.raises(InvalidMoveError):
             balancing_hinge_flip(g, 0, 1)
 
@@ -288,13 +285,13 @@ class TestBalancingHingeFlip:
             balancing_hinge_flip(g, 0, 1)
 
     def test_u_sum_conserved_and_v_unchanged(self):
-        g = construct_realization(pair((3, 1), (2, 1, 1)))
+        g = construct_realization((3, 1), (2, 1, 1))
         balanced = balancing_hinge_flip(g, 1, 0)
         assert sum(balanced.u_degrees()) == sum(g.u_degrees())
         assert balanced.v_degrees() == g.v_degrees()
 
     def test_multiset_shift_by_one(self):
-        g = construct_realization(pair((4, 1, 1), (2, 2, 1, 1)))
+        g = construct_realization((4, 1, 1), (2, 2, 1, 1))
         balanced = balancing_hinge_flip(g, 1, 0)
         assert sorted(balanced.u_degrees()) == [1, 2, 3]
 

@@ -126,8 +126,7 @@ def _unpruned(ds, budget=None):
         if rem == 0 and i == len(values):
             examined += 1
             if budget is not None and examined > budget:
-                raise BudgetExceededError(
-                    f"examined more than {budget} split count vectors")
+                raise BudgetExceededError(budget, examined, "split count vectors")
             side1 = [(v, k) for v, k in zip(values, chosen)]
             side2 = [(v, c - k) for (v, c), k in zip(counts, chosen)]
             return oracle._gale_ryser_lists(side1, side2)

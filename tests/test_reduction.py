@@ -14,7 +14,7 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  semiregular_bipartite, verify_reduction_roundtrip)
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
-from bdr.gale_ryser import BipartitePair, BipartiteRealization, construct_realization
+from bdr.gale_ryser import BipartiteRealization, construct_realization
 from bdr.oracle import brute_force_bipartite_realizable
 from bdr.reduction import _ceil_sqrt, _floor_sqrt
 
@@ -301,10 +301,8 @@ class TestLiftProject:
         inst = build_hard_instance(ds, HARD)
         split = find_equal_sum_split(inst.source)
         assert split is not None
-        pair = BipartitePair(
-            DegreeSequence([inst.source.degrees[i] for i in split.u_indices()]),
-            DegreeSequence([inst.source.degrees[i] for i in split.v_indices()]))
-        g = construct_realization(pair)
+        g = construct_realization([inst.source.degrees[i] for i in split.u_indices()],
+                                  [inst.source.degrees[i] for i in split.v_indices()])
         assert g is not None
         return ds, inst, split, g
 
@@ -377,3 +375,43 @@ class TestRoundTripVerdicts:
             assert rep.agree, seq
             assert rep.source_realizable == brute_force_bipartite_realizable(
                 DegreeSequence(seq))
+
+
+def _partitions(rem, largest):
+    if rem == 0:
+        yield ()
+        return
+    for first in range(min(rem, largest), 0, -1):
+        for rest in _partitions(rem - first, first):
+            yield (first,) + rest
+
+
+# NotBipartite sources whose padded D' (r = 1/2, n = 4S) is Bipartite: the
+# known padding defect at (1/20, 9/20).  Each case pins its set, so a new
+# disagreement fails, and so does a fix, which must then empty the set.
+# (bounds): (largest S swept, sources checked beyond the sweep, the set)
+SWEEP = {
+    (F(1, 10), F(2, 5)): (14, (), set()),
+    (F(1, 20), F(9, 20)): (14, ((4, 3, 3, 2, 2, 2),),
+                           {(2, 2, 2, 2, 2), (4, 2, 2, 2, 2), (5, 2, 2, 2, 2, 1),
+                            (4, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2, 2),
+                            (4, 3, 3, 2, 2, 2)}),
+    (F(3, 20), F(2, 5)): (10, (), set()),
+}
+
+
+@pytest.mark.parametrize("c1,c2", list(SWEEP))
+def test_reduction_agreement_sweep(c1, c2):
+    """verify_reduction_roundtrip on every zero-free source with even
+    S <= max_sum and all degrees < S/2, and on the extra sources."""
+    max_sum, extra, expected = SWEEP[(c1, c2)]
+    sources = [p for s in range(4, max_sum + 1, 2) for p in _partitions(s, s // 2 - 1)]
+    bounds = ParamBounds(c1, c2)
+    disagree = set()
+    for seq in sources + list(extra):
+        rep = verify_reduction_roundtrip(DegreeSequence(seq), bounds)
+        if not rep.agree:
+            assert not rep.source_realizable and rep.padded_realizable, seq
+            assert rep.instance.r == F(1, 2) and rep.instance.n == 4 * sum(seq), seq
+            disagree.add(seq)
+    assert disagree == expected
