@@ -14,9 +14,13 @@ from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from .gale_ryser import BipartiteRealization, construct_realization, is_bigraphic
-from .partition import (SplitWitness, enumerate_equal_sum_splits,
-                        find_equal_sum_split, split_with_u)
+from .gale_ryser import BipartiteRealization, _gale_ryser_runs, construct_realization
+from .partition import (SplitWitness, count_runs, equal_sum_walk, find_equal_sum_split,
+                        mask_indices, split_with_u)
+# is_bigraphic and enumerate_equal_sum_splits are unused here, but
+# perfbench/tracing.py wraps them at these bindings, so the names must stay
+from .gale_ryser import is_bigraphic  # noqa: F401
+from .partition import enumerate_equal_sum_splits  # noqa: F401
 
 HALF = Fraction(1, 2)
 
@@ -150,20 +154,30 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: try every equal-sum split against Gale–Ryser.
 
+    The splits are the leaves of ``partition.equal_sum_walk``, in its
+    order: a pruned walk that enters only subtrees holding a split and keeps
+    its subset-sum bitsets in O(sqrt(m)*sigma) bits.  Gale–Ryser runs once
+    per distinct U count vector, on the (value, count) runs; the split and
+    its realization are built only for the split that is accepted.
+
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits have been examined.
     """
+    runs, leaves = equal_sum_walk(ds)
+    rejected: set[int] = set()
     examined = 0
-    for split in enumerate_equal_sum_splits(ds):
+    for key, mask in leaves:
         examined += 1
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "equal-sum splits")
-        d1, d2 = _split_pair(ds, split)
-        if is_bigraphic(d1, d2):
-            g = construct_realization(d1, d2)
-            if g is None:
-                raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
-            return Decision("Bipartite", "exact-search", split=split, realization=g)
+        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
+            rejected.add(key)
+            continue
+        split = split_with_u(ds, mask_indices(mask))
+        g = construct_realization(*_split_pair(ds, split))
+        if g is None:
+            raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
+        return Decision("Bipartite", "exact-search", split=split, realization=g)
     if not examined:
         return Decision("NotBipartite", "no-equal-sum-split")
     return Decision("NotBipartite", "gale-ryser-violation")

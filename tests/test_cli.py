@@ -15,6 +15,7 @@ from bdr import cli
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
+from bdr.reduction import build_hard_instance
 
 F = Fraction
 
@@ -184,6 +185,35 @@ class TestGoldenBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "372c65e5fda056fec39a33039f4720b5f84197ede1f981974c1cb016ed21a227")
+
+    def test_decide_exact_corpus(self, tmp_path, capsys):
+        # pins the exact search's verdicts, witnesses, budget points and
+        # messages: seeded n = 20 inputs over several (c1, c2) windows, then
+        # the padded (1/10, 2/5) D' of every source, most of which exceed
+        # the budget
+        rng = random.Random(1300)
+        inputs = []
+        for k in range(48):
+            c1, c2 = [("0", "9/20"), ("1/20", "1/2"), ("1/10", "2/5"),
+                      ("0", "3/5")][k % 4]
+            lo = -(-20 * Fraction(c1).numerator // Fraction(c1).denominator)
+            hi = 20 * Fraction(c2).numerator // Fraction(c2).denominator
+            degrees = [rng.randint(lo, hi) for _ in range(20)]
+            while sum(degrees) % 2:
+                degrees[-1] = rng.randint(lo, hi)
+            inputs.append((c1, c2, degrees))
+        hard = ParamBounds(Fraction(1, 10), Fraction(2, 5))
+        for source in reduction_corpus(8):
+            d_prime = build_hard_instance(DegreeSequence(source), hard).d_prime
+            inputs.append(("1/10", "2/5", d_prime.degrees))
+        digest_of = hashlib.sha256()
+        for k, (c1, c2, degrees) in enumerate(inputs):
+            f = write(tmp_path, f"e{k}.txt", " ".join(map(str, degrees)) + "\n")
+            code, out, err = run(capsys, ["decide", "--c1", c1, "--c2", c2, "--exact",
+                                          "--budget", "20000", f])
+            digest_of.update(f"{code}\n{out}\n{err}\n".encode())
+        assert digest_of.hexdigest() == (
+            "2a56284525ee37fb237be58116b1f3194b1c67ef5855b0b25335e2736ea32d6f")
 
 
 def reference_decide_stdout(decision):

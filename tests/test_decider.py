@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
-                 classify_region, decide_bdr, decide_exact, max_degree_gap,
+                 build_hard_instance, classify_region, construct_realization,
+                 decide_bdr, decide_exact, is_bigraphic, max_degree_gap,
                  precheck, threshold_at_or_below, threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable
+from bdr.partition import split_with_u
 
 
 F = Fraction
@@ -224,6 +228,78 @@ class TestDecideExact:
             if d.realization is not None:
                 realized = sorted(d.realization.u_degrees() + d.realization.v_degrees())
                 assert realized == sorted(ds.nonzero()) or realized == sorted(seq)
+
+
+def reference_decide_exact(ds, budget, unpruned_splits):
+    """The exact search before its walk was pruned: every split of the
+    unpruned walk, each side checked with ``is_bigraphic``."""
+    examined = 0
+    for u in unpruned_splits(ds.degrees):
+        examined += 1
+        if budget is not None and examined > budget:
+            raise BudgetExceededError(budget, examined, "equal-sum splits")
+        split = split_with_u(ds, u)
+        d1 = tuple(ds.degrees[i] for i in split.u)
+        d2 = tuple(ds.degrees[i] for i in split.v)
+        if is_bigraphic(d1, d2):
+            return Decision("Bipartite", "exact-search", split=split,
+                            realization=construct_realization(d1, d2))
+    if not examined:
+        return Decision("NotBipartite", "no-equal-sum-split")
+    return Decision("NotBipartite", "gale-ryser-violation")
+
+
+def outcome(search, *args):
+    """A decision, or the fields and message of the budget error."""
+    try:
+        return search(*args)
+    except BudgetExceededError as exc:
+        return exc.limit, exc.examined, str(exc)
+
+
+class TestAgainstUnprunedWalk:
+    # zeros and repeated values, so that count vectors repeat across splits
+    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]),
+                        max_size=14),
+           budget=st.one_of(st.none(), st.integers(0, 5)))
+    @settings(max_examples=600, deadline=None)
+    @example(seq=[], budget=0)
+    @example(seq=[0, 0, 0], budget=None)
+    @example(seq=[5, 3, 1, 1, 1, 1], budget=3)
+    def test_same_decision_and_budget_point(self, seq, budget, unpruned_splits):
+        ds = DegreeSequence(seq)
+        assert outcome(decide_exact, ds, budget) == outcome(
+            reference_decide_exact, ds, budget, unpruned_splits)
+
+    def test_padded_instances(self, unpruned_splits):
+        # long runs of equal degrees: every split of one count vector after
+        # the first is decided from the memo
+        hard = ParamBounds(F(1, 10), F(2, 5))
+        for source in [(1, 1, 1, 1), (2, 2, 2), (3, 3, 2), (2, 1, 1, 1, 1)]:
+            ds = build_hard_instance(DegreeSequence(source), hard).d_prime
+            for budget in (0, 1, 3, 2000):
+                assert outcome(decide_exact, ds, budget) == outcome(
+                    reference_decide_exact, ds, budget, unpruned_splits), (source, budget)
+
+
+class TestStall:
+    def test_budget_point_and_memory(self):
+        # the padded D' of (1,1,1,1) at (3/20, 2/5), n' = 1604: its splits
+        # lie deep in a walk of mostly dead subtrees; the suffix bitsets are
+        # kept at sqrt(m) checkpoints, where a table per position would take
+        # about 60 MB
+        ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
+                                 ParamBounds(F(3, 20), F(2, 5))).d_prime
+        assert ds.n == 1604
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                decide_exact(ds, budget=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
+        assert peak < 8 * 2 ** 20
 
 
 class TestDecisionDataclass:

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdr import (DegreeSequence, enumerate_equal_sum_splits,
                  equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
-from bdr.partition import _subset_sums, split_with_u
+from bdr.partition import (_subset_sums, count_runs, equal_sum_walk, mask_indices,
+                           split_with_u)
 
 
 def brute_force_exists(seq):
@@ -148,3 +150,40 @@ class TestEnumerate:
             key = tuple(sorted(i for i in w.u_indices() if seq[i] > 0))
             assert key not in seen
             seen.add(key)
+
+    # zeros and repeated values; the pruned walk must drop only subtrees
+    # without a split, so its leaves are the unpruned walk's, in order
+    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 7, 9]), max_size=16))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0])
+    @example(seq=[5, 1, 1, 1])
+    def test_same_leaves_as_unpruned_walk(self, seq, unpruned_splits):
+        ds = DegreeSequence(seq)
+        assert list(enumerate_equal_sum_splits(ds)) == [
+            split_with_u(ds, u) for u in unpruned_splits(seq)]
+
+    def test_same_leaves_across_blocks(self, unpruned_splits):
+        # about 29 nonzero items of 34: blocks of 6, rebuilt as the walk moves
+        # between them, and the sum cap of each rebuild tested
+        rng = random.Random(13)
+        for _ in range(40):
+            seq = [rng.choice((0, 1, 2, 3, 3, 5, 8)) for _ in range(34)]
+            ds = DegreeSequence(seq)
+            got = [w for _, w in zip(range(3000), enumerate_equal_sum_splits(ds))]
+            want = [split_with_u(ds, u) for _, u in zip(range(3000), unpruned_splits(seq))]
+            assert got == want
+
+    def test_walk_keys_are_count_vectors(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            seq = [rng.choice((0, 1, 2, 2, 3, 4, 4)) for _ in range(rng.randint(0, 12))]
+            ds = DegreeSequence(seq)
+            runs, leaves = equal_sum_walk(ds)
+            assert runs == sorted(Counter(d for d in seq if d).items(), reverse=True)
+            for key, mask in leaves:
+                u = mask_indices(mask)
+                on_u = Counter(seq[i] for i in u)
+                assert all(seq[i] for i in u)
+                assert count_runs(runs, key) == (
+                    [(v, on_u[v]) for v, _ in runs], [(v, c - on_u[v]) for v, c in runs])
