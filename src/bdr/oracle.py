@@ -2,97 +2,44 @@
 
 Two independent levels:
 
-- Split enumeration times Gale–Ryser, usable up to the padded-instance
-  scale.  Splits are count vectors over the distinct degrees, and a count
-  is entered only when the rest of the half sum is still reachable by the
-  values after it (suffix-reachability bitsets, (d+1)·(⌊σ/2⌋+1) bits for
-  d <= √(2σ) distinct nonzero degrees).  The prune drops only dead
-  subtrees, so the count vectors checked, and their order, are those of
-  the unpruned search.  A leaf's count vector goes to Gale–Ryser unexpanded.
+- Split count vectors times Gale–Ryser, usable up to the padded-instance
+  scale.  ``partition.count_vector_walk`` yields the count vectors over
+  the distinct degrees whose U side has the half sum, in the order of the
+  unpruned search; each goes to Gale–Ryser as (value, count) runs,
+  unexpanded.
 - Raw bipartite edge-set backtracking that does not trust Gale–Ryser at
   all.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from .core import DegreeSequence
 from .errors import BudgetExceededError
 # bound under its old name, which perfbench/tracing.py patches to count leaves
 from .gale_ryser import _gale_ryser_runs as _gale_ryser_lists
+from .partition import count_runs, count_vector_walk
 
 
 def brute_force_bipartite_realizable(ds: DegreeSequence,
                                      budget: int | None = None) -> bool:
     """True iff some equal-sum split of the degrees is bigraphic.
 
-    Splits are enumerated by count vectors over distinct values, which
-    keeps the search small even when the sequence is long but has few
-    distinct degrees.  Zero degrees are ignored (they sit on either side).
-
-    The values are taken largest first, and for each the count k on the U
-    side runs from the largest that fits down to 0.  ``reach[i]`` is the
-    bitset of the sums up to sigma/2 that the values from i on can make
-    within their counts (a bounded subset-sum with binary-split
-    multiplicities).  The search enters count k of value i only when the
-    remainder after it is in ``reach[i + 1]``, so every node it enters
-    leads to at least one count vector with the exact half sum.  It drops
-    only dead subtrees: the count vectors handed to Gale–Ryser, their
-    order, the verdict and the point where ``budget`` is exceeded are
-    those of the unpruned search.  The bitsets take (d + 1)·(⌊sigma/2⌋ + 1)
-    bits, each rounded up to whole bytes, where d <= sqrt(2·sigma) is the
-    number of distinct nonzero degrees.  A leaf passes the runs (v, k) and
-    (v, c - k) to Gale–Ryser, zero counts included: no degree list is built.
-    The search keeps an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    Splits are enumerated by count vectors over distinct values
+    (``count_vector_walk``), which keeps the search small even when the
+    sequence is long but has few distinct degrees.  Zero degrees are
+    ignored (they sit on either side).  Each count vector passes the runs
+    (v, k) and (v, c - k) to Gale–Ryser, zero counts included; once more
+    than ``budget`` count vectors have been examined, BudgetExceededError
+    is raised instead of a verdict.
     """
-    sigma = ds.sigma
-    if sigma % 2 != 0:
-        return False
-    target = sigma // 2
-    counts = sorted(Counter(ds.nonzero()).items(), reverse=True)
-    # reach[i]: the sums up to target that values i... can make, as a bitset
-    # built right to left; kept as bytes so that each bit test is O(1)
-    mask, size = (1 << target + 1) - 1, (target >> 3) + 1
-    bits = 1
-    reach = [bits.to_bytes(size, "little")]
-    for v, c in reversed(counts):
-        part = 1
-        while c:  # binary split of the count: 1, 2, 4, ..., rest
-            take = min(part, c)
-            bits |= bits << take * v & mask
-            c -= take
-            part *= 2
-        reach.append(bits.to_bytes(size, "little"))
-    reach.reverse()
-    if not reach[0][target >> 3] >> (target & 7) & 1:
-        return False
-
-    examined = 0
-    chosen = [0] * len(counts)  # chosen[i]: the count of value i on the path
-    # (level, remainder, count taken at the level above); popped depth-first
-    stack = [(0, target, 0)]
-    while stack:
-        i, rem, k = stack.pop()
-        if i:
-            chosen[i - 1] = k
-        if i == len(counts):  # rem == 0: the last bitset holds only the sum 0
-            examined += 1
-            if budget is not None and examined > budget:
-                raise BudgetExceededError(budget, examined, "split count vectors")
-            if _gale_ryser_lists([(v, k) for (v, _), k in zip(counts, chosen)],
-                                 [(v, c - k) for (v, c), k in zip(counts, chosen)]):
-                return True
-            continue
-        v, c = counts[i]
-        after = reach[i + 1]
-        # pushed smallest first, so the largest count is popped first
-        for k in range(min(c, rem // v) + 1):
-            x = rem - k * v
-            if after[x >> 3] >> (x & 7) & 1:
-                stack.append((i + 1, x, k))
+    runs, keys = count_vector_walk(ds)
+    for examined, key in enumerate(keys, 1):
+        if budget is not None and examined > budget:
+            raise BudgetExceededError(budget, examined, "split count vectors")
+        if _gale_ryser_lists(*count_runs(runs, key)):
+            return True
     return False
 
 

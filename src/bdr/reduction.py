@@ -321,10 +321,11 @@ def verify_reduction_roundtrip(ds: DegreeSequence, bounds: ParamBounds,
     """Check that the source and the padded sequence get the same verdict.
 
     Both sides use the brute-force oracle.  The padded side stays feasible
-    because the oracle enumerates splits by value counts, the padded
-    sequence has only a handful of distinct values, and the oracle enters a
-    count prefix only when the rest of the half sum is reachable by the
-    remaining values, so every count vector it builds has the half sum.
+    because the oracle reads the splits as count vectors over the distinct
+    values (``partition.count_vector_walk``), the padded sequence has only
+    a handful of distinct values, and the walk enters a count prefix only
+    when the rest of the half sum is reachable by the remaining values, so
+    every count vector it builds has the half sum.
     """
     from .oracle import brute_force_bipartite_realizable
     inst = build_hard_instance(ds, bounds)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 
@@ -20,6 +22,21 @@ def _degree_multisets(n):
                 following.add((tuple(sorted(done + (final,))), tuple(sorted(joined))))
         states = following
     return {done for done, _ in states}
+
+
+def _partitions(rem, largest):
+    if rem == 0:
+        yield ()
+        return
+    for first in range(min(rem, largest), 0, -1):
+        for rest in _partitions(rem - first, first):
+            yield (first,) + rest
+
+
+def reduction_corpus(max_sum):
+    """The reduction's sources: zero-free multisets, non-increasing, with
+    even S <= max_sum and every degree < S/2."""
+    return [p for s in range(4, max_sum + 1, 2) for p in _partitions(s, s // 2 - 1)]
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +91,39 @@ def _unpruned_splits(degrees):
 def unpruned_splits():
     """``unpruned_splits(degrees)``: the reference split walk, unpruned."""
     return _unpruned_splits
+
+
+def _unpruned_count_vectors(degrees):
+    """The (U, V) sides, as (value, count) runs over the distinct nonzero
+    degrees largest first, of every count vector whose U side sums to
+    sigma/2, in the order of the unpruned search: the values largest first,
+    each count from the largest that fits down to 0, depth first.  Every
+    subtree is entered unless its remainder exceeds what the values after
+    it sum to."""
+    sigma = sum(degrees)
+    if sigma % 2:
+        return
+    counts = sorted(Counter(d for d in degrees if d > 0).items(), reverse=True)
+    max_tail = [0] * (len(counts) + 1)
+    for i in range(len(counts) - 1, -1, -1):
+        max_tail[i] = max_tail[i + 1] + counts[i][0] * counts[i][1]
+
+    def search(i, rem, chosen):
+        if rem == 0 and i == len(counts):
+            yield ([(v, k) for (v, _), k in zip(counts, chosen)],
+                   [(v, c - k) for (v, c), k in zip(counts, chosen)])
+            return
+        if i == len(counts) or rem > max_tail[i]:
+            return
+        v, c = counts[i]
+        for k in range(min(c, rem // v), -1, -1):
+            yield from search(i + 1, rem - k * v, chosen + [k])
+
+    yield from search(0, sigma // 2, [])
+
+
+@pytest.fixture(scope="session")
+def unpruned_count_vectors():
+    """``unpruned_count_vectors(degrees)``: the reference count-vector
+    search, unpruned, without Gale–Ryser."""
+    return _unpruned_count_vectors

@@ -16,6 +16,7 @@ from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
 from bdr.reduction import build_hard_instance
+from conftest import reduction_corpus
 
 F = Fraction
 
@@ -30,20 +31,6 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def _partitions(rem, largest):
-    if rem == 0:
-        yield ()
-        return
-    for first in range(min(rem, largest), 0, -1):
-        for rest in _partitions(rem - first, first):
-            yield (first,) + rest
-
-
-def reduction_corpus(max_sum):
-    """Zero-free multisets with even S <= max_sum and every degree < S/2."""
-    return [p for s in range(4, max_sum + 1, 2) for p in _partitions(s, s // 2 - 1)]
 
 
 class TestDecide:
@@ -176,6 +163,26 @@ class TestGoldenBytes:
             assert code == 0, source
             digest_of.update(out.encode())
         assert digest_of.hexdigest() == digest
+
+    def test_oracle_corpus(self, tmp_path, capsys):
+        # pins the count-vector search's verdicts, budget points and
+        # messages: ``oracle`` on every source of the three reduce corpora
+        # and on its padded D', and ``verify-reduction`` on every source
+        digest_of = hashlib.sha256()
+        for c1, c2, max_sum in [("1/10", "2/5", 8), ("1/20", "9/20", 8), ("3/20", "2/5", 6)]:
+            bounds = ParamBounds(Fraction(c1), Fraction(c2))
+            for k, source in enumerate(reduction_corpus(max_sum)):
+                d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
+                src = write(tmp_path, f"s{k}.txt", " ".join(map(str, source)) + "\n")
+                pad = write(tmp_path, f"p{k}.txt", " ".join(map(str, d_prime.degrees)) + "\n")
+                for budget in (None, 0, 1, 3):
+                    limit = [] if budget is None else ["--budget", str(budget)]
+                    for argv in (["oracle", *limit, src], ["oracle", *limit, pad],
+                                 ["verify-reduction", "--c1", c1, "--c2", c2, *limit, src]):
+                        code, out, err = run(capsys, argv)
+                        digest_of.update(f"{argv[0]}\n{budget}\n{code}\n{out}\n{err}\n".encode())
+        assert digest_of.hexdigest() == (
+            "7c2571566773f94a6bbe691daf31ecb8f874ed4046cdfd12a3f2c0b5a83ae493")
 
     def test_scan_grid(self, capsys):
         # every region, and two cells whose integer window is empty

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -12,6 +11,7 @@ from bdr import DegreeSequence, ParamBounds, build_hard_instance, oracle
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
+from conftest import _unpruned_count_vectors, reduction_corpus as _corpus
 
 
 class TestFrozenValues:
@@ -106,39 +106,14 @@ class TestLimits:
 
 
 def _unpruned(ds, budget=None):
-    """The count-vector search before suffix reachability: every count of
-    every value within the ``max_tail`` bound, recursively."""
-    sigma = ds.sigma
-    if sigma % 2 != 0:
-        return False
-    target = sigma // 2
-    counts = sorted(Counter(ds.nonzero()).items(), reverse=True)
-    values = [v for v, _ in counts]
-    mult = [c for _, c in counts]
-    max_tail = [0] * (len(values) + 1)
-    for i in range(len(values) - 1, -1, -1):
-        max_tail[i] = max_tail[i + 1] + values[i] * mult[i]
-
-    examined = 0
-
-    def search(i, rem, chosen):
-        nonlocal examined
-        if rem == 0 and i == len(values):
-            examined += 1
-            if budget is not None and examined > budget:
-                raise BudgetExceededError(budget, examined, "split count vectors")
-            side1 = [(v, k) for v, k in zip(values, chosen)]
-            side2 = [(v, c - k) for (v, c), k in zip(counts, chosen)]
-            return oracle._gale_ryser_lists(side1, side2)
-        if i == len(values) or rem > max_tail[i]:
-            return False
-        v, c = counts[i]
-        for k in range(min(c, rem // v), -1, -1):
-            if search(i + 1, rem - k * v, chosen + [k]):
-                return True
-        return False
-
-    return search(0, target, [])
+    """The count-vector search before suffix reachability: the unpruned
+    count vectors of ``conftest``, each checked against Gale–Ryser."""
+    for examined, (side1, side2) in enumerate(_unpruned_count_vectors(ds.degrees), 1):
+        if budget is not None and examined > budget:
+            raise BudgetExceededError(budget, examined, "split count vectors")
+        if oracle._gale_ryser_lists(side1, side2):
+            return True
+    return False
 
 
 def _leaves(search, ds, budget=None):
@@ -169,19 +144,6 @@ def _same_leaves(seq, budgets=True):
             outcome = _leaves(_unpruned, ds, b)
             assert _leaves(brute_force_bipartite_realizable, ds, b) == outcome
             assert isinstance(outcome[0], str) == (b < n)
-
-
-def _corpus(max_sum):
-    """Zero-free sources with even S <= max_sum and every degree < S/2."""
-    def partitions(rem, largest):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, largest), 0, -1):
-            for rest in partitions(rem - first, first):
-                yield (first,) + rest
-
-    return [p for s in range(4, max_sum + 1, 2) for p in partitions(s, s // 2 - 1)]
 
 
 def _padded(source, c1, c2):

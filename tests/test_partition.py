@@ -1,15 +1,23 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdr import (DegreeSequence, enumerate_equal_sum_splits,
-                 equal_sum_split_exists, find_equal_sum_split)
+from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
+                 enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
-from bdr.partition import (_subset_sums, count_runs, equal_sum_walk, mask_indices,
-                           split_with_u)
+from bdr.partition import (_subset_sums, count_runs, count_vector_walk, equal_sum_walk,
+                           mask_indices, split_with_u)
+from conftest import reduction_corpus
+
+# zeros and repeated values, or one value repeated up to 16 times (every
+# binary part of its count)
+DRAWS = st.one_of(
+    st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 7, 9]), max_size=16),
+    st.tuples(st.integers(0, 9), st.integers(0, 16)).map(lambda vc: [vc[0]] * vc[1]))
 
 
 def brute_force_exists(seq):
@@ -20,6 +28,18 @@ def brute_force_exists(seq):
     return any(sum(seq[i] for i in sub) == total // 2
                for r in range(len(seq) + 1)
                for sub in combinations(idx, r))
+
+
+def per_item_reach(seq):
+    """Whether some subset of ``seq`` sums to half its total, one set of
+    reachable sums grown per item."""
+    total = sum(seq)
+    if total % 2:
+        return False
+    reach = {0}
+    for d in seq:
+        reach |= {r + d for r in reach}
+    return total // 2 in reach
 
 
 def assert_split(seq, w):
@@ -65,6 +85,19 @@ class TestExists:
     @settings(max_examples=300)
     def test_dp_agrees_with_subset_enumeration(self, seq):
         assert equal_sum_split_exists(DegreeSequence(seq)) == brute_force_exists(seq)
+
+    # the bounded subset-sum over (value, count) runs against one step per item
+    @given(DRAWS)
+    @settings(max_examples=400)
+    @example([])
+    @example([0, 0, 0])
+    @example([1, 1, 1])
+    @example([3])
+    @example([4, 2, 1])
+    @example([6, 2, 2, 2])
+    @example([4, 4, 4, 2, 2, 2, 2, 2, 2, 1, 1])
+    def test_run_dp_agrees_with_per_item_reach(self, seq):
+        assert equal_sum_split_exists(DegreeSequence(seq)) == per_item_reach(seq)
 
 
 class TestFindSplit:
@@ -121,6 +154,59 @@ class TestSplitMatchesReference:
         ds = DegreeSequence(degrees)
         w = find_equal_sum_split(ds)
         assert w is not None and w == reference_split(ds)
+
+
+class TestWitnessIsReversedWalk:
+    """The witness's V side is the U side of the first split the unpruned
+    walk meets on the reversed sequence, read back to front.  The
+    reconstruction keeps item j off U whenever the items before it reach
+    U's remaining sum; the walk puts j on its side whenever those items
+    reach that side's remaining sum less j.  The two remainders add up to
+    the sum of the items before j, so a subset of them reaches one iff its
+    complement reaches the other: the same test."""
+
+    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 7, 9]), max_size=16))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[2, 1, 1, 0])
+    def test_first_split_of_reversed_walk(self, seq, unpruned_splits):
+        w = find_equal_sum_split(DegreeSequence(seq))
+        first = next(unpruned_splits(seq[::-1]), None)
+        if w is None:
+            assert first is None
+        else:
+            assert w.v == tuple(len(seq) - 1 - j for j in reversed(first))
+
+
+class TestCountVectorWalk:
+    """Read through ``count_runs``, the walk's keys are the count vectors of
+    the unpruned search, in its order: the prune drops only dead subtrees."""
+
+    @staticmethod
+    def _same_vectors(seq, unpruned_count_vectors):
+        runs, keys = count_vector_walk(DegreeSequence(seq))
+        assert runs == sorted(Counter(d for d in seq if d).items(), reverse=True)
+        assert [count_runs(runs, key) for key in keys] == list(unpruned_count_vectors(seq))
+
+    @given(seq=DRAWS)
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[1, 1, 1])
+    @example(seq=[3])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    def test_drawn(self, seq, unpruned_count_vectors):
+        self._same_vectors(seq, unpruned_count_vectors)
+
+    @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
+    def test_padded(self, c1, c2, unpruned_count_vectors):
+        bounds = ParamBounds(Fraction(c1), Fraction(c2))
+        for source in reduction_corpus(8):
+            d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
+            self._same_vectors(d_prime.degrees, unpruned_count_vectors)
 
 
 class TestEnumerate:

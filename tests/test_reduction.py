@@ -17,6 +17,7 @@ from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
 from bdr.gale_ryser import BipartiteRealization, construct_realization
 from bdr.oracle import brute_force_bipartite_realizable
 from bdr.reduction import _ceil_sqrt, _floor_sqrt
+from conftest import reduction_corpus
 
 F = Fraction
 HARD = ParamBounds(F(1, 10), F(2, 5))
@@ -377,15 +378,6 @@ class TestRoundTripVerdicts:
                 DegreeSequence(seq))
 
 
-def _partitions(rem, largest):
-    if rem == 0:
-        yield ()
-        return
-    for first in range(min(rem, largest), 0, -1):
-        for rest in _partitions(rem - first, first):
-            yield (first,) + rest
-
-
 # NotBipartite sources whose padded D' (r = 1/2, n = 4S) is Bipartite: the
 # known padding defect at (1/20, 9/20).  Each case pins its set, so a new
 # disagreement fails, and so does a fix, which must then empty the set.
@@ -405,7 +397,7 @@ def test_reduction_agreement_sweep(c1, c2):
     """verify_reduction_roundtrip on every zero-free source with even
     S <= max_sum and all degrees < S/2, and on the extra sources."""
     max_sum, extra, expected = SWEEP[(c1, c2)]
-    sources = [p for s in range(4, max_sum + 1, 2) for p in _partitions(s, s // 2 - 1)]
+    sources = reduction_corpus(max_sum)
     bounds = ParamBounds(c1, c2)
     disagree = set()
     for seq in sources + list(extra):
