@@ -15,8 +15,8 @@ from fractions import Fraction
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import BipartiteRealization, _gale_ryser_runs, construct_realization
-from .partition import (SplitWitness, count_runs, equal_sum_walk, find_equal_sum_split,
-                        mask_indices, split_with_u)
+from .partition import (SplitWitness, count_runs, count_vector_walk, equal_sum_walk,
+                        find_equal_sum_split, mask_indices, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -154,20 +154,52 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: try every equal-sum split against Gale–Ryser.
 
-    The splits are the leaves of ``partition.equal_sum_walk``, in its
-    order: a pruned walk that enters only subtrees holding a split and keeps
-    its subset-sum bitsets in O(sqrt(m)*sigma) bits.  Gale–Ryser runs once
-    per distinct U count vector, on the (value, count) runs; the split and
-    its realization are built only for the split that is accepted.
+    A pre-pass first reads ``partition.count_vector_walk`` and runs the
+    Gale–Ryser kernel once per U count vector, on its (value, count) runs.
+    A count vector with counts k_i over runs of c_i values stands for
+    prod C(c_i, k_i) U index sets, and every split is two of them, one
+    per side.  When every count vector is rejected and their index sets
+    number at most 2*budget, the verdict is NotBipartite, the one the
+    split walk would give after examining every split within budget.
+
+    The pre-pass stops at the first accepted count vector, or once the
+    index sets it has counted pass 2*budget (so it checks at most
+    2*budget + 1 count vectors).  Either way the splits of
+    ``partition.equal_sum_walk`` are walked in its order, as if there had
+    been no pre-pass, so the witness is the walk's first accepted split
+    and the budget is passed at the same split.  The count-vector walk
+    does not build the witness: its first accepted count vector is not,
+    in general, that split's.  The walk then never ends without a
+    verdict: an accepted count vector puts a split on it (its U side or
+    the complement, which Gale–Ryser accepts too), and past 2*budget it
+    holds more than budget splits.  Gale–Ryser runs at most once per
+    distinct count vector over both passes (the two walks key them
+    alike); the split and its realization are built only for the split
+    that is accepted.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits have been examined.
     """
-    runs, leaves = equal_sum_walk(ds)
+    runs, keys = count_vector_walk(ds)
     rejected: set[int] = set()
-    examined = 0
-    for key, mask in leaves:
-        examined += 1
+    index_sets = 0
+    for key in keys:
+        u, v = count_runs(runs, key)
+        if _gale_ryser_runs(u, v):
+            break
+        rejected.add(key)
+        index_sets += math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
+        if budget is not None and index_sets > 2 * budget:
+            break
+    else:
+        return Decision("NotBipartite",
+                        "gale-ryser-violation" if rejected else "no-equal-sum-split")
+    # some count vector is accepted, or the splits pass the budget: the walk
+    # returns a witness or raises before it ends.  The count walk's suffix
+    # bitsets are freed first, so they do not add to the split walk's peak.
+    del keys
+    _, leaves = equal_sum_walk(ds)
+    for examined, (key, mask) in enumerate(leaves, 1):
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "equal-sum splits")
         if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
@@ -178,6 +210,5 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if g is None:
             raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
         return Decision("Bipartite", "exact-search", split=split, realization=g)
-    if not examined:
-        return Decision("NotBipartite", "no-equal-sum-split")
-    return Decision("NotBipartite", "gale-ryser-violation")
+    raise InvariantError("the split walk ended within budget without the witness "
+                         "that the count vectors promised")

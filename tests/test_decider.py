@@ -2,17 +2,19 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
                  build_hard_instance, classify_region, construct_realization,
-                 decide_bdr, decide_exact, is_bigraphic, max_degree_gap,
-                 precheck, threshold_at_or_below, threshold_c2)
+                 decide_bdr, decide_exact, equal_sum_split_exists, is_bigraphic,
+                 max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.partition import split_with_u
+from bdr.partition import equal_sum_walk, split_with_u
+from conftest import _unpruned_splits
 
 
 F = Fraction
@@ -257,16 +259,28 @@ def outcome(search, *args):
         return exc.limit, exc.examined, str(exc)
 
 
+# zeros and repeated values, so that count vectors repeat across splits
+SEQS = st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]), max_size=14)
+
+
+@st.composite
+def seq_and_budget(draw):
+    """A drawn sequence and a budget: none, 0 to 5, or 0 to one more than
+    the splits of its walk, where the count-vector pre-pass stops."""
+    seq = draw(SEQS)
+    leaves = sum(1 for _ in _unpruned_splits(seq))
+    return seq, draw(st.one_of(st.none(), st.integers(0, 5), st.integers(0, leaves + 1)))
+
+
 class TestAgainstUnprunedWalk:
-    # zeros and repeated values, so that count vectors repeat across splits
-    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]),
-                        max_size=14),
-           budget=st.one_of(st.none(), st.integers(0, 5)))
+    @given(case=seq_and_budget())
     @settings(max_examples=600, deadline=None)
-    @example(seq=[], budget=0)
-    @example(seq=[0, 0, 0], budget=None)
-    @example(seq=[5, 3, 1, 1, 1, 1], budget=3)
-    def test_same_decision_and_budget_point(self, seq, budget, unpruned_splits):
+    @example(case=([], 0))
+    @example(case=([0, 0, 0], None))
+    @example(case=([5, 3, 1, 1, 1, 1], 3))
+    @example(case=([5, 3, 1, 1, 1, 1], 4))
+    def test_same_decision_and_budget_point(self, case, unpruned_splits):
+        seq, budget = case
         ds = DegreeSequence(seq)
         assert outcome(decide_exact, ds, budget) == outcome(
             reference_decide_exact, ds, budget, unpruned_splits)
@@ -280,6 +294,60 @@ class TestAgainstUnprunedWalk:
             for budget in (0, 1, 3, 2000):
                 assert outcome(decide_exact, ds, budget) == outcome(
                     reference_decide_exact, ds, budget, unpruned_splits), (source, budget)
+
+
+def _no_split_walk(ds):
+    raise AssertionError("the split walk ran")
+
+
+class TestCountVectorPrePass:
+    """On a NotBipartite input whose L splits fit the budget, decide_exact
+    answers from the count vectors without walking the splits; at budget
+    L - 1 it walks them and raises at split L, as the unpruned search does."""
+
+    # two NotBipartite inputs of the exact-search benchmark (n = 20) with
+    # 2281 and 13868 splits
+    N20 = [(2, 2, 8, 5, 9, 7, 3, 6, 0, 8, 3, 1, 0, 8, 1, 0, 8, 2, 1, 4),
+           (4, 1, 1, 3, 5, 9, 4, 3, 10, 6, 3, 10, 9, 10, 7, 8, 7, 10, 1, 5)]
+
+    @staticmethod
+    def _check(seq, unpruned_splits):
+        ds = DegreeSequence(seq)
+        leaves = sum(1 for _ in unpruned_splits(seq))
+        want = reference_decide_exact(ds, None, unpruned_splits)
+        assert want.verdict == "NotBipartite"
+        for budget in (leaves - 1, leaves, leaves + 1):
+            assert outcome(decide_exact, ds, budget) == outcome(
+                reference_decide_exact, ds, budget, unpruned_splits), budget
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
+            for budget in (None, leaves, leaves + 1):
+                assert decide_exact(ds, budget) == want
+
+    @pytest.mark.parametrize("seq", [(5, 3, 1, 1, 1, 1), (5, 1, 1, 1), (3, 3, 1)] + N20)
+    def test_fixed(self, seq, unpruned_splits):
+        self._check(seq, unpruned_splits)
+
+    # an odd sum is evened out with a 1, so that most draws have splits
+    @given(seq=SEQS.map(lambda s: s + [1] if sum(s) % 2 else s))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn(self, seq, unpruned_splits):
+        ds = DegreeSequence(seq)
+        assume(equal_sum_split_exists(ds) and not brute_force_bipartite_realizable(ds))
+        self._check(seq, unpruned_splits)
+
+    @pytest.mark.parametrize("source", [(2, 2, 2), (3, 3, 2), (3, 2, 2, 1)])
+    def test_padded_without_budget(self, source):
+        # far too many splits to walk (the walk passes 20000 of them), but
+        # few count vectors: the unbounded search now ends
+        ds = build_hard_instance(DegreeSequence(source), ParamBounds(F(1, 10), F(2, 5))).d_prime
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
+            d = decide_exact(ds)
+        assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation")
+        with pytest.raises(BudgetExceededError) as exc:
+            decide_exact(ds, budget=20000)
+        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
 
 
 class TestStall:
@@ -300,6 +368,31 @@ class TestStall:
             tracemalloc.stop()
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
         assert peak < 8 * 2 ** 20
+
+    def test_count_walk_freed_before_split_walk(self):
+        # the count walk's suffix bitsets of the stall take about 180 KB
+        # (4 rows of sigma/16 bytes); decide_exact frees them before it walks
+        # the splits, so it peaks no higher than the walk over 20001 splits
+        ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
+                                 ParamBounds(F(3, 20), F(2, 5))).d_prime
+
+        def walk():
+            for _ in islice(equal_sum_walk(ds)[1], 20001):
+                pass
+
+        def search():
+            with pytest.raises(BudgetExceededError):
+                decide_exact(ds, budget=20000)
+
+        peaks = []
+        for run in (walk, search):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 2 ** 10
 
 
 class TestDecisionDataclass:
@@ -366,5 +459,11 @@ class TestInvariants:
 
     def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
         monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
+        with pytest.raises(InvariantError):
+            decide_exact(DegreeSequence((2, 2, 2, 2)))
+
+    def test_walk_without_the_accepted_split_raises(self, monkeypatch):
+        # the count vectors accept (2, 2) | (2, 2), so the walk must hold a split
+        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds: ([], iter(())))
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))

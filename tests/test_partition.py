@@ -2,9 +2,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
@@ -207,6 +208,39 @@ class TestCountVectorWalk:
         for source in reduction_corpus(8):
             d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
             self._same_vectors(d_prime.degrees, unpruned_count_vectors)
+
+
+class TestIndexSetsPerSplit:
+    """A count vector with counts k_i over runs of c_i values stands for
+    prod C(c_i, k_i) U index sets; over all count vectors that is two per
+    split of the walk, one per side, except for the one all-zero split."""
+
+    @staticmethod
+    def _index_sets_and_leaves(seq):
+        ds = DegreeSequence(seq)
+        runs, keys = count_vector_walk(ds)
+        index_sets = sum(prod(map(comb, (c for _, c in runs),
+                                  (k for _, k in count_runs(runs, key)[0])))
+                         for key in keys)
+        return index_sets, sum(1 for _ in equal_sum_walk(ds)[1])
+
+    @given(seq=DRAWS)
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[3])
+    @example(seq=[1, 1, 1])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[2, 2, 0, 2, 2])
+    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    def test_twice_the_leaves(self, seq):
+        assume(sum(seq) > 0)
+        index_sets, leaves = self._index_sets_and_leaves(seq)
+        assert index_sets == 2 * leaves
+
+    @pytest.mark.parametrize("seq", [[], [0], [0, 0, 0]])
+    def test_all_zero_is_one_of_each(self, seq):
+        runs, keys = count_vector_walk(DegreeSequence(seq))
+        assert (runs, list(keys)) == ([], [0])
+        assert self._index_sets_and_leaves(seq) == (1, 1)
 
 
 class TestEnumerate:
