@@ -154,52 +154,60 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: try every equal-sum split against Gale–Ryser.
 
-    A pre-pass first reads ``partition.count_vector_walk`` and runs the
-    Gale–Ryser kernel once per U count vector, on its (value, count) runs.
-    A count vector with counts k_i over runs of c_i values stands for
-    prod C(c_i, k_i) U index sets, and every split is two of them, one
-    per side.  When every count vector is rejected and their index sets
-    number at most 2*budget, the verdict is NotBipartite, the one the
-    split walk would give after examining every split within budget.
+    The splits are the leaves of ``partition.equal_sum_walk``, in its
+    order: a pruned walk that enters only subtrees holding a split and keeps
+    its subset-sum bitsets in O(sqrt(m)*sigma) bits, m the number of
+    nonzero degrees.  Gale–Ryser runs once per distinct U count vector, on
+    the (value, count) runs; the split and its realization are built only
+    for the split that is accepted.
 
-    The pre-pass stops at the first accepted count vector, or once the
-    index sets it has counted pass 2*budget (so it checks at most
-    2*budget + 1 count vectors).  Either way the splits of
-    ``partition.equal_sum_walk`` are walked in its order, as if there had
-    been no pre-pass, so the witness is the walk's first accepted split
-    and the budget is passed at the same split.  The count-vector walk
-    does not build the witness: its first accepted count vector is not,
-    in general, that split's.  The walk then never ends without a
-    verdict: an accepted count vector puts a split on it (its U side or
-    the complement, which Gale–Ryser accepts too), and past 2*budget it
-    holds more than budget splits.  Gale–Ryser runs at most once per
-    distinct count vector over both passes (the two walks key them
-    alike); the split and its realization are built only for the split
-    that is accepted.
+    A pre-pass first reads ``partition.count_vector_walk`` and runs the
+    kernel once per U count vector.  A count vector with counts k_i over
+    runs of c_i values stands for prod C(c_i, k_i) U index sets, and every
+    split is two of them, one per side.  When every count vector is
+    rejected and their index sets number at most 2*budget, the verdict is
+    NotBipartite, the one the split walk would give after examining every
+    split within budget.  The pre-pass stops at the first accepted count
+    vector, or once its index sets pass 2*budget (so it checks at most
+    2*budget + 1 count vectors); the split walk then runs as if there had
+    been no pre-pass, with the rejected count vectors remembered, so the
+    witness is the walk's first accepted split and the budget is passed at
+    the same split.  The count-vector walk cannot build that witness: its
+    first accepted count vector is not, in general, that split's.
+
+    The count-vector walk keeps d + 1 suffix bitsets of sigma/2 bits, d the
+    number of distinct nonzero degrees; the split walk keeps at most
+    2*ceil(sqrt(m)) + 2 (its checkpoints and one block).  The pre-pass runs
+    only when d + 1 is within that bound, and its bitsets are freed before
+    the split walk starts, so memory stays O(sqrt(m)*sigma) bits.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits have been examined.
     """
     runs, keys = count_vector_walk(ds)
+    m = sum(c for _, c in runs)
     rejected: set[int] = set()
-    index_sets = 0
-    for key in keys:
-        u, v = count_runs(runs, key)
-        if _gale_ryser_runs(u, v):
-            break
-        rejected.add(key)
-        index_sets += math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
-        if budget is not None and index_sets > 2 * budget:
-            break
-    else:
-        return Decision("NotBipartite",
-                        "gale-ryser-violation" if rejected else "no-equal-sum-split")
-    # some count vector is accepted, or the splits pass the budget: the walk
-    # returns a witness or raises before it ends.  The count walk's suffix
-    # bitsets are freed first, so they do not add to the split walk's peak.
+    block = math.isqrt(m - 1) + 1 if m else 1  # ceil(sqrt(m))
+    # the pre-pass's d + 1 bitsets must fit the split walk's 2*block + 2
+    if len(runs) <= 2 * block + 1:
+        index_sets = 0
+        for key in keys:
+            u, v = count_runs(runs, key)
+            if _gale_ryser_runs(u, v):
+                break
+            rejected.add(key)
+            index_sets += math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
+            if budget is not None and index_sets > 2 * budget:
+                break
+        else:
+            return Decision("NotBipartite",
+                            "gale-ryser-violation" if rejected else "no-equal-sum-split")
+    # free the count walk's bitsets before the split walk builds its own
     del keys
     _, leaves = equal_sum_walk(ds)
-    for examined, (key, mask) in enumerate(leaves, 1):
+    examined = 0
+    for key, mask in leaves:
+        examined += 1
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "equal-sum splits")
         if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
@@ -210,5 +218,6 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if g is None:
             raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
         return Decision("Bipartite", "exact-search", split=split, realization=g)
-    raise InvariantError("the split walk ended within budget without the witness "
-                         "that the count vectors promised")
+    if not examined:
+        return Decision("NotBipartite", "no-equal-sum-split")
+    return Decision("NotBipartite", "gale-ryser-violation")

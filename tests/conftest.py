@@ -1,14 +1,6 @@
-import os
 from collections import Counter
 
 import pytest
-from hypothesis import settings
-
-# HYPOTHESIS_PROFILE=ci makes a failing property test print the blob that
-# reproduces it (@reproduce_failure); each test keeps its own example count
-# and deadline
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _degree_multisets(n):

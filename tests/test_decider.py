@@ -13,7 +13,7 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
                  max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.partition import equal_sum_walk, split_with_u
+from bdr.partition import count_vector_walk, equal_sum_walk, split_with_u
 from conftest import _unpruned_splits
 
 
@@ -300,10 +300,29 @@ def _no_split_walk(ds):
     raise AssertionError("the split walk ran")
 
 
+def _no_count_vectors(ds):
+    def keys():
+        raise AssertionError("the pre-pass read a count vector")
+        yield
+    return count_vector_walk(ds)[0], keys()
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCountVectorPrePass:
     """On a NotBipartite input whose L splits fit the budget, decide_exact
     answers from the count vectors without walking the splits; at budget
-    L - 1 it walks them and raises at split L, as the unpruned search does."""
+    L - 1 it walks them and raises at split L, as the unpruned search does.
+    With more distinct degrees d than 2*ceil(sqrt(m)) + 1, m the nonzero
+    ones, the pre-pass's bitsets would outgrow the split walk's, so it is
+    skipped and the split walk alone gives the same outcome."""
 
     # two NotBipartite inputs of the exact-search benchmark (n = 20) with
     # 2281 and 13868 splits
@@ -350,6 +369,37 @@ class TestCountVectorPrePass:
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
 
 
+    # 9-11 distinct degrees over m = 9-11: more than 2*ceil(sqrt(m)) + 1,
+    # with 2 and 21 splits
+    @pytest.mark.parametrize("seq", [(20, 2, 19, 22, 6, 14, 21, 13, 17),
+                                     (1, 8, 7, 13, 5, 25, 11, 21, 4, 3, 10)])
+    def test_many_distinct_degrees_skip_it(self, seq, unpruned_splits):
+        ds = DegreeSequence(seq)
+        leaves = sum(1 for _ in unpruned_splits(seq))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bdr.decider.count_vector_walk", _no_count_vectors)
+            for budget in (None, leaves - 1, leaves, leaves + 1):
+                want = outcome(reference_decide_exact, ds, budget, unpruned_splits)
+                assert outcome(decide_exact, ds, budget) == want, budget
+        assert want.verdict == "NotBipartite"
+
+    def test_many_distinct_degrees_keep_the_split_walk_bound(self):
+        # 1..400: 400 runs against 2*ceil(sqrt(400)) + 2 = 42 rows of the
+        # split walk; the pre-pass's 401 bitsets would take about 2 MB
+        ds = DegreeSequence(tuple(range(1, 401)))
+
+        def walk():
+            for _ in islice(equal_sum_walk(ds)[1], 2):
+                pass
+
+        def search():
+            with pytest.raises(BudgetExceededError) as exc:
+                decide_exact(ds, budget=1)
+            assert (exc.value.limit, exc.value.examined) == (1, 2)
+
+        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
+
+
 class TestStall:
     def test_budget_point_and_memory(self):
         # the padded D' of (1,1,1,1) at (3/20, 2/5), n' = 1604: its splits
@@ -384,15 +434,7 @@ class TestStall:
             with pytest.raises(BudgetExceededError):
                 decide_exact(ds, budget=20000)
 
-        peaks = []
-        for run in (walk, search):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < peaks[0] + 64 * 2 ** 10
+        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
 
 
 class TestDecisionDataclass:
@@ -459,11 +501,5 @@ class TestInvariants:
 
     def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
         monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
-        with pytest.raises(InvariantError):
-            decide_exact(DegreeSequence((2, 2, 2, 2)))
-
-    def test_walk_without_the_accepted_split_raises(self, monkeypatch):
-        # the count vectors accept (2, 2) | (2, 2), so the walk must hold a split
-        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds: ([], iter(())))
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))
