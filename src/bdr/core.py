@@ -101,8 +101,9 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ParseError("empty rational")
-    # Fraction() would also take digit-group underscores and non-ASCII digits
-    if not text.isascii() or "_" in text:
+    # Fraction() would also take digit-group underscores, non-ASCII digits
+    # and exponents, where "1e-999999999" alone takes it without end
+    if not text.isascii() or any(c in text for c in "_eE"):
         raise ParseError(f"bad rational {text!r}")
     try:
         return Fraction(text)

@@ -151,6 +151,15 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     return Decision("Undecided", "exact-search", region=region)
 
 
+def _rejected_index_sets(runs: list[tuple[int, int]], key: int) -> int:
+    """0 if Gale–Ryser accepts the count vector ``key`` over ``runs``, else its
+    U index sets, prod C(c_i, k_i); its runs are freed before the next's."""
+    u, v = count_runs(runs, key)
+    if _gale_ryser_runs(u, v):
+        return 0
+    return math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
+
+
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: try every equal-sum split against Gale–Ryser.
 
@@ -161,53 +170,40 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     the (value, count) runs; the split and its realization are built only
     for the split that is accepted.
 
-    A pre-pass first reads ``partition.count_vector_walk`` and runs the
-    kernel once per U count vector.  A count vector with counts k_i over
-    runs of c_i values stands for prod C(c_i, k_i) U index sets, and every
-    split is two of them, one per side.  When every count vector is
-    rejected and their index sets number at most 2*budget, the verdict is
-    NotBipartite, the one the split walk would give after examining every
-    split within budget.  The pre-pass stops at the first accepted count
-    vector, or once its index sets pass 2*budget (so it checks at most
-    2*budget + 1 count vectors); the split walk then runs as if there had
-    been no pre-pass, with the rejected count vectors remembered, so the
-    witness is the walk's first accepted split and the budget is passed at
-    the same split.  The count-vector walk cannot build that witness: its
-    first accepted count vector is not, in general, that split's.
-
-    The count-vector walk keeps d + 1 suffix bitsets of sigma/2 bits, d the
-    number of distinct nonzero degrees; the split walk keeps at most
-    2*ceil(sqrt(m)) + 2 (its checkpoints and one block).  The pre-pass runs
-    only when d + 1 is within that bound, and its bitsets are freed before
-    the split walk starts, so memory stays O(sqrt(m)*sigma) bits.
+    A pre-pass first reads ``partition.count_vector_walk``, in the same
+    memory bound, and runs the kernel once per U count vector.  A count
+    vector with counts k_i over runs of c_i values stands for
+    prod C(c_i, k_i) U index sets, and every split is two of them.  When
+    every count vector is rejected within 2*budget index sets, the verdict
+    is NotBipartite, the one the split walk would give.  The pre-pass stops
+    at the first accepted count vector, or past 2*budget index sets (at
+    most 2*budget + 1 count vectors); the split walk then runs as if there
+    had been no pre-pass, with the rejected count vectors remembered, so
+    the witness is the walk's first accepted split and the budget is passed
+    at the same split.  The count-vector walk cannot build that witness:
+    its first accepted count vector is not, in general, that split's.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits have been examined.
     """
     runs, keys = count_vector_walk(ds)
-    m = sum(c for _, c in runs)
     rejected: set[int] = set()
-    block = math.isqrt(m - 1) + 1 if m else 1  # ceil(sqrt(m))
-    # the pre-pass's d + 1 bitsets must fit the split walk's 2*block + 2
-    if len(runs) <= 2 * block + 1:
-        index_sets = 0
-        for key in keys:
-            u, v = count_runs(runs, key)
-            if _gale_ryser_runs(u, v):
-                break
-            rejected.add(key)
-            index_sets += math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
-            if budget is not None and index_sets > 2 * budget:
-                break
-        else:
-            return Decision("NotBipartite",
-                            "gale-ryser-violation" if rejected else "no-equal-sum-split")
+    index_sets = 0
+    for key in keys:
+        sets = _rejected_index_sets(runs, key)
+        if not sets:
+            break
+        rejected.add(key)
+        index_sets += sets
+        if budget is not None and index_sets > 2 * budget:
+            break
+    else:
+        return Decision("NotBipartite",
+                        "gale-ryser-violation" if rejected else "no-equal-sum-split")
     # free the count walk's bitsets before the split walk builds its own
     del keys
     _, leaves = equal_sum_walk(ds)
-    examined = 0
-    for key, mask in leaves:
-        examined += 1
+    for examined, (key, mask) in enumerate(leaves, 1):
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "equal-sum splits")
         if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
@@ -218,6 +214,4 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if g is None:
             raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
         return Decision("Bipartite", "exact-search", split=split, realization=g)
-    if not examined:
-        return Decision("NotBipartite", "no-equal-sum-split")
-    return Decision("NotBipartite", "gale-ryser-violation")
+    raise InvariantError("the split walk missed the pre-pass's split and budget point")

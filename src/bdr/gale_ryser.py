@@ -8,9 +8,10 @@ values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMoveError, InvariantError
 
@@ -78,22 +79,16 @@ def _gale_ryser_runs(a, b) -> bool:
     return True
 
 
-def _runs(degrees) -> list[list[int]]:
-    """[value, count] runs of the degrees, largest value first."""
-    runs: list[list[int]] = []
-    last = None
-    for d in sorted(degrees, reverse=True):
-        if d == last:
-            runs[-1][1] += 1
-        else:
-            runs.append([d, 1])
-            last = d
-    return runs
+def _value_runs(degrees: Iterable[int]) -> list[tuple[int, int]]:
+    """The distinct nonzero degrees as (value, count) runs, largest first."""
+    counts = Counter(degrees)
+    counts.pop(0, None)
+    return sorted(counts.items(), reverse=True)
 
 
 def is_bigraphic(d1: Sequence[int], d2: Sequence[int]) -> bool:
     """Gale–Ryser on the runs of the two classes (``_gale_ryser_runs``)."""
-    a, b = _runs(d1), _runs(d2)
+    a, b = _value_runs(d1), _value_runs(d2)
     if a and a[-1][0] < 0 or b and b[-1][0] < 0:
         return False  # a negative degree (the last run) has no realization
     return _gale_ryser_runs(a, b)

@@ -14,9 +14,11 @@ reconstruction from all n+1 prefix bitsets gives.  Splits are unordered;
 the split walk canonicalizes by keeping the first nonzero entry on the U
 side and has no limit (a caller that needs one stops iterating).  The
 count-vector walk yields U count vectors over the distinct nonzero
-degrees instead, pruned on the run DP's suffix bitsets.  Both walks enter
-only subtrees that hold a split and key a count vector in the same mixed
-radix over the same (value, count) runs (``count_runs`` decodes it).
+degrees instead, pruned on the run DP's suffix bitsets, checkpointed to
+fit the split walk's rows.  Both walks keep O(sqrt(m)*sigma) bits (m
+nonzero degrees), enter only subtrees that hold a split and key a count
+vector in the same mixed radix over the same (value, count) runs
+(``count_runs`` decodes it).
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
 the U side, for every split this module returns.
@@ -24,7 +26,6 @@ the U side, for every split this module returns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
@@ -33,6 +34,7 @@ from typing import Iterable, Iterator
 
 from .core import DegreeSequence
 from .errors import InvariantError
+from .gale_ryser import _value_runs
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,12 @@ def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterato
         yield reach
 
 
-def _run_sums(runs: Iterable[tuple[int, int]], target: int) -> Iterator[int]:
+def _run_sums(runs: Iterable[tuple[int, int]], target: int, reach: int = 1) -> Iterator[int]:
     """For each prefix of the (value, count) ``runs``, the empty one first,
-    the bitset of the sums up to ``target`` that the prefix makes with each
-    value taken at most its count times."""
+    the bitset of the sums a + t up to ``target``, a in ``reach`` ({0} by
+    default) and t made of the prefix, each value at most its count times."""
     cap = (1 << (target + 1)) - 1
-    reach = 1
+    reach &= cap
     yield reach
     for v, c in runs:
         part = 1
@@ -99,13 +101,6 @@ def _checkpoints(degrees: list[int], target: int, block: int) -> tuple[list[int]
         if i % block == 0:
             checkpoints.append(reach)
     return checkpoints, bool(reach >> target & 1)
-
-
-def _value_runs(degrees: Iterable[int]) -> list[tuple[int, int]]:
-    """The distinct nonzero degrees as (value, count) runs, largest first."""
-    counts = Counter(degrees)
-    counts.pop(0, None)
-    return sorted(counts.items(), reverse=True)
 
 
 def _places(runs: list[tuple[int, int]]) -> list[int]:
@@ -183,11 +178,10 @@ def equal_sum_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]],
     A node is entered only when its remainder is a subset sum of the items
     after it, so only subtrees without a leaf are dropped: the leaves and
     their order are those of the unpruned walk.  The suffix subset sums are
-    kept as bitsets at every ceil(sqrt(m))-th position (m nonzero degrees).
-    The one block the walk is in is rebuilt from its checkpoint as bytes,
-    cut to the sums up to the remainder at the root of the subtree being
-    walked (no test below it asks for more), so a test is O(1) and memory
-    is O(sqrt(m)*sigma) bits.
+    kept at every ceil(sqrt(m))-th position (m nonzero degrees); the block
+    the walk is in is rebuilt from its checkpoint as bytes, cut to the sums
+    up to the remainder at the root of the subtree being walked (no test
+    below it asks for more), so a test is O(1) in O(sqrt(m)*sigma) bits.
     """
     runs = _value_runs(ds.degrees)
     return runs, _leaves(ds, runs)
@@ -246,13 +240,14 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     largest that fits down to 0, depth first.  It enters count k of run i
     only when the remainder after it is in the run DP's bitset of the runs
     after i, so it drops only dead subtrees: the count vectors and their
-    order are those of the unpruned search.  Those suffix bitsets are kept
-    as bytes, so a test is O(1); they take (d + 1)*(floor(sigma/2) + 1)
-    bits, each rounded up to whole bytes, where d <= sqrt(2*sigma) is the
-    number of runs.  A count vector and its complement both appear, and a
-    sequence with no nonzero degree has the one empty count vector.  The
-    walk keeps an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    order are those of the unpruned search.  Of those d bitsets (d runs)
+    every B-th is kept, and the block of B the walk is in is rebuilt from
+    it as bytes, so a test is O(1).  B is the largest block whose
+    checkpoints and rows fit the split walk's 2*ceil(sqrt(m)) + 2 rows (m
+    nonzero degrees): O(sqrt(m)*sigma) bits, and one block, built once, if
+    d <= 2*ceil(sqrt(m)) + 2.  A count vector and its complement both
+    appear; no nonzero degree gives the one empty count vector.  The walk
+    keeps an explicit stack, not bounded by the recursion limit.
     """
     runs = _value_runs(ds.degrees)
     return runs, _count_keys(ds.sigma, runs)
@@ -263,19 +258,33 @@ def _count_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]:
         return
     target = sigma // 2
     size = (target >> 3) + 1
-    # after[i]: the sums up to target that runs i... make, as bytes
-    after = [r.to_bytes(size, "little") for r in _run_sums(runs[::-1], target)][::-1]
-    if not after[0][target >> 3] >> (target & 7) & 1:
-        return
+    d, m = len(runs), sum(c for _, c in runs)
+    back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
+    limit = 2 * isqrt(m - 1) + 4 if m else 2  # the split walk's rows
+    # len(back) // block checkpoints (the first, {0}, is free) and one block
+    block = next(b for b in range(limit, 0, -1) if b + len(back) // b <= limit)
+    base = len(back) - len(back) % block  # the last block, where the walk starts
+    checkpoints, rows = [], []
+    for j, reach in enumerate(_run_sums(back, target)):
+        if j % block == 0:
+            checkpoints.append(reach)
+        if j >= base:
+            rows.append(reach.to_bytes(size, "little"))
     places = _places(runs)
     # (run, remainder, key so far) of the live nodes still to walk
     stack = [(0, target, 0)]
     while stack:
         i, rem, key = stack.pop()
-        if i == len(runs):  # rem == 0: the last bitset holds only the sum 0
+        if i == d:  # rem == 0: the last bitset holds only the sum 0
             yield key
             continue
-        (v, c), place, row = runs[i], places[i], after[i + 1]
+        j = d - 1 - i  # the runs after i are the last j
+        if not 0 <= j - base < len(rows):
+            base = j - j % block
+            rows.clear()  # the old block goes before the new one is built
+            rows.extend(r.to_bytes(size, "little") for r in
+                        _run_sums(back[base:base + block - 1], target, checkpoints[base // block]))
+        (v, c), place, row = runs[i], places[i], rows[j - base]
         # pushed smallest first, so the largest count is popped first
         for k in range(min(c, rem // v) + 1):
             x = rem - k * v
@@ -287,12 +296,13 @@ def count_runs(runs: list[tuple[int, int]],
                key: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The U and V sides of the count vector ``key`` over ``runs`` (from
     ``equal_sum_walk`` or ``count_vector_walk``) as (value, count) runs,
-    zero counts included."""
+    zero counts included.  A side that takes a whole run shares its tuple."""
     u, v = [], []
-    for value, c in runs:
+    for run in runs:
+        value, c = run
         key, k = divmod(key, c + 1)
-        u.append((value, k))
-        v.append((value, c - k))
+        u.append(run if k == c else (value, k))
+        v.append(run if k == 0 else (value, c - k))
     return u, v
 
 

@@ -1,6 +1,25 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import strategies as st
+
+# 8 to 16 mostly distinct values, an odd sum evened out with a 1: more
+# distinct degrees than 2*ceil(sqrt(m)) + 2 (m nonzero ones), so that the
+# count-vector walk rebuilds a block other than the one it starts in, for
+# about half of the draws
+MANY_DISTINCT = st.lists(st.integers(0, 40), min_size=8, max_size=16).map(
+    lambda s: s + [1] if sum(s) % 2 else s)
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of calling ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _degree_multisets(n):

@@ -74,6 +74,12 @@ class TestParseRational:
         with pytest.raises(ParseError):
             parse_rational("1_0/3")
 
+    @pytest.mark.parametrize("text", ["1e-999999999", "1E5", "2.5e-1", "1/1e3"])
+    def test_exponent_rejected(self, text):
+        # Fraction() expands the exponent: 1e-999999999 would not finish
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
     def test_arabic_indic_digits_rejected(self):
         # Fraction() reads ARABIC-INDIC ONE / TWO as 1/2
         with pytest.raises(ParseError):

@@ -13,8 +13,8 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
                  max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.partition import count_vector_walk, equal_sum_walk, split_with_u
-from conftest import _unpruned_splits
+from bdr.partition import equal_sum_walk, split_with_u
+from conftest import MANY_DISTINCT, _traced_peak, _unpruned_splits
 
 
 F = Fraction
@@ -267,7 +267,7 @@ SEQS = st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]), max_si
 def seq_and_budget(draw):
     """A drawn sequence and a budget: none, 0 to 5, or 0 to one more than
     the splits of its walk, where the count-vector pre-pass stops."""
-    seq = draw(SEQS)
+    seq = draw(st.one_of(SEQS, MANY_DISTINCT))
     leaves = sum(1 for _ in _unpruned_splits(seq))
     return seq, draw(st.one_of(st.none(), st.integers(0, 5), st.integers(0, leaves + 1)))
 
@@ -300,29 +300,10 @@ def _no_split_walk(ds):
     raise AssertionError("the split walk ran")
 
 
-def _no_count_vectors(ds):
-    def keys():
-        raise AssertionError("the pre-pass read a count vector")
-        yield
-    return count_vector_walk(ds)[0], keys()
-
-
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestCountVectorPrePass:
     """On a NotBipartite input whose L splits fit the budget, decide_exact
     answers from the count vectors without walking the splits; at budget
-    L - 1 it walks them and raises at split L, as the unpruned search does.
-    With more distinct degrees d than 2*ceil(sqrt(m)) + 1, m the nonzero
-    ones, the pre-pass's bitsets would outgrow the split walk's, so it is
-    skipped and the split walk alone gives the same outcome."""
+    L - 1 it walks them and raises at split L, as the unpruned search does."""
 
     # two NotBipartite inputs of the exact-search benchmark (n = 20) with
     # 2281 and 13868 splits
@@ -369,19 +350,12 @@ class TestCountVectorPrePass:
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
 
 
-    # 9-11 distinct degrees over m = 9-11: more than 2*ceil(sqrt(m)) + 1,
-    # with 2 and 21 splits
+    # 9 and 11 distinct degrees over m = 9 and 11: more than
+    # 2*ceil(sqrt(m)) + 2, so the count walk rebuilds a block; 2 and 21 splits
     @pytest.mark.parametrize("seq", [(20, 2, 19, 22, 6, 14, 21, 13, 17),
                                      (1, 8, 7, 13, 5, 25, 11, 21, 4, 3, 10)])
-    def test_many_distinct_degrees_skip_it(self, seq, unpruned_splits):
-        ds = DegreeSequence(seq)
-        leaves = sum(1 for _ in unpruned_splits(seq))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bdr.decider.count_vector_walk", _no_count_vectors)
-            for budget in (None, leaves - 1, leaves, leaves + 1):
-                want = outcome(reference_decide_exact, ds, budget, unpruned_splits)
-                assert outcome(decide_exact, ds, budget) == want, budget
-        assert want.verdict == "NotBipartite"
+    def test_many_distinct_degrees_run_it(self, seq, unpruned_splits):
+        self._check(seq, unpruned_splits)
 
     def test_many_distinct_degrees_keep_the_split_walk_bound(self):
         # 1..400: 400 runs against 2*ceil(sqrt(400)) + 2 = 42 rows of the
@@ -501,5 +475,12 @@ class TestInvariants:
 
     def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
         monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
+        with pytest.raises(InvariantError):
+            decide_exact(DegreeSequence((2, 2, 2, 2)))
+
+    def test_split_walk_short_of_the_pre_pass_raises(self, monkeypatch):
+        # the pre-pass accepts a count vector, so the split walk must reach
+        # an accepted split; a walk that yields none breaks that invariant
+        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds: ([], iter(())))
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))

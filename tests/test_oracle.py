@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -11,7 +12,8 @@ from bdr import DegreeSequence, ParamBounds, build_hard_instance, oracle
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
-from conftest import _unpruned_count_vectors, reduction_corpus as _corpus
+from bdr.partition import equal_sum_walk
+from conftest import _traced_peak, _unpruned_count_vectors, reduction_corpus as _corpus
 
 
 class TestFrozenValues:
@@ -96,6 +98,22 @@ class TestLimits:
         seq = [17, 13, 11, 9, 7, 5, 3, 2, 2, 1]
         with pytest.raises(BudgetExceededError):
             brute_force_bipartite_realizable(DegreeSequence(seq), budget=1)
+
+    def test_memory_within_the_split_walk_bound(self):
+        # 1..400: 400 runs, their suffix bitsets checkpointed to fit the
+        # split walk's 2*ceil(sqrt(400)) + 2 = 42 rows, where all 401 of
+        # them would take about 2 MB
+        ds = DegreeSequence(tuple(range(1, 401)))
+
+        def walk():
+            for _ in islice(equal_sum_walk(ds)[1], 2):
+                pass
+
+        def search():
+            with pytest.raises(BudgetExceededError):
+                brute_force_bipartite_realizable(ds, budget=1)
+
+        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
 
     def test_odd_sum_short_circuits(self):
         assert not brute_force_bipartite_realizable(DegreeSequence((1, 1, 1)))

@@ -12,7 +12,7 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
 from bdr.errors import InvariantError
 from bdr.partition import (_subset_sums, count_runs, count_vector_walk, equal_sum_walk,
                            mask_indices, split_with_u)
-from conftest import reduction_corpus
+from conftest import MANY_DISTINCT, reduction_corpus
 
 # zeros and repeated values, or one value repeated up to 16 times (every
 # binary part of its count)
@@ -191,7 +191,7 @@ class TestCountVectorWalk:
         assert runs == sorted(Counter(d for d in seq if d).items(), reverse=True)
         assert [count_runs(runs, key) for key in keys] == list(unpruned_count_vectors(seq))
 
-    @given(seq=DRAWS)
+    @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
     @settings(max_examples=400, deadline=None)
     @example(seq=[])
     @example(seq=[0, 0, 0])
