@@ -10,24 +10,91 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import lt
+from itertools import accumulate
+from operator import add, index, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMoveError, InvariantError
 
 
+def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
+    """The ends of the leading long intervals of the row ``nbrs``.
+
+    An interval is a maximal stretch of consecutive values.  One of more
+    than 2·bit_length(m) entries (m = len(nbrs)), about what a binary search
+    for its end costs, is long; the walk stops at the first interval that
+    is not, and the caller handles the rest of the row per entry.  As the
+    bound is at least 8 once m > 8, callers skip every row whose first 9
+    entries are not consecutive: it has none.
+
+    On a strictly increasing row ``nbrs[q] - q`` is non-decreasing and
+    constant exactly on an interval, so one test tells a short interval and
+    a binary search finds the end of a long one: O(log m) per interval.  On
+    any other row each end e still has ``nbrs[e - 1] - (e - 1)`` equal to
+    the key at the interval's start, and a caller that has not proved the
+    order must check each interval and each join itself.
+    """
+    m = len(nbrs)
+    short = 2 * m.bit_length()
+    ends = []
+    p = 0
+    while m - p > short and nbrs[p + short] - nbrs[p] == short:
+        lo, hi = p + short, m - 1
+        key = nbrs[lo] - lo
+        if nbrs[hi] - hi == key:
+            hi = m
+        else:
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if nbrs[mid] - mid == key:
+                    lo = mid
+                else:
+                    hi = mid
+        ends.append(hi)
+        p = hi
+    return ends
+
+
 @dataclass(frozen=True)
 class BipartiteRealization:
     """A simple bipartite graph: ``neighbors[u]`` holds the v-indices adjacent
-    to u-vertex u, strictly increasing and in ``range(v_count)``."""
+    to u-vertex u, strictly increasing and in ``range(v_count)``.
+
+    Construction checks that invariant, and ``v_degrees`` relies on it.
+    Both take a row of m entries by its leading intervals of consecutive
+    v-indices (``_long_interval_ends``) and the rest per entry: a row of k
+    long intervals costs O(k log m) steps (plus one C-level tuple
+    comparison per interval in the check), and any other row what a
+    per-entry pass costs plus O(1).
+    """
 
     v_count: int
     neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # exact integers only: operator.index rejects floats, but takes bools
+        if isinstance(self.v_count, bool):
+            raise TypeError("v_count must be an integer, not bool")
+        n = index(self.v_count)
+        if n < 0:
+            raise ValueError(f"negative v_count {n}")
+        object.__setattr__(self, "v_count", n)
+        names = None  # tuple(range(n)), built at the first long interval
         for u, nbrs in enumerate(self.neighbors):
-            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < self.v_count
-                             and all(map(lt, nbrs, nbrs[1:]))):
+            rest = nbrs  # what the per-entry check must still prove
+            if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
+                p = 0
+                for end in _long_interval_ends(nbrs):
+                    if names is None:
+                        names = tuple(range(n))
+                    first = nbrs[p]
+                    if (nbrs[p:end] != names[first:first + end - p]
+                            or end < len(nbrs) and not nbrs[end - 1] < nbrs[end]):
+                        break  # the per-entry check finds the fault
+                    p = end
+                rest = nbrs[p:]
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n
+                             and all(map(lt, rest, rest[1:]))):
                 raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
 
     @property
@@ -43,10 +110,18 @@ class BipartiteRealization:
 
     def v_degrees(self) -> tuple[int, ...]:
         deg = [0] * self.v_count
+        starts = [0] * (self.v_count + 1)  # +1 / -1 at each long interval's ends
         for nbrs in self.neighbors:
+            if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
+                p = 0
+                for end in _long_interval_ends(nbrs):
+                    starts[nbrs[p]] += 1
+                    starts[nbrs[end - 1] + 1] -= 1
+                    p = end
+                nbrs = nbrs[p:]
             for v in nbrs:
                 deg[v] += 1
-        return tuple(deg)
+        return tuple(map(add, deg, accumulate(starts)))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]

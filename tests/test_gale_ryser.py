@@ -10,6 +10,7 @@ from bdr import (BipartiteRealization, DegreeSequence,
 from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_runs
 from bdr.oracle import exhaustive_pair_search
+from bdr.reduction import _round_robin_rows
 
 
 def gale_ryser_all_k(d1, d2):
@@ -230,6 +231,130 @@ class TestRealizationLayout:
     def test_rejects_unsorted_repeated_or_out_of_range(self, neighbors):
         with pytest.raises(ValueError):
             BipartiteRealization(2, neighbors)
+
+    @pytest.mark.parametrize("v_count, error", [(-3, ValueError), (-1, ValueError),
+                                                (2.5, TypeError), (2.0, TypeError),
+                                                (True, TypeError), ("2", TypeError)])
+    def test_rejects_bad_v_count(self, v_count, error):
+        # format_realization printed "p bipartite 2 -3 0" for v_count -3
+        with pytest.raises(error):
+            BipartiteRealization(v_count, ((), ()))
+
+    def test_v_count_zero_with_empty_rows(self):
+        g = BipartiteRealization(0, ((), ()))
+        assert g.v_degrees() == () and format_realization(g) == "p bipartite 2 0 0"
+
+
+def per_entry_v_degrees(v_count, rows):
+    deg = [0] * v_count
+    for row in rows:
+        for v in row:
+            deg[v] += 1
+    return tuple(deg)
+
+
+@st.composite
+def interval_row(draw):
+    """A strictly increasing row of 0-5 intervals of consecutive values with
+    random gaps; the lengths reach past the walk's short bound (at most 20
+    for these rows) so that both the interval and the per-entry paths run."""
+    row, v = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.one_of(st.integers(1, 4), st.integers(5, 120)))
+        row += range(v, v + length)
+        v += length + draw(st.integers(1, 6))
+    return tuple(row)
+
+
+@st.composite
+def interval_graph(draw):
+    """(v_count, rows); v_count is often the widest row's end, so that rows
+    end at v_count - 1."""
+    rows = tuple(draw(st.lists(interval_row(), max_size=6)))
+    v_count = max((row[-1] + 1 for row in rows if row), default=0)
+    return v_count + draw(st.sampled_from((0, 0, 1, 5))), rows
+
+
+def round_robin_graphs():
+    """Semi-regular blocks as the lift builds them: round-robin rows over a
+    block of v-indices at an offset, each row also after a complete prefix
+    (the lift's U_L rows), including the rows that wrap."""
+    for b_count in (1, 2, 7, 9, 24, 40, 97):
+        for a_deg in sorted({1, 2, b_count // 3, b_count // 2, b_count - 1, b_count} - {0}):
+            for b_deg in (1, 2, 3):
+                if b_count * b_deg % a_deg:
+                    continue
+                a_count = b_count * b_deg // a_deg
+                if b_deg > a_count:
+                    continue
+                for offset in (0, 5, 30):
+                    block = tuple(range(offset, offset + b_count))
+                    rows = _round_robin_rows(block, a_count, a_deg, b_deg)
+                    prefixed = tuple(tuple(range(offset)) + row for row in rows)
+                    yield offset + b_count, rows + prefixed
+
+
+class TestIntervalKernels:
+    """``v_degrees`` and the construction check walk a row by its intervals
+    of consecutive v-indices; both must agree with a per-entry pass."""
+
+    @given(interval_graph())
+    @settings(max_examples=400, deadline=None)
+    @example((0, ()))
+    @example((1, ((), (0,), ())))
+    @example((3, ((2,), (0, 1, 2))))
+    @example((40, (tuple(range(40)), tuple(range(39)), tuple(range(1, 40)))))
+    @example((64, (tuple(range(20)) + tuple(range(21, 64)), tuple(range(0, 64, 2)))))
+    def test_v_degrees_match_per_entry_count(self, graph):
+        v_count, rows = graph
+        g = BipartiteRealization(v_count, rows)
+        assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
+
+    def test_round_robin_rows(self):
+        checked = 0
+        for v_count, rows in round_robin_graphs():
+            g = BipartiteRealization(v_count, rows)
+            assert g.v_degrees() == per_entry_v_degrees(v_count, rows), (v_count, rows)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("row", [
+        (0, 2, 1, 3), (0, 1, 3, 2, 4),
+        # two long intervals, one swapped pair inside the first or the second
+        tuple(range(10)) + (11, 10) + tuple(range(12, 40)) + tuple(range(50, 90)),
+        tuple(range(40)) + tuple(range(50, 70)) + (71, 70) + tuple(range(72, 90)),
+        # a swapped pair across the join, right after a long interval
+        tuple(range(39)) + (50, 39) + tuple(range(51, 90)),
+        # intervals that overlap or touch at the join: only the join fails
+        tuple(range(30)) + tuple(range(20, 50)),
+        tuple(range(30)) + tuple(range(29, 60)),
+        # a long interval, then a repeated entry in the short tail
+        tuple(range(40)) + (45, 47, 47, 52),
+        # a long interval with a value past its end in the middle
+        tuple(range(20)) + (25,) + tuple(range(21, 60)),
+    ])
+    def test_rejects_rows_with_endpoints_in_range(self, row):
+        assert 0 <= row[0] and row[-1] < 100
+        with pytest.raises(ValueError):
+            BipartiteRealization(100, ((0, 1), row))
+
+    @given(interval_graph(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_one_swapped_or_repeated_entry(self, graph, data):
+        v_count, rows = graph
+        long_rows = [i for i, row in enumerate(rows) if len(row) >= 3]
+        if not long_rows:
+            return
+        i = data.draw(st.sampled_from(long_rows))
+        row = list(rows[i])
+        q = data.draw(st.integers(1, len(row) - 2))  # row[0] stays, all in range
+        if data.draw(st.booleans()):
+            row[q], row[q + 1] = row[q + 1], row[q]
+        else:
+            row[q] = row[q + 1]
+        bad = rows[:i] + (tuple(row),) + rows[i + 1:]
+        with pytest.raises(ValueError):
+            BipartiteRealization(v_count, bad)
 
 
 class TestHingeFlip:
