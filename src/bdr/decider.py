@@ -14,9 +14,10 @@ from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from .gale_ryser import BipartiteRealization, _gale_ryser_runs, construct_realization
-from .partition import (SplitWitness, count_runs, count_vector_walk, equal_sum_walk,
-                        find_equal_sum_split, mask_indices, split_with_u)
+from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
+                         _value_runs, construct_realization)
+from .partition import (SplitWitness, _count_keys, count_runs, equal_sum_walk,
+                        find_equal_sum_split, half_sum_sets_exceed, mask_indices, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -151,15 +152,6 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     return Decision("Undecided", "exact-search", region=region)
 
 
-def _rejected_index_sets(runs: list[tuple[int, int]], key: int) -> int:
-    """0 if Gale–Ryser accepts the count vector ``key`` over ``runs``, else its
-    U index sets, prod C(c_i, k_i); its runs are freed before the next's."""
-    u, v = count_runs(runs, key)
-    if _gale_ryser_runs(u, v):
-        return 0
-    return math.prod(map(math.comb, (c for _, c in runs), (k for _, k in u)))
-
-
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: try every equal-sum split against Gale–Ryser.
 
@@ -170,38 +162,59 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     the (value, count) runs; the split and its realization are built only
     for the split that is accepted.
 
-    A pre-pass first reads ``partition.count_vector_walk``, in the same
-    memory bound, and runs the kernel once per U count vector.  A count
-    vector with counts k_i over runs of c_i values stands for
-    prod C(c_i, k_i) U index sets, and every split is two of them.  When
-    every count vector is rejected within 2*budget index sets, the verdict
-    is NotBipartite, the one the split walk would give.  The pre-pass stops
-    at the first accepted count vector, or past 2*budget index sets (at
-    most 2*budget + 1 count vectors); the split walk then runs as if there
-    had been no pre-pass, with the rejected count vectors remembered, so
-    the witness is the walk's first accepted split and the budget is passed
-    at the same split.  The count-vector walk cannot build that witness:
-    its first accepted count vector is not, in general, that split's.
+    First the U count vectors over the runs are walked, in the same memory
+    bound, entering only subtrees that can still pass Gale–Ryser
+    (``gale_ryser._gale_ryser_bound`` on ``partition._count_keys``).  A
+    subtree the bound cuts off after runs 0..i-1, with k_j of the c_j
+    values of run j on U, holds at least prod C(c_j, k_j) U index sets of
+    sum sigma/2, and every split is two such index sets.  If the walk ends
+    with no count vector that passes, no split passes: the verdict is
+    NotBipartite, unless more than 2*budget index sets sum to sigma/2 (the
+    cut subtrees hold them, or ``partition.half_sum_sets_exceed`` finds
+    them), in which case the split walk would pass the budget first, and
+    BudgetExceededError is raised at split budget + 1 without it.  With a
+    budget, the walk stops once the cut subtrees hold more than 2*budget
+    index sets and it has entered more than m nodes, about what the split
+    walk's first descent costs.  After a stop, or at an accepted count
+    vector, the split walk runs as if there had been no count walk, so the
+    witness is the walk's first accepted split and the budget is passed at
+    the same split.  The count walk cannot build that witness: its first
+    accepted count vector is not, in general, that split's.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
-    more than ``budget`` splits have been examined.
+    more than ``budget`` splits would be examined.
     """
-    runs, keys = count_vector_walk(ds)
+    runs = _value_runs(ds.degrees)
+    bound = _gale_ryser_bound(runs, ds.sigma // 2)
+    m = sum(c for _, c in runs)
+    # more half-sum index sets than this and the split walk passes the budget
+    limit = math.inf if budget is None else 2 * max(budget, 0)
+    # on the walk's path: U's count over runs 0..i-1 and their index sets
+    k_at, sets_at = [0] * (len(runs) + 1), [1] * (len(runs) + 1)
+    nodes = dead = 0  # dead: a lower bound on the index sets in cut subtrees
+    capped = False
+
+    def live(i: int, rem: int, k: int) -> bool:
+        nonlocal nodes, dead, capped
+        nodes += 1
+        if dead > limit and nodes > m:
+            capped = True
+            return False
+        if i:
+            k_at[i] = k
+            sets_at[i] = sets_at[i - 1] * math.comb(runs[i - 1][1], k - k_at[i - 1])
+        if bound(i, rem, k):
+            return True
+        dead += sets_at[i]
+        return False
+
+    accepted = next(_count_keys(ds.sigma, runs, live), None) is not None
+    if not (accepted or capped):
+        # no split passes; every split lies in a cut subtree
+        if dead > limit or dead and budget is not None and half_sum_sets_exceed(ds, limit):
+            raise BudgetExceededError(budget, limit // 2 + 1, "equal-sum splits")
+        return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
     rejected: set[int] = set()
-    index_sets = 0
-    for key in keys:
-        sets = _rejected_index_sets(runs, key)
-        if not sets:
-            break
-        rejected.add(key)
-        index_sets += sets
-        if budget is not None and index_sets > 2 * budget:
-            break
-    else:
-        return Decision("NotBipartite",
-                        "gale-ryser-violation" if rejected else "no-equal-sum-split")
-    # free the count walk's bitsets before the split walk builds its own
-    del keys
     _, leaves = equal_sum_walk(ds)
     for examined, (key, mask) in enumerate(leaves, 1):
         if budget is not None and examined > budget:
@@ -214,4 +227,4 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if g is None:
             raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
         return Decision("Bipartite", "exact-search", split=split, realization=g)
-    raise InvariantError("the split walk missed the pre-pass's split and budget point")
+    raise InvariantError("the split walk missed the count walk's accepted split and budget point")

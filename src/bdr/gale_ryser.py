@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, index, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidMoveError, InvariantError
 
@@ -79,6 +79,11 @@ class BipartiteRealization:
         if n < 0:
             raise ValueError(f"negative v_count {n}")
         object.__setattr__(self, "v_count", n)
+        # one C-level pass: a sum is an int only if every entry is one (the
+        # interval checks below would take 5.0 for 5, as 5.0 == 5)
+        if type(sum(map(sum, self.neighbors), 0)) is not int:
+            u = next(u for u, nbrs in enumerate(self.neighbors) if type(sum(nbrs, 0)) is not int)
+            raise TypeError(f"u-vertex {u}: neighbors {self.neighbors[u]} are not all integers")
         names = None  # tuple(range(n)), built at the first long interval
         for u, nbrs in enumerate(self.neighbors):
             rest = nbrs  # what the per-entry check must still prove
@@ -152,6 +157,69 @@ def _gale_ryser_runs(a, b) -> bool:
         if lhs > k * above + low:
             return False
     return True
+
+
+def _gale_ryser_bound(runs: list[tuple[int, int]],
+                      half: int) -> Callable[[int, int, int], bool]:
+    """A Gale–Ryser test for the nodes of a depth-first walk that assigns
+    U counts k_t to the (value, count) ``runs`` (largest value first, as
+    ``_value_runs`` gives them), U taking the sum ``half``.
+
+    ``live(i, rem, k)`` is called for each node the walk enters, in walk
+    order: runs 0..i-1 are assigned, U has k degrees of sum half - rem, and
+    the call records them on the walk's path.  At a leaf (i = len(runs)) it
+    is ``_gale_ryser_runs`` on the U and V runs.  Elsewhere it tests the
+    inequality at U's newest run end, k: U's top k degrees are fixed, so
+    the left side is half - rem; the right side is V's assigned degrees,
+    each min(k, value), plus for runs i.. at most
+    min(sum_{t>=i} min(k, v_t)*c_t, (sum of runs i..) - rem), V's share of
+    them.  V's newest run end is tested the same way, with min(..., rem).
+    False means no leaf below the node passes ``_gale_ryser_runs``, since
+    either side's inequality is necessary for both.  The walk's path keeps
+    the prefix sums, so a node costs O(1).
+    """
+    d = len(runs)
+    values = [v for v, _ in runs]
+    cnt, wt = [0], [0]  # the count and the sum of runs 0..t-1
+    for v, c in runs:
+        cnt.append(cnt[-1] + c)
+        wt.append(wt[-1] + v * c)
+    total = wt[-1]
+    ends = []  # ends[k]: the runs of value >= k are runs 0..ends[k]-1
+    t = d
+    for k in range(cnt[-1] + 1):
+        while t and values[t - 1] < k:
+            t -= 1
+        ends.append(t)
+    # U's count and sum over runs 0..t-1 on the walk's path
+    ku, lu = [0] * (d + 1), [0] * (d + 1)
+
+    def live(i: int, rem: int, k: int) -> bool:
+        low = half - rem
+        ku[i], lu[i] = k, low
+        if i == d:
+            u = [(v, ku[t + 1] - ku[t]) for t, v in enumerate(values)]
+            return _gale_ryser_runs(u, [(v, c - kt) for (v, c), (_, kt) in zip(runs, u)])
+        # U side at k: of V's assigned degrees, those in runs 0..r-1 are >= k
+        r = q = ends[k]
+        if r > i:
+            r = i
+        else:
+            q = i
+        if low > (k * (cnt[r] - ku[r]) + wt[i] - low - wt[r] + lu[r]
+                  + min(k * (cnt[q] - cnt[i]) + total - wt[q], total - wt[i] - rem)):
+            return False
+        # V side at its count kv, against U's assigned degrees and rem
+        kv = cnt[i] - k
+        r = q = ends[kv]
+        if r > i:
+            r = i
+        else:
+            q = i
+        return wt[i] - low <= (kv * ku[r] + low - lu[r]
+                               + min(kv * (cnt[q] - cnt[i]) + total - wt[q], rem))
+
+    return live
 
 
 def _value_runs(degrees: Iterable[int]) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +14,10 @@ MANY_DISTINCT = st.lists(st.integers(0, 40), min_size=8, max_size=16).map(
 
 
 def _traced_peak(run):
-    """The tracemalloc peak, in bytes, of calling ``run``."""
+    """The tracemalloc peak, in bytes, of calling ``run``.  A collection
+    first empties CPython's free lists, so that objects freed by earlier
+    tests are not counted."""
+    gc.collect()
     tracemalloc.start()
     try:
         run()

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from collections import Counter
@@ -303,7 +304,7 @@ def _no_split_walk(ds):
 class TestCountVectorPrePass:
     """On a NotBipartite input whose L splits fit the budget, decide_exact
     answers from the count vectors without walking the splits; at budget
-    L - 1 it walks them and raises at split L, as the unpruned search does."""
+    L - 1 it raises at split L, as the unpruned search does."""
 
     # two NotBipartite inputs of the exact-search benchmark (n = 20) with
     # 2281 and 13868 splits
@@ -349,6 +350,27 @@ class TestCountVectorPrePass:
             decide_exact(ds, budget=20000)
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
 
+    @pytest.mark.parametrize("c1", [F(1, 10), F(3, 20)])
+    def test_padded_budget_point_without_the_split_walk(self, c1):
+        # n' = 54 and 2406: the bound cuts off every count vector within 29
+        # nodes, and they stand for more than 2*budget index sets, so the
+        # split walk would pass the budget; the error comes without it
+        ds = build_hard_instance(DegreeSequence((2, 2, 2)), ParamBounds(c1, F(2, 5))).d_prime
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
+            with pytest.raises(BudgetExceededError) as exc:
+                decide_exact(ds, budget=20000)
+        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
+
+    @pytest.mark.parametrize("seq", [tuple(range(1, 41)), tuple(range(1, 401))])
+    def test_many_distinct_degrees_budget_point_without_the_split_walk(self, seq):
+        # both children of the root are cut off, two index sets; the third
+        # key of the unpruned count walk shows a second split exists
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
+            with pytest.raises(BudgetExceededError) as exc:
+                decide_exact(DegreeSequence(seq), budget=1)
+        assert (exc.value.limit, exc.value.examined) == (1, 2)
 
     # 9 and 11 distinct degrees over m = 9 and 11: more than
     # 2*ceil(sqrt(m)) + 2, so the count walk rebuilds a block; 2 and 21 splits
@@ -383,6 +405,7 @@ class TestStall:
         ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
                                  ParamBounds(F(3, 20), F(2, 5))).d_prime
         assert ds.n == 1604
+        gc.collect()  # empties the free lists, as _traced_peak does
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as exc:

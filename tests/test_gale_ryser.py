@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +10,7 @@ from bdr import (BipartiteRealization, DegreeSequence,
                  format_realization, hinge_flip, find_equal_sum_split,
                  is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
-from bdr.gale_ryser import _gale_ryser_runs
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
 from bdr.oracle import exhaustive_pair_search
 from bdr.reduction import _round_robin_rows
 
@@ -218,6 +220,69 @@ class TestRealizerMatchesReference:
         assert g is not None and g == reference_realization(*p)
 
 
+def reference_bound(runs, half, ks):
+    """The node test of ``_gale_ryser_bound`` from scratch: U holds ks[t]
+    of run t for t < i = len(ks).  At a leaf, Gale–Ryser at every k on the
+    lists; elsewhere the inequality at U's count K and at V's, each side's
+    assigned degrees giving min(K, value) each, plus for runs i.. at most
+    min(sum min(K, v)*c, that side's sum of them)."""
+    i = len(ks)
+    done, rest = runs[:i], runs[i:]
+    u_sum = sum(v * k for (v, _), k in zip(done, ks))
+    rem = half - u_sum
+    if i == len(runs):
+        return gale_ryser_all_k(expand([(v, k) for (v, _), k in zip(runs, ks)]),
+                                expand([(v, c - k) for (v, c), k in zip(runs, ks)]))
+    rest_sum = sum(v * c for v, c in rest)
+
+    def right(k, other_side, other_rest):
+        return (sum(min(k, v) * n for (v, _), n in zip(done, other_side))
+                + min(sum(min(k, v) * c for v, c in rest), other_rest))
+
+    k_u = sum(ks)
+    k_v = sum(c for _, c in done) - k_u
+    v_sum = sum(v * c for v, c in done) - u_sum
+    return (u_sum <= right(k_u, [c - k for (_, c), k in zip(done, ks)], rest_sum - rem)
+            and v_sum <= right(k_v, ks, rem))
+
+
+def prefixes(runs, half):
+    """Every node of the count walk without any prune but U's sum at most
+    ``half``: the U counts of runs 0..i-1, depth first, parents first."""
+    stack = [()]
+    while stack:
+        ks = stack.pop()
+        yield ks
+        if len(ks) < len(runs):
+            v, c = runs[len(ks)]
+            rem = half - sum(w * k for (w, _), k in zip(runs, ks))
+            stack += [ks + (k,) for k in range(min(c, rem // v) + 1)]
+
+
+class TestGaleRyserBound:
+    """The incremental node test agrees with the from-scratch one at every
+    node of a depth-first walk, each side's inequality and each part of
+    its right side included, and at the leaves with Gale–Ryser itself."""
+
+    @given(seq=st.one_of(
+        st.lists(st.sampled_from([0, 1, 1, 2, 2, 3, 4, 5, 7]), max_size=12),
+        st.tuples(st.integers(1, 9), st.integers(1, 12)).map(lambda vc: [vc[0]] * vc[1]),
+        st.lists(st.integers(1, 30), min_size=6, max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    @example(seq=[])
+    @example(seq=[3])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[3, 3, 2, 2, 1, 1])
+    @example(seq=[2, 2, 2, 2])
+    def test_every_node_matches_the_reference(self, seq):
+        runs = _value_runs(seq)
+        half = sum(seq) // 2
+        live = _gale_ryser_bound(runs, half)
+        for ks in islice(prefixes(runs, half), 3000):
+            rem = half - sum(v * k for (v, _), k in zip(runs, ks))
+            assert live(len(ks), rem, sum(ks)) == reference_bound(runs, half, ks), ks
+
+
 class TestRealizationLayout:
     def test_derived_views(self):
         g = BipartiteRealization(3, ((0, 2), (), (1,)))
@@ -239,6 +304,17 @@ class TestRealizationLayout:
         # format_realization printed "p bipartite 2 -3 0" for v_count -3
         with pytest.raises(error):
             BipartiteRealization(v_count, ((), ()))
+
+    @pytest.mark.parametrize("neighbors", [
+        ((0.5,),),
+        (tuple(float(v) for v in range(12)),),  # one long interval of floats
+        ((), tuple(range(5)) + (5.0,) + tuple(range(6, 14))),  # a float inside one
+        ((Fraction(1),),)])
+    def test_rejects_non_integer_entries(self, neighbors):
+        # 0.5 was accepted, and v_degrees then failed; 5.0 == 5 passed the
+        # interval comparison
+        with pytest.raises(TypeError):
+            BipartiteRealization(14, neighbors)
 
     def test_v_count_zero_with_empty_rows(self):
         g = BipartiteRealization(0, ((), ()))

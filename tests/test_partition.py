@@ -10,8 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
-from bdr.partition import (_subset_sums, count_runs, count_vector_walk, equal_sum_walk,
-                           mask_indices, split_with_u)
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
+from bdr.partition import (_count_keys, _subset_sums, count_runs, count_vector_walk,
+                           equal_sum_walk, half_sum_sets, half_sum_sets_exceed, mask_indices,
+                           split_with_u)
 from conftest import MANY_DISTINCT, reduction_corpus
 
 # zeros and repeated values, or one value repeated up to 16 times (every
@@ -208,6 +210,79 @@ class TestCountVectorWalk:
         for source in reduction_corpus(8):
             d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
             self._same_vectors(d_prime.degrees, unpruned_count_vectors)
+
+
+class TestGaleRyserPrunedWalk:
+    """With ``_gale_ryser_bound``, the count walk yields the count vectors of
+    the unpruned search that ``_gale_ryser_runs`` accepts, in its order."""
+
+    @staticmethod
+    def _same_keys(seq, unpruned_count_vectors):
+        sigma = sum(seq)
+        runs = _value_runs(seq)
+        keys = _count_keys(sigma, runs, _gale_ryser_bound(runs, sigma // 2))
+        assert [count_runs(runs, key) for key in keys] == [
+            (u, v) for u, v in unpruned_count_vectors(seq) if _gale_ryser_runs(u, v)]
+
+    @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
+    @settings(max_examples=500, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[2, 2, 2, 2])
+    @example(seq=[3, 3, 2, 2, 1, 1])
+    @example(seq=[5, 3, 1, 1, 1, 1])
+    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    @example(seq=[4] * 16)
+    def test_drawn(self, seq, unpruned_count_vectors):
+        self._same_keys(seq, unpruned_count_vectors)
+
+    @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
+    def test_padded(self, c1, c2, unpruned_count_vectors):
+        bounds = ParamBounds(Fraction(c1), Fraction(c2))
+        for source in reduction_corpus(8):
+            d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
+            self._same_keys(d_prime.degrees, unpruned_count_vectors)
+
+
+def exact_half_sum_sets(seq):
+    """The index sets of the nonzero entries of ``seq`` with half its sum,
+    one count per sum grown per item."""
+    if sum(seq) % 2:
+        return 0
+    counts = Counter({0: 1})
+    for d in seq:
+        if d:
+            for total, count in list(counts.items()):
+                counts[total + d] += count
+    return counts[sum(seq) // 2]
+
+
+class TestHalfSumSets:
+    """The saturating count is min(N, 2**b), b = limit.bit_length(), N the
+    exact count, so it exceeds ``limit`` iff N does; the walk that adds up
+    index sets per count vector agrees."""
+
+    @given(seq=st.one_of(DRAWS, MANY_DISTINCT), extra=st.integers(0, 3000))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[], extra=0)
+    @example(seq=[3], extra=0)
+    @example(seq=[1] * 16, extra=0)
+    @example(seq=[2, 2, 0, 2, 2], extra=5)
+    def test_against_an_exact_count(self, seq, extra):
+        ds = DegreeSequence(seq)
+        n = exact_half_sum_sets(seq)
+        for limit in {max(n - 1, 0), n, n + 1, extra}:
+            assert half_sum_sets(ds, limit) == min(n, 2 ** limit.bit_length()), limit
+            assert half_sum_sets_exceed(ds, limit) == (n > limit), limit
+
+    @pytest.mark.parametrize("seq", [tuple(range(1, 41)), (1,) * 30 + (2,) * 10])
+    def test_long_inputs_with_small_limits_walk_the_keys(self, seq, monkeypatch):
+        # the count would shift 40 integers of (sigma/2 + 1)*(b + 2) bits;
+        # a few count vectors settle it
+        n = exact_half_sum_sets(seq)
+        monkeypatch.setattr("bdr.partition.half_sum_sets", None)
+        for limit in (0, 1, 2, 5):
+            assert half_sum_sets_exceed(DegreeSequence(seq), limit) == (n > limit)
 
 
 class TestIndexSetsPerSplit:
