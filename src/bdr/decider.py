@@ -11,12 +11,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
                          _value_runs, construct_realization)
-from .partition import (SplitWitness, _count_keys, count_runs, equal_sum_walk,
+from .partition import (SplitWitness, _count_walk, _places, count_runs, equal_sum_walk,
                         find_equal_sum_split, half_sum_sets_exceed, mask_indices, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
@@ -164,7 +165,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
 
     First the U count vectors over the runs are walked, in the same memory
     bound, entering only subtrees that can still pass Gale–Ryser
-    (``gale_ryser._gale_ryser_bound`` on ``partition._count_keys``).  A
+    (``gale_ryser._gale_ryser_bound`` on ``partition._count_walk``).  A
     subtree the bound cuts off after runs 0..i-1, with k_j of the c_j
     values of run j on U, holds at least prod C(c_j, k_j) U index sets of
     sum sigma/2, and every split is two such index sets.  If the walk ends
@@ -175,52 +176,137 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     BudgetExceededError is raised at split budget + 1 without it.  With a
     budget, the walk stops once the cut subtrees hold more than 2*budget
     index sets and it has entered more than m nodes, about what the split
-    walk's first descent costs.  After a stop, or at an accepted count
-    vector, the split walk runs as if there had been no count walk, so the
-    witness is the walk's first accepted split and the budget is passed at
-    the same split.  The count walk cannot build that witness: its first
-    accepted count vector is not, in general, that split's.
+    walk's first descent costs.
+
+    After a stop, or at an accepted count vector, the split walk looks for
+    its first accepted split without reading the rejected ones.  The
+    accepted count vector (or its complement, to put the first nonzero
+    index on U) is a target k* in the box of the walk's node: U's counts
+    so far up to those plus the open items.  Before an include branch the
+    walk enters it if k* needs one more of its value, if its first leaf (its
+    include-first descent) passes, or if the count walk in the branch's box
+    finds a count vector that passes; that vector is the new k*.  Otherwise
+    no split below passes, the branch is skipped and its splits, the sum of
+    prod C(open_t, k_t) over its count vectors, are added to the splits
+    examined, up to the budget.  A run whose box has none stays so below
+    the node, as boxes only shrink.  Either count walk in a box stops after
+    m nodes, and the branch is then walked split by split, without asking
+    again below it.  A budget of at most m splits is met within m + 1
+    splits read one by one, so the walk then reads them without the test.
+    So the witness is the walk's first accepted split, and the budget is
+    passed at the same split as in a walk that reads them all.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits would be examined.
     """
     runs = _value_runs(ds.degrees)
+    d, m = len(runs), sum(c for _, c in runs)
+    counts = [c for _, c in runs]
     bound = _gale_ryser_bound(runs, ds.sigma // 2)
-    m = sum(c for _, c in runs)
+    walk = _count_walk(ds.sigma, runs)
     # more half-sum index sets than this and the split walk passes the budget
     limit = math.inf if budget is None else 2 * max(budget, 0)
-    # on the walk's path: U's count over runs 0..i-1 and their index sets
-    k_at, sets_at = [0] * (len(runs) + 1), [1] * (len(runs) + 1)
+    # on the count walk's path: U's count over runs 0..i-1 and the index
+    # sets that give them
+    k_at, sets_at = [0] * (d + 1), [1] * (d + 1)
     nodes = dead = 0  # dead: a lower bound on the index sets in cut subtrees
     capped = False
 
-    def live(i: int, rem: int, k: int) -> bool:
+    def live(i: int, rem: int, k: int) -> bool | None:
         nonlocal nodes, dead, capped
         nodes += 1
         if dead > limit and nodes > m:
             capped = True
-            return False
+            return None
         if i:
             k_at[i] = k
-            sets_at[i] = sets_at[i - 1] * math.comb(runs[i - 1][1], k - k_at[i - 1])
+            sets_at[i] = sets_at[i - 1] * math.comb(counts[i - 1], k - k_at[i - 1])
         if bound(i, rem, k):
             return True
         dead += sets_at[i]
         return False
 
-    accepted = next(_count_keys(ds.sigma, runs, live), None) is not None
-    if not (accepted or capped):
+    target = next(walk(live), None)
+    if target is None and not capped:
         # no split passes; every split lies in a cut subtree
-        if dead > limit or dead and budget is not None and half_sum_sets_exceed(ds, limit):
+        if dead > limit or dead and budget is not None and half_sum_sets_exceed(ds, limit, walk):
             raise BudgetExceededError(budget, limit // 2 + 1, "equal-sum splits")
         return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
-    rejected: set[int] = set()
-    _, leaves = equal_sum_walk(ds)
-    for examined, (key, mask) in enumerate(leaves, 1):
-        if budget is not None and examined > budget:
-            raise BudgetExceededError(budget, examined, "equal-sum splits")
-        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
-            rejected.add(key)
+
+    places = _places(runs)
+
+    def digit(key: int, t: int) -> int:
+        return key // places[t] % (counts[t] + 1)
+
+    if target is not None and m:
+        first_value = next(filter(None, ds.degrees))
+        if not digit(target, next(t for t, (v, _) in enumerate(runs) if v == first_value)):
+            # the complement passes too and puts the first nonzero index on U
+            target = sum(c * p for c, p in zip(counts, places)) - target
+    passes: dict[int, bool] = {}
+
+    def accepts(key: int) -> bool:
+        if key not in passes:
+            passes[key] = _gale_ryser_runs(*count_runs(runs, key))
+        return passes[key]
+
+    # the two count walks in a box: each stops (None) past m nodes
+    def in_box(i: int, rem: int, k: int) -> bool | None:
+        nonlocal nodes
+        nodes += 1
+        return bound(i, rem, k) if nodes <= m else None
+
+    def every(i: int, rem: int, k: int) -> bool | None:
+        nonlocal nodes
+        nodes += 1
+        if i:
+            lo = lo_box[i - 1]
+            k_at[i] = k
+            sets_at[i] = sets_at[i - 1] * math.comb(hi_box[i - 1] - lo, k - k_at[i - 1] - lo)
+        return nodes <= m or None
+
+    failed: set[int] = set()  # runs whose include box has no count vector that passes
+    lo_box = hi_box = counts  # the box of the last branch asked about
+    examined = 0
+
+    def branch(t: int, lo: int, hi: int,
+               first: Callable[[], tuple[int, int]]) -> int | bool | None:
+        nonlocal target, lo_box, hi_box, nodes, examined
+        if target is not None and digit(target, t) >= digit(lo, t):
+            return target  # k* lies in the branch's box
+        if t not in failed and accepts(first()[0]):
+            return None  # the first accepted split is the branch's first leaf
+        lo_box, hi_box = [digit(lo, j) for j in range(d)], [digit(hi, j) for j in range(d)]
+        if t not in failed:
+            nodes = 0
+            found = next(walk(in_box, lo_box, hi_box), None)
+            if nodes > m:
+                return None
+            if found is not None:
+                target = found
+                return target
+            failed.add(t)
+        if budget is None:
+            return False
+        nodes = sets = 0
+        for _ in walk(every, lo_box, hi_box):
+            sets += sets_at[d]
+            if examined + sets > budget:
+                raise BudgetExceededError(budget, budget + 1, "equal-sum splits")
+        if nodes > m:
+            return None
+        examined += sets
+        return False
+
+    # a budget of m splits or fewer is met or passed within m + 1 splits
+    # read one by one, about what one box walk costs
+    _, leaves = equal_sum_walk(ds, branch if budget is None or budget > m else None)
+    for key, mask in leaves:
+        if budget is not None and examined >= budget:
+            raise BudgetExceededError(budget, budget + 1, "equal-sum splits")
+        ok = passes.get(key)  # no call per leaf read
+        if not (accepts(key) if ok is None else ok):
+            examined += 1
             continue
         split = split_with_u(ds, mask_indices(mask))
         g = construct_realization(*_split_pair(ds, split))

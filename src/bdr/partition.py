@@ -12,17 +12,21 @@ shared by both cost the other path, at n = 2000, 52-100 % more time in the
 split walk or 4x in the witness.  The witness is the split that a
 reconstruction from all n+1 prefix bitsets gives.  Splits are unordered;
 the split walk canonicalizes by keeping the first nonzero entry on the U
-side and has no limit (a caller that needs one stops iterating).  The
-count-vector walk yields U count vectors over the distinct nonzero
-degrees instead, pruned on the run DP's suffix bitsets, checkpointed to
-fit the split walk's rows.  Both walks keep O(sqrt(m)*sigma) bits (m
+side and has no limit (a caller that needs one stops iterating).  A
+caller may pass it a branch test that drops include branches whole and
+reads a branch's first leaf in the same blocks; ``decide_exact`` drops
+those without an accepted split that way.  The count-vector walk yields U
+count vectors over the distinct nonzero degrees instead, pruned on the
+run DP's suffix bitsets, checkpointed to fit the split walk's rows, and
+as often as asked, in a box of counts per run if given, on one set of
+bitsets (``_count_walk``).  Both walks keep O(sqrt(m)*sigma) bits (m
 nonzero degrees), enter only subtrees that hold a split and key a count
 vector in the same mixed radix over the same (value, count) runs
 (``count_runs`` decodes it).  ``decide_exact`` also walks the count
 vectors with a Gale–Ryser bound that drops subtrees without a bigraphic
-one (``_count_keys``); ``count_vector_walk`` stays unpruned for the
-oracle.  ``half_sum_sets`` counts the index sets of sum sigma/2,
-saturating, in one item DP over Kronecker-packed counts.
+one; ``count_vector_walk`` stays unpruned for the oracle.
+``half_sum_sets`` counts the index sets of sum sigma/2, saturating, in one
+item DP over Kronecker-packed counts.
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
 the U side, for every split this module returns.
@@ -31,6 +35,7 @@ the U side, for every split this module returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from math import comb, isqrt, prod
 from operator import not_
@@ -166,8 +171,12 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     return split_with_u(ds, u_side)
 
 
-def equal_sum_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]],
-                                                Iterator[tuple[int, int]]]:
+# branch(t, lo, hi, first) of the split walk; see ``equal_sum_walk``
+Branch = Callable[[int, int, int, Callable[[], tuple[int, int]]], "int | bool | None"]
+
+
+def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
+        list[tuple[int, int]], Iterator[tuple[int, int]]]:
     """The distinct nonzero degrees as (value, count) runs, largest first,
     and the leaves of the canonical split walk as ``(key, mask)`` pairs.
 
@@ -186,12 +195,26 @@ def equal_sum_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]],
     the walk is in is rebuilt from its checkpoint as bytes, cut to the sums
     up to the remainder at the root of the subtree being walked (no test
     below it asks for more), so a test is O(1) in O(sqrt(m)*sigma) bits.
+
+    With ``branch``, the walk asks it before it enters an include branch:
+    ``branch(t, lo, hi, first)``, with t the run of the item, ``lo`` the
+    key of the branch's U side and ``hi`` that key plus the open items, so
+    every count vector of the branch lies in the box lo <= k <= hi, digit
+    by digit; ``first()`` is the branch's first leaf, found by its
+    include-first descent in the same blocks (the last one is reused while
+    the walk stays on its path, and the walk takes it over if it enters).
+    False drops the branch (its leaves are not yielded) and None enters it
+    without asking again below it.  A key in the box enters it as a
+    target: below, the walk enters each include branch whose box holds the
+    target without asking, and keeps no pending exclude branch for a branch
+    entered so, as it assumes that the caller stops at a leaf there.
     """
     runs = _value_runs(ds.degrees)
-    return runs, _leaves(ds, runs)
+    return runs, _leaves(ds, runs, branch)
 
 
-def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
+            branch: Branch | None) -> Iterator[tuple[int, int]]:
     if ds.sigma % 2:
         return
     target = ds.sigma // 2
@@ -212,36 +235,114 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]]) -> Iterator[tuple[i
     # the first nonzero index on U: the root is live iff any split exists
     if not found:
         return
-    base, hi, rows = 0, -1, []
+    rows: list[bytes] = []
+    # no closure here: a variable that one reads becomes a cell, slower to
+    # read in the loop below, and the block is rebuilt without a partial
+    if branch is not None:
+        run_of = dict(zip((v for v, _ in runs), range(len(runs))))
+        run = [run_of[d] for d in deg]
+        radix = [c + 1 for _, c in runs]
+        radix = [radix[t] for t in run]  # one int object per run, not per item
+        aim = None  # the key the caller last named, in the box of the node
+        window = [0, -1]  # base and hi of rows, as _descend finds and leaves them
+        last = [0, 0, 0]  # key, mask and live exclude branches of the last descent
+        descend = partial(_descend, rows, deg, block, checkpoints, step, at, window, last)
+    base, hi = 0, -1
     # (i, rem, key, mask) of the live nodes still to walk: the root, then
-    # each pending exclude branch
+    # each pending exclude branch; branch is asked below those under quiet
     stack = [(m - 1, target - deg[m - 1], step[m - 1], 1 << at[m - 1])]
+    quiet = 0 if branch is None else m
     while stack:
         i, rem, key, mask = stack.pop()
+        asking = len(stack) < quiet
         root = rem  # no sum tested in this subtree is larger
         while rem:  # a live node with rem > 0 has an open item
             i -= 1
             if not (0 <= i - base < len(rows) and rem <= hi):
-                # the block holding reach[i], as bytes, cut to the sums up to root
-                base, hi = i - i % block, root
-                # each new row replaces an old one, so one block is held; the
-                # old block freed whole first made the n' = 1604 stall 17 %
-                # slower, as its memory was not reused in place
-                for j, r in enumerate(_subset_sums(deg[base:base + block], hi,
-                                                   checkpoints[base // block])):
-                    r = r.to_bytes((hi >> 3) + 1, "little")
-                    if j < len(rows):
-                        rows[j] = r
-                    else:
-                        rows.append(r)
-                del rows[j + 1:]
+                base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
             row = rows[i - base]
             x = rem - deg[i]
             if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-                if row[rem >> 3] >> (rem & 7) & 1:
-                    stack.append((i, rem, key, mask))
+                if not asking:
+                    if row[rem >> 3] >> (rem & 7) & 1:
+                        stack.append((i, rem, key, mask))
+                elif not (aim is not None and (aim - key) // step[i] % radix[i]):
+                    out = row[rem >> 3] >> (rem & 7) & 1  # the exclude branch is live
+                    lo, bit = key + step[i], 1 << at[i]
+                    window[:] = base, hi
+                    enter = branch(run[i], lo, lo + sum(step[:i]),
+                                   partial(descend, i, x, lo, mask | bit))
+                    base, hi = window  # the descent may have rebuilt the block
+                    if enter is False:
+                        if out:
+                            continue
+                        break
+                    if enter is not None:
+                        aim = enter
+                    else:
+                        if out:
+                            stack.append((i, rem, key, mask))
+                        asking, quiet = False, len(stack)
+                        if last[1] & (2 << at[i]) - 1 == mask | bit:
+                            # the descent below this node is the walk's own:
+                            # its leaf is next, then its live exclude branches
+                            yield last[0], last[1]
+                            rem, key, mask = x, lo, mask | bit
+                            while rem:
+                                i -= 1
+                                if last[1] >> at[i] & 1:
+                                    if last[2] >> i & 1:
+                                        stack.append((i, rem, key, mask))
+                                    rem, key = rem - deg[i], key + step[i]
+                                    mask |= 1 << at[i]
+                            break
                 rem, key, mask = x, key + step[i], mask | 1 << at[i]
-        yield key, mask
+        else:
+            yield key, mask
+
+
+def _rebuild(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
+             i: int, root: int) -> int:
+    """Make ``rows`` the split walk's block holding reach[i], as bytes, cut to
+    the sums up to root; its first position."""
+    base = i - i % block
+    # each new row replaces an old one, so one block is held; the old block
+    # freed whole first made the n' = 1604 stall 17 % slower, as its memory
+    # was not reused in place
+    for j, r in enumerate(_subset_sums(deg[base:base + block], root, checkpoints[base // block])):
+        r = r.to_bytes((root >> 3) + 1, "little")
+        if j < len(rows):
+            rows[j] = r
+        else:
+            rows.append(r)
+    del rows[j + 1:]
+    return base
+
+
+def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
+             step: list[int], at: list[int], window: list[int], last: list[int],
+             i: int, rem: int, key: int, mask: int) -> tuple[int, int]:
+    """The split walk's first leaf below the node that has just taken item
+    i, as (key, mask): its include-first descent, in the walk's block
+    (``window`` holds its position and cut).  ``last`` keeps the last
+    descent, and the items whose exclude branch it found live; a node on
+    its path reuses it."""
+    if last[1] & (2 << at[i]) - 1 == mask:
+        return last[0], last[1]
+    live = 0
+    base, hi = window
+    while rem:
+        i -= 1
+        if not (0 <= i - base < len(rows) and rem <= hi):
+            base, hi = _rebuild(rows, deg, block, checkpoints, i, rem), rem
+        row = rows[i - base]
+        x = rem - deg[i]
+        if x >= 0 and row[x >> 3] >> (x & 7) & 1:
+            live |= (row[rem >> 3] >> (rem & 7) & 1) << i
+            rem, key, mask = x, key + step[i], mask | 1 << at[i]
+    window[:] = base, hi
+    last[:] = key, mask, live
+    return key, mask
 
 
 def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterator[int]]:
@@ -268,24 +369,35 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     independent checker of those verdicts exists.
     """
     runs = _value_runs(ds.degrees)
-    return runs, _count_keys(ds.sigma, runs)
+    return runs, _count_walk(ds.sigma, runs)()
 
 
-def _count_keys(sigma: int, runs: list[tuple[int, int]],
-                live: Callable[[int, int, int], bool] | None = None) -> Iterator[int]:
-    """The keys of ``count_vector_walk``, or with ``live`` those it passes.
+# live(i, rem, k) of the count walk; see ``_count_walk``
+Live = Callable[[int, int, int], "bool | None"]
 
-    ``live(i, rem, k)`` is called on each node the walk pops, in walk order
-    (runs 0..i-1 assigned, remainder ``rem``, k values on U), before the
-    node is expanded or, at i = len(runs), yielded; a node it fails is
-    dropped with its subtree.  With ``gale_ryser._gale_ryser_bound`` the
-    walk yields exactly the count vectors that pass Gale–Ryser, in the
-    unpruned order, as that test drops only subtrees without one.
+
+def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterator[int]]:
+    """``walk(live=None, lo=None, hi=None)``: the count walk of
+    ``count_vector_walk`` over ``runs``, as often as called, on one set of
+    suffix bitsets built here.
+
+    With ``lo`` and ``hi`` (a count per run) the walk gives run t only the
+    U counts lo[t]..hi[t].  ``live(i, rem, k)`` is called on each node the
+    walk pops, in walk order (runs 0..i-1 assigned, remainder ``rem``, k
+    values on U), before the node is expanded or, at i = len(runs),
+    yielded; a node it fails is dropped with its subtree, and None ends the
+    walk.  With ``gale_ryser._gale_ryser_bound`` the walk yields exactly
+    the count vectors that pass Gale–Ryser, in the unpruned order, as that
+    test drops only subtrees without one.  The suffix bitsets count every
+    run whole, so in a box the walk may enter a node with no count vector
+    below it, which costs nodes but no key.  Row j holds only the sums up to what the
+    last j runs make, the small values: the n' = 1604 stall's three rows
+    take 44 KB, not 139 KB, which lets ``decide_exact`` keep them while it
+    walks the splits.
     """
     if sigma % 2:
-        return
+        return lambda live=None, lo=None, hi=None: iter(())
     target = sigma // 2
-    size = (target >> 3) + 1
     d, m = len(runs), sum(c for _, c in runs)
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
     limit = 2 * isqrt(m - 1) + 4 if m else 2  # the split walk's rows
@@ -297,29 +409,41 @@ def _count_keys(sigma: int, runs: list[tuple[int, int]],
         if j % block == 0:
             checkpoints.append(reach)
         if j >= base:
-            rows.append(reach.to_bytes(size, "little"))
+            rows.append(reach.to_bytes((reach.bit_length() >> 3) + 1, "little"))
     places = _places(runs)
-    # (run, remainder, key so far, U count so far) of the nodes still to walk
-    stack = [(0, target, 0, 0)]
-    while stack:
-        i, rem, key, k_u = stack.pop()
-        if live is not None and not live(i, rem, k_u):
-            continue
-        if i == d:  # rem == 0: the last bitset holds only the sum 0
-            yield key
-            continue
-        j = d - 1 - i  # the runs after i are the last j
-        if not 0 <= j - base < len(rows):
-            base = j - j % block
-            rows.clear()  # the old block goes before the new one is built
-            rows.extend(r.to_bytes(size, "little") for r in
-                        _run_sums(back[base:base + block - 1], target, checkpoints[base // block]))
-        (v, c), place, row = runs[i], places[i], rows[j - base]
-        # pushed smallest first, so the largest count is popped first
-        for k in range(min(c, rem // v) + 1):
-            x = rem - k * v
-            if row[x >> 3] >> (x & 7) & 1:
-                stack.append((i + 1, x, key + k * place, k_u + k))
+
+    def walk(live: Live | None = None, lo: list[int] | None = None,
+             hi: list[int] | None = None) -> Iterator[int]:
+        nonlocal base
+        # (run, remainder, key so far, U count so far) of the nodes still to walk
+        stack = [(0, target, 0, 0)]
+        while stack:
+            i, rem, key, k_u = stack.pop()
+            if live is not None:
+                ok = live(i, rem, k_u)
+                if not ok:
+                    if ok is None:
+                        return
+                    continue
+            if i == d:  # rem == 0: the last bitset holds only the sum 0
+                yield key
+                continue
+            j = d - 1 - i  # the runs after i are the last j
+            if not 0 <= j - base < len(rows):
+                base = j - j % block
+                rows.clear()  # the old block goes before the new one is built
+                rows.extend(r.to_bytes((r.bit_length() >> 3) + 1, "little") for r in
+                            _run_sums(back[base:base + block - 1], target,
+                                      checkpoints[base // block]))
+            (v, c), place, row = runs[i], places[i], rows[j - base]
+            low, high = (0, c) if lo is None else (lo[i], hi[i])
+            # pushed smallest first, so the largest count is popped first
+            for k in range(low, min(high, rem // v) + 1):
+                x = rem - k * v
+                if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
+                    stack.append((i + 1, x, key + k * place, k_u + k))
+
+    return walk
 
 
 def half_sum_sets(ds: DegreeSequence, limit: int) -> int:
@@ -352,7 +476,8 @@ def half_sum_sets(ds: DegreeSequence, limit: int) -> int:
     return sets >> w * target
 
 
-def half_sum_sets_exceed(ds: DegreeSequence, limit: int) -> bool:
+def half_sum_sets_exceed(ds: DegreeSequence, limit: int,
+                         walk: Callable[..., Iterator[int]] | None = None) -> bool:
     """Whether more than ``limit`` index sets of the nonzero degrees sum to
     sigma/2.
 
@@ -363,13 +488,15 @@ def half_sum_sets_exceed(ds: DegreeSequence, limit: int) -> bool:
     limit + 1 keys of d runs, each run taken as a 64-bit word.  The count
     wins on short inputs with large limits, the walk on long ones with small
     limits (1..2000 with limit 2: three keys, against seconds of shifts).
+    ``walk``, a ``_count_walk`` of ``ds`` that a caller already holds, saves
+    building a second set of its bitsets.
     """
-    runs, keys = count_vector_walk(ds)
+    runs = _value_runs(ds.degrees)
     n = sum(c for _, c in runs)
     if n * (ds.sigma // 2 + 1) * (limit.bit_length() + 2) <= 64 * len(runs) * (limit + 1):
         return half_sum_sets(ds, limit) > limit
     sets = 0
-    for key in keys:
+    for key in (walk or _count_walk(ds.sigma, runs))():
         sets += prod(map(comb, (c for _, c in runs), (k for _, k in count_runs(runs, key)[0])))
         if sets > limit:
             return True

@@ -8,14 +8,16 @@ from itertools import islice
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import bdr.decider
 from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
                  build_hard_instance, classify_region, construct_realization,
                  decide_bdr, decide_exact, equal_sum_split_exists, is_bigraphic,
                  max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
+from bdr.gale_ryser import _gale_ryser_runs
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.partition import equal_sum_walk, split_with_u
-from conftest import MANY_DISTINCT, _traced_peak, _unpruned_splits
+from bdr.partition import count_runs, equal_sum_walk, mask_indices, split_with_u
+from conftest import MANY_DISTINCT, _traced_peak, _unpruned_splits, reduction_corpus
 
 
 F = Fraction
@@ -280,24 +282,81 @@ class TestAgainstUnprunedWalk:
     @example(case=([0, 0, 0], None))
     @example(case=([5, 3, 1, 1, 1, 1], 3))
     @example(case=([5, 3, 1, 1, 1, 1], 4))
+    # the branch test skips a run whose box had no accepted count vector,
+    # and only that run: with every run skipped after the first such box,
+    # both give another witness
+    @example(case=([3, 7, 4, 3, 1, 2, 2, 3, 7, 2, 3, 1], None))
+    @example(case=([3, 6, 3, 5, 1, 2, 2, 2, 1, 1], None))
     def test_same_decision_and_budget_point(self, case, unpruned_splits):
         seq, budget = case
         ds = DegreeSequence(seq)
         assert outcome(decide_exact, ds, budget) == outcome(
             reference_decide_exact, ds, budget, unpruned_splits)
 
+    # Bipartite inputs and L, the position of their first accepted split in
+    # the unpruned walk: 1, and three past m + 1, so that the walk asks its
+    # branch test at budgets L - 1, L and L + 1
+    FIRST_ACCEPTED = [((2, 2, 2, 2), 1), ((5, 2, 7, 2, 2, 2, 1, 2, 1), 13),
+                      ((7, 2, 1, 1, 3, 3, 6, 4, 5, 3, 4, 5, 7, 1), 31),
+                      ((1, 3, 6, 3, 3, 7, 4, 1, 7, 1, 6, 7, 3, 3, 1), 382)]
+
+    @pytest.mark.parametrize("seq, first", FIRST_ACCEPTED)
+    def test_budget_at_the_first_accepted_split(self, seq, first, unpruned_splits):
+        # the accepted split is examined too, so budget L - 1 raises at
+        # split L although the search skips the L - 1 splits before it
+        ds = DegreeSequence(seq)
+        with pytest.raises(BudgetExceededError):
+            reference_decide_exact(ds, first - 1, unpruned_splits)
+        assert reference_decide_exact(ds, first, unpruned_splits).verdict == "Bipartite"
+        for budget in (0, first - 1, first, first + 1):
+            assert outcome(decide_exact, ds, budget) == outcome(
+                reference_decide_exact, ds, budget, unpruned_splits), budget
+        with pytest.raises(BudgetExceededError) as exc:
+            decide_exact(ds, budget=0)
+        assert (exc.value.limit, exc.value.examined) == (0, 1)
+
     def test_padded_instances(self, unpruned_splits):
-        # long runs of equal degrees: every split of one count vector after
-        # the first is decided from the memo
-        hard = ParamBounds(F(1, 10), F(2, 5))
-        for source in [(1, 1, 1, 1), (2, 2, 2), (3, 3, 2), (2, 1, 1, 1, 1)]:
-            ds = build_hard_instance(DegreeSequence(source), hard).d_prime
-            for budget in (0, 1, 3, 2000):
-                assert outcome(decide_exact, ds, budget) == outcome(
-                    reference_decide_exact, ds, budget, unpruned_splits), (source, budget)
+        # long runs of equal degrees: the branch test skips whole subtrees
+        # of one count vector
+        for c1, c2 in [(F(1, 10), F(2, 5)), (F(1, 20), F(9, 20)), (F(3, 20), F(2, 5))]:
+            for source in reduction_corpus(6) + [(3, 3, 2)]:
+                ds = build_hard_instance(DegreeSequence(source), ParamBounds(c1, c2)).d_prime
+                # at (3/20, 2/5), n' = 1604 to 3208, the unpruned walk loses
+                # itself in dead subtrees: read the leaves of the split walk
+                # without a branch test, which are the same (TestEnumerate)
+                if c1 == F(3, 20):
+                    leaves = list(islice(equal_sum_walk(ds)[1], 2001))
+                    reference = walked_decide_exact
+                else:
+                    leaves, reference = unpruned_splits, reference_decide_exact
+                for budget in (0, 1, 3, 2000):
+                    assert outcome(decide_exact, ds, budget) == outcome(
+                        reference, ds, budget, leaves), (c1, c2, source, budget)
 
 
-def _no_split_walk(ds):
+def walked_decide_exact(ds, budget, leaves):
+    """``reference_decide_exact`` on the ``(key, mask)`` leaves of the split
+    walk, Gale–Ryser checked once per count vector (``leaves`` must reach
+    past the budget or the walk's end)."""
+    runs = equal_sum_walk(ds)[0]
+    verdicts = {}
+    for examined, (key, mask) in enumerate(leaves, 1):
+        if budget is not None and examined > budget:
+            raise BudgetExceededError(budget, examined, "equal-sum splits")
+        if key not in verdicts:
+            u, v = count_runs(runs, key)
+            verdicts[key] = is_bigraphic(*([d for d, c in side for _ in range(c)]
+                                           for side in (u, v)))
+        if verdicts[key]:
+            split = split_with_u(ds, mask_indices(mask))
+            d1 = tuple(ds.degrees[i] for i in split.u)
+            d2 = tuple(ds.degrees[i] for i in split.v)
+            return Decision("Bipartite", "exact-search", split=split,
+                            realization=construct_realization(d1, d2))
+    return Decision("NotBipartite", "gale-ryser-violation" if leaves else "no-equal-sum-split")
+
+
+def _no_split_walk(ds, branch=None):
     raise AssertionError("the split walk ran")
 
 
@@ -417,9 +476,10 @@ class TestStall:
         assert peak < 8 * 2 ** 20
 
     def test_count_walk_freed_before_split_walk(self):
-        # the count walk's suffix bitsets of the stall take about 180 KB
-        # (4 rows of sigma/16 bytes); decide_exact frees them before it walks
-        # the splits, so it peaks no higher than the walk over 20001 splits
+        # decide_exact keeps the count walk's suffix bitsets for the box
+        # walks of its branch test; they are cut to the sums of the small
+        # values (44 KB on the stall, not 3 rows of sigma/16 bytes), so it
+        # peaks no higher than the walk over 20001 splits
         ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
                                  ParamBounds(F(3, 20), F(2, 5))).d_prime
 
@@ -432,6 +492,71 @@ class TestStall:
                 decide_exact(ds, budget=20000)
 
         assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
+
+
+class TestGuidedWalkWork:
+    """The work of the split walk's branch test, counted rather than timed."""
+
+    FAR = ParamBounds(F(3, 20), F(2, 5))
+
+    # the padded D' of the acceptance corpus at (1/10, 2/5) but (1,1,1,1),
+    # which is answered, and the n' = 1604 stall
+    @pytest.mark.parametrize("source, bounds",
+                             [(s, ParamBounds(F(1, 10), F(2, 5))) for s in reduction_corpus(8)[1:]]
+                             + [((1, 1, 1, 1), FAR)])
+    def test_padded_budget_failures_call_the_kernel_at_most_m_times(self, source, bounds,
+                                                                     monkeypatch):
+        calls = []
+        kernel = _gale_ryser_runs
+
+        def counted(a, b):
+            calls.append(1)
+            return kernel(a, b)
+
+        # the split walk's leaves and the box walks' leaves
+        monkeypatch.setattr("bdr.decider._gale_ryser_runs", counted)
+        monkeypatch.setattr("bdr.gale_ryser._gale_ryser_runs", counted)
+        ds = build_hard_instance(DegreeSequence(source), bounds).d_prime
+        with pytest.raises(BudgetExceededError) as exc:
+            decide_exact(ds, budget=20000)
+        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
+        assert len(calls) <= len(ds.nonzero())
+
+    @pytest.mark.parametrize("seq, cut", [
+        (tuple(v for v in range(1, 31) for _ in (0, 1)), True),
+        (tuple(range(1, 401)), False)])
+    def test_box_walks_stop_by_m_plus_one_nodes(self, seq, cut, monkeypatch):
+        # the half graph (each of 1..30 twice): its first box walk is cut
+        # off, and the walk reads that branch split by split; without the
+        # cut the box walks ran for minutes.  1..400 is NotBipartite, and
+        # the count walk before the split walk settles its budget point
+        ds = DegreeSequence(seq)
+        m = len(ds.nonzero())
+        nodes = []
+        count_walk = bdr.decider._count_walk
+
+        def counted(sigma, runs):
+            walk = count_walk(sigma, runs)
+
+            def box_walk(live=None, lo=None, hi=None):
+                if lo is None:
+                    return walk(live)
+                nodes.append(0)
+
+                def counting(i, rem, k):
+                    nodes[-1] += 1
+                    assert nodes[-1] <= m + 1, "a box walk went on past m + 1 nodes"
+                    return live(i, rem, k)
+
+                return walk(counting, lo, hi)
+
+            return box_walk
+
+        monkeypatch.setattr("bdr.decider._count_walk", counted)
+        with pytest.raises(BudgetExceededError) as exc:
+            decide_exact(ds, budget=20000)
+        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
+        assert (m + 1 in nodes) == cut and bool(nodes) == cut
 
 
 class TestDecisionDataclass:
@@ -504,6 +629,6 @@ class TestInvariants:
     def test_split_walk_short_of_the_pre_pass_raises(self, monkeypatch):
         # the pre-pass accepts a count vector, so the split walk must reach
         # an accepted split; a walk that yields none breaks that invariant
-        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds: ([], iter(())))
+        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds, branch=None: ([], iter(())))
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))

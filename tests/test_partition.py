@@ -11,7 +11,7 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import (_count_keys, _subset_sums, count_runs, count_vector_walk,
+from bdr.partition import (_count_walk, _subset_sums, count_runs, count_vector_walk,
                            equal_sum_walk, half_sum_sets, half_sum_sets_exceed, mask_indices,
                            split_with_u)
 from conftest import MANY_DISTINCT, reduction_corpus
@@ -220,7 +220,7 @@ class TestGaleRyserPrunedWalk:
     def _same_keys(seq, unpruned_count_vectors):
         sigma = sum(seq)
         runs = _value_runs(seq)
-        keys = _count_keys(sigma, runs, _gale_ryser_bound(runs, sigma // 2))
+        keys = _count_walk(sigma, runs)(_gale_ryser_bound(runs, sigma // 2))
         assert [count_runs(runs, key) for key in keys] == [
             (u, v) for u, v in unpruned_count_vectors(seq) if _gale_ryser_runs(u, v)]
 
