@@ -243,12 +243,13 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         if not digit(target, next(t for t, (v, _) in enumerate(runs) if v == first_value)):
             # the complement passes too and puts the first nonzero index on U
             target = sum(c * p for c, p in zip(counts, places)) - target
-    passes: dict[int, bool] = {}
+    rejected: set[int] = set()
 
     def accepts(key: int) -> bool:
-        if key not in passes:
-            passes[key] = _gale_ryser_runs(*count_runs(runs, key))
-        return passes[key]
+        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
+            rejected.add(key)
+            return False
+        return True
 
     # the two count walks in a box: each stops (None) past m nodes
     def in_box(i: int, rem: int, k: int) -> bool | None:
@@ -268,6 +269,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     failed: set[int] = set()  # runs whose include box has no count vector that passes
     lo_box = hi_box = counts  # the box of the last branch asked about
     examined = 0
+    allowed = None if budget is None else max(budget, 0)  # splits examined before the error
 
     def branch(t: int, lo: int, hi: int,
                first: Callable[[], tuple[int, int]]) -> int | bool | None:
@@ -291,21 +293,21 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         nodes = sets = 0
         for _ in walk(every, lo_box, hi_box):
             sets += sets_at[d]
-            if examined + sets > budget:
-                raise BudgetExceededError(budget, budget + 1, "equal-sum splits")
+            if examined + sets > allowed:
+                raise BudgetExceededError(budget, allowed + 1, "equal-sum splits")
         if nodes > m:
             return None
         examined += sets
         return False
 
     # a budget of m splits or fewer is met or passed within m + 1 splits
-    # read one by one, about what one box walk costs
-    _, leaves = equal_sum_walk(ds, branch if budget is None or budget > m else None)
-    for key, mask in leaves:
-        if budget is not None and examined >= budget:
-            raise BudgetExceededError(budget, budget + 1, "equal-sum splits")
-        ok = passes.get(key)  # no call per leaf read
-        if not (accepts(key) if ok is None else ok):
+    # read one by one, cheaper than the probe and box walk of up to m nodes
+    # that the branch test would run first
+    for key, mask in equal_sum_walk(ds, branch if budget is None or budget > m else None)[1]:
+        if budget is not None and examined >= allowed:
+            raise BudgetExceededError(budget, allowed + 1, "equal-sum splits")
+        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
+            rejected.add(key)
             examined += 1
             continue
         split = split_with_u(ds, mask_indices(mask))

@@ -202,12 +202,13 @@ def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
     every count vector of the branch lies in the box lo <= k <= hi, digit
     by digit; ``first()`` is the branch's first leaf, found by its
     include-first descent in the same blocks (the last one is reused while
-    the walk stays on its path, and the walk takes it over if it enters).
-    False drops the branch (its leaves are not yielded) and None enters it
-    without asking again below it.  A key in the box enters it as a
-    target: below, the walk enters each include branch whose box holds the
-    target without asking, and keeps no pending exclude branch for a branch
-    entered so, as it assumes that the caller stops at a leaf there.
+    the walk stays on its path).  False drops the branch (its leaves are
+    not yielded) and None enters it without asking again below it; the
+    walk then descends on its own, the path of ``first()`` once more.  A
+    key in the box enters it as a target: below, the walk enters each
+    include branch whose box holds the target without asking, and keeps no
+    pending exclude branch for a branch entered so, as it assumes that the
+    caller stops at a leaf there.
     """
     runs = _value_runs(ds.degrees)
     return runs, _leaves(ds, runs, branch)
@@ -237,7 +238,7 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
         return
     rows: list[bytes] = []
     # no closure here: a variable that one reads becomes a cell, slower to
-    # read in the loop below, and the block is rebuilt without a partial
+    # read in the loops below, and the block is rebuilt without a partial
     if branch is not None:
         run_of = dict(zip((v for v, _ in runs), range(len(runs))))
         run = [run_of[d] for d in deg]
@@ -245,28 +246,38 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
         radix = [radix[t] for t in run]  # one int object per run, not per item
         aim = None  # the key the caller last named, in the box of the node
         window = [0, -1]  # base and hi of rows, as _descend finds and leaves them
-        last = [0, 0, 0]  # key, mask and live exclude branches of the last descent
+        last = [0, 0]  # key and mask of the last descent
         descend = partial(_descend, rows, deg, block, checkpoints, step, at, window, last)
     base, hi = 0, -1
     # (i, rem, key, mask) of the live nodes still to walk: the root, then
-    # each pending exclude branch; branch is asked below those under quiet
+    # each pending exclude branch; a node popped with quiet or more nodes
+    # below it on the stack is walked without asking branch
     stack = [(m - 1, target - deg[m - 1], step[m - 1], 1 << at[m - 1])]
     quiet = 0 if branch is None else m
     while stack:
         i, rem, key, mask = stack.pop()
-        asking = len(stack) < quiet
         root = rem  # no sum tested in this subtree is larger
-        while rem:  # a live node with rem > 0 has an open item
+        if len(stack) >= quiet:
+            while rem:  # a live node with rem > 0 has an open item
+                i -= 1
+                if not (0 <= i - base < len(rows) and rem <= hi):
+                    base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
+                row = rows[i - base]
+                x = rem - deg[i]
+                if x >= 0 and row[x >> 3] >> (x & 7) & 1:
+                    if row[rem >> 3] >> (rem & 7) & 1:
+                        stack.append((i, rem, key, mask))
+                    rem, key, mask = x, key + step[i], mask | 1 << at[i]
+            yield key, mask
+            continue
+        while rem:
             i -= 1
             if not (0 <= i - base < len(rows) and rem <= hi):
                 base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
             row = rows[i - base]
             x = rem - deg[i]
             if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-                if not asking:
-                    if row[rem >> 3] >> (rem & 7) & 1:
-                        stack.append((i, rem, key, mask))
-                elif not (aim is not None and (aim - key) // step[i] % radix[i]):
+                if not (aim is not None and (aim - key) // step[i] % radix[i]):
                     out = row[rem >> 3] >> (rem & 7) & 1  # the exclude branch is live
                     lo, bit = key + step[i], 1 << at[i]
                     window[:] = base, hi
@@ -277,25 +288,14 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
                         if out:
                             continue
                         break
-                    if enter is not None:
-                        aim = enter
-                    else:
+                    if enter is None:
+                        # the include branch, then the rest, without asking
                         if out:
                             stack.append((i, rem, key, mask))
-                        asking, quiet = False, len(stack)
-                        if last[1] & (2 << at[i]) - 1 == mask | bit:
-                            # the descent below this node is the walk's own:
-                            # its leaf is next, then its live exclude branches
-                            yield last[0], last[1]
-                            rem, key, mask = x, lo, mask | bit
-                            while rem:
-                                i -= 1
-                                if last[1] >> at[i] & 1:
-                                    if last[2] >> i & 1:
-                                        stack.append((i, rem, key, mask))
-                                    rem, key = rem - deg[i], key + step[i]
-                                    mask |= 1 << at[i]
-                            break
+                        quiet = len(stack)
+                        stack.append((i, x, lo, mask | bit))
+                        break
+                    aim = enter
                 rem, key, mask = x, key + step[i], mask | 1 << at[i]
         else:
             yield key, mask
@@ -325,11 +325,9 @@ def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[in
     """The split walk's first leaf below the node that has just taken item
     i, as (key, mask): its include-first descent, in the walk's block
     (``window`` holds its position and cut).  ``last`` keeps the last
-    descent, and the items whose exclude branch it found live; a node on
-    its path reuses it."""
+    descent; a node on its path reuses it."""
     if last[1] & (2 << at[i]) - 1 == mask:
         return last[0], last[1]
-    live = 0
     base, hi = window
     while rem:
         i -= 1
@@ -338,10 +336,9 @@ def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[in
         row = rows[i - base]
         x = rem - deg[i]
         if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-            live |= (row[rem >> 3] >> (rem & 7) & 1) << i
             rem, key, mask = x, key + step[i], mask | 1 << at[i]
     window[:] = base, hi
-    last[:] = key, mask, live
+    last[:] = key, mask
     return key, mask
 
 
@@ -477,7 +474,7 @@ def half_sum_sets(ds: DegreeSequence, limit: int) -> int:
 
 
 def half_sum_sets_exceed(ds: DegreeSequence, limit: int,
-                         walk: Callable[..., Iterator[int]] | None = None) -> bool:
+                         walk: Callable[..., Iterator[int]]) -> bool:
     """Whether more than ``limit`` index sets of the nonzero degrees sum to
     sigma/2.
 
@@ -488,15 +485,15 @@ def half_sum_sets_exceed(ds: DegreeSequence, limit: int,
     limit + 1 keys of d runs, each run taken as a 64-bit word.  The count
     wins on short inputs with large limits, the walk on long ones with small
     limits (1..2000 with limit 2: three keys, against seconds of shifts).
-    ``walk``, a ``_count_walk`` of ``ds`` that a caller already holds, saves
-    building a second set of its bitsets.
+    ``walk`` is a ``_count_walk`` of ``ds``, the caller's, so its bitsets
+    are built once.
     """
     runs = _value_runs(ds.degrees)
     n = sum(c for _, c in runs)
     if n * (ds.sigma // 2 + 1) * (limit.bit_length() + 2) <= 64 * len(runs) * (limit + 1):
         return half_sum_sets(ds, limit) > limit
     sets = 0
-    for key in (walk or _count_walk(ds.sigma, runs))():
+    for key in walk():
         sets += prod(map(comb, (c for _, c in runs), (k for _, k in count_runs(runs, key)[0])))
         if sets > limit:
             return True

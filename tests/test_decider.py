@@ -295,7 +295,8 @@ class TestAgainstUnprunedWalk:
 
     # Bipartite inputs and L, the position of their first accepted split in
     # the unpruned walk: 1, and three past m + 1, so that the walk asks its
-    # branch test at budgets L - 1, L and L + 1
+    # branch test at budgets L - 1, L and L + 1 (a budget of m or less reads
+    # the splits without it)
     FIRST_ACCEPTED = [((2, 2, 2, 2), 1), ((5, 2, 7, 2, 2, 2, 1, 2, 1), 13),
                       ((7, 2, 1, 1, 3, 3, 6, 4, 5, 3, 4, 5, 7, 1), 31),
                       ((1, 3, 6, 3, 3, 7, 4, 1, 7, 1, 6, 7, 3, 3, 1), 382)]
@@ -308,12 +309,14 @@ class TestAgainstUnprunedWalk:
         with pytest.raises(BudgetExceededError):
             reference_decide_exact(ds, first - 1, unpruned_splits)
         assert reference_decide_exact(ds, first, unpruned_splits).verdict == "Bipartite"
-        for budget in (0, first - 1, first, first + 1):
+        for budget in (-5, -1, 0, first - 1, first, first + 1):
             assert outcome(decide_exact, ds, budget) == outcome(
                 reference_decide_exact, ds, budget, unpruned_splits), budget
-        with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(ds, budget=0)
-        assert (exc.value.limit, exc.value.examined) == (0, 1)
+        for budget in (-5, 0):
+            # a negative budget fails at the first split, as budget 0 does
+            with pytest.raises(BudgetExceededError) as exc:
+                decide_exact(ds, budget=budget)
+            assert (exc.value.limit, exc.value.examined) == (budget, 1)
 
     def test_padded_instances(self, unpruned_splits):
         # long runs of equal degrees: the branch test skips whole subtrees

@@ -273,7 +273,8 @@ class TestHalfSumSets:
         n = exact_half_sum_sets(seq)
         for limit in {max(n - 1, 0), n, n + 1, extra}:
             assert half_sum_sets(ds, limit) == min(n, 2 ** limit.bit_length()), limit
-            assert half_sum_sets_exceed(ds, limit) == (n > limit), limit
+            walk = _count_walk(ds.sigma, _value_runs(ds.degrees))
+            assert half_sum_sets_exceed(ds, limit, walk) == (n > limit), limit
 
     @pytest.mark.parametrize("seq", [tuple(range(1, 41)), (1,) * 30 + (2,) * 10])
     def test_long_inputs_with_small_limits_walk_the_keys(self, seq, monkeypatch):
@@ -281,8 +282,10 @@ class TestHalfSumSets:
         # a few count vectors settle it
         n = exact_half_sum_sets(seq)
         monkeypatch.setattr("bdr.partition.half_sum_sets", None)
+        ds = DegreeSequence(seq)
+        walk = _count_walk(ds.sigma, _value_runs(ds.degrees))
         for limit in (0, 1, 2, 5):
-            assert half_sum_sets_exceed(DegreeSequence(seq), limit) == (n > limit)
+            assert half_sum_sets_exceed(ds, limit, walk) == (n > limit)
 
 
 class TestIndexSetsPerSplit:
