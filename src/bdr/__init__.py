@@ -16,7 +16,7 @@ from .gale_ryser import (BipartiteRealization, balancing_hinge_flip,
 from .lbds import LbdsShape, lbds, lbds_pair_bigraphic, lbds_shape
 from .oracle import (brute_force_bipartite_realizable, exhaustive_graph_search,
                      exhaustive_pair_search)
-from .partition import (SplitWitness, enumerate_equal_sum_splits,
+from .partition import (SplitWitness, balanced_split, enumerate_equal_sum_splits,
                         equal_sum_split_exists, find_equal_sum_split)
 from .reduction import (ReductionInstance, Role, RoundTripReport,
                         build_hard_instance, choose_padding_n,

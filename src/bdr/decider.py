@@ -17,8 +17,9 @@ from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
                          _value_runs, construct_realization)
-from .partition import (SplitWitness, _count_walk, _places, count_runs, equal_sum_walk,
-                        find_equal_sum_split, half_sum_sets_exceed, mask_indices, split_with_u)
+from .partition import (SplitWitness, _count_walk, _places, balanced_split, count_runs,
+                        equal_sum_walk, find_equal_sum_split, half_sum_sets_exceed,
+                        mask_indices, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -132,7 +133,12 @@ def precheck(ds: DegreeSequence) -> Decision | None:
 def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     """The polynomial decision procedure inside the tractable regions.
 
-    Outside them the verdict is an honest Undecided; use decide_exact.
+    In the low region every equal-sum split is bigraphic, so the witness is
+    ``balanced_split``'s split, or, when that finds none, the split DP's
+    (``find_equal_sum_split``), which also decides that no split exists.
+    Low-region witnesses were the DP's alone before ``balanced_split``.
+    Outside the tractable regions the verdict is an honest Undecided; use
+    decide_exact.
     """
     if not in_class(ds, bounds):
         raise InputOutOfClassError(
@@ -142,7 +148,7 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     if pre is not None:
         return pre.with_region(region)
     if region is RegionClass.LOW_TRACTABLE:
-        split = find_equal_sum_split(ds)
+        split = balanced_split(ds) or find_equal_sum_split(ds)
         if split is None:
             return Decision("NotBipartite", "no-equal-sum-split", region=region)
         g = construct_realization(*_split_pair(ds, split))

@@ -1,15 +1,21 @@
-"""Equal-sum splitting via subset-sum dynamic programming.
+"""Equal-sum splitting: a greedy balance, and subset-sum dynamic programming.
+
+``balanced_split`` puts the degrees, largest first, on the lighter side and
+closes the final gap with at most one swap, in O(n log n); it may find no
+split where one exists.  ``decide_bdr`` returns its split in the low
+region and calls the witness DP (``find_equal_sum_split``) only when it
+finds none; before, every low-region witness was the DP's.
 
 Each DP runs over a bitset of achievable sums (a Python int) capped at
 sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
 (value, count) run per step, its count split in binary parts 1, 2, 4, ...,
 rest (the paper's bounded subset-sum).  Deciding existence keeps one
-bitset of the run DP, O(sigma) bits.  The witness and the split walk each
+bitset of the run DP, O(sigma) bits.  The witness DP and the split walk each
 make one checkpoint pass of the item DP over their n items
 (``_checkpoints``), keeping every ceil(sqrt(n))-th bitset, O(sqrt(n)*sigma)
 bits, and each rebuilds its own block window from them: a window policy
 shared by both cost the other path, at n = 2000, 52-100 % more time in the
-split walk or 4x in the witness.  The witness is the split that a
+split walk or 4x in the witness DP.  Its witness is the split that a
 reconstruction from all n+1 prefix bitsets gives.  Splits are unordered;
 the split walk canonicalizes by keeping the first nonzero entry on the U
 side and has no limit (a caller that needs one stops iterating).  A
@@ -71,6 +77,45 @@ def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
         on_u[i] = True
     return SplitWitness(tuple(compress(range(ds.n), on_u)),
                         tuple(compress(range(ds.n), map(not_, on_u))))
+
+
+def balanced_split(ds: DegreeSequence) -> SplitWitness | None:
+    """An equal-sum split by greedy balance and at most one swap, or None.
+
+    The nonzero indices, by decreasing degree and then by index, go one by
+    one to the side with the smaller sum, ties to U.  The final gap g is
+    even when sigma is.  If g is not 0, the lowest heavy-side index a with
+    some light-side index b of degree deg(a) - g/2 swaps with the lowest
+    such b.  None means no such pair; a split may exist all the same
+    (``find_equal_sum_split`` decides).  O(n log n).
+    """
+    deg = ds.degrees
+    if ds.sigma % 2 != 0:
+        return None
+    sides: tuple[list[int], list[int]] = ([], [])
+    sums = [0, 0]
+    for i in sorted(filter(deg.__getitem__, range(ds.n)), key=lambda i: -deg[i]):
+        side = sums[1] < sums[0]
+        sides[side].append(i)
+        sums[side] += deg[i]
+    gap = sums[0] - sums[1]
+    if gap:
+        heavy, light = sides if gap > 0 else sides[::-1]
+        lowest: dict[int, int] = {}
+        for b in light:  # placed by decreasing degree, then by index
+            lowest.setdefault(deg[b], b)
+        need = abs(gap) // 2
+        a = min((a for a in heavy if deg[a] - need in lowest), default=None)
+        if a is None:
+            return None
+        b = lowest[deg[a] - need]
+        heavy[heavy.index(a)] = b
+        light[light.index(b)] = a
+    split = split_with_u(ds, sides[0])
+    u_sum, v_sum = (sum(map(deg.__getitem__, side)) for side in (split.u, split.v))
+    if u_sum != v_sum:
+        raise InvariantError(f"balanced split has side sums {u_sum} and {v_sum}")
+    return split
 
 
 def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterator[int]:

@@ -117,7 +117,8 @@ class TestRealize:
 
 class TestGoldenBytes:
     """sha256 of stdout for fixed seeded inputs: the witness bytes of the
-    split DP and the realizer must not change silently."""
+    low-region split (greedy balance and one swap, or the split DP when
+    that finds none) and of the realizer must not change silently."""
 
     def test_decide_low_region(self, tmp_path, capsys):
         rng = random.Random(600)
@@ -128,7 +129,7 @@ class TestGoldenBytes:
         code, out, _ = run(capsys, ["decide", "--c1", "1/10", "--c2", "1/5", f])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0216617c60779c3a1882b0eb715cbbfdc091e92072ff5cb8621fa26dcd9028a5")
+            "5d3258aad93de4b373eaa5328f9f888eae45fb527d14fbd2b8755ecfd947069f")
 
     def test_realize_random_graph_degrees(self, tmp_path, capsys):
         rng = random.Random(300)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bdr.decider
-from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass,
+from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_split,
                  build_hard_instance, classify_region, construct_realization,
                  decide_bdr, decide_exact, equal_sum_split_exists, is_bigraphic,
                  max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
@@ -185,6 +185,47 @@ class TestDecideBdr:
             assert d.verdict in ("Bipartite", "NotBipartite")
             expected = brute_force_bipartite_realizable(ds)
             assert (d.verdict == "Bipartite") == expected, ds
+
+
+class TestLowRegionFallback:
+    """``decide_bdr`` takes the split DP only when the greedy balance and
+    one swap find no split; the two inputs that need it come from an
+    exhaustive search over low-region inputs with n <= 20."""
+
+    def test_balanced_path_skips_the_dp(self, monkeypatch):
+        def no_dp(ds):
+            raise AssertionError("split DP called")
+
+        monkeypatch.setattr("bdr.decider.find_equal_sum_split", no_dp)
+        seq = (4,) * 10
+        d = decide_bdr(DegreeSequence(seq), ParamBounds(F(3, 10), F(2, 5)))
+        assert d.verdict == "Bipartite" and d.reason == "split-found"
+        assert_witness(seq, d)
+
+    def test_fallback_finds_the_split(self, monkeypatch):
+        calls = []
+        dp = bdr.decider.find_equal_sum_split
+        monkeypatch.setattr("bdr.decider.find_equal_sum_split",
+                            lambda ds: calls.append(ds) or dp(ds))
+        seq = (5,) * 8 + (4,) * 5
+        ds, bounds = DegreeSequence(seq), ParamBounds(F(3, 10), F(2, 5))
+        assert classify_region(bounds) is RegionClass.LOW_TRACTABLE
+        assert balanced_split(ds) is None
+        d = decide_bdr(ds, bounds)
+        assert calls == [ds]
+        assert d.verdict == "Bipartite" and d.reason == "split-found"
+        assert d.split == dp(ds)
+        assert sum(seq[i] for i in d.split.u) == sum(seq[i] for i in d.split.v) == 30
+        assert_witness(seq, d)
+
+    def test_fallback_finds_no_split(self):
+        # 36 / 2 = 18 is not a multiple of 4
+        ds, bounds = DegreeSequence((4,) * 9), ParamBounds(F(4, 9), F(4, 9))
+        assert classify_region(bounds) is RegionClass.LOW_TRACTABLE
+        assert balanced_split(ds) is None
+        d = decide_bdr(ds, bounds)
+        assert (d.verdict, d.reason) == ("NotBipartite", "no-equal-sum-split")
+        assert d.region is RegionClass.LOW_TRACTABLE and d.split is None
 
 
 class TestDecideExact:

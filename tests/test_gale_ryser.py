@@ -5,10 +5,9 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdr import (BipartiteRealization, DegreeSequence,
-                 balancing_hinge_flip, construct_realization,
-                 format_realization, hinge_flip, find_equal_sum_split,
-                 is_bigraphic, is_graphic)
+from bdr import (BipartiteRealization, DegreeSequence, ParamBounds,
+                 balancing_hinge_flip, construct_realization, decide_bdr,
+                 format_realization, hinge_flip, is_bigraphic, is_graphic)
 from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
 from bdr.oracle import exhaustive_pair_search
@@ -208,7 +207,8 @@ class TestRealizerMatchesReference:
         degrees = [rng.randint(200, 400) for _ in range(2000)]
         while sum(degrees) % 2:
             degrees[-1] = rng.randint(200, 400)
-        split = find_equal_sum_split(DegreeSequence(degrees))
+        split = decide_bdr(DegreeSequence(degrees),
+                           ParamBounds(Fraction(1, 10), Fraction(1, 5))).split
         p = ([degrees[i] for i in split.u_indices()],
              [degrees[i] for i in split.v_indices()])
         g = construct_realization(*p)

@@ -7,7 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
+from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
@@ -137,6 +137,48 @@ class TestFindSplit:
         monkeypatch.setattr("bdr.partition._subset_sums", every_sum)
         with pytest.raises(InvariantError):
             find_equal_sum_split(DegreeSequence((2, 1, 1)))
+
+
+class TestBalancedSplit:
+    @given(st.one_of(DRAWS, st.lists(st.integers(0, 30), max_size=40)))
+    @settings(max_examples=500, deadline=None)
+    @example([])
+    @example([0, 0])
+    @example([5] * 8 + [4] * 5)
+    def test_split_or_none(self, seq):
+        ds = DegreeSequence(seq)
+        w = balanced_split(ds)
+        if w is not None:
+            assert equal_sum_split_exists(ds)
+            assert_split(seq, w)
+
+    def test_greedy_balance_without_swap(self):
+        # 3 -> U, 3 -> V, 2 -> U, 2 -> V: the sums meet at 5
+        assert balanced_split(DegreeSequence((2, 3, 2, 3))) == split_with_u(
+            DegreeSequence((2, 3, 2, 3)), (0, 1))
+
+    def test_one_swap_closes_the_gap(self):
+        # greedy: U = {0, 2, 4} (7), V = {1, 3} (5), gap 2; the lowest U
+        # index 0 (degree 3) swaps with the lowest V index of degree 2
+        ds = DegreeSequence((3, 3, 2, 2, 2))
+        assert balanced_split(ds) == split_with_u(ds, (2, 3, 4))
+
+    def test_no_swap_pair(self):
+        # greedy leaves a gap of 4 and no two degrees differ by 2, but six
+        # 5s against two 5s and five 4s is a split
+        ds = DegreeSequence((5,) * 8 + (4,) * 5)
+        assert balanced_split(ds) is None and equal_sum_split_exists(ds)
+
+    def test_odd_sum(self):
+        assert balanced_split(DegreeSequence((2, 1, 1, 1))) is None
+
+    def test_unequal_sides_raise(self, monkeypatch):
+        # an order that loses the first index leaves it on V after the
+        # sides have been balanced without it
+        monkeypatch.setattr("bdr.partition.sorted", lambda items, key: sorted(items, key=key)[1:],
+                            raising=False)
+        with pytest.raises(InvariantError):
+            balanced_split(DegreeSequence((2, 1, 1)))
 
 
 class TestSplitMatchesReference:
