@@ -32,9 +32,8 @@ class DegreeSequence:
         if bool in set(map(type, degrees)):
             raise TypeError("a degree must be an integer, not bool")
         degrees = tuple(map(operator.index, degrees))
-        for d in degrees:
-            if d < 0:
-                raise ValueError(f"negative degree {d}")
+        if min(degrees, default=0) < 0:
+            raise ValueError(f"negative degree {next(d for d in degrees if d < 0)}")
         object.__setattr__(self, "degrees", degrees)
 
     @property
@@ -164,4 +163,4 @@ def degree_window(bounds: ParamBounds, n: int) -> tuple[int, int]:
 def in_class(ds: DegreeSequence, bounds: ParamBounds) -> bool:
     """Exact check that every degree lies in [c1*n, c2*n]."""
     lo, hi = degree_window(bounds, ds.n)
-    return all(lo <= d <= hi for d in ds.degrees)
+    return lo <= min(ds.degrees, default=lo) and max(ds.degrees, default=hi) <= hi

@@ -3,7 +3,10 @@
 Both take the degrees of the two vertex classes U and V as two int
 sequences.  The Gale–Ryser test works on their (value, count) runs.
 Realizations are immutable per-u neighbor tuples; hinge-flips return new
-values.
+values.  A realization is checked where it is built: the tuple constructor
+checks every row entry by entry (long intervals of consecutive v-indices
+by one tuple comparison each), and ``BipartiteRealization.from_intervals``
+takes rows as pieces, checking a range in O(1) and a tuple per entry.
 """
 
 from __future__ import annotations
@@ -55,29 +58,36 @@ def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
     return ends
 
 
+def _vertex_count(v_count) -> int:
+    # exact integers only: operator.index rejects floats, but takes bools
+    if isinstance(v_count, bool):
+        raise TypeError("v_count must be an integer, not bool")
+    n = index(v_count)
+    if n < 0:
+        raise ValueError(f"negative v_count {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class BipartiteRealization:
     """A simple bipartite graph: ``neighbors[u]`` holds the v-indices adjacent
     to u-vertex u, strictly increasing and in ``range(v_count)``.
 
-    Construction checks that invariant, and ``v_degrees`` relies on it.
-    Both take a row of m entries by its leading intervals of consecutive
-    v-indices (``_long_interval_ends``) and the rest per entry: a row of k
-    long intervals costs O(k log m) steps (plus one C-level tuple
-    comparison per interval in the check), and any other row what a
-    per-entry pass costs plus O(1).
+    Both constructors check that invariant, and ``v_degrees`` relies on it.
+    ``BipartiteRealization(v_count, neighbors)`` checks given tuples: it
+    and ``v_degrees`` take a row of m entries by its leading intervals of
+    consecutive v-indices (``_long_interval_ends``) and the rest per entry,
+    so a row of k long intervals costs O(k log m) steps (plus one C-level
+    tuple comparison per interval in the check), and any other row what a
+    per-entry pass costs plus O(1).  ``from_intervals`` builds the rows
+    from pieces and checks an interval given as a range in O(1).
     """
 
     v_count: int
     neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # exact integers only: operator.index rejects floats, but takes bools
-        if isinstance(self.v_count, bool):
-            raise TypeError("v_count must be an integer, not bool")
-        n = index(self.v_count)
-        if n < 0:
-            raise ValueError(f"negative v_count {n}")
+        n = _vertex_count(self.v_count)
         object.__setattr__(self, "v_count", n)
         # one C-level pass: a sum is an int only if every entry is one (the
         # interval checks below would take 5.0 for 5, as 5.0 == 5)
@@ -101,6 +111,58 @@ class BipartiteRealization:
             if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n
                              and all(map(lt, rest, rest[1:]))):
                 raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
+
+    @classmethod
+    def from_intervals(cls, v_count: int,
+                       rows: Iterable[Sequence[range | tuple[int, ...]]]) -> BipartiteRealization:
+        """The realization whose row u joins the pieces of ``rows[u]`` in order.
+
+        A piece is a non-empty step-1 ``range`` or an increasing tuple of
+        ints, and each piece starts after the one before it ends, inside
+        ``range(v_count)``.  A range costs O(1) to check; a tuple gets the
+        per-entry type, order and range checks of the tuple constructor.
+        Faults raise what that constructor raises: TypeError for a bad
+        v_count, a piece that is neither a range nor a tuple, or an entry
+        that is not an int (bools too), and ValueError otherwise.  A row is
+        built as slices of one ``tuple(range(v_count))`` and the tuples,
+        joined in O(k·m) for k pieces and m entries, so ``__post_init__``
+        does not check it again.  A row object given more than once is
+        checked and built once, and its built row is shared.
+        """
+        n = _vertex_count(v_count)
+        names = tuple(range(n))
+        neighbors = []
+        built = {}  # id(pieces): (pieces, row), pieces kept so that no id is reused
+        for u, pieces in enumerate(rows):
+            hit = built.get(id(pieces))
+            if hit is not None:
+                neighbors.append(hit[1])
+                continue
+            parts = []
+            end = 0  # the lowest value the next piece may take
+            for piece in pieces:
+                if type(piece) is range:
+                    if piece.step != 1 or not end <= piece.start < piece.stop <= n:
+                        raise ValueError(f"u-vertex {u}: {piece!r} is empty, has a step "
+                                         f"other than 1, or is out of order or range")
+                    parts.append(names[piece.start:piece.stop])
+                    end = piece.stop
+                elif type(piece) is not tuple or not {int}.issuperset(map(type, piece)):
+                    raise TypeError(f"u-vertex {u}: piece {piece!r} is not a range "
+                                    f"or a tuple of ints")
+                elif piece:
+                    if not (end <= piece[0] and piece[-1] < n
+                            and all(map(lt, piece, piece[1:]))):
+                        raise ValueError(f"u-vertex {u}: piece {piece} out of order or range")
+                    parts.append(piece)
+                    end = piece[-1] + 1
+            row = parts[0] if len(parts) == 1 else sum(parts, ())
+            built[id(pieces)] = pieces, row
+            neighbors.append(row)
+        g = object.__new__(cls)
+        object.__setattr__(g, "v_count", n)
+        object.__setattr__(g, "neighbors", tuple(neighbors))
+        return g
 
     @property
     def u_count(self) -> int:

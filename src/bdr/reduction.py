@@ -183,35 +183,40 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
                              semi_deg)
 
 
-def _round_robin_rows(block: tuple[int, ...], a_count: int, a_deg: int,
-                      b_deg: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of a semi-regular block: a_count vertices of degree a_deg
-    against the vertices of ``block`` (increasing), each of degree b_deg.
+def _round_robin_rows(offset: int, b_count: int, a_count: int, a_deg: int,
+                      b_deg: int, head: tuple[range, ...] = ()) -> tuple[tuple[range, ...], ...]:
+    """The rows of a semi-regular block, as ``from_intervals`` pieces:
+    a_count vertices of degree a_deg against the b_count vertices from
+    ``offset`` on, each of degree b_deg, every row after the pieces ``head``.
 
-    Row i is the a_deg consecutive entries of ``block`` from position
-    i*a_deg mod len(block), wrapping: one slice, or two where it wraps, the
-    wrapped part first so the row stays increasing.  As a_deg <= len(block),
+    Row i is the a_deg consecutive vertices of the block from position
+    i*a_deg mod b_count, wrapping: one range, or two where it wraps, the
+    wrapped part first so the row stays increasing.  As a_deg <= b_count,
     no pair repeats; the runs tile positions 0 .. a_count*a_deg - 1 =
-    len(block)*b_deg - 1, so every entry is taken exactly b_deg times.  The
-    rows share ``block``'s int objects.
+    b_count*b_deg - 1, so every vertex is taken exactly b_deg times.  Row
+    i + p repeats row i for p = b_count / gcd(a_deg, b_count), and p
+    divides a_count as the degree sums agree; the p distinct rows are built
+    once and repeated as the same objects, which ``from_intervals`` then
+    builds once each.
     """
-    b_count = len(block)
-    if min(a_count, a_deg, b_deg) < 0:
+    if min(b_count, a_count, a_deg, b_deg) < 0:
         raise ValueError("all parameters must be nonnegative")
     if a_count * a_deg != b_count * b_deg:
         raise ValueError(
             f"degree sums differ: {a_count}*{a_deg} != {b_count}*{b_deg}")
     if a_deg == 0:
-        return ((),) * a_count
+        return (head,) * a_count
     if a_deg > b_count or b_deg > a_count:
         raise ValueError("degree exceeds the opposite class size")
+    period = b_count // gcd(a_deg, b_count)
+    stop = offset + b_count
     rows = []
-    for i in range(a_count):
-        start = i * a_deg % b_count
+    for i in range(period):
+        start = offset + i * a_deg % b_count
         end = start + a_deg
-        rows.append(block[start:end] if end <= b_count
-                    else block[:end - b_count] + block[start:])
-    return tuple(rows)
+        rows.append(head + ((range(start, end),) if end <= stop
+                            else (range(offset, end - b_count), range(start, stop))))
+    return tuple(rows) * (a_count // period)
 
 
 def semiregular_bipartite(a_count: int, a_deg: int,
@@ -219,12 +224,12 @@ def semiregular_bipartite(a_count: int, a_deg: int,
     """A bipartite graph with constant degrees a_deg and b_deg per class.
 
     Built by the modular round-robin pattern (``_round_robin_rows``): vertex
-    i takes the a_deg consecutive residues from i*a_deg mod b_count.
+    i takes the a_deg consecutive residues from i*a_deg mod b_count.  Every
+    row is one or two ranges, so ``BipartiteRealization.from_intervals``
+    checks each in O(1).
     """
-    if b_count < 0:
-        raise ValueError("all parameters must be nonnegative")
-    return BipartiteRealization(
-        b_count, _round_robin_rows(tuple(range(b_count)), a_count, a_deg, b_deg))
+    return BipartiteRealization.from_intervals(
+        b_count, _round_robin_rows(0, b_count, a_count, a_deg, b_deg))
 
 
 def lift_realization(g: BipartiteRealization, split: SplitWitness,
@@ -244,8 +249,13 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     its own, U_S x V_L with degrees ``small_value`` on U_S and ``semi_deg``
     on V_L.  So a slot vertex of source degree d has degree d + shift_base
     (a padding slot is a filler), an L vertex has S/2 + shift_base +
-    semi_deg = big_value, and an S vertex has small_value.  Every row is a
-    slice of one tuple of vertex indices, or a concatenation of slices.
+    semi_deg = big_value, and an S vertex has small_value.  The rows go to
+    ``BipartiteRealization.from_intervals`` as pieces: the complete blocks
+    and the round-robin rows are ranges, checked in O(1) each, and only
+    ``g``'s own rows are tuples, checked per entry.  Each row is built as
+    slices of one tuple of vertex indices, joined with ``g``'s row, and a
+    round-robin row that repeats (``_round_robin_rows``) is built once and
+    shared.
     """
     src = inst.source
     u_idx = split.u_indices()
@@ -259,17 +269,14 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     half_n = inst.n // 2
     s_side = half_n - shift          # |U_S| = |V_S|
     l_off, s_off = half_s, half_s + shift
-    total = half_s + half_n
-    names = tuple(range(total))
-    l_block = names[l_off:s_off]
-    g_and_l = names[:s_off]
-    l_to_s = _round_robin_rows(names[s_off:], shift, inst.semi_deg, inst.small_value)
-    s_to_l = _round_robin_rows(l_block, s_side, inst.small_value, inst.semi_deg)
-    neighbors = ([nbrs + l_block for nbrs in g.neighbors]
-                 + [l_block] * (half_s - g.u_count)
-                 + [g_and_l + nbrs for nbrs in l_to_s]
-                 + list(s_to_l))
-    lifted = BipartiteRealization(total, tuple(neighbors))
+    l_block = range(l_off, s_off)
+    g_and_l = range(s_off)
+    rows = ([(nbrs, l_block) for nbrs in g.neighbors]
+            + [(l_block,)] * (half_s - g.u_count)
+            + list(_round_robin_rows(s_off, s_side, shift, inst.semi_deg,
+                                     inst.small_value, (g_and_l,)))
+            + list(_round_robin_rows(l_off, shift, s_side, inst.small_value, inst.semi_deg)))
+    lifted = BipartiteRealization.from_intervals(half_s + half_n, rows)
 
     expected: list[int] = sorted(inst.d_prime.degrees)
     got = sorted(lifted.u_degrees() + lifted.v_degrees())

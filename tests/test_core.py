@@ -176,6 +176,18 @@ class TestInClass:
                         assert in_class(ds, bounds) == expected, (c1, c2, n, d)
         assert empty > 0
 
+    @given(st.data())
+    def test_mixed_degrees_match_per_degree_definition(self, data):
+        # degrees at both window edges and one past each, in any mix, and ()
+        c1, c2 = sorted(data.draw(st.lists(st.fractions(0, 1, max_denominator=12),
+                                           min_size=2, max_size=2)))
+        bounds = ParamBounds(c1, c2)
+        n = data.draw(st.integers(0, 24))
+        lo, hi = degree_window(bounds, n)
+        edges = sorted({max(d, 0) for d in (lo - 1, lo, hi, hi + 1)})
+        ds = DegreeSequence(data.draw(st.lists(st.sampled_from(edges), min_size=n, max_size=n)))
+        assert in_class(ds, bounds) == all(c1 * n <= d <= c2 * n for d in ds.degrees)
+
     def test_window_of_length_zero(self):
         assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 0) == (0, 0)
         assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 5) == (2, 2)
@@ -199,6 +211,15 @@ class TestDegreeSequence:
         # int() would have truncated 2.7 to 2 and taken True as 1
         with pytest.raises(TypeError):
             DegreeSequence(degrees)
+
+    @given(st.lists(st.integers(-3, 3), max_size=8))
+    def test_first_negative_degree_is_named(self, degrees):
+        negative = [d for d in degrees if d < 0]
+        if negative:
+            with pytest.raises(ValueError, match=f"^negative degree {negative[0]}$"):
+                DegreeSequence(degrees)
+        else:
+            assert DegreeSequence(degrees).degrees == tuple(degrees)
 
     def test_numpy_integers_accepted(self):
         degrees = DegreeSequence(np.array([3, 0])).degrees

@@ -352,9 +352,10 @@ def interval_graph(draw):
 
 
 def round_robin_graphs():
-    """Semi-regular blocks as the lift builds them: round-robin rows over a
-    block of v-indices at an offset, each row also after a complete prefix
-    (the lift's U_L rows), including the rows that wrap."""
+    """Semi-regular blocks as the lift builds them, as ``from_intervals``
+    pieces: round-robin rows over a block of v-indices at an offset, each
+    row also after a complete prefix (the lift's U_L rows), including the
+    rows that wrap."""
     for b_count in (1, 2, 7, 9, 24, 40, 97):
         for a_deg in sorted({1, 2, b_count // 3, b_count // 2, b_count - 1, b_count} - {0}):
             for b_deg in (1, 2, 3):
@@ -364,10 +365,13 @@ def round_robin_graphs():
                 if b_deg > a_count:
                     continue
                 for offset in (0, 5, 30):
-                    block = tuple(range(offset, offset + b_count))
-                    rows = _round_robin_rows(block, a_count, a_deg, b_deg)
-                    prefixed = tuple(tuple(range(offset)) + row for row in rows)
-                    yield offset + b_count, rows + prefixed
+                    rows = _round_robin_rows(offset, b_count, a_count, a_deg, b_deg)
+                    prefix = (range(offset),) if offset else ()
+                    yield offset + b_count, rows + tuple(prefix + row for row in rows)
+
+
+def flatten(piece_rows):
+    return tuple(tuple(v for piece in row for v in piece) for row in piece_rows)
 
 
 class TestIntervalKernels:
@@ -388,8 +392,10 @@ class TestIntervalKernels:
 
     def test_round_robin_rows(self):
         checked = 0
-        for v_count, rows in round_robin_graphs():
+        for v_count, piece_rows in round_robin_graphs():
+            rows = flatten(piece_rows)
             g = BipartiteRealization(v_count, rows)
+            assert BipartiteRealization.from_intervals(v_count, piece_rows) == g
             assert g.v_degrees() == per_entry_v_degrees(v_count, rows), (v_count, rows)
             checked += 1
         assert checked > 100
@@ -431,6 +437,93 @@ class TestIntervalKernels:
         bad = rows[:i] + (tuple(row),) + rows[i + 1:]
         with pytest.raises(ValueError):
             BipartiteRealization(v_count, bad)
+
+
+@st.composite
+def piece_graph(draw):
+    """(v_count, rows, piece rows): each row of ``interval_graph`` cut at
+    random points, and each cut piece of consecutive values a range or a
+    tuple at random (the others are tuples), so that ranges touch."""
+    v_count, rows = draw(interval_graph())
+    piece_rows = []
+    for row in rows:
+        cuts = sorted(draw(st.sets(st.integers(1, max(len(row) - 1, 1)), max_size=6)))
+        pieces = []
+        for a, b in zip([0] + cuts, cuts + [len(row)]):
+            piece = row[a:b]
+            if not piece:
+                continue
+            consecutive = piece[-1] - piece[0] == len(piece) - 1
+            pieces.append(range(piece[0], piece[-1] + 1)
+                          if consecutive and draw(st.booleans()) else piece)
+        piece_rows.append(tuple(pieces))
+    return v_count, rows, tuple(piece_rows)
+
+
+class TestFromIntervals:
+    """``from_intervals`` checks a range piece in O(1) and a tuple piece per
+    entry; it must build what the tuple constructor accepts and reject what
+    it rejects, with the same error types."""
+
+    @given(piece_graph())
+    @settings(max_examples=300, deadline=None)
+    @example((10, ((0, 1, 2, 3, 4, 5, 6, 7, 8),), ((range(0, 5), range(5, 9)),)))
+    @example((3, ((), (0, 1, 2)), ((), (range(0, 1), (1,), range(2, 3)))))
+    def test_matches_tuple_constructor(self, graph):
+        v_count, rows, piece_rows = graph
+        g = BipartiteRealization.from_intervals(v_count, piece_rows)
+        expected = BipartiteRealization(v_count, rows)
+        assert g.neighbors == expected.neighbors and g.v_count == expected.v_count
+        assert g.v_degrees() == expected.v_degrees() == per_entry_v_degrees(v_count, rows)
+
+    def test_repeated_row_object_is_built_once(self):
+        row = (range(2, 5), (7, 9))
+        g = BipartiteRealization.from_intervals(10, (row, ((1,),), row))
+        assert g.neighbors == ((2, 3, 4, 7, 9), (1,), (2, 3, 4, 7, 9))
+        assert g.neighbors[0] is g.neighbors[2]
+        with pytest.raises(ValueError):
+            BipartiteRealization.from_intervals(10, ((range(2),), ((9, 8),), ((9, 8),)))
+
+    def test_rows_from_a_generator(self):
+        # each row is a fresh tuple, freed once read, so the next row but one
+        # may reuse its id: a row built by id alone repeated row 0 here
+        def row(i):
+            return (range(20 * i, 20 * i + 4), range(20 * i + 5, 20 * i + 9),
+                    range(20 * i + 10, 20 * i + 14))
+        g = BipartiteRealization.from_intervals(200, (row(i) for i in range(8)))
+        assert g.neighbors == tuple(tuple(v for piece in row(i) for v in piece)
+                                    for i in range(8))
+
+    @pytest.mark.parametrize("row", [
+        (range(0, 6, 2),),             # step 2
+        (range(5, 0, -1),),            # step -1
+        (range(3, 3),),                # empty
+        (range(0, 5), range(4, 8)),    # overlapping ranges
+        (range(5, 8), range(0, 3)),    # out of order
+        ((0, 5), range(5, 7)),         # a tuple overlapping the next range
+        (range(0, 5), (4, 6)),         # a range overlapping the next tuple
+        ((1, 3), (3, 4)),              # two overlapping tuples
+        ((2, 1),),                     # a tuple out of order
+        (range(8, 11),),               # stop past v_count
+        ((9, 10),),
+        (range(-2, 3),),               # negative start
+        ((-1, 0),),
+    ])
+    def test_rejects_bad_pieces(self, row):
+        with pytest.raises(ValueError):
+            BipartiteRealization.from_intervals(10, ((range(2),), row))
+
+    @pytest.mark.parametrize("piece", [(0.0,), (0, 1.0), (True,), (0, False),
+                                       (Fraction(1),), [0, 1], 3])
+    def test_rejects_non_integer_pieces(self, piece):
+        with pytest.raises(TypeError):
+            BipartiteRealization.from_intervals(10, ((range(2),), (piece,)))
+
+    @pytest.mark.parametrize("v_count, error", [(True, TypeError), (2.0, TypeError),
+                                                (2.5, TypeError), (-1, ValueError)])
+    def test_rejects_bad_v_count(self, v_count, error):
+        with pytest.raises(error):
+            BipartiteRealization.from_intervals(v_count, ((), ()))
 
 
 class TestHingeFlip:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -18,7 +19,7 @@ from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
 from bdr.gale_ryser import BipartiteRealization, construct_realization
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.reduction import _ceil_sqrt, _floor_sqrt
+from bdr.reduction import _ceil_sqrt, _floor_sqrt, _round_robin_rows
 from conftest import reduction_corpus
 
 F = Fraction
@@ -280,6 +281,27 @@ class TestSemiregular:
         with pytest.raises(ValueError):
             semiregular_bipartite(2, 4, 3, 8)
 
+    @pytest.mark.parametrize("params", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
+                                        (0, 0, 0, -1)])
+    def test_negative_parameter(self, params):
+        with pytest.raises(ValueError, match="nonnegative"):
+            semiregular_bipartite(*params)
+
+    def test_rows_are_ranges_at_the_offset(self):
+        # the lift places each block at an offset; the rows are one range,
+        # or two where they wrap, the wrapped part first
+        rows = _round_robin_rows(10, 6, 4, 3, 2)
+        assert rows == (
+            (range(10, 13),), (range(13, 16),), (range(10, 13),), (range(13, 16),))
+        # a repeated row is the same object, which from_intervals builds once
+        assert rows[0] is rows[2] and rows[1] is rows[3]
+        assert _round_robin_rows(10, 6, 4, 3, 2, (range(2), range(4, 6))) == (
+            (range(2), range(4, 6), range(10, 13)), (range(2), range(4, 6), range(13, 16))) * 2
+        assert _round_robin_rows(10, 5, 5, 2, 2) == (
+            (range(10, 12),), (range(12, 14),), (range(10, 11), range(14, 15)),
+            (range(11, 13),), (range(13, 15),))
+        assert _round_robin_rows(10, 5, 3, 0, 0) == ((), (), ())
+
     def test_random_parameters(self):
         # every feasible parameter set with both counts <= 12: the round-robin
         # pattern alone must produce exact degrees, with no repeated edge
@@ -385,6 +407,33 @@ def test_lift_project_every_bound():
             assert (back.neighbors, back.v_count) == (g.neighbors, g.v_count), (c1, c2, seq)
             lifted_count += 1
     assert lifted_count == 38
+
+
+# sha256 over repr((source, v_count, neighbors)) of each lifted graph of
+# the benchmark's plan, realizable sources in corpus order, as the lift of
+# the tuple constructor built them
+LIFT_DIGESTS = {
+    (F(1, 10), F(2, 5)): "320789c3e32b8a6af9307253beea27a8e407bcb2f87edce6809cf12339024eac",
+    (F(1, 20), F(9, 20)): "586cb73c14e164a5ce6c0569f1d4cf1edf8e27cc928c03fb393a82ea34498978",
+    (F(3, 20), F(2, 5)): "35157b9817e827541379ba40ee3957441bbc2c0ce1ba8be07a754f10ad57df3c",
+}
+
+
+@pytest.mark.parametrize("c1, c2", list(LIFT_DIGESTS))
+def test_lifted_graphs_are_golden(c1, c2):
+    """The lift builds the same neighbor tuples, byte for byte, as when it
+    built them through the tuple constructor, and each passes that
+    constructor's checks."""
+    digest = hashlib.sha256()
+    for seq in reduction_corpus(BENCHMARK_PLAN[c1, c2]):
+        inst = build_hard_instance(DegreeSequence(seq), ParamBounds(c1, c2))
+        found = decide_exact(inst.source)
+        if found.realization is None:
+            continue
+        lifted = lift_realization(found.realization, found.split, inst)
+        assert BipartiteRealization(lifted.v_count, lifted.neighbors) == lifted, seq
+        digest.update(repr((seq, lifted.v_count, lifted.neighbors)).encode())
+    assert digest.hexdigest() == LIFT_DIGESTS[c1, c2]
 
 
 class TestRoundTripVerdicts:
