@@ -117,17 +117,23 @@ def run_lbds(args) -> int:
 
 
 def run_reduce(args) -> int:
+    """Write the instance as ``_emit`` would.  "roles" is the last key in
+    sorted order, so it is appended to the dump of the other keys, and each
+    distinct ``Role`` object, most of them shared, is rendered once."""
     ds = _read_sequence(args.file)
     inst = reduction.build_hard_instance(ds, _bounds(args))
-    _emit({
+    rest = json.dumps({
         "r": str(inst.r),
         "c1_tilde": str(inst.c1_tilde),
         "c2_tilde": str(inst.c2_tilde),
         "n": inst.n,
         "d_prime": list(inst.d_prime.degrees),
-        "roles": [{"kind": role.kind, "source_index": role.source_index}
-                  for role in inst.roles],
-    })
+    }, sort_keys=True)
+    roles = inst.roles
+    # keys already in sorted order, so no sort_keys (and its fresh encoder)
+    text = {key: json.dumps({"kind": role.kind, "source_index": role.source_index})
+            for key, role in dict(zip(map(id, roles), roles)).items()}
+    print(rest[:-1] + ', "roles": [' + ", ".join(map(text.__getitem__, map(id, roles))) + "]}")
     return 0
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, index, lt
+from itertools import accumulate, repeat
+from operator import add, index, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidMoveError, InvariantError
@@ -79,8 +79,12 @@ class BipartiteRealization:
     consecutive v-indices (``_long_interval_ends``) and the rest per entry,
     so a row of k long intervals costs O(k log m) steps (plus one C-level
     tuple comparison per interval in the check), and any other row what a
-    per-entry pass costs plus O(1).  ``from_intervals`` builds the rows
-    from pieces and checks an interval given as a range in O(1).
+    per-entry pass costs plus O(1).  ``v_degrees`` walks a row object that
+    occurs more than once only once.  Entries must be ints, not bools: a
+    row that is strictly increasing from 0 can hold False or True only as
+    its first two entries, so those two are tested, and only when the first
+    is below 2.  ``from_intervals`` builds the rows from pieces and checks
+    an interval given as a range in O(1).
     """
 
     v_count: int
@@ -96,6 +100,8 @@ class BipartiteRealization:
             raise TypeError(f"u-vertex {u}: neighbors {self.neighbors[u]} are not all integers")
         names = None  # tuple(range(n)), built at the first long interval
         for u, nbrs in enumerate(self.neighbors):
+            if not nbrs:
+                continue
             rest = nbrs  # what the per-entry check must still prove
             if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
                 p = 0
@@ -108,9 +114,13 @@ class BipartiteRealization:
                         break  # the per-entry check finds the fault
                     p = end
                 rest = nbrs[p:]
-            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n
-                             and all(map(lt, rest, rest[1:]))):
+            if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, rest, rest[1:]))):
                 raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
+            # the sum admits bools; a row that is strictly increasing from 0
+            # can hold False only as entry 0 and True only as entry 0 or 1
+            if nbrs[0] < 2 and (type(nbrs[0]) is bool
+                                or len(nbrs) > 1 and type(nbrs[1]) is bool):
+                raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
 
     @classmethod
     def from_intervals(cls, v_count: int,
@@ -176,18 +186,34 @@ class BipartiteRealization:
         return tuple(map(len, self.neighbors))
 
     def v_degrees(self) -> tuple[int, ...]:
+        """The degree of each v-vertex.
+
+        A row object that occurs t times is walked once and counted t times
+        (rows are told apart by ``id``, stable while ``neighbors`` holds
+        them), so a graph with shared rows, as the lift builds, costs its
+        distinct rows.  Each row is taken by its long intervals, +t / -t at
+        their ends, and its other entries one by one, +t each.  When no row
+        repeats, the rows are walked as they are, with no count.
+        """
+        rows = self.neighbors
         deg = [0] * self.v_count
-        starts = [0] * (self.v_count + 1)  # +1 / -1 at each long interval's ends
-        for nbrs in self.neighbors:
+        starts = [0] * (self.v_count + 1)  # +t / -t at each long interval's ends
+        times = repeat(1)
+        distinct = dict(zip(map(id, rows), rows))
+        if len(distinct) < len(rows):
+            # both in the order of first occurrence
+            times = Counter(map(id, rows)).values()
+            rows = distinct.values()
+        for nbrs, t in zip(rows, times):
             if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
                 p = 0
                 for end in _long_interval_ends(nbrs):
-                    starts[nbrs[p]] += 1
-                    starts[nbrs[end - 1] + 1] -= 1
+                    starts[nbrs[p]] += t
+                    starts[nbrs[end - 1] + 1] -= t
                     p = end
                 nbrs = nbrs[p:]
             for v in nbrs:
-                deg[v] += 1
+                deg[v] += t
         return tuple(map(add, deg, accumulate(starts)))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -406,13 +432,17 @@ def edge_chunks(g: BipartiteRealization, head: str, tail: str,
 
     Edge (u, v) reads ``head.format(u) + str(v) + tail``.  One chunk is
     yielded per u-vertex with edges, its edges separated by ``sep``; joined
-    by ``sep``, the chunks give the whole edge list.
+    by ``sep``, the chunks give the whole edge list.  Each v-index is
+    rendered once, with ``tail``, and a row's strings are fetched by one
+    ``itemgetter`` call.
     """
-    names = [str(v) for v in range(g.v_count)]
+    names = [str(v) + tail for v in range(g.v_count)]
     for u, nbrs in enumerate(g.neighbors):
-        if nbrs:
+        if len(nbrs) > 1:
             first = head.format(u)
-            yield first + (tail + sep + first).join(map(names.__getitem__, nbrs)) + tail
+            yield first + (sep + first).join(itemgetter(*nbrs)(names))
+        elif nbrs:  # itemgetter of one index returns the item, not a tuple
+            yield head.format(u) + names[nbrs[0]]
 
 
 def format_realization(g: BipartiteRealization) -> str:

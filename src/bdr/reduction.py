@@ -10,9 +10,10 @@ construction.
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse
 from math import gcd, isqrt
 
 from .core import DegreeSequence, ParamBounds, in_class
@@ -307,20 +308,42 @@ def project_realization(g_prime: BipartiteRealization,
     98, 160 of 314 and 6 of 11 realizations raised ProjectionAuditError,
     each with its big vertices uneven, and every realization with them
     even projected.
+
+    The big v-vertices are cut out of each distinct row object once (rows
+    are told apart by ``id``), by the maximal intervals they form: two
+    binary searches and a slice for each interval that meets the row or
+    lies between two of its entries, O(log m) each on a row of m entries.
+    A lifted graph's big v-vertices are the one interval V_L, and its rows
+    are mostly shared.
     """
     u_deg = g_prime.u_degrees()
     v_deg = g_prime.v_degrees()
     big = inst.big_value
     shift = inst.shift_base
     expected_per_side = inst.big_count // 2
-    big_v = {j for j, d in enumerate(v_deg) if d == big}
-    if u_deg.count(big) != expected_per_side or len(big_v) != expected_per_side:
+    is_big = bytes(map(big.__eq__, v_deg))  # 1 at each big v-vertex
+    if u_deg.count(big) != expected_per_side or is_big.count(1) != expected_per_side:
         raise ProjectionAuditError(
-            f"big-degree vertices split {u_deg.count(big)}/{len(big_v)}, "
+            f"big-degree vertices split {u_deg.count(big)}/{is_big.count(1)}, "
             f"expected {expected_per_side} per side")
+    spans = [run.span() for run in re.finditer(b"\x01+", is_big)]  # maximal big intervals
+    stops = [b for _, b in spans]
+    rows = g_prime.neighbors
+    cut = {}  # id(row): the row without its big v-vertices
+    for key, nbrs in dict(zip(map(id, rows), rows)).items():
+        kept = []
+        i, m = 0, len(nbrs)
+        while i < m:
+            k = bisect_right(stops, nbrs[i])  # the first interval ending past nbrs[i]
+            if k == len(stops):
+                kept.append(nbrs[i:])
+                break
+            j = bisect_left(nbrs, spans[k][0], i)
+            kept.append(nbrs[i:j])
+            i = bisect_left(nbrs, stops[k], j)
+        cut[key] = kept[0] if len(kept) == 1 else sum(kept, ())
     residual = BipartiteRealization(g_prime.v_count, tuple(
-        () if d == big else tuple(filterfalse(big_v.__contains__, nbrs))
-        for d, nbrs in zip(u_deg, g_prime.neighbors)))
+        () if d == big else cut[id(nbrs)] for d, nbrs in zip(u_deg, rows)))
     res_u = residual.u_degrees()
     res_v = residual.v_degrees()
 

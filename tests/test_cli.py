@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from bdr import cli
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
-from bdr.reduction import build_hard_instance
+from bdr.reduction import Role, build_hard_instance
 from conftest import reduction_corpus
 
 F = Fraction
@@ -411,6 +412,28 @@ class TestReduce:
         f = write(tmp_path, "d.txt", "2 1 1 1 1\n")
         code, _, err = run(capsys, ["reduce", "--c1", "1/3", "--c2", "1/3", f])
         assert code == 3
+
+    @pytest.mark.parametrize("c1, c2, text", [("1/10", "2/5", "2 1 1 1 1"),
+                                              ("1/20", "9/20", "4 3 3 2 2 2"),
+                                              ("3/20", "2/5", "1 1 1 1")])
+    @pytest.mark.parametrize("fresh_roles", [False, True])
+    def test_bytes_equal_one_sorted_dump(self, tmp_path, capsys, c1, c2, text, fresh_roles):
+        # each distinct Role object is rendered once; with fresh_roles no
+        # two entries share one, though many are equal
+        inst = build_hard_instance(DegreeSequence(tuple(map(int, text.split()))),
+                                   ParamBounds(Fraction(c1), Fraction(c2)))
+        if fresh_roles:
+            inst = dataclasses.replace(inst, roles=tuple(
+                Role(role.kind, role.source_index) for role in inst.roles))
+        f = write(tmp_path, "d.txt", text + "\n")
+        with mock.patch.object(cli.reduction, "build_hard_instance", lambda ds, bounds: inst):
+            code, out, _ = run(capsys, ["reduce", "--c1", c1, "--c2", c2, f])
+        assert code == 0
+        assert out == json.dumps({
+            "r": str(inst.r), "c1_tilde": str(inst.c1_tilde), "c2_tilde": str(inst.c2_tilde),
+            "n": inst.n, "d_prime": list(inst.d_prime.degrees),
+            "roles": [{"kind": role.kind, "source_index": role.source_index}
+                      for role in inst.roles]}, sort_keys=True) + "\n"
 
 
 class TestVerifyReduction:

@@ -316,6 +316,18 @@ class TestRealizationLayout:
         with pytest.raises(TypeError):
             BipartiteRealization(14, neighbors)
 
+    @pytest.mark.parametrize("row", [(False, True), (0, True), (True,), (False,),
+                                     (False, 1), (True, 2, 3)])
+    def test_rejects_bool_entries(self, row):
+        # a sum of bools is an int, so the type check let these through and
+        # sorted_edges() held (0, False)
+        with pytest.raises(TypeError):
+            BipartiteRealization(4, ((2, 3), row))
+
+    def test_accepts_zero_and_one(self):
+        g = BipartiteRealization(2, ((0, 1), (1,), (0,)))
+        assert g.neighbors == ((0, 1), (1,), (0,)) and g.v_degrees() == (2, 2)
+
     def test_v_count_zero_with_empty_rows(self):
         g = BipartiteRealization(0, ((), ()))
         assert g.v_degrees() == () and format_realization(g) == "p bipartite 2 0 0"
@@ -389,6 +401,17 @@ class TestIntervalKernels:
         v_count, rows = graph
         g = BipartiteRealization(v_count, rows)
         assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
+
+    @given(st.lists(interval_row(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_v_degrees_count_a_shared_row_per_occurrence(self, pool, data):
+        # a row object given t times is walked once and counted t times
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        rows = tuple(pool[i] for i in picks)
+        v_count = max((row[-1] + 1 for row in pool if row), default=0)
+        g = BipartiteRealization(v_count, rows)
+        copies = BipartiteRealization(v_count, tuple(tuple(list(row)) for row in rows))
+        assert g.v_degrees() == per_entry_v_degrees(v_count, rows) == copies.v_degrees()
 
     def test_round_robin_rows(self):
         checked = 0

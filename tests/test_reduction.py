@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, filterfalse
 
 import pytest
 
@@ -407,6 +407,126 @@ def test_lift_project_every_bound():
             assert (back.neighbors, back.v_count) == (g.neighbors, g.v_count), (c1, c2, seq)
             lifted_count += 1
     assert lifted_count == 38
+
+
+def per_entry_projection(g_prime, inst):
+    """``project_realization`` as it was when it removed the big v-vertices
+    from each row entry by entry (``filterfalse``), with the degrees
+    counted entry by entry too: the reference of the interval cut."""
+    u_deg = tuple(map(len, g_prime.neighbors))
+    v_counts = Counter(chain.from_iterable(g_prime.neighbors))
+    v_deg = tuple(v_counts[v] for v in range(g_prime.v_count))
+    big = inst.big_value
+    shift = inst.shift_base
+    expected_per_side = inst.big_count // 2
+    big_v = {j for j, d in enumerate(v_deg) if d == big}
+    if u_deg.count(big) != expected_per_side or len(big_v) != expected_per_side:
+        raise ProjectionAuditError(
+            f"big-degree vertices split {u_deg.count(big)}/{len(big_v)}, "
+            f"expected {expected_per_side} per side")
+    residual_rows = tuple(() if d == big else tuple(filterfalse(big_v.__contains__, nbrs))
+                          for d, nbrs in zip(u_deg, g_prime.neighbors))
+    res_u = tuple(map(len, residual_rows))
+    res_counts = Counter(chain.from_iterable(residual_rows))
+    res_v = tuple(res_counts[v] for v in range(g_prime.v_count))
+    shifted_values = sorted(d + shift for d in inst.source.degrees)
+
+    def audit_side(deg, res, side):
+        kept = []
+        for i, d in enumerate(deg):
+            if d == big:
+                continue
+            if d > shift:
+                if res[i] != d - shift:
+                    raise ProjectionAuditError(
+                        f"{side}-vertex {i}: degree {d}, residual {res[i]}, "
+                        f"expected {d - shift}")
+                kept.append(i)
+            elif res[i] != 0:
+                raise ProjectionAuditError(
+                    f"{side}-vertex {i}: non-shifted residual degree {res[i]}")
+        return kept
+
+    keep_u = audit_side(u_deg, res_u, "u")
+    keep_v = audit_side(v_deg, res_v, "v")
+    if sorted([u_deg[i] for i in keep_u] + [v_deg[j] for j in keep_v]) != shifted_values:
+        raise ProjectionAuditError("shifted-degree multiset does not match the source")
+    if sum(u_deg[i] - shift for i in keep_u) * 2 != inst.S:
+        raise ProjectionAuditError("shifted degrees do not split the source sum evenly")
+    v_map = {old: new for new, old in enumerate(keep_v)}
+    return BipartiteRealization(len(keep_v), tuple(
+        tuple(map(v_map.__getitem__, residual_rows[u])) for u in keep_u))
+
+
+def projection_or_error(project, g_prime, inst):
+    try:
+        back = project(g_prime, inst)
+    except ProjectionAuditError as exc:
+        return "error", str(exc)
+    return back.v_count, back.neighbors
+
+
+def without_edge(g, u, v):
+    neighbors = list(g.neighbors)
+    neighbors[u] = tuple(w for w in neighbors[u] if w != v)
+    return BipartiteRealization(g.v_count, tuple(neighbors))
+
+
+def with_v_permuted(g, rng):
+    """``g`` with its v-vertices relabeled at random, so that the big ones
+    are scattered; rows that were one object stay one object."""
+    perm = list(range(g.v_count))
+    rng.shuffle(perm)
+    relabeled = {}
+    return BipartiteRealization(g.v_count, tuple(
+        relabeled.setdefault(id(nbrs), tuple(sorted(map(perm.__getitem__, nbrs))))
+        for nbrs in g.neighbors))
+
+
+class TestProjectionMatchesPerEntry:
+    """The projection cuts the intervals of big v-vertices out of each
+    distinct row; it must return what the per-entry removal returns, or
+    raise the same error with the same message."""
+
+    def test_lifted_permuted_and_tampered_graphs(self):
+        rng = random.Random(23)
+        outcomes = Counter()
+        for (c1, c2), max_sum in BENCHMARK_PLAN.items():
+            bounds = ParamBounds(c1, c2)
+            for seq in reduction_corpus(max_sum):
+                inst = build_hard_instance(DegreeSequence(seq), bounds)
+                found = decide_exact(inst.source)
+                if found.realization is None:
+                    continue
+                lifted = lift_realization(found.realization, found.split, inst)
+                permuted = with_v_permuted(lifted, rng)
+                edges = lifted.sorted_edges()
+                graphs = [lifted, permuted,
+                          without_edge(lifted, *rng.choice(edges)),
+                          without_edge(permuted, *rng.choice(permuted.sorted_edges()))]
+                for g in graphs:
+                    got = projection_or_error(project_realization, g, inst)
+                    assert got == projection_or_error(per_entry_projection, g, inst), seq
+                    outcomes[got[0] == "error"] += 1
+        # both outcomes occur: the lifted and permuted graphs project, and
+        # most single-edge removals break an audit
+        assert outcomes[False] >= 2 * 38 and outcomes[True] > 0
+
+    def test_tampered_graph(self):
+        # the graph of TestLiftProject.test_project_rejects_tampered_graph,
+        # plus removals that break the big-vertex split on either side
+        inst = build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
+        found = decide_exact(inst.source)
+        lifted = lift_realization(found.realization, found.split, inst)
+        big = inst.big_value
+        u_deg, v_deg = lifted.u_degrees(), lifted.v_degrees()
+        picks = [(u_deg[u] != big, v_deg[v] != big) for u, v in lifted.sorted_edges()]
+        for kind in [(True, True), (False, False), (True, False), (False, True)]:
+            u, v = lifted.sorted_edges()[picks.index(kind)]
+            g = without_edge(lifted, u, v)
+            got = projection_or_error(project_realization, g, inst)
+            assert got[0] == "error", kind
+            assert got == projection_or_error(per_entry_projection, g, inst), kind
 
 
 # sha256 over repr((source, v_count, neighbors)) of each lifted graph of
