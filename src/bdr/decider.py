@@ -136,7 +136,6 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     In the low region every equal-sum split is bigraphic, so the witness is
     ``balanced_split``'s split, or, when that finds none, the split DP's
     (``find_equal_sum_split``), which also decides that no split exists.
-    Low-region witnesses were the DP's alone before ``balanced_split``.
     Outside the tractable regions the verdict is an honest Undecided; use
     decide_exact.
     """
@@ -194,13 +193,10 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     finds a count vector that passes; that vector is the new k*.  Otherwise
     no split below passes, the branch is skipped and its splits, the sum of
     prod C(open_t, k_t) over its count vectors, are added to the splits
-    examined, up to the budget.  A run whose box has none stays so below
-    the node, as boxes only shrink.  Either count walk in a box stops after
-    m nodes, and the branch is then walked split by split, without asking
-    again below it.  A budget of at most m splits is met within m + 1
-    splits read one by one, so the walk then reads them without the test.
-    So the witness is the walk's first accepted split, and the budget is
-    passed at the same split as in a walk that reads them all.
+    examined, up to the budget.  Either count walk in a box stops after m
+    nodes, and the branch is then walked split by split, without asking
+    again below it.  So the witness is the walk's first accepted split, and
+    the budget is passed at the same split as in a walk that reads them all.
 
     Raises BudgetExceededError rather than returning a wrong verdict once
     more than ``budget`` splits would be examined.
@@ -272,7 +268,6 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
             sets_at[i] = sets_at[i - 1] * math.comb(hi_box[i - 1] - lo, k - k_at[i - 1] - lo)
         return nodes <= m or None
 
-    failed: set[int] = set()  # runs whose include box has no count vector that passes
     lo_box = hi_box = counts  # the box of the last branch asked about
     examined = 0
     allowed = None if budget is None else max(budget, 0)  # splits examined before the error
@@ -282,18 +277,16 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         nonlocal target, lo_box, hi_box, nodes, examined
         if target is not None and digit(target, t) >= digit(lo, t):
             return target  # k* lies in the branch's box
-        if t not in failed and accepts(first()[0]):
+        if accepts(first()[0]):
             return None  # the first accepted split is the branch's first leaf
         lo_box, hi_box = [digit(lo, j) for j in range(d)], [digit(hi, j) for j in range(d)]
-        if t not in failed:
-            nodes = 0
-            found = next(walk(in_box, lo_box, hi_box), None)
-            if nodes > m:
-                return None
-            if found is not None:
-                target = found
-                return target
-            failed.add(t)
+        nodes = 0
+        found = next(walk(in_box, lo_box, hi_box), None)
+        if nodes > m:
+            return None
+        if found is not None:
+            target = found
+            return target
         if budget is None:
             return False
         nodes = sets = 0
@@ -306,14 +299,10 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
         examined += sets
         return False
 
-    # a budget of m splits or fewer is met or passed within m + 1 splits
-    # read one by one, cheaper than the probe and box walk of up to m nodes
-    # that the branch test would run first
-    for key, mask in equal_sum_walk(ds, branch if budget is None or budget > m else None)[1]:
+    for key, mask in equal_sum_walk(ds, branch)[1]:
         if budget is not None and examined >= allowed:
             raise BudgetExceededError(budget, allowed + 1, "equal-sum splits")
-        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
-            rejected.add(key)
+        if not accepts(key):
             examined += 1
             continue
         split = split_with_u(ds, mask_indices(mask))

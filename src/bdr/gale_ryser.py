@@ -3,10 +3,10 @@
 Both take the degrees of the two vertex classes U and V as two int
 sequences.  The Gale–Ryser test works on their (value, count) runs.
 Realizations are immutable per-u neighbor tuples; hinge-flips return new
-values.  A realization is checked where it is built: the tuple constructor
-checks every row entry by entry (long intervals of consecutive v-indices
-by one tuple comparison each), and ``BipartiteRealization.from_intervals``
-takes rows as pieces, checking a range in O(1) and a tuple per entry.
+values.  A realization is checked where it is built, row by row
+(``_check_row``: long intervals of consecutive v-indices by one tuple
+comparison each, the rest per entry); ``BipartiteRealization.from_intervals``
+takes rows as pieces and checks a range in O(1).
 """
 
 from __future__ import annotations
@@ -58,6 +58,38 @@ def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
     return ends
 
 
+def _check_row(u: int, nbrs: tuple, n: int, names: tuple[int, ...]) -> None:
+    """Raise unless the non-empty row ``nbrs`` of u-vertex u holds ints,
+    strictly increasing, in range(n) (``names`` is ``tuple(range(n))``):
+    TypeError if an entry is not an int (a bool included), else ValueError.
+
+    A row strictly increasing from 0 can hold False or True only as its
+    first two entries, so only those are tested for bools, and only when
+    the first is below 2; a row that fails the order or range check is
+    searched for a bool before the ValueError.
+    """
+    # one C-level pass: a sum is an int only if every entry is one (the
+    # interval checks below would take 5.0 for 5, as 5.0 == 5)
+    if type(sum(nbrs, 0)) is not int:
+        raise TypeError(f"u-vertex {u}: neighbors {nbrs} are not all integers")
+    rest = nbrs  # what the per-entry check must still prove
+    if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
+        p = 0
+        for end in _long_interval_ends(nbrs):
+            first = nbrs[p]
+            if (nbrs[p:end] != names[first:first + end - p]
+                    or end < len(nbrs) and not nbrs[end - 1] < nbrs[end]):
+                break  # the per-entry check finds the fault
+            p = end
+        rest = nbrs[p:]
+    if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, rest, rest[1:]))):
+        if bool in map(type, nbrs):
+            raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
+        raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
+    if nbrs[0] < 2 and (type(nbrs[0]) is bool or len(nbrs) > 1 and type(nbrs[1]) is bool):
+        raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
+
+
 def _vertex_count(v_count) -> int:
     # exact integers only: operator.index rejects floats, but takes bools
     if isinstance(v_count, bool):
@@ -74,17 +106,15 @@ class BipartiteRealization:
     to u-vertex u, strictly increasing and in ``range(v_count)``.
 
     Both constructors check that invariant, and ``v_degrees`` relies on it.
-    ``BipartiteRealization(v_count, neighbors)`` checks given tuples: it
-    and ``v_degrees`` take a row of m entries by its leading intervals of
-    consecutive v-indices (``_long_interval_ends``) and the rest per entry,
-    so a row of k long intervals costs O(k log m) steps (plus one C-level
-    tuple comparison per interval in the check), and any other row what a
-    per-entry pass costs plus O(1).  ``v_degrees`` walks a row object that
-    occurs more than once only once.  Entries must be ints, not bools: a
-    row that is strictly increasing from 0 can hold False or True only as
-    its first two entries, so those two are tested, and only when the first
-    is below 2.  ``from_intervals`` builds the rows from pieces and checks
-    an interval given as a range in O(1).
+    ``BipartiteRealization(v_count, neighbors)`` checks each row with
+    ``_check_row``: it and ``v_degrees`` take a row of m entries by its
+    leading intervals of consecutive v-indices (``_long_interval_ends``)
+    and the rest per entry, so a row of k long intervals costs O(k log m)
+    steps (plus one C-level tuple comparison per interval in the check),
+    and any other row what a per-entry pass costs plus O(1).  ``v_degrees``
+    walks a row object that occurs more than once only once.
+    ``from_intervals`` builds the rows from pieces and checks an interval
+    given as a range in O(1).
     """
 
     v_count: int
@@ -93,34 +123,10 @@ class BipartiteRealization:
     def __post_init__(self):
         n = _vertex_count(self.v_count)
         object.__setattr__(self, "v_count", n)
-        # one C-level pass: a sum is an int only if every entry is one (the
-        # interval checks below would take 5.0 for 5, as 5.0 == 5)
-        if type(sum(map(sum, self.neighbors), 0)) is not int:
-            u = next(u for u, nbrs in enumerate(self.neighbors) if type(sum(nbrs, 0)) is not int)
-            raise TypeError(f"u-vertex {u}: neighbors {self.neighbors[u]} are not all integers")
-        names = None  # tuple(range(n)), built at the first long interval
+        names = tuple(range(n))
         for u, nbrs in enumerate(self.neighbors):
-            if not nbrs:
-                continue
-            rest = nbrs  # what the per-entry check must still prove
-            if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
-                p = 0
-                for end in _long_interval_ends(nbrs):
-                    if names is None:
-                        names = tuple(range(n))
-                    first = nbrs[p]
-                    if (nbrs[p:end] != names[first:first + end - p]
-                            or end < len(nbrs) and not nbrs[end - 1] < nbrs[end]):
-                        break  # the per-entry check finds the fault
-                    p = end
-                rest = nbrs[p:]
-            if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, rest, rest[1:]))):
-                raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
-            # the sum admits bools; a row that is strictly increasing from 0
-            # can hold False only as entry 0 and True only as entry 0 or 1
-            if nbrs[0] < 2 and (type(nbrs[0]) is bool
-                                or len(nbrs) > 1 and type(nbrs[1]) is bool):
-                raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
+            if nbrs:
+                _check_row(u, nbrs, n, names)
 
     @classmethod
     def from_intervals(cls, v_count: int,
@@ -129,15 +135,15 @@ class BipartiteRealization:
 
         A piece is a non-empty step-1 ``range`` or an increasing tuple of
         ints, and each piece starts after the one before it ends, inside
-        ``range(v_count)``.  A range costs O(1) to check; a tuple gets the
-        per-entry type, order and range checks of the tuple constructor.
-        Faults raise what that constructor raises: TypeError for a bad
-        v_count, a piece that is neither a range nor a tuple, or an entry
-        that is not an int (bools too), and ValueError otherwise.  A row is
-        built as slices of one ``tuple(range(v_count))`` and the tuples,
-        joined in O(k·m) for k pieces and m entries, so ``__post_init__``
-        does not check it again.  A row object given more than once is
-        checked and built once, and its built row is shared.
+        ``range(v_count)``.  A piece of another type raises TypeError.  A
+        range costs O(1) to check.  A row that holds a non-empty tuple is
+        joined and checked by ``_check_row``, as the tuple constructor
+        checks it, so it raises the same error; a faulty range then raises
+        ValueError.  A row is built as slices of one
+        ``tuple(range(v_count))`` and the tuples, joined in O(k·m) for k
+        pieces and m entries, so ``__post_init__`` does not check it
+        again.  A row object given more than once is checked and built
+        once, and its built row is shared.
         """
         n = _vertex_count(v_count)
         names = tuple(range(n))
@@ -149,24 +155,28 @@ class BipartiteRealization:
                 neighbors.append(hit[1])
                 continue
             parts = []
-            end = 0  # the lowest value the next piece may take
+            end = 0  # the lowest value the next range may take
+            bad = None  # the first faulty range, raised after the row check
+            loose = False  # whether a tuple piece needs the row check
             for piece in pieces:
                 if type(piece) is range:
-                    if piece.step != 1 or not end <= piece.start < piece.stop <= n:
-                        raise ValueError(f"u-vertex {u}: {piece!r} is empty, has a step "
-                                         f"other than 1, or is out of order or range")
+                    if bad is None and (piece.step != 1
+                                        or not end <= piece.start < piece.stop <= n):
+                        bad = piece
                     parts.append(names[piece.start:piece.stop])
                     end = piece.stop
-                elif type(piece) is not tuple or not {int}.issuperset(map(type, piece)):
+                elif type(piece) is not tuple:
                     raise TypeError(f"u-vertex {u}: piece {piece!r} is not a range "
                                     f"or a tuple of ints")
                 elif piece:
-                    if not (end <= piece[0] and piece[-1] < n
-                            and all(map(lt, piece, piece[1:]))):
-                        raise ValueError(f"u-vertex {u}: piece {piece} out of order or range")
                     parts.append(piece)
-                    end = piece[-1] + 1
+                    loose = True
             row = parts[0] if len(parts) == 1 else sum(parts, ())
+            if loose:
+                _check_row(u, row, n, names)
+            if bad is not None:
+                raise ValueError(f"u-vertex {u}: {bad!r} is empty, has a step "
+                                 f"other than 1, or is out of order or range")
             built[id(pieces)] = pieces, row
             neighbors.append(row)
         g = object.__new__(cls)

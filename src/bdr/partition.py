@@ -4,7 +4,7 @@
 closes the final gap with at most one swap, in O(n log n); it may find no
 split where one exists.  ``decide_bdr`` returns its split in the low
 region and calls the witness DP (``find_equal_sum_split``) only when it
-finds none; before, every low-region witness was the DP's.
+finds none.
 
 Each DP runs over a bitset of achievable sums (a Python int) capped at
 sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
@@ -246,14 +246,13 @@ def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
     key of the branch's U side and ``hi`` that key plus the open items, so
     every count vector of the branch lies in the box lo <= k <= hi, digit
     by digit; ``first()`` is the branch's first leaf, found by its
-    include-first descent in the same blocks (the last one is reused while
-    the walk stays on its path).  False drops the branch (its leaves are
-    not yielded) and None enters it without asking again below it; the
-    walk then descends on its own, the path of ``first()`` once more.  A
-    key in the box enters it as a target: below, the walk enters each
-    include branch whose box holds the target without asking, and keeps no
-    pending exclude branch for a branch entered so, as it assumes that the
-    caller stops at a leaf there.
+    include-first descent in the same blocks.  False drops the branch (its
+    leaves are not yielded) and None enters it without asking again below
+    it; the walk then descends on its own, the path of ``first()`` once
+    more.  A key in the box enters it as a target: below, the walk enters
+    each include branch whose box holds the target without asking, and
+    keeps no pending exclude branch for a branch entered so, as it assumes
+    that the caller stops at a leaf there.
     """
     runs = _value_runs(ds.degrees)
     return runs, _leaves(ds, runs, branch)
@@ -291,8 +290,7 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
         radix = [radix[t] for t in run]  # one int object per run, not per item
         aim = None  # the key the caller last named, in the box of the node
         window = [0, -1]  # base and hi of rows, as _descend finds and leaves them
-        last = [0, 0]  # key and mask of the last descent
-        descend = partial(_descend, rows, deg, block, checkpoints, step, at, window, last)
+        descend = partial(_descend, rows, deg, block, checkpoints, step, at, window)
     base, hi = 0, -1
     # (i, rem, key, mask) of the live nodes still to walk: the root, then
     # each pending exclude branch; a node popped with quiet or more nodes
@@ -365,14 +363,11 @@ def _rebuild(rows: list[bytes], deg: list[int], block: int, checkpoints: list[in
 
 
 def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
-             step: list[int], at: list[int], window: list[int], last: list[int],
+             step: list[int], at: list[int], window: list[int],
              i: int, rem: int, key: int, mask: int) -> tuple[int, int]:
     """The split walk's first leaf below the node that has just taken item
     i, as (key, mask): its include-first descent, in the walk's block
-    (``window`` holds its position and cut).  ``last`` keeps the last
-    descent; a node on its path reuses it."""
-    if last[1] & (2 << at[i]) - 1 == mask:
-        return last[0], last[1]
+    (``window`` holds its position and cut)."""
     base, hi = window
     while rem:
         i -= 1
@@ -383,7 +378,6 @@ def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[in
         if x >= 0 and row[x >> 3] >> (x & 7) & 1:
             rem, key, mask = x, key + step[i], mask | 1 << at[i]
     window[:] = base, hi
-    last[:] = key, mask
     return key, mask
 
 

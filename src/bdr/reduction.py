@@ -253,7 +253,8 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     semi_deg = big_value, and an S vertex has small_value.  The rows go to
     ``BipartiteRealization.from_intervals`` as pieces: the complete blocks
     and the round-robin rows are ranges, checked in O(1) each, and only
-    ``g``'s own rows are tuples, checked per entry.  Each row is built as
+    ``g``'s own rows are tuples; a row that holds one is checked as the
+    tuple constructor checks it.  Each row is built as
     slices of one tuple of vertex indices, joined with ``g``'s row, and a
     round-robin row that repeats (``_round_robin_rows``) is built once and
     shared.

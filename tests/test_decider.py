@@ -310,7 +310,8 @@ SEQS = st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]), max_si
 @st.composite
 def seq_and_budget(draw):
     """A drawn sequence and a budget: none, 0 to 5, or 0 to one more than
-    the splits of its walk, where the count-vector pre-pass stops."""
+    the splits of its walk, where the count-vector pre-pass stops.  Every
+    budget, small ones too, goes through the split walk's branch test."""
     seq = draw(st.one_of(SEQS, MANY_DISTINCT))
     leaves = sum(1 for _ in _unpruned_splits(seq))
     return seq, draw(st.one_of(st.none(), st.integers(0, 5), st.integers(0, leaves + 1)))
@@ -323,9 +324,9 @@ class TestAgainstUnprunedWalk:
     @example(case=([0, 0, 0], None))
     @example(case=([5, 3, 1, 1, 1, 1], 3))
     @example(case=([5, 3, 1, 1, 1, 1], 4))
-    # the branch test skips a run whose box had no accepted count vector,
-    # and only that run: with every run skipped after the first such box,
-    # both give another witness
+    # the branch test skips a branch only when its own box has no accepted
+    # count vector: a walk that skipped every later branch after the first
+    # such box gave another witness on both
     @example(case=([3, 7, 4, 3, 1, 2, 2, 3, 7, 2, 3, 1], None))
     @example(case=([3, 6, 3, 5, 1, 2, 2, 2, 1, 1], None))
     def test_same_decision_and_budget_point(self, case, unpruned_splits):
@@ -335,9 +336,8 @@ class TestAgainstUnprunedWalk:
             reference_decide_exact, ds, budget, unpruned_splits)
 
     # Bipartite inputs and L, the position of their first accepted split in
-    # the unpruned walk: 1, and three past m + 1, so that the walk asks its
-    # branch test at budgets L - 1, L and L + 1 (a budget of m or less reads
-    # the splits without it)
+    # the unpruned walk: 1, and three past m + 1; the walk asks its branch
+    # test at every budget below, from -5 to L + 1
     FIRST_ACCEPTED = [((2, 2, 2, 2), 1), ((5, 2, 7, 2, 2, 2, 1, 2, 1), 13),
                       ((7, 2, 1, 1, 3, 3, 6, 4, 5, 3, 4, 5, 7, 1), 31),
                       ((1, 3, 6, 3, 3, 7, 4, 1, 7, 1, 6, 7, 3, 3, 1), 382)]

@@ -484,9 +484,10 @@ def piece_graph(draw):
 
 
 class TestFromIntervals:
-    """``from_intervals`` checks a range piece in O(1) and a tuple piece per
-    entry; it must build what the tuple constructor accepts and reject what
-    it rejects, with the same error types."""
+    """``from_intervals`` checks a range piece in O(1) and a row that holds
+    a tuple piece with the tuple constructor's row check; it must build
+    what the tuple constructor accepts and reject what it rejects, with the
+    same error types."""
 
     @given(piece_graph())
     @settings(max_examples=300, deadline=None)
@@ -547,6 +548,29 @@ class TestFromIntervals:
     def test_rejects_bad_v_count(self, v_count, error):
         with pytest.raises(error):
             BipartiteRealization.from_intervals(v_count, ((), ()))
+
+    @pytest.mark.parametrize("pieces", [
+        # bools at entry 0 or 1, in order or not
+        ((0, False),), ((True, 0),), ((1, True),), ((False, 1),), ((0, True),),
+        ((True, 2, 3),), ((5, 3, True),),
+        # floats and Fractions, in order or not
+        ((0.5,),), ((0, 1.0),), ((3.0, 2),), ((Fraction(1),),), ((4, Fraction(3)),),
+        # out of order, repeated, out of range, negative
+        ((2, 1),), ((1, 1),), ((3, 10),), ((-1, 0),), ((-2,),),
+        (tuple(range(9)) + (8,),),
+        # a tuple next to ranges
+        (range(0, 3), (2.5,)), (range(0, 3), (True,)), ((5,), range(0, 3)),
+        (range(0, 5), (3.0,), range(2, 4)),
+    ])
+    def test_same_error_type_as_tuple_constructor(self, pieces):
+        # the two constructors raised ValueError and TypeError for
+        # (0, False), (True, 0) and (1, True)
+        row = tuple(v for piece in pieces for v in piece)
+        with pytest.raises((TypeError, ValueError)) as by_tuple:
+            BipartiteRealization(10, ((0, 1), row))
+        with pytest.raises((TypeError, ValueError)) as by_pieces:
+            BipartiteRealization.from_intervals(10, ((range(2),), pieces))
+        assert by_tuple.type is by_pieces.type
 
 
 class TestHingeFlip:
