@@ -134,8 +134,9 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     """The polynomial decision procedure inside the tractable regions.
 
     In the low region every equal-sum split is bigraphic, so the witness is
-    ``balanced_split``'s split, or, when that finds none, the split DP's
-    (``find_equal_sum_split``), which also decides that no split exists.
+    ``balanced_split``'s split, or, when that finds none, the split of the
+    count walk's first U count vector (``find_equal_sum_split``), which
+    also decides that no split exists.
     Outside the tractable regions the verdict is an honest Undecided; use
     decide_exact.
     """

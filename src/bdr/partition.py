@@ -3,39 +3,38 @@
 ``balanced_split`` puts the degrees, largest first, on the lighter side and
 closes the final gap with at most one swap, in O(n log n); it may find no
 split where one exists.  ``decide_bdr`` returns its split in the low
-region and calls the witness DP (``find_equal_sum_split``) only when it
-finds none.
+region and calls ``find_equal_sum_split`` only when it finds none: the
+count walk's first U count vector (below), each value's U count on its
+lowest indices, or None if no split exists.
 
 Each DP runs over a bitset of achievable sums (a Python int) capped at
 sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
 (value, count) run per step, its count split in binary parts 1, 2, 4, ...,
 rest (the paper's bounded subset-sum).  Deciding existence keeps one
-bitset of the run DP, O(sigma) bits.  The witness DP and the split walk each
-make one checkpoint pass of the item DP over their n items
-(``_checkpoints``), keeping every ceil(sqrt(n))-th bitset, O(sqrt(n)*sigma)
-bits, and each rebuilds its own block window from them: a window policy
-shared by both cost the other path, at n = 2000, 52-100 % more time in the
-split walk or 4x in the witness DP.  Its witness is the split that a
-reconstruction from all n+1 prefix bitsets gives.  Splits are unordered;
-the split walk canonicalizes by keeping the first nonzero entry on the U
-side and has no limit (a caller that needs one stops iterating).  A
-caller may pass it a branch test that drops include branches whole and
-reads a branch's first leaf in the same blocks; ``decide_exact`` drops
-those without an accepted split that way.  The count-vector walk yields U
-count vectors over the distinct nonzero degrees instead, pruned on the
-run DP's suffix bitsets, checkpointed to fit the split walk's rows, and
-as often as asked, in a box of counts per run if given, on one set of
-bitsets (``_count_walk``).  Both walks keep O(sqrt(m)*sigma) bits (m
-nonzero degrees), enter only subtrees that hold a split and key a count
-vector in the same mixed radix over the same (value, count) runs
-(``count_runs`` decodes it).  ``decide_exact`` also walks the count
-vectors with a Gale–Ryser bound that drops subtrees without a bigraphic
-one; ``count_vector_walk`` stays unpruned for the oracle.
+bitset of the run DP, O(sigma) bits.  The split walk makes one checkpoint
+pass of the item DP over its m items (``_checkpoints``), keeping every
+ceil(sqrt(m))-th bitset, O(sqrt(m)*sigma) bits, and rebuilds one block
+from them at a time.  Splits are unordered; the split walk canonicalizes
+by keeping the first nonzero entry on the U side and has no limit (a
+caller that needs one stops iterating).  A caller may pass it a branch
+test that drops include branches whole and reads a branch's first leaf in
+the same blocks; ``decide_exact`` drops those without an accepted split
+that way.  The count-vector walk yields U count vectors over the distinct
+nonzero degrees instead, pruned on the run DP's suffix bitsets,
+checkpointed to fit the split walk's rows, and as often as asked, in a box
+of counts per run if given, on one set of bitsets (``_count_walk``).  Both
+walks keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
+that hold a split and key a count vector in the same mixed radix over the
+same (value, count) runs (``count_runs`` decodes it).  ``decide_exact``
+also walks the count vectors with a Gale–Ryser bound that drops subtrees
+without a bigraphic one; ``count_vector_walk`` stays unpruned for the
+oracle.
 ``half_sum_sets`` counts the index sets of sum sigma/2, saturating, in one
 item DP over Kronecker-packed counts.
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
-the U side, for every split this module returns.
+the U side, for every split this module returns, and checks that the two
+sides' sums are equal.
 """
 
 from __future__ import annotations
@@ -69,12 +68,15 @@ class SplitWitness:
 def split_with_u(ds: DegreeSequence, u_side: Iterable[int]) -> SplitWitness:
     """The split with the indices ``u_side`` and every zero degree on U.
 
-    ``u_side`` must sum to sigma/2.  The zeros become isolated u-vertices
-    of any realization of the split.
+    The zeros become isolated u-vertices of any realization of the split.
+    Raises InvariantError unless ``u_side`` sums to sigma/2.
     """
     on_u = list(map(not_, ds.degrees))
     for i in u_side:
         on_u[i] = True
+    u_sum = sum(compress(ds.degrees, on_u))
+    if 2 * u_sum != ds.sigma:
+        raise InvariantError(f"split has side sums {u_sum} and {ds.sigma - u_sum}")
     return SplitWitness(tuple(compress(range(ds.n), on_u)),
                         tuple(compress(range(ds.n), map(not_, on_u))))
 
@@ -111,11 +113,7 @@ def balanced_split(ds: DegreeSequence) -> SplitWitness | None:
         b = lowest[deg[a] - need]
         heavy[heavy.index(a)] = b
         light[light.index(b)] = a
-    split = split_with_u(ds, sides[0])
-    u_sum, v_sum = (sum(map(deg.__getitem__, side)) for side in (split.u, split.v))
-    if u_sum != v_sum:
-        raise InvariantError(f"balanced split has side sums {u_sum} and {v_sum}")
-    return split
+    return split_with_u(ds, sides[0])
 
 
 def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterator[int]:
@@ -178,41 +176,21 @@ def equal_sum_split_exists(ds: DegreeSequence) -> bool:
 
 
 def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
-    """A witness via DP back-reconstruction, or None.
+    """The split of the count walk's first key, or None if there is none.
 
-    Deterministic: at each reconstruction step, from the last item back,
-    the current item is excluded whenever the remaining sum is reachable by
-    the items before it.
-
-    Only every ceil(sqrt(n))-th prefix bitset is kept.  The reconstruction
-    runs back one block at a time and rebuilds the block's prefix bitsets
-    from its checkpoint, restricted to the sums in
-    [max(remaining - block sum, 0), remaining]: every remaining sum that
-    the block's steps test lies there, and so does the checkpoint part of
-    every way to reach it.  Memory is O(sqrt(n)*sigma) bits.
+    The key is the first U count vector of ``count_vector_walk``; for each
+    value, U takes that many of its indices, the lowest first.
     """
-    sigma = ds.sigma
-    if sigma % 2 != 0:
+    runs = _value_runs(ds.degrees)
+    key = next(_count_walk(ds.sigma, runs)(), None)
+    if key is None:
         return None
-    target = sigma // 2
-    n = ds.n
-    block = isqrt(n - 1) + 1 if n else 1  # ceil(sqrt(n))
-    checkpoints, found = _checkpoints(ds.degrees, target, block)
-    if not found:
-        return None
+    left = dict(count_runs(runs, key)[0])
     u_side = []
-    cur = target
-    for start in range(block * ((n - 1) // block), -1, -block):
-        items = ds.degrees[start:start + block]
-        low = max(cur - sum(items), 0)
-        # window[j]: the sums in [low, cur] of the first start + j items, minus low
-        window = list(_subset_sums(items[:-1], cur - low, checkpoints[start // block] >> low))
-        for j in range(len(items) - 1, -1, -1):
-            if not window[j] >> (cur - low) & 1:
-                u_side.append(start + j)
-                cur -= items[j]
-    if cur != 0:
-        raise InvariantError(f"split reconstruction left {cur} of {target} unassigned")
+    for i, d in enumerate(ds.degrees):
+        if left.get(d):
+            left[d] -= 1
+            u_side.append(i)
     return split_with_u(ds, u_side)
 
 

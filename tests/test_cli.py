@@ -80,6 +80,28 @@ class TestDecide:
         assert payload["split"] == {"u_indices": [0, 1], "v_indices": [2]}
         assert payload["realization"] == [[1, 0]]
 
+    @pytest.mark.parametrize("text, c1, c2, code, stdout", [
+        # no single swap closes the greedy gap, so the count walk splits it
+        ("5 5 5 5 5 5 5 5 4 4 4 4 4", "3/10", "2/5", 0,
+         '{"realization": ['
+         '[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], '
+         '[1, 0], [1, 1], [1, 2], [1, 5], [1, 6], '
+         '[2, 0], [2, 1], [2, 3], [2, 4], [2, 5], '
+         '[3, 0], [3, 1], [3, 2], [3, 3], [3, 6], '
+         '[4, 0], [4, 1], [4, 4], [4, 5], [4, 6], '
+         '[5, 2], [5, 3], [5, 4], [5, 5], [5, 6]], '
+         '"reason": "split-found", "region": "LowTractable", '
+         '"split": {"u_indices": [0, 1, 2, 3, 4, 5], "v_indices": [6, 7, 8, 9, 10, 11, 12]}, '
+         '"verdict": "Bipartite"}\n'),
+        # sigma/2 = 18 is no sum of 4s
+        ("4 4 4 4 4 4 4 4 4", "4/9", "4/9", 1,
+         '{"realization": null, "reason": "no-equal-sum-split", "region": "LowTractable", '
+         '"split": null, "verdict": "NotBipartite"}\n'),
+    ], ids=["split", "no-split"])
+    def test_low_region_fallback(self, tmp_path, capsys, text, c1, c2, code, stdout):
+        f = write(tmp_path, "d.txt", text + "\n")
+        assert run(capsys, ["decide", "--c1", c1, "--c2", c2, f]) == (code, stdout, "")
+
     def test_out_of_class(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "1 9 9 9\n")
         code, _, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", f])
@@ -118,8 +140,8 @@ class TestRealize:
 
 class TestGoldenBytes:
     """sha256 of stdout for fixed seeded inputs: the witness bytes of the
-    low-region split (greedy balance and one swap, or the split DP when
-    that finds none) and of the realizer must not change silently."""
+    low-region split (greedy balance and one swap, or the count-walk
+    fallback when that finds none) and of the realizer must not change silently."""
 
     def test_decide_low_region(self, tmp_path, capsys):
         rng = random.Random(600)

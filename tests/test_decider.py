@@ -188,9 +188,9 @@ class TestDecideBdr:
 
 
 class TestLowRegionFallback:
-    """``decide_bdr`` takes the split DP only when the greedy balance and
-    one swap find no split; the two inputs that need it come from an
-    exhaustive search over low-region inputs with n <= 20."""
+    """``decide_bdr`` takes the count-walk fallback only when the greedy
+    balance and one swap find no split; the two inputs that need it come
+    from an exhaustive search over low-region inputs with n <= 20."""
 
     def test_balanced_path_skips_the_dp(self, monkeypatch):
         def no_dp(ds):

@@ -11,9 +11,8 @@ from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instanc
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr.errors import InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import (_count_walk, _subset_sums, count_runs, count_vector_walk,
-                           equal_sum_walk, half_sum_sets, half_sum_sets_exceed, mask_indices,
-                           split_with_u)
+from bdr.partition import (_count_walk, count_runs, count_vector_walk, equal_sum_walk,
+                           half_sum_sets, half_sum_sets_exceed, mask_indices, split_with_u)
 from conftest import MANY_DISTINCT, reduction_corpus
 
 # zeros and repeated values, or one value repeated up to 16 times (every
@@ -53,25 +52,6 @@ def assert_split(seq, w):
     assert sorted(u + v) == list(range(len(seq)))
     assert all(seq[i] for i in v)
     assert sum(seq[i] for i in u) == sum(seq[i] for i in v) == sum(seq) // 2
-
-
-def reference_split(ds):
-    """The full-table reconstruction the checkpointed one replaced: every
-    prefix bitset kept, item i excluded whenever its prefix reaches cur."""
-    if ds.sigma % 2:
-        return None
-    target = ds.sigma // 2
-    reachable = list(_subset_sums(ds.degrees, target))
-    if not reachable[-1] >> target & 1:
-        return None
-    u_side = []
-    cur = target
-    for i in range(ds.n - 1, -1, -1):
-        if not reachable[i] >> cur & 1:
-            u_side.append(i)
-            cur -= ds.degrees[i]
-    assert cur == 0
-    return split_with_u(ds, u_side)
 
 
 class TestExists:
@@ -128,15 +108,43 @@ class TestFindSplit:
         w = find_equal_sum_split(DegreeSequence((0, 1, 0, 1)))
         assert {0, 2} <= set(w.u_indices())
 
-    def test_inconsistent_dp_table_raises(self, monkeypatch):
-        # a table that claims every sum for every prefix: the reconstruction
-        # picks nothing and must not return a split that misses the target
-        def every_sum(degrees, target, reach=1):
-            yield from [(1 << (target + 1)) - 1] * (len(degrees) + 1)
-
-        monkeypatch.setattr("bdr.partition._subset_sums", every_sum)
-        with pytest.raises(InvariantError):
+    def test_wrong_count_vector_raises(self, monkeypatch):
+        # a walk whose first key puts nothing on U: the split must not be
+        # returned with sides that miss the target
+        monkeypatch.setattr("bdr.partition._count_walk",
+                            lambda sigma, runs: lambda: iter([0]))
+        with pytest.raises(InvariantError, match="split has side sums 0 and 4"):
             find_equal_sum_split(DegreeSequence((2, 1, 1)))
+
+    @given(DRAWS)
+    @settings(max_examples=400)
+    @example([])
+    @example([0, 0])
+    @example([5, 1, 1, 1])
+    @example([2, 1, 1, 0])
+    @example([5] * 8 + [4] * 5)
+    def test_first_count_vector_on_lowest_indices(self, seq):
+        # U's count vector is the count walk's first key, and each value's U
+        # indices are the lowest of that value
+        ds = DegreeSequence(seq)
+        runs, keys = count_vector_walk(ds)
+        first = next(keys, None)
+        w = find_equal_sum_split(ds)
+        if first is None:
+            assert w is None
+            return
+        assert_split(seq, w)
+        for value, k in count_runs(runs, first)[0]:
+            at = [i for i, d in enumerate(seq) if d == value]
+            assert [i for i in w.u if seq[i] == value] == at[:k]
+
+    def test_seeded_low_region(self):
+        # n = 2000 crosses the count walk's block boundaries
+        rng = random.Random(2000)
+        degrees = [rng.randint(200, 400) for _ in range(2000)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(200, 400)
+        assert_split(degrees, find_equal_sum_split(DegreeSequence(degrees)))
 
 
 class TestBalancedSplit:
@@ -179,50 +187,6 @@ class TestBalancedSplit:
                             raising=False)
         with pytest.raises(InvariantError):
             balanced_split(DegreeSequence((2, 1, 1)))
-
-
-class TestSplitMatchesReference:
-    # n <= 3: at most two blocks; n = 15, 16, 17 (block size 4, 4, 5): a
-    # last block of 3, 4 and 2 items, where the reconstruction starts
-    @given(st.one_of(st.sampled_from([0, 1, 2, 3, 15, 16, 17]), st.integers(0, 60))
-           .flatmap(lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n)))
-    @settings(max_examples=500, deadline=None)
-    def test_same_witness(self, seq):
-        ds = DegreeSequence(seq)
-        assert find_equal_sum_split(ds) == reference_split(ds)
-
-    def test_seeded_low_region(self):
-        rng = random.Random(2000)
-        degrees = [rng.randint(200, 400) for _ in range(2000)]
-        while sum(degrees) % 2:
-            degrees[-1] = rng.randint(200, 400)
-        ds = DegreeSequence(degrees)
-        w = find_equal_sum_split(ds)
-        assert w is not None and w == reference_split(ds)
-
-
-class TestWitnessIsReversedWalk:
-    """The witness's V side is the U side of the first split the unpruned
-    walk meets on the reversed sequence, read back to front.  The
-    reconstruction keeps item j off U whenever the items before it reach
-    U's remaining sum; the walk puts j on its side whenever those items
-    reach that side's remaining sum less j.  The two remainders add up to
-    the sum of the items before j, so a subset of them reaches one iff its
-    complement reaches the other: the same test."""
-
-    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 7, 9]), max_size=16))
-    @settings(max_examples=400, deadline=None)
-    @example(seq=[])
-    @example(seq=[0, 0])
-    @example(seq=[5, 1, 1, 1])
-    @example(seq=[2, 1, 1, 0])
-    def test_first_split_of_reversed_walk(self, seq, unpruned_splits):
-        w = find_equal_sum_split(DegreeSequence(seq))
-        first = next(unpruned_splits(seq[::-1]), None)
-        if w is None:
-            assert first is None
-        else:
-            assert w.v == tuple(len(seq) - 1 - j for j in reversed(first))
 
 
 class TestCountVectorWalk:
