@@ -1,19 +1,22 @@
 """Bigraphicality testing and constructive bipartite realization.
 
 Both take the degrees of the two vertex classes U and V as two int
-sequences.  The Gale–Ryser test works on their (value, count) runs.
+sequences.  The Gale–Ryser test works on their (value, count) runs; the
+realizer holds the v-vertices of each residual degree as one int bitset,
+so a step costs O(|V|)-bit operations per residual level it touches.
 Realizations are immutable per-u neighbor tuples; hinge-flips return new
 values.  A realization is checked where it is built, row by row
 (``_check_row``: long intervals of consecutive v-indices by one tuple
 comparison each, the rest per entry); ``BipartiteRealization.from_intervals``
-takes rows as pieces and checks a range in O(1).
+takes rows as pieces and checks a range in O(1), so the realizer's rows
+that are one interval cost O(1) to check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, index, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -335,72 +338,114 @@ def is_bigraphic(d1: Sequence[int], d2: Sequence[int]) -> bool:
     return _gale_ryser_runs(a, b)
 
 
-def _push_run(runs: list[tuple[int, list[int]]], r: int, vs: list[int]) -> None:
-    """Append the run (r, vs) below ``runs``: dropped at residual 0, merged
-    into the last run when that has residual r."""
+def _push_level(levels: list[tuple[int, int, int]], r: int, bits: int, count: int) -> None:
+    """Append the level (r, bits, count) below ``levels``: dropped at
+    residual 0, merged into the last level when that has residual r."""
     if not r:
         return
-    if runs and runs[-1][0] == r:
-        runs[-1] = (r, sorted(runs[-1][1] + vs))
+    if levels and levels[-1][0] == r:
+        _, low, c = levels[-1]
+        levels[-1] = (r, low | bits, c + count)
     else:
-        runs.append((r, vs))
+        levels.append((r, bits, count))
+
+
+def _lowest_bits(bits: int, count: int, m: int) -> int:
+    """The m lowest set bits of ``bits``, which has ``count`` > m > 0: the
+    mask below the least p with m set bits under it, by binary search
+    between the bounds the lowest bit and the count - m highest bits set
+    (equal on a level that is one interval)."""
+    lo = (bits & -bits).bit_length() - 1 + m
+    hi = bits.bit_length() - (count - m)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (bits & ((1 << mid) - 1)).bit_count() < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return bits & ((1 << lo) - 1)
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _row_pieces(row: int, names: tuple[int, ...]) -> tuple[range | tuple[int, ...]]:
+    """The non-empty v-index bitset ``row`` as one ``from_intervals`` piece:
+    a range when its set bits are one interval (adding the lowest set bit
+    then clears them all), else their indices."""
+    low = row & -row
+    if not (row + low) & row:
+        return (range(low.bit_length() - 1, row.bit_length()),)
+    # bin() is most significant bit first; reversed, flag i is bit i
+    return (tuple(compress(names, bin(row)[:1:-1].encode().translate(_FLAGS))),)
 
 
 def construct_realization(d1: Sequence[int],
                           d2: Sequence[int]) -> BipartiteRealization | None:
     """Greedy realization of the U degrees ``d1`` and the V degrees ``d2``;
-    None signals a non-bigraphic pair.
+    None signals a non-bigraphic pair, a negative degree included.
 
     u-vertices are processed in non-increasing degree order (stable); each
     connects to the v-vertices of highest residual degree, ties to the
     lowest index.  Output degrees match the input lists in their original
     index order.
 
-    The v-vertices of positive residual are kept as runs, (residual,
-    increasing indices) in strictly decreasing residual, which is the
-    (-residual, index) order.  A u-vertex takes whole runs from the top and
-    the lowest-index prefix of the boundary run; after the decrement only
-    the runs on either side of the boundary can share a residual, and they
-    are merged.  The cost is O(sigma + n) list work plus those merges, with
-    no per-vertex sort key.
+    The v-vertices of positive residual are kept as levels, (residual,
+    bitset of their indices, count) in strictly decreasing residual.  A
+    u-vertex ORs whole levels from the top into its row and takes the
+    lowest-index prefix of the boundary level (its m lowest set bits,
+    ``_lowest_bits``); after the decrement only the levels on either side
+    of the boundary can share a residual, and they are merged by one OR.
+    A u-vertex costs O(1) int operations of O(|V|) bits per level it
+    touches plus O(log |V|) for the boundary level, with no per-vertex
+    list work, and one decode of its row.  Each row goes to
+    ``from_intervals`` as one piece: a range, checked in O(1), when it is
+    one interval, else a tuple decoded from its bits and checked by
+    ``_check_row``.
     """
     if sum(d1) != sum(d2):
         return None
-    by_residual: dict[int, list[int]] = {}
+    by_residual: dict[int, int] = {}
     for v, r in enumerate(d2):
         if r:
-            by_residual.setdefault(r, []).append(v)
-    runs = sorted(by_residual.items(), reverse=True)
-    neighbors = [()] * len(d1)
-    for u in sorted(range(len(d1)), key=lambda i: -d1[i]):
+            by_residual[r] = by_residual.get(r, 0) | 1 << v
+    levels = [(r, bits, bits.bit_count())
+              for r, bits in sorted(by_residual.items(), reverse=True)]
+    order = sorted(range(len(d1)), key=lambda i: -d1[i])
+    if order and d1[order[-1]] < 0 or levels and levels[-1][0] < 0:
+        return None  # a negative degree, the last of its order, has no realization
+    names = tuple(range(len(d2)))
+    rows: list[tuple] = [()] * len(d1)
+    for u in order:
         need = d1[u]
         if need == 0:
             break  # every later u-vertex has degree 0 too
-        chosen: list[int] = []
-        head: list[tuple[int, list[int]]] = []  # replaces runs[:k]
+        row = 0
+        head: list[tuple[int, int, int]] = []  # replaces levels[:k]
         k = 0
         while need:
-            if k == len(runs):
+            if k == len(levels):
                 return None
-            r, vs = runs[k]
+            r, bits, count = levels[k]
             k += 1
-            if len(vs) <= need:
-                chosen += vs
-                need -= len(vs)
-                _push_run(head, r - 1, vs)
+            if count <= need:
+                row |= bits
+                need -= count
+                _push_level(head, r - 1, bits, count)
             else:
-                chosen += vs[:need]
-                _push_run(head, r, vs[need:])
-                _push_run(head, r - 1, vs[:need])
+                low = _lowest_bits(bits, count, need)
+                row |= low
+                _push_level(head, r, bits ^ low, count - need)
+                _push_level(head, r - 1, low, need)
                 need = 0
-        if k < len(runs) and head and head[-1][0] == runs[k][0]:
-            _push_run(head, *runs[k])
+        if k < len(levels) and head and head[-1][0] == levels[k][0]:
+            _push_level(head, *levels[k])
             k += 1
-        runs[:k] = head
-        neighbors[u] = tuple(sorted(chosen))
-    if runs:
+        levels[:k] = head
+        rows[u] = _row_pieces(row, names)
+    if levels:
         return None
-    return BipartiteRealization(len(d2), tuple(neighbors))
+    return BipartiteRealization.from_intervals(len(d2), rows)
 
 
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:
@@ -443,16 +488,21 @@ def edge_chunks(g: BipartiteRealization, head: str, tail: str,
     Edge (u, v) reads ``head.format(u) + str(v) + tail``.  One chunk is
     yielded per u-vertex with edges, its edges separated by ``sep``; joined
     by ``sep``, the chunks give the whole edge list.  Each v-index is
-    rendered once, with ``tail``, and a row's strings are fetched by one
-    ``itemgetter`` call.
+    rendered once, with ``tail``.  A row that is one interval (on a
+    strictly increasing row, ``nbrs[-1] - nbrs[0] == len(nbrs) - 1``, an
+    O(1) test) takes its strings as one slice of that table; any other row
+    fetches them by one ``itemgetter`` call.
     """
     names = [str(v) + tail for v in range(g.v_count)]
     for u, nbrs in enumerate(g.neighbors):
-        if len(nbrs) > 1:
+        if nbrs:
             first = head.format(u)
-            yield first + (sep + first).join(itemgetter(*nbrs)(names))
-        elif nbrs:  # itemgetter of one index returns the item, not a tuple
-            yield head.format(u) + names[nbrs[0]]
+            lo, hi = nbrs[0], nbrs[-1]
+            if hi - lo == len(nbrs) - 1:
+                strs = names[lo:hi + 1]
+            else:
+                strs = itemgetter(*nbrs)(names)
+            yield first + (sep + first).join(strs)
 
 
 def format_realization(g: BipartiteRealization) -> str:

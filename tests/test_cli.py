@@ -291,6 +291,10 @@ EDGE_CASES = [
     g_of(5, (), (), ()),                  # no edges
     g_of(0),                              # no vertices at all
     g_of(12, (9, 10, 11), (0, 11)),       # multi-digit v-indices
+    # interval rows, which are rendered as one slice of the v-index strings
+    g_of(5, (0, 1, 2), (4,)),             # an interval from 0; one entry at v_count - 1
+    g_of(5, (2, 3, 4), (0,)),             # an interval to v_count - 1; one entry at 0
+    g_of(12, (0, 1, 2, 3, 5, 6), (8, 9, 11)),  # one gap each
 ]
 
 
