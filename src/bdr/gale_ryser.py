@@ -8,8 +8,9 @@ Realizations are immutable per-u neighbor tuples; hinge-flips return new
 values.  A realization is checked where it is built, row by row
 (``_check_row``: long intervals of consecutive v-indices by one tuple
 comparison each, the rest per entry); ``BipartiteRealization.from_intervals``
-takes rows as pieces and checks a range in O(1), so the realizer's rows
-that are one interval cost O(1) to check.
+takes rows as pieces and checks an int bitset or a range in O(1).  The
+realizer's rows arrive there as bitsets, each decoded once and checked in
+O(1).
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ def _check_row(u: int, nbrs: tuple, n: int, names: tuple[int, ...]) -> None:
         raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
 
 
+# bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _vertex_count(v_count) -> int:
     # exact integers only: operator.index rejects floats, but takes bools
     if isinstance(v_count, bool):
@@ -116,8 +121,8 @@ class BipartiteRealization:
     steps (plus one C-level tuple comparison per interval in the check),
     and any other row what a per-entry pass costs plus O(1).  ``v_degrees``
     walks a row object that occurs more than once only once.
-    ``from_intervals`` builds the rows from pieces and checks an interval
-    given as a range in O(1).
+    ``from_intervals`` builds the rows from pieces and checks an int bitset
+    or a range in O(1).
     """
 
     v_count: int
@@ -133,20 +138,28 @@ class BipartiteRealization:
 
     @classmethod
     def from_intervals(cls, v_count: int,
-                       rows: Iterable[Sequence[range | tuple[int, ...]]]) -> BipartiteRealization:
+                       rows: Iterable[Sequence[int | range | tuple[int, ...]]]
+                       ) -> BipartiteRealization:
         """The realization whose row u joins the pieces of ``rows[u]`` in order.
 
-        A piece is a non-empty step-1 ``range`` or an increasing tuple of
+        A piece is a non-empty int bitset of v-indices (bit i set: v-index
+        i is in it), a non-empty step-1 ``range`` or an increasing tuple of
         ints, and each piece starts after the one before it ends, inside
-        ``range(v_count)``.  A piece of another type raises TypeError.  A
-        range costs O(1) to check.  A row that holds a non-empty tuple is
+        ``range(v_count)``.  A piece of another type, a bool included,
+        raises TypeError.  A bitset or a range costs O(1) to check: a
+        bitset must be positive, below ``1 << v_count`` and have its lowest
+        set bit at or above the end of the piece before it; decoded in
+        index order, it is then strictly increasing and in range, as
+        ``_check_row`` would prove.  A bitset whose bits are one
+        interval is decoded as one slice, any other once by
+        ``itertools.compress``.  A row that holds a non-empty tuple is
         joined and checked by ``_check_row``, as the tuple constructor
-        checks it, so it raises the same error; a faulty range then raises
-        ValueError.  A row is built as slices of one
-        ``tuple(range(v_count))`` and the tuples, joined in O(k·m) for k
-        pieces and m entries, so ``__post_init__`` does not check it
-        again.  A row object given more than once is checked and built
-        once, and its built row is shared.
+        checks it, so it raises the same error; a faulty bitset or range
+        then raises ValueError.  A row is built as slices of one
+        ``tuple(range(v_count))``, decoded bitsets and the tuples, joined in
+        O(k·m) for k pieces and m entries, so ``__post_init__`` does not
+        check it again.  A row object given more than once is checked and
+        built once, and its built row is shared.
         """
         n = _vertex_count(v_count)
         names = tuple(range(n))
@@ -158,19 +171,32 @@ class BipartiteRealization:
                 neighbors.append(hit[1])
                 continue
             parts = []
-            end = 0  # the lowest value the next range may take
-            bad = None  # the first faulty range, raised after the row check
+            end = 0  # the lowest value the next bitset or range may take
+            bad = None  # the first faulty bitset or range, raised after the row check
             loose = False  # whether a tuple piece needs the row check
             for piece in pieces:
-                if type(piece) is range:
+                if type(piece) is int:
+                    low = piece & -piece  # 0 for an empty bitset, which fails below
+                    if piece < 0 or piece.bit_length() > n or low.bit_length() <= end:
+                        if bad is None:
+                            bad = piece
+                        continue
+                    end = piece.bit_length()
+                    if (piece + low) & piece:
+                        # bin() is most significant bit first; reversed, flag i is bit i
+                        parts.append(tuple(compress(
+                            names, bin(piece)[:1:-1].encode().translate(_FLAGS))))
+                    else:  # adding the lowest set bit cleared them all: one interval
+                        parts.append(names[low.bit_length() - 1:end])
+                elif type(piece) is range:
                     if bad is None and (piece.step != 1
                                         or not end <= piece.start < piece.stop <= n):
                         bad = piece
                     parts.append(names[piece.start:piece.stop])
                     end = piece.stop
                 elif type(piece) is not tuple:
-                    raise TypeError(f"u-vertex {u}: piece {piece!r} is not a range "
-                                    f"or a tuple of ints")
+                    raise TypeError(f"u-vertex {u}: piece {piece!r} is not an int "
+                                    f"bitset, a range or a tuple of ints")
                 elif piece:
                     parts.append(piece)
                     loose = True
@@ -178,8 +204,8 @@ class BipartiteRealization:
             if loose:
                 _check_row(u, row, n, names)
             if bad is not None:
-                raise ValueError(f"u-vertex {u}: {bad!r} is empty, has a step "
-                                 f"other than 1, or is out of order or range")
+                raise ValueError(f"u-vertex {u}: piece {bad!r} is empty, out of order "
+                                 f"or out of range, or a range of step other than 1")
             built[id(pieces)] = pieces, row
             neighbors.append(row)
         g = object.__new__(cls)
@@ -338,18 +364,6 @@ def is_bigraphic(d1: Sequence[int], d2: Sequence[int]) -> bool:
     return _gale_ryser_runs(a, b)
 
 
-def _push_level(levels: list[tuple[int, int, int]], r: int, bits: int, count: int) -> None:
-    """Append the level (r, bits, count) below ``levels``: dropped at
-    residual 0, merged into the last level when that has residual r."""
-    if not r:
-        return
-    if levels and levels[-1][0] == r:
-        _, low, c = levels[-1]
-        levels[-1] = (r, low | bits, c + count)
-    else:
-        levels.append((r, bits, count))
-
-
 def _lowest_bits(bits: int, count: int, m: int) -> int:
     """The m lowest set bits of ``bits``, which has ``count`` > m > 0: the
     mask below the least p with m set bits under it, by binary search
@@ -364,20 +378,6 @@ def _lowest_bits(bits: int, count: int, m: int) -> int:
         else:
             hi = mid
     return bits & ((1 << lo) - 1)
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _row_pieces(row: int, names: tuple[int, ...]) -> tuple[range | tuple[int, ...]]:
-    """The non-empty v-index bitset ``row`` as one ``from_intervals`` piece:
-    a range when its set bits are one interval (adding the lowest set bit
-    then clears them all), else their indices."""
-    low = row & -row
-    if not (row + low) & row:
-        return (range(low.bit_length() - 1, row.bit_length()),)
-    # bin() is most significant bit first; reversed, flag i is bit i
-    return (tuple(compress(names, bin(row)[:1:-1].encode().translate(_FLAGS))),)
 
 
 def construct_realization(d1: Sequence[int],
@@ -398,10 +398,9 @@ def construct_realization(d1: Sequence[int],
     of the boundary can share a residual, and they are merged by one OR.
     A u-vertex costs O(1) int operations of O(|V|) bits per level it
     touches plus O(log |V|) for the boundary level, with no per-vertex
-    list work, and one decode of its row.  Each row goes to
-    ``from_intervals`` as one piece: a range, checked in O(1), when it is
-    one interval, else a tuple decoded from its bits and checked by
-    ``_check_row``.
+    list work.  Each row goes to ``from_intervals`` as one piece, its
+    bitset, which the constructor decodes once (one slice when it is one
+    interval) and checks in O(1).
     """
     if sum(d1) != sum(d2):
         return None
@@ -414,7 +413,6 @@ def construct_realization(d1: Sequence[int],
     order = sorted(range(len(d1)), key=lambda i: -d1[i])
     if order and d1[order[-1]] < 0 or levels and levels[-1][0] < 0:
         return None  # a negative degree, the last of its order, has no realization
-    names = tuple(range(len(d2)))
     rows: list[tuple] = [()] * len(d1)
     for u in order:
         need = d1[u]
@@ -422,27 +420,41 @@ def construct_realization(d1: Sequence[int],
             break  # every later u-vertex has degree 0 too
         row = 0
         head: list[tuple[int, int, int]] = []  # replaces levels[:k]
+        top = 0  # the residual of head[-1], 0 while head is empty
         k = 0
         while need:
             if k == len(levels):
                 return None
             r, bits, count = levels[k]
             k += 1
-            if count <= need:
-                row |= bits
-                need -= count
-                _push_level(head, r - 1, bits, count)
-            else:
+            if count > need:
+                # the boundary level: its rest keeps residual r, and only its
+                # need lowest set bits are taken
                 low = _lowest_bits(bits, count, need)
-                row |= low
-                _push_level(head, r, bits ^ low, count - need)
-                _push_level(head, r - 1, low, need)
-                need = 0
-        if k < len(levels) and head and head[-1][0] == levels[k][0]:
-            _push_level(head, *levels[k])
+                if top == r:
+                    _, b, c = head[-1]
+                    head[-1] = (r, b | bits ^ low, c + count - need)
+                else:
+                    head.append((r, bits ^ low, count - need))
+                    top = r
+                bits, count = low, need
+            row |= bits
+            need -= count
+            r -= 1  # the taken bits drop a residual; at 0 they leave the levels
+            if r:
+                if top == r:
+                    _, b, c = head[-1]
+                    head[-1] = (r, b | bits, c + count)
+                else:
+                    head.append((r, bits, count))
+                    top = r
+        if k < len(levels) and levels[k][0] == top:
+            _, b, c = head[-1]
+            _, bits, count = levels[k]
+            head[-1] = (top, b | bits, c + count)
             k += 1
         levels[:k] = head
-        rows[u] = _row_pieces(row, names)
+        rows[u] = (row,)
     if levels:
         return None
     return BipartiteRealization.from_intervals(len(d2), rows)

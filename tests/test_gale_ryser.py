@@ -471,11 +471,18 @@ class TestIntervalKernels:
             BipartiteRealization(v_count, bad)
 
 
+def bits(values):
+    return sum(1 << v for v in values)
+
+
 @st.composite
 def piece_graph(draw):
     """(v_count, rows, piece rows): each row of ``interval_graph`` cut at
-    random points, and each cut piece of consecutive values a range or a
-    tuple at random (the others are tuples), so that ranges touch."""
+    random points, and each cut piece an int bitset, a tuple or, if its
+    values are consecutive, a range, at random, so that bitsets and ranges
+    touch.  The rows start at 0 to 3, often end at v_count - 1 and span up
+    to a few hundred values with gaps, so bitsets of one interval and of
+    many 30-bit digits are drawn."""
     v_count, rows = draw(interval_graph())
     piece_rows = []
     for row in rows:
@@ -485,23 +492,36 @@ def piece_graph(draw):
             piece = row[a:b]
             if not piece:
                 continue
-            consecutive = piece[-1] - piece[0] == len(piece) - 1
-            pieces.append(range(piece[0], piece[-1] + 1)
-                          if consecutive and draw(st.booleans()) else piece)
+            kinds = ["bits", "tuple"]
+            if piece[-1] - piece[0] == len(piece) - 1:
+                kinds.append("range")
+            kind = draw(st.sampled_from(kinds))
+            if kind == "bits":
+                piece = bits(piece)
+            elif kind == "range":
+                piece = range(piece[0], piece[-1] + 1)
+            pieces.append(piece)
         piece_rows.append(tuple(pieces))
     return v_count, rows, tuple(piece_rows)
 
 
 class TestFromIntervals:
-    """``from_intervals`` checks a range piece in O(1) and a row that holds
-    a tuple piece with the tuple constructor's row check; it must build
-    what the tuple constructor accepts and reject what it rejects, with the
-    same error types."""
+    """``from_intervals`` checks a bitset or a range piece in O(1) and a row
+    that holds a tuple piece with the tuple constructor's row check; it must
+    build what the tuple constructor accepts and reject what it rejects,
+    with the same error types."""
 
     @given(piece_graph())
     @settings(max_examples=300, deadline=None)
     @example((10, ((0, 1, 2, 3, 4, 5, 6, 7, 8),), ((range(0, 5), range(5, 9)),)))
     @example((3, ((), (0, 1, 2)), ((), (range(0, 1), (1,), range(2, 3)))))
+    # one interval at 0, one ending at v_count - 1, single entries at both ends
+    @example((9, ((0, 1, 2), (4, 5, 6, 7, 8), (0,), (8,)),
+              ((0b111,), (bits(range(4, 9)),), (1,), (1 << 8,))))
+    # bitsets of several 30-bit digits with gaps, next to ranges and tuples
+    @example((100, (tuple(range(0, 100, 3)), tuple(range(31)) + (40, 62, 63, 99)),
+              ((bits(range(0, 60, 3)), (60, 63), bits(range(66, 100, 3))),
+               (range(31), bits((40, 62, 63)), (99,)))))
     def test_matches_tuple_constructor(self, graph):
         v_count, rows, piece_rows = graph
         g = BipartiteRealization.from_intervals(v_count, piece_rows)
@@ -541,16 +561,31 @@ class TestFromIntervals:
         ((9, 10),),
         (range(-2, 3),),               # negative start
         ((-1, 0),),
+        (-1,),                         # a negative bitset
+        (-0b110,),
+        (1 << 10,),                    # a bit at v_count
+        (0b11 | 1 << 12,),
+        (range(0, 5), 1 << 4 | 1 << 7),  # a bitset below the previous range's end
+        (0b11, 0b110),                 # a bitset below the previous bitset's end
+        (0b1001, range(3, 5)),         # a range below the previous bitset's end
+        ((1, 3), 0b1100),              # a bitset overlapping the previous tuple
+        (0b101, (1,)),                 # a tuple inside the previous bitset
+        (0,),                          # an empty bitset, as an empty range
+        (range(2), 0, (5,)),
     ])
     def test_rejects_bad_pieces(self, row):
         with pytest.raises(ValueError):
             BipartiteRealization.from_intervals(10, ((range(2),), row))
 
     @pytest.mark.parametrize("piece", [(0.0,), (0, 1.0), (True,), (0, False),
-                                       (Fraction(1),), [0, 1], 3])
+                                       (Fraction(1),), [0, 1], 3.0, True, False])
     def test_rejects_non_integer_pieces(self, piece):
         with pytest.raises(TypeError):
             BipartiteRealization.from_intervals(10, ((range(2),), (piece,)))
+
+    def test_an_int_is_a_bitset_piece(self):
+        g = BipartiteRealization.from_intervals(10, ((range(2),), (3,)))
+        assert g.neighbors == ((0, 1), (0, 1))
 
     @pytest.mark.parametrize("v_count, error", [(True, TypeError), (2.0, TypeError),
                                                 (2.5, TypeError), (-1, ValueError)])
