@@ -54,8 +54,8 @@ def _emit_decision(decision: decider.Decision) -> None:
     the other keys."""
     split = None
     if decision.split is not None:
-        split = {"u_indices": list(decision.split.u_indices()),
-                 "v_indices": list(decision.split.v_indices())}
+        split = {"u_indices": list(decision.split.u),
+                 "v_indices": list(decision.split.v)}
     rest = json.dumps({
         "verdict": decision.verdict,
         "reason": decision.reason,

@@ -5,12 +5,11 @@ sequences.  The Gale–Ryser test works on their (value, count) runs; the
 realizer holds the v-vertices of each residual degree as one int bitset,
 so a step costs O(|V|)-bit operations per residual level it touches.
 Realizations are immutable per-u neighbor tuples; hinge-flips return new
-values.  A realization is checked where it is built, row by row
-(``_check_row``: long intervals of consecutive v-indices by one tuple
-comparison each, the rest per entry); ``BipartiteRealization.from_intervals``
-takes rows as pieces and checks an int bitset or a range in O(1).  The
-realizer's rows arrive there as bitsets, each decoded once and checked in
-O(1).
+values.  A realization is checked where it is built: the tuple
+constructor checks each row entry by entry (``_check_row``), and
+``BipartiteRealization.from_intervals`` takes rows as int bitsets and
+ranges and checks each in O(1).  The realizer's rows arrive there as
+bitsets, each decoded once.
 """
 
 from __future__ import annotations
@@ -25,21 +24,18 @@ from .errors import InvalidMoveError, InvariantError
 
 
 def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
-    """The ends of the leading long intervals of the row ``nbrs``.
+    """The ends of the leading long intervals of the strictly increasing
+    row ``nbrs``, for ``v_degrees``.
 
     An interval is a maximal stretch of consecutive values.  One of more
     than 2·bit_length(m) entries (m = len(nbrs)), about what a binary search
     for its end costs, is long; the walk stops at the first interval that
-    is not, and the caller handles the rest of the row per entry.  As the
-    bound is at least 8 once m > 8, callers skip every row whose first 9
-    entries are not consecutive: it has none.
-
-    On a strictly increasing row ``nbrs[q] - q`` is non-decreasing and
-    constant exactly on an interval, so one test tells a short interval and
-    a binary search finds the end of a long one: O(log m) per interval.  On
-    any other row each end e still has ``nbrs[e - 1] - (e - 1)`` equal to
-    the key at the interval's start, and a caller that has not proved the
-    order must check each interval and each join itself.
+    is not, and ``v_degrees`` counts the rest of the row per entry.  As the
+    bound is at least 8 once m > 8, it skips every row whose first 9
+    entries are not consecutive: it has none.  ``nbrs[q] - q`` is
+    non-decreasing and constant exactly on an interval, so one test tells a
+    short interval and a binary search finds the end of a long one:
+    O(log m) per interval.
     """
     m = len(nbrs)
     short = 2 * m.bit_length()
@@ -62,36 +58,18 @@ def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
     return ends
 
 
-def _check_row(u: int, nbrs: tuple, n: int, names: tuple[int, ...]) -> None:
+def _check_row(u: int, nbrs: tuple, n: int) -> None:
     """Raise unless the non-empty row ``nbrs`` of u-vertex u holds ints,
-    strictly increasing, in range(n) (``names`` is ``tuple(range(n))``):
-    TypeError if an entry is not an int (a bool included), else ValueError.
-
-    A row strictly increasing from 0 can hold False or True only as its
-    first two entries, so only those are tested for bools, and only when
-    the first is below 2; a row that fails the order or range check is
-    searched for a bool before the ValueError.
-    """
+    strictly increasing, in range(n): TypeError if an entry is not an int
+    (a bool included), else ValueError."""
     # one C-level pass: a sum is an int only if every entry is one (the
-    # interval checks below would take 5.0 for 5, as 5.0 == 5)
+    # order check below would take 5.0 for 5, as 5.0 == 5)
     if type(sum(nbrs, 0)) is not int:
         raise TypeError(f"u-vertex {u}: neighbors {nbrs} are not all integers")
-    rest = nbrs  # what the per-entry check must still prove
-    if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
-        p = 0
-        for end in _long_interval_ends(nbrs):
-            first = nbrs[p]
-            if (nbrs[p:end] != names[first:first + end - p]
-                    or end < len(nbrs) and not nbrs[end - 1] < nbrs[end]):
-                break  # the per-entry check finds the fault
-            p = end
-        rest = nbrs[p:]
-    if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, rest, rest[1:]))):
-        if bool in map(type, nbrs):
-            raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
-        raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
-    if nbrs[0] < 2 and (type(nbrs[0]) is bool or len(nbrs) > 1 and type(nbrs[1]) is bool):
+    if bool in map(type, nbrs):
         raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
+    if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, nbrs, nbrs[1:]))):
+        raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
 
 
 # bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
@@ -114,15 +92,14 @@ class BipartiteRealization:
     to u-vertex u, strictly increasing and in ``range(v_count)``.
 
     Both constructors check that invariant, and ``v_degrees`` relies on it.
-    ``BipartiteRealization(v_count, neighbors)`` checks each row with
-    ``_check_row``: it and ``v_degrees`` take a row of m entries by its
-    leading intervals of consecutive v-indices (``_long_interval_ends``)
-    and the rest per entry, so a row of k long intervals costs O(k log m)
-    steps (plus one C-level tuple comparison per interval in the check),
-    and any other row what a per-entry pass costs plus O(1).  ``v_degrees``
-    walks a row object that occurs more than once only once.
-    ``from_intervals`` builds the rows from pieces and checks an int bitset
-    or a range in O(1).
+    ``BipartiteRealization(v_count, neighbors)`` checks each row entry by
+    entry (``_check_row``); ``from_intervals`` builds the rows from int
+    bitsets and ranges and checks each piece in O(1).  ``v_degrees`` takes a
+    row of m entries by its leading intervals of consecutive v-indices
+    (``_long_interval_ends``) and the rest per entry, so a row of k long
+    intervals costs O(k log m) steps.  All three take a row object that
+    occurs more than once (rows are told apart by ``id``) only once, so a
+    graph with shared rows, as the lift builds, costs its distinct rows.
     """
 
     v_count: int
@@ -131,35 +108,34 @@ class BipartiteRealization:
     def __post_init__(self):
         n = _vertex_count(self.v_count)
         object.__setattr__(self, "v_count", n)
-        names = tuple(range(n))
+        # id(row): (u, row) at the row's first occurrence; the row is kept so
+        # that no id is reused, and the first faulty u is the one raised
+        first = {}
         for u, nbrs in enumerate(self.neighbors):
+            first.setdefault(id(nbrs), (u, nbrs))
+        for u, nbrs in first.values():
             if nbrs:
-                _check_row(u, nbrs, n, names)
+                _check_row(u, nbrs, n)
 
     @classmethod
     def from_intervals(cls, v_count: int,
-                       rows: Iterable[Sequence[int | range | tuple[int, ...]]]
-                       ) -> BipartiteRealization:
+                       rows: Iterable[Sequence[int | range]]) -> BipartiteRealization:
         """The realization whose row u joins the pieces of ``rows[u]`` in order.
 
         A piece is a non-empty int bitset of v-indices (bit i set: v-index
-        i is in it), a non-empty step-1 ``range`` or an increasing tuple of
-        ints, and each piece starts after the one before it ends, inside
-        ``range(v_count)``.  A piece of another type, a bool included,
-        raises TypeError.  A bitset or a range costs O(1) to check: a
+        i is in it) or a non-empty step-1 ``range``, and each piece starts
+        after the one before it ends, inside ``range(v_count)``; a faulty
+        piece raises ValueError, and a piece of another type, a tuple or a
+        bool included, raises TypeError.  Each piece costs O(1) to check: a
         bitset must be positive, below ``1 << v_count`` and have its lowest
         set bit at or above the end of the piece before it; decoded in
         index order, it is then strictly increasing and in range, as
-        ``_check_row`` would prove.  A bitset whose bits are one
-        interval is decoded as one slice, any other once by
-        ``itertools.compress``.  A row that holds a non-empty tuple is
-        joined and checked by ``_check_row``, as the tuple constructor
-        checks it, so it raises the same error; a faulty bitset or range
-        then raises ValueError.  A row is built as slices of one
-        ``tuple(range(v_count))``, decoded bitsets and the tuples, joined in
-        O(k·m) for k pieces and m entries, so ``__post_init__`` does not
-        check it again.  A row object given more than once is checked and
-        built once, and its built row is shared.
+        ``_check_row`` would prove.  A range or a bitset whose bits are one
+        interval is one slice of ``tuple(range(v_count))``, any other bitset
+        is decoded once by ``itertools.compress``, and a row of k pieces and
+        m entries is joined in O(k·m), so ``__post_init__`` does not check
+        it again.  A row object given more than once is checked and built
+        once, and its built row is shared.
         """
         n = _vertex_count(v_count)
         names = tuple(range(n))
@@ -171,41 +147,29 @@ class BipartiteRealization:
                 neighbors.append(hit[1])
                 continue
             parts = []
-            end = 0  # the lowest value the next bitset or range may take
-            bad = None  # the first faulty bitset or range, raised after the row check
-            loose = False  # whether a tuple piece needs the row check
+            end = 0  # the lowest value the next piece may take
             for piece in pieces:
                 if type(piece) is int:
-                    low = piece & -piece  # 0 for an empty bitset, which fails below
-                    if piece < 0 or piece.bit_length() > n or low.bit_length() <= end:
-                        if bad is None:
-                            bad = piece
-                        continue
-                    end = piece.bit_length()
-                    if (piece + low) & piece:
-                        # bin() is most significant bit first; reversed, flag i is bit i
-                        parts.append(tuple(compress(
-                            names, bin(piece)[:1:-1].encode().translate(_FLAGS))))
-                    else:  # adding the lowest set bit cleared them all: one interval
-                        parts.append(names[low.bit_length() - 1:end])
+                    low = piece & -piece
+                    start, stop = low.bit_length() - 1, piece.bit_length()
+                    good = piece > 0 and stop <= n
+                    # adding the lowest set bit clears them all: one interval
+                    interval = not (piece + low) & piece
                 elif type(piece) is range:
-                    if bad is None and (piece.step != 1
-                                        or not end <= piece.start < piece.stop <= n):
-                        bad = piece
-                    parts.append(names[piece.start:piece.stop])
-                    end = piece.stop
-                elif type(piece) is not tuple:
+                    start, stop = piece.start, piece.stop
+                    good = piece.step == 1 and start < stop <= n
+                    interval = True
+                else:
                     raise TypeError(f"u-vertex {u}: piece {piece!r} is not an int "
-                                    f"bitset, a range or a tuple of ints")
-                elif piece:
-                    parts.append(piece)
-                    loose = True
+                                    f"bitset or a range")
+                if not (good and end <= start):
+                    raise ValueError(f"u-vertex {u}: piece {piece!r} is empty, out of order "
+                                     f"or out of range, or a range of step other than 1")
+                # bin() is most significant bit first; reversed, flag i is bit i
+                parts.append(names[start:stop] if interval else tuple(compress(
+                    names, bin(piece)[:1:-1].encode().translate(_FLAGS))))
+                end = stop
             row = parts[0] if len(parts) == 1 else sum(parts, ())
-            if loose:
-                _check_row(u, row, n, names)
-            if bad is not None:
-                raise ValueError(f"u-vertex {u}: piece {bad!r} is empty, out of order "
-                                 f"or out of range, or a range of step other than 1")
             built[id(pieces)] = pieces, row
             neighbors.append(row)
         g = object.__new__(cls)
@@ -441,13 +405,9 @@ def construct_realization(d1: Sequence[int],
             row |= bits
             need -= count
             r -= 1  # the taken bits drop a residual; at 0 they leave the levels
-            if r:
-                if top == r:
-                    _, b, c = head[-1]
-                    head[-1] = (r, b | bits, c + count)
-                else:
-                    head.append((r, bits, count))
-                    top = r
+            if r:  # head holds residuals above r only, as the levels strictly decrease
+                head.append((r, bits, count))
+                top = r
         if k < len(levels) and levels[k][0] == top:
             _, b, c = head[-1]
             _, bits, count = levels[k]

@@ -58,6 +58,8 @@ class SplitWitness:
     u: tuple[int, ...]
     v: tuple[int, ...]
 
+    # src/bdr reads u and v; only perfbench/ calls these two accessors, so
+    # they stay until the benchmark no longer does
     def u_indices(self) -> tuple[int, ...]:
         return self.u
 

@@ -251,20 +251,15 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     on V_L.  So a slot vertex of source degree d has degree d + shift_base
     (a padding slot is a filler), an L vertex has S/2 + shift_base +
     semi_deg = big_value, and an S vertex has small_value.  The rows go to
-    ``BipartiteRealization.from_intervals`` as pieces: the complete blocks
-    and the round-robin rows are ranges, checked in O(1) each, and only
-    ``g``'s own rows are tuples; a row that holds one is checked as the
-    tuple constructor checks it.  Each row is built as
-    slices of one tuple of vertex indices, joined with ``g``'s row, and a
-    round-robin row that repeats (``_round_robin_rows``) is built once and
-    shared.
+    ``BipartiteRealization.from_intervals`` as pieces, each checked in
+    O(1): the complete blocks and the round-robin rows are ranges, and each
+    of ``g``'s own non-empty rows is one int bitset.  A round-robin row
+    that repeats (``_round_robin_rows``) is built once and shared.
     """
     src = inst.source
-    u_idx = split.u_indices()
-    v_idx = split.v_indices()
     half_s = inst.S // 2
-    if (g.u_degrees() != tuple(src.degrees[i] for i in u_idx)
-            or g.v_degrees() != tuple(src.degrees[i] for i in v_idx)):
+    if (g.u_degrees() != tuple(src.degrees[i] for i in split.u)
+            or g.v_degrees() != tuple(src.degrees[i] for i in split.v)):
         raise ValueError("realization degrees do not match the split")
 
     shift = inst.shift_base          # |U_L| = |V_L|
@@ -273,7 +268,8 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     l_off, s_off = half_s, half_s + shift
     l_block = range(l_off, s_off)
     g_and_l = range(s_off)
-    rows = ([(nbrs, l_block) for nbrs in g.neighbors]
+    rows = ([(sum([1 << v for v in nbrs]), l_block) if nbrs else (l_block,)
+             for nbrs in g.neighbors]
             + [(l_block,)] * (half_s - g.u_count)
             + list(_round_robin_rows(s_off, s_side, shift, inst.semi_deg,
                                      inst.small_value, (g_and_l,)))

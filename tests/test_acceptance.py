@@ -91,8 +91,8 @@ def test_criterion_2_low_region_split_equivalence():
                 assert sorted(g.u_degrees() + g.v_degrees()) == sorted(seq)
                 split = decision.split
                 assert split is not None
-                assert (sum(seq[i] for i in split.u_indices())
-                        == sum(seq[j] for j in split.v_indices()))
+                assert (sum(seq[i] for i in split.u)
+                        == sum(seq[j] for j in split.v))
     print(f"criterion 2: PASS ({pairs} bound pairs, {len(windows)} windows, "
           f"{checked} sequences, 0 counterexamples)")
 
@@ -231,8 +231,8 @@ def test_criterion_8_lift_project_round_trip():
         g = None
         for candidate in _all_splits(inst.source):
             g = construct_realization(
-                [inst.source.degrees[i] for i in candidate.u_indices()],
-                [inst.source.degrees[j] for j in candidate.v_indices()])
+                [inst.source.degrees[i] for i in candidate.u],
+                [inst.source.degrees[j] for j in candidate.v])
             if g is not None:
                 split = candidate
                 break

@@ -252,8 +252,8 @@ def reference_decide_stdout(decision):
     built by ``sorted_edges()``."""
     split = None
     if decision.split is not None:
-        split = {"u_indices": list(decision.split.u_indices()),
-                 "v_indices": list(decision.split.v_indices())}
+        split = {"u_indices": list(decision.split.u),
+                 "v_indices": list(decision.split.v)}
     g = decision.realization
     return json.dumps({
         "verdict": decision.verdict,
@@ -523,11 +523,17 @@ class TestScan:
         code, _, _ = run(capsys, ["scan", "--c1-grid", "oops",
                                   "--c2-grid", "0:1:1"])
         assert code == 3
+        code, out, err = run(capsys, ["scan", "--c1-grid", "0:1/5:0",
+                                      "--c2-grid", "0:1:1"])
+        assert code == 3 and out == "" and "grid step must be positive" in err
 
     def test_negative_n_rejected_before_header(self, capsys):
         code, out, err = run(capsys, ["scan", "--c1-grid", "0:1/5:1/10",
                                       "--c2-grid", "1/5:2/5:1/10", "--n", "-3"])
         assert code == 3 and out == "" and "n must be >= 0" in err
+        code, out, err = run(capsys, ["scan", "--c1-grid", "0:1/5:1/10",
+                                      "--c2-grid", "1/5:2/5:1/10", "--samples", "0"])
+        assert code == 3 and out == "" and "samples must be >= 1" in err
 
     def test_oversized_grid_rejected_before_sampling(self, capsys):
         code, out, err = run(capsys, ["scan", "--c1-grid", "0:1:1/1000000000",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bdr import DegreeSequence, ParamBounds, in_class, is_graphic, parse_sequence
+from bdr import DegreeClass, DegreeSequence, ParamBounds, in_class, is_graphic, parse_sequence
 from bdr.core import degree_window, parse_rational
 from bdr.errors import ParseError
 
@@ -68,6 +68,9 @@ class TestParseRational:
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_rational("1/0")
+        for text in ("", "  "):
+            with pytest.raises(ParseError, match="empty rational"):
+                parse_rational(text)
 
     def test_digit_group_underscore_rejected(self):
         # Fraction() reads "1_0/3" as 10/3
@@ -197,6 +200,10 @@ class TestInClass:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             ParamBounds(Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DegreeClass(-1, 4, 1, 2)
+        with pytest.raises(ValueError, match="d <= delta"):
+            DegreeClass(3, 4, 3, 2)
 
     @pytest.mark.parametrize("c1, c2", [(0.1, Fraction(1, 5)), (0, 1.0), (False, 1), (0, True)])
     def test_inexact_bounds_rejected(self, c1, c2):

@@ -106,7 +106,7 @@ class TestPrecheck:
     def test_star(self):
         d = precheck(DegreeSequence((3, 1, 1, 1)))
         assert d.verdict == "Bipartite"
-        assert d.split.u_indices() == (0,)
+        assert d.split.u == (0,)
         assert sorted(d.realization.v_degrees()) == [1, 1, 1]
 
     def test_min_degree_too_large(self):
@@ -139,7 +139,7 @@ class TestDecideBdr:
         d = decide_bdr(ds, self.LOW)
         assert d.verdict == "Bipartite" and d.region is RegionClass.LOW_TRACTABLE
         assert d.realization.u_degrees() + d.realization.v_degrees() == (4,) * 10
-        assert sum(ds.degrees[i] for i in d.split.u_indices()) == 20
+        assert sum(ds.degrees[i] for i in d.split.u) == 20
 
     def test_low_region_negative(self):
         # nine vertices of degree 3: the degree sum 27 is odd
@@ -614,7 +614,7 @@ def assert_witness(degrees, d):
     """The documented witness contract: u-vertex i is u_indices[i], v-vertex
     j is v_indices[j], zeros sit on U, and each vertex has as many edges as
     its degree."""
-    u, v = d.split.u_indices(), d.split.v_indices()
+    u, v = d.split.u, d.split.v
     assert sorted(u + v) == list(range(len(degrees)))
     assert all(i in u for i, x in enumerate(degrees) if x == 0)
     g = d.realization

@@ -218,8 +218,8 @@ class TestRealizerMatchesReference:
             degrees[-1] = rng.randint(200, 400)
         split = decide_bdr(DegreeSequence(degrees),
                            ParamBounds(Fraction(1, 10), Fraction(1, 5))).split
-        p = ([degrees[i] for i in split.u_indices()],
-             [degrees[i] for i in split.v_indices()])
+        p = ([degrees[i] for i in split.u],
+             [degrees[i] for i in split.v])
         g = construct_realization(*p)
         assert g is not None and g == reference_realization(*p)
 
@@ -333,6 +333,27 @@ class TestRealizationLayout:
         with pytest.raises(TypeError):
             BipartiteRealization(4, ((2, 3), row))
 
+    @pytest.mark.parametrize("row, error", [
+        # bools at entry 0 or 1, in order or not, or after an entry out of order
+        ((0, False), TypeError), ((True, 0), TypeError), ((1, True), TypeError),
+        ((False, 1), TypeError), ((0, True), TypeError), ((True, 2, 3), TypeError),
+        ((5, 3, True), TypeError), ((0, 1, 2, True), TypeError),
+        # floats and Fractions, in order or not
+        ((0.5,), TypeError), ((0, 1.0), TypeError), ((3.0, 2), TypeError),
+        ((Fraction(1),), TypeError), ((4, Fraction(3)), TypeError),
+        ((0, 1, 2, 2.5), TypeError),
+        # out of order, repeated, out of range, negative
+        ((2, 1), ValueError), ((1, 1), ValueError), ((3, 10), ValueError),
+        ((-1, 0), ValueError), ((-2,), ValueError), (tuple(range(9)) + (8,), ValueError),
+        ((5, 0, 1, 2), ValueError), ((0, 1, 3, 3), ValueError),
+    ])
+    def test_tuple_constructor_error_types(self, row, error):
+        # TypeError for a non-int entry wherever it sits, even in a row
+        # out of order; ValueError for an int row out of order or range.  A
+        # row object given twice is checked once, at its first u-vertex
+        with pytest.raises(error, match="^u-vertex 1: "):
+            BipartiteRealization(10, ((0, 1), row, (2,), row))
+
     def test_accepts_zero_and_one(self):
         g = BipartiteRealization(2, ((0, 1), (1,), (0,)))
         assert g.neighbors == ((0, 1), (1,), (0,)) and g.v_degrees() == (2, 2)
@@ -396,8 +417,9 @@ def flatten(piece_rows):
 
 
 class TestIntervalKernels:
-    """``v_degrees`` and the construction check walk a row by its intervals
-    of consecutive v-indices; both must agree with a per-entry pass."""
+    """``v_degrees`` walks a row by its intervals of consecutive v-indices
+    and must agree with a per-entry count; the construction check must
+    reject every row a per-entry pass rejects, wherever its fault sits."""
 
     @given(interval_graph())
     @settings(max_examples=400, deadline=None)
@@ -478,11 +500,11 @@ def bits(values):
 @st.composite
 def piece_graph(draw):
     """(v_count, rows, piece rows): each row of ``interval_graph`` cut at
-    random points, and each cut piece an int bitset, a tuple or, if its
-    values are consecutive, a range, at random, so that bitsets and ranges
-    touch.  The rows start at 0 to 3, often end at v_count - 1 and span up
-    to a few hundred values with gaps, so bitsets of one interval and of
-    many 30-bit digits are drawn."""
+    random points, and each cut piece an int bitset or, if its values are
+    consecutive, a range, at random, so that bitsets and ranges touch.  The
+    rows start at 0 to 3, often end at v_count - 1 and span up to a few
+    hundred values with gaps, so bitsets of one interval and of many 30-bit
+    digits are drawn."""
     v_count, rows = draw(interval_graph())
     piece_rows = []
     for row in rows:
@@ -492,36 +514,30 @@ def piece_graph(draw):
             piece = row[a:b]
             if not piece:
                 continue
-            kinds = ["bits", "tuple"]
-            if piece[-1] - piece[0] == len(piece) - 1:
-                kinds.append("range")
-            kind = draw(st.sampled_from(kinds))
-            if kind == "bits":
-                piece = bits(piece)
-            elif kind == "range":
-                piece = range(piece[0], piece[-1] + 1)
-            pieces.append(piece)
+            if piece[-1] - piece[0] == len(piece) - 1 and draw(st.booleans()):
+                pieces.append(range(piece[0], piece[-1] + 1))
+            else:
+                pieces.append(bits(piece))
         piece_rows.append(tuple(pieces))
     return v_count, rows, tuple(piece_rows)
 
 
 class TestFromIntervals:
-    """``from_intervals`` checks a bitset or a range piece in O(1) and a row
-    that holds a tuple piece with the tuple constructor's row check; it must
-    build what the tuple constructor accepts and reject what it rejects,
-    with the same error types."""
+    """``from_intervals`` takes int bitsets and ranges only and checks each
+    piece in O(1); it must build what the tuple constructor builds from the
+    same entries."""
 
     @given(piece_graph())
     @settings(max_examples=300, deadline=None)
     @example((10, ((0, 1, 2, 3, 4, 5, 6, 7, 8),), ((range(0, 5), range(5, 9)),)))
-    @example((3, ((), (0, 1, 2)), ((), (range(0, 1), (1,), range(2, 3)))))
+    @example((3, ((), (0, 1, 2)), ((), (range(0, 1), 0b10, range(2, 3)))))
     # one interval at 0, one ending at v_count - 1, single entries at both ends
     @example((9, ((0, 1, 2), (4, 5, 6, 7, 8), (0,), (8,)),
               ((0b111,), (bits(range(4, 9)),), (1,), (1 << 8,))))
-    # bitsets of several 30-bit digits with gaps, next to ranges and tuples
+    # bitsets of several 30-bit digits with gaps, next to ranges
     @example((100, (tuple(range(0, 100, 3)), tuple(range(31)) + (40, 62, 63, 99)),
-              ((bits(range(0, 60, 3)), (60, 63), bits(range(66, 100, 3))),
-               (range(31), bits((40, 62, 63)), (99,)))))
+              ((bits(range(0, 60, 3)), bits((60, 63)), bits(range(66, 100, 3))),
+               (range(31), bits((40, 62, 63)), 1 << 99))))
     def test_matches_tuple_constructor(self, graph):
         v_count, rows, piece_rows = graph
         g = BipartiteRealization.from_intervals(v_count, piece_rows)
@@ -530,12 +546,13 @@ class TestFromIntervals:
         assert g.v_degrees() == expected.v_degrees() == per_entry_v_degrees(v_count, rows)
 
     def test_repeated_row_object_is_built_once(self):
-        row = (range(2, 5), (7, 9))
-        g = BipartiteRealization.from_intervals(10, (row, ((1,),), row))
+        row = (range(2, 5), bits((7, 9)))
+        g = BipartiteRealization.from_intervals(10, (row, (0b10,), row))
         assert g.neighbors == ((2, 3, 4, 7, 9), (1,), (2, 3, 4, 7, 9))
         assert g.neighbors[0] is g.neighbors[2]
+        bad = (range(8, 11),)
         with pytest.raises(ValueError):
-            BipartiteRealization.from_intervals(10, ((range(2),), ((9, 8),), ((9, 8),)))
+            BipartiteRealization.from_intervals(10, ((range(2),), bad, bad))
 
     def test_rows_from_a_generator(self):
         # each row is a fresh tuple, freed once read, so the next row but one
@@ -553,14 +570,14 @@ class TestFromIntervals:
         (range(3, 3),),                # empty
         (range(0, 5), range(4, 8)),    # overlapping ranges
         (range(5, 8), range(0, 3)),    # out of order
-        ((0, 5), range(5, 7)),         # a tuple overlapping the next range
-        (range(0, 5), (4, 6)),         # a range overlapping the next tuple
-        ((1, 3), (3, 4)),              # two overlapping tuples
-        ((2, 1),),                     # a tuple out of order
+        (range(4, 2),),                # stop below start
+        (bits((0, 5)), range(5, 7)),   # a bitset overlapping the next range
+        (range(0, 5), bits((4, 6))),   # a range overlapping the next bitset
+        (bits((1, 3)), bits((3, 4))),  # two bitsets sharing a value
         (range(8, 11),),               # stop past v_count
-        ((9, 10),),
+        (bits((9, 10)),),              # a bitset whose top bit is v_count
         (range(-2, 3),),               # negative start
-        ((-1, 0),),
+        (range(-1, 1), range(1, 3)),   # a negative start before a good range
         (-1,),                         # a negative bitset
         (-0b110,),
         (1 << 10,),                    # a bit at v_count
@@ -568,18 +585,19 @@ class TestFromIntervals:
         (range(0, 5), 1 << 4 | 1 << 7),  # a bitset below the previous range's end
         (0b11, 0b110),                 # a bitset below the previous bitset's end
         (0b1001, range(3, 5)),         # a range below the previous bitset's end
-        ((1, 3), 0b1100),              # a bitset overlapping the previous tuple
-        (0b101, (1,)),                 # a tuple inside the previous bitset
+        (0b1010, 0b1100),              # a bitset overlapping the previous bitset
+        (0b101, 0b10),                 # a bitset inside the previous bitset
         (0,),                          # an empty bitset, as an empty range
-        (range(2), 0, (5,)),
+        (range(2), 0, 1 << 5),
     ])
     def test_rejects_bad_pieces(self, row):
         with pytest.raises(ValueError):
             BipartiteRealization.from_intervals(10, ((range(2),), row))
 
-    @pytest.mark.parametrize("piece", [(0.0,), (0, 1.0), (True,), (0, False),
-                                       (Fraction(1),), [0, 1], 3.0, True, False])
+    @pytest.mark.parametrize("piece", [(0, 1), (), [0, 1], 3.0, Fraction(3),
+                                       True, False, None, "3"])
     def test_rejects_non_integer_pieces(self, piece):
+        # a tuple is no piece: the tuple constructor takes a row of entries
         with pytest.raises(TypeError):
             BipartiteRealization.from_intervals(10, ((range(2),), (piece,)))
 
@@ -592,29 +610,6 @@ class TestFromIntervals:
     def test_rejects_bad_v_count(self, v_count, error):
         with pytest.raises(error):
             BipartiteRealization.from_intervals(v_count, ((), ()))
-
-    @pytest.mark.parametrize("pieces", [
-        # bools at entry 0 or 1, in order or not
-        ((0, False),), ((True, 0),), ((1, True),), ((False, 1),), ((0, True),),
-        ((True, 2, 3),), ((5, 3, True),),
-        # floats and Fractions, in order or not
-        ((0.5,),), ((0, 1.0),), ((3.0, 2),), ((Fraction(1),),), ((4, Fraction(3)),),
-        # out of order, repeated, out of range, negative
-        ((2, 1),), ((1, 1),), ((3, 10),), ((-1, 0),), ((-2,),),
-        (tuple(range(9)) + (8,),),
-        # a tuple next to ranges
-        (range(0, 3), (2.5,)), (range(0, 3), (True,)), ((5,), range(0, 3)),
-        (range(0, 5), (3.0,), range(2, 4)),
-    ])
-    def test_same_error_type_as_tuple_constructor(self, pieces):
-        # the two constructors raised ValueError and TypeError for
-        # (0, False), (True, 0) and (1, True)
-        row = tuple(v for piece in pieces for v in piece)
-        with pytest.raises((TypeError, ValueError)) as by_tuple:
-            BipartiteRealization(10, ((0, 1), row))
-        with pytest.raises((TypeError, ValueError)) as by_pieces:
-            BipartiteRealization.from_intervals(10, ((range(2),), pieces))
-        assert by_tuple.type is by_pieces.type
 
 
 class TestHingeFlip:

@@ -47,7 +47,7 @@ def per_item_reach(seq):
 def assert_split(seq, w):
     """U and V are increasing, partition the indices, hold every zero on U
     and have equal sums."""
-    u, v = w.u_indices(), w.v_indices()
+    u, v = w.u, w.v
     assert list(u) == sorted(set(u)) and list(v) == sorted(set(v))
     assert sorted(u + v) == list(range(len(seq)))
     assert all(seq[i] for i in v)
@@ -86,11 +86,11 @@ class TestExists:
 class TestFindSplit:
     def test_witness_invariant(self):
         w = find_equal_sum_split(DegreeSequence((2, 2, 2, 2)))
-        assert sum(2 for _ in w.u_indices()) == sum(2 for _ in w.v_indices()) == 4
+        assert sum(2 for _ in w.u) == sum(2 for _ in w.v) == 4
 
     def test_forced_pair(self):
         w = find_equal_sum_split(DegreeSequence((1, 1)))
-        assert len(w.u_indices()) == len(w.v_indices()) == 1
+        assert len(w.u) == len(w.v) == 1
 
     def test_none(self):
         assert find_equal_sum_split(DegreeSequence((5, 1, 1, 1))) is None
@@ -106,7 +106,7 @@ class TestFindSplit:
 
     def test_zeros_kept_on_u_side(self):
         w = find_equal_sum_split(DegreeSequence((0, 1, 0, 1)))
-        assert {0, 2} <= set(w.u_indices())
+        assert {0, 2} <= set(w.u)
 
     def test_wrong_count_vector_raises(self, monkeypatch):
         # a walk whose first key puts nothing on U: the split must not be
@@ -335,7 +335,7 @@ class TestEnumerate:
     def test_count_211(self):
         splits = list(enumerate_equal_sum_splits(DegreeSequence((2, 1, 1))))
         assert len(splits) == 1
-        assert splits[0].u_indices() == (0,)
+        assert splits[0].u == (0,)
 
     def test_zero_degrees_do_not_multiply_splits(self):
         base = len(list(enumerate_equal_sum_splits(DegreeSequence((1, 1, 1, 1)))))
@@ -351,7 +351,7 @@ class TestEnumerate:
         seen = set()
         for w in splits:
             assert_split(seq, w)
-            key = tuple(sorted(i for i in w.u_indices() if seq[i] > 0))
+            key = tuple(sorted(i for i in w.u if seq[i] > 0))
             assert key not in seen
             seen.add(key)
 

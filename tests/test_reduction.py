@@ -17,7 +17,7 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  semiregular_bipartite, verify_reduction_roundtrip)
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
-from bdr.gale_ryser import BipartiteRealization, construct_realization
+from bdr.gale_ryser import BipartiteRealization, construct_realization, hinge_flip
 from bdr.oracle import brute_force_bipartite_realizable
 from bdr.reduction import _ceil_sqrt, _floor_sqrt, _round_robin_rows
 from conftest import reduction_corpus
@@ -330,8 +330,8 @@ class TestLiftProject:
         inst = build_hard_instance(ds, HARD)
         split = find_equal_sum_split(inst.source)
         assert split is not None
-        g = construct_realization([inst.source.degrees[i] for i in split.u_indices()],
-                                  [inst.source.degrees[i] for i in split.v_indices()])
+        g = construct_realization([inst.source.degrees[i] for i in split.u],
+                                  [inst.source.degrees[i] for i in split.v])
         assert g is not None
         return ds, inst, split, g
 
@@ -348,7 +348,7 @@ class TestLiftProject:
         assert sorted(back.u_degrees() + back.v_degrees()) == sorted(
             inst.source.degrees)
         assert sorted(back.u_degrees()) == sorted(
-            inst.source.degrees[i] for i in split.u_indices())
+            inst.source.degrees[i] for i in split.u)
 
     def test_lift_rejects_wrong_degrees(self):
         _, inst, split, g = self.lifted((2, 1, 1, 1, 1))
@@ -356,19 +356,33 @@ class TestLiftProject:
         with pytest.raises(ValueError):
             lift_realization(bad, split, inst)
 
-    def test_project_rejects_tampered_graph(self):
-        _, inst, split, g = self.lifted((2, 1, 1, 1, 1))
+    @pytest.mark.parametrize("degrees, flip, message", [
+        # remove one edge between two non-big vertices
+        ((2, 1, 1, 1, 1), None, "shifted-degree multiset does not match the source"),
+        # move the big v-edge (0, 14) from u-vertex 0, source degree 2, to the
+        # small u-vertex 15: u-vertex 0 keeps both its source edges
+        ((2, 2, 1, 1), (0, 15, 14), "u-vertex 0: degree 13, residual 2, expected 1$"),
+        # move the non-big v-edge (0, 0) to u-vertex 15: u-vertex 0 still
+        # checks out, the small u-vertex has a residual edge
+        ((2, 2, 1, 1), (0, 15, 0), "u-vertex 15: non-shifted residual degree 1$"),
+    ])
+    def test_project_rejects_tampered_graph(self, degrees, flip, message):
+        _, inst, split, g = self.lifted(degrees)
         lifted = lift_realization(g, split, inst)
-        # remove one edge between two non-big vertices: degree audit breaks
         big = inst.big_value
         u_deg = lifted.u_degrees()
         v_deg = lifted.v_degrees()
-        u, v = next((u, v) for u, v in lifted.sorted_edges()
-                    if u_deg[u] != big and v_deg[v] != big)
-        neighbors = list(lifted.neighbors)
-        neighbors[u] = tuple(w for w in neighbors[u] if w != v)
-        tampered = BipartiteRealization(lifted.v_count, tuple(neighbors))
-        with pytest.raises(ProjectionAuditError):
+        if flip is None:
+            u, v = next((u, v) for u, v in lifted.sorted_edges()
+                        if u_deg[u] != big and v_deg[v] != big)
+            neighbors = list(lifted.neighbors)
+            neighbors[u] = tuple(w for w in neighbors[u] if w != v)
+            tampered = BipartiteRealization(lifted.v_count, tuple(neighbors))
+        else:
+            u1, u2, v = flip
+            assert g.u_degrees()[u1] == 2 and u_deg[u2] == inst.small_value
+            tampered = hinge_flip(lifted, u1, u2, v)
+        with pytest.raises(ProjectionAuditError, match=message):
             project_realization(tampered, inst)
 
     def test_more_sources(self):
