@@ -164,10 +164,12 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
 
     The splits are the leaves of ``partition.equal_sum_walk``, in its
     order: a pruned walk that enters only subtrees holding a split and keeps
-    its subset-sum bitsets in O(sqrt(m)*sigma) bits, m the number of
-    nonzero degrees.  Gale–Ryser runs once per distinct U count vector, on
-    the (value, count) runs; the split and its realization are built only
-    for the split that is accepted.
+    its subset-sum bitsets in blocks whose held rows and checkpoints fit
+    2*ceil(sqrt(m)) + 2 bitsets (``partition._block``, the count walk's
+    rule too), O(sqrt(m)*sigma) bits, m the number of nonzero degrees.
+    Gale–Ryser runs once per distinct U count vector, on the (value, count)
+    runs; the split and its realization are built only for the split that
+    is accepted.
 
     First the U count vectors over the runs are walked, in the same memory
     bound, entering only subtrees that can still pass Gale–Ryser

@@ -6,7 +6,8 @@ realizer holds the v-vertices of each residual degree as one int bitset,
 so a step costs O(|V|)-bit operations per residual level it touches.
 Realizations are immutable per-u neighbor tuples; hinge-flips return new
 values.  A realization is checked where it is built: the tuple
-constructor checks each row entry by entry (``_check_row``), and
+constructor checks each row entry by entry (``_check_row``), a hinge-flip
+checks the two rows it changes and shares the others, and
 ``BipartiteRealization.from_intervals`` takes rows as int bitsets and
 ranges and checks each in O(1).  The realizer's rows arrive there as
 bitsets, each decoded once.
@@ -172,9 +173,15 @@ class BipartiteRealization:
             row = parts[0] if len(parts) == 1 else sum(parts, ())
             built[id(pieces)] = pieces, row
             neighbors.append(row)
+        return cls._trusted(n, tuple(neighbors))
+
+    @classmethod
+    def _trusted(cls, v_count: int,
+                 neighbors: tuple[tuple[int, ...], ...]) -> BipartiteRealization:
+        """The realization of rows its caller has checked, not checked again."""
         g = object.__new__(cls)
-        object.__setattr__(g, "v_count", n)
-        object.__setattr__(g, "neighbors", tuple(neighbors))
+        object.__setattr__(g, "v_count", v_count)
+        object.__setattr__(g, "neighbors", neighbors)
         return g
 
     @property
@@ -421,7 +428,11 @@ def construct_realization(d1: Sequence[int],
 
 
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:
-    """Move the edge (u1, v) to (u2, v)."""
+    """Move the edge (u1, v) to (u2, v).
+
+    Only the two changed rows are checked (``_check_row``); the others are
+    g's row objects, shared, so a flip costs O(|U| + deg(u1) + deg(u2)).
+    """
     if u1 == u2 or not (0 <= min(u1, u2) and max(u1, u2) < g.u_count):
         raise InvalidMoveError(f"need distinct u1, u2 in range({g.u_count}), got {u1}, {u2}")
     if v not in g.neighbors[u1]:
@@ -431,7 +442,11 @@ def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRe
     neighbors = list(g.neighbors)
     neighbors[u1] = tuple(w for w in neighbors[u1] if w != v)
     neighbors[u2] = tuple(sorted(neighbors[u2] + (v,)))
-    return BipartiteRealization(g.v_count, tuple(neighbors))
+    # every other row object is g's, checked when g was built
+    for u in sorted((u1, u2)):
+        if neighbors[u]:
+            _check_row(u, neighbors[u], g.v_count)
+    return BipartiteRealization._trusted(g.v_count, tuple(neighbors))
 
 
 def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRealization:

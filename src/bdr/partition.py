@@ -12,18 +12,19 @@ sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
 (value, count) run per step, its count split in binary parts 1, 2, 4, ...,
 rest (the paper's bounded subset-sum).  Deciding existence keeps one
 bitset of the run DP, O(sigma) bits.  The split walk makes one checkpoint
-pass of the item DP over its m items (``_checkpoints``), keeping every
-ceil(sqrt(m))-th bitset, O(sqrt(m)*sigma) bits, and rebuilds one block
-from them at a time.  Splits are unordered; the split walk canonicalizes
-by keeping the first nonzero entry on the U side and has no limit (a
-caller that needs one stops iterating).  A caller may pass it a branch
-test that drops include branches whole and reads a branch's first leaf in
-the same blocks; ``decide_exact`` drops those without an accepted split
-that way.  The count-vector walk yields U count vectors over the distinct
+pass of the item DP over its m items (``_checkpoints``), keeping the bitset
+at the start of each block, and rebuilds one block from them at a time.
+One rule sizes the blocks of both walks (``_block``): the largest whose
+held rows and checkpoints fit 2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma)
+bits.  Splits are unordered; the split walk canonicalizes by keeping the
+first nonzero entry on the U side and has no limit (a caller that needs
+one stops iterating).  A caller may pass it a branch test that drops
+include branches whole and reads a branch's first leaf in the same
+blocks; ``decide_exact`` drops those without an accepted split that way.  The count-vector walk yields U count vectors over the distinct
 nonzero degrees instead, pruned on the run DP's suffix bitsets,
-checkpointed to fit the split walk's rows, and as often as asked, in a box
-of counts per run if given, on one set of bitsets (``_count_walk``).  Both
-walks keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
+checkpointed by the same rule, and as often as asked, in a box of counts
+per run if given, on one set of bitsets (``_count_walk``).  Both walks
+keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
 that hold a split and key a count vector in the same mixed radix over the
 same (value, count) runs (``count_runs`` decodes it).  ``decide_exact``
 also walks the count vectors with a Gale–Ryser bound that drops subtrees
@@ -157,6 +158,21 @@ def _checkpoints(degrees: list[int], target: int, block: int) -> tuple[list[int]
     return checkpoints, bool(reach >> target & 1)
 
 
+def _block(positions: int, m: int) -> int:
+    """The block of a walk over the prefix bitsets at 0..``positions`` of m
+    nonzero degrees: the largest whose held rows and checkpoints fit
+    2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma) bits.
+
+    Both walks count the same way.  A checkpoint is kept at every
+    block-th position, positions // block + 1 of them, the first ({0}, one
+    bit) free; the block being walked is held as the rows of its positions
+    and of the next block's first, block + 1 rows (the count walk holds
+    one fewer).  So block + 1 + positions // block must fit.
+    """
+    limit = 2 * isqrt(m - 1) + 4 if m else 2  # 2*ceil(sqrt(m)) + 2
+    return next(b for b in range(limit - 1, 0, -1) if b + 1 + positions // b <= limit)
+
+
 def _places(runs: list[tuple[int, int]]) -> list[int]:
     """The mixed-radix place of each run's count: a count vector's key is
     the sum of count times place, and ``count_runs`` reads it back."""
@@ -216,10 +232,11 @@ def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
     A node is entered only when its remainder is a subset sum of the items
     after it, so only subtrees without a leaf are dropped: the leaves and
     their order are those of the unpruned walk.  The suffix subset sums are
-    kept at every ceil(sqrt(m))-th position (m nonzero degrees); the block
-    the walk is in is rebuilt from its checkpoint as bytes, cut to the sums
-    up to the remainder at the root of the subtree being walked (no test
-    below it asks for more), so a test is O(1) in O(sqrt(m)*sigma) bits.
+    kept at the start of each block of ``_block(m, m)`` positions (m
+    nonzero degrees); the block the walk is in is rebuilt from its
+    checkpoint as bytes, cut to the sums up to the remainder at the root
+    of the subtree being walked (no test below it asks for more), so a test
+    is O(1) in O(sqrt(m)*sigma) bits.
 
     With ``branch``, the walk asks it before it enters an include branch:
     ``branch(t, lo, hi, first)``, with t the run of the item, ``lo`` the
@@ -254,7 +271,7 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
     at = nz[::-1]
     deg = [ds.degrees[k] for k in at]
     step = [place[d] for d in deg]
-    block = isqrt(m - 1) + 1  # ceil(sqrt(m))
+    block = _block(m, m)
     checkpoints, found = _checkpoints(deg, target, block)
     # a split and its complement both sum to target, so one of them puts
     # the first nonzero index on U: the root is live iff any split exists
@@ -372,12 +389,13 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     after i, so it drops only dead subtrees: the count vectors and their
     order are those of the unpruned search.  Of those d bitsets (d runs)
     every B-th is kept, and the block of B the walk is in is rebuilt from
-    it as bytes, so a test is O(1).  B is the largest block whose
-    checkpoints and rows fit the split walk's 2*ceil(sqrt(m)) + 2 rows (m
-    nonzero degrees): O(sqrt(m)*sigma) bits, and one block, built once, if
-    d <= 2*ceil(sqrt(m)) + 2.  A count vector and its complement both
-    appear; no nonzero degree gives the one empty count vector.  The walk
-    keeps an explicit stack, not bounded by the recursion limit.
+    it as bytes, so a test is O(1).  B is ``_block(d - 1, m)``, the split
+    walk's rule over the positions 0..d-1: the held rows and checkpoints
+    fit 2*ceil(sqrt(m)) + 2 bitsets (m nonzero degrees), O(sqrt(m)*sigma)
+    bits, and one block, built once, if d < 2*ceil(sqrt(m)) + 2.  A count
+    vector and its complement both appear; no nonzero degree gives the one
+    empty count vector.  The walk keeps an explicit stack, not bounded by
+    the recursion limit.
 
     This walk is not pruned on Gale–Ryser: ``oracle`` reads it, and the
     benchmark confirms ``decide_exact``'s NotBipartite verdicts with that
@@ -406,8 +424,10 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
     the count vectors that pass Gale–Ryser, in the unpruned order, as that
     test drops only subtrees without one.  The suffix bitsets count every
     run whole, so in a box the walk may enter a node with no count vector
-    below it, which costs nodes but no key.  Row j holds only the sums up to what the
-    last j runs make, the small values: the n' = 1604 stall's three rows
+    below it, which costs nodes but no key.  The bitsets are kept and
+    rebuilt in blocks of ``_block`` (see ``count_vector_walk``), each row
+    cut to its own bit length: row j holds only the sums up to what the
+    last j runs make, the small values, so the n' = 1604 stall's three rows
     take 44 KB, not 139 KB, which lets ``decide_exact`` keep them while it
     walks the splits.
     """
@@ -416,9 +436,7 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
     target = sigma // 2
     d, m = len(runs), sum(c for _, c in runs)
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
-    limit = 2 * isqrt(m - 1) + 4 if m else 2  # the split walk's rows
-    # len(back) // block checkpoints (the first, {0}, is free) and one block
-    block = next(b for b in range(limit, 0, -1) if b + len(back) // b <= limit)
+    block = _block(len(back), m)
     base = len(back) - len(back) % block  # the last block, where the walk starts
     checkpoints, rows = [], []
     for j, reach in enumerate(_run_sums(back, target)):

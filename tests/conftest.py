@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-# 8 to 16 mostly distinct values, an odd sum evened out with a 1: more
-# distinct degrees than 2*ceil(sqrt(m)) + 2 (m nonzero ones), so that the
-# count-vector walk rebuilds a block other than the one it starts in, for
-# about half of the draws
+# 8 to 16 mostly distinct values, an odd sum evened out with a 1: at least
+# 2*ceil(sqrt(m)) + 2 distinct degrees (m nonzero ones), more than the
+# count walk's block + 1 rows and checkpoints past {0} hold in one block
+# (``partition._block``), so that the count-vector walk rebuilds a block
+# other than the one it starts in, for about three draws in four
 MANY_DISTINCT = st.lists(st.integers(0, 40), min_size=8, max_size=16).map(
     lambda s: s + [1] if sum(s) % 2 else s)
 

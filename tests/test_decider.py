@@ -475,16 +475,19 @@ class TestCountVectorPrePass:
                 decide_exact(DegreeSequence(seq), budget=1)
         assert (exc.value.limit, exc.value.examined) == (1, 2)
 
-    # 9 and 11 distinct degrees over m = 9 and 11: more than
-    # 2*ceil(sqrt(m)) + 2, so the count walk rebuilds a block; 2 and 21 splits
+    # 9 and 11 distinct degrees over m = 9 and 11: at least 2*ceil(sqrt(m))
+    # + 2, more than one block of ``partition._block`` holds, so the count
+    # walk rebuilds a block; 2 and 21 splits
     @pytest.mark.parametrize("seq", [(20, 2, 19, 22, 6, 14, 21, 13, 17),
                                      (1, 8, 7, 13, 5, 25, 11, 21, 4, 3, 10)])
     def test_many_distinct_degrees_run_it(self, seq, unpruned_splits):
         self._check(seq, unpruned_splits)
 
     def test_many_distinct_degrees_keep_the_split_walk_bound(self):
-        # 1..400: 400 runs against 2*ceil(sqrt(400)) + 2 = 42 rows of the
-        # split walk; the pre-pass's 401 bitsets would take about 2 MB
+        # 1..400: 400 runs, and both walks hold block + 1 rows and the
+        # checkpoints past {0} within 2*ceil(sqrt(400)) + 2 = 42 bitsets
+        # (``partition._block``); the pre-pass's 401 bitsets would take
+        # about 2 MB
         ds = DegreeSequence(tuple(range(1, 401)))
 
         def walk():
@@ -503,8 +506,9 @@ class TestStall:
     def test_budget_point_and_memory(self):
         # the padded D' of (1,1,1,1) at (3/20, 2/5), n' = 1604: its splits
         # lie deep in a walk of mostly dead subtrees; the suffix bitsets are
-        # kept at sqrt(m) checkpoints, where a table per position would take
-        # about 60 MB
+        # kept at checkpoints, held rows and checkpoints within
+        # 2*ceil(sqrt(m)) + 2 bitsets (``partition._block``), where a table
+        # per position would take about 60 MB
         ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
                                  ParamBounds(F(3, 20), F(2, 5))).d_prime
         assert ds.n == 1604

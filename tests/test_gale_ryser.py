@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from bdr import (BipartiteRealization, DegreeSequence, ParamBounds,
                  balancing_hinge_flip, construct_realization, decide_bdr,
                  format_realization, hinge_flip, is_bigraphic, is_graphic)
+from bdr import gale_ryser
 from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
 from bdr.oracle import exhaustive_pair_search
@@ -634,6 +635,37 @@ class TestHingeFlip:
         for u1, u2 in ((u, 1), (0, u)):
             with pytest.raises(InvalidMoveError):
                 hinge_flip(g, u1, u2, 0)
+
+    def test_checks_only_the_two_changed_rows(self, monkeypatch):
+        g = construct_realization((3, 3, 2, 1, 1), (2, 2, 2, 2, 2))
+        rows = {}
+        for u1, nbrs in enumerate(g.neighbors):
+            for u2 in range(g.u_count):
+                for v in set(nbrs) - set(g.neighbors[u2]):
+                    rows[u1, u2, v] = [list(r) for r in g.neighbors]
+                    rows[u1, u2, v][u1].remove(v)
+                    rows[u1, u2, v][u2] = sorted(rows[u1, u2, v][u2] + [v])
+        assert len(rows) > 10
+        calls = []
+        check = gale_ryser._check_row
+        monkeypatch.setattr(gale_ryser, "_check_row",
+                            lambda *args: calls.append(args[0]) or check(*args))
+        for (u1, u2, v), want in rows.items():
+            calls.clear()
+            flipped = hinge_flip(g, u1, u2, v)
+            assert len(calls) <= 2 and set(calls) <= {u1, u2}
+            # the tuple constructor, which checks every row, builds the same
+            assert flipped == BipartiteRealization(g.v_count, tuple(map(tuple, want)))
+            assert all(flipped.neighbors[u] is g.neighbors[u]
+                       for u in range(g.u_count) if u not in (u1, u2))
+
+    def test_bool_and_out_of_range_v_raise(self):
+        g = BipartiteRealization(3, ((0, 1, 2), ()))
+        with pytest.raises(TypeError):
+            hinge_flip(g, 0, 1, True)  # True == 1 is an edge of u-vertex 0
+        for v in (-1, 3):
+            with pytest.raises(InvalidMoveError):
+                hinge_flip(g, 0, 1, v)
 
 
 class TestBalancingHingeFlip:

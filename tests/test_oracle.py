@@ -100,9 +100,10 @@ class TestLimits:
             brute_force_bipartite_realizable(DegreeSequence(seq), budget=1)
 
     def test_memory_within_the_split_walk_bound(self):
-        # 1..400: 400 runs, their suffix bitsets checkpointed to fit the
-        # split walk's 2*ceil(sqrt(400)) + 2 = 42 rows, where all 401 of
-        # them would take about 2 MB
+        # 1..400: 400 runs, their suffix bitsets checkpointed by the split
+        # walk's rule, block + 1 rows and the checkpoints past {0} within
+        # 2*ceil(sqrt(400)) + 2 = 42 bitsets (``partition._block``), where
+        # all 401 of them would take about 2 MB
         ds = DegreeSequence(tuple(range(1, 401)))
 
         def walk():

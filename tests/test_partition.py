@@ -1,17 +1,19 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, islice
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
-from bdr.errors import InvariantError
+from bdr import partition
+from bdr.decider import decide_exact
+from bdr.errors import BudgetExceededError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import (_count_walk, count_runs, count_vector_walk, equal_sum_walk,
+from bdr.partition import (_block, _count_walk, count_runs, count_vector_walk, equal_sum_walk,
                            half_sum_sets, half_sum_sets_exceed, mask_indices, split_with_u)
 from conftest import MANY_DISTINCT, reduction_corpus
 
@@ -367,9 +369,11 @@ class TestEnumerate:
         assert list(enumerate_equal_sum_splits(ds)) == [
             split_with_u(ds, u) for u in unpruned_splits(seq)]
 
-    def test_same_leaves_across_blocks(self, unpruned_splits):
-        # about 29 nonzero items of 34: blocks of 6, rebuilt as the walk moves
-        # between them, and the sum cap of each rebuild tested
+    def test_same_leaves_across_blocks(self, unpruned_splits, monkeypatch):
+        # about 29 nonzero items of 34: blocks of 9 to 11, three or four of
+        # them, rebuilt as the walk moves between them, and the sum cap of
+        # each rebuild tested
+        seen = _split_walk_spy(monkeypatch)
         rng = random.Random(13)
         for _ in range(40):
             seq = [rng.choice((0, 1, 2, 3, 3, 5, 8)) for _ in range(34)]
@@ -377,6 +381,25 @@ class TestEnumerate:
             got = [w for _, w in zip(range(3000), enumerate_equal_sum_splits(ds))]
             want = [split_with_u(ds, u) for _, u in zip(range(3000), unpruned_splits(seq))]
             assert got == want
+        # the walk crosses at least two block edges
+        assert len({base for base, _ in seen["blocks"]}) >= 3
+
+    # m = 6, 10 and 29 nonzero items: blocks of 7, 8 and 11 over the
+    # positions 0..m-2 the walk reads
+    @pytest.mark.parametrize("m, blocks", [(6, 1), (10, 2), (29, 3)])
+    def test_same_leaves_in_one_two_and_more_blocks(self, m, blocks, unpruned_splits,
+                                                    monkeypatch):
+        assert (m - 2) // _block(m, m) + 1 == blocks
+        seen = _split_walk_spy(monkeypatch)
+        rng = random.Random(m)
+        for _ in range(30):
+            seq = [rng.choice((1, 2, 3, 3, 5, 8)) for _ in range(m)]
+            seq[-1] += sum(seq) % 2
+            ds = DegreeSequence(seq)
+            got = [w for _, w in zip(range(3000), enumerate_equal_sum_splits(ds))]
+            want = [split_with_u(ds, u) for _, u in zip(range(3000), unpruned_splits(seq))]
+            assert got == want
+        assert len({base for base, _ in seen["blocks"]}) == blocks
 
     def test_walk_keys_are_count_vectors(self):
         rng = random.Random(17)
@@ -391,3 +414,98 @@ class TestEnumerate:
                 assert all(seq[i] for i in u)
                 assert count_runs(runs, key) == (
                     [(v, on_u[v]) for v, _ in runs], [(v, c - on_u[v]) for v, c in runs])
+
+
+def _ceil_sqrt(m):
+    r = isqrt(m)
+    return r + (r * r < m)
+
+
+def _fits(block, positions, m):
+    """block + 1 held rows and the checkpoints past the first within
+    2*ceil(sqrt(m)) + 2."""
+    return block + 1 + positions // block <= 2 * _ceil_sqrt(m) + 2
+
+
+def _split_walk_spy(monkeypatch):
+    """The split walk's checkpoints past the first, per checkpoint pass, and
+    (first position, rows held) per block it rebuilds."""
+    seen = {"checkpoints": [], "blocks": []}
+    checkpoints, rebuild = partition._checkpoints, partition._rebuild
+
+    def spy_checkpoints(*args):
+        kept, found = checkpoints(*args)
+        seen["checkpoints"].append(len(kept) - 1)
+        return kept, found
+
+    def spy_rebuild(rows, *args):
+        base = rebuild(rows, *args)
+        seen["blocks"].append((base, len(rows)))
+        return base
+
+    monkeypatch.setattr(partition, "_checkpoints", spy_checkpoints)
+    monkeypatch.setattr(partition, "_rebuild", spy_rebuild)
+    return seen
+
+
+def _count_walk_spy(monkeypatch):
+    """Per count walk that ``decide_exact`` builds, its checkpoints past the
+    first and the rows it holds, first and after each rebuild."""
+    walks = []
+    count_walk, run_sums = partition._count_walk, partition._run_sums
+
+    def spy_count_walk(sigma, runs):
+        walk = count_walk(sigma, runs)
+        cells = dict(zip(walk.__code__.co_freevars, (c.cell_contents for c in walk.__closure__)))
+        walks.append((len(cells["checkpoints"]) - 1, [len(cells["rows"])]))
+        return walk
+
+    def spy_run_sums(runs, target, *reach):
+        rows = list(run_sums(runs, target, *reach))
+        if reach:  # a rebuild from a checkpoint
+            walks[-1][1].append(len(rows))
+        return iter(rows)
+
+    monkeypatch.setattr("bdr.decider._count_walk", spy_count_walk)
+    monkeypatch.setattr(partition, "_run_sums", spy_run_sums)
+    return walks
+
+
+class TestBlockRule:
+    """Both walks size their blocks by ``_block``: held rows plus
+    checkpoints within 2*ceil(sqrt(m)) + 2 bitsets."""
+
+    def test_largest_block_that_fits(self):
+        for m in range(5001):
+            limit = 2 * _ceil_sqrt(m) + 2
+            # the split walk's m item positions; the count walk's d - 1 run
+            # positions, all d <= m for small m, else those about its
+            # one-block edge and a few more
+            runs = range(1, m + 1) if m <= 300 else {1, 2, limit - 2, limit - 1, limit,
+                                                     limit + 1, m // 2, m}
+            for positions in {m} | {d - 1 for d in runs if 1 <= d <= m}:
+                block = _block(positions, m)
+                assert block >= 1 and _fits(block, positions, m)
+                assert not any(_fits(b, positions, m) for b in range(block + 1, limit + 1))
+
+    # 1..400, whose count walk rebuilds blocks, and the n' = 1604 stall
+    @pytest.mark.parametrize("stall", [False, True])
+    def test_walks_hold_within_the_bound(self, stall, monkeypatch):
+        if stall:
+            ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
+                                     ParamBounds(Fraction(3, 20), Fraction(2, 5))).d_prime
+        else:
+            ds = DegreeSequence(tuple(range(1, 401)))
+        m = sum(1 for d in ds.degrees if d)
+        limit = 2 * _ceil_sqrt(m) + 2
+        split = _split_walk_spy(monkeypatch)
+        count = _count_walk_spy(monkeypatch)
+        for _ in islice(equal_sum_walk(ds)[1], 2):
+            pass
+        with pytest.raises(BudgetExceededError):
+            decide_exact(ds, budget=20000 if stall else 1)
+        assert len({base for base, _ in split["blocks"]}) > 1
+        assert max(rows for _, rows in split["blocks"]) + max(split["checkpoints"]) <= limit
+        (checkpoints, rows), = count
+        assert stall or len(rows) > 1
+        assert max(rows) + checkpoints <= limit
