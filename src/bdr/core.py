@@ -8,7 +8,6 @@ instances are classified correctly.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from bisect import bisect_left
@@ -155,9 +154,13 @@ def is_graphic(ds: DegreeSequence) -> bool:
 
 
 def degree_window(bounds: ParamBounds, n: int) -> tuple[int, int]:
-    """(ceil(c1*n), floor(c2*n)): the integer degrees in [c1*n, c2*n]."""
-    # Fraction's ceil and floor are exact integer divisions
-    return math.ceil(bounds.c1 * n), math.floor(bounds.c2 * n)
+    """(ceil(c1*n), floor(c2*n)): the integer degrees in [c1*n, c2*n].
+
+    Both are integer divisions of the numerator times n by the denominator,
+    the ceiling as the negated floor of the negation.
+    """
+    c1, c2 = bounds.c1, bounds.c2
+    return -(-c1.numerator * n // c1.denominator), c2.numerator * n // c2.denominator
 
 
 def in_class(ds: DegreeSequence, bounds: ParamBounds) -> bool:

@@ -1,8 +1,9 @@
 """The parameterized decision procedure for bipartite realizability.
 
 Region classification never evaluates a square root: every boundary test
-is restated as a polynomial inequality over exact rationals, so boundary
-parameter pairs are classified correctly.
+is restated as a polynomial inequality over exact rationals and
+cross-multiplied into integers, so boundary parameter pairs are classified
+correctly.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .partition import (SplitWitness, _count_walk, _places, balanced_split, coun
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
 from .partition import enumerate_equal_sum_splits  # noqa: F401
-
-HALF = Fraction(1, 2)
 
 
 class RegionClass(enum.Enum):
@@ -51,9 +50,12 @@ def classify_region(bounds: ParamBounds) -> RegionClass:
     c1, c2 = bounds.c1, bounds.c2
     if threshold_at_or_below(c1, c2):
         return RegionClass.LOW_TRACTABLE
-    if c1 > HALF:
+    a, b = c1.numerator, c1.denominator
+    if 2 * a > b:  # c1 > 1/2
         return RegionClass.HIGH_TRACTABLE
-    if c2 < HALF and (c1 + c2) ** 2 > 2 * c1:
+    c, d = c2.numerator, c2.denominator
+    # c2 < 1/2 and (c1 + c2)^2 > 2*c1, the second times (b*d)^2
+    if 2 * c < d and (a * d + b * c) ** 2 > 2 * a * b * d * d:
         return RegionClass.CONDITIONALLY_HARD
     return RegionClass.UNCLASSIFIED
 
@@ -65,11 +67,16 @@ def threshold_c2(c1: Fraction) -> float:
 
 
 def threshold_at_or_below(c1: Fraction, c2: Fraction) -> bool:
-    """Exact form of c2 <= threshold_c2(c1): c1 >= c2^2 / (1 - c2)."""
-    c1, c2 = Fraction(c1), Fraction(c2)
-    if c2 >= 1:
+    """Exact form of c2 <= threshold_c2(c1): c1 >= c2^2 / (1 - c2).
+
+    For ints or Fractions c1 = a/b and c2 = c/d < 1, this is
+    c1*(1 - c2) >= c2^2 times b*d^2: a*(d - c)*d >= b*c^2.
+    """
+    a, b = c1.numerator, c1.denominator
+    c, d = c2.numerator, c2.denominator
+    if c >= d:  # c2 >= 1
         return False
-    return c1 * (1 - c2) >= c2 * c2
+    return a * (d - c) * d >= b * c * c
 
 
 def max_degree_gap() -> tuple[float, float]:

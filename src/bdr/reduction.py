@@ -1,7 +1,9 @@
 """The padding reduction between the unrestricted and parameterized problems.
 
-All derived constants are exact rationals.  The rational scaling factor r
-is found by comparing decimal expansions of the two irrational bracket
+All derived constants are exact rationals, computed in integer arithmetic
+on their numerators and denominators: every inequality is cross-multiplied
+and every integrality test is a divmod.  The rational scaling factor r is
+found by comparing decimal expansions of the two irrational bracket
 endpoints; each digit string is an integer square root (math.isqrt) of a
 scaled rational, so no floating point is involved anywhere in the
 construction.
@@ -57,25 +59,27 @@ class ReductionInstance:
 
 
 def _c_tilde(r: Fraction) -> tuple[Fraction, Fraction]:
-    """The padded instance's relative bounds (c1~, c2~) = ((1-r)^2/2, (1-r^2)/2)."""
-    return (1 - r) ** 2 / 2, (1 - r * r) / 2
+    """The padded instance's relative bounds (c1~, c2~) = ((1-r)^2/2, (1-r^2)/2),
+    for r = p/q: (q-p)^2 / (2*q^2) and (q^2-p^2) / (2*q^2)."""
+    p, q = r.numerator, r.denominator
+    den = 2 * q * q
+    return Fraction((q - p) ** 2, den), Fraction(q * q - p * p, den)
 
 
-def _exact_int(value: Fraction, name: str) -> int:
-    if value.denominator != 1:
-        raise ReductionInvariantError(f"{name} = {value} is not an integer")
-    return value.numerator
+def _exact_quotient(num: int, den: int, name: str) -> int:
+    """num / den, which must be an integer."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise ReductionInvariantError(f"{name} = {Fraction(num, den)} is not an integer")
+    return quotient
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for rational x >= 0, exactly: floor(sqrt(x)) = isqrt(floor(x))."""
-    return isqrt(x.numerator // x.denominator)
-
-
-def _ceil_sqrt(x: Fraction) -> int:
-    """ceil(sqrt(x)) for rational x >= 0; sqrt(x) is an integer only if x is its square."""
-    root = _floor_sqrt(x)
-    return root if root * root == x else root + 1
+def _sqrt_floor_ceil(num: int, den: int) -> tuple[int, int]:
+    """(floor(sqrt(x)), ceil(sqrt(x))) for x = num/den >= 0, den > 0, exactly:
+    floor(sqrt(x)) = isqrt(floor(x)), and sqrt(x) is an integer only if x is
+    its square."""
+    root = isqrt(num // den)
+    return root, root if root * root * den == num else root + 1
 
 
 def compute_rational_r(bounds: ParamBounds) -> Fraction:
@@ -83,29 +87,41 @@ def compute_rational_r(bounds: ParamBounds) -> Fraction:
 
     Found by rounding both endpoints at the first decimal position where
     their expansions differ and averaging; if rounding spoils the strict
-    bracket, one more digit is taken.
+    bracket, one more digit is taken.  Every digit string is the
+    ``math.isqrt`` of a scaled rational's integer floor, and the bracket
+    test on r = p/q is cross-multiplied into integers, so the loop builds
+    no Fraction; r and its c~ are built once, when r is accepted.
     """
     if classify_region(bounds) is not RegionClass.CONDITIONALLY_HARD:
         raise NotInHardRegionError(
             f"bounds ({bounds.c1}, {bounds.c2}) are not in the conditionally hard region")
-    c1, c2 = bounds.c1, bounds.c2
-    wa = 1 - 2 * c2  # lower endpoint is sqrt(wa)
-    wb = 2 * c1      # upper endpoint is 1 - sqrt(wb)
+    a, b = bounds.c1.numerator, bounds.c1.denominator
+    c, d = bounds.c2.numerator, bounds.c2.denominator
+    # the endpoints are sqrt(wa / d) and 1 - sqrt(wb / b):
+    # 1 - 2*c2 = (d - 2*c) / d and 2*c1 = 2*a / b
+    wa, wb = d - 2 * c, 2 * a
     for digits in range(1, 400):
         s = 10 ** digits
+        ss = s * s
         # the endpoints truncated to `digits` places, times s
-        if _floor_sqrt(s * s * wa) == s - _ceil_sqrt(s * s * wb):
+        if _sqrt_floor_ceil(ss * wa, d)[0] == s - _sqrt_floor_ceil(ss * wb, b)[1]:
             continue
         # rounded half up instead: floor(s*x + 1/2) = (floor(2*s*x) + 1) // 2
-        ra = (_floor_sqrt(4 * s * s * wa) + 1) // 2
-        rb = s + (1 - _ceil_sqrt(4 * s * s * wb)) // 2
-        r = Fraction(ra + rb, 2 * s)
-        # strict bracket, square-compared: sqrt(wa) < r and r < 1 - sqrt(wb)
-        if not (r > 0 and r * r > wa and r < 1 and (1 - r) ** 2 > wb):
+        ra = (_sqrt_floor_ceil(4 * ss * wa, d)[0] + 1) // 2
+        rb = s + (1 - _sqrt_floor_ceil(4 * ss * wb, b)[1]) // 2
+        p, q = ra + rb, 2 * s
+        # strict bracket on r = p/q, square-compared: sqrt(wa / d) < r and
+        # r < 1 - sqrt(wb / b), as 0 < r < 1, r^2 > wa / d times q^2*d and
+        # (1 - r)^2 > wb / b times q^2*b
+        if not (0 < p < q and p * p * d > q * q * wa and (q - p) ** 2 * b > q * q * wb):
             continue
+        r = Fraction(p, q)
         c1t, c2t = _c_tilde(r)
-        # implied by the bracket; checked as a derivation tripwire
-        if not (c1 < c1t and c2t < c2 and (c1t + c2t) ** 2 == 2 * c1t):
+        n1, d1, n2, d2 = c1t.numerator, c1t.denominator, c2t.numerator, c2t.denominator
+        # implied by the bracket; checked as a derivation tripwire:
+        # c1 < c1~ and c2~ < c2, and (c1~ + c2~)^2 = 2*c1~ times (d1*d2)^2
+        if not (a * d1 < n1 * b and n2 * d < c * d2
+                and (n1 * d2 + n2 * d1) ** 2 == 2 * n1 * d1 * d2 * d2):
             raise ReductionInvariantError(f"r = {r} breaks the identities of the bracket")
         return r
     raise ReductionInvariantError("no admissible r found; bracket endpoints too close")
@@ -115,24 +131,37 @@ def choose_padding_n(S: int, bounds: ParamBounds, r: Fraction) -> int:
     """Smallest padding size meeting divisibility and threshold constraints.
 
     Constraints: c1~*n, c2~*n and (c1~+c2~)/2*n are integers, the first two
-    are multiples of S/2, n is even with (c2~-c1~)/2*n integral (needed by
-    the semi-regular blocks of the forward construction), and both strict
-    threshold inequalities hold.
+    are multiples of S/2, n is even, and both strict threshold inequalities
+    hold.  Then (c2~-c1~)/2*n = c2~*n - (c1~+c2~)/2*n is an integer too, as
+    the semi-regular blocks of the forward construction need.  The
+    divisibility constraints make n a multiple of one step.  Each
+    inequality is linear in n, grow*n > base, so it holds exactly for
+    n > base // grow, and n is the first multiple of the step above both
+    quotients, in closed form; base1 >= 0, so n >= step.
+
+    Raises ReductionPreconditionError unless c1 < c1~ and c2~ < c2, which
+    hold for the r of ``compute_rational_r``: otherwise some grow is not
+    positive and no n meets its inequality.
     """
     if S < 2 or S % 2 != 0:
         raise ReductionPreconditionError(f"S must be even and >= 2, got {S}")
     c1t, c2t = _c_tilde(r)
-    cm = (c1t + c2t) / 2
+    n1, d1, n2, d2 = c1t.numerator, c1t.denominator, c2t.numerator, c2t.denominator
+    a, b = bounds.c1.numerator, bounds.c1.denominator
+    c, d = bounds.c2.numerator, bounds.c2.denominator
     half_s = S // 2
-    moduli = [cm.denominator, ((c2t - c1t) / 2).denominator, 2]
-    for frac in (c1t, c2t):
-        moduli.append(frac.denominator * (half_s // gcd(frac.numerator, half_s)))
-    step = math.lcm(*moduli)
-    n = step
-    while True:
-        if (c2t * n + half_s) < bounds.c2 * (n + S) and c1t * n > bounds.c1 * (n + S):
-            return n
-        n += step
+    # c1~*n > c1*(n + S), times b*d1
+    grow1, base1 = b * n1 - a * d1, a * d1 * S
+    # c2~*n + S/2 < c2*(n + S), times d*d2
+    grow2, base2 = c * d2 - d * n2, d2 * (d * half_s - c * S)
+    if grow1 <= 0 or grow2 <= 0:
+        raise ReductionPreconditionError(
+            f"r = {r} gives (c1~, c2~) = ({c1t}, {c2t}), which needs "
+            f"c1 = {bounds.c1} < c1~ and c2~ < c2 = {bounds.c2}")
+    den = 2 * d1 * d2  # (c1~ + c2~)/2 over den, reduced below
+    step = math.lcm(den // gcd(n1 * d2 + n2 * d1, den), 2,
+                    d1 * (half_s // gcd(n1, half_s)), d2 * (half_s // gcd(n2, half_s)))
+    return step * (max(base1 // grow1, base2 // grow2) // step + 1)
 
 
 def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionInstance:
@@ -149,14 +178,16 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
     r = compute_rational_r(bounds)
     c1t, c2t = _c_tilde(r)
     n = choose_padding_n(S, bounds, r)
+    n1, d1, n2, d2 = c1t.numerator, c1t.denominator, c2t.numerator, c2t.denominator
     half_s = S // 2
-    big_value = _exact_int(c2t * n, "c2~*n") + half_s
-    small_value = _exact_int(c1t * n, "c1~*n")
-    shift = _exact_int((c1t + c2t) / 2 * n, "(c1~+c2~)/2*n")
+    big_value = _exact_quotient(n2 * n, d2, "c2~*n") + half_s
+    small_value = _exact_quotient(n1 * n, d1, "c1~*n")
+    den = 2 * d1 * d2  # (c1~ + c2~)/2 and (c2~ - c1~)/2 over den
+    shift = _exact_quotient((n1 * d2 + n2 * d1) * n, den, "(c1~+c2~)/2*n")
     big_count = 2 * shift
     small_count = n - big_count
-    semi_deg = _exact_int((c2t - c1t) / 2 * n, "(c2~-c1~)/2*n")
-    s_side = _exact_int(Fraction(n, 2), "n/2") - shift
+    semi_deg = _exact_quotient((n2 * d1 - n1 * d2) * n, den, "(c2~-c1~)/2*n")
+    s_side = _exact_quotient(n, 2, "n/2") - shift
     # block arithmetic of the proof: L vertices reach the big degree, and the
     # semi-regular blocks L x S have equal degree sums on both sides
     if shift + half_s + semi_deg != big_value or shift * semi_deg != s_side * small_value:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestInClass:
         edges = sorted({max(d, 0) for d in (lo - 1, lo, hi, hi + 1)})
         ds = DegreeSequence(data.draw(st.lists(st.sampled_from(edges), min_size=n, max_size=n)))
         assert in_class(ds, bounds) == all(c1 * n <= d <= c2 * n for d in ds.degrees)
+
+    def test_window_matches_fraction_ceil_and_floor(self):
+        # ceil(c*n) and floor(c*n) taken on Fractions, for every c with
+        # denominator <= 24: c*n is an integer at each multiple of c's
+        # denominator, and one past or short of it, it is not
+        fractions = sorted({Fraction(p, q) for q in range(1, 25) for p in range(q + 1)})
+        for c in fractions:
+            bounds = ParamBounds(c, c)
+            for n in (*range(60), 10 ** 9 + 7, 24 * 10 ** 12, 24 * 10 ** 12 + 1):
+                assert degree_window(bounds, n) == (math.ceil(c * n), math.floor(c * n)), (c, n)
 
     def test_window_of_length_zero(self):
         assert degree_window(ParamBounds(Fraction(1, 3), Fraction(1, 2)), 0) == (0, 0)

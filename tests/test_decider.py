@@ -83,6 +83,92 @@ class TestMaxDegreeGap:
         assert c_star == pytest.approx(3 * 2 ** 0.5 / 2 - 2, abs=1e-6)
 
 
+def _fraction_threshold(c1, c2):
+    """threshold_at_or_below in Fraction arithmetic, as it was first written."""
+    return c2 < 1 and c1 * (1 - c2) >= c2 * c2
+
+
+def _fraction_region(c1, c2):
+    """classify_region in Fraction arithmetic, as it was first written."""
+    if _fraction_threshold(c1, c2):
+        return RegionClass.LOW_TRACTABLE
+    if c1 > F(1, 2):
+        return RegionClass.HIGH_TRACTABLE
+    if c2 < F(1, 2) and (c1 + c2) ** 2 > 2 * c1:
+        return RegionClass.CONDITIONALLY_HARD
+    return RegionClass.UNCLASSIFIED
+
+
+# a step off a region boundary too small for a float to see
+STEP = F(1, 10 ** 12)
+
+
+class TestRegionBoundaries:
+    """The integer region tests against their Fraction forms, on a grid and
+    on points drawn exactly on each boundary and one STEP off it."""
+
+    GRID = sorted({F(p, q) for q in range(1, 25) for p in range(q + 1)})
+
+    def test_grid_matches_fraction_forms(self):
+        regions = Counter()
+        for c1 in self.GRID:
+            for c2 in self.GRID:
+                assert threshold_at_or_below(c1, c2) == _fraction_threshold(c1, c2), (c1, c2)
+                if c1 <= c2:
+                    region = classify_region(ParamBounds(c1, c2))
+                    assert region is _fraction_region(c1, c2), (c1, c2)
+                    regions[region] += 1
+        assert len(regions) == len(RegionClass)
+        # c2 >= 1, and ints as well as Fractions
+        for c2 in (F(1), F(7, 6), 1, 2):
+            assert not threshold_at_or_below(0, c2) and not threshold_at_or_below(F(1, 2), c2)
+        assert threshold_at_or_below(0, 0) and threshold_at_or_below(1, F(1, 2))
+
+    def _check(self, c1, c2):
+        assert threshold_at_or_below(c1, c2) == _fraction_threshold(c1, c2), (c1, c2)
+        if 0 <= c1 <= c2 <= 1:
+            region = classify_region(ParamBounds(c1, c2))
+            assert region is _fraction_region(c1, c2), (c1, c2)
+            return region
+        return None
+
+    @given(st.fractions(0, F(1, 2), max_denominator=10 ** 6))
+    def test_low_threshold_curve(self, c2):
+        # c1*(1 - c2) = c2^2 exactly, with c1 = c2^2 / (1 - c2) <= c2
+        c1 = c2 * c2 / (1 - c2)
+        assert threshold_at_or_below(c1, c2)
+        assert self._check(c1, c2) is RegionClass.LOW_TRACTABLE
+        # c2 one step up leaves the low region, one step down stays in it
+        assert not threshold_at_or_below(c1, c2 + STEP)
+        self._check(c1, c2 + STEP)
+        if c2 > 0:
+            assert threshold_at_or_below(c1, c2 - STEP)
+            self._check(c1, c2 - STEP)
+            assert not threshold_at_or_below(c1 - STEP, c2)
+            self._check(c1 - STEP, c2)
+
+    @given(st.fractions(F(1, 2), 1, max_denominator=10 ** 6))
+    def test_half_line(self, c2):
+        # c1 = 1/2 is not high; one step above it is, one below is not
+        assert self._check(F(1, 2), c2) is not RegionClass.HIGH_TRACTABLE
+        if c2 > F(1, 2):
+            assert self._check(F(1, 2) + STEP, c2) is RegionClass.HIGH_TRACTABLE
+        assert self._check(F(1, 2) - STEP, c2) is not RegionClass.HIGH_TRACTABLE
+
+    @given(st.fractions(0, 1, max_denominator=10 ** 6))
+    def test_hard_curve(self, t):
+        # (c1 + c2)^2 = 2*c1 exactly, at c1 = t^2/2 and c2 = t - t^2/2 >= c1
+        c1, c2 = t * t / 2, t - t * t / 2
+        assert (c1 + c2) ** 2 == 2 * c1
+        assert self._check(c1, c2) is not RegionClass.CONDITIONALLY_HARD
+        up = self._check(c1, c2 + STEP)
+        if c2 + STEP < F(1, 2) and not threshold_at_or_below(c1, c2 + STEP):
+            assert up is RegionClass.CONDITIONALLY_HARD
+        if c2 - STEP >= c1:
+            assert self._check(c1, c2 - STEP) is not RegionClass.CONDITIONALLY_HARD
+        self._check(c1 + STEP, c2)
+
+
 class TestPrecheck:
     def test_odd_sum(self):
         d = precheck(DegreeSequence((1, 1, 1)))

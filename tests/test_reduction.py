@@ -19,7 +19,7 @@ from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
 from bdr.gale_ryser import BipartiteRealization, construct_realization, hinge_flip
 from bdr.oracle import brute_force_bipartite_realizable
-from bdr.reduction import _ceil_sqrt, _floor_sqrt, _round_robin_rows
+from bdr.reduction import _round_robin_rows, _sqrt_floor_ceil
 from conftest import reduction_corpus
 
 F = Fraction
@@ -27,30 +27,33 @@ HARD = ParamBounds(F(1, 10), F(2, 5))
 
 
 class TestSqrt:
+    """_sqrt_floor_ceil(num, den) is (floor, ceil) of sqrt(num / den)."""
+
     def test_zero(self):
-        assert _floor_sqrt(F(0)) == _ceil_sqrt(F(0)) == 0
+        assert _sqrt_floor_ceil(0, 1) == _sqrt_floor_ceil(0, 7) == (0, 0)
 
     def test_exact_rational_squares(self):
         for m in range(1, 60):
             for q in (1, 2, 7, 10):
-                # sqrt((m/q)^2) = m/q
-                x = F(m * m, q * q)
-                assert (_floor_sqrt(x), _ceil_sqrt(x)) == (m // q, -(-m // q))
+                # sqrt((m/q)^2) = m/q, in lowest terms and not
+                expected = (m // q, -(-m // q))
+                assert _sqrt_floor_ceil(m * m, q * q) == expected
+                assert _sqrt_floor_ceil(3 * m * m, 3 * q * q) == expected
 
     def test_next_to_integer_squares(self):
         for m in range(2, 60):
             for q in (1, 2, 3, 997, 10 ** 12):
-                above, below = m * m + F(1, q), m * m - F(1, q)
-                assert (_floor_sqrt(above), _ceil_sqrt(above)) == (m, m + 1)
-                assert (_floor_sqrt(below), _ceil_sqrt(below)) == (m - 1, m)
+                # m^2 + 1/q and m^2 - 1/q
+                assert _sqrt_floor_ceil(m * m * q + 1, q) == (m, m + 1)
+                assert _sqrt_floor_ceil(m * m * q - 1, q) == (m - 1, m)
 
     def test_brackets_the_root(self):
         rng = random.Random(13)
         for _ in range(2000):
-            x = F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
-            lo, hi = _floor_sqrt(x), _ceil_sqrt(x)
-            assert lo * lo <= x <= hi * hi and hi - lo <= 1
-            assert (lo == hi) == (lo * lo == x)
+            num, den = rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3)
+            lo, hi = _sqrt_floor_ceil(num, den)
+            assert lo * lo * den <= num <= hi * hi * den and hi - lo <= 1
+            assert (lo == hi) == (lo * lo * den == num)
 
 
 def _old_floor_linear_sqrt(a, b, w):
@@ -139,6 +142,20 @@ class TestComputeRationalR:
             assert (c1t + c2t) ** 2 == 2 * c1t
 
 
+def _old_choose_padding_n(S, c1, c2, r):
+    """choose_padding_n as it was written on Fractions, searching n by steps."""
+    c1t, c2t = (1 - r) ** 2 / 2, (1 - r * r) / 2
+    half_s = S // 2
+    moduli = [((c1t + c2t) / 2).denominator, ((c2t - c1t) / 2).denominator, 2]
+    for frac in (c1t, c2t):
+        moduli.append(frac.denominator * (half_s // math.gcd(frac.numerator, half_s)))
+    step = math.lcm(*moduli)
+    n = step
+    while not (c2t * n + half_s < c2 * (n + S) and c1t * n > c1 * (n + S)):
+        n += step
+    return n
+
+
 class TestChoosePaddingN:
     def test_worked_sizes(self):
         r = compute_rational_r(HARD)
@@ -165,6 +182,65 @@ class TestChoosePaddingN:
             # strict threshold inequalities on the padded length n + S
             assert c1t * n > HARD.c1 * (n + s)
             assert c2t * n + s // 2 < HARD.c2 * (n + s)
+
+
+    def test_matches_old_step_search(self):
+        # every conditionally hard pair with denominators <= 24; where the
+        # padded length n' = n + S is at most 5000, the instance built on S
+        # ones carries the constants the Fraction forms give
+        from bdr import RegionClass, classify_region
+        fractions = sorted({F(p, q) for q in range(1, 25) for p in range(q + 1)})
+        pairs = [(c1, c2) for c1 in fractions for c2 in fractions if c1 <= c2
+                 and classify_region(ParamBounds(c1, c2)) is RegionClass.CONDITIONALLY_HARD]
+        built = 0
+        for c1, c2 in pairs:
+            bounds = ParamBounds(c1, c2)
+            r = _old_rational_r(c1, c2)
+            c1t, c2t = (1 - r) ** 2 / 2, (1 - r * r) / 2
+            for s in (2, 4, 6, 10, 16, 30, 100):
+                n = _old_choose_padding_n(s, c1, c2, r)
+                assert choose_padding_n(s, bounds, r) == n, (c1, c2, s)
+                if s == 2 or n + s > 5000:  # no source of sum 2 has all degrees < S/2
+                    continue
+                inst = build_hard_instance(DegreeSequence((1,) * s), bounds)
+                shift = (c1t + c2t) / 2 * n
+                assert (inst.S, inst.r, inst.c1_tilde, inst.c2_tilde, inst.n) == (s, r, c1t, c2t, n)
+                assert (inst.big_value, inst.small_value, inst.shift_base, inst.big_count,
+                        inst.small_count, inst.semi_deg) == (
+                    c2t * n + s // 2, c1t * n, shift, 2 * shift, n - 2 * shift,
+                    (c2t - c1t) / 2 * n), (c1, c2, s)
+                assert inst.d_prime.degrees == ((inst.big_value,) * inst.big_count
+                                                + (1 + shift,) * s
+                                                + (inst.small_value,) * inst.small_count)
+                built += 1
+        assert len(pairs) > 1000 and built > 3000
+
+    def test_r_outside_the_bracket_rejected(self):
+        # at (1/10, 2/5), r = 9/10 gives c1~ = 1/200 < c1 and r = 1/10 gives
+        # c2~ = 99/200 > c2; at (1/8, 2/5), r = 1/2 gives c1~ = 1/8 = c1.  No
+        # n meets that inequality, where a search for one never returned.  Run
+        # apart with a timeout, so such a search fails the test instead of
+        # hanging it
+        script = """
+from fractions import Fraction
+from bdr import ParamBounds, choose_padding_n
+from bdr.errors import ReductionPreconditionError
+for c1, r in (("1/10", "9/10"), ("1/10", "1/10"), ("1/8", "1/2")):
+    try:
+        choose_padding_n(6, ParamBounds(Fraction(c1), Fraction(2, 5)), Fraction(r))
+        print("accepted", r)
+    except ReductionPreconditionError as e:
+        print("rejected:", e)
+"""
+        proc = _run_python(script, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "rejected: r = 9/10 gives (c1~, c2~) = (1/200, 19/200), which needs "
+            "c1 = 1/10 < c1~ and c2~ < c2 = 2/5\n"
+            "rejected: r = 1/10 gives (c1~, c2~) = (81/200, 99/200), which needs "
+            "c1 = 1/10 < c1~ and c2~ < c2 = 2/5\n"
+            "rejected: r = 1/2 gives (c1~, c2~) = (1/8, 3/8), which needs "
+            "c1 = 1/8 < c1~ and c2~ < c2 = 2/5\n")
 
 
 class TestBuildHardInstance:
@@ -216,6 +292,15 @@ class TestBuildHardInstance:
             build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
 
 
+def _run_python(script, *options, timeout):
+    """Run ``script`` in a fresh interpreter that imports bdr from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *options, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_typed_invariants_survive_python_O():
     # under -O every assert is stripped; the proof invariants must still raise
     script = """
@@ -257,11 +342,7 @@ except ReductionInvariantError:
     pass
 print("ok")
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python(script, "-O", timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
