@@ -3,7 +3,9 @@
 Region classification never evaluates a square root: every boundary test
 is restated as a polynomial inequality over exact rationals and
 cross-multiplied into integers, so boundary parameter pairs are classified
-correctly.
+correctly.  Outside the tractable regions ``decide_exact`` decides by one
+walk over U count vectors, pruned on Gale–Ryser, and builds its witness
+from the first count vector that passes.
 """
 
 from __future__ import annotations
@@ -12,15 +14,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
-                         _value_runs, construct_realization)
-from .partition import (SplitWitness, _count_walk, _places, balanced_split, count_runs,
-                        equal_sum_walk, find_equal_sum_split, half_sum_sets_exceed,
-                        mask_indices, split_with_u)
+from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _value_runs,
+                         construct_realization)
+from .partition import (SplitWitness, _count_walk, balanced_split, count_runs,
+                        find_equal_sum_split, split_of_key, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -167,157 +167,70 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
 
 
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
-    """Exponential fallback: try every equal-sum split against Gale–Ryser.
+    """Exponential fallback: the first U count vector that passes Gale–Ryser.
 
-    The splits are the leaves of ``partition.equal_sum_walk``, in its
-    order: a pruned walk that enters only subtrees holding a split and keeps
-    its subset-sum bitsets in blocks whose held rows and checkpoints fit
-    2*ceil(sqrt(m)) + 2 bitsets (``partition._block``, the count walk's
-    rule too), O(sqrt(m)*sigma) bits, m the number of nonzero degrees.
-    Gale–Ryser runs once per distinct U count vector, on the (value, count)
-    runs; the split and its realization are built only for the split that
-    is accepted.
+    The U count vectors over the d (value, count) runs are walked in the
+    order of ``partition.count_vector_walk``, entering only subtrees that
+    can still pass Gale–Ryser (``gale_ryser._gale_ryser_bound`` on
+    ``partition._count_walk``), in O(sqrt(m)*sigma) bits, m the number of
+    nonzero degrees.  If no count vector passes, no equal-sum split does:
+    the verdict is NotBipartite.  Otherwise the first that passes, or its
+    complement if it would put the first nonzero index on V, gives each
+    value's U count to that value's lowest indices (``split_of_key``), and
+    that split is realized.
 
-    First the U count vectors over the runs are walked, in the same memory
-    bound, entering only subtrees that can still pass Gale–Ryser
-    (``gale_ryser._gale_ryser_bound`` on ``partition._count_walk``).  A
-    subtree the bound cuts off after runs 0..i-1, with k_j of the c_j
-    values of run j on U, holds at least prod C(c_j, k_j) U index sets of
-    sum sigma/2, and every split is two such index sets.  If the walk ends
-    with no count vector that passes, no split passes: the verdict is
-    NotBipartite, unless more than 2*budget index sets sum to sigma/2 (the
-    cut subtrees hold them, or ``partition.half_sum_sets_exceed`` finds
-    them), in which case the split walk would pass the budget first, and
-    BudgetExceededError is raised at split budget + 1 without it.  With a
-    budget, the walk stops once the cut subtrees hold more than 2*budget
-    index sets and it has entered more than m nodes, about what the split
-    walk's first descent costs.
+    The budget N counts equal-sum splits ruled out.  A subtree the bound
+    cuts off after runs 0..i-1, with k_j of the c_j values of run j on U,
+    holds at least prod_{j<i} C(c_j, k_j) U index sets of sum sigma/2 (the
+    walk enters a node only if some count vector completes it), and no
+    split that passes has a side among them; ``dead`` adds that up over
+    the cuts.  Cut subtrees are disjoint, and a split that fails does so
+    from both of its sides, as Gale–Ryser is symmetric in U and V, so the
+    failing splits number at least dead/2.  BudgetExceededError is raised
+    at the cut that takes ``dead`` past 2N, when more than N splits are
+    ruled out: every raise is truthful.
 
-    After a stop, or at an accepted count vector, the split walk looks for
-    its first accepted split without reading the rejected ones.  The
-    accepted count vector (or its complement, to put the first nonzero
-    index on U) is a target k* in the box of the walk's node: U's counts
-    so far up to those plus the open items.  Before an include branch the
-    walk enters it if k* needs one more of its value, if its first leaf (its
-    include-first descent) passes, or if the count walk in the branch's box
-    finds a count vector that passes; that vector is the new k*.  Otherwise
-    no split below passes, the branch is skipped and its splits, the sum of
-    prod C(open_t, k_t) over its count vectors, are added to the splits
-    examined, up to the budget.  Either count walk in a box stops after m
-    nodes, and the branch is then walked split by split, without asking
-    again below it.  So the witness is the walk's first accepted split, and
-    the budget is passed at the same split as in a walk that reads them all.
-
-    Raises BudgetExceededError rather than returning a wrong verdict once
-    more than ``budget`` splits would be examined.
+    With budget N the walk enters at most (d + 1)(2N + 2) nodes.  A node it
+    enters is the root (which has no child only when no split exists, and
+    is then the only node), a cut, the yielded count vector, or a node that
+    passes with a child, which the walk enters next.  So from every node
+    the chain of first children leads down to a cut or to the yielded
+    count vector, and every node lies on the path, of at most d + 1 nodes,
+    from the root to such an end.  Each cut adds at least 1 to ``dead``,
+    so the walk makes at most 2N + 1 cuts, and at most 2N + 2 ends in all.
     """
     runs = _value_runs(ds.degrees)
-    d, m = len(runs), sum(c for _, c in runs)
     counts = [c for _, c in runs]
     bound = _gale_ryser_bound(runs, ds.sigma // 2)
-    walk = _count_walk(ds.sigma, runs)
-    # more half-sum index sets than this and the split walk passes the budget
-    limit = math.inf if budget is None else 2 * max(budget, 0)
-    # on the count walk's path: U's count over runs 0..i-1 and the index
-    # sets that give them
-    k_at, sets_at = [0] * (d + 1), [1] * (d + 1)
-    nodes = dead = 0  # dead: a lower bound on the index sets in cut subtrees
-    capped = False
+    # more ruled-out index sets than this are more than budget splits
+    limit = None if budget is None else 2 * max(budget, 0)
+    # on the walk's path: U's count over runs 0..i-1 and the index sets
+    # that give them
+    k_at, sets_at = [0] * (len(runs) + 1), [1] * (len(runs) + 1)
+    dead = 0  # a lower bound on the index sets in cut subtrees
 
-    def live(i: int, rem: int, k: int) -> bool | None:
-        nonlocal nodes, dead, capped
-        nodes += 1
-        if dead > limit and nodes > m:
-            capped = True
-            return None
+    def live(i: int, rem: int, k: int) -> bool:
+        nonlocal dead
         if i:
             k_at[i] = k
             sets_at[i] = sets_at[i - 1] * math.comb(counts[i - 1], k - k_at[i - 1])
         if bound(i, rem, k):
             return True
         dead += sets_at[i]
-        return False
-
-    target = next(walk(live), None)
-    if target is None and not capped:
-        # no split passes; every split lies in a cut subtree
-        if dead > limit or dead and budget is not None and half_sum_sets_exceed(ds, limit, walk):
+        if limit is not None and dead > limit:
             raise BudgetExceededError(budget, limit // 2 + 1, "equal-sum splits")
-        return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
-
-    places = _places(runs)
-
-    def digit(key: int, t: int) -> int:
-        return key // places[t] % (counts[t] + 1)
-
-    if target is not None and m:
-        first_value = next(filter(None, ds.degrees))
-        if not digit(target, next(t for t, (v, _) in enumerate(runs) if v == first_value)):
-            # the complement passes too and puts the first nonzero index on U
-            target = sum(c * p for c, p in zip(counts, places)) - target
-    rejected: set[int] = set()
-
-    def accepts(key: int) -> bool:
-        if key in rejected or not _gale_ryser_runs(*count_runs(runs, key)):
-            rejected.add(key)
-            return False
-        return True
-
-    # the two count walks in a box: each stops (None) past m nodes
-    def in_box(i: int, rem: int, k: int) -> bool | None:
-        nonlocal nodes
-        nodes += 1
-        return bound(i, rem, k) if nodes <= m else None
-
-    def every(i: int, rem: int, k: int) -> bool | None:
-        nonlocal nodes
-        nodes += 1
-        if i:
-            lo = lo_box[i - 1]
-            k_at[i] = k
-            sets_at[i] = sets_at[i - 1] * math.comb(hi_box[i - 1] - lo, k - k_at[i - 1] - lo)
-        return nodes <= m or None
-
-    lo_box = hi_box = counts  # the box of the last branch asked about
-    examined = 0
-    allowed = None if budget is None else max(budget, 0)  # splits examined before the error
-
-    def branch(t: int, lo: int, hi: int,
-               first: Callable[[], tuple[int, int]]) -> int | bool | None:
-        nonlocal target, lo_box, hi_box, nodes, examined
-        if target is not None and digit(target, t) >= digit(lo, t):
-            return target  # k* lies in the branch's box
-        if accepts(first()[0]):
-            return None  # the first accepted split is the branch's first leaf
-        lo_box, hi_box = [digit(lo, j) for j in range(d)], [digit(hi, j) for j in range(d)]
-        nodes = 0
-        found = next(walk(in_box, lo_box, hi_box), None)
-        if nodes > m:
-            return None
-        if found is not None:
-            target = found
-            return target
-        if budget is None:
-            return False
-        nodes = sets = 0
-        for _ in walk(every, lo_box, hi_box):
-            sets += sets_at[d]
-            if examined + sets > allowed:
-                raise BudgetExceededError(budget, allowed + 1, "equal-sum splits")
-        if nodes > m:
-            return None
-        examined += sets
         return False
 
-    for key, mask in equal_sum_walk(ds, branch)[1]:
-        if budget is not None and examined >= allowed:
-            raise BudgetExceededError(budget, allowed + 1, "equal-sum splits")
-        if not accepts(key):
-            examined += 1
-            continue
-        split = split_with_u(ds, mask_indices(mask))
-        g = construct_realization(*_split_pair(ds, split))
-        if g is None:
-            raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
-        return Decision("Bipartite", "exact-search", split=split, realization=g)
-    raise InvariantError("the split walk missed the count walk's accepted split and budget point")
+    key = next(_count_walk(ds.sigma, runs)(live), None)
+    if key is None:
+        # every split lies in a cut subtree, if there is any
+        return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
+    first = next(filter(None, ds.degrees), None)
+    if first is not None and not dict(count_runs(runs, key)[0])[first]:
+        # the complement passes too and puts the first nonzero index on U
+        key = math.prod(c + 1 for c in counts) - 1 - key
+    split = split_of_key(ds, runs, key)
+    g = construct_realization(*_split_pair(ds, split))
+    if g is None:
+        raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
+    return Decision("Bipartite", "exact-search", split=split, realization=g)

@@ -5,7 +5,7 @@ closes the final gap with at most one swap, in O(n log n); it may find no
 split where one exists.  ``decide_bdr`` returns its split in the low
 region and calls ``find_equal_sum_split`` only when it finds none: the
 count walk's first U count vector (below), each value's U count on its
-lowest indices, or None if no split exists.
+lowest indices (``split_of_key``), or None if no split exists.
 
 Each DP runs over a bitset of achievable sums (a Python int) capped at
 sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
@@ -18,20 +18,16 @@ One rule sizes the blocks of both walks (``_block``): the largest whose
 held rows and checkpoints fit 2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma)
 bits.  Splits are unordered; the split walk canonicalizes by keeping the
 first nonzero entry on the U side and has no limit (a caller that needs
-one stops iterating).  A caller may pass it a branch test that drops
-include branches whole and reads a branch's first leaf in the same
-blocks; ``decide_exact`` drops those without an accepted split that way.  The count-vector walk yields U count vectors over the distinct
-nonzero degrees instead, pruned on the run DP's suffix bitsets,
-checkpointed by the same rule, and as often as asked, in a box of counts
-per run if given, on one set of bitsets (``_count_walk``).  Both walks
-keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
+one stops iterating); ``enumerate_equal_sum_splits`` reads it.  The
+count-vector walk yields U count vectors over the distinct nonzero degrees
+instead, pruned on the run DP's suffix bitsets, checkpointed by the same
+rule, and as often as asked on one set of bitsets (``_count_walk``).  Both
+walks keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
 that hold a split and key a count vector in the same mixed radix over the
 same (value, count) runs (``count_runs`` decodes it).  ``decide_exact``
-also walks the count vectors with a Gale–Ryser bound that drops subtrees
-without a bigraphic one; ``count_vector_walk`` stays unpruned for the
-oracle.
-``half_sum_sets`` counts the index sets of sum sigma/2, saturating, in one
-item DP over Kronecker-packed counts.
+walks the count vectors with a Gale–Ryser bound that drops subtrees
+without a bigraphic one and builds its witness from the first that passes;
+``count_vector_walk`` stays unpruned for the oracle.
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
 the U side, for every split this module returns, and checks that the two
@@ -41,9 +37,8 @@ sides' sums are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress
-from math import comb, isqrt, prod
+from itertools import accumulate, compress
+from math import isqrt
 from operator import not_
 from typing import Callable, Iterable, Iterator
 
@@ -196,13 +191,17 @@ def equal_sum_split_exists(ds: DegreeSequence) -> bool:
 def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     """The split of the count walk's first key, or None if there is none.
 
-    The key is the first U count vector of ``count_vector_walk``; for each
-    value, U takes that many of its indices, the lowest first.
+    The key is the first U count vector of ``count_vector_walk``, put on
+    each value's lowest indices (``split_of_key``).
     """
     runs = _value_runs(ds.degrees)
     key = next(_count_walk(ds.sigma, runs)(), None)
-    if key is None:
-        return None
+    return None if key is None else split_of_key(ds, runs, key)
+
+
+def split_of_key(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> SplitWitness:
+    """The split whose U side takes, for each value of ``runs``, as many of
+    its indices as the count vector ``key`` gives it, the lowest first."""
     left = dict(count_runs(runs, key)[0])
     u_side = []
     for i, d in enumerate(ds.degrees):
@@ -212,12 +211,8 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     return split_with_u(ds, u_side)
 
 
-# branch(t, lo, hi, first) of the split walk; see ``equal_sum_walk``
-Branch = Callable[[int, int, int, Callable[[], tuple[int, int]]], "int | bool | None"]
-
-
-def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
-        list[tuple[int, int]], Iterator[tuple[int, int]]]:
+def equal_sum_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]],
+                                                Iterator[tuple[int, int]]]:
     """The distinct nonzero degrees as (value, count) runs, largest first,
     and the leaves of the canonical split walk as ``(key, mask)`` pairs.
 
@@ -237,26 +232,12 @@ def equal_sum_walk(ds: DegreeSequence, branch: Branch | None = None) -> tuple[
     checkpoint as bytes, cut to the sums up to the remainder at the root
     of the subtree being walked (no test below it asks for more), so a test
     is O(1) in O(sqrt(m)*sigma) bits.
-
-    With ``branch``, the walk asks it before it enters an include branch:
-    ``branch(t, lo, hi, first)``, with t the run of the item, ``lo`` the
-    key of the branch's U side and ``hi`` that key plus the open items, so
-    every count vector of the branch lies in the box lo <= k <= hi, digit
-    by digit; ``first()`` is the branch's first leaf, found by its
-    include-first descent in the same blocks.  False drops the branch (its
-    leaves are not yielded) and None enters it without asking again below
-    it; the walk then descends on its own, the path of ``first()`` once
-    more.  A key in the box enters it as a target: below, the walk enters
-    each include branch whose box holds the target without asking, and
-    keeps no pending exclude branch for a branch entered so, as it assumes
-    that the caller stops at a leaf there.
     """
     runs = _value_runs(ds.degrees)
-    return runs, _leaves(ds, runs, branch)
+    return runs, _leaves(ds, runs)
 
 
-def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
-            branch: Branch | None) -> Iterator[tuple[int, int]]:
+def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     if ds.sigma % 2:
         return
     target = ds.sigma // 2
@@ -279,66 +260,25 @@ def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]],
         return
     rows: list[bytes] = []
     # no closure here: a variable that one reads becomes a cell, slower to
-    # read in the loops below, and the block is rebuilt without a partial
-    if branch is not None:
-        run_of = dict(zip((v for v, _ in runs), range(len(runs))))
-        run = [run_of[d] for d in deg]
-        radix = [c + 1 for _, c in runs]
-        radix = [radix[t] for t in run]  # one int object per run, not per item
-        aim = None  # the key the caller last named, in the box of the node
-        window = [0, -1]  # base and hi of rows, as _descend finds and leaves them
-        descend = partial(_descend, rows, deg, block, checkpoints, step, at, window)
+    # read in the loop below
     base, hi = 0, -1
     # (i, rem, key, mask) of the live nodes still to walk: the root, then
-    # each pending exclude branch; a node popped with quiet or more nodes
-    # below it on the stack is walked without asking branch
+    # each pending exclude branch
     stack = [(m - 1, target - deg[m - 1], step[m - 1], 1 << at[m - 1])]
-    quiet = 0 if branch is None else m
     while stack:
         i, rem, key, mask = stack.pop()
         root = rem  # no sum tested in this subtree is larger
-        if len(stack) >= quiet:
-            while rem:  # a live node with rem > 0 has an open item
-                i -= 1
-                if not (0 <= i - base < len(rows) and rem <= hi):
-                    base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
-                row = rows[i - base]
-                x = rem - deg[i]
-                if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-                    if row[rem >> 3] >> (rem & 7) & 1:
-                        stack.append((i, rem, key, mask))
-                    rem, key, mask = x, key + step[i], mask | 1 << at[i]
-            yield key, mask
-            continue
-        while rem:
+        while rem:  # a live node with rem > 0 has an open item
             i -= 1
             if not (0 <= i - base < len(rows) and rem <= hi):
                 base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
             row = rows[i - base]
             x = rem - deg[i]
             if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-                if not (aim is not None and (aim - key) // step[i] % radix[i]):
-                    out = row[rem >> 3] >> (rem & 7) & 1  # the exclude branch is live
-                    lo, bit = key + step[i], 1 << at[i]
-                    window[:] = base, hi
-                    enter = branch(run[i], lo, lo + sum(step[:i]),
-                                   partial(descend, i, x, lo, mask | bit))
-                    base, hi = window  # the descent may have rebuilt the block
-                    if enter is False:
-                        if out:
-                            continue
-                        break
-                    if enter is None:
-                        # the include branch, then the rest, without asking
-                        if out:
-                            stack.append((i, rem, key, mask))
-                        quiet = len(stack)
-                        stack.append((i, x, lo, mask | bit))
-                        break
-                    aim = enter
+                if row[rem >> 3] >> (rem & 7) & 1:
+                    stack.append((i, rem, key, mask))
                 rem, key, mask = x, key + step[i], mask | 1 << at[i]
-        else:
-            yield key, mask
+        yield key, mask
 
 
 def _rebuild(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
@@ -357,25 +297,6 @@ def _rebuild(rows: list[bytes], deg: list[int], block: int, checkpoints: list[in
             rows.append(r)
     del rows[j + 1:]
     return base
-
-
-def _descend(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
-             step: list[int], at: list[int], window: list[int],
-             i: int, rem: int, key: int, mask: int) -> tuple[int, int]:
-    """The split walk's first leaf below the node that has just taken item
-    i, as (key, mask): its include-first descent, in the walk's block
-    (``window`` holds its position and cut)."""
-    base, hi = window
-    while rem:
-        i -= 1
-        if not (0 <= i - base < len(rows) and rem <= hi):
-            base, hi = _rebuild(rows, deg, block, checkpoints, i, rem), rem
-        row = rows[i - base]
-        x = rem - deg[i]
-        if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-            rem, key, mask = x, key + step[i], mask | 1 << at[i]
-    window[:] = base, hi
-    return key, mask
 
 
 def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterator[int]]:
@@ -407,35 +328,33 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
 
 
 # live(i, rem, k) of the count walk; see ``_count_walk``
-Live = Callable[[int, int, int], "bool | None"]
+Live = Callable[[int, int, int], bool]
 
 
 def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterator[int]]:
-    """``walk(live=None, lo=None, hi=None)``: the count walk of
-    ``count_vector_walk`` over ``runs``, as often as called, on one set of
-    suffix bitsets built here.
+    """``walk(live=None)``: the count walk of ``count_vector_walk`` over
+    ``runs``, as often as called, on one set of suffix bitsets built here.
 
-    With ``lo`` and ``hi`` (a count per run) the walk gives run t only the
-    U counts lo[t]..hi[t].  ``live(i, rem, k)`` is called on each node the
-    walk pops, in walk order (runs 0..i-1 assigned, remainder ``rem``, k
-    values on U), before the node is expanded or, at i = len(runs),
-    yielded; a node it fails is dropped with its subtree, and None ends the
-    walk.  With ``gale_ryser._gale_ryser_bound`` the walk yields exactly
-    the count vectors that pass Gale–Ryser, in the unpruned order, as that
-    test drops only subtrees without one.  The suffix bitsets count every
-    run whole, so in a box the walk may enter a node with no count vector
-    below it, which costs nodes but no key.  The bitsets are kept and
-    rebuilt in blocks of ``_block`` (see ``count_vector_walk``), each row
-    cut to its own bit length: row j holds only the sums up to what the
-    last j runs make, the small values, so the n' = 1604 stall's three rows
-    take 44 KB, not 139 KB, which lets ``decide_exact`` keep them while it
-    walks the splits.
+    ``live(i, rem, k)`` is called on each node the walk pops, in walk order
+    (runs 0..i-1 assigned, remainder ``rem``, k values on U), before the
+    node is expanded or, at i = len(runs), yielded; a node it fails is
+    dropped with its subtree.  With ``gale_ryser._gale_ryser_bound`` the
+    walk yields exactly the count vectors that pass Gale–Ryser, in the
+    unpruned order, as that test drops only subtrees without one.  A node's
+    counts start where the remainder fits in what the runs after it make
+    (``most``), so no count is tried that the bitset test would fail for
+    that reason alone.  The bitsets are kept and rebuilt in blocks of
+    ``_block`` (see ``count_vector_walk``), each row cut to its own bit
+    length: row j holds only the sums up to what the last j runs make, the
+    small values, so the n' = 1604 stall's three rows take 44 KB, not
+    139 KB.
     """
     if sigma % 2:
-        return lambda live=None, lo=None, hi=None: iter(())
+        return lambda live=None: iter(())
     target = sigma // 2
     d, m = len(runs), sum(c for _, c in runs)
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
+    most = list(accumulate((v * c for v, c in back), initial=0))
     block = _block(len(back), m)
     base = len(back) - len(back) % block  # the last block, where the walk starts
     checkpoints, rows = [], []
@@ -446,19 +365,14 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
             rows.append(reach.to_bytes((reach.bit_length() >> 3) + 1, "little"))
     places = _places(runs)
 
-    def walk(live: Live | None = None, lo: list[int] | None = None,
-             hi: list[int] | None = None) -> Iterator[int]:
+    def walk(live: Live | None = None) -> Iterator[int]:
         nonlocal base
         # (run, remainder, key so far, U count so far) of the nodes still to walk
         stack = [(0, target, 0, 0)]
         while stack:
             i, rem, key, k_u = stack.pop()
-            if live is not None:
-                ok = live(i, rem, k_u)
-                if not ok:
-                    if ok is None:
-                        return
-                    continue
+            if live is not None and not live(i, rem, k_u):
+                continue
             if i == d:  # rem == 0: the last bitset holds only the sum 0
                 yield key
                 continue
@@ -470,71 +384,15 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
                             _run_sums(back[base:base + block - 1], target,
                                       checkpoints[base // block]))
             (v, c), place, row = runs[i], places[i], rows[j - base]
-            low, high = (0, c) if lo is None else (lo[i], hi[i])
-            # pushed smallest first, so the largest count is popped first
-            for k in range(low, min(high, rem // v) + 1):
+            # pushed smallest first, so the largest count is popped first;
+            # a count below ceil((rem - most[j]) / v) leaves more than the
+            # last j runs make
+            for k in range(max(0, (rem - most[j] + v - 1) // v), min(c, rem // v) + 1):
                 x = rem - k * v
                 if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
                     stack.append((i + 1, x, key + k * place, k_u + k))
 
     return walk
-
-
-def half_sum_sets(ds: DegreeSequence, limit: int) -> int:
-    """min(N, 2**b), b = limit.bit_length(), where N counts the index sets
-    of the nonzero degrees that sum to sigma/2 (twice the splits, if any):
-    more than ``limit`` iff N is.
-
-    One pass over the items on a Kronecker-packed polynomial, the count of
-    each sum 0..sigma/2 in a slot of b + 2 bits: shift-add, then every slot
-    past 2**b is clamped to it, so no slot overflows and each holds
-    min(its count, 2**b).  O(n*sigma*b) bit operations.
-    """
-    if ds.sigma % 2:
-        return 0
-    target = ds.sigma // 2
-    b = limit.bit_length()
-    w = b + 2
-    ones = ((1 << w * (target + 1)) - 1) // ((1 << w) - 1)  # bit 0 of each slot
-    cap = (ones << w) - ones  # every bit of every slot
-    top = ones << b  # 2**b in each slot
-    high = top * 3  # bits b and b + 1 of each slot
-    sets = 1  # the empty set, of sum 0
-    for d in ds.degrees:
-        if d:
-            sets = (sets + (sets << w * d)) & cap
-            over = sets & high
-            if over:
-                over = (over | over >> 1) & top  # 2**b in each slot past it
-                sets = sets & ~((over << 2) - (over >> b)) | over
-    return sets >> w * target
-
-
-def half_sum_sets_exceed(ds: DegreeSequence, limit: int,
-                         walk: Callable[..., Iterator[int]]) -> bool:
-    """Whether more than ``limit`` index sets of the nonzero degrees sum to
-    sigma/2.
-
-    Two exact ways, the cheaper by a bit count: ``half_sum_sets`` shifts n
-    integers of (sigma/2 + 1)*(b + 2) bits (n nonzero degrees, b =
-    limit.bit_length()); the count-vector walk adds up each key's
-    prod C(c_i, k_i) index sets and stops past ``limit``, after at most
-    limit + 1 keys of d runs, each run taken as a 64-bit word.  The count
-    wins on short inputs with large limits, the walk on long ones with small
-    limits (1..2000 with limit 2: three keys, against seconds of shifts).
-    ``walk`` is a ``_count_walk`` of ``ds``, the caller's, so its bitsets
-    are built once.
-    """
-    runs = _value_runs(ds.degrees)
-    n = sum(c for _, c in runs)
-    if n * (ds.sigma // 2 + 1) * (limit.bit_length() + 2) <= 64 * len(runs) * (limit + 1):
-        return half_sum_sets(ds, limit) > limit
-    sets = 0
-    for key in walk():
-        sets += prod(map(comb, (c for _, c in runs), (k for _, k in count_runs(runs, key)[0])))
-        if sets > limit:
-            return True
-    return False
 
 
 def count_runs(runs: list[tuple[int, int]],

@@ -243,8 +243,11 @@ class TestGoldenBytes:
             code, out, err = run(capsys, ["decide", "--c1", c1, "--c2", c2, "--exact",
                                           "--budget", "20000", f])
             digest_of.update(f"{code}\n{out}\n{err}\n".encode())
+        # re-recorded when the witness came to be built from the first
+        # accepted count vector: exit codes and stderr as before, and each
+        # of the 31 witnesses that moved checked edge by edge
         assert digest_of.hexdigest() == (
-            "2a56284525ee37fb237be58116b1f3194b1c67ef5855b0b25335e2736ea32d6f")
+            "bd27e7b9eababc27cc5f21261a20420a3167fecf96e176d91446dcc1c8600545")
 
 
 def reference_decide_stdout(decision):
@@ -399,8 +402,9 @@ class TestBudget:
         assert code == 3 and out == "" and "budget must be >= 0" in err
 
     def test_zero_budget_keeps_its_meaning(self, tmp_path, capsys):
-        f = write(tmp_path, "d.txt", "4 4 2 2 1 1 1 1 2 2\n")
-        code, out, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", "--exact",
+        # the walk rules out splits before its first accepted count vector
+        f = write(tmp_path, "d.txt", "7 5 3 5 4 5 3 5 5 4 1 1\n")
+        code, out, err = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",
                                       "--budget", "0", f])
         assert code == 3 and out == "" and err.startswith("budget exceeded")
         code, out, _ = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",

@@ -3,21 +3,20 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from math import comb, prod
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bdr.decider
 from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_split,
-                 build_hard_instance, classify_region, construct_realization,
-                 decide_bdr, decide_exact, equal_sum_split_exists, is_bigraphic,
-                 max_degree_gap, precheck, threshold_at_or_below, threshold_c2)
+                 build_hard_instance, classify_region, decide_bdr, decide_exact,
+                 is_bigraphic, max_degree_gap, precheck, threshold_at_or_below,
+                 threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from bdr.gale_ryser import _gale_ryser_runs
-from bdr.oracle import brute_force_bipartite_realizable
-from bdr.partition import count_runs, equal_sum_walk, mask_indices, split_with_u
-from conftest import MANY_DISTINCT, _traced_peak, _unpruned_splits, reduction_corpus
+from bdr.oracle import brute_force_bipartite_realizable, exhaustive_graph_search
+from bdr.partition import split_with_u
+from conftest import MANY_DISTINCT, _unpruned_splits, reduction_corpus
 
 
 F = Fraction
@@ -332,16 +331,17 @@ class TestDecideExact:
             DegreeSequence((3, 3, 2, 2, 1, 1)))
 
     def test_budget(self):
-        # every equal-sum split of (5,3,1,1,1,1) fails Gale-Ryser, so the
-        # search walks all four canonical splits unless stopped
+        # every equal-sum split of (4,2,2,2,2) puts the 4 and one 2 against
+        # three 2s, and the 4 has only three v-vertices: the walk cuts off
+        # all four splits, eight index sets, more than 2*3 of them
         with pytest.raises(BudgetExceededError):
-            decide_exact(DegreeSequence((5, 3, 1, 1, 1, 1)), budget=2)
+            decide_exact(DegreeSequence((4, 2, 2, 2, 2)), budget=3)
 
     def test_budget_error_fields(self):
         # both exact searches raise the error the same way: the limit, the
         # count that passed it, and a message built from the two
         with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(DegreeSequence((5, 3, 1, 1, 1, 1)), budget=2)
+            decide_exact(DegreeSequence((4, 2, 2, 2, 2)), budget=2)
         assert (exc.value.limit, exc.value.examined) == (2, 3)
         assert str(exc.value) == "examined more than 2 equal-sum splits"
         with pytest.raises(BudgetExceededError) as exc:
@@ -362,230 +362,192 @@ class TestDecideExact:
                 assert realized == sorted(ds.nonzero()) or realized == sorted(seq)
 
 
-def reference_decide_exact(ds, budget, unpruned_splits):
-    """The exact search before its walk was pruned: every split of the
-    unpruned walk, each side checked with ``is_bigraphic``."""
-    examined = 0
-    for u in unpruned_splits(ds.degrees):
-        examined += 1
-        if budget is not None and examined > budget:
-            raise BudgetExceededError(budget, examined, "equal-sum splits")
-        split = split_with_u(ds, u)
-        d1 = tuple(ds.degrees[i] for i in split.u)
-        d2 = tuple(ds.degrees[i] for i in split.v)
-        if is_bigraphic(d1, d2):
-            return Decision("Bipartite", "exact-search", split=split,
-                            realization=construct_realization(d1, d2))
-    if not examined:
-        return Decision("NotBipartite", "no-equal-sum-split")
-    return Decision("NotBipartite", "gale-ryser-violation")
-
-
-def outcome(search, *args):
+def outcome(ds, budget=None):
     """A decision, or the fields and message of the budget error."""
     try:
-        return search(*args)
+        return decide_exact(ds, budget)
     except BudgetExceededError as exc:
         return exc.limit, exc.examined, str(exc)
 
+
+def spy_walk(monkeypatch):
+    """Per ``decide_exact`` call, its runs and the nodes its walk enters, as
+    (i, k, passed) in walk order, seen through the Gale–Ryser bound it is
+    handed."""
+    walks = []
+    bound = bdr.decider._gale_ryser_bound
+
+    def spy(runs, half):
+        live = bound(runs, half)
+        nodes = []
+        walks.append((runs, nodes))
+
+        def counted(i, rem, k):
+            passed = live(i, rem, k)
+            nodes.append((i, k, passed))
+            return passed
+        return counted
+
+    monkeypatch.setattr("bdr.decider._gale_ryser_bound", spy)
+    return walks
+
+
+def cut_index_sets(runs, nodes):
+    """D: over the nodes the bound cut, after runs 0..i-1 with k_j of run
+    j's c_j values on U, the sum of prod_{j<i} C(c_j, k_j)."""
+    on_path = [0] * (len(runs) + 1)  # U's count over runs 0..i-1
+    dead = 0
+    for i, k, passed in nodes:
+        on_path[i] = k
+        if not passed:
+            dead += prod(comb(c, on_path[j + 1] - on_path[j]) for j, (_, c) in enumerate(runs[:i]))
+    return dead
+
+
+def failing_splits(seq):
+    """The equal-sum splits of ``seq`` that fail Gale–Ryser, counted one by
+    one on the unpruned split walk."""
+    ds = DegreeSequence(seq)
+    failing = 0
+    for u in _unpruned_splits(seq):
+        split = split_with_u(ds, u)
+        failing += not is_bigraphic(*(tuple(seq[i] for i in side) for side in (split.u, split.v)))
+    return failing
+
+
+# the padded D' of the exact-search benchmark, and the bound of its
+# n' = 1604 stall
+HARD = ParamBounds(F(1, 10), F(2, 5))
+FAR = ParamBounds(F(3, 20), F(2, 5))
 
 # zeros and repeated values, so that count vectors repeat across splits
 SEQS = st.lists(st.sampled_from([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6]), max_size=14)
 
 
-@st.composite
-def seq_and_budget(draw):
-    """A drawn sequence and a budget: none, 0 to 5, or 0 to one more than
-    the splits of its walk, where the count-vector pre-pass stops.  Every
-    budget, small ones too, goes through the split walk's branch test."""
-    seq = draw(st.one_of(SEQS, MANY_DISTINCT))
-    leaves = sum(1 for _ in _unpruned_splits(seq))
-    return seq, draw(st.one_of(st.none(), st.integers(0, 5), st.integers(0, leaves + 1)))
+class TestAgainstOracles:
+    """The verdict is the count-vector oracle's, and the exhaustive graph
+    search's where it runs; every Bipartite witness realizes the input."""
 
-
-class TestAgainstUnprunedWalk:
-    @given(case=seq_and_budget())
-    @settings(max_examples=600, deadline=None)
-    @example(case=([], 0))
-    @example(case=([0, 0, 0], None))
-    @example(case=([5, 3, 1, 1, 1, 1], 3))
-    @example(case=([5, 3, 1, 1, 1, 1], 4))
-    # the branch test skips a branch only when its own box has no accepted
-    # count vector: a walk that skipped every later branch after the first
-    # such box gave another witness on both
-    @example(case=([3, 7, 4, 3, 1, 2, 2, 3, 7, 2, 3, 1], None))
-    @example(case=([3, 6, 3, 5, 1, 2, 2, 2, 1, 1], None))
-    def test_same_decision_and_budget_point(self, case, unpruned_splits):
-        seq, budget = case
+    @given(seq=st.one_of(st.lists(st.integers(0, 9), max_size=30),
+                         st.lists(st.sampled_from([0, 1, 2, 2, 3, 3, 3, 4, 6]), max_size=30),
+                         MANY_DISTINCT))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[3, 3, 2, 2, 1, 1])
+    @example(seq=[4, 2, 2, 2, 2])
+    def test_brute_force(self, seq):
         ds = DegreeSequence(seq)
-        assert outcome(decide_exact, ds, budget) == outcome(
-            reference_decide_exact, ds, budget, unpruned_splits)
+        d = decide_exact(ds)
+        assert (d.verdict == "Bipartite") == brute_force_bipartite_realizable(ds)
+        if d.verdict == "Bipartite":
+            assert_witness(seq, d)
 
-    # Bipartite inputs and L, the position of their first accepted split in
-    # the unpruned walk: 1, and three past m + 1; the walk asks its branch
-    # test at every budget below, from -5 to L + 1
-    FIRST_ACCEPTED = [((2, 2, 2, 2), 1), ((5, 2, 7, 2, 2, 2, 1, 2, 1), 13),
-                      ((7, 2, 1, 1, 3, 3, 6, 4, 5, 3, 4, 5, 7, 1), 31),
-                      ((1, 3, 6, 3, 3, 7, 4, 1, 7, 1, 6, 7, 3, 3, 1), 382)]
-
-    @pytest.mark.parametrize("seq, first", FIRST_ACCEPTED)
-    def test_budget_at_the_first_accepted_split(self, seq, first, unpruned_splits):
-        # the accepted split is examined too, so budget L - 1 raises at
-        # split L although the search skips the L - 1 splits before it
+    @given(seq=st.lists(st.integers(0, 7), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example(seq=[])
+    @example(seq=[7, 7, 7, 7, 7, 7, 7, 7])
+    @example(seq=[3, 3, 3, 3, 3, 3])
+    def test_exhaustive_graph_search(self, seq):
         ds = DegreeSequence(seq)
-        with pytest.raises(BudgetExceededError):
-            reference_decide_exact(ds, first - 1, unpruned_splits)
-        assert reference_decide_exact(ds, first, unpruned_splits).verdict == "Bipartite"
-        for budget in (-5, -1, 0, first - 1, first, first + 1):
-            assert outcome(decide_exact, ds, budget) == outcome(
-                reference_decide_exact, ds, budget, unpruned_splits), budget
-        for budget in (-5, 0):
-            # a negative budget fails at the first split, as budget 0 does
-            with pytest.raises(BudgetExceededError) as exc:
-                decide_exact(ds, budget=budget)
-            assert (exc.value.limit, exc.value.examined) == (budget, 1)
-
-    def test_padded_instances(self, unpruned_splits):
-        # long runs of equal degrees: the branch test skips whole subtrees
-        # of one count vector
-        for c1, c2 in [(F(1, 10), F(2, 5)), (F(1, 20), F(9, 20)), (F(3, 20), F(2, 5))]:
-            for source in reduction_corpus(6) + [(3, 3, 2)]:
-                ds = build_hard_instance(DegreeSequence(source), ParamBounds(c1, c2)).d_prime
-                # at (3/20, 2/5), n' = 1604 to 3208, the unpruned walk loses
-                # itself in dead subtrees: read the leaves of the split walk
-                # without a branch test, which are the same (TestEnumerate)
-                if c1 == F(3, 20):
-                    leaves = list(islice(equal_sum_walk(ds)[1], 2001))
-                    reference = walked_decide_exact
-                else:
-                    leaves, reference = unpruned_splits, reference_decide_exact
-                for budget in (0, 1, 3, 2000):
-                    assert outcome(decide_exact, ds, budget) == outcome(
-                        reference, ds, budget, leaves), (c1, c2, source, budget)
+        d = decide_exact(ds)
+        assert (d.verdict == "Bipartite") == exhaustive_graph_search(ds)
+        if d.verdict == "Bipartite":
+            assert_witness(seq, d)
 
 
-def walked_decide_exact(ds, budget, leaves):
-    """``reference_decide_exact`` on the ``(key, mask)`` leaves of the split
-    walk, Gale–Ryser checked once per count vector (``leaves`` must reach
-    past the budget or the walk's end)."""
-    runs = equal_sum_walk(ds)[0]
-    verdicts = {}
-    for examined, (key, mask) in enumerate(leaves, 1):
-        if budget is not None and examined > budget:
-            raise BudgetExceededError(budget, examined, "equal-sum splits")
-        if key not in verdicts:
-            u, v = count_runs(runs, key)
-            verdicts[key] = is_bigraphic(*([d for d, c in side for _ in range(c)]
-                                           for side in (u, v)))
-        if verdicts[key]:
-            split = split_with_u(ds, mask_indices(mask))
-            d1 = tuple(ds.degrees[i] for i in split.u)
-            d2 = tuple(ds.degrees[i] for i in split.v)
-            return Decision("Bipartite", "exact-search", split=split,
-                            realization=construct_realization(d1, d2))
-    return Decision("NotBipartite", "gale-ryser-violation" if leaves else "no-equal-sum-split")
+class TestBudgetPoint:
+    """The budget N is passed at the cut that takes the cut index sets D
+    past 2N: N = ceil(D/2) - 1 raises, and N = ceil(D/2), which is
+    floor(D/2) for even D, gives the decision without a budget."""
+
+    @pytest.mark.parametrize("seq, dead", [
+        ((7, 5, 3, 5, 4, 5, 3, 5, 5, 4, 1, 1), 10),  # Bipartite, the CI's
+        ((1, 5, 2, 3, 2, 1, 4, 2, 4), 2),
+        ((2, 2, 3, 4, 5, 6, 5, 5, 3, 5, 2), 4),
+        ((3, 6, 5, 2, 1, 2, 4, 5, 3, 4, 5), 6),
+        ((4, 1, 6, 3, 2, 5, 6, 5, 7, 4, 3, 6, 6), 8),
+        ((3, 5, 6, 6, 4, 3, 4, 6, 3, 1, 6, 2, 7), 12),
+        ((4, 2, 2, 2, 2), 8),  # NotBipartite: all of its splits
+        ((7, 7, 7, 7), 6),
+        ((4, 5, 3, 1, 2, 4, 3), 10),
+        ((4, 2, 2, 2, 4, 1, 4, 3), 3)])  # odd: floor(D/2) raises too
+    def test_at_half_the_cut_index_sets(self, seq, dead, monkeypatch):
+        ds = DegreeSequence(seq)
+        walks = spy_walk(monkeypatch)
+        want = decide_exact(ds)
+        (runs, nodes), = walks
+        assert cut_index_sets(runs, nodes) == dead
+        n = (dead + 1) // 2
+        assert outcome(ds, n) == want
+        assert outcome(ds, n - 1) == (n - 1, n, f"examined more than {n - 1} equal-sum splits")
+        # more than n - 1 splits do fail: every raise is truthful
+        assert failing_splits(seq) > n - 1
+
+    @given(seq=st.one_of(SEQS, MANY_DISTINCT), budget=st.integers(0, 12))
+    @settings(max_examples=500, deadline=None)
+    @example(seq=[], budget=0)
+    @example(seq=[0, 0, 0], budget=0)
+    @example(seq=[4, 2, 2, 2, 2], budget=3)
+    @example(seq=[4, 2, 2, 2, 2], budget=4)
+    def test_answer_or_truthful_raise(self, seq, budget):
+        # with a budget the search gives its budget-less decision, or
+        # raises only when more than budget splits fail Gale-Ryser
+        ds = DegreeSequence(seq)
+        got = outcome(ds, budget)
+        if isinstance(got, Decision):
+            assert got == decide_exact(ds)
+        else:
+            assert got == (budget, budget + 1, f"examined more than {budget} equal-sum splits")
+            assert failing_splits(seq) > budget
 
 
-def _no_split_walk(ds, branch=None):
-    raise AssertionError("the split walk ran")
-
-
-class TestCountVectorPrePass:
-    """On a NotBipartite input whose L splits fit the budget, decide_exact
-    answers from the count vectors without walking the splits; at budget
-    L - 1 it raises at split L, as the unpruned search does."""
-
-    # two NotBipartite inputs of the exact-search benchmark (n = 20) with
-    # 2281 and 13868 splits
-    N20 = [(2, 2, 8, 5, 9, 7, 3, 6, 0, 8, 3, 1, 0, 8, 1, 0, 8, 2, 1, 4),
-           (4, 1, 1, 3, 5, 9, 4, 3, 10, 6, 3, 10, 9, 10, 7, 8, 7, 10, 1, 5)]
+class TestWorkBound:
+    """With budget N the walk enters at most (d + 1)(2N + 2) nodes, d the
+    number of distinct nonzero degrees, whether it answers or raises."""
 
     @staticmethod
-    def _check(seq, unpruned_splits):
-        ds = DegreeSequence(seq)
-        leaves = sum(1 for _ in unpruned_splits(seq))
-        want = reference_decide_exact(ds, None, unpruned_splits)
-        assert want.verdict == "NotBipartite"
-        for budget in (leaves - 1, leaves, leaves + 1):
-            assert outcome(decide_exact, ds, budget) == outcome(
-                reference_decide_exact, ds, budget, unpruned_splits), budget
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
-            for budget in (None, leaves, leaves + 1):
-                assert decide_exact(ds, budget) == want
+    def _check(seq, budget, monkeypatch):
+        walks = spy_walk(monkeypatch)
+        outcome(DegreeSequence(seq), budget)
+        (runs, nodes), = walks
+        assert len(nodes) <= (len(runs) + 1) * (2 * budget + 2)
 
-    @pytest.mark.parametrize("seq", [(5, 3, 1, 1, 1, 1), (5, 1, 1, 1), (3, 3, 1)] + N20)
-    def test_fixed(self, seq, unpruned_splits):
-        self._check(seq, unpruned_splits)
+    @given(seq=st.one_of(SEQS, MANY_DISTINCT), budget=st.integers(0, 20))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn(self, seq, budget, monkeypatch):
+        with monkeypatch.context() as mp:
+            self._check(seq, budget, mp)
 
-    # an odd sum is evened out with a 1, so that most draws have splits
-    @given(seq=SEQS.map(lambda s: s + [1] if sum(s) % 2 else s))
-    @settings(max_examples=300, deadline=None)
-    def test_drawn(self, seq, unpruned_splits):
-        ds = DegreeSequence(seq)
-        assume(equal_sum_split_exists(ds) and not brute_force_bipartite_realizable(ds))
-        self._check(seq, unpruned_splits)
+    @pytest.mark.parametrize("budget", [0, 1, 3, 20000])
+    def test_padded_and_long(self, budget, monkeypatch):
+        # the 15 padded D' at (1/10, 2/5), the n' = 1604 stall and the half
+        # graph of 1..200, whose walk passes budget 20000 before its first
+        # accepted key
+        seqs = [build_hard_instance(DegreeSequence(source), HARD).d_prime.degrees
+                for source in reduction_corpus(8)]
+        seqs += [build_hard_instance(DegreeSequence((1, 1, 1, 1)), FAR).d_prime.degrees,
+                 tuple(v for v in range(1, 201) for _ in (0, 1))]
+        for seq in seqs:
+            with monkeypatch.context() as mp:
+                self._check(seq, budget, mp)
 
-    @pytest.mark.parametrize("source", [(2, 2, 2), (3, 3, 2), (3, 2, 2, 1)])
-    def test_padded_without_budget(self, source):
-        # far too many splits to walk (the walk passes 20000 of them), but
-        # few count vectors: the unbounded search now ends
-        ds = build_hard_instance(DegreeSequence(source), ParamBounds(F(1, 10), F(2, 5))).d_prime
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
-            d = decide_exact(ds)
-        assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation")
-        with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(ds, budget=20000)
-        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
 
-    @pytest.mark.parametrize("c1", [F(1, 10), F(3, 20)])
-    def test_padded_budget_point_without_the_split_walk(self, c1):
-        # n' = 54 and 2406: the bound cuts off every count vector within 29
-        # nodes, and they stand for more than 2*budget index sets, so the
-        # split walk would pass the budget; the error comes without it
-        ds = build_hard_instance(DegreeSequence((2, 2, 2)), ParamBounds(c1, F(2, 5))).d_prime
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
-            with pytest.raises(BudgetExceededError) as exc:
-                decide_exact(ds, budget=20000)
-        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
-
-    @pytest.mark.parametrize("seq", [tuple(range(1, 41)), tuple(range(1, 401))])
-    def test_many_distinct_degrees_budget_point_without_the_split_walk(self, seq):
-        # both children of the root are cut off, two index sets; the third
-        # key of the unpruned count walk shows a second split exists
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("bdr.decider.equal_sum_walk", _no_split_walk)
-            with pytest.raises(BudgetExceededError) as exc:
-                decide_exact(DegreeSequence(seq), budget=1)
-        assert (exc.value.limit, exc.value.examined) == (1, 2)
-
-    # 9 and 11 distinct degrees over m = 9 and 11: at least 2*ceil(sqrt(m))
-    # + 2, more than one block of ``partition._block`` holds, so the count
-    # walk rebuilds a block; 2 and 21 splits
-    @pytest.mark.parametrize("seq", [(20, 2, 19, 22, 6, 14, 21, 13, 17),
-                                     (1, 8, 7, 13, 5, 25, 11, 21, 4, 3, 10)])
-    def test_many_distinct_degrees_run_it(self, seq, unpruned_splits):
-        self._check(seq, unpruned_splits)
-
-    def test_many_distinct_degrees_keep_the_split_walk_bound(self):
-        # 1..400: 400 runs, and both walks hold block + 1 rows and the
-        # checkpoints past {0} within 2*ceil(sqrt(400)) + 2 = 42 bitsets
-        # (``partition._block``); the pre-pass's 401 bitsets would take
-        # about 2 MB
-        ds = DegreeSequence(tuple(range(1, 401)))
-
-        def walk():
-            for _ in islice(equal_sum_walk(ds)[1], 2):
-                pass
-
-        def search():
-            with pytest.raises(BudgetExceededError) as exc:
-                decide_exact(ds, budget=1)
-            assert (exc.value.limit, exc.value.examined) == (1, 2)
-
-        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
+class TestWithoutBudget:
+    @pytest.mark.parametrize("source, bounds",
+                             [(s, HARD) for s in reduction_corpus(8)]
+                             + [(s, ParamBounds(F(1, 20), F(9, 20))) for s in reduction_corpus(8)]
+                             + [((1, 1, 1, 1), FAR)])
+    def test_padded_answered(self, source, bounds):
+        # each padded D' of the reduction corpus at (1/10, 2/5) and at
+        # (1/20, 9/20), and the n' = 1604 stall, is answered from its first
+        # accepted count vector, with no split walked
+        ds = build_hard_instance(DegreeSequence(source), bounds).d_prime
+        d = decide_exact(ds)
+        assert (d.verdict == "Bipartite") == brute_force_bipartite_realizable(ds)
+        if d.verdict == "Bipartite":
+            assert_witness(ds.degrees, d)
 
 
 class TestStall:
@@ -608,89 +570,6 @@ class TestStall:
             tracemalloc.stop()
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
         assert peak < 8 * 2 ** 20
-
-    def test_count_walk_freed_before_split_walk(self):
-        # decide_exact keeps the count walk's suffix bitsets for the box
-        # walks of its branch test; they are cut to the sums of the small
-        # values (44 KB on the stall, not 3 rows of sigma/16 bytes), so it
-        # peaks no higher than the walk over 20001 splits
-        ds = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
-                                 ParamBounds(F(3, 20), F(2, 5))).d_prime
-
-        def walk():
-            for _ in islice(equal_sum_walk(ds)[1], 20001):
-                pass
-
-        def search():
-            with pytest.raises(BudgetExceededError):
-                decide_exact(ds, budget=20000)
-
-        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
-
-
-class TestGuidedWalkWork:
-    """The work of the split walk's branch test, counted rather than timed."""
-
-    FAR = ParamBounds(F(3, 20), F(2, 5))
-
-    # the padded D' of the acceptance corpus at (1/10, 2/5) but (1,1,1,1),
-    # which is answered, and the n' = 1604 stall
-    @pytest.mark.parametrize("source, bounds",
-                             [(s, ParamBounds(F(1, 10), F(2, 5))) for s in reduction_corpus(8)[1:]]
-                             + [((1, 1, 1, 1), FAR)])
-    def test_padded_budget_failures_call_the_kernel_at_most_m_times(self, source, bounds,
-                                                                     monkeypatch):
-        calls = []
-        kernel = _gale_ryser_runs
-
-        def counted(a, b):
-            calls.append(1)
-            return kernel(a, b)
-
-        # the split walk's leaves and the box walks' leaves
-        monkeypatch.setattr("bdr.decider._gale_ryser_runs", counted)
-        monkeypatch.setattr("bdr.gale_ryser._gale_ryser_runs", counted)
-        ds = build_hard_instance(DegreeSequence(source), bounds).d_prime
-        with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(ds, budget=20000)
-        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
-        assert len(calls) <= len(ds.nonzero())
-
-    @pytest.mark.parametrize("seq, cut", [
-        (tuple(v for v in range(1, 31) for _ in (0, 1)), True),
-        (tuple(range(1, 401)), False)])
-    def test_box_walks_stop_by_m_plus_one_nodes(self, seq, cut, monkeypatch):
-        # the half graph (each of 1..30 twice): its first box walk is cut
-        # off, and the walk reads that branch split by split; without the
-        # cut the box walks ran for minutes.  1..400 is NotBipartite, and
-        # the count walk before the split walk settles its budget point
-        ds = DegreeSequence(seq)
-        m = len(ds.nonzero())
-        nodes = []
-        count_walk = bdr.decider._count_walk
-
-        def counted(sigma, runs):
-            walk = count_walk(sigma, runs)
-
-            def box_walk(live=None, lo=None, hi=None):
-                if lo is None:
-                    return walk(live)
-                nodes.append(0)
-
-                def counting(i, rem, k):
-                    nodes[-1] += 1
-                    assert nodes[-1] <= m + 1, "a box walk went on past m + 1 nodes"
-                    return live(i, rem, k)
-
-                return walk(counting, lo, hi)
-
-            return box_walk
-
-        monkeypatch.setattr("bdr.decider._count_walk", counted)
-        with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(ds, budget=20000)
-        assert (exc.value.limit, exc.value.examined) == (20000, 20001)
-        assert (m + 1 in nodes) == cut and bool(nodes) == cut
 
 
 class TestDecisionDataclass:
@@ -725,6 +604,19 @@ class TestWitnessContract:
             assert d.verdict == "Bipartite"
             assert_witness(seq, d)
 
+    @pytest.mark.parametrize("seq", [(), (0,), (0, 0, 0), (0, 2, 1, 1), (2, 0, 1, 1, 0),
+                                     (0, 0, 3, 1, 1, 1), (1, 1, 2), (0, 1, 0, 1, 2)])
+    def test_exact_search_without_a_nonzero_first(self, seq):
+        # no nonzero degree at all, or zeros ahead of the first one: the
+        # complement rule looks at the first nonzero degree only.  On
+        # (1, 1, 2) the first accepted count vector puts the 2 on U, so its
+        # complement is the witness
+        d = decide_exact(DegreeSequence(seq))
+        assert (d.verdict, d.reason) == ("Bipartite", "exact-search")
+        assert_witness(seq, d)
+        first = next((i for i, x in enumerate(seq) if x), None)
+        assert first is None or first in d.split.u
+
     def test_all_zero_low_region(self):
         d = decide_bdr(DegreeSequence((0, 0, 0)), ParamBounds(F(0), F(0)))
         assert d.verdict == "Bipartite" and d.reason == "split-found"
@@ -757,12 +649,5 @@ class TestInvariants:
 
     def test_unrealizable_bigraphic_split_raises(self, monkeypatch):
         monkeypatch.setattr("bdr.decider.construct_realization", lambda d1, d2: None)
-        with pytest.raises(InvariantError):
-            decide_exact(DegreeSequence((2, 2, 2, 2)))
-
-    def test_split_walk_short_of_the_pre_pass_raises(self, monkeypatch):
-        # the pre-pass accepts a count vector, so the split walk must reach
-        # an accepted split; a walk that yields none breaks that invariant
-        monkeypatch.setattr("bdr.decider.equal_sum_walk", lambda ds, branch=None: ([], iter(())))
         with pytest.raises(InvariantError):
             decide_exact(DegreeSequence((2, 2, 2, 2)))
