@@ -27,10 +27,12 @@ class DegreeSequence:
 
     def __init__(self, degrees):
         degrees = tuple(degrees)
+        types = set(map(type, degrees))
         # exact integers only: operator.index rejects floats, but takes bools
-        if bool in set(map(type, degrees)):
+        if bool in types:
             raise TypeError("a degree must be an integer, not bool")
-        degrees = tuple(map(operator.index, degrees))
+        if types - {int}:  # an int subclass or numpy integer becomes a plain int
+            degrees = tuple(map(operator.index, degrees))
         if min(degrees, default=0) < 0:
             raise ValueError(f"negative degree {next(d for d in degrees if d < 0)}")
         object.__setattr__(self, "degrees", degrees)

@@ -1,4 +1,4 @@
-"""Equal-sum splitting: a greedy balance, and subset-sum dynamic programming.
+"""Equal-sum splitting: a greedy balance, and a walk over count vectors.
 
 ``balanced_split`` puts the degrees, largest first, on the lighter side and
 closes the final gap with at most one swap, in O(n log n); it may find no
@@ -7,27 +7,20 @@ region and calls ``find_equal_sum_split`` only when it finds none: the
 count walk's first U count vector (below), each value's U count on its
 lowest indices (``split_of_key``), or None if no split exists.
 
-Each DP runs over a bitset of achievable sums (a Python int) capped at
-sigma/2.  ``_subset_sums`` adds one item per step; ``_run_sums`` adds one
-(value, count) run per step, its count split in binary parts 1, 2, 4, ...,
-rest (the paper's bounded subset-sum).  Deciding existence keeps one
-bitset of the run DP, O(sigma) bits.  The split walk makes one checkpoint
-pass of the item DP over its m items (``_checkpoints``), keeping the bitset
-at the start of each block, and rebuilds one block from them at a time.
-One rule sizes the blocks of both walks (``_block``): the largest whose
-held rows and checkpoints fit 2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma)
-bits.  Splits are unordered; the split walk canonicalizes by keeping the
-first nonzero entry on the U side and has no limit (a caller that needs
-one stops iterating); ``enumerate_equal_sum_splits`` reads it.  The
-count-vector walk yields U count vectors over the distinct nonzero degrees
-instead, pruned on the run DP's suffix bitsets, checkpointed by the same
-rule, and as often as asked on one set of bitsets (``_count_walk``).  Both
-walks keep O(sqrt(m)*sigma) bits (m nonzero degrees), enter only subtrees
-that hold a split and key a count vector in the same mixed radix over the
-same (value, count) runs (``count_runs`` decodes it).  ``decide_exact``
-walks the count vectors with a Gale–Ryser bound that drops subtrees
-without a bigraphic one and builds its witness from the first that passes;
-``count_vector_walk`` stays unpruned for the oracle.
+The DP runs over a bitset of achievable sums (a Python int) capped at
+sigma/2, adding one (value, count) run per step, its count split in binary
+parts 1, 2, 4, ..., rest (the paper's bounded subset-sum, ``_run_sums``).
+Deciding existence keeps one bitset, O(sigma) bits.  The count-vector walk
+yields the U count vectors over the distinct nonzero degrees, keyed in
+mixed radix over their (value, count) runs (``count_runs`` decodes a key),
+and enters only subtrees that hold one: it is pruned on the run DP's
+suffix bitsets, checkpointed in blocks sized by ``_block`` so that it
+keeps O(sqrt(m)*sigma) bits (m nonzero degrees), and can be walked as
+often as asked on one set of bitsets (``_count_walk``).  ``decide_exact``
+walks it with a Gale–Ryser bound that drops subtrees without a bigraphic
+count vector and builds its witness from the first that passes;
+``count_vector_walk`` stays unpruned for the oracle, and
+``enumerate_equal_sum_splits`` expands its count vectors into index sets.
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
 the U side, for every split this module returns, and checks that the two
@@ -37,7 +30,7 @@ sides' sums are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, chain, combinations, compress, product
 from math import isqrt
 from operator import not_
 from typing import Callable, Iterable, Iterator
@@ -114,18 +107,6 @@ def balanced_split(ds: DegreeSequence) -> SplitWitness | None:
     return split_with_u(ds, sides[0])
 
 
-def _subset_sums(degrees: Iterable[int], target: int, reach: int = 1) -> Iterator[int]:
-    """For each prefix of ``degrees``, the empty one first, the bitset of
-    the sums a + t up to ``target``, a in ``reach`` ({0} by default) and t a
-    subset sum of the prefix."""
-    cap = (1 << (target + 1)) - 1
-    reach &= cap
-    yield reach
-    for d in degrees:
-        reach = (reach | (reach << d)) & cap
-        yield reach
-
-
 def _run_sums(runs: Iterable[tuple[int, int]], target: int, reach: int = 1) -> Iterator[int]:
     """For each prefix of the (value, count) ``runs``, the empty one first,
     the bitset of the sums a + t up to ``target``, a in ``reach`` ({0} by
@@ -143,26 +124,15 @@ def _run_sums(runs: Iterable[tuple[int, int]], target: int, reach: int = 1) -> I
         yield reach
 
 
-def _checkpoints(degrees: list[int], target: int, block: int) -> tuple[list[int], bool]:
-    """Every ``block``-th prefix bitset of ``_subset_sums(degrees, target)``,
-    the empty prefix first, and whether all of ``degrees`` reach ``target``."""
-    checkpoints = []
-    for i, reach in enumerate(_subset_sums(degrees, target)):
-        if i % block == 0:
-            checkpoints.append(reach)
-    return checkpoints, bool(reach >> target & 1)
-
-
 def _block(positions: int, m: int) -> int:
-    """The block of a walk over the prefix bitsets at 0..``positions`` of m
-    nonzero degrees: the largest whose held rows and checkpoints fit
+    """The block of the count walk over the suffix bitsets at positions
+    0..``positions`` of m nonzero degrees: the largest that fits
     2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma) bits.
 
-    Both walks count the same way.  A checkpoint is kept at every
-    block-th position, positions // block + 1 of them, the first ({0}, one
-    bit) free; the block being walked is held as the rows of its positions
-    and of the next block's first, block + 1 rows (the count walk holds
-    one fewer).  So block + 1 + positions // block must fit.
+    A checkpoint is kept at every block-th position, positions // block + 1
+    of them, the first ({0}, one bit) free, and the block being walked is
+    held as at most block rows, one per position.  The rule asks that
+    block + 1 + positions // block fit, one bitset more than is held.
     """
     limit = 2 * isqrt(m - 1) + 4 if m else 2  # 2*ceil(sqrt(m)) + 2
     return next(b for b in range(limit - 1, 0, -1) if b + 1 + positions // b <= limit)
@@ -211,94 +181,6 @@ def split_of_key(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> S
     return split_with_u(ds, u_side)
 
 
-def equal_sum_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]],
-                                                Iterator[tuple[int, int]]]:
-    """The distinct nonzero degrees as (value, count) runs, largest first,
-    and the leaves of the canonical split walk as ``(key, mask)`` pairs.
-
-    The walk decides the nonzero indices in increasing order, the first one
-    fixed on U, include before exclude, depth first; a leaf is a node whose
-    remainder of sigma/2 is 0, all later items excluded.  Each leaf is one
-    distinct unordered equal-sum split.  ``mask`` has bit i set for each
-    index i it puts on U (zeros excluded, see ``mask_indices``); ``key`` is
-    its U count vector over ``runs`` in mixed radix (``count_runs``), so
-    equal keys mean equal degree multisets on each side.
-
-    A node is entered only when its remainder is a subset sum of the items
-    after it, so only subtrees without a leaf are dropped: the leaves and
-    their order are those of the unpruned walk.  The suffix subset sums are
-    kept at the start of each block of ``_block(m, m)`` positions (m
-    nonzero degrees); the block the walk is in is rebuilt from its
-    checkpoint as bytes, cut to the sums up to the remainder at the root
-    of the subtree being walked (no test below it asks for more), so a test
-    is O(1) in O(sqrt(m)*sigma) bits.
-    """
-    runs = _value_runs(ds.degrees)
-    return runs, _leaves(ds, runs)
-
-
-def _leaves(ds: DegreeSequence, runs: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    if ds.sigma % 2:
-        return
-    target = ds.sigma // 2
-    nz = [i for i, d in enumerate(ds.degrees) if d]
-    m = len(nz)
-    if not m:
-        yield 0, 0
-        return
-    place = dict(zip((v for v, _ in runs), _places(runs)))
-    # item j is the j-th nonzero degree from the right, so the items still
-    # open at a node are 0 .. i-1 and reach[i] holds their subset sums
-    at = nz[::-1]
-    deg = [ds.degrees[k] for k in at]
-    step = [place[d] for d in deg]
-    block = _block(m, m)
-    checkpoints, found = _checkpoints(deg, target, block)
-    # a split and its complement both sum to target, so one of them puts
-    # the first nonzero index on U: the root is live iff any split exists
-    if not found:
-        return
-    rows: list[bytes] = []
-    # no closure here: a variable that one reads becomes a cell, slower to
-    # read in the loop below
-    base, hi = 0, -1
-    # (i, rem, key, mask) of the live nodes still to walk: the root, then
-    # each pending exclude branch
-    stack = [(m - 1, target - deg[m - 1], step[m - 1], 1 << at[m - 1])]
-    while stack:
-        i, rem, key, mask = stack.pop()
-        root = rem  # no sum tested in this subtree is larger
-        while rem:  # a live node with rem > 0 has an open item
-            i -= 1
-            if not (0 <= i - base < len(rows) and rem <= hi):
-                base, hi = _rebuild(rows, deg, block, checkpoints, i, root), root
-            row = rows[i - base]
-            x = rem - deg[i]
-            if x >= 0 and row[x >> 3] >> (x & 7) & 1:
-                if row[rem >> 3] >> (rem & 7) & 1:
-                    stack.append((i, rem, key, mask))
-                rem, key, mask = x, key + step[i], mask | 1 << at[i]
-        yield key, mask
-
-
-def _rebuild(rows: list[bytes], deg: list[int], block: int, checkpoints: list[int],
-             i: int, root: int) -> int:
-    """Make ``rows`` the split walk's block holding reach[i], as bytes, cut to
-    the sums up to root; its first position."""
-    base = i - i % block
-    # each new row replaces an old one, so one block is held; the old block
-    # freed whole first made the n' = 1604 stall 17 % slower, as its memory
-    # was not reused in place
-    for j, r in enumerate(_subset_sums(deg[base:base + block], root, checkpoints[base // block])):
-        r = r.to_bytes((root >> 3) + 1, "little")
-        if j < len(rows):
-            rows[j] = r
-        else:
-            rows.append(r)
-    del rows[j + 1:]
-    return base
-
-
 def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterator[int]]:
     """The distinct nonzero degrees as (value, count) runs, largest first,
     and the mixed-radix key (``count_runs``) of every U count vector over
@@ -310,10 +192,10 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     after i, so it drops only dead subtrees: the count vectors and their
     order are those of the unpruned search.  Of those d bitsets (d runs)
     every B-th is kept, and the block of B the walk is in is rebuilt from
-    it as bytes, so a test is O(1).  B is ``_block(d - 1, m)``, the split
-    walk's rule over the positions 0..d-1: the held rows and checkpoints
-    fit 2*ceil(sqrt(m)) + 2 bitsets (m nonzero degrees), O(sqrt(m)*sigma)
-    bits, and one block, built once, if d < 2*ceil(sqrt(m)) + 2.  A count
+    it as bytes, so a test is O(1).  B is ``_block(d - 1, m)`` over the
+    positions 0..d-1: the held rows and checkpoints fit 2*ceil(sqrt(m)) + 2
+    bitsets (m nonzero degrees), O(sqrt(m)*sigma) bits, and one block,
+    built once, if d < 2*ceil(sqrt(m)) + 2.  A count
     vector and its complement both appear; no nonzero degree gives the one
     empty count vector.  The walk keeps an explicit stack, not bounded by
     the recursion limit.
@@ -398,8 +280,8 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
 def count_runs(runs: list[tuple[int, int]],
                key: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The U and V sides of the count vector ``key`` over ``runs`` (from
-    ``equal_sum_walk`` or ``count_vector_walk``) as (value, count) runs,
-    zero counts included.  A side that takes a whole run shares its tuple."""
+    ``count_vector_walk``) as (value, count) runs, zero counts included.  A
+    side that takes a whole run shares its tuple."""
     u, v = [], []
     for run in runs:
         value, c = run
@@ -409,15 +291,26 @@ def count_runs(runs: list[tuple[int, int]],
     return u, v
 
 
-def mask_indices(mask: int) -> list[int]:
-    """The set bits of ``mask``, increasing."""
-    return [i for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
-
-
 def enumerate_equal_sum_splits(ds: DegreeSequence) -> Iterator[SplitWitness]:
-    """Yield every distinct unordered equal-sum split, in walk order.
+    """Yield every distinct unordered equal-sum split once, the first
+    nonzero index on U.
 
-    Canonical form: the first nonzero index is always on the U side.
+    The splits come by U count vector, in the order of
+    ``count_vector_walk``.  Each count vector stands for the index sets that
+    take, from each value's indices, ``itertools.combinations`` of its U
+    count, lowest indices first, the last value's varying fastest; of
+    those, the ones that hold the first nonzero index are yielded, so a
+    split's complement never is.  An all-zero sequence has one split, with
+    every index on U.
     """
-    for _, mask in equal_sum_walk(ds)[1]:
-        yield split_with_u(ds, mask_indices(mask))
+    runs = _value_runs(ds.degrees)
+    indices: dict[int, list[int]] = {v: [] for v, _ in runs}
+    for i, d in enumerate(ds.degrees):
+        if d:
+            indices[d].append(i)
+    lead = next((i for i, d in enumerate(ds.degrees) if d), None)
+    for key in _count_walk(ds.sigma, runs)():
+        for sets in product(*(combinations(indices[v], k) for v, k in count_runs(runs, key)[0])):
+            u_side = list(chain.from_iterable(sets))
+            if lead is None or lead in u_side:
+                yield split_with_u(ds, u_side)

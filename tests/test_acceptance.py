@@ -11,11 +11,10 @@ from itertools import combinations_with_replacement
 
 from bdr import (DegreeClass, DegreeSequence, ParamBounds,
                  RegionClass, build_hard_instance, classify_region, decide_bdr,
-                 equal_sum_split_exists, in_class,
+                 decide_exact, equal_sum_split_exists, in_class,
                  is_bigraphic, is_graphic, lbds_pair_bigraphic,
                  lift_realization, max_degree_gap, project_realization,
                  verify_reduction_roundtrip)
-from bdr.gale_ryser import construct_realization
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_pair_search)
 
@@ -227,16 +226,9 @@ def test_criterion_8_lift_project_round_trip():
         if not brute_force_bipartite_realizable(ds):
             continue
         inst = build_hard_instance(ds, HARD)
-        split = None
-        g = None
-        for candidate in _all_splits(inst.source):
-            g = construct_realization(
-                [inst.source.degrees[i] for i in candidate.u],
-                [inst.source.degrees[j] for j in candidate.v])
-            if g is not None:
-                split = candidate
-                break
-        assert split is not None and g is not None, seq
+        witness = decide_exact(inst.source)
+        assert witness.verdict == "Bipartite", seq
+        split, g = witness.split, witness.realization
         lifted = lift_realization(g, split, inst)
         # full degree audit against D'
         assert sorted(lifted.u_degrees() + lifted.v_degrees()) == sorted(
@@ -249,11 +241,6 @@ def test_criterion_8_lift_project_round_trip():
         lifted_count += 1
     assert lifted_count > 0
     print(f"criterion 8: PASS ({lifted_count} realizable sources round-tripped)")
-
-
-def _all_splits(ds):
-    from bdr import enumerate_equal_sum_splits
-    return enumerate_equal_sum_splits(ds)
 
 
 def test_criterion_9_lbds_extremality_sampled():

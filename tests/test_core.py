@@ -1,3 +1,4 @@
+import enum
 import math
 from fractions import Fraction
 
@@ -223,11 +224,18 @@ class TestInClass:
             ParamBounds(c1, c2)
 
 
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
 class TestDegreeSequence:
     @pytest.mark.parametrize("degrees", [[2.7, True], [2.0], [True], [1, False]])
     def test_inexact_degrees_rejected(self, degrees):
-        # int() would have truncated 2.7 to 2 and taken True as 1
-        with pytest.raises(TypeError):
+        # int() would have truncated 2.7 to 2 and taken True as 1; a bool
+        # is named before a float
+        message = ("not bool" if bool in map(type, degrees)
+                   else "'float' object cannot be interpreted as an integer")
+        with pytest.raises(TypeError, match=message):
             DegreeSequence(degrees)
 
     @given(st.lists(st.integers(-3, 3), max_size=8))
@@ -242,3 +250,6 @@ class TestDegreeSequence:
     def test_numpy_integers_accepted(self):
         degrees = DegreeSequence(np.array([3, 0])).degrees
         assert degrees == (3, 0) and all(type(d) is int for d in degrees)
+        # an IntEnum and a numpy.int64 among plain ints
+        degrees = DegreeSequence([2, _Two.TWO, np.int64(1)]).degrees
+        assert degrees == (2, 2, 1) and all(type(d) is int for d in degrees)

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
 from unittest import mock
 
 import pytest
@@ -12,7 +11,6 @@ from bdr import DegreeSequence, ParamBounds, build_hard_instance, oracle
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
-from bdr.partition import equal_sum_walk
 from conftest import _traced_peak, _unpruned_count_vectors, reduction_corpus as _corpus
 
 
@@ -100,21 +98,19 @@ class TestLimits:
             brute_force_bipartite_realizable(DegreeSequence(seq), budget=1)
 
     def test_memory_within_the_split_walk_bound(self):
-        # 1..400: 400 runs, their suffix bitsets checkpointed by the split
-        # walk's rule, block + 1 rows and the checkpoints past {0} within
-        # 2*ceil(sqrt(400)) + 2 = 42 bitsets (``partition._block``), where
-        # all 401 of them would take about 2 MB
+        # 1..400: 400 runs, their suffix bitsets checkpointed in blocks
+        # (``partition._block``), block rows and the checkpoints past {0}
+        # within 2*ceil(sqrt(400)) + 2 = 42 bitsets of sigma/2 bits, where
+        # all 401 of them would take about 2 MB; the rest is the walk's
+        # per-run lists, its stack and the run DP's temporaries
         ds = DegreeSequence(tuple(range(1, 401)))
-
-        def walk():
-            for _ in islice(equal_sum_walk(ds)[1], 2):
-                pass
+        bitsets = 42 * (ds.sigma // 2 // 8 + 1)
 
         def search():
             with pytest.raises(BudgetExceededError):
                 brute_force_bipartite_realizable(ds, budget=1)
 
-        assert _traced_peak(search) < _traced_peak(walk) + 64 * 2 ** 10
+        assert _traced_peak(search) < bitsets + 96 * 2 ** 10
 
     def test_odd_sum_short_circuits(self):
         assert not brute_force_bipartite_realizable(DegreeSequence((1, 1, 1)))

@@ -1,11 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
-from math import comb, isqrt, prod
+from itertools import combinations
+from math import isqrt
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instance,
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
@@ -13,8 +13,7 @@ from bdr import partition
 from bdr.decider import decide_exact
 from bdr.errors import BudgetExceededError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import (_block, _count_walk, count_runs, count_vector_walk, equal_sum_walk,
-                           mask_indices, split_with_u)
+from bdr.partition import _block, _count_walk, count_runs, count_vector_walk, split_with_u
 from conftest import MANY_DISTINCT, reduction_corpus
 
 # zeros and repeated values, or one value repeated up to 16 times (every
@@ -252,39 +251,6 @@ class TestGaleRyserPrunedWalk:
             self._same_keys(d_prime.degrees, unpruned_count_vectors)
 
 
-class TestIndexSetsPerSplit:
-    """A count vector with counts k_i over runs of c_i values stands for
-    prod C(c_i, k_i) U index sets; over all count vectors that is two per
-    split of the walk, one per side, except for the one all-zero split."""
-
-    @staticmethod
-    def _index_sets_and_leaves(seq):
-        ds = DegreeSequence(seq)
-        runs, keys = count_vector_walk(ds)
-        index_sets = sum(prod(map(comb, (c for _, c in runs),
-                                  (k for _, k in count_runs(runs, key)[0])))
-                         for key in keys)
-        return index_sets, sum(1 for _ in equal_sum_walk(ds)[1])
-
-    @given(seq=DRAWS)
-    @settings(max_examples=400, deadline=None)
-    @example(seq=[3])
-    @example(seq=[1, 1, 1])
-    @example(seq=[5, 1, 1, 1])
-    @example(seq=[2, 2, 0, 2, 2])
-    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
-    def test_twice_the_leaves(self, seq):
-        assume(sum(seq) > 0)
-        index_sets, leaves = self._index_sets_and_leaves(seq)
-        assert index_sets == 2 * leaves
-
-    @pytest.mark.parametrize("seq", [[], [0], [0, 0, 0]])
-    def test_all_zero_is_one_of_each(self, seq):
-        runs, keys = count_vector_walk(DegreeSequence(seq))
-        assert (runs, list(keys)) == ([], [0])
-        assert self._index_sets_and_leaves(seq) == (1, 1)
-
-
 class TestEnumerate:
     def test_count_1111(self):
         # C(4,2)/2 unordered balanced labelings
@@ -313,63 +279,28 @@ class TestEnumerate:
             assert key not in seen
             seen.add(key)
 
-    # zeros and repeated values; the pruned walk must drop only subtrees
-    # without a split, so its leaves are the unpruned walk's, in order
-    @given(seq=st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 7, 9]), max_size=16))
+    def test_yield_order(self):
+        # by count vector over 2, 1: (2, 0) puts index 0 on V and yields
+        # nothing, then (1, 2), the 2s at 4 and 5 varying slowest, each
+        # run's index sets lowest first, then (0, 4)
+        ds = DegreeSequence((1, 1, 1, 1, 2, 2))
+        assert [w.u for w in enumerate_equal_sum_splits(ds)] == [
+            (0, 1, 4), (0, 2, 4), (0, 3, 4), (0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 1, 2, 3)]
+
+    # each split of the unpruned reference walk once, with its first nonzero
+    # index on U as the reference has it; zeros, repeated values, and one
+    # value up to 16 times
+    @given(seq=DRAWS)
     @settings(max_examples=400, deadline=None)
     @example(seq=[])
     @example(seq=[0, 0])
     @example(seq=[5, 1, 1, 1])
-    def test_same_leaves_as_unpruned_walk(self, seq, unpruned_splits):
+    @example(seq=[0, 1, 3, 1, 1])
+    def test_same_splits_as_unpruned_walk(self, seq, unpruned_splits):
         ds = DegreeSequence(seq)
-        assert list(enumerate_equal_sum_splits(ds)) == [
-            split_with_u(ds, u) for u in unpruned_splits(seq)]
-
-    def test_same_leaves_across_blocks(self, unpruned_splits, monkeypatch):
-        # about 29 nonzero items of 34: blocks of 9 to 11, three or four of
-        # them, rebuilt as the walk moves between them, and the sum cap of
-        # each rebuild tested
-        seen = _split_walk_spy(monkeypatch)
-        rng = random.Random(13)
-        for _ in range(40):
-            seq = [rng.choice((0, 1, 2, 3, 3, 5, 8)) for _ in range(34)]
-            ds = DegreeSequence(seq)
-            got = [w for _, w in zip(range(3000), enumerate_equal_sum_splits(ds))]
-            want = [split_with_u(ds, u) for _, u in zip(range(3000), unpruned_splits(seq))]
-            assert got == want
-        # the walk crosses at least two block edges
-        assert len({base for base, _ in seen["blocks"]}) >= 3
-
-    # m = 6, 10 and 29 nonzero items: blocks of 7, 8 and 11 over the
-    # positions 0..m-2 the walk reads
-    @pytest.mark.parametrize("m, blocks", [(6, 1), (10, 2), (29, 3)])
-    def test_same_leaves_in_one_two_and_more_blocks(self, m, blocks, unpruned_splits,
-                                                    monkeypatch):
-        assert (m - 2) // _block(m, m) + 1 == blocks
-        seen = _split_walk_spy(monkeypatch)
-        rng = random.Random(m)
-        for _ in range(30):
-            seq = [rng.choice((1, 2, 3, 3, 5, 8)) for _ in range(m)]
-            seq[-1] += sum(seq) % 2
-            ds = DegreeSequence(seq)
-            got = [w for _, w in zip(range(3000), enumerate_equal_sum_splits(ds))]
-            want = [split_with_u(ds, u) for _, u in zip(range(3000), unpruned_splits(seq))]
-            assert got == want
-        assert len({base for base, _ in seen["blocks"]}) == blocks
-
-    def test_walk_keys_are_count_vectors(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            seq = [rng.choice((0, 1, 2, 2, 3, 4, 4)) for _ in range(rng.randint(0, 12))]
-            ds = DegreeSequence(seq)
-            runs, leaves = equal_sum_walk(ds)
-            assert runs == sorted(Counter(d for d in seq if d).items(), reverse=True)
-            for key, mask in leaves:
-                u = mask_indices(mask)
-                on_u = Counter(seq[i] for i in u)
-                assert all(seq[i] for i in u)
-                assert count_runs(runs, key) == (
-                    [(v, on_u[v]) for v, _ in runs], [(v, c - on_u[v]) for v, c in runs])
+        splits = list(enumerate_equal_sum_splits(ds))
+        assert len(set(splits)) == len(splits)
+        assert set(splits) == {split_with_u(ds, u) for u in unpruned_splits(seq)}
 
 
 def _ceil_sqrt(m):
@@ -381,27 +312,6 @@ def _fits(block, positions, m):
     """block + 1 held rows and the checkpoints past the first within
     2*ceil(sqrt(m)) + 2."""
     return block + 1 + positions // block <= 2 * _ceil_sqrt(m) + 2
-
-
-def _split_walk_spy(monkeypatch):
-    """The split walk's checkpoints past the first, per checkpoint pass, and
-    (first position, rows held) per block it rebuilds."""
-    seen = {"checkpoints": [], "blocks": []}
-    checkpoints, rebuild = partition._checkpoints, partition._rebuild
-
-    def spy_checkpoints(*args):
-        kept, found = checkpoints(*args)
-        seen["checkpoints"].append(len(kept) - 1)
-        return kept, found
-
-    def spy_rebuild(rows, *args):
-        base = rebuild(rows, *args)
-        seen["blocks"].append((base, len(rows)))
-        return base
-
-    monkeypatch.setattr(partition, "_checkpoints", spy_checkpoints)
-    monkeypatch.setattr(partition, "_rebuild", spy_rebuild)
-    return seen
 
 
 def _count_walk_spy(monkeypatch):
@@ -428,18 +338,17 @@ def _count_walk_spy(monkeypatch):
 
 
 class TestBlockRule:
-    """Both walks size their blocks by ``_block``: held rows plus
+    """The count walk sizes its blocks by ``_block``: held rows plus
     checkpoints within 2*ceil(sqrt(m)) + 2 bitsets."""
 
     def test_largest_block_that_fits(self):
         for m in range(5001):
             limit = 2 * _ceil_sqrt(m) + 2
-            # the split walk's m item positions; the count walk's d - 1 run
-            # positions, all d <= m for small m, else those about its
-            # one-block edge and a few more
+            # the count walk's d - 1 run positions, all d <= m for small m,
+            # else those about its one-block edge and a few more
             runs = range(1, m + 1) if m <= 300 else {1, 2, limit - 2, limit - 1, limit,
                                                      limit + 1, m // 2, m}
-            for positions in {m} | {d - 1 for d in runs if 1 <= d <= m}:
+            for positions in {d - 1 for d in runs if 1 <= d <= m}:
                 block = _block(positions, m)
                 assert block >= 1 and _fits(block, positions, m)
                 assert not any(_fits(b, positions, m) for b in range(block + 1, limit + 1))
@@ -455,14 +364,9 @@ class TestBlockRule:
             ds = DegreeSequence(tuple(v for v in range(1, 201) for _ in (0, 1)))
         m = sum(1 for d in ds.degrees if d)
         limit = 2 * _ceil_sqrt(m) + 2
-        split = _split_walk_spy(monkeypatch)
         count = _count_walk_spy(monkeypatch)
-        for _ in islice(equal_sum_walk(ds)[1], 2):
-            pass
         with pytest.raises(BudgetExceededError):
             decide_exact(ds, budget=20000 if stall else 1)
-        assert len({base for base, _ in split["blocks"]}) > 1
-        assert max(rows for _, rows in split["blocks"]) + max(split["checkpoints"]) <= limit
         (checkpoints, rows), = count
         assert stall or len(rows) > 1
         assert max(rows) + checkpoints <= limit
