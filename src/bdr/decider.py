@@ -3,9 +3,14 @@
 Region classification never evaluates a square root: every boundary test
 is restated as a polynomial inequality over exact rationals and
 cross-multiplied into integers, so boundary parameter pairs are classified
-correctly.  Outside the tractable regions ``decide_exact`` decides by one
-walk over U count vectors, pruned on Gale–Ryser, and builds its witness
-from the first count vector that passes.
+correctly.  Outside the tractable regions ``decide_exact`` first runs one
+subset sum over U sizes (``partition.size_feasible_keys``), which refutes
+the input when no equal-sum split meets Gale–Ryser at k = 1 and otherwise
+proposes one count vector per U size; the first proposal that passes
+Gale–Ryser is the witness.  Only when none does, or when its tables would
+pass their cap, is the input decided by one walk over U count vectors,
+pruned on Gale–Ryser, with its witness built from the first count vector
+that passes.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
-from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _value_runs,
-                         construct_realization)
+from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
+                         _value_runs, construct_realization)
 from .partition import (SplitWitness, _count_walk, balanced_split, count_runs,
-                        find_equal_sum_split, split_of_key, split_with_u)
+                        equal_sum_split_exists, find_equal_sum_split, size_feasible_keys,
+                        split_of_key, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -167,17 +173,26 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
 
 
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
-    """Exponential fallback: the first U count vector that passes Gale–Ryser.
+    """Exponential fallback: a U count vector that passes Gale–Ryser.
+
+    First, with no walk and without the budget,
+    ``partition.size_feasible_keys`` settles most inputs.  If no
+    equal-sum split puts every U degree at most |V| and every V degree at
+    most |U| (the nonzero degrees counted), Gale–Ryser fails at k = 1 for
+    every split, and the verdict is NotBipartite: "gale-ryser-violation"
+    when an equal-sum split exists, "no-equal-sum-split" otherwise.  Else
+    it proposes one such count vector per U size s <= m/2, s ascending,
+    and the first that passes ``_gale_ryser_runs`` is the witness.  When
+    none passes, or when its tables would exceed
+    ``partition.SIZE_DP_BITS``, the walk below decides.
 
     The U count vectors over the d (value, count) runs are walked in the
     order of ``partition.count_vector_walk``, entering only subtrees that
     can still pass Gale–Ryser (``gale_ryser._gale_ryser_bound`` on
     ``partition._count_walk``), in O(sqrt(m)*sigma) bits, m the number of
     nonzero degrees.  If no count vector passes, no equal-sum split does:
-    the verdict is NotBipartite.  Otherwise the first that passes, or its
-    complement if it would put the first nonzero index on V, gives each
-    value's U count to that value's lowest indices (``split_of_key``), and
-    that split is realized.
+    the verdict is NotBipartite.  Otherwise the first that passes is the
+    witness (``_witness``, as for a proposal).
 
     The budget N counts equal-sum splits ruled out.  A subtree the bound
     cuts off after runs 0..i-1, with k_j of the c_j values of run j on U,
@@ -200,6 +215,17 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     so the walk makes at most 2N + 1 cuts, and at most 2N + 2 ends in all.
     """
     runs = _value_runs(ds.degrees)
+    keys = size_feasible_keys(ds.sigma, runs)
+    if keys is not None:
+        feasible = False
+        for key in keys:
+            if _gale_ryser_runs(*count_runs(runs, key)):
+                return _witness(ds, runs, key)
+            feasible = True
+        if not feasible:
+            # every equal-sum split, if there is one, fails at k = 1
+            return Decision("NotBipartite", "gale-ryser-violation" if equal_sum_split_exists(ds)
+                            else "no-equal-sum-split")
     counts = [c for _, c in runs]
     bound = _gale_ryser_bound(runs, ds.sigma // 2)
     # more ruled-out index sets than this are more than budget splits
@@ -225,10 +251,18 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     if key is None:
         # every split lies in a cut subtree, if there is any
         return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
+    return _witness(ds, runs, key)
+
+
+def _witness(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> Decision:
+    """The Bipartite decision of the bigraphic U count vector ``key``: it,
+    or its complement if it would put the first nonzero index on V, gives
+    each value's U count to that value's lowest indices (``split_of_key``),
+    and that split is realized."""
     first = next(filter(None, ds.degrees), None)
     if first is not None and not dict(count_runs(runs, key)[0])[first]:
         # the complement passes too and puts the first nonzero index on U
-        key = math.prod(c + 1 for c in counts) - 1 - key
+        key = math.prod(c + 1 for _, c in runs) - 1 - key
     split = split_of_key(ds, runs, key)
     g = construct_realization(*_split_pair(ds, split))
     if g is None:

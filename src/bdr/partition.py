@@ -16,10 +16,15 @@ mixed radix over their (value, count) runs (``count_runs`` decodes a key),
 and enters only subtrees that hold one: it is pruned on the run DP's
 suffix bitsets, checkpointed in blocks sized by ``_block`` so that it
 keeps O(sqrt(m)*sigma) bits (m nonzero degrees), and can be walked as
-often as asked on one set of bitsets (``_count_walk``).  ``decide_exact``
-walks it with a Gale–Ryser bound that drops subtrees without a bigraphic
-count vector and builds its witness from the first that passes;
-``count_vector_walk`` stays unpruned for the oracle, and
+often as asked on one set of bitsets (``_count_walk``).  Before any walk,
+``decide_exact`` runs one bounded subset sum with a count dimension,
+one bitset of sums per U size (``size_feasible_keys``): it proposes one
+count vector per U size whose two sides meet Gale–Ryser at k = 1, and
+when there is none the input is NotBipartite.  Only if no proposal passes
+Gale–Ryser does ``decide_exact`` walk the count vectors, with a bound
+that drops subtrees without a bigraphic count vector, and build its
+witness from the first that passes; ``count_vector_walk`` stays unpruned
+for the oracle, and
 ``enumerate_equal_sum_splits`` expands its count vectors into index sets.
 A split is its two index tuples, U and V, each increasing.  Zero degrees
 are never part of a subset key: ``split_with_u`` puts every one of them on
@@ -115,13 +120,134 @@ def _run_sums(runs: Iterable[tuple[int, int]], target: int, reach: int = 1) -> I
     reach &= cap
     yield reach
     for v, c in runs:
-        part = 1
-        while c:  # binary split of the count: 1, 2, 4, ..., rest
-            take = min(part, c)
+        for take in _binary_parts(c):
             reach |= reach << take * v & cap
-            c -= take
-            part *= 2
         yield reach
+
+
+# The most bits ``size_feasible_keys`` may hold in its tables: 2**23 bits,
+# 1 MB.  An input whose tables would take more is left to the walk.
+SIZE_DP_BITS = 1 << 23
+
+
+def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int] | None:
+    """For each U size s <= m/2 that has a size-feasible split, s
+    ascending, the first such U count vector of size s in walk order, as a
+    mixed-radix key over ``runs`` (``count_runs``); None if the tables
+    would hold more than SIZE_DP_BITS bits.
+
+    A split of the m nonzero degrees, |U| = s and |V| = m - s, is
+    size-feasible when its sides sum to sigma/2, every U degree is at most
+    m - s and every V degree at most s.  Every split that passes Gale–Ryser
+    is size-feasible: at k = 1 the inequality reads a_1 <= #(nonzero b) on
+    each side, as an edge joins two vertices of nonzero degree.  So if no
+    split is size-feasible, none passes, and the input is NotBipartite;
+    the iterator is then empty.  A split's mirror, U and V swapped, is
+    size-feasible iff the split is, so only s <= m - s is tried.  Then a
+    degree above m - s fits neither side, and a degree above s fits only
+    U: U holds all f(s) degrees above s, of sum F(s), and s - f(s) of the
+    degrees at most s, of sum sigma/2 - F(s), each of which fits either
+    side.  So s ranges over f(s) <= s <= min(m/2, m - max degree), and one
+    table answers every s: row c holds the bitset of the sums of c degrees
+    from the runs of value at most s, each run bounded by its count, the
+    runs added in ascending value as s grows, each count in binary parts
+    as in ``_run_sums``.  Of the size-feasible count vectors of size s,
+    the one the count walk meets first takes every run above s whole and,
+    for the runs at most s from the largest down, the largest count that
+    the table of the runs below it completes; the table after each run is
+    kept to rebuild it.  A size whose count of degrees at most s cannot
+    make its sum (each is at least 1 and at most s) asks nothing of the
+    table, and when no size is left nothing is built.
+
+    Cost: a table has R rows of W bits, R - 1 the largest count asked (at
+    most m/2) and W - 1 - g the largest sum asked (at most sigma/2); g,
+    the largest sum one run's shift adds (at most that sum), is a guard
+    zone in each row that every step clears.  With J runs of value at most
+    the largest s asked, J + 1 tables are kept and one is built,
+    (J + 2)*R*W bits, each run costs O(log c) shifts of one table, and
+    each size's count vector is rebuilt in O(m + J) bit tests.
+    """
+    if sigma % 2:
+        return iter(())
+    half, m = sigma // 2, sum(c for _, c in runs)
+    top = runs[0][0] if runs else 0
+    asks = []  # (s, count, sum) asked of the table, s ascending
+    f, big, r = m, sigma, len(runs)  # f(s), F(s): the count and sum of runs 0..r-1, above s
+    for s in range(min(m // 2, m - top) + 1):
+        while r and runs[r - 1][0] <= s:
+            r -= 1
+            f -= runs[r][1]
+            big -= runs[r][0] * runs[r][1]
+        c, t = s - f, half - big
+        if 0 <= c <= t <= c * s:
+            asks.append((s, c, t))
+            free = r
+    if not asks:
+        return iter(())
+    # s - f(s) and sigma/2 - F(s) grow with s: the last size asks the most
+    _, rows, cap = asks[-1]
+    rows += 1
+    places = _places(runs)
+    # runs free..d-1, those of value at most the last s, ascending: value,
+    # count, the binary parts of the count a row can use, and mixed-radix place
+    up = []
+    guard = 0  # the most that one run adds to a sum
+    for i in range(len(runs) - 1, free - 1, -1):
+        v, c = runs[i]
+        usable = min(c, cap // v, rows - 1)
+        up.append((v, c, _binary_parts(usable), places[i]))
+        guard = max(guard, v * usable)
+    width = cap + 1 + guard
+    if (len(up) + 2) * rows * width > SIZE_DP_BITS:
+        return None
+    ones, k = 1, 1  # bit 0 of each row
+    while k < rows:
+        ones |= ones << k * width
+        k *= 2
+    ones &= (1 << rows * width) - 1
+    valid = (ones << cap + 1) - ones  # the sums 0..cap of each row
+    whole = places[-1] * (runs[-1][1] + 1) - 1 if runs else 0  # every run on U
+
+    def keys() -> Iterator[int]:
+        table, tables = 1, [b"\x01"]  # tables[j]: after runs up[0..j-1], as bytes
+        for s, c, t in asks:
+            while len(tables) <= len(up) and up[len(tables) - 1][0] <= s:
+                v, _, parts, _ = up[len(tables) - 1]
+                for take in parts:
+                    table = (table | table << take * (width + v)) & valid
+                tables.append(table.to_bytes((table.bit_length() >> 3) + 1, "little"))
+            x = c * width + t
+            row = tables[-1]
+            if not (x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1):
+                continue
+            # runs above s whole; the rest from the largest down, each
+            # with the largest count that the runs below it complete
+            key = whole
+            for j in range(len(tables) - 2, -1, -1):
+                v, count, _, place = up[j]
+                row = tables[j]
+                k = min(count, c, t // v)
+                while True:
+                    x = (c - k) * width + t - k * v
+                    if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
+                        break
+                    k -= 1
+                key -= (count - k) * place
+                c, t = c - k, t - k * v
+            yield key
+
+    return keys()
+
+
+def _binary_parts(c: int) -> list[int]:
+    """The count c split as 1, 2, 4, ..., rest: every count 0..c is a sum
+    of some of them, so a subset sum over the parts is one over the run."""
+    parts, part = [], 1
+    while c:
+        parts.append(min(part, c))
+        c -= parts[-1]
+        part *= 2
+    return parts
 
 
 def _block(positions: int, m: int) -> int:

@@ -243,11 +243,12 @@ class TestGoldenBytes:
             code, out, err = run(capsys, ["decide", "--c1", c1, "--c2", c2, "--exact",
                                           "--budget", "20000", f])
             digest_of.update(f"{code}\n{out}\n{err}\n".encode())
-        # re-recorded when the witness came to be built from the first
-        # accepted count vector: exit codes and stderr as before, and each
-        # of the 31 witnesses that moved checked edge by edge
+        # re-recorded when the size subset sum came to run before the walk:
+        # nine padded D' that passed the budget are answered (exit 3 -> 0),
+        # one n = 20 witness moved, and the ten new outputs were checked
+        # edge by edge; every other output kept its bytes
         assert digest_of.hexdigest() == (
-            "bd27e7b9eababc27cc5f21261a20420a3167fecf96e176d91446dcc1c8600545")
+            "eeaee67a7cdba694ba98691e983c0418496c4abf6f3a9794feaaf0240709c7e7")
 
 
 def reference_decide_stdout(decision):
@@ -402,14 +403,25 @@ class TestBudget:
         assert code == 3 and out == "" and "budget must be >= 0" in err
 
     def test_zero_budget_keeps_its_meaning(self, tmp_path, capsys):
-        # the walk rules out splits before its first accepted count vector
-        f = write(tmp_path, "d.txt", "7 5 3 5 4 5 3 5 5 4 1 1\n")
+        # the size subset sum's one proposal fails Gale-Ryser, and the walk
+        # rules out splits before its first accepted count vector
+        f = write(tmp_path, "d.txt", "3 3 1 7 5 2 5 2 5 5 2 4\n")
         code, out, err = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",
                                       "--budget", "0", f])
         assert code == 3 and out == "" and err.startswith("budget exceeded")
         code, out, _ = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",
                                     "--budget", "0", write(tmp_path, "e.txt", "0 1 1\n")])
         assert code == 0 and json.loads(out)["verdict"] == "Bipartite"
+
+    @pytest.mark.parametrize("degrees, code, verdict", [
+        ("7 5 3 5 4 5 3 5 5 4 1 1", 0, "Bipartite"),  # its first proposal passes
+        ("4 2 2 2 2", 1, "NotBipartite")])  # no split meets Gale-Ryser at k = 1
+    def test_settled_before_the_walk(self, tmp_path, capsys, degrees, code, verdict):
+        # an input the size subset sum settles is answered at any budget
+        f = write(tmp_path, "d.txt", degrees + "\n")
+        got, out, err = run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact",
+                                     "--budget", "0", f])
+        assert (got, json.loads(out)["verdict"], err) == (code, verdict, "")
 
 
 class TestLbds:

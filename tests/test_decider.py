@@ -15,7 +15,8 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_sp
                  threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable, exhaustive_graph_search
-from bdr.partition import split_with_u
+from bdr.gale_ryser import _gale_ryser_runs, _value_runs
+from bdr.partition import count_runs, equal_sum_split_exists, size_feasible_keys, split_with_u
 from conftest import MANY_DISTINCT, _unpruned_splits, reduction_corpus
 
 
@@ -331,17 +332,27 @@ class TestDecideExact:
             DegreeSequence((3, 3, 2, 2, 1, 1)))
 
     def test_budget(self):
-        # every equal-sum split of (4,2,2,2,2) puts the 4 and one 2 against
-        # three 2s, and the 4 has only three v-vertices: the walk cuts off
-        # all four splits, eight index sets, more than 2*3 of them
+        # every equal-sum split of (4,3,3,3,1,1,1) puts the 4, a 3 and a 1
+        # against two 3s and two 1s: each side meets Gale-Ryser at k = 1, so
+        # the size subset sum proposes one, but U fails at k = 2 (7 > 6).
+        # The walk cuts off 6 of the 18 index sets, more than 2*2 of them
         with pytest.raises(BudgetExceededError):
-            decide_exact(DegreeSequence((4, 2, 2, 2, 2)), budget=3)
+            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=2)
+
+    def test_refuted_by_side_sizes(self):
+        # 4 2 2 2 2: m = 5, so |U| = s <= m/2 = 2 and every degree is at
+        # most m - s, which for the 4 leaves s <= 1; all five degrees exceed
+        # 1 and must be on U, more than s.  No split meets Gale-Ryser at
+        # k = 1, though 4 + 2 = 2 + 2 + 2 is an equal-sum split, so no walk
+        # runs and the budget is never read
+        d = decide_exact(DegreeSequence((4, 2, 2, 2, 2)), budget=0)
+        assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation")
 
     def test_budget_error_fields(self):
         # both exact searches raise the error the same way: the limit, the
         # count that passed it, and a message built from the two
         with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(DegreeSequence((4, 2, 2, 2, 2)), budget=2)
+            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=2)
         assert (exc.value.limit, exc.value.examined) == (2, 3)
         assert str(exc.value) == "examined more than 2 equal-sum splits"
         with pytest.raises(BudgetExceededError) as exc:
@@ -370,10 +381,21 @@ def outcome(ds, budget=None):
         return exc.limit, exc.examined, str(exc)
 
 
+def settled_before_walk(seq):
+    """Whether ``decide_exact`` answers ``seq`` before any walk: its size
+    tables fit, and no split is size-feasible or a proposal passes."""
+    runs = _value_runs(seq)
+    keys = size_feasible_keys(sum(seq), runs)
+    if keys is None:
+        return False
+    keys = list(keys)
+    return not keys or any(_gale_ryser_runs(*count_runs(runs, key)) for key in keys)
+
+
 def spy_walk(monkeypatch):
-    """Per ``decide_exact`` call, its runs and the nodes its walk enters, as
-    (i, k, passed) in walk order, seen through the Gale–Ryser bound it is
-    handed."""
+    """Per ``decide_exact`` call that walks, its runs and the nodes its walk
+    enters, as (i, k, passed) in walk order, seen through the Gale–Ryser
+    bound it is handed."""
     walks = []
     bound = bdr.decider._gale_ryser_bound
 
@@ -461,21 +483,25 @@ class TestBudgetPoint:
     past 2N: N = ceil(D/2) - 1 raises, and N = ceil(D/2), which is
     floor(D/2) for even D, gives the decision without a budget."""
 
+    # inputs that the size subset sum leaves to the walk: each has a
+    # size-feasible split, no proposal passes Gale-Ryser, and the walk
+    # cuts subtrees off
     @pytest.mark.parametrize("seq, dead", [
-        ((7, 5, 3, 5, 4, 5, 3, 5, 5, 4, 1, 1), 10),  # Bipartite, the CI's
-        ((1, 5, 2, 3, 2, 1, 4, 2, 4), 2),
-        ((2, 2, 3, 4, 5, 6, 5, 5, 3, 5, 2), 4),
-        ((3, 6, 5, 2, 1, 2, 4, 5, 3, 4, 5), 6),
-        ((4, 1, 6, 3, 2, 5, 6, 5, 7, 4, 3, 6, 6), 8),
-        ((3, 5, 6, 6, 4, 3, 4, 6, 3, 1, 6, 2, 7), 12),
-        ((4, 2, 2, 2, 2), 8),  # NotBipartite: all of its splits
-        ((7, 7, 7, 7), 6),
-        ((4, 5, 3, 1, 2, 4, 3), 10),
-        ((4, 2, 2, 2, 4, 1, 4, 3), 3)])  # odd: floor(D/2) raises too
+        ((3, 3, 1, 7, 5, 2, 5, 2, 5, 5, 2, 4), 10),  # Bipartite, the CI's
+        ((2, 5, 5, 3, 7, 3, 3, 6, 1, 2, 2, 5), 9),
+        ((4, 7, 7, 4, 5, 6, 8, 4, 6, 4, 7, 1, 5, 2), 4),
+        ((5, 7, 6, 5, 2, 5, 3, 3, 1, 2, 4, 3), 6),
+        ((5, 2, 4, 3, 3, 1, 1, 1), 8),  # NotBipartite
+        ((5, 5, 1, 3, 3, 4, 5, 3, 1, 1, 5), 12),  # Bipartite
+        ((2, 1, 3, 5, 4, 1, 3, 1), 8),  # NotBipartite
+        ((4, 3, 3, 3, 1, 1, 1), 6),
+        ((1, 2, 2, 3, 3, 6, 1, 1, 5), 10),
+        ((5, 1, 3, 2, 6, 3, 3, 7, 4, 3, 6, 5), 3)])  # Bipartite; odd: floor(D/2) raises too
     def test_at_half_the_cut_index_sets(self, seq, dead, monkeypatch):
         ds = DegreeSequence(seq)
         walks = spy_walk(monkeypatch)
         want = decide_exact(ds)
+        assert not settled_before_walk(seq)
         (runs, nodes), = walks
         assert cut_index_sets(runs, nodes) == dead
         n = (dead + 1) // 2
@@ -508,14 +534,21 @@ class TestWorkBound:
 
     @staticmethod
     def _check(seq, budget, monkeypatch):
+        """Whether the walk ran; it runs exactly when the size subset sum
+        leaves the input open."""
         walks = spy_walk(monkeypatch)
         outcome(DegreeSequence(seq), budget)
-        (runs, nodes), = walks
-        assert len(nodes) <= (len(runs) + 1) * (2 * budget + 2)
+        assert bool(walks) != settled_before_walk(seq)
+        for runs, nodes in walks:
+            assert len(nodes) <= (len(runs) + 1) * (2 * budget + 2)
+        return bool(walks)
 
     @given(seq=st.one_of(SEQS, MANY_DISTINCT), budget=st.integers(0, 20))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(seq=[3, 3, 1, 7, 5, 2, 5, 2, 5, 5, 2, 4], budget=4)
+    @example(seq=[4, 3, 3, 3, 1, 1, 1], budget=0)
+    @example(seq=[1, 2, 4, 5, 3, 3, 1, 3], budget=6)
     def test_drawn(self, seq, budget, monkeypatch):
         with monkeypatch.context() as mp:
             self._check(seq, budget, mp)
@@ -524,14 +557,18 @@ class TestWorkBound:
     def test_padded_and_long(self, budget, monkeypatch):
         # the 15 padded D' at (1/10, 2/5), the n' = 1604 stall and the half
         # graph of 1..200, whose walk passes budget 20000 before its first
-        # accepted key
+        # accepted key; the walk still runs on seven of them: four
+        # NotBipartite and one Bipartite padded D', the stall and the half
+        # graph
         seqs = [build_hard_instance(DegreeSequence(source), HARD).d_prime.degrees
                 for source in reduction_corpus(8)]
         seqs += [build_hard_instance(DegreeSequence((1, 1, 1, 1)), FAR).d_prime.degrees,
                  tuple(v for v in range(1, 201) for _ in (0, 1))]
+        walked = 0
         for seq in seqs:
             with monkeypatch.context() as mp:
-                self._check(seq, budget, mp)
+                walked += self._check(seq, budget, mp)
+        assert walked == 7
 
 
 class TestWithoutBudget:
@@ -548,6 +585,77 @@ class TestWithoutBudget:
         assert (d.verdict == "Bipartite") == brute_force_bipartite_realizable(ds)
         if d.verdict == "Bipartite":
             assert_witness(ds.degrees, d)
+
+
+class TestSizeSubsetSum:
+    """The subset sum over U sizes that runs before the walk: it refutes
+    only inputs with no bigraphic count vector, and its witness keeps the
+    documented contract."""
+
+    @given(seq=st.one_of(st.lists(st.integers(0, 7), max_size=8),
+                         st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]),
+                                  max_size=30)))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[4, 2, 2, 2, 2])
+    @example(seq=[7, 5, 3, 5, 4, 5, 3, 5, 5, 4, 1, 1])
+    @example(seq=[4, 3, 3, 3, 1, 1, 1])
+    @example(seq=[])
+    @example(seq=[0, 0])
+    def test_against_the_oracles(self, seq):
+        ds = DegreeSequence(seq)
+        runs = _value_runs(seq)
+        keys = list(size_feasible_keys(ds.sigma, runs))
+        passed = [key for key in keys if _gale_ryser_runs(*count_runs(runs, key))]
+        realizable = (exhaustive_graph_search(ds) if len(seq) <= 8
+                      else brute_force_bipartite_realizable(ds))
+        if not keys:  # refuted: no count vector passes Gale-Ryser
+            assert not realizable
+        if passed:
+            assert realizable
+            d = outcome(ds, 0)  # settled before the walk, at any budget
+            assert (d.verdict, d.reason) == ("Bipartite", "exact-search")
+            assert_witness(seq, d)
+            # the first proposal that passes, or its complement, is the witness
+            u_side = Counter(seq[i] for i in d.split.u if seq[i])
+            assert u_side in [Counter(dict(side)) for side in count_runs(runs, passed[0])]
+            first = next((i for i, x in enumerate(seq) if x), None)
+            assert first is None or first in d.split.u
+        elif not keys:
+            d = outcome(ds, 0)
+            assert d.verdict == "NotBipartite"
+            assert d.reason == ("gale-ryser-violation" if equal_sum_split_exists(ds)
+                                else "no-equal-sum-split")
+
+    @pytest.mark.parametrize("top", [30, 60, 62])
+    def test_half_graphs_answered(self, top):
+        # 1..60 passed budget 20000 in the walk; each answer comes from the
+        # first proposal, with the half graph's tables under the cap
+        seq = tuple(v for v in range(1, top + 1) for _ in (0, 1))
+        d = decide_exact(DegreeSequence(seq), budget=20000)
+        assert d.verdict == "Bipartite"
+        assert_witness(seq, d)
+
+    def test_just_over_the_cap(self, monkeypatch):
+        # the tables of the half graph 1..62 take 8,378,496 bits, under
+        # 2**23, and those of 1..63 take 8,914,880: it goes to the walk,
+        # which passes the budget as it did for 1..60
+        seq = tuple(v for v in range(1, 64) for _ in (0, 1))
+        assert size_feasible_keys(sum(seq), _value_runs(seq)) is None
+        walks = spy_walk(monkeypatch)
+        with pytest.raises(BudgetExceededError):
+            decide_exact(DegreeSequence(seq), budget=20000)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("cap, walked", [(81, 0), (80, 1)])
+    def test_cap_boundary(self, cap, walked, monkeypatch):
+        # 2 2 2 2: only s = 2 asks, for 2 degrees of sum 4, so R = 3 rows of
+        # W = 4 + 1 + 2*2 bits (a row can use two 2s); J = 1 run, so the
+        # tables take (J + 2)*R*W = 81 bits
+        ds = DegreeSequence((2, 2, 2, 2))
+        monkeypatch.setattr("bdr.partition.SIZE_DP_BITS", cap)
+        walks = spy_walk(monkeypatch)
+        d = decide_exact(ds, budget=0)
+        assert d.verdict == "Bipartite" and len(walks) == walked
 
 
 class TestStall:
@@ -570,6 +678,8 @@ class TestStall:
             tracemalloc.stop()
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
         assert peak < 8 * 2 ** 20
+        # its size tables, about 297M bits, are far over the cap: the walk decides
+        assert size_feasible_keys(ds.sigma, _value_runs(ds.degrees)) is None
 
 
 class TestDecisionDataclass:

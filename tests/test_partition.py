@@ -251,6 +251,58 @@ class TestGaleRyserPrunedWalk:
             self._same_keys(d_prime.degrees, unpruned_count_vectors)
 
 
+class TestSizeFeasibleKeys:
+    """Per U size s <= m/2, s ascending, the unpruned search's first count
+    vector whose U side has s degrees, each at most m - s, and whose V
+    side's degrees are each at most s."""
+
+    @staticmethod
+    def _first_per_size(seq, unpruned_count_vectors):
+        m = sum(1 for d in seq if d)
+        first = {}
+        for u, v in unpruned_count_vectors(seq):
+            s = sum(c for _, c in u)
+            if (s <= m - s and all(d <= m - s for d, c in u if c)
+                    and all(d <= s for d, c in v if c)):
+                first.setdefault(s, (u, v))
+        return [first[s] for s in sorted(first)]
+
+    @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[4, 2, 2, 2, 2])
+    @example(seq=[3, 3, 2, 2, 1, 1])
+    @example(seq=[4] * 16)
+    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    def test_drawn(self, seq, unpruned_count_vectors):
+        runs = _value_runs(seq)
+        keys = partition.size_feasible_keys(sum(seq), runs)
+        assert [count_runs(runs, key) for key in keys] == self._first_per_size(
+            seq, unpruned_count_vectors)
+
+    @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
+    def test_padded(self, c1, c2, unpruned_count_vectors):
+        bounds = ParamBounds(Fraction(c1), Fraction(c2))
+        for source in reduction_corpus(8):
+            seq = build_hard_instance(DegreeSequence(source), bounds).d_prime.degrees
+            runs = _value_runs(seq)
+            keys = partition.size_feasible_keys(sum(seq), runs)
+            assert [count_runs(runs, key) for key in keys] == self._first_per_size(
+                seq, unpruned_count_vectors)
+
+    @pytest.mark.parametrize("seq", [
+        (4, 2, 2, 2, 2),  # the 4 leaves s <= 1, and five degrees exceed 1
+        (3, 3, 2, 1, 1),  # s = 2 asks 2 degrees of sum 1
+        (2, 2, 2, 2, 2)])  # s = 2 asks 2 degrees of at most 2 each for sum 5
+    def test_no_size_left_builds_no_table(self, seq, monkeypatch):
+        # a size that the degrees at most s cannot fill asks nothing of the
+        # table, so with no size left no cap is too small
+        monkeypatch.setattr(partition, "SIZE_DP_BITS", 0)
+        assert list(partition.size_feasible_keys(sum(seq), _value_runs(seq))) == []
+        assert partition.size_feasible_keys(8, _value_runs((2, 2, 2, 2))) is None
+
+
 class TestEnumerate:
     def test_count_1111(self):
         # C(4,2)/2 unordered balanced labelings
