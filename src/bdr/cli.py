@@ -4,16 +4,19 @@ Exit codes: 0 = Bipartite (or success for non-decision commands),
 1 = NotBipartite, 2 = Undecided, 3 = input or usage error.
 JSON goes to stdout, diagnostics to stderr; output is deterministic for
 identical inputs and seed.
+
+Argv is read against one table, COMMANDS: ``--opt value`` or ``--opt=value``
+(never abbreviated; the value may start with "-") and positionals in any
+order, the last of a repeated option winning.  ``-h`` prints the usage.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import core, decider, gale_ryser, oracle, partition, reduction
 from .lbds import lbds as compute_lbds
@@ -41,10 +44,6 @@ def _read_pair(path: str) -> list[tuple[int, ...]]:
     if len(lines) != 2:
         raise ParseError(f"expected two sequence lines in {path}, got {len(lines)}")
     return [core.parse_sequence(line).degrees for line in lines]
-
-
-def _bounds(args) -> ParamBounds:
-    return ParamBounds(core.parse_rational(args.c1), core.parse_rational(args.c2))
 
 
 def _emit_decision(decision: decider.Decision) -> None:
@@ -80,19 +79,11 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _budget(args) -> int | None:
-    """``--budget``, checked before any input is read; None means unlimited."""
-    if args.budget is not None and args.budget < 0:
-        raise ParseError("budget must be >= 0")
-    return args.budget
-
-
 def run_decide(args) -> int:
-    budget = _budget(args)
     ds = _read_sequence(args.file)
-    decision = decider.decide_bdr(ds, _bounds(args))
+    decision = decider.decide_bdr(ds, ParamBounds(args.c1, args.c2))
     if decision.verdict == "Undecided" and args.exact:
-        decision = decider.decide_exact(ds, budget=budget).with_region(
+        decision = decider.decide_exact(ds, budget=args.budget).with_region(
             decision.region)
     _emit_decision(decision)
     return {"Bipartite": EXIT_BIPARTITE,
@@ -121,7 +112,7 @@ def run_reduce(args) -> int:
     sorted order, so it is appended to the dump of the other keys, and each
     distinct ``Role`` object, most of them shared, is rendered once."""
     ds = _read_sequence(args.file)
-    inst = reduction.build_hard_instance(ds, _bounds(args))
+    inst = reduction.build_hard_instance(ds, ParamBounds(args.c1, args.c2))
     rest = json.dumps({
         "r": str(inst.r),
         "c1_tilde": str(inst.c1_tilde),
@@ -138,9 +129,9 @@ def run_reduce(args) -> int:
 
 
 def run_verify_reduction(args) -> int:
-    budget = _budget(args)
     ds = _read_sequence(args.file)
-    report = reduction.verify_reduction_roundtrip(ds, _bounds(args), budget=budget)
+    report = reduction.verify_reduction_roundtrip(ds, ParamBounds(args.c1, args.c2),
+                                                  budget=args.budget)
     _emit({
         "source_realizable": report.source_realizable,
         "padded_realizable": report.padded_realizable,
@@ -181,16 +172,10 @@ def _random_graphic_in_window(rng: random.Random, n: int, lo: int, hi: int,
 
 
 def run_scan(args) -> int:
-    if args.samples < 1:
-        raise ParseError("samples must be >= 1")
-    if args.n < 0:
-        raise ParseError("n must be >= 0")
-    budget = _budget(args)
-    c1_grid, c2_grid = _parse_grid(args.c1_grid), _parse_grid(args.c2_grid)
     rng = random.Random(args.seed)
     print("c1,c2,region,frac_split,frac_bipartite,samples")
-    for c1 in c1_grid:
-        for c2 in c2_grid:
+    for c1 in args.c1_grid:
+        for c2 in args.c2_grid:
             if c1 > c2:
                 continue
             bounds = ParamBounds(c1, c2)
@@ -209,7 +194,7 @@ def run_scan(args) -> int:
                     n_split += 1
                 decision = decider.decide_bdr(ds, bounds)
                 if decision.verdict == "Undecided":
-                    decision = decider.decide_exact(ds, budget=budget)
+                    decision = decider.decide_exact(ds, budget=args.budget)
                 if decision.verdict == "Bipartite":
                     n_bip += 1
             count = len(found)
@@ -220,78 +205,93 @@ def run_scan(args) -> int:
 
 
 def run_oracle(args) -> int:
-    budget = _budget(args)
     ds = _read_sequence(args.file)
-    verdict = oracle.brute_force_bipartite_realizable(ds, budget=budget)
+    verdict = oracle.brute_force_bipartite_realizable(ds, budget=args.budget)
     _emit({"bipartite": verdict})
     return EXIT_BIPARTITE if verdict else EXIT_NOT_BIPARTITE
 
 
-def _add_bounds(parser) -> None:
-    parser.add_argument("--c1", required=True, help='lower bound, "p/q" or decimal')
-    parser.add_argument("--c2", required=True, help='upper bound, "p/q" or decimal')
+def _integer(name: str, low: int | None = None):
+    """ASCII digits with one optional leading "-" (``int`` also takes "+", "_", " ")."""
+    def convert(text: str) -> int:
+        digits = text[1:] if text[:1] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{name} must be an integer, got {text!r}")
+        if low is not None and int(text) < low:
+            raise ParseError(f"{name} must be >= {low}")
+        return int(text)
+    return convert
 
 
-@functools.cache  # built once per process: the build costs more than most decisions
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bdr",
-                                     description="bipartite degree realization tools")
-    sub = parser.add_subparsers(dest="command", required=True)
+_BOUNDS = {"--c1": (core.parse_rational, None), "--c2": (core.parse_rational, None)}
+_BUDGET = {"--budget": (_integer("budget", 0), None)}  # None: unlimited
+_FILE = {"file": str}
+# command -> (handler, help line, {option: (converter or "flag", default)},
+#             required options, {positional name: converter})
+COMMANDS = {
+    "decide": (run_decide, "decide bipartite realizability",
+               {**_BOUNDS, "--exact": ("flag", False), **_BUDGET}, ("--c1", "--c2"), _FILE),
+    "realize": (run_realize, "realize a two-line degree sequence pair", {}, (), _FILE),
+    "lbds": (run_lbds, "print the least balanced sequence of a class", {}, (),
+             {name: _integer(name) for name in ("n", "sigma", "delta", "d")}),
+    "reduce": (run_reduce, "build the padded hard instance", _BOUNDS, ("--c1", "--c2"), _FILE),
+    "verify-reduction": (run_verify_reduction, "round-trip verdict check",
+                         {**_BOUNDS, **_BUDGET}, ("--c1", "--c2"), _FILE),
+    "scan": (run_scan, "sample the parameter grid, CSV to stdout",
+             {"--c1-grid": (_parse_grid, None), "--c2-grid": (_parse_grid, None),
+              "--samples": (_integer("samples", 1), 20), "--n": (_integer("n", 0), 12),
+              "--seed": (_integer("seed"), 0), **_BUDGET}, ("--c1-grid", "--c2-grid"), {}),
+    "oracle": (run_oracle, "brute-force verdict (debugging)", _BUDGET, (), _FILE),
+}
 
-    p = sub.add_parser("decide", help="decide bipartite realizability")
-    _add_bounds(p)
-    p.add_argument("--exact", action="store_true",
-                   help="fall back to exhaustive split search when undecided")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("file")
-    p.set_defaults(func=run_decide)
 
-    p = sub.add_parser("realize", help="realize a two-line degree sequence pair")
-    p.add_argument("file")
-    p.set_defaults(func=run_realize)
+def _help(commands) -> int:
+    """Print each command's usage, built from COMMANDS, and its help line."""
+    for command in commands:
+        _, line, options, required, positionals = COMMANDS[command]
+        words = [name if kind == "flag" else f"{name} {name[2:].upper()}"
+                 for name, (kind, _) in options.items()]
+        print("usage: bdr", command, *(w if w.split()[0] in required else f"[{w}]" for w in words),
+              *map(str.upper, positionals), end=f"\n    {line}\n")
+    return 0
 
-    p = sub.add_parser("lbds", help="print the least balanced sequence of a class")
-    p.add_argument("n", type=int)
-    p.add_argument("sigma", type=int)
-    p.add_argument("delta", type=int)
-    p.add_argument("d", type=int)
-    p.set_defaults(func=run_lbds)
 
-    p = sub.add_parser("reduce", help="build the padded hard instance")
-    _add_bounds(p)
-    p.add_argument("file")
-    p.set_defaults(func=run_reduce)
-
-    p = sub.add_parser("verify-reduction", help="round-trip verdict check")
-    _add_bounds(p)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("file")
-    p.set_defaults(func=run_verify_reduction)
-
-    p = sub.add_parser("scan", help="sample the parameter grid, CSV to stdout")
-    p.add_argument("--c1-grid", required=True, help="start:stop:step")
-    p.add_argument("--c2-grid", required=True, help="start:stop:step")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=run_scan)
-
-    p = sub.add_parser("oracle", help="brute-force verdict (debugging)")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("file")
-    p.set_defaults(func=run_oracle)
-
-    return parser
+def _read_argv(argv: list[str]):
+    """The handler of argv's command and a namespace of its converted values."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help, COMMANDS
+    if command not in COMMANDS:
+        got = f", got {command!r}" if argv else ""
+        raise ParseError(f"expected a command: {', '.join(COMMANDS)}{got}")
+    handler, _, options, required, positionals = COMMANDS[command]
+    given, texts, items = {}, [], iter(argv[1:])
+    for item in items:
+        name, eq, value = item.partition("=")
+        if item in ("-h", "--help"):
+            return _help, (command,)
+        if item[:1] != "-":
+            texts.append(item)
+        elif name not in options or eq and options[name][0] == "flag":
+            raise ParseError(f"{command} has no option {item}")
+        else:
+            given[name] = value if eq or options[name][0] == "flag" else next(items, None)
+    missing = [name for name in (*required, *given) if given.get(name) is None]
+    if missing:
+        raise ParseError(f"{command} needs a value for {missing[0]}")
+    if len(texts) != len(positionals):
+        raise ParseError(f"{command} takes {len(positionals)} argument(s), got {len(texts)}")
+    values = {name[2:].replace("-", "_"): default if name not in given else
+              True if kind == "flag" else kind(given[name])
+              for name, (kind, default) in options.items()}
+    values.update((name, conv(text)) for (name, conv), text in zip(positionals.items(), texts))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else 0
-    try:
-        return args.func(args)
+        handler, args = _read_argv(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -559,7 +559,7 @@ class TestScan:
     @pytest.mark.parametrize("c1_grid, c2_grid", [("0:0:1", "1/2:3/2:1/2"),
                                                   ("-1/10:1/10:1/10", "1/2:1/2:1")])
     def test_out_of_range_grid_rejected_before_header(self, capsys, c1_grid, c2_grid):
-        # "=" keeps argparse from reading "-1/10:..." as an option
+        # the "=" form; "--c1-grid -1/10:..." reads the same value
         code, out, err = run(capsys, ["scan", f"--c1-grid={c1_grid}", f"--c2-grid={c2_grid}",
                                       "--samples", "1", "--n", "4"])
         assert code == 3 and out == "" and "outside [0, 1]" in err
@@ -596,3 +596,58 @@ class TestUsage:
     def test_directory_as_file(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, argv + [str(tmp_path)])
         assert code == 3 and out == "" and err.startswith("error:")
+
+    # the cut input: exit 3 at --budget 4, 0 at --budget 5 (see TestBudget)
+    CUT = "3 3 1 7 5 2 5 2 5 5 2 4\n"
+    GRID = ["--c2-grid", "1/5:2/5:1/10", "--samples", "2", "--n", "8"]
+
+    @pytest.mark.parametrize("form, canonical", [
+        (["decide", "--c1=0", "--c2=1", "FILE"], ["decide", "--c1", "0", "--c2", "1", "FILE"]),
+        (["decide", "FILE", "--c1", "0", "--exact", "--c2", "1"],
+         ["decide", "--c1", "0", "--c2", "1", "--exact", "FILE"]),
+        (["decide", "--c1", "0", "--c2", "1", "--exact", "--budget", "4", "--budget", "5", "FILE"],
+         ["decide", "--c1", "0", "--c2", "1", "--exact", "--budget", "5", "FILE"]),
+        (["scan", "--c1-grid=0:1/5:1/10", *GRID], ["scan", "--c1-grid", "0:1/5:1/10", *GRID]),
+    ], ids=["equals", "file-first", "last-budget-wins", "scan-equals"])
+    def test_accepted_forms(self, tmp_path, capsys, form, canonical):
+        f = write(tmp_path, "cut.txt", self.CUT)
+        expected = run(capsys, [f if arg == "FILE" else arg for arg in canonical])
+        assert run(capsys, [f if arg == "FILE" else arg for arg in form]) == expected
+        assert expected[1]  # the canonical argv prints its answer
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "--frob", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "--ex", "/no/such/file"],  # no abbreviations
+        ["decide", "--c2", "1", "/no/such/file", "--c1"],
+        ["decide", "--c1", "0", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "/no/such/file", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "--exact=1", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "--budget", "1_0", "/no/such/file"],
+        ["decide", "--c1", "0", "--c2", "1", "--budget", "\u0663", "/no/such/file"],
+        ["scan", "--c1-grid", "0:1:1", "--c2-grid", "0:1:1", "--n", " 4 "],
+        ["scan", "--c1-grid", "0:1:1", "--c2-grid", "0:1:1", "--samples", "+1"],
+        ["lbds", "5", "1_0", "3", "1"],
+        ["decide", "--c1", "x", "--c2", "1", "/no/such/file"],
+    ], ids=["unknown-command", "unknown-option", "abbreviation", "no-value", "missing-c2",
+            "extra-positional", "flag-value", "budget-underscore", "budget-arabic-indic-digit",
+            "n-spaces", "samples-plus", "lbds-underscore", "bad-rational"])
+    def test_rejected_before_any_input(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+    def test_help_names_every_command(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        for command in ("decide", "realize", "lbds", "reduce", "verify-reduction", "scan",
+                        "oracle"):
+            assert f"usage: bdr {command} " in out
+
+    def test_command_help_names_every_option(self, capsys):
+        code, out, err = run(capsys, ["decide", "-h"])
+        assert (code, err) == (0, "")
+        assert out.split("\n")[0] == \
+            "usage: bdr decide --c1 C1 --c2 C2 [--exact] [--budget BUDGET] FILE"
