@@ -9,14 +9,11 @@ instances are classified correctly.
 from __future__ import annotations
 
 import operator
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,19 @@ def parse_rational(text: str) -> Fraction:
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse whitespace- or comma-separated nonnegative integers, each
     written as plain ASCII digits (no sign)."""
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
+    # commas and every character str.isspace() accepts separate tokens
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty degree sequence")
-    for tok in tokens:
-        # ASCII digits only: int() would also take a sign, "_" and non-ASCII digits
-        if not (tok.isascii() and tok.isdigit()):
-            negative = tok.isascii() and tok[0] == "-" and tok[1:].isdigit()
-            raise ParseError(f"{'negative degree' if negative else 'non-integer token'} {tok!r}")
+    # ASCII digits only: int() would also take a sign, "_" and non-ASCII
+    # digits.  One C-level pass accepts; the tokens are walked one by one only
+    # to name the first bad one (none when non-ASCII whitespace separates them)
+    if not (text.isascii() and all(map(str.isdigit, tokens))):
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                negative = tok.isascii() and tok[0] == "-" and tok[1:].isdigit()
+                raise ParseError(
+                    f"{'negative degree' if negative else 'non-integer token'} {tok!r}")
     return DegreeSequence(map(int, tokens))
 
 

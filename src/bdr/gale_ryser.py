@@ -9,8 +9,14 @@ values.  A realization is checked where it is built: the tuple
 constructor checks each row entry by entry (``_check_row``), a hinge-flip
 checks the two rows it changes and shares the others, and
 ``BipartiteRealization.from_intervals`` takes rows as int bitsets and
-ranges and checks each in O(1).  The realizer's rows arrive there as
-bitsets, each decoded once.
+ranges and checks each in O(1).  Bitsets are decoded by one function,
+``_decode_bits``, which counts a bitset's runs of set bits in O(1) int
+operations from ``bits ^ bits << 1``: a bitset of at most ``SLICED_RUNS``
+(4) runs becomes that many slices of ``tuple(range(|V|))``, any other is
+read by one ``compress`` pass.  The realizer decodes each of its row
+bitsets once with it, checks only that the bitset ends below ``1 << |V|``
+(the rows are increasing and in range by construction) and builds the
+realization unchecked.
 """
 
 from __future__ import annotations
@@ -76,6 +82,39 @@ def _check_row(u: int, nbrs: tuple, n: int) -> None:
 # bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
+# A bitset of at most this many runs of set bits is decoded as that many
+# slices, any other by one ``compress`` pass.  Of the rows of a low-region
+# witness at n = 2000, about half are one run, a fifth two, a quarter 50 or
+# more and few between.  Its realization took about 2 ms (15 %) longer
+# with 1 than with any value from 2 to 16, which all took the same.
+SLICED_RUNS = 4
+
+
+def _decode_bits(bits: int, names: tuple[int, ...]) -> tuple[int, ...]:
+    """The indices of the set bits of ``bits`` >= 0, lowest first, taken
+    from ``names``, which is ``tuple(range(n))`` with n >= bits.bit_length().
+
+    ``bits ^ bits << 1`` has one set bit at the start of each run of set
+    bits and one just past its end, so its bit count, twice the number of
+    runs, costs O(1) int operations.  A bitset of at most ``SLICED_RUNS``
+    runs takes each run's ends off that mask, lowest first, as one slice of
+    ``names``: O(1) int operations of O(n) bits per run, and the row built
+    by one join.  Any other is read by one ``compress`` pass over the flags
+    of ``bin(bits)`` reversed: O(n) C-level steps.
+    """
+    ends = bits ^ bits << 1
+    if ends.bit_count() > 2 * SLICED_RUNS:
+        # bin() is most significant bit first; reversed, flag i is bit i
+        return tuple(compress(names, bin(bits)[:1:-1].encode().translate(_FLAGS)))
+    parts = []
+    while ends:
+        start = ends & -ends
+        ends ^= start
+        stop = ends & -ends
+        ends ^= stop
+        parts.append(names[start.bit_length() - 1:stop.bit_length() - 1])
+    return parts[0] if len(parts) == 1 else sum(parts, ())
+
 
 def _vertex_count(v_count) -> int:
     # exact integers only: operator.index rejects floats, but takes bools
@@ -95,7 +134,9 @@ class BipartiteRealization:
     Both constructors check that invariant, and ``v_degrees`` relies on it.
     ``BipartiteRealization(v_count, neighbors)`` checks each row entry by
     entry (``_check_row``); ``from_intervals`` builds the rows from int
-    bitsets and ranges and checks each piece in O(1).  ``v_degrees`` takes a
+    bitsets and ranges and checks each piece in O(1).  The realizer and
+    the hinge-flips, whose rows hold it by construction, build through
+    ``_trusted``.  ``v_degrees`` takes a
     row of m entries by its leading intervals of consecutive v-indices
     (``_long_interval_ends``) and the rest per entry, so a row of k long
     intervals costs O(k log m) steps.  All three take a row object that
@@ -131,12 +172,14 @@ class BipartiteRealization:
         bitset must be positive, below ``1 << v_count`` and have its lowest
         set bit at or above the end of the piece before it; decoded in
         index order, it is then strictly increasing and in range, as
-        ``_check_row`` would prove.  A range or a bitset whose bits are one
-        interval is one slice of ``tuple(range(v_count))``, any other bitset
-        is decoded once by ``itertools.compress``, and a row of k pieces and
-        m entries is joined in O(k·m), so ``__post_init__`` does not check
-        it again.  A row object given more than once is checked and built
-        once, and its built row is shared.
+        ``_check_row`` would prove.  A range is one slice of
+        ``tuple(range(v_count))``.  A bitset goes to ``_decode_bits``, the
+        realizer's decoder: one O(1) run count from ``bits ^ bits << 1``,
+        then one slice per run when it has at most ``SLICED_RUNS`` runs,
+        else one ``itertools.compress`` pass of O(v_count) C-level steps.
+        A row of k pieces and m entries is joined in O(k·m), and
+        ``__post_init__`` does not check it again.  A row object given more
+        than once is checked and built once, and its built row is shared.
         """
         n = _vertex_count(v_count)
         names = tuple(range(n))
@@ -151,24 +194,19 @@ class BipartiteRealization:
             end = 0  # the lowest value the next piece may take
             for piece in pieces:
                 if type(piece) is int:
-                    low = piece & -piece
-                    start, stop = low.bit_length() - 1, piece.bit_length()
+                    start, stop = (piece & -piece).bit_length() - 1, piece.bit_length()
                     good = piece > 0 and stop <= n
-                    # adding the lowest set bit clears them all: one interval
-                    interval = not (piece + low) & piece
                 elif type(piece) is range:
                     start, stop = piece.start, piece.stop
                     good = piece.step == 1 and start < stop <= n
-                    interval = True
                 else:
                     raise TypeError(f"u-vertex {u}: piece {piece!r} is not an int "
                                     f"bitset or a range")
                 if not (good and end <= start):
                     raise ValueError(f"u-vertex {u}: piece {piece!r} is empty, out of order "
                                      f"or out of range, or a range of step other than 1")
-                # bin() is most significant bit first; reversed, flag i is bit i
-                parts.append(names[start:stop] if interval else tuple(compress(
-                    names, bin(piece)[:1:-1].encode().translate(_FLAGS))))
+                parts.append(names[start:stop] if type(piece) is range
+                             else _decode_bits(piece, names))
                 end = stop
             row = parts[0] if len(parts) == 1 else sum(parts, ())
             built[id(pieces)] = pieces, row
@@ -369,9 +407,19 @@ def construct_realization(d1: Sequence[int],
     of the boundary can share a residual, and they are merged by one OR.
     A u-vertex costs O(1) int operations of O(|V|) bits per level it
     touches plus O(log |V|) for the boundary level, with no per-vertex
-    list work.  Each row goes to ``from_intervals`` as one piece, its
-    bitset, which the constructor decodes once (one slice when it is one
-    interval) and checks in O(1).
+    list work.
+
+    Once every u-vertex is served, each row bitset is decoded once,
+    straight into the realization, by ``_decode_bits``: its runs of set
+    bits are counted from ``row ^ row << 1`` in O(1) int operations; a row
+    of at most ``SLICED_RUNS`` runs is that many slices of one
+    ``tuple(range(|V|))``, O(1) int operations per run plus one join, and
+    any other row is one ``compress`` pass over the flags of ``bin(row)``,
+    O(|V|) C-level steps.  The rows are built from ``1 << v`` with
+    v < |V|, so they are increasing and in range; one bound check, that the
+    largest row bitset ends below ``1 << |V|`` (O(1) per row), raises
+    InvariantError, and the realization is built unchecked
+    (``_trusted``).
     """
     if sum(d1) != sum(d2):
         return None
@@ -381,10 +429,10 @@ def construct_realization(d1: Sequence[int],
             by_residual[r] = by_residual.get(r, 0) | 1 << v
     levels = [(r, bits, bits.bit_count())
               for r, bits in sorted(by_residual.items(), reverse=True)]
-    order = sorted(range(len(d1)), key=lambda i: -d1[i])
+    order = sorted(range(len(d1)), key=d1.__getitem__, reverse=True)
     if order and d1[order[-1]] < 0 or levels and levels[-1][0] < 0:
         return None  # a negative degree, the last of its order, has no realization
-    rows: list[tuple] = [()] * len(d1)
+    rows = [0] * len(d1)  # the bitset of each u-vertex's v-neighbors
     for u in order:
         need = d1[u]
         if need == 0:
@@ -421,10 +469,14 @@ def construct_realization(d1: Sequence[int],
             head[-1] = (top, b | bits, c + count)
             k += 1
         levels[:k] = head
-        rows[u] = (row,)
+        rows[u] = row
     if levels:
         return None
-    return BipartiteRealization.from_intervals(len(d2), rows)
+    n = len(d2)
+    if max(rows, default=0).bit_length() > n:
+        raise InvariantError(f"a row bitset reaches past v_count {n}")
+    names = tuple(range(n))
+    return BipartiteRealization._trusted(n, tuple([_decode_bits(row, names) for row in rows]))
 
 
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:

@@ -92,7 +92,8 @@ def balanced_split(ds: DegreeSequence) -> SplitWitness | None:
         return None
     sides: tuple[list[int], list[int]] = ([], [])
     sums = [0, 0]
-    for i in sorted(filter(deg.__getitem__, range(ds.n)), key=lambda i: -deg[i]):
+    # a stable sort keeps equal degrees in index order, reverse=True included
+    for i in sorted(filter(deg.__getitem__, range(ds.n)), key=deg.__getitem__, reverse=True):
         side = sums[1] < sums[0]
         sides[side].append(i)
         sums[side] += deg[i]

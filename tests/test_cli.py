@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from bdr import (BipartiteRealization, DegreeSequence, ParamBounds, decide_bdr,
                  decide_exact, format_realization)
-from bdr import cli
+from bdr import cli, gale_ryser
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
@@ -144,15 +144,33 @@ class TestGoldenBytes:
     fallback when that finds none) and of the realizer must not change silently."""
 
     def test_decide_low_region(self, tmp_path, capsys):
-        rng = random.Random(600)
-        degrees = [rng.randint(60, 120) for _ in range(600)]
-        while sum(degrees) % 2:
-            degrees[-1] = rng.randint(60, 120)
+        degrees = self.low_region_degrees()
         f = write(tmp_path, "d.txt", " ".join(map(str, degrees)) + "\n")
         code, out, _ = run(capsys, ["decide", "--c1", "1/10", "--c2", "1/5", f])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "5d3258aad93de4b373eaa5328f9f888eae45fb527d14fbd2b8755ecfd947069f")
+
+    @staticmethod
+    def low_region_degrees():
+        rng = random.Random(600)
+        degrees = [rng.randint(60, 120) for _ in range(600)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(60, 120)
+        return degrees
+
+    def test_decide_low_region_covers_every_decode_branch(self):
+        # the witness above has rows of one run of consecutive v-indices (one
+        # slice), of 2..SLICED_RUNS runs (joined slices) and of more (one
+        # compress pass), so its digest pins the bytes of all three
+        g = decide_bdr(DegreeSequence(self.low_region_degrees()),
+                       ParamBounds(F(1, 10), F(1, 5))).realization
+        runs = {sum(1 for a, b in zip((None,) + row, row) if a != b - 1)
+                for row in g.neighbors}
+        k = gale_ryser.SLICED_RUNS
+        assert 1 in runs
+        assert runs & set(range(2, k + 1))
+        assert max(runs) > k
 
     def test_realize_random_graph_degrees(self, tmp_path, capsys):
         rng = random.Random(300)

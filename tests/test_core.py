@@ -23,6 +23,13 @@ class TestParseSequence:
     def test_mixed_separators(self):
         assert parse_sequence("1, 2\n3").degrees == (1, 2, 3)
 
+    def test_unicode_whitespace_separates(self):
+        # commas and the characters str.isspace() accepts, runs of them and
+        # leading or trailing ones included; the text is not ASCII, yet
+        # every token is
+        text = ",\u30007\x1c,\u2028 5,,\u00a0\t6\u3000"
+        assert parse_sequence(text).degrees == (7, 5, 6)
+
     def test_negative_rejected(self):
         with pytest.raises(ParseError, match="-1"):
             parse_sequence("2 -1")

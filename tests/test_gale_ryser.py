@@ -183,6 +183,16 @@ class TestConstructRealization:
     def test_infeasible(self):
         assert construct_realization((3, 1), (2, 2)) is None
 
+    def test_row_past_v_count_raises(self, monkeypatch):
+        # the rows are unchecked but for their bound, a typed error that
+        # python -O keeps: a boundary level that hands out a bit at 40
+        # reaches past the 3 v-vertices
+        lowest = gale_ryser._lowest_bits
+        monkeypatch.setattr(gale_ryser, "_lowest_bits",
+                            lambda bits, count, m: lowest(bits, count, m) | 1 << 40)
+        with pytest.raises(InvariantError, match="past v_count 3"):
+            construct_realization((2, 2), (2, 1, 1))
+
     @given(st.lists(st.integers(0, 4), max_size=5),
            st.lists(st.integers(0, 4), max_size=5))
     def test_succeeds_iff_bigraphic_and_degrees_match(self, d1, d2):
@@ -193,6 +203,18 @@ class TestConstructRealization:
             assert g.v_degrees() == tuple(d2)
         else:
             assert g is None
+
+
+def seeded_low_region_pair():
+    """The pair decide_bdr realizes for a seeded n = 2000 input with degrees
+    in [n/10, n/5]."""
+    rng = random.Random(2000)
+    degrees = [rng.randint(200, 400) for _ in range(2000)]
+    while sum(degrees) % 2:
+        degrees[-1] = rng.randint(200, 400)
+    split = decide_bdr(DegreeSequence(degrees),
+                       ParamBounds(Fraction(1, 10), Fraction(1, 5))).split
+    return [degrees[i] for i in split.u], [degrees[i] for i in split.v]
 
 
 class TestRealizerMatchesReference:
@@ -211,18 +233,20 @@ class TestRealizerMatchesReference:
         assert construct_realization(d1, d2) == reference_realization(d1, d2)
 
     def test_seeded_low_region_split(self):
-        # the pair decide_bdr realizes for a seeded n = 2000 input with
-        # degrees in [n/10, n/5]
-        rng = random.Random(2000)
-        degrees = [rng.randint(200, 400) for _ in range(2000)]
-        while sum(degrees) % 2:
-            degrees[-1] = rng.randint(200, 400)
-        split = decide_bdr(DegreeSequence(degrees),
-                           ParamBounds(Fraction(1, 10), Fraction(1, 5))).split
-        p = ([degrees[i] for i in split.u],
-             [degrees[i] for i in split.v])
+        p = seeded_low_region_pair()
         g = construct_realization(*p)
         assert g is not None and g == reference_realization(*p)
+
+    def test_realizer_checks_no_row_entry_by_entry(self, monkeypatch):
+        # its rows are decoded from bitsets, increasing and in range by
+        # construction; only the O(1) bound check per row is left
+        def no_check(*args):
+            raise AssertionError("_check_row called")
+        p = seeded_low_region_pair()
+        monkeypatch.setattr(gale_ryser, "_check_row", no_check)
+        g = construct_realization(*p)
+        monkeypatch.undo()
+        assert g == BipartiteRealization(g.v_count, g.neighbors)
 
     def test_seeded_random_graph(self):
         p = random_graph_degrees(random.Random(7), 300, 400, 0.2)
@@ -521,6 +545,60 @@ def piece_graph(draw):
                 pieces.append(bits(piece))
         piece_rows.append(tuple(pieces))
     return v_count, rows, tuple(piece_rows)
+
+
+def run_count(row):
+    """The number of maximal runs of consecutive values in the increasing
+    tuple ``row``."""
+    return sum(1 for a, b in zip((None,) + row, row) if a != b - 1)
+
+
+def runs_bits(runs):
+    """The bitset of the (start, stop) ``runs``."""
+    return sum((1 << stop) - (1 << start) for start, stop in runs)
+
+
+class TestDecodeBits:
+    """``_decode_bits`` gives the set bits, lowest first, by slices when a
+    bitset has at most ``SLICED_RUNS`` runs of set bits and by one
+    ``compress`` pass otherwise; both must match a per-bit reading."""
+
+    K = gale_ryser.SLICED_RUNS
+
+    @staticmethod
+    def decode(bits, v_count):
+        got = gale_ryser._decode_bits(bits, tuple(range(v_count)))
+        assert got == tuple(v for v in range(v_count) if bits >> v & 1)
+        assert type(got) is tuple
+        return got
+
+    @pytest.mark.parametrize("v_count", [29, 30, 31, 59, 60, 61])
+    def test_edge_rows(self, v_count):
+        top = v_count - 1
+        for bits in (0, 1, 1 << top, 1 | 1 << top, (1 << v_count) - 1,
+                     (1 << v_count) - 2, (1 << top) - 1, 1 << v_count // 2):
+            self.decode(bits, v_count)
+        assert self.decode(0, v_count) == ()
+        assert self.decode((1 << v_count) - 1, v_count) == tuple(range(v_count))
+
+    @pytest.mark.parametrize("v_count", [29, 30, 31, 59, 60, 61])
+    def test_k_and_k_plus_one_runs(self, v_count):
+        # random runs, the first at bit 0 and the last at bit v_count - 1,
+        # then runs of two bits one apart
+        rng = random.Random(v_count)
+        for runs in (self.K, self.K + 1):
+            for _ in range(20):
+                ends = [0, *sorted(rng.sample(range(1, v_count), 2 * runs - 2)), v_count]
+                bits = runs_bits(zip(ends[::2], ends[1::2]))
+                assert run_count(self.decode(bits, v_count)) == runs
+            bits = runs_bits((3 * i, 3 * i + 2) for i in range(runs))
+            assert run_count(self.decode(bits, v_count)) == runs
+
+    @given(st.integers(1, 130).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_bit_reading(self, row):
+        self.decode(row[1], row[0])
 
 
 class TestFromIntervals:

@@ -184,8 +184,8 @@ class TestBalancedSplit:
     def test_unequal_sides_raise(self, monkeypatch):
         # an order that loses the first index leaves it on V after the
         # sides have been balanced without it
-        monkeypatch.setattr("bdr.partition.sorted", lambda items, key: sorted(items, key=key)[1:],
-                            raising=False)
+        monkeypatch.setattr("bdr.partition.sorted",
+                            lambda items, **how: sorted(items, **how)[1:], raising=False)
         with pytest.raises(InvariantError):
             balanced_split(DegreeSequence((2, 1, 1)))
 
