@@ -48,7 +48,7 @@ def _read_pair(path: str) -> list[tuple[int, ...]]:
 
 def _emit_decision(decision: decider.Decision) -> None:
     """Write the decision as ``_emit`` would, with sorted keys, but render the
-    edge list straight from the realization's neighbor tuples.  "realization"
+    edge list straight from the realization's row bitsets.  "realization"
     is the first key in sorted order, so the edges come before the dump of
     the other keys."""
     split = None

@@ -4,65 +4,32 @@ Both take the degrees of the two vertex classes U and V as two int
 sequences.  The Gale–Ryser test works on their (value, count) runs; the
 realizer holds the v-vertices of each residual degree as one int bitset,
 so a step costs O(|V|)-bit operations per residual level it touches.
-Realizations are immutable per-u neighbor tuples; hinge-flips return new
-values.  A realization is checked where it is built: the tuple
-constructor checks each row entry by entry (``_check_row``), a hinge-flip
-checks the two rows it changes and shares the others, and
-``BipartiteRealization.from_intervals`` takes rows as int bitsets and
-ranges and checks each in O(1).  Bitsets are decoded by one function,
-``_decode_bits``, which counts a bitset's runs of set bits in O(1) int
-operations from ``bits ^ bits << 1``: a bitset of at most ``SLICED_RUNS``
-(4) runs becomes that many slices of ``tuple(range(|V|))``, any other is
-read by one ``compress`` pass.  The realizer decodes each of its row
-bitsets once with it, checks only that the bitset ends below ``1 << |V|``
-(the rows are increasing and in range by construction) and builds the
-realization unchecked.
+
+A realization is its rows: one int bitset per u-vertex, bit v set when
+(u, v) is an edge.  The constructor checks each row in O(1) (an int, not
+a bool, with 0 <= row < 1 << |V|); ``BipartiteRealization.from_neighbors``
+takes rows as increasing tuples of v-indices from outside, checks them
+entry by entry (``_check_row``) and packs them.  Degrees, the rendered
+edge list and the hinge flips read the bitsets; only ``neighbors``, a
+view decoded on first read by ``_decode_bits`` and cached, builds
+per-row tuples.  A row is read by its runs of set bits, counted in O(1)
+int operations from ``bits ^ bits << 1`` (``_runs``): a row of at most
+``SLICED_RUNS`` runs is that many slices of a table indexed by v, any
+other one ``compress`` pass over that table with the flags of
+``bin(row)``.  The realizer hands its row bitsets on as they are, so
+deciding and printing a witness builds no per-row tuple.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import add, index, itemgetter, lt
+from functools import cached_property
+from itertools import accumulate, compress, count
+from operator import index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidMoveError, InvariantError
-
-
-def _long_interval_ends(nbrs: tuple[int, ...]) -> list[int]:
-    """The ends of the leading long intervals of the strictly increasing
-    row ``nbrs``, for ``v_degrees``.
-
-    An interval is a maximal stretch of consecutive values.  One of more
-    than 2·bit_length(m) entries (m = len(nbrs)), about what a binary search
-    for its end costs, is long; the walk stops at the first interval that
-    is not, and ``v_degrees`` counts the rest of the row per entry.  As the
-    bound is at least 8 once m > 8, it skips every row whose first 9
-    entries are not consecutive: it has none.  ``nbrs[q] - q`` is
-    non-decreasing and constant exactly on an interval, so one test tells a
-    short interval and a binary search finds the end of a long one:
-    O(log m) per interval.
-    """
-    m = len(nbrs)
-    short = 2 * m.bit_length()
-    ends = []
-    p = 0
-    while m - p > short and nbrs[p + short] - nbrs[p] == short:
-        lo, hi = p + short, m - 1
-        key = nbrs[lo] - lo
-        if nbrs[hi] - hi == key:
-            hi = m
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if nbrs[mid] - mid == key:
-                    lo = mid
-                else:
-                    hi = mid
-        ends.append(hi)
-        p = hi
-    return ends
 
 
 def _check_row(u: int, nbrs: tuple, n: int) -> None:
@@ -82,38 +49,53 @@ def _check_row(u: int, nbrs: tuple, n: int) -> None:
 # bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-# A bitset of at most this many runs of set bits is decoded as that many
-# slices, any other by one ``compress`` pass.  Of the rows of a low-region
-# witness at n = 2000, about half are one run, a fifth two, a quarter 50 or
-# more and few between.  Its realization took about 2 ms (15 %) longer
-# with 1 than with any value from 2 to 16, which all took the same.
+# A row of at most this many runs of set bits is read as that many slices,
+# any other by one ``compress`` pass.  Of the rows of a low-region witness
+# at n = 2000, about three in four are one to four runs and one in four 50
+# or more; rendering its edges took about 10 ms with any value from 2 to
+# 16 and 2 ms more with 1.
 SLICED_RUNS = 4
 
 
-def _decode_bits(bits: int, names: tuple[int, ...]) -> tuple[int, ...]:
-    """The indices of the set bits of ``bits`` >= 0, lowest first, taken
-    from ``names``, which is ``tuple(range(n))`` with n >= bits.bit_length().
+def _flags(bits: int) -> bytes:
+    """Byte i is 1 where bit i of ``bits`` > 0 is set, else 0, up to its
+    highest set bit: ``bin(bits)`` reversed, O(bit_length) C-level steps."""
+    return bin(bits)[:1:-1].encode().translate(_FLAGS)
 
-    ``bits ^ bits << 1`` has one set bit at the start of each run of set
-    bits and one just past its end, so its bit count, twice the number of
-    runs, costs O(1) int operations.  A bitset of at most ``SLICED_RUNS``
-    runs takes each run's ends off that mask, lowest first, as one slice of
-    ``names``: O(1) int operations of O(n) bits per run, and the row built
-    by one join.  Any other is read by one ``compress`` pass over the flags
-    of ``bin(bits)`` reversed: O(n) C-level steps.
+
+def _runs(bits: int) -> list[tuple[int, int]] | None:
+    """The (start, stop) of each run of set bits of ``bits`` >= 0, lowest
+    first, or None when it has more than ``SLICED_RUNS`` runs.
+
+    ``bits ^ bits << 1`` has one set bit at the start of each run and one
+    just past its end, so its bit count, twice the number of runs, costs
+    O(1) int operations, and each run's ends come off that mask lowest
+    first at O(1) int operations of O(bit_length) bits each.
     """
     ends = bits ^ bits << 1
     if ends.bit_count() > 2 * SLICED_RUNS:
-        # bin() is most significant bit first; reversed, flag i is bit i
-        return tuple(compress(names, bin(bits)[:1:-1].encode().translate(_FLAGS)))
-    parts = []
+        return None
+    runs = []
     while ends:
         start = ends & -ends
         ends ^= start
         stop = ends & -ends
         ends ^= stop
-        parts.append(names[start.bit_length() - 1:stop.bit_length() - 1])
-    return parts[0] if len(parts) == 1 else sum(parts, ())
+        runs.append((start.bit_length() - 1, stop.bit_length() - 1))
+    return runs
+
+
+def _decode_bits(bits: int, names: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of ``names`` at the set bits of ``bits`` >= 0, lowest
+    first; ``names`` has at least bits.bit_length() entries (``tuple(range(n))``
+    gives the indices of the set bits).  A bitset of at most ``SLICED_RUNS``
+    runs is that many slices of ``names``, joined once; any other is one
+    ``compress`` pass over ``names``: O(n) C-level steps.
+    """
+    runs = _runs(bits)
+    if runs is None:
+        return tuple(compress(names, _flags(bits)))
+    return sum([names[start:stop] for start, stop in runs], ())
 
 
 def _vertex_count(v_count) -> int:
@@ -128,141 +110,94 @@ def _vertex_count(v_count) -> int:
 
 @dataclass(frozen=True)
 class BipartiteRealization:
-    """A simple bipartite graph: ``neighbors[u]`` holds the v-indices adjacent
-    to u-vertex u, strictly increasing and in ``range(v_count)``.
+    """A simple bipartite graph: ``rows[u]`` is the int bitset of the
+    v-indices adjacent to u-vertex u, bit v set for edge (u, v).
 
-    Both constructors check that invariant, and ``v_degrees`` relies on it.
-    ``BipartiteRealization(v_count, neighbors)`` checks each row entry by
-    entry (``_check_row``); ``from_intervals`` builds the rows from int
-    bitsets and ranges and checks each piece in O(1).  The realizer and
-    the hinge-flips, whose rows hold it by construction, build through
-    ``_trusted``.  ``v_degrees`` takes a
-    row of m entries by its leading intervals of consecutive v-indices
-    (``_long_interval_ends``) and the rest per entry, so a row of k long
-    intervals costs O(k log m) steps.  All three take a row object that
-    occurs more than once (rows are told apart by ``id``) only once, so a
-    graph with shared rows, as the lift builds, costs its distinct rows.
+    The constructor takes any iterable of rows, keeps them as a tuple and
+    checks each in O(1): an int (not a bool, TypeError) with
+    0 <= row < 1 << v_count (ValueError).  ``from_neighbors`` takes rows as
+    increasing tuples of v-indices.  ``neighbors`` is the same graph as
+    one such tuple per u-vertex, decoded on first read and cached.
     """
 
     v_count: int
-    neighbors: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         n = _vertex_count(self.v_count)
+        rows = tuple(self.rows)
         object.__setattr__(self, "v_count", n)
-        # id(row): (u, row) at the row's first occurrence; the row is kept so
-        # that no id is reused, and the first faulty u is the one raised
-        first = {}
-        for u, nbrs in enumerate(self.neighbors):
-            first.setdefault(id(nbrs), (u, nbrs))
-        for u, nbrs in first.values():
+        object.__setattr__(self, "rows", rows)
+        for u, row in enumerate(rows):
+            if type(row) is not int:
+                raise TypeError(f"u-vertex {u}: row {row!r} is not an int bitset")
+            if row < 0:
+                raise ValueError(f"u-vertex {u}: row bitset is negative")
+            if row.bit_length() > n:
+                raise ValueError(f"u-vertex {u}: row bitset has bit {row.bit_length() - 1} "
+                                 f"set, past v_count {n}")
+
+    @classmethod
+    def from_neighbors(cls, v_count: int,
+                       neighbors: Iterable[Sequence[int]]) -> BipartiteRealization:
+        """The realization whose u-vertex u is adjacent to the v-indices
+        ``neighbors[u]``, each row checked entry by entry (``_check_row``):
+        ints, a bool being none (TypeError), strictly increasing and in
+        ``range(v_count)`` (ValueError).  A row of m entries is packed in
+        O(m) steps plus O(v_count) C-level ones."""
+        n = _vertex_count(v_count)
+        rows = []
+        for u, nbrs in enumerate(neighbors):
             if nbrs:
                 _check_row(u, nbrs, n)
+            # binary digits, highest first: bit v is digit n - v, digit 0 a
+            # leading 0 so that n = 0 parses
+            digits = bytearray(b"0" * (n + 1))
+            for v in nbrs:
+                digits[n - v] = 49  # "1"
+            rows.append(int(digits, 2))
+        return cls(n, rows)
 
-    @classmethod
-    def from_intervals(cls, v_count: int,
-                       rows: Iterable[Sequence[int | range]]) -> BipartiteRealization:
-        """The realization whose row u joins the pieces of ``rows[u]`` in order.
-
-        A piece is a non-empty int bitset of v-indices (bit i set: v-index
-        i is in it) or a non-empty step-1 ``range``, and each piece starts
-        after the one before it ends, inside ``range(v_count)``; a faulty
-        piece raises ValueError, and a piece of another type, a tuple or a
-        bool included, raises TypeError.  Each piece costs O(1) to check: a
-        bitset must be positive, below ``1 << v_count`` and have its lowest
-        set bit at or above the end of the piece before it; decoded in
-        index order, it is then strictly increasing and in range, as
-        ``_check_row`` would prove.  A range is one slice of
-        ``tuple(range(v_count))``.  A bitset goes to ``_decode_bits``, the
-        realizer's decoder: one O(1) run count from ``bits ^ bits << 1``,
-        then one slice per run when it has at most ``SLICED_RUNS`` runs,
-        else one ``itertools.compress`` pass of O(v_count) C-level steps.
-        A row of k pieces and m entries is joined in O(k·m), and
-        ``__post_init__`` does not check it again.  A row object given more
-        than once is checked and built once, and its built row is shared.
-        """
-        n = _vertex_count(v_count)
-        names = tuple(range(n))
-        neighbors = []
-        built = {}  # id(pieces): (pieces, row), pieces kept so that no id is reused
-        for u, pieces in enumerate(rows):
-            hit = built.get(id(pieces))
-            if hit is not None:
-                neighbors.append(hit[1])
-                continue
-            parts = []
-            end = 0  # the lowest value the next piece may take
-            for piece in pieces:
-                if type(piece) is int:
-                    start, stop = (piece & -piece).bit_length() - 1, piece.bit_length()
-                    good = piece > 0 and stop <= n
-                elif type(piece) is range:
-                    start, stop = piece.start, piece.stop
-                    good = piece.step == 1 and start < stop <= n
-                else:
-                    raise TypeError(f"u-vertex {u}: piece {piece!r} is not an int "
-                                    f"bitset or a range")
-                if not (good and end <= start):
-                    raise ValueError(f"u-vertex {u}: piece {piece!r} is empty, out of order "
-                                     f"or out of range, or a range of step other than 1")
-                parts.append(names[start:stop] if type(piece) is range
-                             else _decode_bits(piece, names))
-                end = stop
-            row = parts[0] if len(parts) == 1 else sum(parts, ())
-            built[id(pieces)] = pieces, row
-            neighbors.append(row)
-        return cls._trusted(n, tuple(neighbors))
-
-    @classmethod
-    def _trusted(cls, v_count: int,
-                 neighbors: tuple[tuple[int, ...], ...]) -> BipartiteRealization:
-        """The realization of rows its caller has checked, not checked again."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "v_count", v_count)
-        object.__setattr__(g, "neighbors", neighbors)
-        return g
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per u-vertex, the increasing tuple of its v-indices, each distinct
+        row decoded once by ``_decode_bits``; equal rows share one tuple."""
+        names = tuple(range(self.v_count))
+        decoded = {row: _decode_bits(row, names) for row in set(self.rows)}
+        return tuple(map(decoded.__getitem__, self.rows))
 
     @property
     def u_count(self) -> int:
-        return len(self.neighbors)
+        return len(self.rows)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.sorted_edges())
 
     def u_degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.neighbors))
+        return tuple(map(int.bit_count, self.rows))
 
     def v_degrees(self) -> tuple[int, ...]:
         """The degree of each v-vertex.
 
-        A row object that occurs t times is walked once and counted t times
-        (rows are told apart by ``id``, stable while ``neighbors`` holds
-        them), so a graph with shared rows, as the lift builds, costs its
-        distinct rows.  Each row is taken by its long intervals, +t / -t at
-        their ends, and its other entries one by one, +t each.  When no row
-        repeats, the rows are walked as they are, with no count.
+        Equal rows are grouped by value, so a row that occurs t times, as
+        the lift's rows do, is read once: +t at the start of each of its
+        runs of set bits and -t just past its end, summed once at the end.
+        A row of at most ``SLICED_RUNS`` runs costs O(1) int operations
+        per run (``_runs``); any other is read by one ``compress`` pass
+        over the flags of ``row ^ row << 1``.
         """
-        rows = self.neighbors
-        deg = [0] * self.v_count
-        starts = [0] * (self.v_count + 1)  # +t / -t at each long interval's ends
-        times = repeat(1)
-        distinct = dict(zip(map(id, rows), rows))
-        if len(distinct) < len(rows):
-            # both in the order of first occurrence
-            times = Counter(map(id, rows)).values()
-            rows = distinct.values()
-        for nbrs, t in zip(rows, times):
-            if len(nbrs) > 8 and nbrs[8] - nbrs[0] == 8:
-                p = 0
-                for end in _long_interval_ends(nbrs):
-                    starts[nbrs[p]] += t
-                    starts[nbrs[end - 1] + 1] -= t
-                    p = end
-                nbrs = nbrs[p:]
-            for v in nbrs:
-                deg[v] += t
-        return tuple(map(add, deg, accumulate(starts)))
+        n = self.v_count
+        starts = [0] * (n + 1)
+        for row, t in Counter(self.rows).items():
+            runs = _runs(row)
+            if runs is None:
+                ends = tuple(compress(count(), _flags(row ^ row << 1)))
+                runs = zip(ends[::2], ends[1::2])
+            for start, stop in runs:
+                starts[start] += t
+                starts[stop] -= t
+        return tuple(accumulate(starts[:n]))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]
@@ -409,17 +344,10 @@ def construct_realization(d1: Sequence[int],
     touches plus O(log |V|) for the boundary level, with no per-vertex
     list work.
 
-    Once every u-vertex is served, each row bitset is decoded once,
-    straight into the realization, by ``_decode_bits``: its runs of set
-    bits are counted from ``row ^ row << 1`` in O(1) int operations; a row
-    of at most ``SLICED_RUNS`` runs is that many slices of one
-    ``tuple(range(|V|))``, O(1) int operations per run plus one join, and
-    any other row is one ``compress`` pass over the flags of ``bin(row)``,
-    O(|V|) C-level steps.  The rows are built from ``1 << v`` with
-    v < |V|, so they are increasing and in range; one bound check, that the
-    largest row bitset ends below ``1 << |V|`` (O(1) per row), raises
-    InvariantError, and the realization is built unchecked
-    (``_trusted``).
+    The row bitsets become the realization as they are.  They are built
+    from ``1 << v`` with v < |V|; one bound check, that the largest ends
+    below ``1 << |V|``, raises InvariantError (kept under ``python -O``)
+    before the constructor's own O(1) check per row would raise ValueError.
     """
     if sum(d1) != sum(d2):
         return None
@@ -475,37 +403,38 @@ def construct_realization(d1: Sequence[int],
     n = len(d2)
     if max(rows, default=0).bit_length() > n:
         raise InvariantError(f"a row bitset reaches past v_count {n}")
-    names = tuple(range(n))
-    return BipartiteRealization._trusted(n, tuple([_decode_bits(row, names) for row in rows]))
+    return BipartiteRealization(n, rows)
 
 
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:
     """Move the edge (u1, v) to (u2, v).
 
-    Only the two changed rows are checked (``_check_row``); the others are
-    g's row objects, shared, so a flip costs O(|U| + deg(u1) + deg(u2)).
+    v must be an int, not a bool, in ``range(g.v_count)``; it is checked
+    before any shift.  The edge is tested and moved by one bit operation on
+    each of the two rows, and the new graph's constructor checks every row
+    in O(1), so a flip costs O(|U|) steps plus O(|V|)-bit operations.
     """
     if u1 == u2 or not (0 <= min(u1, u2) and max(u1, u2) < g.u_count):
         raise InvalidMoveError(f"need distinct u1, u2 in range({g.u_count}), got {u1}, {u2}")
-    if v not in g.neighbors[u1]:
+    if type(v) is not int or not 0 <= v < g.v_count:
+        raise InvalidMoveError(f"need an int v in range({g.v_count}), got {v!r}")
+    bit = 1 << v
+    rows = list(g.rows)
+    if not rows[u1] & bit:
         raise InvalidMoveError(f"edge ({u1}, {v}) not present")
-    if v in g.neighbors[u2]:
+    if rows[u2] & bit:
         raise InvalidMoveError(f"edge ({u2}, {v}) already present")
-    neighbors = list(g.neighbors)
-    neighbors[u1] = tuple(w for w in neighbors[u1] if w != v)
-    neighbors[u2] = tuple(sorted(neighbors[u2] + (v,)))
-    # every other row object is g's, checked when g was built
-    for u in sorted((u1, u2)):
-        if neighbors[u]:
-            _check_row(u, neighbors[u], g.v_count)
-    return BipartiteRealization._trusted(g.v_count, tuple(neighbors))
+    rows[u1] ^= bit
+    rows[u2] |= bit
+    return BipartiteRealization(g.v_count, rows)
 
 
 def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRealization:
     """Shift one unit of degree from u_j to u_i; requires deg(u_i) < deg(u_j) - 1.
 
-    The lowest-index v adjacent to u_j but not to u_i is used; one exists by
-    pigeonhole whenever the precondition holds.
+    The lowest-index v adjacent to u_j but not to u_i, the lowest set bit of
+    ``rows[j] & ~rows[i]``, is used; one exists by pigeonhole whenever the
+    precondition holds.
     """
     if not (0 <= min(i, j) and max(i, j) < g.u_count):
         raise InvalidMoveError(f"need i, j in range({g.u_count}), got {i}, {j}")
@@ -513,35 +442,36 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
     if not deg[i] < deg[j] - 1:
         raise InvalidMoveError(
             f"need deg(u_{i}) < deg(u_{j}) - 1, got {deg[i]} and {deg[j]}")
-    nbr_i = set(g.neighbors[i])
-    for v in g.neighbors[j]:
-        if v not in nbr_i:
-            return hinge_flip(g, j, i, v)
-    raise InvariantError("no eligible v found; contradicts the pigeonhole argument")
+    free = g.rows[j] & ~g.rows[i]
+    if not free:
+        raise InvariantError("no eligible v found; contradicts the pigeonhole argument")
+    return hinge_flip(g, j, i, (free & -free).bit_length() - 1)
 
 
 def edge_chunks(g: BipartiteRealization, head: str, tail: str,
                 sep: str) -> Iterator[str]:
-    """Render the edges in (u, v) order without building any (u, v) pair.
+    """Render the edges in (u, v) order straight from the row bitsets,
+    building no (u, v) pair and no row tuple.
 
     Edge (u, v) reads ``head.format(u) + str(v) + tail``.  One chunk is
     yielded per u-vertex with edges, its edges separated by ``sep``; joined
     by ``sep``, the chunks give the whole edge list.  Each v-index is
-    rendered once, with ``tail``.  A row that is one interval (on a
-    strictly increasing row, ``nbrs[-1] - nbrs[0] == len(nbrs) - 1``, an
-    O(1) test) takes its strings as one slice of that table; any other row
-    fetches them by one ``itemgetter`` call.
+    rendered once, with ``tail``, into a table.  A row of at most
+    ``SLICED_RUNS`` runs of set bits (``_runs``) takes its strings as that
+    many slices of the table; any other row by one ``compress`` pass over
+    it with the flags of ``bin(row)``.
     """
     names = [str(v) + tail for v in range(g.v_count)]
-    for u, nbrs in enumerate(g.neighbors):
-        if nbrs:
+    for u, row in enumerate(g.rows):
+        if row:
             first = head.format(u)
-            lo, hi = nbrs[0], nbrs[-1]
-            if hi - lo == len(nbrs) - 1:
-                strs = names[lo:hi + 1]
+            glue = sep + first
+            runs = _runs(row)
+            if runs is None:
+                body = glue.join(compress(names, _flags(row)))
             else:
-                strs = itemgetter(*nbrs)(names)
-            yield first + (sep + first).join(strs)
+                body = glue.join([glue.join(names[start:stop]) for start, stop in runs])
+            yield first + body
 
 
 def format_realization(g: BipartiteRealization) -> str:

@@ -12,8 +12,6 @@ construction.
 from __future__ import annotations
 
 import math
-import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -24,7 +22,7 @@ from .errors import (NotInHardRegionError, ProjectionAuditError,
                      ReductionInvariantError, ReductionPreconditionError)
 # construct_realization is unused here, but perfbench/tracing.py wraps it at
 # this module's binding, so the name must stay
-from .gale_ryser import BipartiteRealization, construct_realization  # noqa: F401
+from .gale_ryser import BipartiteRealization, _decode_bits, construct_realization  # noqa: F401
 from .partition import SplitWitness
 
 
@@ -216,20 +214,19 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
 
 
 def _round_robin_rows(offset: int, b_count: int, a_count: int, a_deg: int,
-                      b_deg: int, head: tuple[range, ...] = ()) -> tuple[tuple[range, ...], ...]:
-    """The rows of a semi-regular block, as ``from_intervals`` pieces:
-    a_count vertices of degree a_deg against the b_count vertices from
-    ``offset`` on, each of degree b_deg, every row after the pieces ``head``.
+                      b_deg: int, head: int = 0) -> tuple[int, ...]:
+    """The rows of a semi-regular block, as int bitsets: a_count vertices of
+    degree a_deg against the b_count vertices from ``offset`` on, each of
+    degree b_deg, every row also holding the bits of ``head``.
 
     Row i is the a_deg consecutive vertices of the block from position
-    i*a_deg mod b_count, wrapping: one range, or two where it wraps, the
-    wrapped part first so the row stays increasing.  As a_deg <= b_count,
-    no pair repeats; the runs tile positions 0 .. a_count*a_deg - 1 =
-    b_count*b_deg - 1, so every vertex is taken exactly b_deg times.  Row
-    i + p repeats row i for p = b_count / gcd(a_deg, b_count), and p
-    divides a_count as the degree sums agree; the p distinct rows are built
-    once and repeated as the same objects, which ``from_intervals`` then
-    builds once each.
+    i*a_deg mod b_count, wrapping: one range, or two where it wraps, each
+    range [start, stop) the mask ``(1 << stop) - (1 << start)``.  As
+    a_deg <= b_count, no pair repeats; the runs tile positions
+    0 .. a_count*a_deg - 1 = b_count*b_deg - 1, so every vertex is taken
+    exactly b_deg times.  Row i + p repeats row i for
+    p = b_count / gcd(a_deg, b_count), and p divides a_count as the degree
+    sums agree, so the p distinct rows are built once and repeated.
     """
     if min(b_count, a_count, a_deg, b_deg) < 0:
         raise ValueError("all parameters must be nonnegative")
@@ -246,8 +243,11 @@ def _round_robin_rows(offset: int, b_count: int, a_count: int, a_deg: int,
     for i in range(period):
         start = offset + i * a_deg % b_count
         end = start + a_deg
-        rows.append(head + ((range(start, end),) if end <= stop
-                            else (range(offset, end - b_count), range(start, stop))))
+        if end > stop:  # wraps: [offset, end - b_count) and [start, stop)
+            end -= b_count
+            rows.append(head | (1 << end) - (1 << offset) | (1 << stop) - (1 << start))
+        else:
+            rows.append(head | (1 << end) - (1 << start))
     return tuple(rows) * (a_count // period)
 
 
@@ -256,12 +256,10 @@ def semiregular_bipartite(a_count: int, a_deg: int,
     """A bipartite graph with constant degrees a_deg and b_deg per class.
 
     Built by the modular round-robin pattern (``_round_robin_rows``): vertex
-    i takes the a_deg consecutive residues from i*a_deg mod b_count.  Every
-    row is one or two ranges, so ``BipartiteRealization.from_intervals``
-    checks each in O(1).
+    i takes the a_deg consecutive residues from i*a_deg mod b_count, one or
+    two ranges as one int bitset.
     """
-    return BipartiteRealization.from_intervals(
-        b_count, _round_robin_rows(0, b_count, a_count, a_deg, b_deg))
+    return BipartiteRealization(b_count, _round_robin_rows(0, b_count, a_count, a_deg, b_deg))
 
 
 def lift_realization(g: BipartiteRealization, split: SplitWitness,
@@ -281,11 +279,11 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     its own, U_S x V_L with degrees ``small_value`` on U_S and ``semi_deg``
     on V_L.  So a slot vertex of source degree d has degree d + shift_base
     (a padding slot is a filler), an L vertex has S/2 + shift_base +
-    semi_deg = big_value, and an S vertex has small_value.  The rows go to
-    ``BipartiteRealization.from_intervals`` as pieces, each checked in
-    O(1): the complete blocks and the round-robin rows are ranges, and each
-    of ``g``'s own non-empty rows is one int bitset.  A round-robin row
-    that repeats (``_round_robin_rows``) is built once and shared.
+    semi_deg = big_value, and an S vertex has small_value.  Every row is
+    an int bitset: ``g``'s row (its v-vertices are the first slots, as g
+    has at most S/2 of them) ORed with the mask of V_L, the mask of V_L
+    alone, or a round-robin row (``_round_robin_rows``), whose repeats
+    are one int each.
     """
     src = inst.source
     half_s = inst.S // 2
@@ -297,15 +295,13 @@ def lift_realization(g: BipartiteRealization, split: SplitWitness,
     half_n = inst.n // 2
     s_side = half_n - shift          # |U_S| = |V_S|
     l_off, s_off = half_s, half_s + shift
-    l_block = range(l_off, s_off)
-    g_and_l = range(s_off)
-    rows = ([(sum([1 << v for v in nbrs]), l_block) if nbrs else (l_block,)
-             for nbrs in g.neighbors]
-            + [(l_block,)] * (half_s - g.u_count)
+    l_block = (1 << s_off) - (1 << l_off)
+    rows = ([row | l_block for row in g.rows]
+            + [l_block] * (half_s - g.u_count)
             + list(_round_robin_rows(s_off, s_side, shift, inst.semi_deg,
-                                     inst.small_value, (g_and_l,)))
+                                     inst.small_value, (1 << s_off) - 1))
             + list(_round_robin_rows(l_off, shift, s_side, inst.small_value, inst.semi_deg)))
-    lifted = BipartiteRealization.from_intervals(half_s + half_n, rows)
+    lifted = BipartiteRealization(half_s + half_n, rows)
 
     expected: list[int] = sorted(inst.d_prime.degrees)
     got = sorted(lifted.u_degrees() + lifted.v_degrees())
@@ -337,41 +333,25 @@ def project_realization(g_prime: BipartiteRealization,
     each with its big vertices uneven, and every realization with them
     even projected.
 
-    The big v-vertices are cut out of each distinct row object once (rows
-    are told apart by ``id``), by the maximal intervals they form: two
-    binary searches and a slice for each interval that meets the row or
-    lies between two of its entries, O(log m) each on a row of m entries.
-    A lifted graph's big v-vertices are the one interval V_L, and its rows
-    are mostly shared.
+    The big v-vertices are cut out of every row by one ``row & ~big``, big
+    being their bitset.  Once audited, the residual rows hold only
+    shifted-role v-vertices, and each kept row is decoded once through the
+    map from old to new v-index.
     """
     u_deg = g_prime.u_degrees()
     v_deg = g_prime.v_degrees()
     big = inst.big_value
     shift = inst.shift_base
     expected_per_side = inst.big_count // 2
-    is_big = bytes(map(big.__eq__, v_deg))  # 1 at each big v-vertex
-    if u_deg.count(big) != expected_per_side or is_big.count(1) != expected_per_side:
+    # the big v-vertices as a binary numeral, highest first
+    big_v = int(b"0" + bytes([48 + (d == big) for d in reversed(v_deg)]), 2)
+    if u_deg.count(big) != expected_per_side or big_v.bit_count() != expected_per_side:
         raise ProjectionAuditError(
-            f"big-degree vertices split {u_deg.count(big)}/{is_big.count(1)}, "
+            f"big-degree vertices split {u_deg.count(big)}/{big_v.bit_count()}, "
             f"expected {expected_per_side} per side")
-    spans = [run.span() for run in re.finditer(b"\x01+", is_big)]  # maximal big intervals
-    stops = [b for _, b in spans]
-    rows = g_prime.neighbors
-    cut = {}  # id(row): the row without its big v-vertices
-    for key, nbrs in dict(zip(map(id, rows), rows)).items():
-        kept = []
-        i, m = 0, len(nbrs)
-        while i < m:
-            k = bisect_right(stops, nbrs[i])  # the first interval ending past nbrs[i]
-            if k == len(stops):
-                kept.append(nbrs[i:])
-                break
-            j = bisect_left(nbrs, spans[k][0], i)
-            kept.append(nbrs[i:j])
-            i = bisect_left(nbrs, stops[k], j)
-        cut[key] = kept[0] if len(kept) == 1 else sum(kept, ())
-    residual = BipartiteRealization(g_prime.v_count, tuple(
-        () if d == big else cut[id(nbrs)] for d, nbrs in zip(u_deg, rows)))
+    keep = ~big_v
+    residual = BipartiteRealization(g_prime.v_count, [
+        0 if d == big else row & keep for d, row in zip(u_deg, g_prime.rows)])
     res_u = residual.u_degrees()
     res_v = residual.v_degrees()
 
@@ -401,10 +381,14 @@ def project_realization(g_prime: BipartiteRealization,
     if sum(u_deg[i] - shift for i in keep_u) * 2 != inst.S:
         raise ProjectionAuditError("shifted degrees do not split the source sum evenly")
 
-    # keep_v is increasing, so the remap keeps each neighbor tuple sorted
-    v_map = {old: new for new, old in enumerate(keep_v)}
-    return BipartiteRealization(len(keep_v), tuple(
-        tuple(map(v_map.__getitem__, residual.neighbors[u])) for u in keep_u))
+    # the new v-index at each kept old one; keep_v is increasing, so each
+    # decoded row stays increasing
+    new_index = [0] * g_prime.v_count
+    for new, old in enumerate(keep_v):
+        new_index[old] = new
+    names = tuple(new_index)
+    return BipartiteRealization.from_neighbors(len(keep_v), [
+        _decode_bits(residual.rows[u], names) for u in keep_u])
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,26 @@ class TestGoldenBytes:
         assert runs & set(range(2, k + 1))
         assert max(runs) > k
 
+    def test_decide_decodes_no_row(self, tmp_path, monkeypatch):
+        # the seeded n = 2000 low-region witness is rendered from its row
+        # bitsets: with the row decoder out of reach, decide writes the same
+        # bytes as when every row was decoded to a tuple first
+        rng = random.Random(2000)
+        degrees = [rng.randint(200, 400) for _ in range(2000)]
+        while sum(degrees) % 2:
+            degrees[-1] = rng.randint(200, 400)
+        f = write(tmp_path, "d.txt", " ".join(map(str, degrees)) + "\n")
+
+        def no_decode(*args):
+            raise AssertionError("_decode_bits called")
+        monkeypatch.setattr(gale_ryser, "_decode_bits", no_decode)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["decide", "--c1", "1/10", "--c2", "1/5", f])
+        assert code == 0 and len(out.getvalue()) == 3553151
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "3822e1e700abddab74ba275cf6a97ad13111d04bf65a9b57a8ff35e67bf90f67")
+
     def test_realize_random_graph_degrees(self, tmp_path, capsys):
         rng = random.Random(300)
         d1, d2 = [0] * 60, [0] * 80
@@ -269,9 +289,14 @@ class TestGoldenBytes:
             "eeaee67a7cdba694ba98691e983c0418496c4abf6f3a9794feaaf0240709c7e7")
 
 
+def per_bit_edges(g):
+    """The (u, v) edges in order, each row read bit by bit."""
+    return [(u, v) for u, row in enumerate(g.rows) for v in range(g.v_count) if row >> v & 1]
+
+
 def reference_decide_stdout(decision):
     """``decide`` stdout as one json.dumps of the payload with the edge list
-    built by ``sorted_edges()``."""
+    read bit by bit (``per_bit_edges``)."""
     split = None
     if decision.split is not None:
         split = {"u_indices": list(decision.split.u),
@@ -281,14 +306,14 @@ def reference_decide_stdout(decision):
         "verdict": decision.verdict,
         "reason": decision.reason,
         "split": split,
-        "realization": g.sorted_edges() if g is not None else None,
+        "realization": per_bit_edges(g) if g is not None else None,
         "region": decision.region.value if decision.region is not None else None,
     }, sort_keys=True) + "\n"
 
 
 def reference_format(g):
     lines = [f"p bipartite {g.u_count} {g.v_count} {sum(g.u_degrees())}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in per_bit_edges(g))
     return "\n".join(lines)
 
 
@@ -297,10 +322,29 @@ def realizations(draw):
     v_count = draw(st.integers(0, 7))
     row = st.sets(st.integers(0, v_count - 1)) if v_count else st.just(set())
     rows = draw(st.lists(row, max_size=7))
-    return BipartiteRealization(v_count, tuple(tuple(sorted(r)) for r in rows))
+    return BipartiteRealization.from_neighbors(v_count, tuple(tuple(sorted(r)) for r in rows))
 
 
 def g_of(v_count, *rows):
+    return BipartiteRealization.from_neighbors(v_count, rows)
+
+
+def runs_bits(runs):
+    """The bitset of the (start, stop) ``runs``."""
+    return sum((1 << stop) - (1 << start) for start, stop in runs)
+
+
+def decode_edge_rows(v_count):
+    """One graph of the rows ``TestDecodeBits`` reads at ``v_count``: no
+    bit, bit 0, bit v_count - 1, both, all bits, all but bit 0 and all but
+    the top, one bit in the middle, and rows of exactly 1, ``SLICED_RUNS``
+    and ``SLICED_RUNS`` + 1 runs, the last run ending at bit v_count - 1."""
+    top = v_count - 1
+    rows = [0, 1, 1 << top, 1 | 1 << top, (1 << v_count) - 1, (1 << v_count) - 2,
+            (1 << top) - 1, 1 << v_count // 2]
+    k = gale_ryser.SLICED_RUNS
+    for runs in (1, k, k + 1):
+        rows.append(runs_bits((v_count - 3 * i - 2, v_count - 3 * i) for i in range(runs)))
     return BipartiteRealization(v_count, rows)
 
 
@@ -317,12 +361,15 @@ EDGE_CASES = [
     g_of(5, (0, 1, 2), (4,)),             # an interval from 0; one entry at v_count - 1
     g_of(5, (2, 3, 4), (0,)),             # an interval to v_count - 1; one entry at 0
     g_of(12, (0, 1, 2, 3, 5, 6), (8, 9, 11)),  # one gap each
+    # rows on both sides of the 30-bit digit boundaries, of 0, 1,
+    # SLICED_RUNS and SLICED_RUNS + 1 runs: both rendering branches
+    *map(decode_edge_rows, (29, 30, 31, 59, 60, 61)),
 ]
 
 
 class TestEdgeWriter:
     """``decide`` stdout and ``format_realization`` render edges from the
-    neighbor tuples; both must equal the edge-list rendering byte for byte."""
+    row bitsets; both must equal the edge-list rendering byte for byte."""
 
     @pytest.fixture(scope="class")
     def sequence_file(self, tmp_path_factory):

@@ -55,7 +55,7 @@ def reference_realization(d1, d2):
         neighbors[u] = tuple(sorted(chosen))
     if any(residual):
         return None
-    return BipartiteRealization(len(d2), tuple(neighbors))
+    return BipartiteRealization.from_neighbors(len(d2), tuple(neighbors))
 
 
 @st.composite
@@ -238,15 +238,15 @@ class TestRealizerMatchesReference:
         assert g is not None and g == reference_realization(*p)
 
     def test_realizer_checks_no_row_entry_by_entry(self, monkeypatch):
-        # its rows are decoded from bitsets, increasing and in range by
-        # construction; only the O(1) bound check per row is left
+        # its rows are bitsets, in range by construction; only the O(1)
+        # bound check per row is left
         def no_check(*args):
             raise AssertionError("_check_row called")
         p = seeded_low_region_pair()
         monkeypatch.setattr(gale_ryser, "_check_row", no_check)
         g = construct_realization(*p)
         monkeypatch.undo()
-        assert g == BipartiteRealization(g.v_count, g.neighbors)
+        assert g == BipartiteRealization.from_neighbors(g.v_count, g.neighbors)
 
     def test_seeded_random_graph(self):
         p = random_graph_degrees(random.Random(7), 300, 400, 0.2)
@@ -319,7 +319,7 @@ class TestGaleRyserBound:
 
 class TestRealizationLayout:
     def test_derived_views(self):
-        g = BipartiteRealization(3, ((0, 2), (), (1,)))
+        g = BipartiteRealization.from_neighbors(3, ((0, 2), (), (1,)))
         assert g.u_count == 3
         assert g.u_degrees() == (2, 0, 1) and g.v_degrees() == (1, 1, 1)
         assert g.sorted_edges() == [(0, 0), (0, 2), (2, 1)]
@@ -329,7 +329,7 @@ class TestRealizationLayout:
                                            ((), (2,))])
     def test_rejects_unsorted_repeated_or_out_of_range(self, neighbors):
         with pytest.raises(ValueError):
-            BipartiteRealization(2, neighbors)
+            BipartiteRealization.from_neighbors(2, neighbors)
 
     @pytest.mark.parametrize("v_count, error", [(-3, ValueError), (-1, ValueError),
                                                 (2.5, TypeError), (2.0, TypeError),
@@ -337,7 +337,7 @@ class TestRealizationLayout:
     def test_rejects_bad_v_count(self, v_count, error):
         # format_realization printed "p bipartite 2 -3 0" for v_count -3
         with pytest.raises(error):
-            BipartiteRealization(v_count, ((), ()))
+            BipartiteRealization.from_neighbors(v_count, ((), ()))
 
     @pytest.mark.parametrize("neighbors", [
         ((0.5,),),
@@ -348,7 +348,7 @@ class TestRealizationLayout:
         # 0.5 was accepted, and v_degrees then failed; 5.0 == 5 passed the
         # interval comparison
         with pytest.raises(TypeError):
-            BipartiteRealization(14, neighbors)
+            BipartiteRealization.from_neighbors(14, neighbors)
 
     @pytest.mark.parametrize("row", [(False, True), (0, True), (True,), (False,),
                                      (False, 1), (True, 2, 3)])
@@ -356,7 +356,7 @@ class TestRealizationLayout:
         # a sum of bools is an int, so the type check let these through and
         # sorted_edges() held (0, False)
         with pytest.raises(TypeError):
-            BipartiteRealization(4, ((2, 3), row))
+            BipartiteRealization.from_neighbors(4, ((2, 3), row))
 
     @pytest.mark.parametrize("row, error", [
         # bools at entry 0 or 1, in order or not, or after an entry out of order
@@ -374,17 +374,17 @@ class TestRealizationLayout:
     ])
     def test_tuple_constructor_error_types(self, row, error):
         # TypeError for a non-int entry wherever it sits, even in a row
-        # out of order; ValueError for an int row out of order or range.  A
-        # row object given twice is checked once, at its first u-vertex
+        # out of order; ValueError for an int row out of order or range.
+        # The first faulty row is the one reported
         with pytest.raises(error, match="^u-vertex 1: "):
-            BipartiteRealization(10, ((0, 1), row, (2,), row))
+            BipartiteRealization.from_neighbors(10, ((0, 1), row, (2,), row))
 
     def test_accepts_zero_and_one(self):
-        g = BipartiteRealization(2, ((0, 1), (1,), (0,)))
+        g = BipartiteRealization.from_neighbors(2, ((0, 1), (1,), (0,)))
         assert g.neighbors == ((0, 1), (1,), (0,)) and g.v_degrees() == (2, 2)
 
     def test_v_count_zero_with_empty_rows(self):
-        g = BipartiteRealization(0, ((), ()))
+        g = BipartiteRealization.from_neighbors(0, ((), ()))
         assert g.v_degrees() == () and format_realization(g) == "p bipartite 2 0 0"
 
 
@@ -419,10 +419,10 @@ def interval_graph(draw):
 
 
 def round_robin_graphs():
-    """Semi-regular blocks as the lift builds them, as ``from_intervals``
-    pieces: round-robin rows over a block of v-indices at an offset, each
-    row also after a complete prefix (the lift's U_L rows), including the
-    rows that wrap."""
+    """Semi-regular blocks as the lift builds them, as int bitsets:
+    round-robin rows over a block of v-indices at an offset, each row also
+    with a complete prefix (the lift's U_L rows), including the rows that
+    wrap."""
     for b_count in (1, 2, 7, 9, 24, 40, 97):
         for a_deg in sorted({1, 2, b_count // 3, b_count // 2, b_count - 1, b_count} - {0}):
             for b_deg in (1, 2, 3):
@@ -433,18 +433,19 @@ def round_robin_graphs():
                     continue
                 for offset in (0, 5, 30):
                     rows = _round_robin_rows(offset, b_count, a_count, a_deg, b_deg)
-                    prefix = (range(offset),) if offset else ()
-                    yield offset + b_count, rows + tuple(prefix + row for row in rows)
+                    prefix = (1 << offset) - 1
+                    yield offset + b_count, rows + tuple(prefix | row for row in rows)
 
 
-def flatten(piece_rows):
-    return tuple(tuple(v for piece in row for v in piece) for row in piece_rows)
+def per_bit_rows(v_count, rows):
+    """The increasing tuple of set bits of each bitset row, read bit by bit."""
+    return tuple(tuple(v for v in range(v_count) if row >> v & 1) for row in rows)
 
 
 class TestIntervalKernels:
-    """``v_degrees`` walks a row by its intervals of consecutive v-indices
-    and must agree with a per-entry count; the construction check must
-    reject every row a per-entry pass rejects, wherever its fault sits."""
+    """``v_degrees`` reads a row by its runs of consecutive v-indices and
+    must agree with a per-entry count; the tuple rows' check must reject
+    every row a per-entry pass rejects, wherever its fault sits."""
 
     @given(interval_graph())
     @settings(max_examples=400, deadline=None)
@@ -455,26 +456,28 @@ class TestIntervalKernels:
     @example((64, (tuple(range(20)) + tuple(range(21, 64)), tuple(range(0, 64, 2)))))
     def test_v_degrees_match_per_entry_count(self, graph):
         v_count, rows = graph
-        g = BipartiteRealization(v_count, rows)
+        g = BipartiteRealization.from_neighbors(v_count, rows)
         assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
 
     @given(st.lists(interval_row(), min_size=1, max_size=4), st.data())
     @settings(max_examples=300, deadline=None)
     def test_v_degrees_count_a_shared_row_per_occurrence(self, pool, data):
-        # a row object given t times is walked once and counted t times
+        # equal rows are grouped by value: read once, counted t times
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
         rows = tuple(pool[i] for i in picks)
         v_count = max((row[-1] + 1 for row in pool if row), default=0)
-        g = BipartiteRealization(v_count, rows)
-        copies = BipartiteRealization(v_count, tuple(tuple(list(row)) for row in rows))
+        g = BipartiteRealization.from_neighbors(v_count, rows)
+        copies = BipartiteRealization.from_neighbors(
+            v_count, tuple(tuple(list(row)) for row in rows))
         assert g.v_degrees() == per_entry_v_degrees(v_count, rows) == copies.v_degrees()
 
     def test_round_robin_rows(self):
         checked = 0
-        for v_count, piece_rows in round_robin_graphs():
-            rows = flatten(piece_rows)
-            g = BipartiteRealization(v_count, rows)
-            assert BipartiteRealization.from_intervals(v_count, piece_rows) == g
+        for v_count, bit_rows in round_robin_graphs():
+            rows = per_bit_rows(v_count, bit_rows)
+            g = BipartiteRealization(v_count, bit_rows)
+            assert BipartiteRealization.from_neighbors(v_count, rows) == g
+            assert g.neighbors == rows
             assert g.v_degrees() == per_entry_v_degrees(v_count, rows), (v_count, rows)
             checked += 1
         assert checked > 100
@@ -497,7 +500,7 @@ class TestIntervalKernels:
     def test_rejects_rows_with_endpoints_in_range(self, row):
         assert 0 <= row[0] and row[-1] < 100
         with pytest.raises(ValueError):
-            BipartiteRealization(100, ((0, 1), row))
+            BipartiteRealization.from_neighbors(100, ((0, 1), row))
 
     @given(interval_graph(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -515,36 +518,11 @@ class TestIntervalKernels:
             row[q] = row[q + 1]
         bad = rows[:i] + (tuple(row),) + rows[i + 1:]
         with pytest.raises(ValueError):
-            BipartiteRealization(v_count, bad)
+            BipartiteRealization.from_neighbors(v_count, bad)
 
 
 def bits(values):
     return sum(1 << v for v in values)
-
-
-@st.composite
-def piece_graph(draw):
-    """(v_count, rows, piece rows): each row of ``interval_graph`` cut at
-    random points, and each cut piece an int bitset or, if its values are
-    consecutive, a range, at random, so that bitsets and ranges touch.  The
-    rows start at 0 to 3, often end at v_count - 1 and span up to a few
-    hundred values with gaps, so bitsets of one interval and of many 30-bit
-    digits are drawn."""
-    v_count, rows = draw(interval_graph())
-    piece_rows = []
-    for row in rows:
-        cuts = sorted(draw(st.sets(st.integers(1, max(len(row) - 1, 1)), max_size=6)))
-        pieces = []
-        for a, b in zip([0] + cuts, cuts + [len(row)]):
-            piece = row[a:b]
-            if not piece:
-                continue
-            if piece[-1] - piece[0] == len(piece) - 1 and draw(st.booleans()):
-                pieces.append(range(piece[0], piece[-1] + 1))
-            else:
-                pieces.append(bits(piece))
-        piece_rows.append(tuple(pieces))
-    return v_count, rows, tuple(piece_rows)
 
 
 def run_count(row):
@@ -601,94 +579,79 @@ class TestDecodeBits:
         self.decode(row[1], row[0])
 
 
-class TestFromIntervals:
-    """``from_intervals`` takes int bitsets and ranges only and checks each
-    piece in O(1); it must build what the tuple constructor builds from the
-    same entries."""
+# rows the constructor rejects at v_count 10 (ValueError)
+BAD_ROWS = [
+    # negative, at the 30-bit digit boundaries and beyond
+    -1, -2, -0b110, -(1 << 9), -(1 << 10), -((1 << 10) - 1), -(1 << 29), -(1 << 30),
+    -(1 << 31), -(1 << 60), -(1 << 61), -1 << 10,
+    # a bit at v_count or above, at the same boundaries
+    1 << 10, (1 << 11) - 1, 1 | 1 << 10, 0b11 | 1 << 12, 1 << 29, 1 << 30, 1 << 31,
+    1 << 59, 1 << 60, 1 << 61, (1 << 61) - 1, 1 << 100,
+]
 
-    @given(piece_graph())
+
+class TestFromIntervals:
+    """The constructor takes rows as int bitsets, as the realizer, the lift
+    and the round-robin blocks build them from ranges and set bits, and
+    checks each row in O(1): an int, not a bool (TypeError), with
+    0 <= row < 1 << v_count (ValueError).  It must build what
+    ``from_neighbors`` builds from the same entries."""
+
+    @given(interval_graph())
     @settings(max_examples=300, deadline=None)
-    @example((10, ((0, 1, 2, 3, 4, 5, 6, 7, 8),), ((range(0, 5), range(5, 9)),)))
-    @example((3, ((), (0, 1, 2)), ((), (range(0, 1), 0b10, range(2, 3)))))
+    @example((10, ((0, 1, 2, 3, 4, 5, 6, 7, 8),)))
+    @example((3, ((), (0, 1, 2))))
     # one interval at 0, one ending at v_count - 1, single entries at both ends
-    @example((9, ((0, 1, 2), (4, 5, 6, 7, 8), (0,), (8,)),
-              ((0b111,), (bits(range(4, 9)),), (1,), (1 << 8,))))
-    # bitsets of several 30-bit digits with gaps, next to ranges
-    @example((100, (tuple(range(0, 100, 3)), tuple(range(31)) + (40, 62, 63, 99)),
-              ((bits(range(0, 60, 3)), bits((60, 63)), bits(range(66, 100, 3))),
-               (range(31), bits((40, 62, 63)), 1 << 99))))
+    @example((9, ((0, 1, 2), (4, 5, 6, 7, 8), (0,), (8,))))
+    # bitsets of several 30-bit digits with gaps
+    @example((100, (tuple(range(0, 100, 3)), tuple(range(31)) + (40, 62, 63, 99))))
     def test_matches_tuple_constructor(self, graph):
-        v_count, rows, piece_rows = graph
-        g = BipartiteRealization.from_intervals(v_count, piece_rows)
-        expected = BipartiteRealization(v_count, rows)
-        assert g.neighbors == expected.neighbors and g.v_count == expected.v_count
-        assert g.v_degrees() == expected.v_degrees() == per_entry_v_degrees(v_count, rows)
+        v_count, rows = graph
+        g = BipartiteRealization(v_count, [bits(row) for row in rows])
+        expected = BipartiteRealization.from_neighbors(v_count, rows)
+        assert g == expected and g.neighbors == rows
+        assert g.u_degrees() == tuple(map(len, rows))
+        assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
 
     def test_repeated_row_object_is_built_once(self):
-        row = (range(2, 5), bits((7, 9)))
-        g = BipartiteRealization.from_intervals(10, (row, (0b10,), row))
+        # equal rows are decoded once and share one neighbors tuple
+        row = bits((2, 3, 4, 7, 9))
+        g = BipartiteRealization(10, (row, 0b10, row))
         assert g.neighbors == ((2, 3, 4, 7, 9), (1,), (2, 3, 4, 7, 9))
         assert g.neighbors[0] is g.neighbors[2]
-        bad = (range(8, 11),)
-        with pytest.raises(ValueError):
-            BipartiteRealization.from_intervals(10, ((range(2),), bad, bad))
+        bad = 1 << 10
+        with pytest.raises(ValueError, match="^u-vertex 1: "):
+            BipartiteRealization(10, (0b11, bad, bad))
 
     def test_rows_from_a_generator(self):
-        # each row is a fresh tuple, freed once read, so the next row but one
-        # may reuse its id: a row built by id alone repeated row 0 here
+        # the rows are kept as a tuple, so an iterator is read once
         def row(i):
-            return (range(20 * i, 20 * i + 4), range(20 * i + 5, 20 * i + 9),
-                    range(20 * i + 10, 20 * i + 14))
-        g = BipartiteRealization.from_intervals(200, (row(i) for i in range(8)))
-        assert g.neighbors == tuple(tuple(v for piece in row(i) for v in piece)
-                                    for i in range(8))
+            return bits(range(20 * i, 20 * i + 4)) | bits(range(20 * i + 5, 20 * i + 9))
+        g = BipartiteRealization(200, (row(i) for i in range(8)))
+        assert g.rows == tuple(row(i) for i in range(8))
+        assert g.neighbors == per_bit_rows(200, g.rows)
 
-    @pytest.mark.parametrize("row", [
-        (range(0, 6, 2),),             # step 2
-        (range(5, 0, -1),),            # step -1
-        (range(3, 3),),                # empty
-        (range(0, 5), range(4, 8)),    # overlapping ranges
-        (range(5, 8), range(0, 3)),    # out of order
-        (range(4, 2),),                # stop below start
-        (bits((0, 5)), range(5, 7)),   # a bitset overlapping the next range
-        (range(0, 5), bits((4, 6))),   # a range overlapping the next bitset
-        (bits((1, 3)), bits((3, 4))),  # two bitsets sharing a value
-        (range(8, 11),),               # stop past v_count
-        (bits((9, 10)),),              # a bitset whose top bit is v_count
-        (range(-2, 3),),               # negative start
-        (range(-1, 1), range(1, 3)),   # a negative start before a good range
-        (-1,),                         # a negative bitset
-        (-0b110,),
-        (1 << 10,),                    # a bit at v_count
-        (0b11 | 1 << 12,),
-        (range(0, 5), 1 << 4 | 1 << 7),  # a bitset below the previous range's end
-        (0b11, 0b110),                 # a bitset below the previous bitset's end
-        (0b1001, range(3, 5)),         # a range below the previous bitset's end
-        (0b1010, 0b1100),              # a bitset overlapping the previous bitset
-        (0b101, 0b10),                 # a bitset inside the previous bitset
-        (0,),                          # an empty bitset, as an empty range
-        (range(2), 0, 1 << 5),
-    ])
+    @pytest.mark.parametrize("row", BAD_ROWS, ids=[f"row{i}" for i in range(len(BAD_ROWS))])
     def test_rejects_bad_pieces(self, row):
-        with pytest.raises(ValueError):
-            BipartiteRealization.from_intervals(10, ((range(2),), row))
+        with pytest.raises(ValueError, match="^u-vertex 1: "):
+            BipartiteRealization(10, (0b11, row))
 
     @pytest.mark.parametrize("piece", [(0, 1), (), [0, 1], 3.0, Fraction(3),
                                        True, False, None, "3"])
     def test_rejects_non_integer_pieces(self, piece):
-        # a tuple is no piece: the tuple constructor takes a row of entries
-        with pytest.raises(TypeError):
-            BipartiteRealization.from_intervals(10, ((range(2),), (piece,)))
+        # a tuple is no row here: ``from_neighbors`` takes rows of entries
+        with pytest.raises(TypeError, match="^u-vertex 1: "):
+            BipartiteRealization(10, (0b11, piece))
 
     def test_an_int_is_a_bitset_piece(self):
-        g = BipartiteRealization.from_intervals(10, ((range(2),), (3,)))
+        g = BipartiteRealization(10, (0b11, 3))
         assert g.neighbors == ((0, 1), (0, 1))
 
     @pytest.mark.parametrize("v_count, error", [(True, TypeError), (2.0, TypeError),
                                                 (2.5, TypeError), (-1, ValueError)])
     def test_rejects_bad_v_count(self, v_count, error):
         with pytest.raises(error):
-            BipartiteRealization.from_intervals(v_count, ((), ()))
+            BipartiteRealization(v_count, (0, 0))
 
 
 class TestHingeFlip:
@@ -698,51 +661,53 @@ class TestHingeFlip:
             hinge_flip(g, 0, 1, 0)
 
     def test_direct_move(self):
-        g = BipartiteRealization(2, ((0, 1), ()))
+        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
         assert hinge_flip(g, 0, 1, 1).edges == frozenset({(0, 0), (1, 1)})
 
     def test_degree_bookkeeping(self):
-        g = BipartiteRealization(2, ((0, 1), ()))
+        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
         flipped = hinge_flip(g, 0, 1, 1)
         assert g.u_degrees() == (2, 0) and flipped.u_degrees() == (1, 1)
         assert flipped.v_degrees() == g.v_degrees()
 
     @pytest.mark.parametrize("u", [-1, 2])
     def test_u_out_of_range(self, u):
-        g = BipartiteRealization(2, ((0, 1), ()))
+        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
         for u1, u2 in ((u, 1), (0, u)):
             with pytest.raises(InvalidMoveError):
                 hinge_flip(g, u1, u2, 0)
 
-    def test_checks_only_the_two_changed_rows(self, monkeypatch):
+    def test_builds_no_row_tuple(self, monkeypatch):
+        # every flip of a small graph moves one bit of two rows and decodes
+        # no row; the expected graphs come from per-entry tuple rows
         g = construct_realization((3, 3, 2, 1, 1), (2, 2, 2, 2, 2))
-        rows = {}
+        want = {}
         for u1, nbrs in enumerate(g.neighbors):
             for u2 in range(g.u_count):
                 for v in set(nbrs) - set(g.neighbors[u2]):
-                    rows[u1, u2, v] = [list(r) for r in g.neighbors]
-                    rows[u1, u2, v][u1].remove(v)
-                    rows[u1, u2, v][u2] = sorted(rows[u1, u2, v][u2] + [v])
-        assert len(rows) > 10
-        calls = []
-        check = gale_ryser._check_row
-        monkeypatch.setattr(gale_ryser, "_check_row",
-                            lambda *args: calls.append(args[0]) or check(*args))
-        for (u1, u2, v), want in rows.items():
-            calls.clear()
+                    rows = [list(r) for r in g.neighbors]
+                    rows[u1].remove(v)
+                    rows[u2] = sorted(rows[u2] + [v])
+                    want[u1, u2, v] = BipartiteRealization.from_neighbors(
+                        g.v_count, tuple(map(tuple, rows)))
+        assert len(want) > 10
+        g = BipartiteRealization(g.v_count, g.rows)  # no decoded rows cached
+
+        def no_decode(*args):
+            raise AssertionError("_decode_bits called")
+        monkeypatch.setattr(gale_ryser, "_decode_bits", no_decode)
+        for (u1, u2, v), expected in want.items():
             flipped = hinge_flip(g, u1, u2, v)
-            assert len(calls) <= 2 and set(calls) <= {u1, u2}
-            # the tuple constructor, which checks every row, builds the same
-            assert flipped == BipartiteRealization(g.v_count, tuple(map(tuple, want)))
-            assert all(flipped.neighbors[u] is g.neighbors[u]
+            assert flipped == expected and "neighbors" not in vars(flipped)
+            assert all(flipped.rows[u] == g.rows[u]
                        for u in range(g.u_count) if u not in (u1, u2))
 
     def test_bool_and_out_of_range_v_raise(self):
-        g = BipartiteRealization(3, ((0, 1, 2), ()))
-        with pytest.raises(TypeError):
-            hinge_flip(g, 0, 1, True)  # True == 1 is an edge of u-vertex 0
-        for v in (-1, 3):
-            with pytest.raises(InvalidMoveError):
+        # v is checked before any shift: a bool, a float, a string, a
+        # negative v and one far past v_count are all refused
+        g = BipartiteRealization.from_neighbors(3, ((0, 1, 2), ()))
+        for v in (True, False, 1.0, "1", None, -1, 3, 10 ** 12):
+            with pytest.raises(InvalidMoveError, match="need an int v in range"):
                 hinge_flip(g, 0, 1, v)
 
 
@@ -761,7 +726,7 @@ class TestBalancingHingeFlip:
     def test_u_out_of_range(self, u):
         # i = -1 would wrap to u_2, whose degree 0 meets the precondition
         # against u_0's degree 3
-        g = BipartiteRealization(3, ((0, 1, 2), (), ()))
+        g = BipartiteRealization.from_neighbors(3, ((0, 1, 2), (), ()))
         for i, j in ((u, 0), (1, u)):
             with pytest.raises(InvalidMoveError):
                 balancing_hinge_flip(g, i, j)
@@ -769,7 +734,7 @@ class TestBalancingHingeFlip:
     def test_no_eligible_v_raises(self, monkeypatch):
         # degrees that claim a gap the edges do not have: the pigeonhole
         # argument fails, and the flip raises rather than returning
-        g = BipartiteRealization(1, ((0,), (0,)))
+        g = BipartiteRealization.from_neighbors(1, ((0,), (0,)))
         monkeypatch.setattr(BipartiteRealization, "u_degrees", lambda self: (0, 2))
         with pytest.raises(InvariantError):
             balancing_hinge_flip(g, 0, 1)
@@ -788,5 +753,5 @@ class TestBalancingHingeFlip:
 
 class TestFormat:
     def test_header_and_edges(self):
-        g = BipartiteRealization(2, ((0, 1),))
+        g = BipartiteRealization.from_neighbors(2, ((0, 1),))
         assert format_realization(g) == "p bipartite 1 2 2\n0 0\n0 1"
