@@ -9,8 +9,8 @@ the input when no equal-sum split meets Gale–Ryser at k = 1 and otherwise
 proposes one count vector per U size; the first proposal that passes
 Gale–Ryser is the witness.  Only when none does, or when its tables would
 pass their cap, is the input decided by one walk over U count vectors,
-pruned on Gale–Ryser, with its witness built from the first count vector
-that passes.
+pruned on Gale–Ryser and on mirrors, with its witness built from the first
+count vector that passes.
 """
 
 from __future__ import annotations
@@ -189,30 +189,33 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     The U count vectors over the d (value, count) runs are walked in the
     order of ``partition.count_vector_walk``, entering only subtrees that
     can still pass Gale–Ryser (``gale_ryser._gale_ryser_bound`` on
-    ``partition._count_walk``), in O(sqrt(m)*sigma) bits, m the number of
-    nonzero degrees.  If no count vector passes, no equal-sum split does:
-    the verdict is NotBipartite.  Otherwise the first that passes is the
-    witness (``_witness``, as for a proposal).
+    ``partition._count_walk``) and no first count k with 2k < c_0: their
+    count vectors mirror ones met before, and Gale–Ryser is symmetric in U
+    and V.  This takes O(sqrt(m)*sigma) bits, m the number of nonzero
+    degrees.  If no count vector passes, no equal-sum split does: the
+    verdict is NotBipartite.  Otherwise the first that passes, the same as
+    over both mirrors, is the witness (``_witness``, as for a proposal).
 
     The budget N counts equal-sum splits ruled out.  A subtree the bound
     cuts off after runs 0..i-1, with k_j of the c_j values of run j on U,
     holds at least prod_{j<i} C(c_j, k_j) U index sets of sum sigma/2 (the
     walk enters a node only if some count vector completes it), and no
     split that passes has a side among them; ``dead`` adds that up over
-    the cuts.  Cut subtrees are disjoint, and a split that fails does so
-    from both of its sides, as Gale–Ryser is symmetric in U and V, so the
-    failing splits number at least dead/2.  BudgetExceededError is raised
-    at the cut that takes ``dead`` past 2N, when more than N splits are
-    ruled out: every raise is truthful.
+    the cuts, and nothing for a mirror.  Cut subtrees are disjoint, and an
+    index set in one is a side of a failing split, which has two sides, so
+    the failing splits number at least dead/2.  BudgetExceededError is
+    raised at the cut that takes ``dead`` past 2N, when more than N splits
+    are ruled out: every raise is truthful.
 
-    With budget N the walk enters at most (d + 1)(2N + 2) nodes.  A node it
-    enters is the root (which has no child only when no split exists, and
+    With budget N the bound runs on at most (d + 1)(2N + 2) nodes, and at
+    most ceil(c_0/2) mirrors are dropped, in O(1) each.  A node the bound
+    runs on is the root (which has no child only when no split exists, and
     is then the only node), a cut, the yielded count vector, or a node that
-    passes with a child, which the walk enters next.  So from every node
-    the chain of first children leads down to a cut or to the yielded
-    count vector, and every node lies on the path, of at most d + 1 nodes,
-    from the root to such an end.  Each cut adds at least 1 to ``dead``,
-    so the walk makes at most 2N + 1 cuts, and at most 2N + 2 ends in all.
+    passes with a child, which the walk enters next (no mirror: k_0 and
+    c_0 - k_0 both occur).  So each lies on the path, of at most d + 1
+    nodes, from the root to the end that its chain of first children leads
+    down to, a cut or the yielded count vector.  Each cut adds at least 1
+    to ``dead``, so the walk makes at most 2N + 1 cuts, 2N + 2 ends in all.
     """
     runs = _value_runs(ds.degrees)
     keys = size_feasible_keys(ds.sigma, runs)
@@ -237,6 +240,8 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
 
     def live(i: int, rem: int, k: int) -> bool:
         nonlocal dead
+        if i == 1 and 2 * k < counts[0]:
+            return False  # its leaves mirror count vectors already walked
         if i:
             k_at[i] = k
             sets_at[i] = sets_at[i - 1] * math.comb(counts[i - 1], k - k_at[i - 1])

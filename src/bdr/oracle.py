@@ -5,8 +5,8 @@ Two independent levels:
 - Split count vectors times Gale–Ryser, usable up to the padded-instance
   scale.  ``partition.count_vector_walk`` yields the count vectors over
   the distinct degrees whose U side has the half sum, in the order of the
-  unpruned search; each goes to Gale–Ryser as (value, count) runs,
-  unexpanded.
+  unpruned search; each, up to the first that mirrors one before it, goes
+  to Gale–Ryser as (value, count) runs, unexpanded.
 - Raw bipartite edge-set backtracking that does not trust Gale–Ryser at
   all.
 """
@@ -27,18 +27,21 @@ def brute_force_bipartite_realizable(ds: DegreeSequence,
     """True iff some equal-sum split of the degrees is bigraphic.
 
     Splits are enumerated by count vectors over distinct values
-    (``count_vector_walk``), which keeps the search small even when the
-    sequence is long but has few distinct degrees.  Zero degrees are
-    ignored (they sit on either side).  Each count vector passes the runs
-    (v, k) and (v, c - k) to Gale–Ryser, zero counts included; once more
-    than ``budget`` count vectors have been examined, BudgetExceededError
-    is raised instead of a verdict.
+    (``count_vector_walk``), few for few distinct degrees however long the
+    sequence; zero degrees are ignored (they sit on either side).  Each
+    count vector passes the runs (v, k) and (v, c - k) to Gale–Ryser, zero
+    counts included, up to the first with U counts below its V counts: it
+    and all after it mirror ones tested, so the answer is False.  Once more
+    than ``budget`` count vectors are tested, BudgetExceededError is raised.
     """
     runs, keys = count_vector_walk(ds)
     for examined, key in enumerate(keys, 1):
+        u, v = count_runs(runs, key)
+        if u < v:  # this key and every later one mirror a key tested
+            return False
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "split count vectors")
-        if _gale_ryser_lists(*count_runs(runs, key)):
+        if _gale_ryser_lists(u, v):
             return True
     return False
 

@@ -318,14 +318,16 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     only when the remainder after it is in the run DP's bitset of the runs
     after i, so it drops only dead subtrees: the count vectors and their
     order are those of the unpruned search.  Of those d bitsets (d runs)
-    every B-th is kept, and the block of B the walk is in is rebuilt from
-    it as bytes, so a test is O(1).  B is ``_block(d - 1, m)`` over the
-    positions 0..d-1: the held rows and checkpoints fit 2*ceil(sqrt(m)) + 2
-    bitsets (m nonzero degrees), O(sqrt(m)*sigma) bits, and one block,
-    built once, if d < 2*ceil(sqrt(m)) + 2.  A count
-    vector and its complement both appear; no nonzero degree gives the one
-    empty count vector.  The walk keeps an explicit stack, not bounded by
-    the recursion limit.
+    every B-th is kept, B = ``_block(d - 1, m)`` (m nonzero degrees), and
+    the block of B the walk is in is rebuilt from it as bytes, so a test is
+    O(1) and the rows held and checkpoints fit 2*ceil(sqrt(m)) + 2 bitsets,
+    O(sqrt(m)*sigma) bits; one block, built once, if d < 2*ceil(sqrt(m)) + 2.
+    The walk keeps an explicit stack, not bounded by the recursion limit.
+
+    The keys strictly decrease lexicographically in (k_0, ..., k_{d-1}), and
+    the complement k_t -> c_t - k_t maps them onto themselves and reverses
+    that order: every count vector above its complement comes before every
+    one below its own, a mirror met before, which both exact searches skip.
 
     This walk is not pruned on Gale–Ryser: ``oracle`` reads it, and the
     benchmark confirms ``decide_exact``'s NotBipartite verdicts with that

@@ -15,8 +15,9 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_sp
                  threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable, exhaustive_graph_search
-from bdr.gale_ryser import _gale_ryser_runs, _value_runs
-from bdr.partition import count_runs, equal_sum_split_exists, size_feasible_keys, split_with_u
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
+from bdr.partition import (_count_walk, count_runs, equal_sum_split_exists, size_feasible_keys,
+                           split_with_u)
 from conftest import MANY_DISTINCT, _unpruned_splits, reduction_corpus
 
 
@@ -335,9 +336,13 @@ class TestDecideExact:
         # every equal-sum split of (4,3,3,3,1,1,1) puts the 4, a 3 and a 1
         # against two 3s and two 1s: each side meets Gale-Ryser at k = 1, so
         # the size subset sum proposes one, but U fails at k = 2 (7 > 6).
-        # The walk cuts off 6 of the 18 index sets, more than 2*2 of them
+        # The walk counts 3 of the 18 index sets as cut off, more than 2*1 of
+        # them, all with the 4 on U: their mirrors, the 4 on V, are not walked
+        ds = DegreeSequence((4, 3, 3, 3, 1, 1, 1))
         with pytest.raises(BudgetExceededError):
-            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=2)
+            decide_exact(ds, budget=1)
+        d = decide_exact(ds, budget=2)
+        assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation")
 
     def test_refuted_by_side_sizes(self):
         # 4 2 2 2 2: m = 5, so |U| = s <= m/2 = 2 and every degree is at
@@ -352,9 +357,9 @@ class TestDecideExact:
         # both exact searches raise the error the same way: the limit, the
         # count that passed it, and a message built from the two
         with pytest.raises(BudgetExceededError) as exc:
-            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=2)
-        assert (exc.value.limit, exc.value.examined) == (2, 3)
-        assert str(exc.value) == "examined more than 2 equal-sum splits"
+            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=1)
+        assert (exc.value.limit, exc.value.examined) == (1, 2)
+        assert str(exc.value) == "examined more than 1 equal-sum splits"
         with pytest.raises(BudgetExceededError) as exc:
             brute_force_bipartite_realizable(
                 DegreeSequence((17, 13, 11, 9, 7, 5, 3, 2, 2, 1)), budget=1)
@@ -491,11 +496,11 @@ class TestBudgetPoint:
         ((2, 5, 5, 3, 7, 3, 3, 6, 1, 2, 2, 5), 9),
         ((4, 7, 7, 4, 5, 6, 8, 4, 6, 4, 7, 1, 5, 2), 4),
         ((5, 7, 6, 5, 2, 5, 3, 3, 1, 2, 4, 3), 6),
-        ((5, 2, 4, 3, 3, 1, 1, 1), 8),  # NotBipartite
+        ((5, 2, 4, 3, 3, 1, 1, 1), 4),  # NotBipartite
         ((5, 5, 1, 3, 3, 4, 5, 3, 1, 1, 5), 12),  # Bipartite
-        ((2, 1, 3, 5, 4, 1, 3, 1), 8),  # NotBipartite
-        ((4, 3, 3, 3, 1, 1, 1), 6),
-        ((1, 2, 2, 3, 3, 6, 1, 1, 5), 10),
+        ((2, 1, 3, 5, 4, 1, 3, 1), 4),  # NotBipartite
+        ((4, 3, 3, 3, 1, 1, 1), 3),
+        ((1, 2, 2, 3, 3, 6, 1, 1, 5), 5),
         ((5, 1, 3, 2, 6, 3, 3, 7, 4, 3, 6, 5), 3)])  # Bipartite; odd: floor(D/2) raises too
     def test_at_half_the_cut_index_sets(self, seq, dead, monkeypatch):
         ds = DegreeSequence(seq)
@@ -529,8 +534,9 @@ class TestBudgetPoint:
 
 
 class TestWorkBound:
-    """With budget N the walk enters at most (d + 1)(2N + 2) nodes, d the
-    number of distinct nonzero degrees, whether it answers or raises."""
+    """With budget N the bound runs on at most (d + 1)(2N + 2) nodes, d the
+    number of distinct nonzero degrees, whether the walk answers or raises,
+    and never on a mirror, a first-run count k with 2k < c_0."""
 
     @staticmethod
     def _check(seq, budget, monkeypatch):
@@ -541,6 +547,7 @@ class TestWorkBound:
         assert bool(walks) != settled_before_walk(seq)
         for runs, nodes in walks:
             assert len(nodes) <= (len(runs) + 1) * (2 * budget + 2)
+            assert all(2 * k >= runs[0][1] for i, k, _ in nodes if i == 1)
         return bool(walks)
 
     @given(seq=st.one_of(SEQS, MANY_DISTINCT), budget=st.integers(0, 20))
@@ -569,6 +576,39 @@ class TestWorkBound:
             with monkeypatch.context() as mp:
                 walked += self._check(seq, budget, mp)
         assert walked == 7
+
+
+class TestMirrorRule:
+    """The walk enters no first-run count k with 2k < c_0: each of its count
+    vectors lies below its complement, which the walk met before, so the
+    decision is the one the walk over both mirrors gives."""
+
+    @given(seq=st.one_of(SEQS, MANY_DISTINCT))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[2, 2, 2, 2])
+    @example(seq=[4, 3, 3, 3, 1, 1, 1])
+    @example(seq=[5, 2, 4, 3, 3, 1, 1, 1])
+    def test_same_decision_as_both_mirrors(self, seq, monkeypatch):
+        # with the size subset sum switched off, every input is walked
+        ds = DegreeSequence(seq)
+        runs = _value_runs(seq)
+        key = next(_count_walk(ds.sigma, runs)(_gale_ryser_bound(runs, ds.sigma // 2)), None)
+        with monkeypatch.context() as mp:
+            mp.setattr("bdr.decider.size_feasible_keys", lambda sigma, runs: None)
+            walks = spy_walk(mp)
+            d = decide_exact(ds)
+        if key is None:
+            assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation"
+                                             if equal_sum_split_exists(ds)
+                                             else "no-equal-sum-split")
+        else:
+            assert d == bdr.decider._witness(ds, runs, key)
+        (spied, nodes), = walks
+        assert all(2 * k >= spied[0][1] for i, k, _ in nodes if i == 1)
 
 
 class TestWithoutBudget:

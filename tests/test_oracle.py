@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement, takewhile
 from unittest import mock
 
 import pytest
@@ -77,6 +78,15 @@ class TestAgreement:
         assert (brute_force_bipartite_realizable(ds)
                 == exhaustive_graph_search(ds))
 
+    def test_every_small_multiset(self):
+        # every even-sum multiset of n <= 8 degrees below n, largest first:
+        # the stop at the first mirrored count vector loses no realization
+        for n in range(1, 9):
+            for seq in combinations_with_replacement(range(n - 1, -1, -1), n):
+                if sum(seq) % 2 == 0:
+                    ds = DegreeSequence(seq)
+                    assert brute_force_bipartite_realizable(ds) == exhaustive_graph_search(ds)
+
     def test_scales_to_padded_instances(self):
         from bdr import build_hard_instance, ParamBounds
         from fractions import Fraction
@@ -151,14 +161,17 @@ def _leaves(search, ds, budget=None):
 
 def _same_leaves(seq, budgets=True):
     ds = DegreeSequence(seq)
-    old = _leaves(_unpruned, ds)
-    assert _leaves(brute_force_bipartite_realizable, ds) == old
+    verdict, calls = _leaves(_unpruned, ds)
+    # the reference's calls up to the first count vector whose U counts lie
+    # below its V counts, the mirror of one called before
+    prefix = list(takewhile(lambda sides: not sides[0] < sides[1], calls))
+    assert _leaves(brute_force_bipartite_realizable, ds) == (verdict, prefix)
     if budgets:
-        n = len(old[1])
-        for b in sorted({0, 1, n // 2, max(n - 1, 0), n}):
-            outcome = _leaves(_unpruned, ds, b)
-            assert _leaves(brute_force_bipartite_realizable, ds, b) == outcome
-            assert isinstance(outcome[0], str) == (b < n)
+        n = len(prefix)
+        for b in sorted({0, 1, n // 2, max(n - 1, 0), n, len(calls)}):
+            got = _leaves(brute_force_bipartite_realizable, ds, b)
+            assert got == (_leaves(_unpruned, ds, b) if b < n else (verdict, prefix))
+            assert isinstance(got[0], str) == (b < n)
 
 
 def _padded(source, c1, c2):
@@ -168,8 +181,10 @@ def _padded(source, c1, c2):
 
 class TestSameLeaves:
     """The reachability prune drops only dead subtrees: Gale–Ryser sees the
-    same count vectors in the same order as in the unpruned search, and a
-    budget is exceeded exactly when it was, with the same message."""
+    count vectors of the unpruned search in its order, up to the first
+    whose U counts lie below its V counts, and gives its verdict.  A budget
+    is exceeded exactly when it is below the count of those calls, with the
+    unpruned search's message."""
 
     @given(st.one_of(
         st.lists(st.integers(0, 9), max_size=14),

@@ -219,6 +219,41 @@ class TestCountVectorWalk:
             self._same_vectors(d_prime.degrees, unpruned_count_vectors)
 
 
+class TestMirrorOrder:
+    """The order both exact searches rely on: read through ``count_runs``,
+    the keys are the unpruned search's U count vectors, strictly
+    decreasing lexicographically; their set is closed under the complement,
+    and every count vector above its complement comes before every one
+    equal to it, and those before every one below its own."""
+
+    @staticmethod
+    def _mirror_order(seq, unpruned_count_vectors):
+        runs, keys = count_vector_walk(DegreeSequence(seq))
+        vectors = [tuple(k for _, k in count_runs(runs, key)[0]) for key in keys]
+        assert vectors == [tuple(k for _, k in u) for u, _ in unpruned_count_vectors(seq)]
+        assert all(a > b for a, b in zip(vectors, vectors[1:]))
+        mirrors = [tuple(c - k for (_, c), k in zip(runs, v)) for v in vectors]
+        assert set(mirrors) == set(vectors)
+        sides = [(v > w) - (v < w) for v, w in zip(vectors, mirrors)]
+        assert sides == sorted(sides, reverse=True)
+
+    @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=[])
+    @example(seq=[2, 2, 2, 2])
+    @example(seq=[4, 3, 3, 3, 1, 1, 1])
+    @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
+    def test_drawn(self, seq, unpruned_count_vectors):
+        self._mirror_order(seq, unpruned_count_vectors)
+
+    @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
+    def test_padded(self, c1, c2, unpruned_count_vectors):
+        bounds = ParamBounds(Fraction(c1), Fraction(c2))
+        for source in reduction_corpus(8):
+            d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
+            self._mirror_order(d_prime.degrees, unpruned_count_vectors)
+
+
 class TestGaleRyserPrunedWalk:
     """With ``_gale_ryser_bound``, the count walk yields the count vectors of
     the unpruned search that ``_gale_ryser_runs`` accepts, in its order."""
