@@ -16,6 +16,21 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+def exact_int(value, what: str) -> int:
+    """``value`` as an int; TypeError for a bool or a non-integer, a float
+    included (operator.index rejects floats, but takes bools)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not bool")
+    return operator.index(value)
+
+
+def check_budget(budget) -> None:
+    """Raise unless ``budget`` is None or an integer >= 0, before an exact
+    search: TypeError for a bool or a non-integer, ValueError if negative."""
+    if budget is not None and exact_int(budget, "budget") < 0:
+        raise ValueError(f"negative budget {budget}")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """A multiset of nonnegative integer degrees, in input order."""
@@ -66,6 +81,8 @@ class DegreeClass:
     delta: int
 
     def __post_init__(self):
+        for name in ("n", "sigma", "d", "delta"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.n < 0 or self.sigma < 0:
             raise ValueError("n and sigma must be nonnegative")
         if not 0 <= self.d <= self.delta:

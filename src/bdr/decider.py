@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DegreeSequence, ParamBounds, in_class
+from .core import DegreeSequence, ParamBounds, check_budget, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
                          _value_runs, construct_realization)
@@ -217,6 +217,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     down to, a cut or the yielded count vector.  Each cut adds at least 1
     to ``dead``, so the walk makes at most 2N + 1 cuts, 2N + 2 ends in all.
     """
+    check_budget(budget)
     runs = _value_runs(ds.degrees)
     keys = size_feasible_keys(ds.sigma, runs)
     if keys is not None:
@@ -232,7 +233,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     counts = [c for _, c in runs]
     bound = _gale_ryser_bound(runs, ds.sigma // 2)
     # more ruled-out index sets than this are more than budget splits
-    limit = None if budget is None else 2 * max(budget, 0)
+    limit = None if budget is None else 2 * budget
     # on the walk's path: U's count over runs 0..i-1 and the index sets
     # that give them
     k_at, sets_at = [0] * (len(runs) + 1), [1] * (len(runs) + 1)

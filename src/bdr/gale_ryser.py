@@ -5,45 +5,24 @@ sequences.  The Gale–Ryser test works on their (value, count) runs; the
 realizer holds the v-vertices of each residual degree as one int bitset,
 so a step costs O(|V|)-bit operations per residual level it touches.
 
-A realization is its rows: one int bitset per u-vertex, bit v set when
-(u, v) is an edge.  The constructor checks each row in O(1) (an int, not
-a bool, with 0 <= row < 1 << |V|); ``BipartiteRealization.from_neighbors``
-takes rows as increasing tuples of v-indices from outside, checks them
-entry by entry (``_check_row``) and packs them.  Degrees, the rendered
-edge list and the hinge flips read the bitsets; only ``neighbors``, a
-view decoded on first read by ``_decode_bits`` and cached, builds
-per-row tuples.  A row is read by its runs of set bits, counted in O(1)
-int operations from ``bits ^ bits << 1`` (``_runs``): a row of at most
-``SLICED_RUNS`` runs is that many slices of a table indexed by v, any
-other one ``compress`` pass over that table with the flags of
-``bin(row)``.  The realizer hands its row bitsets on as they are, so
-deciding and printing a witness builds no per-row tuple.
+A realization is its rows, its only form: one int bitset per u-vertex,
+bit v set when (u, v) is an edge, each checked in O(1) by the
+constructor.  Only ``sorted_edges`` decodes rows (``_decode_bits``).  A
+row is read by its runs of set bits, counted in O(1) int operations from
+``bits ^ bits << 1`` (``_runs``): a row of at most ``SLICED_RUNS`` runs
+is that many slices of a table indexed by v, any other one ``compress``
+pass over that table with the flags of ``bin(row)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, compress, count
-from operator import index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .core import exact_int
 from .errors import InvalidMoveError, InvariantError
-
-
-def _check_row(u: int, nbrs: tuple, n: int) -> None:
-    """Raise unless the non-empty row ``nbrs`` of u-vertex u holds ints,
-    strictly increasing, in range(n): TypeError if an entry is not an int
-    (a bool included), else ValueError."""
-    # one C-level pass: a sum is an int only if every entry is one (the
-    # order check below would take 5.0 for 5, as 5.0 == 5)
-    if type(sum(nbrs, 0)) is not int:
-        raise TypeError(f"u-vertex {u}: neighbors {nbrs} are not all integers")
-    if bool in map(type, nbrs):
-        raise TypeError(f"u-vertex {u}: neighbors {nbrs} hold a bool")
-    if not (0 <= nbrs[0] and nbrs[-1] < n and all(map(lt, nbrs, nbrs[1:]))):
-        raise ValueError(f"u-vertex {u}: neighbors {nbrs} out of order or range")
 
 
 # bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
@@ -86,26 +65,14 @@ def _runs(bits: int) -> list[tuple[int, int]] | None:
 
 
 def _decode_bits(bits: int, names: tuple[int, ...]) -> tuple[int, ...]:
-    """The entries of ``names`` at the set bits of ``bits`` >= 0, lowest
-    first; ``names`` has at least bits.bit_length() entries (``tuple(range(n))``
-    gives the indices of the set bits).  A bitset of at most ``SLICED_RUNS``
-    runs is that many slices of ``names``, joined once; any other is one
-    ``compress`` pass over ``names``: O(n) C-level steps.
-    """
+    """The entries of ``names`` (at least bits.bit_length() of them) at the
+    set bits of ``bits`` >= 0, lowest first: for at most ``SLICED_RUNS``
+    runs that many slices of ``names``, joined once, else one ``compress``
+    pass over ``names``, O(len(names)) C-level steps."""
     runs = _runs(bits)
     if runs is None:
         return tuple(compress(names, _flags(bits)))
     return sum([names[start:stop] for start, stop in runs], ())
-
-
-def _vertex_count(v_count) -> int:
-    # exact integers only: operator.index rejects floats, but takes bools
-    if isinstance(v_count, bool):
-        raise TypeError("v_count must be an integer, not bool")
-    n = index(v_count)
-    if n < 0:
-        raise ValueError(f"negative v_count {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -115,16 +82,16 @@ class BipartiteRealization:
 
     The constructor takes any iterable of rows, keeps them as a tuple and
     checks each in O(1): an int (not a bool, TypeError) with
-    0 <= row < 1 << v_count (ValueError).  ``from_neighbors`` takes rows as
-    increasing tuples of v-indices.  ``neighbors`` is the same graph as
-    one such tuple per u-vertex, decoded on first read and cached.
+    0 <= row < 1 << v_count (ValueError).
     """
 
     v_count: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        n = _vertex_count(self.v_count)
+        n = exact_int(self.v_count, "v_count")
+        if n < 0:
+            raise ValueError(f"negative v_count {n}")
         rows = tuple(self.rows)
         object.__setattr__(self, "v_count", n)
         object.__setattr__(self, "rows", rows)
@@ -136,35 +103,6 @@ class BipartiteRealization:
             if row.bit_length() > n:
                 raise ValueError(f"u-vertex {u}: row bitset has bit {row.bit_length() - 1} "
                                  f"set, past v_count {n}")
-
-    @classmethod
-    def from_neighbors(cls, v_count: int,
-                       neighbors: Iterable[Sequence[int]]) -> BipartiteRealization:
-        """The realization whose u-vertex u is adjacent to the v-indices
-        ``neighbors[u]``, each row checked entry by entry (``_check_row``):
-        ints, a bool being none (TypeError), strictly increasing and in
-        ``range(v_count)`` (ValueError).  A row of m entries is packed in
-        O(m) steps plus O(v_count) C-level ones."""
-        n = _vertex_count(v_count)
-        rows = []
-        for u, nbrs in enumerate(neighbors):
-            if nbrs:
-                _check_row(u, nbrs, n)
-            # binary digits, highest first: bit v is digit n - v, digit 0 a
-            # leading 0 so that n = 0 parses
-            digits = bytearray(b"0" * (n + 1))
-            for v in nbrs:
-                digits[n - v] = 49  # "1"
-            rows.append(int(digits, 2))
-        return cls(n, rows)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per u-vertex, the increasing tuple of its v-indices, each distinct
-        row decoded once by ``_decode_bits``; equal rows share one tuple."""
-        names = tuple(range(self.v_count))
-        decoded = {row: _decode_bits(row, names) for row in set(self.rows)}
-        return tuple(map(decoded.__getitem__, self.rows))
 
     @property
     def u_count(self) -> int:
@@ -200,7 +138,12 @@ class BipartiteRealization:
         return tuple(accumulate(starts[:n]))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs]
+        """The edges in (u, v) order, each distinct row decoded once by
+        ``_decode_bits``; kept, with ``edges``, for ``perfbench/``, which
+        reads and patches them."""
+        names = tuple(range(self.v_count))
+        decoded = {row: _decode_bits(row, names) for row in set(self.rows)}
+        return [(u, v) for u, row in enumerate(self.rows) for v in decoded[row]]
 
 
 def _gale_ryser_runs(a, b) -> bool:
@@ -409,13 +352,14 @@ def construct_realization(d1: Sequence[int],
 def hinge_flip(g: BipartiteRealization, u1: int, u2: int, v: int) -> BipartiteRealization:
     """Move the edge (u1, v) to (u2, v).
 
-    v must be an int, not a bool, in ``range(g.v_count)``; it is checked
-    before any shift.  The edge is tested and moved by one bit operation on
-    each of the two rows, and the new graph's constructor checks every row
-    in O(1), so a flip costs O(|U|) steps plus O(|V|)-bit operations.
+    u1 != u2 and v must be ints, not bools, in ``range(g.u_count)`` and
+    ``range(g.v_count)``, checked before any shift.  The edge is tested and
+    moved by one bit operation on each of the two rows, and the new graph's
+    constructor checks every row in O(1), so a flip costs O(|U|) steps plus
+    O(|V|)-bit operations.
     """
-    if u1 == u2 or not (0 <= min(u1, u2) and max(u1, u2) < g.u_count):
-        raise InvalidMoveError(f"need distinct u1, u2 in range({g.u_count}), got {u1}, {u2}")
+    if u1 == u2 or not all(type(u) is int and 0 <= u < g.u_count for u in (u1, u2)):
+        raise InvalidMoveError(f"need distinct u1, u2 in range({g.u_count}), got {u1!r}, {u2!r}")
     if type(v) is not int or not 0 <= v < g.v_count:
         raise InvalidMoveError(f"need an int v in range({g.v_count}), got {v!r}")
     bit = 1 << v
@@ -434,10 +378,10 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
 
     The lowest-index v adjacent to u_j but not to u_i, the lowest set bit of
     ``rows[j] & ~rows[i]``, is used; one exists by pigeonhole whenever the
-    precondition holds.
+    precondition holds.  i and j must be ints, not bools, in range.
     """
-    if not (0 <= min(i, j) and max(i, j) < g.u_count):
-        raise InvalidMoveError(f"need i, j in range({g.u_count}), got {i}, {j}")
+    if not all(type(u) is int and 0 <= u < g.u_count for u in (i, j)):
+        raise InvalidMoveError(f"need int i, j in range({g.u_count}), got {i!r}, {j!r}")
     deg = g.u_degrees()
     if not deg[i] < deg[j] - 1:
         raise InvalidMoveError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import DegreeSequence
+from .core import DegreeSequence, check_budget
 from .errors import BudgetExceededError
 # bound under its old name, which perfbench/tracing.py patches to count leaves
 from .gale_ryser import _gale_ryser_runs as _gale_ryser_lists
@@ -31,9 +31,10 @@ def brute_force_bipartite_realizable(ds: DegreeSequence,
     sequence; zero degrees are ignored (they sit on either side).  Each
     count vector passes the runs (v, k) and (v, c - k) to Gale–Ryser, zero
     counts included, up to the first with U counts below its V counts: it
-    and all after it mirror ones tested, so the answer is False.  Once more
-    than ``budget`` count vectors are tested, BudgetExceededError is raised.
+    and all after it mirror ones tested, so the answer is False.  Testing
+    more than ``budget`` (``check_budget``) raises BudgetExceededError.
     """
+    check_budget(budget)
     runs, keys = count_vector_walk(ds)
     for examined, key in enumerate(keys, 1):
         u, v = count_runs(runs, key)

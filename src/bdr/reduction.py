@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .core import DegreeSequence, ParamBounds, in_class
@@ -22,7 +23,7 @@ from .errors import (NotInHardRegionError, ProjectionAuditError,
                      ReductionInvariantError, ReductionPreconditionError)
 # construct_realization is unused here, but perfbench/tracing.py wraps it at
 # this module's binding, so the name must stay
-from .gale_ryser import BipartiteRealization, _decode_bits, construct_realization  # noqa: F401
+from .gale_ryser import BipartiteRealization, _flags, construct_realization  # noqa: F401
 from .partition import SplitWitness
 
 
@@ -335,8 +336,9 @@ def project_realization(g_prime: BipartiteRealization,
 
     The big v-vertices are cut out of every row by one ``row & ~big``, big
     being their bitset.  Once audited, the residual rows hold only
-    shifted-role v-vertices, and each kept row is decoded once through the
-    map from old to new v-index.
+    shifted-role v-vertices, and each kept row is compacted onto them as a
+    bitset: its binary digits, lowest first, filtered by the 0/1 flags of
+    the kept v-vertices and read back in base 2.
     """
     u_deg = g_prime.u_degrees()
     v_deg = g_prime.v_degrees()
@@ -349,9 +351,9 @@ def project_realization(g_prime: BipartiteRealization,
         raise ProjectionAuditError(
             f"big-degree vertices split {u_deg.count(big)}/{big_v.bit_count()}, "
             f"expected {expected_per_side} per side")
-    keep = ~big_v
+    cut = ~big_v
     residual = BipartiteRealization(g_prime.v_count, [
-        0 if d == big else row & keep for d, row in zip(u_deg, g_prime.rows)])
+        0 if d == big else row & cut for d, row in zip(u_deg, g_prime.rows)])
     res_u = residual.u_degrees()
     res_v = residual.v_degrees()
 
@@ -381,14 +383,11 @@ def project_realization(g_prime: BipartiteRealization,
     if sum(u_deg[i] - shift for i in keep_u) * 2 != inst.S:
         raise ProjectionAuditError("shifted degrees do not split the source sum evenly")
 
-    # the new v-index at each kept old one; keep_v is increasing, so each
-    # decoded row stays increasing
-    new_index = [0] * g_prime.v_count
-    for new, old in enumerate(keep_v):
-        new_index[old] = new
-    names = tuple(new_index)
-    return BipartiteRealization.from_neighbors(len(keep_v), [
-        _decode_bits(residual.rows[u], names) for u in keep_u])
+    # keep_v is increasing, so the kept v-vertices keep their order
+    keep = _flags(sum(1 << j for j in keep_v))  # 0/1 up to the last kept v-vertex
+    return BipartiteRealization(len(keep_v), [
+        int("".join(compress(bin(residual.rows[u])[:1:-1], keep))[::-1] or "0", 2)
+        for u in keep_u])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
+from bdr import BipartiteRealization
+
 # 8 to 16 mostly distinct values, an odd sum evened out with a 1: at least
 # 2*ceil(sqrt(m)) + 2 distinct degrees (m nonzero ones), more than the
 # count walk's block + 1 rows and checkpoints past {0} hold in one block
@@ -12,6 +14,20 @@ from hypothesis import strategies as st
 # other than the one it starts in, for about three draws in four
 MANY_DISTINCT = st.lists(st.integers(0, 40), min_size=8, max_size=16).map(
     lambda s: s + [1] if sum(s) % 2 else s)
+
+
+def pack(v_count, rows):
+    """The realization whose u-vertex u is adjacent to the distinct
+    v-indices ``rows[u]``, each row packed bit by bit into its bitset."""
+    return BipartiteRealization(v_count, [sum(1 << v for v in row) for row in rows])
+
+
+def decoded_rows(g):
+    """Per u-vertex of ``g``, the increasing tuple of the set bits of its
+    row, read digit by digit from ``bin(row)``; each distinct row once."""
+    decoded = {row: tuple(v for v, digit in enumerate(bin(row)[:1:-1]) if digit == "1")
+               for row in set(g.rows)}
+    return tuple(map(decoded.__getitem__, g.rows))
 
 
 def _traced_peak(run):

@@ -17,7 +17,7 @@ from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
 from bdr.reduction import Role, build_hard_instance
-from conftest import reduction_corpus
+from conftest import decoded_rows, pack, reduction_corpus
 
 F = Fraction
 
@@ -52,7 +52,7 @@ class TestDecide:
         g = decide_bdr(DegreeSequence(degrees),
                        ParamBounds(Fraction(1, 6), Fraction(1, 3))).realization
         assert json.loads(out)["realization"] == [
-            [u, v] for u, nbrs in enumerate(g.neighbors) for v in nbrs]
+            [u, v] for u, nbrs in enumerate(decoded_rows(g)) for v in nbrs]
 
     def test_not_bipartite(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "3 3 3 3 3 3 3 3 3\n")
@@ -166,7 +166,7 @@ class TestGoldenBytes:
         g = decide_bdr(DegreeSequence(self.low_region_degrees()),
                        ParamBounds(F(1, 10), F(1, 5))).realization
         runs = {sum(1 for a, b in zip((None,) + row, row) if a != b - 1)
-                for row in g.neighbors}
+                for row in decoded_rows(g)}
         k = gale_ryser.SLICED_RUNS
         assert 1 in runs
         assert runs & set(range(2, k + 1))
@@ -325,11 +325,11 @@ def realizations(draw):
     v_count = draw(st.integers(0, 7))
     row = st.sets(st.integers(0, v_count - 1)) if v_count else st.just(set())
     rows = draw(st.lists(row, max_size=7))
-    return BipartiteRealization.from_neighbors(v_count, tuple(tuple(sorted(r)) for r in rows))
+    return pack(v_count, rows)
 
 
 def g_of(v_count, *rows):
-    return BipartiteRealization.from_neighbors(v_count, rows)
+    return pack(v_count, rows)
 
 
 def runs_bits(runs):

@@ -224,6 +224,20 @@ class TestInClass:
         with pytest.raises(ValueError, match="d <= delta"):
             DegreeClass(3, 4, 3, 2)
 
+    @pytest.mark.parametrize("fields", [
+        (5, 10.5, 1, 3), (5.0, 10, 1, 3), (5, 10, 1.0, 3), (5, 10, 1, 3.5),
+        (True, 1, 1, 1), (5, 10, False, 3), (5, 10, 1, True), (5, Fraction(10), 1, 3)])
+    def test_inexact_class_fields_rejected(self, fields):
+        # lbds_shape(DegreeClass(5, 10.5, 1, 3)) gave the intermediate degree
+        # 2.5, and a bool was taken as 0 or 1
+        with pytest.raises(TypeError):
+            DegreeClass(*fields)
+
+    def test_integer_class_fields_become_ints(self):
+        cls = DegreeClass(np.int64(5), _Two.TWO, 0, np.int32(3))
+        assert (cls.n, cls.sigma, cls.d, cls.delta) == (5, 2, 0, 3)
+        assert all(type(x) is int for x in (cls.n, cls.sigma, cls.d, cls.delta))
+
     @pytest.mark.parametrize("c1, c2", [(0.1, Fraction(1, 5)), (0, 1.0), (False, 1), (0, True)])
     def test_inexact_bounds_rejected(self, c1, c2):
         # 0.1 would otherwise become 3602879701896397/36028797018963968

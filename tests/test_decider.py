@@ -366,6 +366,18 @@ class TestDecideExact:
         assert (exc.value.limit, exc.value.examined) == (1, 2)
         assert str(exc.value) == "examined more than 1 split count vectors"
 
+    @pytest.mark.parametrize("budget, error", [
+        (-1, ValueError), (-20000, ValueError), (2.5, TypeError), (2.0, TypeError),
+        (True, TypeError), (False, TypeError), ("3", TypeError), (Fraction(2), TypeError)])
+    def test_bad_budget_rejected_before_search(self, monkeypatch, budget, error):
+        # budget -1 raised "examined more than -1 equal-sum splits" and 2.5
+        # ran; each is now refused before any search starts
+        def no_search(*args):
+            raise AssertionError("search started")
+        monkeypatch.setattr(bdr.decider, "size_feasible_keys", no_search)
+        with pytest.raises(error):
+            decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=budget)
+
     def test_matches_oracle(self):
         rng = random.Random(7)
         for _ in range(500):

@@ -13,6 +13,7 @@ from bdr.errors import InvalidMoveError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
 from bdr.oracle import exhaustive_pair_search
 from bdr.reduction import _round_robin_rows
+from conftest import decoded_rows, pack
 
 
 def gale_ryser_all_k(d1, d2):
@@ -55,7 +56,7 @@ def reference_realization(d1, d2):
         neighbors[u] = tuple(sorted(chosen))
     if any(residual):
         return None
-    return BipartiteRealization.from_neighbors(len(d2), tuple(neighbors))
+    return pack(len(d2), neighbors)
 
 
 @st.composite
@@ -237,17 +238,6 @@ class TestRealizerMatchesReference:
         g = construct_realization(*p)
         assert g is not None and g == reference_realization(*p)
 
-    def test_realizer_checks_no_row_entry_by_entry(self, monkeypatch):
-        # its rows are bitsets, in range by construction; only the O(1)
-        # bound check per row is left
-        def no_check(*args):
-            raise AssertionError("_check_row called")
-        p = seeded_low_region_pair()
-        monkeypatch.setattr(gale_ryser, "_check_row", no_check)
-        g = construct_realization(*p)
-        monkeypatch.undo()
-        assert g == BipartiteRealization.from_neighbors(g.v_count, g.neighbors)
-
     def test_seeded_random_graph(self):
         p = random_graph_degrees(random.Random(7), 300, 400, 0.2)
         g = construct_realization(*p)
@@ -319,17 +309,11 @@ class TestGaleRyserBound:
 
 class TestRealizationLayout:
     def test_derived_views(self):
-        g = BipartiteRealization.from_neighbors(3, ((0, 2), (), (1,)))
+        g = pack(3, ((0, 2), (), (1,)))
         assert g.u_count == 3
         assert g.u_degrees() == (2, 0, 1) and g.v_degrees() == (1, 1, 1)
         assert g.sorted_edges() == [(0, 0), (0, 2), (2, 1)]
         assert g.edges == frozenset(g.sorted_edges())
-
-    @pytest.mark.parametrize("neighbors", [((1, 0),), ((0, 0),), ((-1, 0),), ((0, 2),),
-                                           ((), (2,))])
-    def test_rejects_unsorted_repeated_or_out_of_range(self, neighbors):
-        with pytest.raises(ValueError):
-            BipartiteRealization.from_neighbors(2, neighbors)
 
     @pytest.mark.parametrize("v_count, error", [(-3, ValueError), (-1, ValueError),
                                                 (2.5, TypeError), (2.0, TypeError),
@@ -337,54 +321,15 @@ class TestRealizationLayout:
     def test_rejects_bad_v_count(self, v_count, error):
         # format_realization printed "p bipartite 2 -3 0" for v_count -3
         with pytest.raises(error):
-            BipartiteRealization.from_neighbors(v_count, ((), ()))
-
-    @pytest.mark.parametrize("neighbors", [
-        ((0.5,),),
-        (tuple(float(v) for v in range(12)),),  # one long interval of floats
-        ((), tuple(range(5)) + (5.0,) + tuple(range(6, 14))),  # a float inside one
-        ((Fraction(1),),)])
-    def test_rejects_non_integer_entries(self, neighbors):
-        # 0.5 was accepted, and v_degrees then failed; 5.0 == 5 passed the
-        # interval comparison
-        with pytest.raises(TypeError):
-            BipartiteRealization.from_neighbors(14, neighbors)
-
-    @pytest.mark.parametrize("row", [(False, True), (0, True), (True,), (False,),
-                                     (False, 1), (True, 2, 3)])
-    def test_rejects_bool_entries(self, row):
-        # a sum of bools is an int, so the type check let these through and
-        # sorted_edges() held (0, False)
-        with pytest.raises(TypeError):
-            BipartiteRealization.from_neighbors(4, ((2, 3), row))
-
-    @pytest.mark.parametrize("row, error", [
-        # bools at entry 0 or 1, in order or not, or after an entry out of order
-        ((0, False), TypeError), ((True, 0), TypeError), ((1, True), TypeError),
-        ((False, 1), TypeError), ((0, True), TypeError), ((True, 2, 3), TypeError),
-        ((5, 3, True), TypeError), ((0, 1, 2, True), TypeError),
-        # floats and Fractions, in order or not
-        ((0.5,), TypeError), ((0, 1.0), TypeError), ((3.0, 2), TypeError),
-        ((Fraction(1),), TypeError), ((4, Fraction(3)), TypeError),
-        ((0, 1, 2, 2.5), TypeError),
-        # out of order, repeated, out of range, negative
-        ((2, 1), ValueError), ((1, 1), ValueError), ((3, 10), ValueError),
-        ((-1, 0), ValueError), ((-2,), ValueError), (tuple(range(9)) + (8,), ValueError),
-        ((5, 0, 1, 2), ValueError), ((0, 1, 3, 3), ValueError),
-    ])
-    def test_tuple_constructor_error_types(self, row, error):
-        # TypeError for a non-int entry wherever it sits, even in a row
-        # out of order; ValueError for an int row out of order or range.
-        # The first faulty row is the one reported
-        with pytest.raises(error, match="^u-vertex 1: "):
-            BipartiteRealization.from_neighbors(10, ((0, 1), row, (2,), row))
+            BipartiteRealization(v_count, (0, 0))
 
     def test_accepts_zero_and_one(self):
-        g = BipartiteRealization.from_neighbors(2, ((0, 1), (1,), (0,)))
-        assert g.neighbors == ((0, 1), (1,), (0,)) and g.v_degrees() == (2, 2)
+        g = pack(2, ((0, 1), (1,), (0,)))
+        assert g.sorted_edges() == [(0, 0), (0, 1), (1, 1), (2, 0)]
+        assert g.v_degrees() == (2, 2)
 
     def test_v_count_zero_with_empty_rows(self):
-        g = BipartiteRealization.from_neighbors(0, ((), ()))
+        g = pack(0, ((), ()))
         assert g.v_degrees() == () and format_realization(g) == "p bipartite 2 0 0"
 
 
@@ -437,15 +382,9 @@ def round_robin_graphs():
                     yield offset + b_count, rows + tuple(prefix | row for row in rows)
 
 
-def per_bit_rows(v_count, rows):
-    """The increasing tuple of set bits of each bitset row, read bit by bit."""
-    return tuple(tuple(v for v in range(v_count) if row >> v & 1) for row in rows)
-
-
 class TestIntervalKernels:
     """``v_degrees`` reads a row by its runs of consecutive v-indices and
-    must agree with a per-entry count; the tuple rows' check must reject
-    every row a per-entry pass rejects, wherever its fault sits."""
+    must agree with a per-entry count."""
 
     @given(interval_graph())
     @settings(max_examples=400, deadline=None)
@@ -456,7 +395,7 @@ class TestIntervalKernels:
     @example((64, (tuple(range(20)) + tuple(range(21, 64)), tuple(range(0, 64, 2)))))
     def test_v_degrees_match_per_entry_count(self, graph):
         v_count, rows = graph
-        g = BipartiteRealization.from_neighbors(v_count, rows)
+        g = pack(v_count, rows)
         assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
 
     @given(st.lists(interval_row(), min_size=1, max_size=4), st.data())
@@ -466,59 +405,19 @@ class TestIntervalKernels:
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
         rows = tuple(pool[i] for i in picks)
         v_count = max((row[-1] + 1 for row in pool if row), default=0)
-        g = BipartiteRealization.from_neighbors(v_count, rows)
-        copies = BipartiteRealization.from_neighbors(
-            v_count, tuple(tuple(list(row)) for row in rows))
-        assert g.v_degrees() == per_entry_v_degrees(v_count, rows) == copies.v_degrees()
+        g = pack(v_count, rows)
+        assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
 
     def test_round_robin_rows(self):
         checked = 0
         for v_count, bit_rows in round_robin_graphs():
-            rows = per_bit_rows(v_count, bit_rows)
             g = BipartiteRealization(v_count, bit_rows)
-            assert BipartiteRealization.from_neighbors(v_count, rows) == g
-            assert g.neighbors == rows
+            rows = decoded_rows(g)
+            assert pack(v_count, rows) == g
+            assert g.sorted_edges() == [(u, v) for u, row in enumerate(rows) for v in row]
             assert g.v_degrees() == per_entry_v_degrees(v_count, rows), (v_count, rows)
             checked += 1
         assert checked > 100
-
-    @pytest.mark.parametrize("row", [
-        (0, 2, 1, 3), (0, 1, 3, 2, 4),
-        # two long intervals, one swapped pair inside the first or the second
-        tuple(range(10)) + (11, 10) + tuple(range(12, 40)) + tuple(range(50, 90)),
-        tuple(range(40)) + tuple(range(50, 70)) + (71, 70) + tuple(range(72, 90)),
-        # a swapped pair across the join, right after a long interval
-        tuple(range(39)) + (50, 39) + tuple(range(51, 90)),
-        # intervals that overlap or touch at the join: only the join fails
-        tuple(range(30)) + tuple(range(20, 50)),
-        tuple(range(30)) + tuple(range(29, 60)),
-        # a long interval, then a repeated entry in the short tail
-        tuple(range(40)) + (45, 47, 47, 52),
-        # a long interval with a value past its end in the middle
-        tuple(range(20)) + (25,) + tuple(range(21, 60)),
-    ])
-    def test_rejects_rows_with_endpoints_in_range(self, row):
-        assert 0 <= row[0] and row[-1] < 100
-        with pytest.raises(ValueError):
-            BipartiteRealization.from_neighbors(100, ((0, 1), row))
-
-    @given(interval_graph(), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_rejects_one_swapped_or_repeated_entry(self, graph, data):
-        v_count, rows = graph
-        long_rows = [i for i, row in enumerate(rows) if len(row) >= 3]
-        if not long_rows:
-            return
-        i = data.draw(st.sampled_from(long_rows))
-        row = list(rows[i])
-        q = data.draw(st.integers(1, len(row) - 2))  # row[0] stays, all in range
-        if data.draw(st.booleans()):
-            row[q], row[q + 1] = row[q + 1], row[q]
-        else:
-            row[q] = row[q + 1]
-        bad = rows[:i] + (tuple(row),) + rows[i + 1:]
-        with pytest.raises(ValueError):
-            BipartiteRealization.from_neighbors(v_count, bad)
 
 
 def bits(values):
@@ -594,8 +493,8 @@ class TestFromIntervals:
     """The constructor takes rows as int bitsets, as the realizer, the lift
     and the round-robin blocks build them from ranges and set bits, and
     checks each row in O(1): an int, not a bool (TypeError), with
-    0 <= row < 1 << v_count (ValueError).  It must build what
-    ``from_neighbors`` builds from the same entries."""
+    0 <= row < 1 << v_count (ValueError).  It must build what the
+    test-local packer builds from the same entries, and read them back."""
 
     @given(interval_graph())
     @settings(max_examples=300, deadline=None)
@@ -608,17 +507,22 @@ class TestFromIntervals:
     def test_matches_tuple_constructor(self, graph):
         v_count, rows = graph
         g = BipartiteRealization(v_count, [bits(row) for row in rows])
-        expected = BipartiteRealization.from_neighbors(v_count, rows)
-        assert g == expected and g.neighbors == rows
+        assert g == pack(v_count, rows) and decoded_rows(g) == rows
+        assert g.sorted_edges() == [(u, v) for u, row in enumerate(rows) for v in row]
         assert g.u_degrees() == tuple(map(len, rows))
         assert g.v_degrees() == per_entry_v_degrees(v_count, rows)
 
-    def test_repeated_row_object_is_built_once(self):
-        # equal rows are decoded once and share one neighbors tuple
+    def test_repeated_row_object_is_built_once(self, monkeypatch):
+        # sorted_edges decodes equal rows once
+        decode = gale_ryser._decode_bits
+        calls = []
+        monkeypatch.setattr(gale_ryser, "_decode_bits",
+                            lambda bits, names: calls.append(bits) or decode(bits, names))
         row = bits((2, 3, 4, 7, 9))
         g = BipartiteRealization(10, (row, 0b10, row))
-        assert g.neighbors == ((2, 3, 4, 7, 9), (1,), (2, 3, 4, 7, 9))
-        assert g.neighbors[0] is g.neighbors[2]
+        assert g.sorted_edges() == [(0, 2), (0, 3), (0, 4), (0, 7), (0, 9), (1, 1),
+                                    (2, 2), (2, 3), (2, 4), (2, 7), (2, 9)]
+        assert sorted(calls) == sorted({row, 0b10})
         bad = 1 << 10
         with pytest.raises(ValueError, match="^u-vertex 1: "):
             BipartiteRealization(10, (0b11, bad, bad))
@@ -629,7 +533,8 @@ class TestFromIntervals:
             return bits(range(20 * i, 20 * i + 4)) | bits(range(20 * i + 5, 20 * i + 9))
         g = BipartiteRealization(200, (row(i) for i in range(8)))
         assert g.rows == tuple(row(i) for i in range(8))
-        assert g.neighbors == per_bit_rows(200, g.rows)
+        assert decoded_rows(g) == tuple(tuple(range(20 * i, 20 * i + 4))
+                                        + tuple(range(20 * i + 5, 20 * i + 9)) for i in range(8))
 
     @pytest.mark.parametrize("row", BAD_ROWS, ids=[f"row{i}" for i in range(len(BAD_ROWS))])
     def test_rejects_bad_pieces(self, row):
@@ -639,13 +544,13 @@ class TestFromIntervals:
     @pytest.mark.parametrize("piece", [(0, 1), (), [0, 1], 3.0, Fraction(3),
                                        True, False, None, "3"])
     def test_rejects_non_integer_pieces(self, piece):
-        # a tuple is no row here: ``from_neighbors`` takes rows of entries
+        # a tuple is no row: a row is an int bitset
         with pytest.raises(TypeError, match="^u-vertex 1: "):
             BipartiteRealization(10, (0b11, piece))
 
     def test_an_int_is_a_bitset_piece(self):
         g = BipartiteRealization(10, (0b11, 3))
-        assert g.neighbors == ((0, 1), (0, 1))
+        assert g.sorted_edges() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("v_count, error", [(True, TypeError), (2.0, TypeError),
                                                 (2.5, TypeError), (-1, ValueError)])
@@ -661,18 +566,20 @@ class TestHingeFlip:
             hinge_flip(g, 0, 1, 0)
 
     def test_direct_move(self):
-        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
+        g = pack(2, ((0, 1), ()))
         assert hinge_flip(g, 0, 1, 1).edges == frozenset({(0, 0), (1, 1)})
 
     def test_degree_bookkeeping(self):
-        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
+        g = pack(2, ((0, 1), ()))
         flipped = hinge_flip(g, 0, 1, 1)
         assert g.u_degrees() == (2, 0) and flipped.u_degrees() == (1, 1)
         assert flipped.v_degrees() == g.v_degrees()
 
-    @pytest.mark.parametrize("u", [-1, 2])
+    @pytest.mark.parametrize("u", [-1, 2, True, False, 1.0, 0.0, "1", None])
     def test_u_out_of_range(self, u):
-        g = BipartiteRealization.from_neighbors(2, ((0, 1), ()))
+        # a bool or a float is no u-vertex: (0, True) moved the edge to
+        # u-vertex 1, and a float raised a bare TypeError
+        g = pack(2, ((0, 1), ()))
         for u1, u2 in ((u, 1), (0, u)):
             with pytest.raises(InvalidMoveError):
                 hinge_flip(g, u1, u2, 0)
@@ -682,30 +589,29 @@ class TestHingeFlip:
         # no row; the expected graphs come from per-entry tuple rows
         g = construct_realization((3, 3, 2, 1, 1), (2, 2, 2, 2, 2))
         want = {}
-        for u1, nbrs in enumerate(g.neighbors):
+        neighbors = decoded_rows(g)
+        for u1, nbrs in enumerate(neighbors):
             for u2 in range(g.u_count):
-                for v in set(nbrs) - set(g.neighbors[u2]):
-                    rows = [list(r) for r in g.neighbors]
+                for v in set(nbrs) - set(neighbors[u2]):
+                    rows = [list(r) for r in neighbors]
                     rows[u1].remove(v)
                     rows[u2] = sorted(rows[u2] + [v])
-                    want[u1, u2, v] = BipartiteRealization.from_neighbors(
-                        g.v_count, tuple(map(tuple, rows)))
+                    want[u1, u2, v] = pack(g.v_count, rows)
         assert len(want) > 10
-        g = BipartiteRealization(g.v_count, g.rows)  # no decoded rows cached
 
         def no_decode(*args):
             raise AssertionError("_decode_bits called")
         monkeypatch.setattr(gale_ryser, "_decode_bits", no_decode)
         for (u1, u2, v), expected in want.items():
             flipped = hinge_flip(g, u1, u2, v)
-            assert flipped == expected and "neighbors" not in vars(flipped)
+            assert flipped == expected
             assert all(flipped.rows[u] == g.rows[u]
                        for u in range(g.u_count) if u not in (u1, u2))
 
     def test_bool_and_out_of_range_v_raise(self):
         # v is checked before any shift: a bool, a float, a string, a
         # negative v and one far past v_count are all refused
-        g = BipartiteRealization.from_neighbors(3, ((0, 1, 2), ()))
+        g = pack(3, ((0, 1, 2), ()))
         for v in (True, False, 1.0, "1", None, -1, 3, 10 ** 12):
             with pytest.raises(InvalidMoveError, match="need an int v in range"):
                 hinge_flip(g, 0, 1, v)
@@ -722,11 +628,11 @@ class TestBalancingHingeFlip:
         with pytest.raises(InvalidMoveError):
             balancing_hinge_flip(g, 0, 1)
 
-    @pytest.mark.parametrize("u", [-1, 3])
+    @pytest.mark.parametrize("u", [-1, 3, True, False, 1.0, 0.0, "1", None])
     def test_u_out_of_range(self, u):
         # i = -1 would wrap to u_2, whose degree 0 meets the precondition
-        # against u_0's degree 3
-        g = BipartiteRealization.from_neighbors(3, ((0, 1, 2), (), ()))
+        # against u_0's degree 3; so would i = True, as u_1
+        g = pack(3, ((0, 1, 2), (), ()))
         for i, j in ((u, 0), (1, u)):
             with pytest.raises(InvalidMoveError):
                 balancing_hinge_flip(g, i, j)
@@ -734,7 +640,7 @@ class TestBalancingHingeFlip:
     def test_no_eligible_v_raises(self, monkeypatch):
         # degrees that claim a gap the edges do not have: the pigeonhole
         # argument fails, and the flip raises rather than returning
-        g = BipartiteRealization.from_neighbors(1, ((0,), (0,)))
+        g = pack(1, ((0,), (0,)))
         monkeypatch.setattr(BipartiteRealization, "u_degrees", lambda self: (0, 2))
         with pytest.raises(InvariantError):
             balancing_hinge_flip(g, 0, 1)
@@ -753,5 +659,5 @@ class TestBalancingHingeFlip:
 
 class TestFormat:
     def test_header_and_edges(self):
-        g = BipartiteRealization.from_neighbors(2, ((0, 1),))
+        g = pack(2, ((0, 1),))
         assert format_realization(g) == "p bipartite 1 2 2\n0 0\n0 1"

@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdr import DegreeSequence, ParamBounds, build_hard_instance, oracle
+from bdr import (DegreeSequence, ParamBounds, build_hard_instance, oracle,
+                 verify_reduction_roundtrip)
 from bdr.errors import BudgetExceededError
 from bdr.oracle import (brute_force_bipartite_realizable,
                         exhaustive_graph_search, exhaustive_pair_search)
@@ -106,6 +107,23 @@ class TestLimits:
         seq = [17, 13, 11, 9, 7, 5, 3, 2, 2, 1]
         with pytest.raises(BudgetExceededError):
             brute_force_bipartite_realizable(DegreeSequence(seq), budget=1)
+
+    @pytest.mark.parametrize("budget, error", [
+        (-1, ValueError), (2.5, TypeError), (2.0, TypeError), (True, TypeError),
+        (False, TypeError), ("3", TypeError), (Fraction(2), TypeError)])
+    def test_bad_budget_rejected_before_search(self, budget, error):
+        # budget -1 raised "examined more than -1 split count vectors"; the
+        # budget is now refused before the count walk starts, also by the
+        # round trip, which hands it to the oracle
+        def no_search(*args):
+            raise AssertionError("search started")
+        with mock.patch.object(oracle, "count_vector_walk", no_search):
+            with pytest.raises(error):
+                brute_force_bipartite_realizable(DegreeSequence((2, 2, 1, 1)), budget=budget)
+            with pytest.raises(error):
+                verify_reduction_roundtrip(DegreeSequence((2, 2, 1, 1)),
+                                           ParamBounds(Fraction(1, 10), Fraction(2, 5)),
+                                           budget=budget)
 
     def test_memory_within_the_split_walk_bound(self):
         # 1..400: 400 runs, their suffix bitsets checkpointed in blocks

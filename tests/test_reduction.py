@@ -17,10 +17,11 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
                  semiregular_bipartite, verify_reduction_roundtrip)
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
+from bdr import gale_ryser
 from bdr.gale_ryser import BipartiteRealization, construct_realization, hinge_flip
 from bdr.oracle import brute_force_bipartite_realizable
 from bdr.reduction import _round_robin_rows, _sqrt_floor_ceil
-from conftest import reduction_corpus
+from conftest import decoded_rows, pack, reduction_corpus
 
 F = Fraction
 HARD = ParamBounds(F(1, 10), F(2, 5))
@@ -320,13 +321,11 @@ try:
     sys.exit("inadmissible padding accepted")
 except ReductionInvariantError:
     pass
-for build in (lambda: BipartiteRealization(2, (0b101,)),
-              lambda: BipartiteRealization.from_neighbors(2, ((0, 2),))):
-    try:
-        build()
-        sys.exit("out-of-range neighbor accepted")
-    except ValueError:
-        pass
+try:
+    BipartiteRealization(2, (0b101,))
+    sys.exit("out-of-range neighbor accepted")
+except ValueError:
+    pass
 # a count walk whose first key puts nothing on U
 bdr.partition._count_walk = lambda sigma, runs: lambda: iter([0])
 try:
@@ -402,7 +401,7 @@ class TestSemiregular:
                     assert g.u_degrees() == (a_deg,) * a_count
                     assert g.v_degrees() == (b_deg,) * b_count
                     assert len(g.edges) == a_count * a_deg
-                    assert g.neighbors == tuple(
+                    assert decoded_rows(g) == tuple(
                         tuple(sorted((i * a_deg + t) % b_count for t in range(a_deg)))
                         for i in range(a_count))
                     checked += 1
@@ -460,9 +459,7 @@ class TestLiftProject:
         if flip is None:
             u, v = next((u, v) for u, v in lifted.sorted_edges()
                         if u_deg[u] != big and v_deg[v] != big)
-            neighbors = list(lifted.neighbors)
-            neighbors[u] = tuple(w for w in neighbors[u] if w != v)
-            tampered = BipartiteRealization.from_neighbors(lifted.v_count, tuple(neighbors))
+            tampered = without_edge(lifted, u, v)
         else:
             u1, u2, v = flip
             assert g.u_degrees()[u1] == 2 and u_deg[u2] == inst.small_value
@@ -499,12 +496,13 @@ def test_lift_project_every_bound():
             g = found.realization
             lifted = lift_realization(g, found.split, inst)
             # counted here, not by v_degrees, which the lift's own audit uses
-            v_counts = Counter(chain.from_iterable(lifted.neighbors))
+            rows = decoded_rows(lifted)
+            v_counts = Counter(chain.from_iterable(rows))
             v_deg = [v_counts[v] for v in range(lifted.v_count)]
-            assert sorted(list(map(len, lifted.neighbors)) + v_deg) == sorted(
+            assert sorted(list(map(len, rows)) + v_deg) == sorted(
                 inst.d_prime.degrees), (c1, c2, seq)
             back = project_realization(lifted, inst)
-            assert (back.neighbors, back.v_count) == (g.neighbors, g.v_count), (c1, c2, seq)
+            assert back == g, (c1, c2, seq)
             lifted_count += 1
     assert lifted_count == 38
 
@@ -513,8 +511,9 @@ def per_entry_projection(g_prime, inst):
     """``project_realization`` as it was when it removed the big v-vertices
     from each row entry by entry (``filterfalse``), with the degrees
     counted entry by entry too: the reference of the interval cut."""
-    u_deg = tuple(map(len, g_prime.neighbors))
-    v_counts = Counter(chain.from_iterable(g_prime.neighbors))
+    neighbors = decoded_rows(g_prime)
+    u_deg = tuple(map(len, neighbors))
+    v_counts = Counter(chain.from_iterable(neighbors))
     v_deg = tuple(v_counts[v] for v in range(g_prime.v_count))
     big = inst.big_value
     shift = inst.shift_base
@@ -525,7 +524,7 @@ def per_entry_projection(g_prime, inst):
             f"big-degree vertices split {u_deg.count(big)}/{len(big_v)}, "
             f"expected {expected_per_side} per side")
     residual_rows = tuple(() if d == big else tuple(filterfalse(big_v.__contains__, nbrs))
-                          for d, nbrs in zip(u_deg, g_prime.neighbors))
+                          for d, nbrs in zip(u_deg, neighbors))
     res_u = tuple(map(len, residual_rows))
     res_counts = Counter(chain.from_iterable(residual_rows))
     res_v = tuple(res_counts[v] for v in range(g_prime.v_count))
@@ -554,8 +553,7 @@ def per_entry_projection(g_prime, inst):
     if sum(u_deg[i] - shift for i in keep_u) * 2 != inst.S:
         raise ProjectionAuditError("shifted degrees do not split the source sum evenly")
     v_map = {old: new for new, old in enumerate(keep_v)}
-    return BipartiteRealization.from_neighbors(len(keep_v), tuple(
-        tuple(map(v_map.__getitem__, residual_rows[u])) for u in keep_u))
+    return pack(len(keep_v), [map(v_map.__getitem__, residual_rows[u]) for u in keep_u])
 
 
 def projection_or_error(project, g_prime, inst):
@@ -563,13 +561,13 @@ def projection_or_error(project, g_prime, inst):
         back = project(g_prime, inst)
     except ProjectionAuditError as exc:
         return "error", str(exc)
-    return back.v_count, back.neighbors
+    return back.v_count, decoded_rows(back)
 
 
 def without_edge(g, u, v):
-    neighbors = list(g.neighbors)
+    neighbors = list(decoded_rows(g))
     neighbors[u] = tuple(w for w in neighbors[u] if w != v)
-    return BipartiteRealization.from_neighbors(g.v_count, tuple(neighbors))
+    return pack(g.v_count, neighbors)
 
 
 def with_v_permuted(g, rng):
@@ -577,10 +575,7 @@ def with_v_permuted(g, rng):
     are scattered; equal rows stay equal."""
     perm = list(range(g.v_count))
     rng.shuffle(perm)
-    relabeled = {}
-    return BipartiteRealization.from_neighbors(g.v_count, tuple(
-        relabeled.setdefault(id(nbrs), tuple(sorted(map(perm.__getitem__, nbrs))))
-        for nbrs in g.neighbors))
+    return pack(g.v_count, [map(perm.__getitem__, nbrs) for nbrs in decoded_rows(g)])
 
 
 class TestProjectionMatchesPerEntry:
@@ -612,6 +607,27 @@ class TestProjectionMatchesPerEntry:
         # most single-edge removals break an audit
         assert outcomes[False] >= 2 * 38 and outcomes[True] > 0
 
+    def test_projects_without_decoding_a_row(self, monkeypatch):
+        # each kept row is compacted as a bitset: with the row decoder out
+        # of reach, every lifted graph of the plan projects to its source
+        # realization
+        def no_decode(*args):
+            raise AssertionError("_decode_bits called")
+        projected = 0
+        for (c1, c2), max_sum in BENCHMARK_PLAN.items():
+            for seq in reduction_corpus(max_sum):
+                inst = build_hard_instance(DegreeSequence(seq), ParamBounds(c1, c2))
+                found = decide_exact(inst.source)
+                if found.realization is None:
+                    continue
+                lifted = lift_realization(found.realization, found.split, inst)
+                with monkeypatch.context() as patch:
+                    patch.setattr(gale_ryser, "_decode_bits", no_decode)
+                    back = project_realization(lifted, inst)
+                assert back == found.realization, seq
+                projected += 1
+        assert projected == 38
+
     def test_tampered_graph(self):
         # the graph of TestLiftProject.test_project_rejects_tampered_graph,
         # plus removals that break the big-vertex split on either side
@@ -629,9 +645,10 @@ class TestProjectionMatchesPerEntry:
             assert got == projection_or_error(per_entry_projection, g, inst), kind
 
 
-# sha256 over repr((source, v_count, neighbors)) of each lifted graph of
-# the benchmark's plan, realizable sources in corpus order, as the lift
-# built them when it went through the checked tuple constructor
+# sha256 over repr((source, v_count, rows)) of each lifted graph of the
+# benchmark's plan, realizable sources in corpus order, each row the
+# increasing tuple of its v-indices, as the lift built them when it went
+# through a checked tuple constructor
 LIFT_DIGESTS = {
     (F(1, 10), F(2, 5)): "320789c3e32b8a6af9307253beea27a8e407bcb2f87edce6809cf12339024eac",
     (F(1, 20), F(9, 20)): "586cb73c14e164a5ce6c0569f1d4cf1edf8e27cc928c03fb393a82ea34498978",
@@ -641,9 +658,9 @@ LIFT_DIGESTS = {
 
 @pytest.mark.parametrize("c1, c2", list(LIFT_DIGESTS))
 def test_lifted_graphs_are_golden(c1, c2):
-    """The lift builds the same neighbor tuples, byte for byte, as when it
-    built them through the checked tuple constructor, and each passes
-    ``from_neighbors``' checks."""
+    """The lift builds the same rows, byte for byte, as when it built them
+    through a checked tuple constructor; they are read back bit by bit
+    (``decoded_rows``), so the digest does not depend on ``_decode_bits``."""
     digest = hashlib.sha256()
     for seq in reduction_corpus(BENCHMARK_PLAN[c1, c2]):
         inst = build_hard_instance(DegreeSequence(seq), ParamBounds(c1, c2))
@@ -651,8 +668,7 @@ def test_lifted_graphs_are_golden(c1, c2):
         if found.realization is None:
             continue
         lifted = lift_realization(found.realization, found.split, inst)
-        assert BipartiteRealization.from_neighbors(lifted.v_count, lifted.neighbors) == lifted, seq
-        digest.update(repr((seq, lifted.v_count, lifted.neighbors)).encode())
+        digest.update(repr((seq, lifted.v_count, decoded_rows(lifted))).encode())
     assert digest.hexdigest() == LIFT_DIGESTS[c1, c2]
 
 
