@@ -17,6 +17,7 @@ import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterable
 
 from . import core, decider, gale_ryser, oracle, partition, reduction
 from .lbds import lbds as compute_lbds
@@ -46,46 +47,42 @@ def _read_pair(path: str) -> list[tuple[int, ...]]:
     return [core.parse_sequence(line).degrees for line in lines]
 
 
-def _emit_decision(decision: decider.Decision) -> None:
-    """Write the decision as ``_emit`` would, with sorted keys, but render the
-    edge list straight from the realization's row bitsets.  "realization"
-    is the first key in sorted order, so the edges come before the dump of
-    the other keys."""
-    split = None
-    if decision.split is not None:
-        split = {"u_indices": list(decision.split.u),
-                 "v_indices": list(decision.split.v)}
-    rest = json.dumps({
-        "verdict": decision.verdict,
-        "reason": decision.reason,
-        "split": split,
-        "region": decision.region.value if decision.region is not None else None,
-    }, sort_keys=True)
-    out = sys.stdout
-    if decision.realization is None:
-        out.write('{"realization": null')
-    else:
-        out.write('{"realization": [')
-        chunks = gale_ryser.edge_chunks(decision.realization, "[{}, ", "]", ", ")
-        out.write(next(chunks, ""))
-        for chunk in chunks:
-            out.write(", ")
-            out.write(chunk)
-        out.write("]")
-    out.write(", " + rest[1:] + "\n")
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(payload: dict, key: str | None = None, items: Iterable[str] = ()) -> None:
+    """Print ``json.dumps({**payload, key: [...]}, sort_keys=True)``, the
+    list being the JSON texts ``items``, each written as it comes (no
+    ``key``: ``payload`` alone).  One sorting encoder dumps every value:
+    ``json.dumps(..., sort_keys=True)`` would build one per value."""
+    dump = json.JSONEncoder(sort_keys=True).encode
+    out, sep = sys.stdout, "{"
+    for name in sorted(payload if key is None else {*payload, key}):
+        out.write(f"{sep}{dump(name)}: ")
+        sep = ", "
+        if name == key:
+            out.write("[")
+            for i, chunk in enumerate(items):
+                out.write(", " if i else "")
+                out.write(chunk)
+            out.write("]")
+        else:
+            out.write(dump(payload[name]))
+    out.write("}\n" if sep == ", " else "{}\n")
 
 
 def run_decide(args) -> int:
     ds = _read_sequence(args.file)
     decision = decider.decide_bdr(ds, ParamBounds(args.c1, args.c2))
+    region = decision.region  # decide_exact knows no region
     if decision.verdict == "Undecided" and args.exact:
-        decision = decider.decide_exact(ds, budget=args.budget).with_region(
-            decision.region)
-    _emit_decision(decision)
+        decision = decider.decide_exact(ds, budget=args.budget)
+    split, g = decision.split, decision.realization
+    payload = {"verdict": decision.verdict, "reason": decision.reason, "realization": None,
+               "split": None if split is None else {"u_indices": list(split.u),
+                                                    "v_indices": list(split.v)},
+               "region": None if region is None else region.value}
+    if g is None:
+        _emit(payload)
+    else:
+        _emit(payload, "realization", gale_ryser.edge_chunks(g, "[{}, ", "]", ", "))
     return {"Bipartite": EXIT_BIPARTITE,
             "NotBipartite": EXIT_NOT_BIPARTITE,
             "Undecided": EXIT_UNDECIDED}[decision.verdict]
@@ -108,23 +105,21 @@ def run_lbds(args) -> int:
 
 
 def run_reduce(args) -> int:
-    """Write the instance as ``_emit`` would.  "roles" is the last key in
-    sorted order, so it is appended to the dump of the other keys, and each
-    distinct ``Role`` object, most of them shared, is rendered once."""
+    """Write the instance; each distinct ``Role`` object, most of them
+    shared, is rendered once."""
     ds = _read_sequence(args.file)
     inst = reduction.build_hard_instance(ds, ParamBounds(args.c1, args.c2))
-    rest = json.dumps({
+    roles = inst.roles
+    # keys already in sorted order, so no sort_keys (and its fresh encoder)
+    text = {key: json.dumps({"kind": role.kind, "source_index": role.source_index})
+            for key, role in dict(zip(map(id, roles), roles)).items()}
+    _emit({
         "r": str(inst.r),
         "c1_tilde": str(inst.c1_tilde),
         "c2_tilde": str(inst.c2_tilde),
         "n": inst.n,
         "d_prime": list(inst.d_prime.degrees),
-    }, sort_keys=True)
-    roles = inst.roles
-    # keys already in sorted order, so no sort_keys (and its fresh encoder)
-    text = {key: json.dumps({"kind": role.kind, "source_index": role.source_index})
-            for key, role in dict(zip(map(id, roles), roles)).items()}
-    print(rest[:-1] + ', "roles": [' + ", ".join(map(text.__getitem__, map(id, roles))) + "]}")
+    }, "roles", [", ".join(map(text.__getitem__, map(id, roles)))])
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, check_budget, in_class
@@ -47,9 +47,6 @@ class Decision:
     split: SplitWitness | None = None
     realization: BipartiteRealization | None = None
     region: RegionClass | None = None
-
-    def with_region(self, region: RegionClass) -> "Decision":
-        return Decision(self.verdict, self.reason, self.split, self.realization, region)
 
 
 def classify_region(bounds: ParamBounds) -> RegionClass:
@@ -159,7 +156,7 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     region = classify_region(bounds)
     pre = precheck(ds)
     if pre is not None:
-        return pre.with_region(region)
+        return replace(pre, region=region)
     if region is RegionClass.LOW_TRACTABLE:
         split = balanced_split(ds) or find_equal_sum_split(ds)
         if split is None:
@@ -253,7 +250,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
             raise BudgetExceededError(budget, limit // 2 + 1, "equal-sum splits")
         return False
 
-    key = next(_count_walk(ds.sigma, runs)(live), None)
+    key = next(_count_walk(ds.sigma, runs, live), None)
     if key is None:
         # every split lies in a cut subtree, if there is any
         return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")

@@ -7,11 +7,13 @@ so a step costs O(|V|)-bit operations per residual level it touches.
 
 A realization is its rows, its only form: one int bitset per u-vertex,
 bit v set when (u, v) is an edge, each checked in O(1) by the
-constructor.  Only ``sorted_edges`` decodes rows (``_decode_bits``).  A
-row is read by its runs of set bits, counted in O(1) int operations from
+constructor.  One decoder, ``_decode_bits``, reads a row into the entries
+of a table indexed by v: ``edge_chunks`` into the v-index strings it
+renders, ``sorted_edges`` into the v-indices of its (u, v) pairs.  A row
+is read by its runs of set bits, counted in O(1) int operations from
 ``bits ^ bits << 1`` (``_runs``): a row of at most ``SLICED_RUNS`` runs
-is that many slices of a table indexed by v, any other one ``compress``
-pass over that table with the flags of ``bin(row)``.
+is that many slices of the table, any other one ``compress`` pass over
+it with the flags of ``bin(row)``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _runs(bits: int) -> list[tuple[int, int]] | None:
     return runs
 
 
-def _decode_bits(bits: int, names: tuple[int, ...]) -> tuple[int, ...]:
+def _decode_bits(bits: int, names: tuple) -> tuple:
     """The entries of ``names`` (at least bits.bit_length() of them) at the
     set bits of ``bits`` >= 0, lowest first: for at most ``SLICED_RUNS``
     runs that many slices of ``names``, joined once, else one ``compress``
@@ -395,27 +397,19 @@ def balancing_hinge_flip(g: BipartiteRealization, i: int, j: int) -> BipartiteRe
 def edge_chunks(g: BipartiteRealization, head: str, tail: str,
                 sep: str) -> Iterator[str]:
     """Render the edges in (u, v) order straight from the row bitsets,
-    building no (u, v) pair and no row tuple.
+    building no (u, v) pair.
 
     Edge (u, v) reads ``head.format(u) + str(v) + tail``.  One chunk is
     yielded per u-vertex with edges, its edges separated by ``sep``; joined
     by ``sep``, the chunks give the whole edge list.  Each v-index is
-    rendered once, with ``tail``, into a table.  A row of at most
-    ``SLICED_RUNS`` runs of set bits (``_runs``) takes its strings as that
-    many slices of the table; any other row by one ``compress`` pass over
-    it with the flags of ``bin(row)``.
+    rendered once, with ``tail``, into a table, and each row takes its
+    strings from that table by ``_decode_bits``.
     """
-    names = [str(v) + tail for v in range(g.v_count)]
+    names = tuple(str(v) + tail for v in range(g.v_count))
     for u, row in enumerate(g.rows):
         if row:
             first = head.format(u)
-            glue = sep + first
-            runs = _runs(row)
-            if runs is None:
-                body = glue.join(compress(names, _flags(row)))
-            else:
-                body = glue.join([glue.join(names[start:stop]) for start, stop in runs])
-            yield first + body
+            yield first + (sep + first).join(_decode_bits(row, names))
 
 
 def format_realization(g: BipartiteRealization) -> str:

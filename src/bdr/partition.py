@@ -15,8 +15,8 @@ yields the U count vectors over the distinct nonzero degrees, keyed in
 mixed radix over their (value, count) runs (``count_runs`` decodes a key),
 and enters only subtrees that hold one: it is pruned on the run DP's
 suffix bitsets, checkpointed in blocks sized by ``_block`` so that it
-keeps O(sqrt(m)*sigma) bits (m nonzero degrees), and can be walked as
-often as asked on one set of bitsets (``_count_walk``).  Before any walk,
+keeps O(sqrt(m)*sigma) bits (m nonzero degrees), and is one generator
+that builds its bitsets when it starts (``_count_walk``).  Before any walk,
 ``decide_exact`` runs one bounded subset sum with a count dimension,
 one bitset of sums per U size (``size_feasible_keys``): it proposes one
 count vector per U size whose two sides meet Gale–Ryser at k = 1, and
@@ -24,12 +24,11 @@ when there is none the input is NotBipartite.  Only if no proposal passes
 Gale–Ryser does ``decide_exact`` walk the count vectors, with a bound
 that drops subtrees without a bigraphic count vector, and build its
 witness from the first that passes; ``count_vector_walk`` stays unpruned
-for the oracle, and
-``enumerate_equal_sum_splits`` expands its count vectors into index sets.
-A split is its two index tuples, U and V, each increasing.  Zero degrees
-are never part of a subset key: ``split_with_u`` puts every one of them on
-the U side, for every split this module returns, and checks that the two
-sides' sums are equal.
+for the oracle, and ``enumerate_equal_sum_splits`` expands its count
+vectors into index sets.  A split is its two index tuples, U and V, each
+increasing.  Zero degrees are never part of a subset key: ``split_with_u``
+puts every one of them on the U side, for every split this module
+returns, and checks that the two sides' sums are equal.
 """
 
 from __future__ import annotations
@@ -113,17 +112,22 @@ def balanced_split(ds: DegreeSequence) -> SplitWitness | None:
     return split_with_u(ds, sides[0])
 
 
-def _run_sums(runs: Iterable[tuple[int, int]], target: int, reach: int = 1) -> Iterator[int]:
+def _run_sums(runs: Iterable[tuple[int, int]], mask: int, reach: int = 1) -> Iterator[int]:
     """For each prefix of the (value, count) ``runs``, the empty one first,
-    the bitset of the sums a + t up to ``target``, a in ``reach`` ({0} by
-    default) and t made of the prefix, each value at most its count times."""
-    cap = (1 << (target + 1)) - 1
-    reach &= cap
+    the bitset of the sums a + t in ``mask``, a in ``reach`` ({0} by
+    default) and t made of the prefix, each value at most its count times;
+    ``(2 << target) - 1`` masks the sums up to ``target``."""
+    reach &= mask
     yield reach
     for v, c in runs:
         for take in _binary_parts(c):
-            reach |= reach << take * v & cap
+            reach |= reach << take * v & mask
         yield reach
+
+
+def _as_bytes(bits: int) -> bytes:
+    """``bits`` >= 0 as little-endian bytes, at least one: bit x is bit x & 7 of byte x >> 3."""
+    return bits.to_bytes((bits.bit_length() >> 3) + 1, "little")
 
 
 # The most bits ``size_feasible_keys`` may hold in its tables: 2**23 bits,
@@ -151,14 +155,15 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
     side.  So s ranges over f(s) <= s <= min(m/2, m - max degree), and one
     table answers every s: row c holds the bitset of the sums of c degrees
     from the runs of value at most s, each run bounded by its count, the
-    runs added in ascending value as s grows, each count in binary parts
-    as in ``_run_sums``.  Of the size-feasible count vectors of size s,
-    the one the count walk meets first takes every run above s whole and,
-    for the runs at most s from the largest down, the largest count that
-    the table of the runs below it completes; the table after each run is
-    kept to rebuild it.  A size whose count of degrees at most s cannot
-    make its sum (each is at least 1 and at most s) asks nothing of the
-    table, and when no size is left nothing is built.
+    runs added in ascending value as s grows by ``_run_sums`` (a degree of
+    value v shifts a table of rows of W bits, below, by W + v).  Of the
+    size-feasible count vectors of size s, the one the count walk meets
+    first takes every run above s whole and, for the runs at most s from
+    the largest down, the largest count that the table of the runs below
+    it completes; the table after each run is kept to rebuild it.  A size
+    whose count of degrees at most s cannot make its sum (each is at least
+    1 and at most s) asks nothing of the table, and when no size is left
+    nothing is built.
 
     Cost: a table has R rows of W bits, R - 1 the largest count asked (at
     most m/2) and W - 1 - g the largest sum asked (at most sigma/2); g,
@@ -190,13 +195,13 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
     rows += 1
     places = _places(runs)
     # runs free..d-1, those of value at most the last s, ascending: value,
-    # count, the binary parts of the count a row can use, and mixed-radix place
+    # count, the count a row can use, and mixed-radix place
     up = []
     guard = 0  # the most that one run adds to a sum
     for i in range(len(runs) - 1, free - 1, -1):
         v, c = runs[i]
         usable = min(c, cap // v, rows - 1)
-        up.append((v, c, _binary_parts(usable), places[i]))
+        up.append((v, c, usable, places[i]))
         guard = max(guard, v * usable)
     width = cap + 1 + guard
     if (len(up) + 2) * rows * width > SIZE_DP_BITS:
@@ -210,13 +215,11 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
     whole = places[-1] * (runs[-1][1] + 1) - 1 if runs else 0  # every run on U
 
     def keys() -> Iterator[int]:
-        table, tables = 1, [b"\x01"]  # tables[j]: after runs up[0..j-1], as bytes
+        sums = _run_sums([(width + v, usable) for v, _, usable, _ in up], valid)
+        tables = [_as_bytes(next(sums))]  # tables[j]: after runs up[0..j-1]
         for s, c, t in asks:
             while len(tables) <= len(up) and up[len(tables) - 1][0] <= s:
-                v, _, parts, _ = up[len(tables) - 1]
-                for take in parts:
-                    table = (table | table << take * (width + v)) & valid
-                tables.append(table.to_bytes((table.bit_length() >> 3) + 1, "little"))
+                tables.append(_as_bytes(next(sums)))
             x = c * width + t
             row = tables[-1]
             if not (x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1):
@@ -281,7 +284,7 @@ def equal_sum_split_exists(ds: DegreeSequence) -> bool:
     if sigma % 2 != 0:
         return False
     target = sigma // 2
-    *_, reach = _run_sums(_value_runs(ds.degrees), target)
+    *_, reach = _run_sums(_value_runs(ds.degrees), (2 << target) - 1)
     return bool(reach >> target & 1)
 
 
@@ -292,7 +295,7 @@ def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
     each value's lowest indices (``split_of_key``).
     """
     runs = _value_runs(ds.degrees)
-    key = next(_count_walk(ds.sigma, runs)(), None)
+    key = next(_count_walk(ds.sigma, runs), None)
     return None if key is None else split_of_key(ds, runs, key)
 
 
@@ -335,16 +338,12 @@ def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterat
     independent checker of those verdicts exists.
     """
     runs = _value_runs(ds.degrees)
-    return runs, _count_walk(ds.sigma, runs)()
+    return runs, _count_walk(ds.sigma, runs)
 
 
-# live(i, rem, k) of the count walk; see ``_count_walk``
-Live = Callable[[int, int, int], bool]
-
-
-def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterator[int]]:
-    """``walk(live=None)``: the count walk of ``count_vector_walk`` over
-    ``runs``, as often as called, on one set of suffix bitsets built here.
+def _count_walk(sigma: int, runs: list[tuple[int, int]],
+                live: Callable[[int, int, int], bool] | None = None) -> Iterator[int]:
+    """The count walk of ``count_vector_walk``, on bitsets built when it starts.
 
     ``live(i, rem, k)`` is called on each node the walk pops, in walk order
     (runs 0..i-1 assigned, remainder ``rem``, k values on U), before the
@@ -361,49 +360,44 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]]) -> Callable[..., Iterat
     139 KB.
     """
     if sigma % 2:
-        return lambda live=None: iter(())
+        return
     target = sigma // 2
+    mask = (2 << target) - 1
     d, m = len(runs), sum(c for _, c in runs)
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
     most = list(accumulate((v * c for v, c in back), initial=0))
     block = _block(len(back), m)
     base = len(back) - len(back) % block  # the last block, where the walk starts
     checkpoints, rows = [], []
-    for j, reach in enumerate(_run_sums(back, target)):
+    for j, reach in enumerate(_run_sums(back, mask)):
         if j % block == 0:
             checkpoints.append(reach)
         if j >= base:
-            rows.append(reach.to_bytes((reach.bit_length() >> 3) + 1, "little"))
+            rows.append(_as_bytes(reach))
     places = _places(runs)
-
-    def walk(live: Live | None = None) -> Iterator[int]:
-        nonlocal base
-        # (run, remainder, key so far, U count so far) of the nodes still to walk
-        stack = [(0, target, 0, 0)]
-        while stack:
-            i, rem, key, k_u = stack.pop()
-            if live is not None and not live(i, rem, k_u):
-                continue
-            if i == d:  # rem == 0: the last bitset holds only the sum 0
-                yield key
-                continue
-            j = d - 1 - i  # the runs after i are the last j
-            if not 0 <= j - base < len(rows):
-                base = j - j % block
-                rows.clear()  # the old block goes before the new one is built
-                rows.extend(r.to_bytes((r.bit_length() >> 3) + 1, "little") for r in
-                            _run_sums(back[base:base + block - 1], target,
-                                      checkpoints[base // block]))
-            (v, c), place, row = runs[i], places[i], rows[j - base]
-            # pushed smallest first, so the largest count is popped first;
-            # a count below ceil((rem - most[j]) / v) leaves more than the
-            # last j runs make
-            for k in range(max(0, (rem - most[j] + v - 1) // v), min(c, rem // v) + 1):
-                x = rem - k * v
-                if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
-                    stack.append((i + 1, x, key + k * place, k_u + k))
-
-    return walk
+    # (run, remainder, key so far, U count so far) of the nodes still to walk
+    stack = [(0, target, 0, 0)]
+    while stack:
+        i, rem, key, k_u = stack.pop()
+        if live is not None and not live(i, rem, k_u):
+            continue
+        if i == d:  # rem == 0: the last bitset holds only the sum 0
+            yield key
+            continue
+        j = d - 1 - i  # the runs after i are the last j
+        if not 0 <= j - base < len(rows):
+            base = j - j % block
+            rows.clear()  # the old block goes before the new one is built
+            rows.extend(map(_as_bytes, _run_sums(back[base:base + block - 1], mask,
+                                                 checkpoints[base // block])))
+        (v, c), place, row = runs[i], places[i], rows[j - base]
+        # pushed smallest first, so the largest count is popped first;
+        # a count below ceil((rem - most[j]) / v) leaves more than the
+        # last j runs make
+        for k in range(max(0, (rem - most[j] + v - 1) // v), min(c, rem // v) + 1):
+            x = rem - k * v
+            if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
+                stack.append((i + 1, x, key + k * place, k_u + k))
 
 
 def count_runs(runs: list[tuple[int, int]],
@@ -438,7 +432,7 @@ def enumerate_equal_sum_splits(ds: DegreeSequence) -> Iterator[SplitWitness]:
         if d:
             indices[d].append(i)
     lead = next((i for i, d in enumerate(ds.degrees) if d), None)
-    for key in _count_walk(ds.sigma, runs)():
+    for key in _count_walk(ds.sigma, runs):
         for sets in product(*(combinations(indices[v], k) for v, k in count_runs(runs, key)[0])):
             u_side = list(chain.from_iterable(sets))
             if lead is None or lead in u_side:

@@ -172,19 +172,19 @@ class TestGoldenBytes:
         assert runs & set(range(2, k + 1))
         assert max(runs) > k
 
-    def test_decide_decodes_no_row(self, tmp_path, monkeypatch):
+    def test_decide_builds_no_edge_pair(self, tmp_path, monkeypatch):
         # the seeded n = 2000 low-region witness is rendered from its row
-        # bitsets: with the row decoder out of reach, decide writes the same
-        # bytes as when every row was decoded to a tuple first
+        # bitsets: with the (u, v) pair list out of reach, decide writes the
+        # same bytes as when every edge was a pair first
         rng = random.Random(2000)
         degrees = [rng.randint(200, 400) for _ in range(2000)]
         while sum(degrees) % 2:
             degrees[-1] = rng.randint(200, 400)
         f = write(tmp_path, "d.txt", " ".join(map(str, degrees)) + "\n")
 
-        def no_decode(*args):
-            raise AssertionError("_decode_bits called")
-        monkeypatch.setattr(gale_ryser, "_decode_bits", no_decode)
+        def no_pairs(*args):
+            raise AssertionError("sorted_edges called")
+        monkeypatch.setattr(gale_ryser.BipartiteRealization, "sorted_edges", no_pairs)
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(["decide", "--c1", "1/10", "--c2", "1/5", f])
@@ -370,6 +370,22 @@ EDGE_CASES = [
 ]
 
 
+EMIT_PAYLOAD = {"m": {"y": [1, None], "x": "\u00e9"}, "n": 2.5, "z": False}
+EMIT_ITEMS = [[], ["0"], ["[0, 1]", '{"a": [2, null]}', '"\\u00e9"', "[]"]]
+
+
+@pytest.mark.parametrize("payload", [{}, EMIT_PAYLOAD], ids=["empty", "payload"])
+@pytest.mark.parametrize("key, items", [(None, [])] + [
+    (key, items) for key in ("a", "mm", "zz", "n") for items in EMIT_ITEMS])
+def test_emit_writes_sorted_json(capsys, payload, key, items):
+    # the streamed key sorts first ("a"), in the middle ("mm") or last
+    # ("zz") of the payload's keys, or replaces one ("n"); the items are
+    # read once, as a stream
+    cli._emit(payload, key, iter(items))
+    expected = payload if key is None else {**payload, key: list(map(json.loads, items))}
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+
 class TestEdgeWriter:
     """``decide`` stdout and ``format_realization`` render edges from the
     row bitsets; both must equal the edge-list rendering byte for byte."""
@@ -431,7 +447,7 @@ class TestEdgeWriter:
         ds = DegreeSequence(tuple(map(int, text.split())))
         decision = decide_bdr(ds, ParamBounds(Fraction(c1), Fraction(c2)))
         if exact and decision.verdict == "Undecided":
-            decision = decide_exact(ds).with_region(decision.region)
+            decision = dataclasses.replace(decide_exact(ds), region=decision.region)
         _, out, _ = run(capsys, ["decide", "--c1", c1, "--c2", c2,
                                  *(["--exact"] if exact else []), f])
         assert out == reference_decide_stdout(decision)

@@ -608,7 +608,7 @@ class TestMirrorRule:
         # with the size subset sum switched off, every input is walked
         ds = DegreeSequence(seq)
         runs = _value_runs(seq)
-        key = next(_count_walk(ds.sigma, runs)(_gale_ryser_bound(runs, ds.sigma // 2)), None)
+        key = next(_count_walk(ds.sigma, runs, _gale_ryser_bound(runs, ds.sigma // 2)), None)
         with monkeypatch.context() as mp:
             mp.setattr("bdr.decider.size_feasible_keys", lambda sigma, runs: None)
             walks = spy_walk(mp)
@@ -732,13 +732,6 @@ class TestStall:
         assert peak < 8 * 2 ** 20
         # its size tables, about 297M bits, are far over the cap: the walk decides
         assert size_feasible_keys(ds.sigma, _value_runs(ds.degrees)) is None
-
-
-class TestDecisionDataclass:
-    def test_with_region(self):
-        d = Decision("Undecided", "exact-search")
-        assert d.with_region(RegionClass.UNCLASSIFIED).region is RegionClass.UNCLASSIFIED
-        assert d.region is None
 
 
 def assert_witness(degrees, d):

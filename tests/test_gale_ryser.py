@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -315,14 +316,6 @@ class TestRealizationLayout:
         assert g.sorted_edges() == [(0, 0), (0, 2), (2, 1)]
         assert g.edges == frozenset(g.sorted_edges())
 
-    @pytest.mark.parametrize("v_count, error", [(-3, ValueError), (-1, ValueError),
-                                                (2.5, TypeError), (2.0, TypeError),
-                                                (True, TypeError), ("2", TypeError)])
-    def test_rejects_bad_v_count(self, v_count, error):
-        # format_realization printed "p bipartite 2 -3 0" for v_count -3
-        with pytest.raises(error):
-            BipartiteRealization(v_count, (0, 0))
-
     def test_accepts_zero_and_one(self):
         g = pack(2, ((0, 1), (1,), (0,)))
         assert g.sorted_edges() == [(0, 0), (0, 1), (1, 1), (2, 0)]
@@ -331,6 +324,15 @@ class TestRealizationLayout:
     def test_v_count_zero_with_empty_rows(self):
         g = pack(0, ((), ()))
         assert g.v_degrees() == () and format_realization(g) == "p bipartite 2 0 0"
+
+    @pytest.mark.parametrize("v_count, error", [(-1, ValueError), (2.5, TypeError),
+                                                (2.0, TypeError), (True, TypeError)])
+    def test_rejects_bad_v_count(self, v_count, error):
+        # replace() on a valid realization runs the same checks as the
+        # constructor, so no copy can carry a bad v_count to the header
+        g = pack(2, ((0, 1), (1,)))
+        with pytest.raises(error):
+            replace(g, v_count=v_count)
 
 
 def per_entry_v_degrees(v_count, rows):
@@ -438,15 +440,22 @@ def runs_bits(runs):
 class TestDecodeBits:
     """``_decode_bits`` gives the set bits, lowest first, by slices when a
     bitset has at most ``SLICED_RUNS`` runs of set bits and by one
-    ``compress`` pass otherwise; both must match a per-bit reading."""
+    ``compress`` pass otherwise; both must match a per-bit reading, and so
+    must ``edge_chunks``, which renders each row through it.  The rows have
+    0 runs, 1, 2 to ``SLICED_RUNS`` and more."""
 
     K = gale_ryser.SLICED_RUNS
 
     @staticmethod
     def decode(bits, v_count):
         got = gale_ryser._decode_bits(bits, tuple(range(v_count)))
-        assert got == tuple(v for v in range(v_count) if bits >> v & 1)
+        want = tuple(v for v in range(v_count) if bits >> v & 1)
+        assert got == want
         assert type(got) is tuple
+        # the row as u-vertex 1, after an empty row, which yields no chunk
+        g = BipartiteRealization(v_count, (0, bits))
+        chunks = list(gale_ryser.edge_chunks(g, "<{}:", ">", "|"))
+        assert chunks == (["|".join(f"<1:{v}>" for v in want)] if want else [])
         return got
 
     @pytest.mark.parametrize("v_count", [29, 30, 31, 59, 60, 61])
@@ -490,10 +499,11 @@ BAD_ROWS = [
 
 
 class TestFromIntervals:
-    """The constructor takes rows as int bitsets, as the realizer, the lift
+    """The row-bitset constructor, ``BipartiteRealization(v_count, rows)``,
+    the only one: it takes rows as int bitsets, as the realizer, the lift
     and the round-robin blocks build them from ranges and set bits, and
-    checks each row in O(1): an int, not a bool (TypeError), with
-    0 <= row < 1 << v_count (ValueError).  It must build what the
+    checks v_count and each row in O(1): an int, not a bool (TypeError),
+    with 0 <= row < 1 << v_count (ValueError).  It must build what the
     test-local packer builds from the same entries, and read them back."""
 
     @given(interval_graph())
@@ -553,8 +563,10 @@ class TestFromIntervals:
         assert g.sorted_edges() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("v_count, error", [(True, TypeError), (2.0, TypeError),
-                                                (2.5, TypeError), (-1, ValueError)])
+                                                (2.5, TypeError), (-1, ValueError),
+                                                (-3, ValueError), ("2", TypeError)])
     def test_rejects_bad_v_count(self, v_count, error):
+        # format_realization printed "p bipartite 2 -3 0" for v_count -3
         with pytest.raises(error):
             BipartiteRealization(v_count, (0, 0))
 

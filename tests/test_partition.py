@@ -113,7 +113,7 @@ class TestFindSplit:
         # a walk whose first key puts nothing on U: the split must not be
         # returned with sides that miss the target
         monkeypatch.setattr("bdr.partition._count_walk",
-                            lambda sigma, runs: lambda: iter([0]))
+                            lambda sigma, runs, live=None: iter([0]))
         with pytest.raises(InvariantError, match="split has side sums 0 and 4"):
             find_equal_sum_split(DegreeSequence((2, 1, 1)))
 
@@ -262,7 +262,7 @@ class TestGaleRyserPrunedWalk:
     def _same_keys(seq, unpruned_count_vectors):
         sigma = sum(seq)
         runs = _value_runs(seq)
-        keys = _count_walk(sigma, runs)(_gale_ryser_bound(runs, sigma // 2))
+        keys = _count_walk(sigma, runs, _gale_ryser_bound(runs, sigma // 2))
         assert [count_runs(runs, key) for key in keys] == [
             (u, v) for u, v in unpruned_count_vectors(seq) if _gale_ryser_runs(u, v)]
 
@@ -402,19 +402,25 @@ def _fits(block, positions, m):
 
 
 def _count_walk_spy(monkeypatch):
-    """Per count walk that ``decide_exact`` builds, its checkpoints past the
-    first and the rows it holds, first and after each rebuild."""
+    """Per count walk that ``decide_exact`` starts, its checkpoints past the
+    first and the rows it holds, first and after each rebuild; the first
+    two are read from the walk's frame at its first node, once it has built
+    its bitsets."""
     walks = []
     count_walk, run_sums = partition._count_walk, partition._run_sums
 
-    def spy_count_walk(sigma, runs):
-        walk = count_walk(sigma, runs)
-        cells = dict(zip(walk.__code__.co_freevars, (c.cell_contents for c in walk.__closure__)))
-        walks.append((len(cells["checkpoints"]) - 1, [len(cells["rows"])]))
+    def spy_count_walk(sigma, runs, live):
+        def spied(*node):
+            if len(walks) == started:
+                names = walk.gi_frame.f_locals
+                walks.append((len(names["checkpoints"]) - 1, [len(names["rows"])]))
+            return live(*node)
+        started = len(walks)
+        walk = count_walk(sigma, runs, spied)
         return walk
 
-    def spy_run_sums(runs, target, *reach):
-        rows = list(run_sums(runs, target, *reach))
+    def spy_run_sums(runs, mask, *reach):
+        rows = list(run_sums(runs, mask, *reach))
         if reach:  # a rebuild from a checkpoint
             walks[-1][1].append(len(rows))
         return iter(rows)

@@ -327,7 +327,7 @@ try:
 except ValueError:
     pass
 # a count walk whose first key puts nothing on U
-bdr.partition._count_walk = lambda sigma, runs: lambda: iter([0])
+bdr.partition._count_walk = lambda sigma, runs, live=None: iter([0])
 try:
     bdr.partition.find_equal_sum_split(DegreeSequence((2, 1, 1)))
     sys.exit("split with unequal sides accepted")
