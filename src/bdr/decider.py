@@ -4,7 +4,7 @@ Region classification never evaluates a square root: every boundary test
 is restated as a polynomial inequality over exact rationals and
 cross-multiplied into integers, so boundary parameter pairs are classified
 correctly.  Outside the tractable regions ``decide_exact`` first runs one
-subset sum over U sizes (``partition.size_feasible_keys``), which refutes
+subset sum over U sizes (``partition.size_feasible_counts``), which refutes
 the input when no equal-sum split meets Gale–Ryser at k = 1 and otherwise
 proposes one count vector per U size; the first proposal that passes
 Gale–Ryser is the witness.  Only when none does, or when its tables would
@@ -25,8 +25,8 @@ from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
                          _value_runs, construct_realization)
 from .partition import (SplitWitness, _count_walk, balanced_split, count_runs,
-                        equal_sum_split_exists, find_equal_sum_split, size_feasible_keys,
-                        split_of_key, split_with_u)
+                        equal_sum_split_exists, find_equal_sum_split, size_feasible_counts,
+                        split_of_counts, split_with_u)
 # is_bigraphic and enumerate_equal_sum_splits are unused here, but
 # perfbench/tracing.py wraps them at these bindings, so the names must stay
 from .gale_ryser import is_bigraphic  # noqa: F401
@@ -173,7 +173,7 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """Exponential fallback: a U count vector that passes Gale–Ryser.
 
     First, with no walk and without the budget,
-    ``partition.size_feasible_keys`` settles most inputs.  If no
+    ``partition.size_feasible_counts`` settles most inputs.  If no
     equal-sum split puts every U degree at most |V| and every V degree at
     most |U| (the nonzero degrees counted), Gale–Ryser fails at k = 1 for
     every split, and the verdict is NotBipartite: "gale-ryser-violation"
@@ -183,15 +183,16 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     none passes, or when its tables would exceed
     ``partition.SIZE_DP_BITS``, the walk below decides.
 
-    The U count vectors over the d (value, count) runs are walked in the
-    order of ``partition.count_vector_walk``, entering only subtrees that
-    can still pass Gale–Ryser (``gale_ryser._gale_ryser_bound`` on
-    ``partition._count_walk``) and no first count k with 2k < c_0: their
-    count vectors mirror ones met before, and Gale–Ryser is symmetric in U
-    and V.  This takes O(sqrt(m)*sigma) bits, m the number of nonzero
-    degrees.  If no count vector passes, no equal-sum split does: the
-    verdict is NotBipartite.  Otherwise the first that passes, the same as
-    over both mirrors, is the witness (``_witness``, as for a proposal).
+    The U count vectors over the d (value, count) runs, each a tuple
+    (k_0, ..., k_{d-1}) of U counts, are walked in the order of
+    ``partition._count_walk``, entering only subtrees that can still pass
+    Gale–Ryser (``gale_ryser._gale_ryser_bound``) and no first count k_0
+    with 2k_0 < c_0: their count vectors mirror ones met before, and
+    Gale–Ryser is symmetric in U and V.  This takes O(sqrt(m)*sigma)
+    bits, m the number of nonzero degrees.  If no count vector passes, no
+    equal-sum split does: the verdict is NotBipartite.  Otherwise the first
+    that passes, the same as over both mirrors, is the witness
+    (``_witness``, as for a proposal).
 
     The budget N counts equal-sum splits ruled out.  A subtree the bound
     cuts off after runs 0..i-1, with k_j of the c_j values of run j on U,
@@ -216,33 +217,31 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
     """
     check_budget(budget)
     runs = _value_runs(ds.degrees)
-    keys = size_feasible_keys(ds.sigma, runs)
-    if keys is not None:
+    proposals = size_feasible_counts(ds.sigma, runs)
+    if proposals is not None:
         feasible = False
-        for key in keys:
-            if _gale_ryser_runs(*count_runs(runs, key)):
-                return _witness(ds, runs, key)
+        for counts in proposals:
+            if _gale_ryser_runs(*count_runs(runs, counts)):
+                return _witness(ds, runs, counts)
             feasible = True
         if not feasible:
             # every equal-sum split, if there is one, fails at k = 1
             return Decision("NotBipartite", "gale-ryser-violation" if equal_sum_split_exists(ds)
                             else "no-equal-sum-split")
-    counts = [c for _, c in runs]
     bound = _gale_ryser_bound(runs, ds.sigma // 2)
     # more ruled-out index sets than this are more than budget splits
     limit = None if budget is None else 2 * budget
-    # on the walk's path: U's count over runs 0..i-1 and the index sets
-    # that give them
-    k_at, sets_at = [0] * (len(runs) + 1), [1] * (len(runs) + 1)
+    # on the walk's path: the U index sets that give runs 0..i-1 their counts
+    sets_at = [1] * (len(runs) + 1)
     dead = 0  # a lower bound on the index sets in cut subtrees
 
     def live(i: int, rem: int, k: int) -> bool:
         nonlocal dead
-        if i == 1 and 2 * k < counts[0]:
-            return False  # its leaves mirror count vectors already walked
         if i:
-            k_at[i] = k
-            sets_at[i] = sets_at[i - 1] * math.comb(counts[i - 1], k - k_at[i - 1])
+            c = runs[i - 1][1]
+            if i == 1 and 2 * k < c:
+                return False  # its leaves mirror count vectors already walked
+            sets_at[i] = sets_at[i - 1] * math.comb(c, k)
         if bound(i, rem, k):
             return True
         dead += sets_at[i]
@@ -250,23 +249,24 @@ def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
             raise BudgetExceededError(budget, limit // 2 + 1, "equal-sum splits")
         return False
 
-    key = next(_count_walk(ds.sigma, runs, live), None)
-    if key is None:
+    counts = next(_count_walk(ds.sigma, runs, live), None)
+    if counts is None:
         # every split lies in a cut subtree, if there is any
         return Decision("NotBipartite", "gale-ryser-violation" if dead else "no-equal-sum-split")
-    return _witness(ds, runs, key)
+    return _witness(ds, runs, counts)
 
 
-def _witness(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> Decision:
-    """The Bipartite decision of the bigraphic U count vector ``key``: it,
-    or its complement if it would put the first nonzero index on V, gives
-    each value's U count to that value's lowest indices (``split_of_key``),
-    and that split is realized."""
+def _witness(ds: DegreeSequence, runs: list[tuple[int, int]],
+             counts: tuple[int, ...]) -> Decision:
+    """The Bipartite decision of the bigraphic U count vector ``counts``:
+    it, or its complement if it would put the first nonzero index on V,
+    gives each value's U count to that value's lowest indices
+    (``split_of_counts``), and that split is realized."""
     first = next(filter(None, ds.degrees), None)
-    if first is not None and not dict(count_runs(runs, key)[0])[first]:
+    if first is not None and not dict(count_runs(runs, counts)[0])[first]:
         # the complement passes too and puts the first nonzero index on U
-        key = math.prod(c + 1 for _, c in runs) - 1 - key
-    split = split_of_key(ds, runs, key)
+        counts = tuple(c - k for (_, c), k in zip(runs, counts))
+    split = split_of_counts(ds, runs, counts)
     g = construct_realization(*_split_pair(ds, split))
     if g is None:
         raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")

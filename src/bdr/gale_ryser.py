@@ -182,13 +182,14 @@ def _gale_ryser_bound(runs: list[tuple[int, int]],
     ``_value_runs`` gives them), U taking the sum ``half``.
 
     ``live(i, rem, k)`` is called for each node the walk enters, in walk
-    order: runs 0..i-1 are assigned, U has k degrees of sum half - rem, and
-    the call records them on the walk's path.  At a leaf (i = len(runs)) it
-    is ``_gale_ryser_runs`` on the U and V runs.  Elsewhere it tests the
-    inequality at U's newest run end, k: U's top k degrees are fixed, so
-    the left side is half - rem; the right side is V's assigned degrees,
-    each min(k, value), plus for runs i.. at most
-    min(sum_{t>=i} min(k, v_t)*c_t, (sum of runs i..) - rem), V's share of
+    order: runs 0..i-1 are assigned, k values of run i - 1 (0 at the root)
+    are on U, and U's degrees sum to half - rem; the call records U's
+    count and sum on the walk's path.  At a leaf (i = len(runs)) it is
+    ``_gale_ryser_runs`` on the U and V runs.  Elsewhere it tests the
+    inequality at U's newest run end, U's count K over runs 0..i-1: U's top
+    K degrees are fixed, so the left side is half - rem; the right side is
+    V's assigned degrees, each min(K, value), plus for runs i.. at most
+    min(sum_{t>=i} min(K, v_t)*c_t, (sum of runs i..) - rem), V's share of
     them.  V's newest run end is tested the same way, with min(..., rem).
     False means no leaf below the node passes ``_gale_ryser_runs``, since
     either side's inequality is necessary for both.  The walk's path keeps
@@ -212,6 +213,8 @@ def _gale_ryser_bound(runs: list[tuple[int, int]],
 
     def live(i: int, rem: int, k: int) -> bool:
         low = half - rem
+        if i:
+            k += ku[i - 1]  # from here on, K: U's count over runs 0..i-1
         ku[i], lu[i] = k, low
         if i == d:
             u = [(v, ku[t + 1] - ku[t]) for t, v in enumerate(values)]

@@ -3,10 +3,10 @@
 Two independent levels:
 
 - Split count vectors times Gale–Ryser, usable up to the padded-instance
-  scale.  ``partition.count_vector_walk`` yields the count vectors over
-  the distinct degrees whose U side has the half sum, in the order of the
-  unpruned search; each, up to the first that mirrors one before it, goes
-  to Gale–Ryser as (value, count) runs, unexpanded.
+  scale.  ``partition._count_walk``, unpruned, yields the count vectors
+  over the distinct degrees whose U side has the half sum, each a tuple of
+  U counts; each, up to the first that mirrors one before it, goes to
+  Gale–Ryser as (value, count) runs, unexpanded.
 - Raw bipartite edge-set backtracking that does not trust Gale–Ryser at
   all.
 """
@@ -19,26 +19,28 @@ from .core import DegreeSequence, check_budget
 from .errors import BudgetExceededError
 # bound under its old name, which perfbench/tracing.py patches to count leaves
 from .gale_ryser import _gale_ryser_runs as _gale_ryser_lists
-from .partition import count_runs, count_vector_walk
+from .gale_ryser import _value_runs
+from .partition import _count_walk, count_runs
 
 
 def brute_force_bipartite_realizable(ds: DegreeSequence,
                                      budget: int | None = None) -> bool:
     """True iff some equal-sum split of the degrees is bigraphic.
 
-    Splits are enumerated by count vectors over distinct values
-    (``count_vector_walk``), few for few distinct degrees however long the
-    sequence; zero degrees are ignored (they sit on either side).  Each
-    count vector passes the runs (v, k) and (v, c - k) to Gale–Ryser, zero
-    counts included, up to the first with U counts below its V counts: it
-    and all after it mirror ones tested, so the answer is False.  Testing
-    more than ``budget`` (``check_budget``) raises BudgetExceededError.
+    Splits are enumerated by count vectors over distinct values, tuples
+    of U counts (``partition._count_walk``), few for few distinct degrees
+    however long the sequence; zero degrees are ignored (they sit on either
+    side).  Each count vector passes the runs (v, k) and (v, c - k) to
+    Gale–Ryser, zero counts included, up to the first with U counts below
+    its V counts: it and all after it mirror ones tested, so the answer is
+    False.  Testing more than ``budget`` (``check_budget``) raises
+    BudgetExceededError.
     """
     check_budget(budget)
-    runs, keys = count_vector_walk(ds)
-    for examined, key in enumerate(keys, 1):
-        u, v = count_runs(runs, key)
-        if u < v:  # this key and every later one mirror a key tested
+    runs = _value_runs(ds.degrees)
+    for examined, counts in enumerate(_count_walk(ds.sigma, runs), 1):
+        u, v = count_runs(runs, counts)
+        if u < v:  # this count vector and every later one mirror one tested
             return False
         if budget is not None and examined > budget:
             raise BudgetExceededError(budget, examined, "split count vectors")

@@ -5,30 +5,31 @@ closes the final gap with at most one swap, in O(n log n); it may find no
 split where one exists.  ``decide_bdr`` returns its split in the low
 region and calls ``find_equal_sum_split`` only when it finds none: the
 count walk's first U count vector (below), each value's U count on its
-lowest indices (``split_of_key``), or None if no split exists.
+lowest indices (``split_of_counts``), or None if no split exists.
 
 The DP runs over a bitset of achievable sums (a Python int) capped at
 sigma/2, adding one (value, count) run per step, its count split in binary
 parts 1, 2, 4, ..., rest (the paper's bounded subset-sum, ``_run_sums``).
-Deciding existence keeps one bitset, O(sigma) bits.  The count-vector walk
-yields the U count vectors over the distinct nonzero degrees, keyed in
-mixed radix over their (value, count) runs (``count_runs`` decodes a key),
-and enters only subtrees that hold one: it is pruned on the run DP's
-suffix bitsets, checkpointed in blocks sized by ``_block`` so that it
-keeps O(sqrt(m)*sigma) bits (m nonzero degrees), and is one generator
-that builds its bitsets when it starts (``_count_walk``).  Before any walk,
-``decide_exact`` runs one bounded subset sum with a count dimension,
-one bitset of sums per U size (``size_feasible_keys``): it proposes one
-count vector per U size whose two sides meet Gale–Ryser at k = 1, and
-when there is none the input is NotBipartite.  Only if no proposal passes
-Gale–Ryser does ``decide_exact`` walk the count vectors, with a bound
-that drops subtrees without a bigraphic count vector, and build its
-witness from the first that passes; ``count_vector_walk`` stays unpruned
-for the oracle, and ``enumerate_equal_sum_splits`` expands its count
-vectors into index sets.  A split is its two index tuples, U and V, each
-increasing.  Zero degrees are never part of a subset key: ``split_with_u``
-puts every one of them on the U side, for every split this module
-returns, and checks that the two sides' sums are equal.
+Deciding existence keeps one bitset, O(sigma) bits.  A count vector is
+the tuple (k_0, ..., k_{d-1}) of the U counts of the d (value, count)
+runs of the distinct nonzero degrees (``count_runs`` gives its two
+sides).  The count walk (``_count_walk``) yields every U count vector
+whose U side sums to sigma/2 and enters only subtrees that hold one: it
+is pruned on the run DP's suffix bitsets, checkpointed in blocks sized by
+``_block`` so that it keeps O(sqrt(m)*sigma) bits (m nonzero degrees),
+and is one generator that builds its bitsets when it starts.  Before any
+walk, ``decide_exact`` runs one bounded subset sum with a count
+dimension, one bitset of sums per U size (``size_feasible_counts``): it
+proposes one count vector per U size whose two sides meet Gale–Ryser at
+k = 1, and when there is none the input is NotBipartite.  Only if no
+proposal passes Gale–Ryser does ``decide_exact`` walk the count vectors,
+with a bound that drops subtrees without a bigraphic count vector, and
+build its witness from the first that passes; the oracle walks them
+unpruned, and ``enumerate_equal_sum_splits`` expands them into index
+sets.  A split is its two index tuples, U and V, each increasing.  Zero
+degrees are never part of a count vector: ``split_with_u`` puts every
+one of them on the U side, for every split this module returns, and
+checks that the two sides' sums are equal.
 """
 
 from __future__ import annotations
@@ -130,16 +131,17 @@ def _as_bytes(bits: int) -> bytes:
     return bits.to_bytes((bits.bit_length() >> 3) + 1, "little")
 
 
-# The most bits ``size_feasible_keys`` may hold in its tables: 2**23 bits,
+# The most bits ``size_feasible_counts`` may hold in its tables: 2**23 bits,
 # 1 MB.  An input whose tables would take more is left to the walk.
 SIZE_DP_BITS = 1 << 23
 
 
-def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int] | None:
+def size_feasible_counts(sigma: int,
+                         runs: list[tuple[int, int]]) -> Iterator[tuple[int, ...]] | None:
     """For each U size s <= m/2 that has a size-feasible split, s
-    ascending, the first such U count vector of size s in walk order, as a
-    mixed-radix key over ``runs`` (``count_runs``); None if the tables
-    would hold more than SIZE_DP_BITS bits.
+    ascending, the first such U count vector of size s in walk order, a
+    tuple of U counts over ``runs``; None if the tables would hold more
+    than SIZE_DP_BITS bits.
 
     A split of the m nonzero degrees, |U| = s and |V| = m - s, is
     size-feasible when its sides sum to sigma/2, every U degree is at most
@@ -193,15 +195,14 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
     # s - f(s) and sigma/2 - F(s) grow with s: the last size asks the most
     _, rows, cap = asks[-1]
     rows += 1
-    places = _places(runs)
     # runs free..d-1, those of value at most the last s, ascending: value,
-    # count, the count a row can use, and mixed-radix place
+    # count, the count a row can use, and index in ``runs``
     up = []
     guard = 0  # the most that one run adds to a sum
     for i in range(len(runs) - 1, free - 1, -1):
         v, c = runs[i]
         usable = min(c, cap // v, rows - 1)
-        up.append((v, c, usable, places[i]))
+        up.append((v, c, usable, i))
         guard = max(guard, v * usable)
     width = cap + 1 + guard
     if (len(up) + 2) * rows * width > SIZE_DP_BITS:
@@ -212,9 +213,11 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
         k *= 2
     ones &= (1 << rows * width) - 1
     valid = (ones << cap + 1) - ones  # the sums 0..cap of each row
-    whole = places[-1] * (runs[-1][1] + 1) - 1 if runs else 0  # every run on U
+    # sizes ascend, so each size sets the count of every run an earlier
+    # size set, and the runs above s keep their whole count
+    counts = [c for _, c in runs]
 
-    def keys() -> Iterator[int]:
+    def proposals() -> Iterator[tuple[int, ...]]:
         sums = _run_sums([(width + v, usable) for v, _, usable, _ in up], valid)
         tables = [_as_bytes(next(sums))]  # tables[j]: after runs up[0..j-1]
         for s, c, t in asks:
@@ -226,9 +229,8 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
                 continue
             # runs above s whole; the rest from the largest down, each
             # with the largest count that the runs below it complete
-            key = whole
             for j in range(len(tables) - 2, -1, -1):
-                v, count, _, place = up[j]
+                v, count, _, i = up[j]
                 row = tables[j]
                 k = min(count, c, t // v)
                 while True:
@@ -236,11 +238,11 @@ def size_feasible_keys(sigma: int, runs: list[tuple[int, int]]) -> Iterator[int]
                     if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
                         break
                     k -= 1
-                key -= (count - k) * place
+                counts[i] = k
                 c, t = c - k, t - k * v
-            yield key
+            yield tuple(counts)
 
-    return keys()
+    return proposals()
 
 
 def _binary_parts(c: int) -> list[int]:
@@ -268,16 +270,6 @@ def _block(positions: int, m: int) -> int:
     return next(b for b in range(limit - 1, 0, -1) if b + 1 + positions // b <= limit)
 
 
-def _places(runs: list[tuple[int, int]]) -> list[int]:
-    """The mixed-radix place of each run's count: a count vector's key is
-    the sum of count times place, and ``count_runs`` reads it back."""
-    places, radix = [], 1
-    for _, c in runs:
-        places.append(radix)
-        radix *= c + 1
-    return places
-
-
 def equal_sum_split_exists(ds: DegreeSequence) -> bool:
     """True iff some subset of the degrees sums to sigma/2."""
     sigma = ds.sigma
@@ -289,20 +281,19 @@ def equal_sum_split_exists(ds: DegreeSequence) -> bool:
 
 
 def find_equal_sum_split(ds: DegreeSequence) -> SplitWitness | None:
-    """The split of the count walk's first key, or None if there is none.
-
-    The key is the first U count vector of ``count_vector_walk``, put on
-    each value's lowest indices (``split_of_key``).
-    """
+    """The split of the count walk's first count vector, or None if there
+    is none: each value's U count on its lowest indices
+    (``split_of_counts``)."""
     runs = _value_runs(ds.degrees)
-    key = next(_count_walk(ds.sigma, runs), None)
-    return None if key is None else split_of_key(ds, runs, key)
+    counts = next(_count_walk(ds.sigma, runs), None)
+    return None if counts is None else split_of_counts(ds, runs, counts)
 
 
-def split_of_key(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> SplitWitness:
+def split_of_counts(ds: DegreeSequence, runs: list[tuple[int, int]],
+                    counts: tuple[int, ...]) -> SplitWitness:
     """The split whose U side takes, for each value of ``runs``, as many of
-    its indices as the count vector ``key`` gives it, the lowest first."""
-    left = dict(count_runs(runs, key)[0])
+    its indices as the count vector ``counts`` gives it, the lowest first."""
+    left = dict(count_runs(runs, counts)[0])
     u_side = []
     for i, d in enumerate(ds.degrees):
         if left.get(d):
@@ -311,53 +302,46 @@ def split_of_key(ds: DegreeSequence, runs: list[tuple[int, int]], key: int) -> S
     return split_with_u(ds, u_side)
 
 
-def count_vector_walk(ds: DegreeSequence) -> tuple[list[tuple[int, int]], Iterator[int]]:
-    """The distinct nonzero degrees as (value, count) runs, largest first,
-    and the mixed-radix key (``count_runs``) of every U count vector over
-    them whose U side sums to sigma/2.
+def _count_walk(sigma: int, runs: list[tuple[int, int]],
+                live: Callable[[int, int, int], bool] | None = None
+                ) -> Iterator[tuple[int, ...]]:
+    """Every U count vector (k_0, ..., k_{d-1}) over the d (value, count)
+    ``runs`` (largest value first, as ``gale_ryser._value_runs`` gives
+    them) whose U side sums to sigma/2, on bitsets built when it starts.
 
     The walk takes the runs in order and, for each, the U count from the
     largest that fits down to 0, depth first.  It enters count k of run i
     only when the remainder after it is in the run DP's bitset of the runs
     after i, so it drops only dead subtrees: the count vectors and their
-    order are those of the unpruned search.  Of those d bitsets (d runs)
-    every B-th is kept, B = ``_block(d - 1, m)`` (m nonzero degrees), and
-    the block of B the walk is in is rebuilt from it as bytes, so a test is
-    O(1) and the rows held and checkpoints fit 2*ceil(sqrt(m)) + 2 bitsets,
-    O(sqrt(m)*sigma) bits; one block, built once, if d < 2*ceil(sqrt(m)) + 2.
-    The walk keeps an explicit stack, not bounded by the recursion limit.
+    order are those of the unpruned search.  A node's counts start where
+    the remainder fits in what the runs after it make (``most``), so no
+    count is tried that the bitset test would fail for that reason alone.
+    Of those d bitsets every B-th is kept, B = ``_block(d - 1, m)`` (m
+    nonzero degrees), and the block of B the walk is in is rebuilt from it
+    as bytes, so a test is O(1) and the rows held and checkpoints fit
+    2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma) bits; one block, built
+    once, if d < 2*ceil(sqrt(m)) + 2.  Each row is cut to its own bit
+    length: row j holds only the sums up to what the last j runs make, the
+    small values, so the n' = 1604 stall's three rows take 44 KB, not
+    139 KB.  The walk keeps an explicit stack, not bounded by the recursion
+    limit, and the counts of the current branch in one list, ``path``.
 
-    The keys strictly decrease lexicographically in (k_0, ..., k_{d-1}), and
-    the complement k_t -> c_t - k_t maps them onto themselves and reverses
+    The count vectors strictly decrease lexicographically, and the
+    complement k_t -> c_t - k_t maps them onto themselves and reverses
     that order: every count vector above its complement comes before every
     one below its own, a mirror met before, which both exact searches skip.
 
-    This walk is not pruned on Gale–Ryser: ``oracle`` reads it, and the
-    benchmark confirms ``decide_exact``'s NotBipartite verdicts with that
-    oracle, so the oracle must not share ``decide_exact``'s bound until an
-    independent checker of those verdicts exists.
-    """
-    runs = _value_runs(ds.degrees)
-    return runs, _count_walk(ds.sigma, runs)
-
-
-def _count_walk(sigma: int, runs: list[tuple[int, int]],
-                live: Callable[[int, int, int], bool] | None = None) -> Iterator[int]:
-    """The count walk of ``count_vector_walk``, on bitsets built when it starts.
-
     ``live(i, rem, k)`` is called on each node the walk pops, in walk order
-    (runs 0..i-1 assigned, remainder ``rem``, k values on U), before the
-    node is expanded or, at i = len(runs), yielded; a node it fails is
-    dropped with its subtree.  With ``gale_ryser._gale_ryser_bound`` the
-    walk yields exactly the count vectors that pass Gale–Ryser, in the
-    unpruned order, as that test drops only subtrees without one.  A node's
-    counts start where the remainder fits in what the runs after it make
-    (``most``), so no count is tried that the bitset test would fail for
-    that reason alone.  The bitsets are kept and rebuilt in blocks of
-    ``_block`` (see ``count_vector_walk``), each row cut to its own bit
-    length: row j holds only the sums up to what the last j runs make, the
-    small values, so the n' = 1604 stall's three rows take 44 KB, not
-    139 KB.
+    (runs 0..i-1 assigned, remainder ``rem``, k values of run i - 1 on U,
+    0 at the root), before the node is expanded or, at i = d, yielded; a
+    node it fails is dropped with its subtree.  With
+    ``gale_ryser._gale_ryser_bound`` the walk yields exactly the count
+    vectors that pass Gale–Ryser, in the unpruned order, as that test drops
+    only subtrees without one.  Without ``live`` the walk is not pruned on
+    Gale–Ryser: ``oracle`` reads it so, and the benchmark confirms
+    ``decide_exact``'s NotBipartite verdicts with that oracle, so the
+    oracle must not share ``decide_exact``'s bound until an independent
+    checker of those verdicts exists.
     """
     if sigma % 2:
         return
@@ -374,15 +358,17 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
             checkpoints.append(reach)
         if j >= base:
             rows.append(_as_bytes(reach))
-    places = _places(runs)
-    # (run, remainder, key so far, U count so far) of the nodes still to walk
-    stack = [(0, target, 0, 0)]
+    path = [0] * d  # path[t]: run t's U count on the branch being walked
+    # (run, remainder, U count of run i - 1) of the nodes still to walk
+    stack = [(0, target, 0)]
     while stack:
-        i, rem, key, k_u = stack.pop()
-        if live is not None and not live(i, rem, k_u):
+        i, rem, k = stack.pop()
+        if live is not None and not live(i, rem, k):
             continue
+        if i:
+            path[i - 1] = k
         if i == d:  # rem == 0: the last bitset holds only the sum 0
-            yield key
+            yield tuple(path)
             continue
         j = d - 1 - i  # the runs after i are the last j
         if not 0 <= j - base < len(rows):
@@ -390,25 +376,24 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
             rows.clear()  # the old block goes before the new one is built
             rows.extend(map(_as_bytes, _run_sums(back[base:base + block - 1], mask,
                                                  checkpoints[base // block])))
-        (v, c), place, row = runs[i], places[i], rows[j - base]
+        (v, c), row = runs[i], rows[j - base]
         # pushed smallest first, so the largest count is popped first;
         # a count below ceil((rem - most[j]) / v) leaves more than the
         # last j runs make
         for k in range(max(0, (rem - most[j] + v - 1) // v), min(c, rem // v) + 1):
             x = rem - k * v
             if x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1:
-                stack.append((i + 1, x, key + k * place, k_u + k))
+                stack.append((i + 1, x, k))
 
 
 def count_runs(runs: list[tuple[int, int]],
-               key: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The U and V sides of the count vector ``key`` over ``runs`` (from
-    ``count_vector_walk``) as (value, count) runs, zero counts included.  A
-    side that takes a whole run shares its tuple."""
+               counts: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The U and V sides of the count vector ``counts`` over ``runs`` as
+    (value, count) runs, zero counts included.  A side that takes a whole
+    run shares its tuple."""
     u, v = [], []
-    for run in runs:
+    for run, k in zip(runs, counts):
         value, c = run
-        key, k = divmod(key, c + 1)
         u.append(run if k == c else (value, k))
         v.append(run if k == 0 else (value, c - k))
     return u, v
@@ -418,12 +403,12 @@ def enumerate_equal_sum_splits(ds: DegreeSequence) -> Iterator[SplitWitness]:
     """Yield every distinct unordered equal-sum split once, the first
     nonzero index on U.
 
-    The splits come by U count vector, in the order of
-    ``count_vector_walk``.  Each count vector stands for the index sets that
-    take, from each value's indices, ``itertools.combinations`` of its U
-    count, lowest indices first, the last value's varying fastest; of
-    those, the ones that hold the first nonzero index are yielded, so a
-    split's complement never is.  An all-zero sequence has one split, with
+    The splits come by U count vector, in the order of ``_count_walk``.
+    Each count vector stands for the index sets that take, from each
+    value's indices, ``itertools.combinations`` of its U count, lowest
+    indices first, the last value's varying fastest; of those, the ones
+    that hold the first nonzero index are yielded, so a split's complement
+    never is.  An all-zero sequence has one split, with
     every index on U.
     """
     runs = _value_runs(ds.degrees)
@@ -432,8 +417,8 @@ def enumerate_equal_sum_splits(ds: DegreeSequence) -> Iterator[SplitWitness]:
         if d:
             indices[d].append(i)
     lead = next((i for i, d in enumerate(ds.degrees) if d), None)
-    for key in _count_walk(ds.sigma, runs):
-        for sets in product(*(combinations(indices[v], k) for v, k in count_runs(runs, key)[0])):
+    for counts in _count_walk(ds.sigma, runs):
+        for sets in product(*(combinations(indices[v], k) for (v, _), k in zip(runs, counts))):
             u_side = list(chain.from_iterable(sets))
             if lead is None or lead in u_side:
                 yield split_with_u(ds, u_side)

@@ -16,8 +16,8 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_sp
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable, exhaustive_graph_search
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import (_count_walk, count_runs, equal_sum_split_exists, size_feasible_keys,
-                           split_with_u)
+from bdr.partition import (_count_walk, count_runs, equal_sum_split_exists,
+                           size_feasible_counts, split_with_u)
 from conftest import MANY_DISTINCT, _unpruned_splits, reduction_corpus
 
 
@@ -374,7 +374,7 @@ class TestDecideExact:
         # ran; each is now refused before any search starts
         def no_search(*args):
             raise AssertionError("search started")
-        monkeypatch.setattr(bdr.decider, "size_feasible_keys", no_search)
+        monkeypatch.setattr(bdr.decider, "size_feasible_counts", no_search)
         with pytest.raises(error):
             decide_exact(DegreeSequence((4, 3, 3, 3, 1, 1, 1)), budget=budget)
 
@@ -402,17 +402,18 @@ def settled_before_walk(seq):
     """Whether ``decide_exact`` answers ``seq`` before any walk: its size
     tables fit, and no split is size-feasible or a proposal passes."""
     runs = _value_runs(seq)
-    keys = size_feasible_keys(sum(seq), runs)
-    if keys is None:
+    proposals = size_feasible_counts(sum(seq), runs)
+    if proposals is None:
         return False
-    keys = list(keys)
-    return not keys or any(_gale_ryser_runs(*count_runs(runs, key)) for key in keys)
+    proposals = list(proposals)
+    return not proposals or any(_gale_ryser_runs(*count_runs(runs, counts))
+                                for counts in proposals)
 
 
 def spy_walk(monkeypatch):
     """Per ``decide_exact`` call that walks, its runs and the nodes its walk
-    enters, as (i, k, passed) in walk order, seen through the Gale–Ryser
-    bound it is handed."""
+    enters, as (i, k, passed) in walk order, k the U count of run i - 1,
+    seen through the Gale–Ryser bound it is handed."""
     walks = []
     bound = bdr.decider._gale_ryser_bound
 
@@ -434,12 +435,13 @@ def spy_walk(monkeypatch):
 def cut_index_sets(runs, nodes):
     """D: over the nodes the bound cut, after runs 0..i-1 with k_j of run
     j's c_j values on U, the sum of prod_{j<i} C(c_j, k_j)."""
-    on_path = [0] * (len(runs) + 1)  # U's count over runs 0..i-1
+    path = [0] * len(runs)  # path[j]: run j's U count on the walk's branch
     dead = 0
     for i, k, passed in nodes:
-        on_path[i] = k
+        if i:
+            path[i - 1] = k
         if not passed:
-            dead += prod(comb(c, on_path[j + 1] - on_path[j]) for j, (_, c) in enumerate(runs[:i]))
+            dead += prod(comb(c, k_j) for (_, c), k_j in zip(runs[:i], path))
     return dead
 
 
@@ -608,19 +610,75 @@ class TestMirrorRule:
         # with the size subset sum switched off, every input is walked
         ds = DegreeSequence(seq)
         runs = _value_runs(seq)
-        key = next(_count_walk(ds.sigma, runs, _gale_ryser_bound(runs, ds.sigma // 2)), None)
+        counts = next(_count_walk(ds.sigma, runs, _gale_ryser_bound(runs, ds.sigma // 2)), None)
         with monkeypatch.context() as mp:
-            mp.setattr("bdr.decider.size_feasible_keys", lambda sigma, runs: None)
+            mp.setattr("bdr.decider.size_feasible_counts", lambda sigma, runs: None)
             walks = spy_walk(mp)
             d = decide_exact(ds)
-        if key is None:
+        if counts is None:
             assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation"
                                              if equal_sum_split_exists(ds)
                                              else "no-equal-sum-split")
         else:
-            assert d == bdr.decider._witness(ds, runs, key)
+            assert d == bdr.decider._witness(ds, runs, counts)
         (spied, nodes), = walks
         assert all(2 * k >= spied[0][1] for i, k, _ in nodes if i == 1)
+
+
+class TestComplement:
+    """A count vector's complement, c_t - k_t on each run, is the same
+    split with its sides swapped: for every count vector the walk yields
+    that passes Gale–Ryser, the walk yields its complement too, and
+    ``count_runs`` reads the complement as the two sides swapped.
+    ``_witness`` puts the first nonzero index on U for both, by taking the
+    complement of the one that gives the first nonzero value no U count,
+    so when one of the two does, it gives one Decision for both."""
+
+    @staticmethod
+    def _check(seq):
+        """The numbers of count vectors checked, and of those whose
+        complement ``_witness`` takes or is handed."""
+        ds = DegreeSequence(seq)
+        runs = _value_runs(seq)
+        first = next((i for i, d in enumerate(seq) if d), None)
+        walked = set(_count_walk(ds.sigma, runs))
+        checked = joined = 0
+        for counts in walked:
+            u, v = count_runs(runs, counts)
+            if not _gale_ryser_runs(u, v):
+                continue
+            mirror = tuple(c - k for (_, c), k in zip(runs, counts))
+            assert mirror in walked
+            assert count_runs(runs, mirror) == (v, u)
+            d = bdr.decider._witness(ds, runs, counts)
+            assert first is None or first in d.split.u
+            checked += 1
+            if first is None or not dict(u)[seq[first]] or not dict(v)[seq[first]]:
+                assert bdr.decider._witness(ds, runs, mirror) == d
+                joined += 1
+        return checked, joined
+
+    @given(seq=st.one_of(SEQS, MANY_DISTINCT))
+    @settings(max_examples=300, deadline=None)
+    @example(seq=[])
+    @example(seq=[0, 0, 0])
+    @example(seq=[2, 2, 2, 2])
+    @example(seq=[5, 1, 1, 1])
+    @example(seq=[3, 3, 2, 2, 1, 1])
+    def test_drawn(self, seq):
+        self._check(seq)
+
+    def test_first_value_alone(self):
+        # (1, 1) puts the first index on V and its complement (0, 3) on U
+        assert self._check([2, 1, 1, 1, 1]) == (2, 2)
+
+    def test_padded(self):
+        # the 15 padded D' at (1/10, 2/5): 98 bigraphic count vectors, each
+        # with part of the first value's run on either side, so ``_witness``
+        # keeps every one as it is handed
+        checked = [self._check(build_hard_instance(DegreeSequence(source), HARD).d_prime.degrees)
+                   for source in reduction_corpus(8)]
+        assert [sum(side) for side in zip(*checked)] == [98, 0]
 
 
 class TestWithoutBudget:
@@ -656,11 +714,11 @@ class TestSizeSubsetSum:
     def test_against_the_oracles(self, seq):
         ds = DegreeSequence(seq)
         runs = _value_runs(seq)
-        keys = list(size_feasible_keys(ds.sigma, runs))
-        passed = [key for key in keys if _gale_ryser_runs(*count_runs(runs, key))]
+        proposals = list(size_feasible_counts(ds.sigma, runs))
+        passed = [counts for counts in proposals if _gale_ryser_runs(*count_runs(runs, counts))]
         realizable = (exhaustive_graph_search(ds) if len(seq) <= 8
                       else brute_force_bipartite_realizable(ds))
-        if not keys:  # refuted: no count vector passes Gale-Ryser
+        if not proposals:  # refuted: no count vector passes Gale-Ryser
             assert not realizable
         if passed:
             assert realizable
@@ -672,7 +730,7 @@ class TestSizeSubsetSum:
             assert u_side in [Counter(dict(side)) for side in count_runs(runs, passed[0])]
             first = next((i for i, x in enumerate(seq) if x), None)
             assert first is None or first in d.split.u
-        elif not keys:
+        elif not proposals:
             d = outcome(ds, 0)
             assert d.verdict == "NotBipartite"
             assert d.reason == ("gale-ryser-violation" if equal_sum_split_exists(ds)
@@ -692,7 +750,7 @@ class TestSizeSubsetSum:
         # 2**23, and those of 1..63 take 8,914,880: it goes to the walk,
         # which passes the budget as it did for 1..60
         seq = tuple(v for v in range(1, 64) for _ in (0, 1))
-        assert size_feasible_keys(sum(seq), _value_runs(seq)) is None
+        assert size_feasible_counts(sum(seq), _value_runs(seq)) is None
         walks = spy_walk(monkeypatch)
         with pytest.raises(BudgetExceededError):
             decide_exact(DegreeSequence(seq), budget=20000)
@@ -731,7 +789,7 @@ class TestStall:
         assert (exc.value.limit, exc.value.examined) == (20000, 20001)
         assert peak < 8 * 2 ** 20
         # its size tables, about 297M bits, are far over the cap: the walk decides
-        assert size_feasible_keys(ds.sigma, _value_runs(ds.degrees)) is None
+        assert size_feasible_counts(ds.sigma, _value_runs(ds.degrees)) is None
 
 
 def assert_witness(degrees, d):

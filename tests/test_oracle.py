@@ -117,7 +117,7 @@ class TestLimits:
         # round trip, which hands it to the oracle
         def no_search(*args):
             raise AssertionError("search started")
-        with mock.patch.object(oracle, "count_vector_walk", no_search):
+        with mock.patch.object(oracle, "_count_walk", no_search):
             with pytest.raises(error):
                 brute_force_bipartite_realizable(DegreeSequence((2, 2, 1, 1)), budget=budget)
             with pytest.raises(error):

@@ -13,7 +13,7 @@ from bdr import partition
 from bdr.decider import decide_exact
 from bdr.errors import BudgetExceededError, InvariantError
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
-from bdr.partition import _block, _count_walk, count_runs, count_vector_walk, split_with_u
+from bdr.partition import _block, _count_walk, count_runs, split_with_u
 from conftest import MANY_DISTINCT, reduction_corpus
 
 # zeros and repeated values, or one value repeated up to 16 times (every
@@ -110,10 +110,10 @@ class TestFindSplit:
         assert {0, 2} <= set(w.u)
 
     def test_wrong_count_vector_raises(self, monkeypatch):
-        # a walk whose first key puts nothing on U: the split must not be
-        # returned with sides that miss the target
+        # a walk whose first count vector puts nothing on U: the split must
+        # not be returned with sides that miss the target
         monkeypatch.setattr("bdr.partition._count_walk",
-                            lambda sigma, runs, live=None: iter([0]))
+                            lambda sigma, runs, live=None: iter([(0, 0)]))
         with pytest.raises(InvariantError, match="split has side sums 0 and 4"):
             find_equal_sum_split(DegreeSequence((2, 1, 1)))
 
@@ -125,11 +125,11 @@ class TestFindSplit:
     @example([2, 1, 1, 0])
     @example([5] * 8 + [4] * 5)
     def test_first_count_vector_on_lowest_indices(self, seq):
-        # U's count vector is the count walk's first key, and each value's U
+        # U's count vector is the count walk's first, and each value's U
         # indices are the lowest of that value
         ds = DegreeSequence(seq)
-        runs, keys = count_vector_walk(ds)
-        first = next(keys, None)
+        runs = _value_runs(seq)
+        first = next(_count_walk(ds.sigma, runs), None)
         w = find_equal_sum_split(ds)
         if first is None:
             assert w is None
@@ -191,14 +191,15 @@ class TestBalancedSplit:
 
 
 class TestCountVectorWalk:
-    """Read through ``count_runs``, the walk's keys are the count vectors of
+    """Read through ``count_runs``, the walk's count vectors are those of
     the unpruned search, in its order: the prune drops only dead subtrees."""
 
     @staticmethod
     def _same_vectors(seq, unpruned_count_vectors):
-        runs, keys = count_vector_walk(DegreeSequence(seq))
+        runs = _value_runs(seq)
         assert runs == sorted(Counter(d for d in seq if d).items(), reverse=True)
-        assert [count_runs(runs, key) for key in keys] == list(unpruned_count_vectors(seq))
+        assert ([count_runs(runs, counts) for counts in _count_walk(sum(seq), runs)]
+                == list(unpruned_count_vectors(seq)))
 
     @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
     @settings(max_examples=400, deadline=None)
@@ -220,16 +221,16 @@ class TestCountVectorWalk:
 
 
 class TestMirrorOrder:
-    """The order both exact searches rely on: read through ``count_runs``,
-    the keys are the unpruned search's U count vectors, strictly
-    decreasing lexicographically; their set is closed under the complement,
-    and every count vector above its complement comes before every one
-    equal to it, and those before every one below its own."""
+    """The order both exact searches rely on: the walk yields the unpruned
+    search's U count vectors, strictly decreasing lexicographically; their
+    set is closed under the complement, and every count vector above its
+    complement comes before every one equal to it, and those before every
+    one below its own."""
 
     @staticmethod
     def _mirror_order(seq, unpruned_count_vectors):
-        runs, keys = count_vector_walk(DegreeSequence(seq))
-        vectors = [tuple(k for _, k in count_runs(runs, key)[0]) for key in keys]
+        runs = _value_runs(seq)
+        vectors = list(_count_walk(sum(seq), runs))
         assert vectors == [tuple(k for _, k in u) for u, _ in unpruned_count_vectors(seq)]
         assert all(a > b for a, b in zip(vectors, vectors[1:]))
         mirrors = [tuple(c - k for (_, c), k in zip(runs, v)) for v in vectors]
@@ -259,11 +260,11 @@ class TestGaleRyserPrunedWalk:
     the unpruned search that ``_gale_ryser_runs`` accepts, in its order."""
 
     @staticmethod
-    def _same_keys(seq, unpruned_count_vectors):
+    def _same_vectors(seq, unpruned_count_vectors):
         sigma = sum(seq)
         runs = _value_runs(seq)
-        keys = _count_walk(sigma, runs, _gale_ryser_bound(runs, sigma // 2))
-        assert [count_runs(runs, key) for key in keys] == [
+        walk = _count_walk(sigma, runs, _gale_ryser_bound(runs, sigma // 2))
+        assert [count_runs(runs, counts) for counts in walk] == [
             (u, v) for u, v in unpruned_count_vectors(seq) if _gale_ryser_runs(u, v)]
 
     @given(seq=st.one_of(DRAWS, MANY_DISTINCT))
@@ -276,14 +277,14 @@ class TestGaleRyserPrunedWalk:
     @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
     @example(seq=[4] * 16)
     def test_drawn(self, seq, unpruned_count_vectors):
-        self._same_keys(seq, unpruned_count_vectors)
+        self._same_vectors(seq, unpruned_count_vectors)
 
     @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
     def test_padded(self, c1, c2, unpruned_count_vectors):
         bounds = ParamBounds(Fraction(c1), Fraction(c2))
         for source in reduction_corpus(8):
             d_prime = build_hard_instance(DegreeSequence(source), bounds).d_prime
-            self._same_keys(d_prime.degrees, unpruned_count_vectors)
+            self._same_vectors(d_prime.degrees, unpruned_count_vectors)
 
 
 class TestSizeFeasibleKeys:
@@ -312,8 +313,8 @@ class TestSizeFeasibleKeys:
     @example(seq=[17, 13, 11, 9, 7, 5, 3, 2, 2, 1])
     def test_drawn(self, seq, unpruned_count_vectors):
         runs = _value_runs(seq)
-        keys = partition.size_feasible_keys(sum(seq), runs)
-        assert [count_runs(runs, key) for key in keys] == self._first_per_size(
+        proposals = partition.size_feasible_counts(sum(seq), runs)
+        assert [count_runs(runs, counts) for counts in proposals] == self._first_per_size(
             seq, unpruned_count_vectors)
 
     @pytest.mark.parametrize("c1, c2", [("1/10", "2/5"), ("1/20", "9/20")])
@@ -322,8 +323,8 @@ class TestSizeFeasibleKeys:
         for source in reduction_corpus(8):
             seq = build_hard_instance(DegreeSequence(source), bounds).d_prime.degrees
             runs = _value_runs(seq)
-            keys = partition.size_feasible_keys(sum(seq), runs)
-            assert [count_runs(runs, key) for key in keys] == self._first_per_size(
+            proposals = partition.size_feasible_counts(sum(seq), runs)
+            assert [count_runs(runs, counts) for counts in proposals] == self._first_per_size(
                 seq, unpruned_count_vectors)
 
     @pytest.mark.parametrize("seq", [
@@ -334,8 +335,8 @@ class TestSizeFeasibleKeys:
         # a size that the degrees at most s cannot fill asks nothing of the
         # table, so with no size left no cap is too small
         monkeypatch.setattr(partition, "SIZE_DP_BITS", 0)
-        assert list(partition.size_feasible_keys(sum(seq), _value_runs(seq))) == []
-        assert partition.size_feasible_keys(8, _value_runs((2, 2, 2, 2))) is None
+        assert list(partition.size_feasible_counts(sum(seq), _value_runs(seq))) == []
+        assert partition.size_feasible_counts(8, _value_runs((2, 2, 2, 2))) is None
 
 
 class TestEnumerate:

@@ -326,8 +326,8 @@ try:
     sys.exit("out-of-range neighbor accepted")
 except ValueError:
     pass
-# a count walk whose first key puts nothing on U
-bdr.partition._count_walk = lambda sigma, runs, live=None: iter([0])
+# a count walk whose first count vector puts nothing on U
+bdr.partition._count_walk = lambda sigma, runs, live=None: iter([(0, 0)])
 try:
     bdr.partition.find_equal_sum_split(DegreeSequence((2, 1, 1)))
     sys.exit("split with unequal sides accepted")
