@@ -64,12 +64,6 @@ class DegreeSequence:
     def nonzero(self) -> tuple[int, ...]:
         return tuple(d for d in self.degrees if d > 0)
 
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __len__(self):
-        return len(self.degrees)
-
 
 @dataclass(frozen=True)
 class DegreeClass:

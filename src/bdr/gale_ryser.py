@@ -7,20 +7,19 @@ so a step costs O(|V|)-bit operations per residual level it touches.
 
 A realization is its rows, its only form: one int bitset per u-vertex,
 bit v set when (u, v) is an edge, each checked in O(1) by the
-constructor.  One decoder, ``_decode_bits``, reads a row into the entries
-of a table indexed by v: ``edge_chunks`` into the v-index strings it
-renders, ``sorted_edges`` into the v-indices of its (u, v) pairs.  A row
-is read by its runs of set bits, counted in O(1) int operations from
-``bits ^ bits << 1`` (``_runs``): a row of at most ``SLICED_RUNS`` runs
-is that many slices of the table, any other one ``compress`` pass over
-it with the flags of ``bin(row)``.
+constructor.  ``_runs`` takes a row's runs of set bits off its ends mask
+``row ^ row << 1``, and ``v_degrees`` reads every row by it.  One decoder,
+``_decode_bits``, reads a row into the entries of a table indexed by v
+(``edge_chunks``: the strings it renders; ``sorted_edges``: the v-indices
+of its pairs): a row of at most ``SLICED_RUNS`` runs, counted in O(1) from
+the mask, as that many slices, any other by one ``compress`` pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import exact_int
@@ -44,18 +43,11 @@ def _flags(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_FLAGS)
 
 
-def _runs(bits: int) -> list[tuple[int, int]] | None:
-    """The (start, stop) of each run of set bits of ``bits`` >= 0, lowest
-    first, or None when it has more than ``SLICED_RUNS`` runs.
-
-    ``bits ^ bits << 1`` has one set bit at the start of each run and one
-    just past its end, so its bit count, twice the number of runs, costs
-    O(1) int operations, and each run's ends come off that mask lowest
-    first at O(1) int operations of O(bit_length) bits each.
-    """
-    ends = bits ^ bits << 1
-    if ends.bit_count() > 2 * SLICED_RUNS:
-        return None
+def _runs(ends: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each run of set bits of a row >= 0, lowest
+    first, off its ends mask ``row ^ row << 1``, which has one set bit at
+    the start of each run and one just past its end: O(1) int operations
+    of O(bit_length) bits per run."""
     runs = []
     while ends:
         start = ends & -ends
@@ -69,12 +61,13 @@ def _runs(bits: int) -> list[tuple[int, int]] | None:
 def _decode_bits(bits: int, names: tuple) -> tuple:
     """The entries of ``names`` (at least bits.bit_length() of them) at the
     set bits of ``bits`` >= 0, lowest first: for at most ``SLICED_RUNS``
-    runs that many slices of ``names``, joined once, else one ``compress``
-    pass over ``names``, O(len(names)) C-level steps."""
-    runs = _runs(bits)
-    if runs is None:
+    runs (the ends mask's bit count over 2, in O(1)) that many slices of
+    ``names`` (``_runs``), joined once, else one ``compress`` pass over
+    ``names``, O(len(names)) C-level steps."""
+    ends = bits ^ bits << 1
+    if ends.bit_count() > 2 * SLICED_RUNS:
         return tuple(compress(names, _flags(bits)))
-    return sum([names[start:stop] for start, stop in runs], ())
+    return sum([names[start:stop] for start, stop in _runs(ends)], ())
 
 
 @dataclass(frozen=True)
@@ -122,19 +115,13 @@ class BipartiteRealization:
 
         Equal rows are grouped by value, so a row that occurs t times, as
         the lift's rows do, is read once: +t at the start of each of its
-        runs of set bits and -t just past its end, summed once at the end.
-        A row of at most ``SLICED_RUNS`` runs costs O(1) int operations
-        per run (``_runs``); any other is read by one ``compress`` pass
-        over the flags of ``row ^ row << 1``.
+        runs of set bits and -t just past its end (``_runs``, O(1) int
+        operations per run), summed once at the end.
         """
         n = self.v_count
         starts = [0] * (n + 1)
         for row, t in Counter(self.rows).items():
-            runs = _runs(row)
-            if runs is None:
-                ends = tuple(compress(count(), _flags(row ^ row << 1)))
-                runs = zip(ends[::2], ends[1::2])
-            for start, stop in runs:
+            for start, stop in _runs(row ^ row << 1):
                 starts[start] += t
                 starts[stop] -= t
         return tuple(accumulate(starts[:n]))
@@ -290,7 +277,9 @@ def construct_realization(d1: Sequence[int],
     of the boundary can share a residual, and they are merged by one OR.
     A u-vertex costs O(1) int operations of O(|V|) bits per level it
     touches plus O(log |V|) for the boundary level, with no per-vertex
-    list work.
+    list work.  A u-vertex that runs out of levels signals a non-bigraphic
+    pair; once all are served in full, no level is left, as the levels hold
+    positive residuals only and their total is sum(d2) - sum(d1) = 0.
 
     The row bitsets become the realization as they are.  They are built
     from ``1 << v`` with v < |V|; one bound check, that the largest ends
@@ -346,8 +335,6 @@ def construct_realization(d1: Sequence[int],
             k += 1
         levels[:k] = head
         rows[u] = row
-    if levels:
-        return None
     n = len(d2)
     if max(rows, default=0).bit_length() > n:
         raise InvariantError(f"a row bitset reaches past v_count {n}")

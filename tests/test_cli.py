@@ -539,6 +539,17 @@ class TestReduce:
         code, _, err = run(capsys, ["reduce", "--c1", "1/3", "--c2", "1/3", f])
         assert code == 3
 
+    def test_oversized_padding(self, tmp_path, capsys):
+        # a 24-byte source whose padding n is 1.2e9 is a typed error; were
+        # the guard gone, the first padding constant fails the test instead
+        # of a build of 1.2e9 entries
+        f = write(tmp_path, "d.txt", "1000000 1000000 1000000\n")
+        with mock.patch.object(cli.reduction, "_exact_quotient", side_effect=AssertionError):
+            code, out, err = run(capsys, ["reduce", "--c1", "3/20", "--c2", "2/5", f])
+        assert (code, out) == (3, "")
+        assert err == ("error: padded sequence of n + S = 1203000000 entries "
+                       "exceeds the limit of 1048576\n")
+
     @pytest.mark.parametrize("c1, c2, text", [("1/10", "2/5", "2 1 1 1 1"),
                                               ("1/20", "9/20", "4 3 3 2 2 2"),
                                               ("3/20", "2/5", "1 1 1 1")])
@@ -618,6 +629,13 @@ class TestScan:
         assert fields[2] == "HighTractable"
         assert float(fields[4]) == 0.0
         assert int(fields[5]) > 0
+
+    def test_cell_without_graphic_sample(self, capsys):
+        # the one degree of n = 1 at c1 = c2 = 1 is 1, an odd sum: no sample
+        code, out, _ = run(capsys, ["scan", "--c1-grid", "1:1:1", "--c2-grid", "1:1:1",
+                                    "--n", "1", "--samples", "2"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,1,HighTractable,0.0,0.0,0"]
 
     def test_bad_grid(self, capsys):
         code, _, _ = run(capsys, ["scan", "--c1-grid", "oops",

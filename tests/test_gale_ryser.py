@@ -578,6 +578,11 @@ class TestHingeFlip:
         with pytest.raises(InvalidMoveError):
             hinge_flip(g, 0, 1, 0)
 
+    def test_edge_not_present(self):
+        g = pack(2, ((0,), ()))
+        with pytest.raises(InvalidMoveError, match=r"edge \(0, 1\) not present"):
+            hinge_flip(g, 0, 1, 1)
+
     def test_direct_move(self):
         g = pack(2, ((0, 1), ()))
         assert hinge_flip(g, 0, 1, 1).edges == frozenset({(0, 0), (1, 1)})

@@ -4,7 +4,7 @@ from math import ceil, floor
 
 import pytest
 
-from bdr import (DegreeClass, DegreeSequence,
+from bdr import (DegreeClass, DegreeSequence, LbdsShape,
                  balancing_hinge_flip, construct_realization, is_bigraphic,
                  lbds, lbds_pair_bigraphic, lbds_shape)
 from bdr.errors import InfeasibleClassError, InvalidPairError, InvariantError
@@ -37,6 +37,9 @@ class TestLbds:
 
     def test_constant_class_forced(self):
         assert lbds(DegreeClass(4, 8, 2, 2)).degrees == (2, 2, 2, 2)
+        # no vertices: the one member is the empty sequence, also for d < delta
+        assert lbds(DegreeClass(0, 0, 0, 0)).degrees == ()
+        assert lbds(DegreeClass(0, 0, 1, 4)).degrees == ()
 
     def test_single_max(self):
         assert lbds(DegreeClass(3, 6, 1, 4)).degrees == (4, 1, 1)
@@ -59,6 +62,8 @@ class TestLbds:
         shape = lbds_shape(DegreeClass(6, 17, 2, 4))
         cls = shape.cls
         assert shape.k * cls.delta + shape.d_int + shape.tail * cls.d == cls.sigma
+        empty = DegreeClass(0, 0, 1, 4)
+        assert lbds_shape(empty) == LbdsShape(0, 0, 0, empty)
 
     def test_output_invariants(self):
         rng = random.Random(7)

@@ -284,6 +284,22 @@ class TestBuildHardInstance:
             build_hard_instance(DegreeSequence((0, 0)), HARD)
 
 
+    def test_oversized_padding_rejected(self, monkeypatch):
+        # n = 1.2e9 at r = 9/20 is refused before any entry is built; were
+        # the guard gone, the call of the first padding constant fails the
+        # test instead of a build of 1.2e9 entries
+        monkeypatch.setattr("bdr.reduction._exact_quotient", None)
+        with pytest.raises(ReductionPreconditionError, match="1203000000 entries"):
+            build_hard_instance(DegreeSequence((10 ** 6,) * 3),
+                                ParamBounds(F(3, 20), F(2, 5)))
+        # the limit is on n + S: 48 + 6 entries at the worked instance
+        monkeypatch.undo()
+        monkeypatch.setattr("bdr.reduction.MAX_PADDED_ENTRIES", 54)
+        assert build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD).d_prime.n == 54
+        monkeypatch.setattr("bdr.reduction.MAX_PADDED_ENTRIES", 53)
+        with pytest.raises(ReductionPreconditionError, match="exceeds the limit of 53"):
+            build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
+
     @pytest.mark.parametrize("n", [50, 8])
     def test_inadmissible_padding_rejected(self, monkeypatch, n):
         # 50: c1~*n = 25/4 is not an integer; 8: the constants are integers
@@ -363,6 +379,10 @@ class TestSemiregular:
     def test_degree_too_large(self):
         with pytest.raises(ValueError):
             semiregular_bipartite(2, 4, 3, 8)
+        # equal sums, so only the size check can refuse it: one vertex of
+        # degree 4 against two of degree 2
+        with pytest.raises(ValueError, match="exceeds the opposite class size"):
+            semiregular_bipartite(1, 4, 2, 2)
 
     @pytest.mark.parametrize("params", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
                                         (0, 0, 0, -1)])
