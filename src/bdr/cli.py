@@ -31,6 +31,8 @@ EXIT_USAGE = 3
 # points per scan grid axis, checked before any point is built, so that a
 # grid such as 0:1:1/1000000000 fails at once instead of filling memory
 MAX_GRID_POINTS = 1000
+# the count vectors oracle and verify-reduction test given no --budget
+ORACLE_BUDGET = 100_000
 
 
 def _read_sequence(path: str) -> DegreeSequence:
@@ -220,6 +222,7 @@ def _integer(name: str, low: int | None = None):
 
 _BOUNDS = {"--c1": (core.parse_rational, None), "--c2": (core.parse_rational, None)}
 _BUDGET = {"--budget": (_integer("budget", 0), None)}  # None: unlimited
+_ORACLE_BUDGET = {"--budget": (_integer("budget", 0), ORACLE_BUDGET)}
 _FILE = {"file": str}
 # command -> (handler, help line, {option: (converter or "flag", default)},
 #             required options, {positional name: converter})
@@ -231,12 +234,12 @@ COMMANDS = {
              {name: _integer(name) for name in ("n", "sigma", "delta", "d")}),
     "reduce": (run_reduce, "build the padded hard instance", _BOUNDS, ("--c1", "--c2"), _FILE),
     "verify-reduction": (run_verify_reduction, "round-trip verdict check",
-                         {**_BOUNDS, **_BUDGET}, ("--c1", "--c2"), _FILE),
+                         {**_BOUNDS, **_ORACLE_BUDGET}, ("--c1", "--c2"), _FILE),
     "scan": (run_scan, "sample the parameter grid, CSV to stdout",
              {"--c1-grid": (_parse_grid, None), "--c2-grid": (_parse_grid, None),
               "--samples": (_integer("samples", 1), 20), "--n": (_integer("n", 0), 12),
               "--seed": (_integer("seed"), 0), **_BUDGET}, ("--c1-grid", "--c2-grid"), {}),
-    "oracle": (run_oracle, "brute-force verdict (debugging)", _BUDGET, (), _FILE),
+    "oracle": (run_oracle, "brute-force verdict (debugging)", _ORACLE_BUDGET, (), _FILE),
 }
 
 

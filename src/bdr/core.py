@@ -1,4 +1,4 @@
-"""Fundamental types, parsing, and graphicality testing.
+"""Fundamental types, parsing, degree runs and graphicality testing.
 
 Degree sequences are immutable value objects.  The relative degree bounds
 (c1, c2) are exact rationals; a sequence of length n is checked against the
@@ -9,9 +9,10 @@ instances are classified correctly.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -56,10 +57,6 @@ class DegreeSequence:
     @property
     def sigma(self) -> int:
         return sum(self.degrees)
-
-    def sorted_desc(self) -> tuple[int, ...]:
-        """Canonical non-increasing copy; the original order is kept."""
-        return tuple(sorted(self.degrees, reverse=True))
 
     def nonzero(self) -> tuple[int, ...]:
         return tuple(d for d in self.degrees if d > 0)
@@ -138,34 +135,35 @@ def parse_sequence(text: str) -> DegreeSequence:
     return DegreeSequence(map(int, tokens))
 
 
-def _erdos_gallai_holds(deg: tuple[int, ...], k: int, prefix: list[int], suffix: list[int]) -> bool:
-    # deg sorted non-increasing, 1-based k.  RHS = k(k-1) + sum_{j>k} min(k, d_j).
-    n = len(deg)
-    # first index >= k (0-based) in deg[k:] whose value is <= k
-    idx = bisect_left(deg, -k, lo=k, hi=n, key=lambda v: -v)
-    rhs = k * (k - 1) + (idx - k) * k + (suffix[idx])
-    return prefix[k] <= rhs
+def _value_runs(degrees: Iterable[int]) -> list[tuple[int, int]]:
+    """The distinct nonzero degrees as (value, count) runs, largest first."""
+    counts = Counter(degrees)
+    counts.pop(0, None)
+    return sorted(counts.items(), reverse=True)
 
 
 def is_graphic(ds: DegreeSequence) -> bool:
-    """Erdős–Gallai test, at the drop points (k with d_k > d_{k+1}) plus
-    k = n; the inequality at any other k follows from these."""
-    deg = ds.sorted_desc()
-    n = len(deg)
-    if n == 0:
-        return True
-    if sum(deg) % 2 != 0:
+    """Erdős–Gallai at the run ends k of ``_value_runs``, the drop points of
+    the nonzero degrees and k = m, their count (zeros add nothing to either
+    side; any other k follows): an even sum, and sum_{i<=k} d_i <= k(k-1) +
+    k·(count of the runs after k above k) + (their sum at or below k), read
+    off two prefix-sum lists and one pointer, as ``_gale_ryser_runs`` does.
+    """
+    runs = _value_runs(ds.degrees)
+    cnt, wt = [0], [0]  # the count and the sum of runs 0..t-1
+    for v, c in runs:
+        cnt.append(cnt[-1] + c)
+        wt.append(wt[-1] + v * c)
+    if wt[-1] % 2:
         return False
-    if deg[0] == 0:
-        return True
-    prefix = [0] * (n + 1)
-    for i, d in enumerate(deg):
-        prefix[i + 1] = prefix[i] + d
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + deg[i]
-    ks = [k for k in range(1, n) if deg[k - 1] > deg[k]] + [n]
-    return all(_erdos_gallai_holds(deg, k, prefix, suffix) for k in ks)
+    j = len(runs)  # runs[j:] are the runs of value <= k
+    for t, k in enumerate(cnt[1:], 1):
+        while j and runs[j - 1][0] <= k:
+            j -= 1
+        r = max(j, t)
+        if wt[t] > k * (k - 1) + k * (cnt[r] - cnt[t]) + wt[-1] - wt[r]:
+            return False
+    return True
 
 
 def degree_window(bounds: ParamBounds, n: int) -> tuple[int, int]:

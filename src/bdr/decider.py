@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import DegreeSequence, ParamBounds, check_budget, in_class
+from .core import DegreeSequence, ParamBounds, _value_runs, check_budget, in_class
 from .errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from .gale_ryser import (BipartiteRealization, _gale_ryser_bound, _gale_ryser_runs,
-                         _value_runs, construct_realization)
+                         construct_realization)
 from .partition import (SplitWitness, _count_walk, balanced_split, count_runs,
                         equal_sum_split_exists, find_equal_sum_split, size_feasible_counts,
                         split_of_counts, split_with_u)

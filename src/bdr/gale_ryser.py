@@ -20,9 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import exact_int
+from .core import _value_runs, exact_int
 from .errors import InvalidMoveError, InvariantError
 
 
@@ -166,7 +166,7 @@ def _gale_ryser_bound(runs: list[tuple[int, int]],
                       half: int) -> Callable[[int, int, int], bool]:
     """A Gale–Ryser test for the nodes of a depth-first walk that assigns
     U counts k_t to the (value, count) ``runs`` (largest value first, as
-    ``_value_runs`` gives them), U taking the sum ``half``.
+    ``core._value_runs`` gives them), U taking the sum ``half``.
 
     ``live(i, rem, k)`` is called for each node the walk enters, in walk
     order: runs 0..i-1 are assigned, k values of run i - 1 (0 at the root)
@@ -226,13 +226,6 @@ def _gale_ryser_bound(runs: list[tuple[int, int]],
                                + min(kv * (cnt[q] - cnt[i]) + total - wt[q], rem))
 
     return live
-
-
-def _value_runs(degrees: Iterable[int]) -> list[tuple[int, int]]:
-    """The distinct nonzero degrees as (value, count) runs, largest first."""
-    counts = Counter(degrees)
-    counts.pop(0, None)
-    return sorted(counts.items(), reverse=True)
 
 
 def is_bigraphic(d1: Sequence[int], d2: Sequence[int]) -> bool:

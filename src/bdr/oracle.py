@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import DegreeSequence, check_budget
+from .core import DegreeSequence, _value_runs, check_budget
 from .errors import BudgetExceededError
 # bound under its old name, which perfbench/tracing.py patches to count leaves
 from .gale_ryser import _gale_ryser_runs as _gale_ryser_lists
-from .gale_ryser import _value_runs
 from .partition import _count_walk, count_runs
 
 

@@ -40,9 +40,8 @@ from math import isqrt
 from operator import not_
 from typing import Callable, Iterable, Iterator
 
-from .core import DegreeSequence
+from .core import DegreeSequence, _value_runs
 from .errors import InvariantError
-from .gale_ryser import _value_runs
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
                 live: Callable[[int, int, int], bool] | None = None
                 ) -> Iterator[tuple[int, ...]]:
     """Every U count vector (k_0, ..., k_{d-1}) over the d (value, count)
-    ``runs`` (largest value first, as ``gale_ryser._value_runs`` gives
+    ``runs`` (largest value first, as ``core._value_runs`` gives
     them) whose U side sums to sigma/2, on bitsets built when it starts.
 
     The walk takes the runs in order and, for each, the U count from the

@@ -486,6 +486,18 @@ class TestBudget:
         code, out, err = run(capsys, ["oracle", "--budget", "-1", "/no/such/file"])
         assert code == 3 and out == "" and "budget must be >= 0" in err
 
+    @pytest.mark.parametrize("command", [["oracle"],
+                                         ["verify-reduction", "--c1", "1/10", "--c2", "2/5"]],
+                             ids=lambda argv: argv[0])
+    def test_oracle_default(self, tmp_path, capsys, command):
+        # the half graph of 1..32 (each value twice) has more than 100,000
+        # equal-sum count vectors before its first bigraphic one; with no
+        # --budget both count-vector searches stop at ORACLE_BUDGET
+        f = write(tmp_path, "d.txt", " ".join(str(v) for v in range(1, 33) for _ in "uv"))
+        code, out, err = run(capsys, [*command, f])
+        assert (code, out, err) == (
+            3, "", "budget exceeded: examined more than 100000 split count vectors\n")
+
     def test_zero_budget_keeps_its_meaning(self, tmp_path, capsys):
         # the size subset sum's one proposal fails Gale-Ryser, and the walk
         # rules out splits before its first accepted count vector

@@ -15,7 +15,8 @@ from bdr import (Decision, DegreeSequence, ParamBounds, RegionClass, balanced_sp
                  threshold_c2)
 from bdr.errors import BudgetExceededError, InputOutOfClassError, InvariantError
 from bdr.oracle import brute_force_bipartite_realizable, exhaustive_graph_search
-from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
+from bdr.core import _value_runs
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs
 from bdr.partition import (_count_walk, count_runs, equal_sum_split_exists,
                            size_feasible_counts, split_with_u)
 from conftest import MANY_DISTINCT, _unpruned_splits, reduction_corpus

@@ -11,7 +11,8 @@ from bdr import (BipartiteRealization, DegreeSequence, ParamBounds,
                  format_realization, hinge_flip, is_bigraphic, is_graphic)
 from bdr import gale_ryser
 from bdr.errors import InvalidMoveError, InvariantError
-from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
+from bdr.core import _value_runs
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs
 from bdr.oracle import exhaustive_pair_search
 from bdr.reduction import _round_robin_rows
 from conftest import decoded_rows, pack

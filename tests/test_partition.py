@@ -12,7 +12,8 @@ from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instanc
 from bdr import partition
 from bdr.decider import decide_exact
 from bdr.errors import BudgetExceededError, InvariantError
-from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs, _value_runs
+from bdr.core import _value_runs
+from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs
 from bdr.partition import _block, _count_walk, count_runs, split_with_u
 from conftest import MANY_DISTINCT, reduction_corpus
 

@@ -18,8 +18,11 @@ from bdr import (DegreeSequence, ParamBounds, build_hard_instance,
 from bdr.errors import (NotInHardRegionError, ProjectionAuditError,
                         ReductionInvariantError, ReductionPreconditionError)
 from bdr import gale_ryser
-from bdr.gale_ryser import BipartiteRealization, construct_realization, hinge_flip
+from bdr.core import _value_runs
+from bdr.gale_ryser import (BipartiteRealization, _gale_ryser_runs, construct_realization,
+                            hinge_flip)
 from bdr.oracle import brute_force_bipartite_realizable
+from bdr.partition import _count_walk, count_runs
 from bdr.reduction import _round_robin_rows, _sqrt_floor_ceil
 from conftest import decoded_rows, pack, reduction_corpus
 
@@ -747,3 +750,42 @@ def test_reduction_agreement_sweep(c1, c2):
             assert rep.instance.r == F(1, 2) and rep.instance.n == 4 * sum(seq), seq
             disagree.add(seq)
     assert disagree == expected
+
+
+@pytest.mark.parametrize("c1,c2", [(F(1, 10), F(2, 5)), (F(1, 20), F(9, 20))])
+def test_uneven_big_vertices_meet_both_necessary_conditions(c1, c2):
+    """Every bigraphic count vector of D' puts B/2 + delta big vertices on
+    U (B = big_count), oriented so that delta >= 0, and D_U, the source
+    degree of U's shifted and filler vertices (each less shift_base), meets
+    the two conditions a sound padding size rests on:
+    - Gale-Ryser on U at k = B/2 + delta, where every n-sized term cancels
+      by the block identities, reads delta^2 <= S/2;
+    - equal side sums put rho = (delta - 1)*S + 2*D_U in g*n*Z, with
+      g = gcd(2(q-p)^2, 4(q^2-p^2), 2q(q-p)) / (4q^2) for r = p/q, tested
+      in integers as 4q^2*rho divisible by gcd(...)*n.
+    Neither depends on how n is chosen."""
+    bounds = ParamBounds(c1, c2)
+    sources = reduction_corpus(14) + [(2,) * 9, (2,) * 11, (2,) * 13, (3,) * 6 + (2,)]
+    vectors = 0
+    for seq in sources:
+        inst = build_hard_instance(DegreeSequence(seq), bounds)
+        p, q = inst.r.numerator, inst.r.denominator
+        assert inst.r == F(1, 2), seq
+        g_num = math.gcd(2 * (q - p) ** 2, 4 * (q * q - p * p), 2 * q * (q - p))
+        runs = _value_runs(inst.d_prime.degrees)
+        for counts in _count_walk(inst.d_prime.sigma, runs):
+            u, v = count_runs(runs, counts)
+            if not _gale_ryser_runs(u, v):
+                continue
+            vectors += 1
+            big_on_u = dict(u)[inst.big_value]
+            if 2 * big_on_u < inst.big_count:
+                u = v
+                big_on_u = inst.big_count - big_on_u
+            delta = big_on_u - inst.big_count // 2
+            d_u = sum(k * (value - inst.shift_base) for value, k in u
+                      if inst.shift_base <= value < inst.big_value)
+            rho = (delta - 1) * inst.S + 2 * d_u
+            assert delta * delta <= inst.S // 2, (seq, counts)
+            assert rho * 4 * q * q % (g_num * inst.n) == 0, (seq, counts)
+    assert vectors > 1000
