@@ -18,9 +18,8 @@ from .oracle import (brute_force_bipartite_realizable, exhaustive_graph_search,
                      exhaustive_pair_search)
 from .partition import (SplitWitness, balanced_split, enumerate_equal_sum_splits,
                         equal_sum_split_exists, find_equal_sum_split)
-from .reduction import (ReductionInstance, Role, RoundTripReport,
-                        build_hard_instance, choose_padding_n,
-                        compute_rational_r, lift_realization,
+from .reduction import (ReductionInstance, RoundTripReport, build_hard_instance,
+                        choose_padding_n, compute_rational_r, lift_realization,
                         project_realization, semiregular_bipartite,
                         verify_reduction_roundtrip)
 

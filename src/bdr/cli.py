@@ -107,21 +107,21 @@ def run_lbds(args) -> int:
 
 
 def run_reduce(args) -> int:
-    """Write the instance; each distinct ``Role`` object, most of them
-    shared, is rendered once."""
+    """Write the instance; each block's role is rendered once and repeated
+    over the block."""
     ds = _read_sequence(args.file)
     inst = reduction.build_hard_instance(ds, ParamBounds(args.c1, args.c2))
-    roles = inst.roles
-    # keys already in sorted order, so no sort_keys (and its fresh encoder)
-    text = {key: json.dumps({"kind": role.kind, "source_index": role.source_index})
-            for key, role in dict(zip(map(id, roles), roles)).items()}
+    roles: list[str] = []
+    for kind, index, _, count in inst.blocks:
+        # keys already in sorted order, so no sort_keys (and its fresh encoder)
+        roles += [json.dumps({"kind": kind, "source_index": index})] * count
     _emit({
         "r": str(inst.r),
         "c1_tilde": str(inst.c1_tilde),
         "c2_tilde": str(inst.c2_tilde),
         "n": inst.n,
         "d_prime": list(inst.d_prime.degrees),
-    }, "roles", [", ".join(map(text.__getitem__, map(id, roles)))])
+    }, "roles", [", ".join(roles)])
     return 0
 
 

@@ -33,18 +33,6 @@ MAX_PADDED_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
-class Role:
-    """Role of one padded-sequence entry.
-
-    kind is one of "big", "shifted", "filler", "small"; shifted entries
-    carry the index of the source degree they encode.
-    """
-
-    kind: str
-    source_index: int | None = None
-
-
-@dataclass(frozen=True)
 class ReductionInstance:
     source: DegreeSequence  # zero-stripped
     S: int
@@ -53,7 +41,10 @@ class ReductionInstance:
     c2_tilde: Fraction
     n: int
     d_prime: DegreeSequence
-    roles: tuple[Role, ...]
+    # d_prime as runs (kind, source_index, degree, count), in d_prime order:
+    # kind is "big", "shifted", "filler" or "small", and source_index is the
+    # position in ``source`` a shifted run of count 1 encodes, else None
+    blocks: tuple[tuple[str, int | None, int, int], ...]
     big_value: int    # c2~*n + S/2
     small_value: int  # c1~*n
     shift_base: int   # (c1~+c2~)/2*n: the filler degree and the source shift
@@ -169,7 +160,13 @@ def choose_padding_n(S: int, bounds: ParamBounds, r: Fraction) -> int:
 
 
 def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionInstance:
-    """Assemble the padded D' of a zero-free source; refuse a D' over ``MAX_PADDED_ENTRIES``."""
+    """Assemble the padded D' of a zero-free source; refuse a D' over ``MAX_PADDED_ENTRIES``.
+
+    D' is four blocks, in this order: big_count entries of big_value, one
+    entry d + shift_base per source degree d in source order (the shifted
+    source), S - n_src fillers of degree shift_base (none for an all-ones
+    source) and small_count entries of small_value.
+    """
     source = DegreeSequence(ds.nonzero())
     S = source.sigma
     if S % 2 != 0:
@@ -200,24 +197,17 @@ def build_hard_instance(ds: DegreeSequence, bounds: ParamBounds) -> ReductionIns
     if shift + half_s + semi_deg != big_value or shift * semi_deg != s_side * small_value:
         raise ReductionInvariantError(
             f"padding n = {n} breaks the block identities of the construction")
-    filler_count = S - source.n
-
+    blocks = (("big", None, big_value, big_count),
+              *(("shifted", i, d + shift, 1) for i, d in enumerate(source.degrees)),
+              ("filler", None, shift, S - source.n),
+              ("small", None, small_value, small_count))
     degrees: list[int] = []
-    roles: list[Role] = []
-    degrees += [big_value] * big_count
-    roles += [Role("big")] * big_count
-    for i, d in enumerate(source.degrees):
-        degrees.append(d + shift)
-        roles.append(Role("shifted", i))
-    degrees += [shift] * filler_count
-    roles += [Role("filler")] * filler_count
-    degrees += [small_value] * small_count
-    roles += [Role("small")] * small_count
-
+    for _, _, d, count in blocks:
+        degrees += [d] * count
     d_prime = DegreeSequence(degrees)
     if not in_class(d_prime, bounds):
         raise ReductionInvariantError(f"padded sequence of n = {n} is not in the class")
-    return ReductionInstance(source, S, r, c1t, c2t, n, d_prime, tuple(roles),
+    return ReductionInstance(source, S, r, c1t, c2t, n, d_prime, blocks,
                              big_value, small_value, shift, big_count, small_count,
                              semi_deg)
 
@@ -421,6 +411,7 @@ def verify_reduction_roundtrip(ds: DegreeSequence, bounds: ParamBounds,
     count prefix only when the rest of the half sum is reachable by the
     remaining values, so every count vector it builds has the half sum.
     """
+    # resolved per call, so a wrapper on the oracle module's attribute sees both calls
     from .oracle import brute_force_bipartite_realizable
     inst = build_hard_instance(ds, bounds)
     verdict_src = brute_force_bipartite_realizable(inst.source, budget=budget)

@@ -168,10 +168,9 @@ def test_criterion_6_reduction_worked_instance():
     assert inst.r == F(1, 2)
     assert inst.c1_tilde == F(1, 8) and inst.c2_tilde == F(3, 8)
     assert inst.n == 48 and inst.d_prime.n == 54
-    degrees = inst.d_prime.degrees
     by_kind = {}
-    for d, role in zip(degrees, inst.roles):
-        by_kind.setdefault(role.kind, []).append(d)
+    for kind, _, d, count in inst.blocks:
+        by_kind.setdefault(kind, []).extend([d] * count)
     assert by_kind["big"] == [21] * 24
     assert sorted(by_kind["shifted"]) == [13, 13, 13, 13, 14]
     assert by_kind["filler"] == [12]

@@ -16,7 +16,7 @@ from bdr import cli, gale_ryser
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
 from bdr.partition import SplitWitness
-from bdr.reduction import Role, build_hard_instance
+from bdr.reduction import build_hard_instance
 from conftest import decoded_rows, pack, reduction_corpus
 
 F = Fraction
@@ -565,24 +565,41 @@ class TestReduce:
     @pytest.mark.parametrize("c1, c2, text", [("1/10", "2/5", "2 1 1 1 1"),
                                               ("1/20", "9/20", "4 3 3 2 2 2"),
                                               ("3/20", "2/5", "1 1 1 1")])
-    @pytest.mark.parametrize("fresh_roles", [False, True])
-    def test_bytes_equal_one_sorted_dump(self, tmp_path, capsys, c1, c2, text, fresh_roles):
-        # each distinct Role object is rendered once; with fresh_roles no
-        # two entries share one, though many are equal
+    @pytest.mark.parametrize("split_blocks", [False, True])
+    def test_bytes_equal_one_sorted_dump(self, tmp_path, capsys, c1, c2, text, split_blocks):
+        # each block's role is rendered once and repeated over the block;
+        # 1 1 1 1 has an empty filler block.  With split_blocks every block
+        # is cut in two around an empty run of its kind, and the bytes,
+        # which depend only on the expanded roles, stay the same
         inst = build_hard_instance(DegreeSequence(tuple(map(int, text.split()))),
                                    ParamBounds(Fraction(c1), Fraction(c2)))
-        if fresh_roles:
-            inst = dataclasses.replace(inst, roles=tuple(
-                Role(role.kind, role.source_index) for role in inst.roles))
+        roles = [{"kind": kind, "source_index": index}
+                 for kind, index, _, count in inst.blocks for _ in range(count)]
+        if split_blocks:
+            inst = dataclasses.replace(inst, blocks=tuple(
+                (kind, index, d, part) for kind, index, d, count in inst.blocks
+                for part in (count // 2, 0, count - count // 2)))
         f = write(tmp_path, "d.txt", text + "\n")
         with mock.patch.object(cli.reduction, "build_hard_instance", lambda ds, bounds: inst):
             code, out, _ = run(capsys, ["reduce", "--c1", c1, "--c2", c2, f])
         assert code == 0
         assert out == json.dumps({
             "r": str(inst.r), "c1_tilde": str(inst.c1_tilde), "c2_tilde": str(inst.c2_tilde),
-            "n": inst.n, "d_prime": list(inst.d_prime.degrees),
-            "roles": [{"kind": role.kind, "source_index": role.source_index}
-                      for role in inst.roles]}, sort_keys=True) + "\n"
+            "n": inst.n, "d_prime": list(inst.d_prime.degrees), "roles": roles},
+            sort_keys=True) + "\n"
+
+    def test_zero_stripped_source_same_bytes(self, tmp_path, capsys):
+        # source_index counts positions in the zero-stripped source, so the
+        # zeros of the input leave every byte as it is
+        outs = []
+        for k, text in enumerate(["2 0 1 1 1 0 1", "2 1 1 1 1"]):
+            f = write(tmp_path, f"d{k}.txt", text + "\n")
+            code, out, _ = run(capsys, ["reduce", "--c1", "1/10", "--c2", "2/5", f])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+            "2a78e31ba11cdc790de701ed5d60483964048199ca823718fb75aa898380219e")
 
 
 class TestVerifyReduction:

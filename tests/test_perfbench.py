@@ -48,6 +48,24 @@ def test_tracer_patches_resolve(perfbench):
         assert getattr(owner, attr) is original, attr
 
 
+def test_tracer_sees_verify_reduction_oracle_calls(perfbench, tmp_path, capsys):
+    # verify-reduction asks the oracle twice, source and padded D'; its
+    # call-time import reads the oracle module's attribute, so the span
+    # wrapped there counts both calls
+    run, tracing = perfbench
+    lib = run.load_bdr()
+    source = tmp_path / "d.txt"
+    source.write_text("2 1 1 1 1\n")
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        code = lib.cli.main(["verify-reduction", "--c1", "1/10", "--c2", "2/5", str(source)])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tracer.counts["oracle.brute_force_bipartite_realizable.calls"] == 2
+
+
 def test_smoke_run():
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)

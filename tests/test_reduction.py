@@ -257,17 +257,22 @@ class TestBuildHardInstance:
         assert in_class(inst.d_prime, HARD)
 
     def test_roles_align_with_degrees(self):
-        inst = build_hard_instance(DegreeSequence((2, 1, 1, 1, 1)), HARD)
-        shift = inst.shift_base
-        for d, role in zip(inst.d_prime.degrees, inst.roles):
-            if role.kind == "big":
-                assert d == inst.big_value
-            elif role.kind == "small":
-                assert d == inst.small_value
-            elif role.kind == "filler":
-                assert d == shift
-            else:
-                assert d == inst.source.degrees[role.source_index] + shift
+        # every source of the reduce corpora at the three benchmark bounds:
+        # D' is the expansion of its blocks, in the order big, shifted,
+        # filler, small; each block's degree is its kind's, and the shifted
+        # blocks encode source positions 0 .. n_src - 1 once each, in order
+        for c1, c2, max_sum in [(F(1, 10), F(2, 5), 8), (F(1, 20), F(9, 20), 8),
+                                (F(3, 20), F(2, 5), 6)]:
+            for source in reduction_corpus(max_sum):
+                inst = build_hard_instance(DegreeSequence(source), ParamBounds(c1, c2))
+                shift = inst.shift_base
+                assert list(inst.d_prime.degrees) == [
+                    d for _, _, d, count in inst.blocks for _ in range(count)], source
+                assert inst.blocks == (
+                    ("big", None, inst.big_value, inst.big_count),
+                    *(("shifted", i, d + shift, 1) for i, d in enumerate(inst.source.degrees)),
+                    ("filler", None, shift, inst.S - inst.source.n),
+                    ("small", None, inst.small_value, inst.small_count)), source
 
     def test_zero_stripping(self):
         a = build_hard_instance(DegreeSequence((2, 0, 1, 1, 1, 0, 1)), HARD)
