@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
@@ -73,14 +74,13 @@ def _emit(payload: dict, key: str | None = None, items: Iterable[str] = ()) -> N
 def run_decide(args) -> int:
     ds = _read_sequence(args.file)
     decision = decider.decide_bdr(ds, ParamBounds(args.c1, args.c2))
-    region = decision.region  # decide_exact knows no region
     if decision.verdict == "Undecided" and args.exact:
-        decision = decider.decide_exact(ds, budget=args.budget)
+        decision = replace(decider.decide_exact(ds, budget=args.budget), region=decision.region)
     split, g = decision.split, decision.realization
     payload = {"verdict": decision.verdict, "reason": decision.reason, "realization": None,
                "split": None if split is None else {"u_indices": list(split.u),
                                                     "v_indices": list(split.v)},
-               "region": None if region is None else region.value}
+               "region": decision.region.value}
     if g is None:
         _emit(payload)
     else:

@@ -102,11 +102,15 @@ def max_degree_gap() -> tuple[float, float]:
     return c_star, gap(c_star)
 
 
-def _split_pair(ds: DegreeSequence,
-                split: SplitWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The U and V degrees of ``split``; u-vertex i is ``split.u[i]``."""
+def _realized(ds: DegreeSequence, split: SplitWitness, reason: str) -> Decision:
+    """The Bipartite decision of the equal-sum ``split``, realized by
+    ``construct_realization`` with u-vertex i as ``split.u[i]``.  Every
+    caller has shown the split bigraphic, so a rejection is a bug."""
     degree = ds.degrees.__getitem__
-    return tuple(map(degree, split.u)), tuple(map(degree, split.v))
+    g = construct_realization(tuple(map(degree, split.u)), tuple(map(degree, split.v)))
+    if g is None:
+        raise InvariantError(f"{reason}: the realizer rejects a bigraphic split")
+    return Decision("Bipartite", reason, split=split, realization=g)
 
 
 def precheck(ds: DegreeSequence) -> Decision | None:
@@ -125,14 +129,12 @@ def precheck(ds: DegreeSequence) -> Decision | None:
         return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
     n_half = sum(1 for d in work if d == half)
     if n_half == 1 or work == (1, 1):
-        # a vertex of degree sigma/2 is alone on its side: a star
-        split = split_with_u(ds, {ds.degrees.index(half)})
-        g = construct_realization(*_split_pair(ds, split))
-        if g is None:
-            # only possible for non-graphic input
+        # a vertex of degree sigma/2 is alone on its side, so every other
+        # nonzero degree is 1 (with n_half == 1, sigma/2 itself is above 1)
+        if sum(1 for d in work if d > 1) > 1:
             return Decision("NotBipartite", "gale-ryser-violation")
-        return Decision("Bipartite", "trivial-(1,1)" if work == (1, 1) else "split-found",
-                        split=split, realization=g)
+        split = split_with_u(ds, {ds.degrees.index(half)})
+        return _realized(ds, split, "trivial-(1,1)" if work == (1, 1) else "split-found")
     if n_half >= 2:
         return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
     if work and min(work) * 2 > len(work):
@@ -154,19 +156,12 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
         raise InputOutOfClassError(
             f"degrees not within [{bounds.c1}*n, {bounds.c2}*n]")
     region = classify_region(bounds)
-    pre = precheck(ds)
-    if pre is not None:
-        return replace(pre, region=region)
-    if region is RegionClass.LOW_TRACTABLE:
+    decision = precheck(ds)
+    if decision is None and region is RegionClass.LOW_TRACTABLE:
         split = balanced_split(ds) or find_equal_sum_split(ds)
-        if split is None:
-            return Decision("NotBipartite", "no-equal-sum-split", region=region)
-        g = construct_realization(*_split_pair(ds, split))
-        if g is None:
-            raise InvariantError("in-region equal-sum split must be bigraphic")
-        return Decision("Bipartite", "split-found", split=split,
-                        realization=g, region=region)
-    return Decision("Undecided", "exact-search", region=region)
+        decision = (Decision("NotBipartite", "no-equal-sum-split") if split is None
+                    else _realized(ds, split, "split-found"))
+    return replace(decision or Decision("Undecided", "exact-search"), region=region)
 
 
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:
@@ -266,8 +261,4 @@ def _witness(ds: DegreeSequence, runs: list[tuple[int, int]],
     if first is not None and not dict(count_runs(runs, counts)[0])[first]:
         # the complement passes too and puts the first nonzero index on U
         counts = tuple(c - k for (_, c), k in zip(runs, counts))
-    split = split_of_counts(ds, runs, counts)
-    g = construct_realization(*_split_pair(ds, split))
-    if g is None:
-        raise InvariantError("Gale-Ryser accepted a pair the realizer rejects")
-    return Decision("Bipartite", "exact-search", split=split, realization=g)
+    return _realized(ds, split_of_counts(ds, runs, counts), "exact-search")

@@ -102,6 +102,52 @@ class TestDecide:
         f = write(tmp_path, "d.txt", text + "\n")
         assert run(capsys, ["decide", "--c1", c1, "--c2", c2, f]) == (code, stdout, "")
 
+    NO_WITNESS = ('{{"realization": null, "reason": "{}", "region": "{}", "split": null, '
+                  '"verdict": "{}"}}\n')
+
+    @pytest.mark.parametrize("text, c1, c2, exact, code, stdout", [
+        # precheck, before any region logic
+        ("1 1 1", "0", "1", False, 1,
+         NO_WITNESS.format("no-equal-sum-split", "Unclassified", "NotBipartite")),
+        ("3 1 0 0", "0", "1", False, 1, NO_WITNESS.format(
+            "precheck-degree-at-least-half-sum", "Unclassified", "NotBipartite")),
+        ("2 2", "0", "1", False, 1, NO_WITNESS.format(
+            "precheck-degree-at-least-half-sum", "Unclassified", "NotBipartite")),
+        ("1 1", "0", "1", False, 0,
+         '{"realization": [[0, 0]], "reason": "trivial-(1,1)", "region": "Unclassified", '
+         '"split": {"u_indices": [0], "v_indices": [1]}, "verdict": "Bipartite"}\n'),
+        ("3 1 1 1", "0", "1", False, 0,
+         '{"realization": [[0, 0], [0, 1], [0, 2]], "reason": "split-found", '
+         '"region": "Unclassified", "split": {"u_indices": [0], "v_indices": [1, 2, 3]}, '
+         '"verdict": "Bipartite"}\n'),
+        ("3 2 1", "0", "1", False, 1,
+         NO_WITNESS.format("gale-ryser-violation", "Unclassified", "NotBipartite")),
+        ("2 2 2", "0", "1", False, 1,
+         NO_WITNESS.format("min-degree-too-large", "Unclassified", "NotBipartite")),
+        # the low-region rule
+        ("2 2 2 2", "1/2", "1/2", False, 0,
+         '{"realization": [[0, 0], [0, 1], [1, 0], [1, 1]], "reason": "split-found", '
+         '"region": "LowTractable", "split": {"u_indices": [0, 2], "v_indices": [1, 3]}, '
+         '"verdict": "Bipartite"}\n'),
+        ("2 2 2 2 2", "2/5", "2/5", False, 1,
+         NO_WITNESS.format("no-equal-sum-split", "LowTractable", "NotBipartite")),
+        ("2 2 2 2", "0", "1", False, 2,
+         NO_WITNESS.format("exact-search", "Unclassified", "Undecided")),
+        # the exact search
+        ("2 2 2 2", "0", "1", True, 0,
+         '{"realization": [[0, 0], [0, 1], [1, 0], [1, 1]], "reason": "exact-search", '
+         '"region": "Unclassified", "split": {"u_indices": [0, 1], "v_indices": [2, 3]}, '
+         '"verdict": "Bipartite"}\n'),
+        ("4 2 2 2 2", "0", "1", True, 1,
+         NO_WITNESS.format("gale-ryser-violation", "Unclassified", "NotBipartite")),
+    ], ids=["odd-sum", "above-half", "two-at-half", "trivial", "star", "star-beside-2",
+            "min-degree", "low-split", "low-no-split", "undecided", "exact-split",
+            "exact-gale-ryser"])
+    def test_stdout_per_reason(self, tmp_path, capsys, text, c1, c2, exact, code, stdout):
+        f = write(tmp_path, "d.txt", text + "\n")
+        argv = ["decide", "--c1", c1, "--c2", c2, *(["--exact"] if exact else []), f]
+        assert run(capsys, argv) == (code, stdout, "")
+
     def test_out_of_class(self, tmp_path, capsys):
         f = write(tmp_path, "d.txt", "1 9 9 9\n")
         code, _, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", f])
@@ -310,7 +356,7 @@ def reference_decide_stdout(decision):
         "reason": decision.reason,
         "split": split,
         "realization": per_bit_edges(g) if g is not None else None,
-        "region": decision.region.value if decision.region is not None else None,
+        "region": decision.region.value,
     }, sort_keys=True) + "\n"
 
 
@@ -417,7 +463,7 @@ class TestEdgeWriter:
                ("Bipartite", "split-found"), ("Bipartite", "exact-search"),
                ("NotBipartite", "gale-ryser-violation"),
                ("NotBipartite", "no-equal-sum-split"), ("Undecided", "exact-search")]),
-           region=st.sampled_from([None, *RegionClass]),
+           region=st.sampled_from(RegionClass),
            sides=st.lists(st.integers(0, 1), max_size=9) | st.none())
     def test_drawn_decisions(self, sequence_file, g, verdict_reason, region, sides):
         verdict, reason = verdict_reason

@@ -197,6 +197,15 @@ class TestPrecheck:
         assert d.split.u == (0,)
         assert sorted(d.realization.v_degrees()) == [1, 1, 1]
 
+    @pytest.mark.parametrize("seq", [(3, 2, 1), (4, 2, 1, 1)])
+    def test_star_beside_degree_above_one(self, seq, monkeypatch):
+        # the star rule decides; the realizer is never asked
+        def realizer(d1, d2):
+            raise AssertionError("precheck called the realizer")
+        monkeypatch.setattr("bdr.decider.construct_realization", realizer)
+        d = precheck(DegreeSequence(seq))
+        assert (d.verdict, d.reason) == ("NotBipartite", "gale-ryser-violation")
+
     def test_min_degree_too_large(self):
         d = precheck(DegreeSequence((2, 2, 2)))
         assert d.verdict == "NotBipartite" and d.reason == "min-degree-too-large"
