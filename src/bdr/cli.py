@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = Bipartite (or success for non-decision commands),
-1 = NotBipartite, 2 = Undecided, 3 = input or usage error.
+1 = NotBipartite (also a ``verify-reduction`` disagreement and an
+``oracle`` false), 2 = Undecided, 3 = input or usage error.
 JSON goes to stdout, diagnostics to stderr; output is deterministic for
 identical inputs and seed.
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
@@ -73,14 +73,15 @@ def _emit(payload: dict, key: str | None = None, items: Iterable[str] = ()) -> N
 
 def run_decide(args) -> int:
     ds = _read_sequence(args.file)
-    decision = decider.decide_bdr(ds, ParamBounds(args.c1, args.c2))
+    bounds = ParamBounds(args.c1, args.c2)
+    decision = decider.decide_bdr(ds, bounds)
     if decision.verdict == "Undecided" and args.exact:
-        decision = replace(decider.decide_exact(ds, budget=args.budget), region=decision.region)
+        decision = decider.decide_exact(ds, budget=args.budget)
     split, g = decision.split, decision.realization
     payload = {"verdict": decision.verdict, "reason": decision.reason, "realization": None,
                "split": None if split is None else {"u_indices": list(split.u),
                                                     "v_indices": list(split.v)},
-               "region": decision.region.value}
+               "region": decider.classify_region(bounds).value}
     if g is None:
         _emit(payload)
     else:
@@ -176,28 +177,22 @@ def run_scan(args) -> int:
             if c1 > c2:
                 continue
             bounds = ParamBounds(c1, c2)
-            region = decider.classify_region(bounds)
             lo, hi = core.degree_window(bounds, args.n)
-            found: list[DegreeSequence] = []
-            if lo <= hi:
-                for _ in range(args.samples):
-                    ds = _random_graphic_in_window(rng, args.n, lo, hi, 200)
-                    if ds is not None:
-                        found.append(ds)
-            n_split = 0
-            n_bip = 0
-            for ds in found:
-                if partition.equal_sum_split_exists(ds):
-                    n_split += 1
+            count = n_split = n_bip = 0
+            # decided as drawn: no draw depends on a decision
+            for _ in range(args.samples if lo <= hi else 0):
+                ds = _random_graphic_in_window(rng, args.n, lo, hi, 200)
+                if ds is None:
+                    continue
+                count += 1
+                n_split += partition.equal_sum_split_exists(ds)
                 decision = decider.decide_bdr(ds, bounds)
                 if decision.verdict == "Undecided":
                     decision = decider.decide_exact(ds, budget=args.budget)
-                if decision.verdict == "Bipartite":
-                    n_bip += 1
-            count = len(found)
-            frac_split = n_split / count if count else 0.0
-            frac_bip = n_bip / count if count else 0.0
-            print(f"{c1},{c2},{region.value},{frac_split},{frac_bip},{count}")
+                n_bip += decision.verdict == "Bipartite"
+            share = count or 1  # with no sample, both fractions are 0 / 1 = 0.0
+            region = decider.classify_region(bounds).value
+            print(f"{c1},{c2},{region},{n_split / share},{n_bip / share},{count}")
     return 0
 
 
@@ -208,7 +203,7 @@ def run_oracle(args) -> int:
     return EXIT_BIPARTITE if verdict else EXIT_NOT_BIPARTITE
 
 
-def _integer(name: str, low: int | None = None):
+def _integer(name: str, low: int | None = None, high: int | None = None):
     """ASCII digits with one optional leading "-" (``int`` also takes "+", "_", " ")."""
     def convert(text: str) -> int:
         digits = text[1:] if text[:1] == "-" else text
@@ -216,6 +211,8 @@ def _integer(name: str, low: int | None = None):
             raise ParseError(f"{name} must be an integer, got {text!r}")
         if low is not None and int(text) < low:
             raise ParseError(f"{name} must be >= {low}")
+        if high is not None and int(text) > high:
+            raise ParseError(f"{name} must be <= {high}")
         return int(text)
     return convert
 
@@ -224,6 +221,8 @@ _BOUNDS = {"--c1": (core.parse_rational, None), "--c2": (core.parse_rational, No
 _BUDGET = {"--budget": (_integer("budget", 0), None)}  # None: unlimited
 _ORACLE_BUDGET = {"--budget": (_integer("budget", 0), ORACLE_BUDGET)}
 _FILE = {"file": str}
+# lbds and scan build n entries per sequence: n is held to reduce's entry limit
+_ENTRIES = _integer("n", 0, reduction.MAX_PADDED_ENTRIES)
 # command -> (handler, help line, {option: (converter or "flag", default)},
 #             required options, {positional name: converter})
 COMMANDS = {
@@ -231,13 +230,13 @@ COMMANDS = {
                {**_BOUNDS, "--exact": ("flag", False), **_BUDGET}, ("--c1", "--c2"), _FILE),
     "realize": (run_realize, "realize a two-line degree sequence pair", {}, (), _FILE),
     "lbds": (run_lbds, "print the least balanced sequence of a class", {}, (),
-             {name: _integer(name) for name in ("n", "sigma", "delta", "d")}),
+             {"n": _ENTRIES, **{name: _integer(name) for name in ("sigma", "delta", "d")}}),
     "reduce": (run_reduce, "build the padded hard instance", _BOUNDS, ("--c1", "--c2"), _FILE),
     "verify-reduction": (run_verify_reduction, "round-trip verdict check",
                          {**_BOUNDS, **_ORACLE_BUDGET}, ("--c1", "--c2"), _FILE),
     "scan": (run_scan, "sample the parameter grid, CSV to stdout",
              {"--c1-grid": (_parse_grid, None), "--c2-grid": (_parse_grid, None),
-              "--samples": (_integer("samples", 1), 20), "--n": (_integer("n", 0), 12),
+              "--samples": (_integer("samples", 1), 20), "--n": (_ENTRIES, 12),
               "--seed": (_integer("seed"), 0), **_BUDGET}, ("--c1-grid", "--c2-grid"), {}),
     "oracle": (run_oracle, "brute-force verdict (debugging)", _ORACLE_BUDGET, (), _FILE),
 }

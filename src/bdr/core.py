@@ -8,6 +8,7 @@ instances are classified correctly.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -86,7 +87,8 @@ class DegreeClass:
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Relative degree bounds: every degree must lie in [c1*n, c2*n]."""
+    """Relative degree bounds: every degree must lie in [c1*n, c2*n].  Each is
+    an int or a Fraction (a ``numbers.Rational``, not a bool), else TypeError."""
 
     c1: Fraction
     c2: Fraction
@@ -94,8 +96,8 @@ class ParamBounds:
     def __post_init__(self):
         for name in ("c1", "c2"):
             value = getattr(self, name)
-            if isinstance(value, (bool, float)):
-                raise TypeError(f"{name} must be an exact rational, not {type(value).__name__}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+                raise TypeError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
             object.__setattr__(self, name, Fraction(value))
         if not 0 <= self.c1 <= self.c2 <= 1:
             raise ValueError(f"need 0 <= c1 <= c2 <= 1, got c1={self.c1}, c2={self.c2}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DegreeSequence, ParamBounds, _value_runs, check_budget, in_class
@@ -46,7 +46,6 @@ class Decision:
     reason: str
     split: SplitWitness | None = None
     realization: BipartiteRealization | None = None
-    region: RegionClass | None = None
 
 
 def classify_region(bounds: ParamBounds) -> RegionClass:
@@ -155,13 +154,12 @@ def decide_bdr(ds: DegreeSequence, bounds: ParamBounds) -> Decision:
     if not in_class(ds, bounds):
         raise InputOutOfClassError(
             f"degrees not within [{bounds.c1}*n, {bounds.c2}*n]")
-    region = classify_region(bounds)
     decision = precheck(ds)
-    if decision is None and region is RegionClass.LOW_TRACTABLE:
+    if decision is None and classify_region(bounds) is RegionClass.LOW_TRACTABLE:
         split = balanced_split(ds) or find_equal_sum_split(ds)
         decision = (Decision("NotBipartite", "no-equal-sum-split") if split is None
                     else _realized(ds, split, "split-found"))
-    return replace(decision or Decision("Undecided", "exact-search"), region=region)
+    return decision or Decision("Undecided", "exact-search")
 
 
 def decide_exact(ds: DegreeSequence, budget: int | None = None) -> Decision:

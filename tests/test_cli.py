@@ -10,8 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bdr import (BipartiteRealization, DegreeSequence, ParamBounds, decide_bdr,
-                 decide_exact, format_realization)
+from bdr import (BipartiteRealization, DegreeSequence, ParamBounds, classify_region,
+                 decide_bdr, decide_exact, format_realization)
 from bdr import cli, gale_ryser
 from bdr.cli import MAX_GRID_POINTS, _parse_grid, main
 from bdr.decider import Decision, RegionClass
@@ -140,9 +140,19 @@ class TestDecide:
          '"verdict": "Bipartite"}\n'),
         ("4 2 2 2 2", "0", "1", True, 1,
          NO_WITNESS.format("gale-ryser-violation", "Unclassified", "NotBipartite")),
+        # the region of the bounds, whichever step decides
+        ("4 4 2 2 1 1 1 1 2 2", "1/10", "2/5", False, 2,
+         NO_WITNESS.format("exact-search", "ConditionallyHard", "Undecided")),
+        ("4 4 2 2 1 1 1 1 2 2", "1/10", "2/5", True, 0,
+         '{"realization": [[0, 0], [0, 1], [0, 5], [0, 6], [1, 0], [1, 2], [1, 3], [1, 4], '
+         '[2, 5], [2, 6]], "reason": "exact-search", "region": "ConditionallyHard", '
+         '"split": {"u_indices": [0, 1, 2], "v_indices": [3, 4, 5, 6, 7, 8, 9]}, '
+         '"verdict": "Bipartite"}\n'),
+        ("2 2 2", "2/3", "2/3", False, 1,
+         NO_WITNESS.format("min-degree-too-large", "HighTractable", "NotBipartite")),
     ], ids=["odd-sum", "above-half", "two-at-half", "trivial", "star", "star-beside-2",
             "min-degree", "low-split", "low-no-split", "undecided", "exact-split",
-            "exact-gale-ryser"])
+            "exact-gale-ryser", "hard-undecided", "hard-exact-split", "high-min-degree"])
     def test_stdout_per_reason(self, tmp_path, capsys, text, c1, c2, exact, code, stdout):
         f = write(tmp_path, "d.txt", text + "\n")
         argv = ["decide", "--c1", c1, "--c2", c2, *(["--exact"] if exact else []), f]
@@ -343,9 +353,10 @@ def per_bit_edges(g):
     return [(u, v) for u, row in enumerate(g.rows) for v in range(g.v_count) if row >> v & 1]
 
 
-def reference_decide_stdout(decision):
-    """``decide`` stdout as one json.dumps of the payload with the edge list
-    read bit by bit (``per_bit_edges``)."""
+def reference_decide_stdout(decision, c1, c2):
+    """``decide --c1 c1 --c2 c2`` stdout as one json.dumps of the payload with
+    the edge list read bit by bit (``per_bit_edges``) and the region of the
+    bounds (``classify_region``)."""
     split = None
     if decision.split is not None:
         split = {"u_indices": list(decision.split.u),
@@ -356,7 +367,7 @@ def reference_decide_stdout(decision):
         "reason": decision.reason,
         "split": split,
         "realization": per_bit_edges(g) if g is not None else None,
-        "region": decision.region.value,
+        "region": classify_region(ParamBounds(F(c1), F(c2))).value,
     }, sort_keys=True) + "\n"
 
 
@@ -416,6 +427,10 @@ EDGE_CASES = [
 ]
 
 
+# one (--c1, --c2) pair per region, in RegionClass order
+REGION_BOUNDS = [("1/2", "1/2"), ("3/5", "4/5"), ("1/10", "2/5"), ("0", "1")]
+
+
 EMIT_PAYLOAD = {"m": {"y": [1, None], "x": "\u00e9"}, "n": 2.5, "z": False}
 EMIT_ITEMS = [[], ["0"], ["[0, 1]", '{"a": [2, null]}', '"\\u00e9"', "[]"]]
 
@@ -442,11 +457,11 @@ class TestEdgeWriter:
         path.write_text("2 2 1 1\n")
         return str(path)
 
-    def decide_stdout(self, sequence_file, decision):
+    def decide_stdout(self, sequence_file, decision, c1, c2):
         out = io.StringIO()
         with mock.patch.object(cli.decider, "decide_bdr", lambda ds, bounds: decision), \
                 redirect_stdout(out):
-            code = main(["decide", "--c1", "0", "--c2", "1", sequence_file])
+            code = main(["decide", "--c1", c1, "--c2", c2, sequence_file])
         assert code == {"Bipartite": 0, "NotBipartite": 1, "Undecided": 2}[decision.verdict]
         return out.getvalue()
 
@@ -454,25 +469,31 @@ class TestEdgeWriter:
     def test_edge_cases(self, sequence_file, g):
         split = SplitWitness(tuple(range(g.u_count)),
                              tuple(range(g.u_count, g.u_count + g.v_count)))
-        decision = Decision("Bipartite", "split-found", split, g, RegionClass.LOW_TRACTABLE)
-        assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)
+        decision = Decision("Bipartite", "split-found", split, g)
+        bounds = REGION_BOUNDS[0]  # LowTractable
+        assert (self.decide_stdout(sequence_file, decision, *bounds)
+                == reference_decide_stdout(decision, *bounds))
         assert format_realization(g) == reference_format(g)
+
+    def test_region_bounds(self):
+        assert [classify_region(ParamBounds(F(c1), F(c2)))
+                for c1, c2 in REGION_BOUNDS] == list(RegionClass)
 
     @given(g=realizations(),
            verdict_reason=st.sampled_from([
                ("Bipartite", "split-found"), ("Bipartite", "exact-search"),
                ("NotBipartite", "gale-ryser-violation"),
                ("NotBipartite", "no-equal-sum-split"), ("Undecided", "exact-search")]),
-           region=st.sampled_from(RegionClass),
+           bounds=st.sampled_from(REGION_BOUNDS),
            sides=st.lists(st.integers(0, 1), max_size=9) | st.none())
-    def test_drawn_decisions(self, sequence_file, g, verdict_reason, region, sides):
+    def test_drawn_decisions(self, sequence_file, g, verdict_reason, bounds, sides):
         verdict, reason = verdict_reason
         split = None if sides is None else SplitWitness(
             tuple(i for i, s in enumerate(sides) if s == 0),
             tuple(i for i, s in enumerate(sides) if s == 1))
-        decision = Decision(verdict, reason, split,
-                            g if verdict == "Bipartite" else None, region)
-        assert self.decide_stdout(sequence_file, decision) == reference_decide_stdout(decision)
+        decision = Decision(verdict, reason, split, g if verdict == "Bipartite" else None)
+        assert (self.decide_stdout(sequence_file, decision, *bounds)
+                == reference_decide_stdout(decision, *bounds))
 
     @given(realizations())
     @example(g_of(0))
@@ -493,10 +514,10 @@ class TestEdgeWriter:
         ds = DegreeSequence(tuple(map(int, text.split())))
         decision = decide_bdr(ds, ParamBounds(Fraction(c1), Fraction(c2)))
         if exact and decision.verdict == "Undecided":
-            decision = dataclasses.replace(decide_exact(ds), region=decision.region)
+            decision = decide_exact(ds)
         _, out, _ = run(capsys, ["decide", "--c1", c1, "--c2", c2,
                                  *(["--exact"] if exact else []), f])
-        assert out == reference_decide_stdout(decision)
+        assert out == reference_decide_stdout(decision, c1, c2)
 
     def test_zero_sequence_exact(self, tmp_path, capsys):
         # an edgeless witness is an empty list; null means no witness
@@ -806,9 +827,13 @@ class TestUsage:
         ["scan", "--c1-grid", "0:1:1", "--c2-grid", "0:1:1", "--samples", "+1"],
         ["lbds", "5", "1_0", "3", "1"],
         ["decide", "--c1", "x", "--c2", "1", "/no/such/file"],
+        # n entries are built per sequence: n is held to reduce's entry limit
+        ["lbds", "1048577", "0", "0", "0"],
+        ["scan", "--c1-grid", "0:0:1", "--c2-grid", "1:1:1", "--n", "1048577"],
     ], ids=["unknown-command", "unknown-option", "abbreviation", "no-value", "missing-c2",
             "extra-positional", "flag-value", "budget-underscore", "budget-arabic-indic-digit",
-            "n-spaces", "samples-plus", "lbds-underscore", "bad-rational"])
+            "n-spaces", "samples-plus", "lbds-underscore", "bad-rational", "lbds-n-over-limit",
+            "scan-n-over-limit"])
     def test_rejected_before_any_input(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")

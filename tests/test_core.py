@@ -238,11 +238,19 @@ class TestInClass:
         assert (cls.n, cls.sigma, cls.d, cls.delta) == (5, 2, 0, 3)
         assert all(type(x) is int for x in (cls.n, cls.sigma, cls.d, cls.delta))
 
-    @pytest.mark.parametrize("c1, c2", [(0.1, Fraction(1, 5)), (0, 1.0), (False, 1), (0, True)])
+    @pytest.mark.parametrize("c1, c2", [(0.1, Fraction(1, 5)), (0, 1.0), (False, 1), (0, True),
+                                        ("1/2", "3/4"), ("1e-99999999", 1)])
     def test_inexact_bounds_rejected(self, c1, c2):
-        # 0.1 would otherwise become 3602879701896397/36028797018963968
+        # 0.1 would otherwise become 3602879701896397/36028797018963968; a
+        # string is refused before Fraction parses it, which takes
+        # "1e-99999999" without end
         with pytest.raises(TypeError):
             ParamBounds(c1, c2)
+
+    def test_integer_bounds_become_fractions(self):
+        bounds = ParamBounds(np.int64(0), np.int32(1))
+        assert (bounds.c1, bounds.c2) == (0, 1)
+        assert type(bounds.c1) is type(bounds.c2) is Fraction
 
 
 class _Two(enum.IntEnum):

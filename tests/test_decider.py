@@ -233,21 +233,24 @@ class TestDecideBdr:
 
     def test_low_region_positive(self):
         ds = DegreeSequence((4,) * 10)
+        assert classify_region(self.LOW) is RegionClass.LOW_TRACTABLE
         d = decide_bdr(ds, self.LOW)
-        assert d.verdict == "Bipartite" and d.region is RegionClass.LOW_TRACTABLE
+        assert d.verdict == "Bipartite"
         assert d.realization.u_degrees() + d.realization.v_degrees() == (4,) * 10
         assert sum(ds.degrees[i] for i in d.split.u) == 20
 
     def test_low_region_negative(self):
         # nine vertices of degree 3: the degree sum 27 is odd
-        d = decide_bdr(DegreeSequence((3,) * 9), ParamBounds(F(1, 3), F(1, 3)))
+        bounds = ParamBounds(F(1, 3), F(1, 3))
+        assert classify_region(bounds) is RegionClass.LOW_TRACTABLE
+        d = decide_bdr(DegreeSequence((3,) * 9), bounds)
         assert d.verdict == "NotBipartite" and d.reason == "no-equal-sum-split"
-        assert d.region is RegionClass.LOW_TRACTABLE
 
     def test_high_region(self):
-        d = decide_bdr(DegreeSequence((3, 3, 3, 3, 4)), ParamBounds(F(3, 5), F(4, 5)))
+        bounds = ParamBounds(F(3, 5), F(4, 5))
+        assert classify_region(bounds) is RegionClass.HIGH_TRACTABLE
+        d = decide_bdr(DegreeSequence((3, 3, 3, 3, 4)), bounds)
         assert d.verdict == "NotBipartite"
-        assert d.region is RegionClass.HIGH_TRACTABLE
 
     @pytest.mark.parametrize("c1, c2", [(F(3, 5), F(4, 5)), (F(0), F(1, 5)),
                                         (F(1, 10), F(2, 5))])
@@ -259,10 +262,10 @@ class TestDecideBdr:
 
     def test_hard_region_undecided(self):
         bounds = ParamBounds(F(1, 10), F(2, 5))
+        assert classify_region(bounds) is RegionClass.CONDITIONALLY_HARD
         ds = DegreeSequence((4, 4, 2, 2, 1, 1, 1, 1, 2, 2))
         d = decide_bdr(ds, bounds)
         assert d.verdict == "Undecided" and d.reason == "exact-search"
-        assert d.region is RegionClass.CONDITIONALLY_HARD
 
     def test_low_region_matches_oracle(self):
         rng = random.Random(41)
@@ -322,7 +325,7 @@ class TestLowRegionFallback:
         assert balanced_split(ds) is None
         d = decide_bdr(ds, bounds)
         assert (d.verdict, d.reason) == ("NotBipartite", "no-equal-sum-split")
-        assert d.region is RegionClass.LOW_TRACTABLE and d.split is None
+        assert d.split is None
 
 
 class TestDecideExact:
