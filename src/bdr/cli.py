@@ -13,6 +13,7 @@ order, the last of a repeated option winning.  ``-h`` prints the usage.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
@@ -37,7 +38,15 @@ ORACLE_BUDGET = 100_000
 
 
 def _read_sequence(path: str) -> DegreeSequence:
-    with open(path) as fh:
+    """The degrees of the file ``path``, its bytes read unbuffered.  ASCII
+    bytes read as text mode reads them in any locale, but for newline
+    translation, which the whitespace split does not see; other bytes are
+    decoded by a text-mode wrapper, as ``open(path)`` decodes them."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    if data.isascii():
+        return core.parse_sequence(data.decode("ascii"))
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
         return core.parse_sequence(fh.read())
 
 
@@ -50,15 +59,18 @@ def _read_pair(path: str) -> list[tuple[int, ...]]:
     return [core.parse_sequence(line).degrees for line in lines]
 
 
+# one sorting encoder for every value: json.dumps(..., sort_keys=True)
+# would build one per call
+_dump = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(payload: dict, key: str | None = None, items: Iterable[str] = ()) -> None:
     """Print ``json.dumps({**payload, key: [...]}, sort_keys=True)``, the
     list being the JSON texts ``items``, each written as it comes (no
-    ``key``: ``payload`` alone).  One sorting encoder dumps every value:
-    ``json.dumps(..., sort_keys=True)`` would build one per value."""
-    dump = json.JSONEncoder(sort_keys=True).encode
+    ``key``: ``payload`` alone), each value by ``_dump``."""
     out, sep = sys.stdout, "{"
     for name in sorted(payload if key is None else {*payload, key}):
-        out.write(f"{sep}{dump(name)}: ")
+        out.write(f"{sep}{_dump(name)}: ")
         sep = ", "
         if name == key:
             out.write("[")
@@ -67,7 +79,7 @@ def _emit(payload: dict, key: str | None = None, items: Iterable[str] = ()) -> N
                 out.write(chunk)
             out.write("]")
         else:
-            out.write(dump(payload[name]))
+            out.write(_dump(payload[name]))
     out.write("}\n" if sep == ", " else "{}\n")
 
 
@@ -114,8 +126,7 @@ def run_reduce(args) -> int:
     inst = reduction.build_hard_instance(ds, ParamBounds(args.c1, args.c2))
     roles: list[str] = []
     for kind, index, _, count in inst.blocks:
-        # keys already in sorted order, so no sort_keys (and its fresh encoder)
-        roles += [json.dumps({"kind": kind, "source_index": index})] * count
+        roles += [_dump({"kind": kind, "source_index": index})] * count
     _emit({
         "r": str(inst.r),
         "c1_tilde": str(inst.c1_tilde),

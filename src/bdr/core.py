@@ -60,7 +60,7 @@ class DegreeSequence:
         return sum(self.degrees)
 
     def nonzero(self) -> tuple[int, ...]:
-        return tuple(d for d in self.degrees if d > 0)
+        return tuple(filter(None, self.degrees))
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class DegreeClass:
 @dataclass(frozen=True)
 class ParamBounds:
     """Relative degree bounds: every degree must lie in [c1*n, c2*n].  Each is
-    an int or a Fraction (a ``numbers.Rational``, not a bool), else TypeError."""
+    an int or a Fraction (a ``numbers.Rational``, not a bool), else TypeError;
+    a Fraction is kept as it is, anything else converted to one."""
 
     c1: Fraction
     c2: Fraction
@@ -96,10 +97,14 @@ class ParamBounds:
     def __post_init__(self):
         for name in ("c1", "c2"):
             value = getattr(self, name)
+            if type(value) is Fraction:
+                continue  # kept as it is
             if isinstance(value, bool) or not isinstance(value, numbers.Rational):
                 raise TypeError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
             object.__setattr__(self, name, Fraction(value))
-        if not 0 <= self.c1 <= self.c2 <= 1:
+        # 0 <= a/b <= c/d <= 1 over positive denominators, cross-multiplied
+        a, b, c, d = self.c1.numerator, self.c1.denominator, self.c2.numerator, self.c2.denominator
+        if not (0 <= a and a * d <= c * b and c <= d):
             raise ValueError(f"need 0 <= c1 <= c2 <= 1, got c1={self.c1}, c2={self.c2}")
 
 
@@ -108,12 +113,16 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ParseError("empty rational")
+    # a plain "p" or "p/q" of ASCII digits is read by two int() calls, not
+    # by Fraction()'s regex; both raise the same errors, q = 0 included
+    p, slash, q = text.partition("/")
+    plain = text.isascii() and p.isdigit() and (q.isdigit() or not slash)
     # Fraction() would also take digit-group underscores, non-ASCII digits
     # and exponents, where "1e-999999999" alone takes it without end
-    if not text.isascii() or any(c in text for c in "_eE"):
+    if not plain and (not text.isascii() or any(c in text for c in "_eE")):
         raise ParseError(f"bad rational {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q or 1)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 

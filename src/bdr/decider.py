@@ -124,13 +124,13 @@ def precheck(ds: DegreeSequence) -> Decision | None:
     if sigma % 2 != 0:
         return Decision("NotBipartite", "no-equal-sum-split")
     half = sigma // 2
-    if any(d > half for d in work):
+    if max(work, default=0) > half:
         return Decision("NotBipartite", "precheck-degree-at-least-half-sum")
-    n_half = sum(1 for d in work if d == half)
+    n_half = work.count(half)
     if n_half == 1 or work == (1, 1):
         # a vertex of degree sigma/2 is alone on its side, so every other
         # nonzero degree is 1 (with n_half == 1, sigma/2 itself is above 1)
-        if sum(1 for d in work if d > 1) > 1:
+        if len(work) - work.count(1) > 1:
             return Decision("NotBipartite", "gale-ryser-violation")
         split = split_with_u(ds, {ds.degrees.index(half)})
         return _realized(ds, split, "trivial-(1,1)" if work == (1, 1) else "split-found")

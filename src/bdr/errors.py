@@ -34,6 +34,10 @@ class BudgetExceededError(BdrError):
         self.limit, self.examined = limit, examined
 
 
+class SizeLimitError(BdrError):
+    """An input past a stated size limit, refused before the work it sizes."""
+
+
 class NotInHardRegionError(BdrError):
     """Reduction requested for bounds outside the conditionally hard region."""
 

@@ -11,8 +11,9 @@ constructor.  ``_runs`` takes a row's runs of set bits off its ends mask
 ``row ^ row << 1``, and ``v_degrees`` reads every row by it.  One decoder,
 ``_decode_bits``, reads a row into the entries of a table indexed by v
 (``edge_chunks``: the strings it renders; ``sorted_edges``: the v-indices
-of its pairs): a row of at most ``SLICED_RUNS`` runs, counted in O(1) from
-the mask, as that many slices, any other by one ``compress`` pass.
+of its pairs): a row of more than ``SMALL_ROW_BITS`` bits and at most
+``SLICED_RUNS`` runs, counted in O(1) from the mask, as that many slices,
+any other by one ``compress`` pass.
 """
 
 from __future__ import annotations
@@ -29,11 +30,17 @@ from .errors import InvalidMoveError, InvariantError
 # bin(bits) read as bytes: flag 1 where a bit is set, 0 elsewhere
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-# A row of at most this many runs of set bits is read as that many slices,
-# any other by one ``compress`` pass.  Of the rows of a low-region witness
-# at n = 2000, about three in four are one to four runs and one in four 50
-# or more; rendering its edges took about 10 ms with any value from 2 to
-# 16 and 2 ms more with 1.
+# A row of at most this many bits is read by one ``compress`` pass, as
+# every row of a 20-vertex witness is.  Up to 32 bits the pass took
+# 0.8-1.1 us, the slice of a one-run row 0.6-1.2 us and the slices of two
+# runs 1.1-1.8 us; past that the pass grows by about 0.25 us per 8 bits,
+# and the slice stays near 0.8 us (one Xeon core, Python 3.11).
+SMALL_ROW_BITS = 32
+# A longer row of at most this many runs of set bits is read as that many
+# slices, any other by one ``compress`` pass.  Of the rows of a low-region
+# witness at n = 2000, about three in four are one to four runs and one in
+# four 50 or more; rendering its edges took about 10 ms with any value
+# from 2 to 16 and 2 ms more with 1.
 SLICED_RUNS = 4
 
 
@@ -60,14 +67,16 @@ def _runs(ends: int) -> list[tuple[int, int]]:
 
 def _decode_bits(bits: int, names: tuple) -> tuple:
     """The entries of ``names`` (at least bits.bit_length() of them) at the
-    set bits of ``bits`` >= 0, lowest first: for at most ``SLICED_RUNS``
-    runs (the ends mask's bit count over 2, in O(1)) that many slices of
-    ``names`` (``_runs``), joined once, else one ``compress`` pass over
-    ``names``, O(len(names)) C-level steps."""
-    ends = bits ^ bits << 1
-    if ends.bit_count() > 2 * SLICED_RUNS:
-        return tuple(compress(names, _flags(bits)))
-    return sum([names[start:stop] for start, stop in _runs(ends)], ())
+    set bits of ``bits`` >= 0, lowest first: for a row of more than
+    ``SMALL_ROW_BITS`` bits and at most ``SLICED_RUNS`` runs (the ends
+    mask's bit count over 2, in O(1)) that many slices of ``names``
+    (``_runs``), joined once, else one ``compress`` pass over ``names``,
+    O(bits.bit_length()) C-level steps."""
+    if bits.bit_length() > SMALL_ROW_BITS:
+        ends = bits ^ bits << 1
+        if ends.bit_count() <= 2 * SLICED_RUNS:
+            return sum([names[start:stop] for start, stop in _runs(ends)], ())
+    return tuple(compress(names, _flags(bits)))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from operator import not_
 from typing import Callable, Iterable, Iterator
 
 from .core import DegreeSequence, _value_runs
-from .errors import InvariantError
+from .errors import InvariantError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -269,12 +269,29 @@ def _block(positions: int, m: int) -> int:
     return next(b for b in range(limit - 1, 0, -1) if b + 1 + positions // b <= limit)
 
 
+# The largest sigma/2 that ``equal_sum_split_exists`` and the count walk
+# take: their bitsets of sums hold sigma/2 + 1 bits, 1 MB here.  The
+# largest sigma/2 the tests reach is 5,913,608, the padded D' of
+# (4, 3, 3, 2, 2, 2) at (3/20, 2/5), n' = 6,416; perfbench/'s is 831,603,
+# (2, 2, 1, 1) there, n' = 2,406.
+MAX_HALF_SUM = 1 << 23
+
+
+def _half_sum(sigma: int) -> int:
+    """sigma/2, the top bit of the sum bitsets; SizeLimitError past
+    ``MAX_HALF_SUM``, before any bitset is built."""
+    if sigma // 2 > MAX_HALF_SUM:
+        raise SizeLimitError(f"half degree sum sigma/2 = {sigma // 2} exceeds the limit "
+                             f"of {MAX_HALF_SUM}")
+    return sigma // 2
+
+
 def equal_sum_split_exists(ds: DegreeSequence) -> bool:
     """True iff some subset of the degrees sums to sigma/2."""
     sigma = ds.sigma
     if sigma % 2 != 0:
         return False
-    target = sigma // 2
+    target = _half_sum(sigma)
     *_, reach = _run_sums(_value_runs(ds.degrees), (2 << target) - 1)
     return bool(reach >> target & 1)
 
@@ -344,7 +361,7 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
     """
     if sigma % 2:
         return
-    target = sigma // 2
+    target = _half_sum(sigma)
     mask = (2 << target) - 1
     d, m = len(runs), sum(c for _, c in runs)
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested

@@ -163,6 +163,29 @@ class TestDecide:
         code, _, err = run(capsys, ["decide", "--c1", "1/10", "--c2", "2/5", f])
         assert code == 3 and "error" in err
 
+    ONE_EDGE = ('{"realization": [[0, 0]], "reason": "trivial-(1,1)", "region": "Unclassified", '
+                '"split": {"u_indices": [0], "v_indices": [1]}, "verdict": "Bipartite"}\n')
+
+    @pytest.mark.parametrize("data, code, stdout, stderr", [
+        (b"2 2 2 2\r\n", 2,
+         NO_WITNESS.format("exact-search", "Unclassified", "Undecided"), ""),
+        (b"1\t1\n", 0, ONE_EDGE, ""),
+        ("1\u00a01\n".encode(), 0, ONE_EDGE, ""),
+        (b"1 \xff 1\n", 3, "",
+         "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"),
+        (b"", 3, "", "error: empty degree sequence\n"),
+        (None, 3, "", "error: [Errno 21] Is a directory: {!r}\n"),
+    ], ids=["crlf", "tab", "no-break-space", "invalid-utf-8", "empty", "directory"])
+    def test_file_bytes(self, tmp_path, capsys, data, code, stdout, stderr):
+        # the degree file is read as bytes and decoded as text mode decodes
+        # it (UTF-8 here); recorded when the file was opened in text mode
+        f = str(tmp_path)
+        if data is not None:
+            f = str(tmp_path / "d.txt")
+            (tmp_path / "d.txt").write_bytes(data)
+        assert run(capsys, ["decide", "--c1", "0", "--c2", "1", f]) == (
+            code, stdout, stderr.format(f))
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys,
                            ["decide", "--c1", "0", "--c2", "1", "/no/such/file"])
@@ -216,11 +239,13 @@ class TestGoldenBytes:
         return degrees
 
     def test_decide_low_region_covers_every_decode_branch(self):
-        # the witness above has rows of one run of consecutive v-indices (one
-        # slice), of 2..SLICED_RUNS runs (joined slices) and of more (one
-        # compress pass), so its digest pins the bytes of all three
+        # every row of the witness above reaches past SMALL_ROW_BITS bits,
+        # and its rows are of one run of consecutive v-indices (one slice),
+        # of 2..SLICED_RUNS runs (joined slices) and of more (one compress
+        # pass), so its digest pins the bytes of all three
         g = decide_bdr(DegreeSequence(self.low_region_degrees()),
                        ParamBounds(F(1, 10), F(1, 5))).realization
+        assert min(row.bit_length() for row in g.rows) > gale_ryser.SMALL_ROW_BITS
         runs = {sum(1 for a, b in zip((None,) + row, row) if a != b - 1)
                 for row in decoded_rows(g)}
         k = gale_ryser.SLICED_RUNS
@@ -417,12 +442,14 @@ EDGE_CASES = [
     g_of(5, (), (), ()),                  # no edges
     g_of(0),                              # no vertices at all
     g_of(12, (9, 10, 11), (0, 11)),       # multi-digit v-indices
-    # interval rows, which are rendered as one slice of the v-index strings
+    # interval rows, short enough (SMALL_ROW_BITS) for one compress pass
     g_of(5, (0, 1, 2), (4,)),             # an interval from 0; one entry at v_count - 1
     g_of(5, (2, 3, 4), (0,)),             # an interval to v_count - 1; one entry at 0
     g_of(12, (0, 1, 2, 3, 5, 6), (8, 9, 11)),  # one gap each
     # rows on both sides of the 30-bit digit boundaries, of 0, 1,
-    # SLICED_RUNS and SLICED_RUNS + 1 runs: both rendering branches
+    # SLICED_RUNS and SLICED_RUNS + 1 runs: at 29..31 all take the compress
+    # pass; at 59..61 the rows past SMALL_ROW_BITS bits of at most
+    # SLICED_RUNS runs are sliced, and the others take the pass
     *map(decode_edge_rows, (29, 30, 31, 59, 60, 61)),
 ]
 
@@ -778,6 +805,13 @@ class TestOracle:
         f = write(tmp_path, "d.txt", "5 1 1 1\n")
         code, out, _ = run(capsys, ["oracle", f])
         assert code == 1 and json.loads(out)["bipartite"] is False
+
+    def test_half_sum_over_the_limit(self, tmp_path, capsys):
+        # a 28-byte file whose sum bitsets would take 10**12 bits: a typed
+        # error, not a MemoryError read as oracle's "false" exit code
+        f = write(tmp_path, "d.txt", "1000000000000 1000000000000\n")
+        assert run(capsys, ["oracle", f]) == (
+            3, "", "error: half degree sum sigma/2 = 1000000000000 exceeds the limit of 8388608\n")
 
 
 class TestUsage:

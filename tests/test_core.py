@@ -1,5 +1,6 @@
 import enum
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,38 @@ class TestParseRational:
         # Fraction() reads ARABIC-INDIC ONE / TWO as 1/2
         with pytest.raises(ParseError):
             parse_rational("\u0661/\u0662")
+
+    @pytest.mark.parametrize("text", [
+        "0", "1", "9/20", "09/20", "0/5", "1/0", "09/0", "1/-2", "-1/2", "+1/2", ".5", "1.",
+        "0.125", "1e3", "1_0", " 1/2 ", "1//2", "1/2/3", "1/", "/2", "\u0661/\u0662", "",
+        pytest.param("1" * 5000, id="5000-digits"),
+        pytest.param("1/" + "2" * 5000, id="5000-digit-q")])
+    def test_same_as_the_regex_reading(self, text):
+        # plain digits are read by two int() calls; every text gives the
+        # Fraction, or the ParseError message, that Fraction(text) alone
+        # gave (the digit strings past int()'s default 4300-digit limit too)
+        try:
+            want = regex_parse_rational(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_rational(text)
+            assert str(got.value) == str(exc)
+        else:
+            got = parse_rational(text)
+            assert got == want and type(got) is Fraction
+
+
+def regex_parse_rational(text):
+    """``parse_rational`` as it read every text, by ``Fraction(text)``."""
+    text = text.strip()
+    if not text:
+        raise ParseError("empty rational")
+    if not text.isascii() or any(c in text for c in "_eE"):
+        raise ParseError(f"bad rational {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
 
 def erdos_gallai_all_k(seq):
@@ -251,6 +284,40 @@ class TestInClass:
         bounds = ParamBounds(np.int64(0), np.int32(1))
         assert (bounds.c1, bounds.c2) == (0, 1)
         assert type(bounds.c1) is type(bounds.c2) is Fraction
+        bounds = ParamBounds(0, 1)
+        assert (bounds.c1, bounds.c2) == (0, 1)
+        assert type(bounds.c1) is type(bounds.c2) is Fraction
+
+    def test_fractions_kept_and_subclasses_converted(self):
+        c1, c2 = Fraction(1, 10), _Half(1, 2)
+        bounds = ParamBounds(c1, c2)
+        assert bounds.c1 is c1
+        assert bounds.c2 == Fraction(1, 2) and type(bounds.c2) is Fraction
+
+    @pytest.mark.parametrize("c1, c2", [(0.5, 1), (0, True), ("0", 1), (Decimal("0.5"), 1),
+                                        (0, Decimal(1))])
+    def test_non_rational_bounds_raise_type_error(self, c1, c2):
+        with pytest.raises(TypeError):
+            ParamBounds(c1, c2)
+
+    @pytest.mark.parametrize("c1, c2", [(Fraction(1, 2), Fraction(1, 3)), (-1, 0), (0, 2),
+                                        (Fraction(-1, 10), 0), (0, Fraction(11, 10))])
+    def test_bounds_out_of_order_raise_value_error(self, c1, c2):
+        with pytest.raises(ValueError, match="need 0 <= c1 <= c2 <= 1"):
+            ParamBounds(c1, c2)
+
+    @given(st.fractions(-2, 2, max_denominator=30), st.fractions(-2, 2, max_denominator=30))
+    def test_bounds_check_matches_fraction_comparison(self, c1, c2):
+        # the cross-multiplied check against the Fraction chain it replaced
+        if 0 <= c1 <= c2 <= 1:
+            assert (ParamBounds(c1, c2).c1, ParamBounds(c1, c2).c2) == (c1, c2)
+        else:
+            with pytest.raises(ValueError):
+                ParamBounds(c1, c2)
+
+
+class _Half(Fraction):
+    """A Fraction subclass, which ``ParamBounds`` turns into a plain Fraction."""
 
 
 class _Two(enum.IntEnum):

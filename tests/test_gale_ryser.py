@@ -440,13 +440,17 @@ def runs_bits(runs):
 
 
 class TestDecodeBits:
-    """``_decode_bits`` gives the set bits, lowest first, by slices when a
-    bitset has at most ``SLICED_RUNS`` runs of set bits and by one
-    ``compress`` pass otherwise; both must match a per-bit reading, and so
-    must ``edge_chunks``, which renders each row through it.  The rows have
-    0 runs, 1, 2 to ``SLICED_RUNS`` and more."""
+    """``_decode_bits`` gives the set bits, lowest first: a row of more than
+    ``SMALL_ROW_BITS`` bits and at most ``SLICED_RUNS`` runs of set bits by
+    that many slices, any other row by one ``compress`` pass.  Both must
+    match a per-bit reading, and so must ``edge_chunks``, which renders
+    each row through it.  At v_count 29 to 31 every row fits in
+    ``SMALL_ROW_BITS`` bits and takes the pass; at 59 to 61 the rows of 1
+    to ``SLICED_RUNS`` runs that reach past it are sliced, and the others
+    take the pass."""
 
     K = gale_ryser.SLICED_RUNS
+    SMALL = gale_ryser.SMALL_ROW_BITS
 
     @staticmethod
     def decode(bits, v_count):
@@ -487,6 +491,42 @@ class TestDecodeBits:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_bit_reading(self, row):
         self.decode(row[1], row[0])
+
+    def test_small_rows_take_one_pass(self, monkeypatch):
+        # the small realize inputs CI pins have rows of at most 11 bits, of
+        # one run, two and six: edge_chunks reads each by one compress pass
+        monkeypatch.setattr(gale_ryser, "_runs", None)  # a sliced row would call it
+        runs = set()
+        for pair in (([2, 1], [1, 1, 1]), ([2, 2], [2, 1, 1]),
+                     ([6, 6, 5], [2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2])):
+            g = construct_realization(*pair)
+            rows = decoded_rows(g)
+            runs |= set(map(run_count, rows))
+            assert list(gale_ryser.edge_chunks(g, "{}:", "", " ")) == [
+                " ".join(f"{u}:{v}" for v in row) for u, row in enumerate(rows) if row]
+        assert runs == {1, 2, 6}
+
+    @pytest.mark.parametrize("length", range(201))
+    def test_every_bit_length_and_run_count(self, length, monkeypatch):
+        # random rows of exactly ``length`` bits and of every run count that
+        # fits, 0 to SLICED_RUNS + 2, with 0 to 2 names past the top bit;
+        # a row is sliced (``_runs`` called) iff it is longer than
+        # SMALL_ROW_BITS bits and has at most SLICED_RUNS runs
+        sliced = []
+        monkeypatch.setattr(gale_ryser, "_runs",
+                            lambda ends, runs=gale_ryser._runs: sliced.append(ends) or runs(ends))
+        rng = random.Random(length)
+        for runs in range(self.K + 3):
+            if (runs == 0) != (length == 0) or 2 * runs - 1 > length:
+                continue
+            for _ in range(3):
+                ends = [*sorted(rng.sample(range(length), 2 * runs - 1)), length] if runs else []
+                bits = runs_bits(zip(ends[::2], ends[1::2]))
+                assert bits.bit_length() == length
+                sliced.clear()
+                got = self.decode(bits, length + rng.randint(0, 2))
+                assert run_count(got) == runs
+                assert bool(sliced) == (length > self.SMALL and runs <= self.K)
 
 
 # rows the constructor rejects at v_count 10 (ValueError)

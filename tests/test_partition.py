@@ -11,7 +11,7 @@ from bdr import (DegreeSequence, ParamBounds, balanced_split, build_hard_instanc
                  enumerate_equal_sum_splits, equal_sum_split_exists, find_equal_sum_split)
 from bdr import partition
 from bdr.decider import decide_exact
-from bdr.errors import BudgetExceededError, InvariantError
+from bdr.errors import BudgetExceededError, InvariantError, SizeLimitError
 from bdr.core import _value_runs
 from bdr.gale_ryser import _gale_ryser_bound, _gale_ryser_runs
 from bdr.partition import _block, _count_walk, count_runs, split_with_u
@@ -83,6 +83,29 @@ class TestExists:
     @example([4, 4, 4, 2, 2, 2, 2, 2, 2, 1, 1])
     def test_run_dp_agrees_with_per_item_reach(self, seq):
         assert equal_sum_split_exists(DegreeSequence(seq)) == per_item_reach(seq)
+
+
+class TestHalfSumLimit:
+    def test_refused_past_the_limit(self, monkeypatch):
+        # sigma/2 at the limit is decided; one past it is refused before the
+        # (2 << sigma/2) - 1 mask is built, by the DP and by the count walk
+        monkeypatch.setattr(partition, "MAX_HALF_SUM", 4)
+        assert equal_sum_split_exists(DegreeSequence((4, 4)))
+        assert find_equal_sum_split(DegreeSequence((4, 4))) is not None
+        for call in (equal_sum_split_exists, find_equal_sum_split,
+                     lambda ds: next(enumerate_equal_sum_splits(ds))):
+            with pytest.raises(SizeLimitError,
+                               match=r"^half degree sum sigma/2 = 5 exceeds the limit of 4$"):
+                call(DegreeSequence((5, 5)))
+
+    def test_limit_above_the_largest_padded_half_sum(self):
+        # the largest sigma/2 the tests reach: 4 3 3 2 2 2 padded at
+        # (3/20, 2/5), n' = 6,416 (the benchmark's largest: 2 2 1 1 there)
+        bounds = ParamBounds(Fraction(3, 20), Fraction(2, 5))
+        halves = [build_hard_instance(DegreeSequence(s), bounds).d_prime.sigma // 2
+                  for s in ((4, 3, 3, 2, 2, 2), (2, 2, 1, 1))]
+        assert halves == [5_913_608, 831_603]
+        assert max(halves) <= partition.MAX_HALF_SUM
 
 
 class TestFindSplit:
