@@ -2,7 +2,8 @@
 
 Exit codes: 0 = Bipartite (or success for non-decision commands),
 1 = NotBipartite (also a ``verify-reduction`` disagreement and an
-``oracle`` false), 2 = Undecided, 3 = input or usage error.
+``oracle`` false), 2 = Undecided, 3 = input or usage error, a refused
+size or budget, or memory run out.
 JSON goes to stdout, diagnostics to stderr; output is deterministic for
 identical inputs and seed.
 
@@ -37,23 +38,27 @@ MAX_GRID_POINTS = 1000
 ORACLE_BUDGET = 100_000
 
 
-def _read_sequence(path: str) -> DegreeSequence:
-    """The degrees of the file ``path``, its bytes read unbuffered.  ASCII
+def _read_text(path: str) -> str:
+    """The text of the file ``path``, its bytes read unbuffered.  ASCII
     bytes read as text mode reads them in any locale, but for newline
-    translation, which the whitespace split does not see; other bytes are
-    decoded by a text-mode wrapper, as ``open(path)`` decodes them."""
+    translation, which neither the whitespace split nor ``splitlines``
+    sees; other bytes are decoded by a text-mode wrapper, as
+    ``open(path)`` decodes them."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     if data.isascii():
-        return core.parse_sequence(data.decode("ascii"))
+        return data.decode("ascii")
     with io.TextIOWrapper(io.BytesIO(data)) as fh:
-        return core.parse_sequence(fh.read())
+        return fh.read()
+
+
+def _read_sequence(path: str) -> DegreeSequence:
+    return core.parse_sequence(_read_text(path))
 
 
 def _read_pair(path: str) -> list[tuple[int, ...]]:
     """The degrees of the two classes, one parsed line each."""
-    with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+    lines = [line for line in _read_text(path).splitlines() if line.strip()]
     if len(lines) != 2:
         raise ParseError(f"expected two sequence lines in {path}, got {len(lines)}")
     return [core.parse_sequence(line).degrees for line in lines]
@@ -305,6 +310,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (BdrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # not exit 1, which decide and oracle read as a verdict
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

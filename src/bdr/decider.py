@@ -256,7 +256,7 @@ def _witness(ds: DegreeSequence, runs: list[tuple[int, int]],
     gives each value's U count to that value's lowest indices
     (``split_of_counts``), and that split is realized."""
     first = next(filter(None, ds.degrees), None)
-    if first is not None and not dict(count_runs(runs, counts)[0])[first]:
+    if first is not None and not dict(zip((v for v, _ in runs), counts))[first]:
         # the complement passes too and puts the first nonzero index on U
         counts = tuple(c - k for (_, c), k in zip(runs, counts))
     return _realized(ds, split_of_counts(ds, runs, counts), "exact-search")

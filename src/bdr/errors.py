@@ -60,6 +60,7 @@ class ReductionInvariantError(InvariantError):
 class ProjectionAuditError(BdrError):
     """Residual-degree audit failure while projecting a padded realization.
 
-    This firing would contradict the backward direction of the reduction,
-    so it carries the offending data for inspection.
+    This firing would contradict the backward direction of the reduction.
+    It carries a message only, naming the failed check and the degrees or
+    counts it found.
     """

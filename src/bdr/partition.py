@@ -275,6 +275,11 @@ def _block(positions: int, m: int) -> int:
 # (4, 3, 3, 2, 2, 2) at (3/20, 2/5), n' = 6,416; perfbench/'s is 831,603,
 # (2, 2, 1, 1) there, n' = 2,406.
 MAX_HALF_SUM = 1 << 23
+# The most bits the count walk may hold at once, 128 MB: its checkpoints
+# and one block of rows, each of at most sigma/2 + 1 bits.  The largest
+# count the tests reach is 41,395,263, seven bitsets of the padded D'
+# above; perfbench/'s is 4,989,624, six of (2, 2, 1, 1) there.
+MAX_WALK_BITS = 1 << 30
 
 
 def _half_sum(sigma: int) -> int:
@@ -309,7 +314,7 @@ def split_of_counts(ds: DegreeSequence, runs: list[tuple[int, int]],
                     counts: tuple[int, ...]) -> SplitWitness:
     """The split whose U side takes, for each value of ``runs``, as many of
     its indices as the count vector ``counts`` gives it, the lowest first."""
-    left = dict(count_runs(runs, counts)[0])
+    left = dict(zip((v for v, _ in runs), counts))
     u_side = []
     for i, d in enumerate(ds.degrees):
         if left.get(d):
@@ -336,7 +341,9 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
     nonzero degrees), and the block of B the walk is in is rebuilt from it
     as bytes, so a test is O(1) and the rows held and checkpoints fit
     2*ceil(sqrt(m)) + 2 bitsets, O(sqrt(m)*sigma) bits; one block, built
-    once, if d < 2*ceil(sqrt(m)) + 2.  Each row is cut to its own bit
+    once, if d < 2*ceil(sqrt(m)) + 2.  If they could pass
+    ``MAX_WALK_BITS``, at sigma/2 + 1 bits each, it raises SizeLimitError
+    before building any.  Each row is cut to its own bit
     length: row j holds only the sums up to what the last j runs make, the
     small values, so the n' = 1604 stall's three rows take 44 KB, not
     139 KB.  The walk keeps an explicit stack, not bounded by the recursion
@@ -367,6 +374,11 @@ def _count_walk(sigma: int, runs: list[tuple[int, int]],
     back = runs[:0:-1]  # sums j < d: what the last j runs make; j = d is never tested
     most = list(accumulate((v * c for v, c in back), initial=0))
     block = _block(len(back), m)
+    # the checkpoints and one block of rows, one row per position at most,
+    # each of at most sigma/2 + 1 bits, refused before any is built
+    bits = (len(back) // block + 1 + min(block, len(back) + 1)) * (target + 1)
+    if bits > MAX_WALK_BITS:
+        raise SizeLimitError(f"count walk of {bits} bits exceeds the limit of {MAX_WALK_BITS}")
     base = len(back) - len(back) % block  # the last block, where the walk starts
     checkpoints, rows = [], []
     for j, reach in enumerate(_run_sums(back, mask)):

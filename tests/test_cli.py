@@ -28,6 +28,9 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+EXACT_0_1 = ["decide", "--c1", "0", "--c2", "1", "--exact", "--budget"]
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -215,6 +218,29 @@ class TestRealize:
         f = write(tmp_path, "p.txt", "1 1\n")
         code, _, _ = run(capsys, ["realize", f])
         assert code == 3
+
+    PAIR = "p bipartite 2 3 3\n0 0\n0 1\n1 2\n"
+
+    @pytest.mark.parametrize("data, code, stdout, stderr", [
+        (b"2 1\r\n1 1 1\r\n", 0, PAIR, ""),
+        (b"2 1\r1 1 1\r", 0, PAIR, ""),
+        (b"2 1\n\n1 1 1\n", 0, PAIR, ""),
+        (b"2 1\x0c1 1 1", 0, PAIR, ""),
+        ("2\u00a01\n1 1 1\n".encode(), 0, PAIR, ""),
+        (b"2 1\n1 \xff 1 1\n", 3, "",
+         "error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"),
+        (b"", 3, "", "error: expected two sequence lines in {}, got 0\n"),
+        (None, 3, "", "error: [Errno 21] Is a directory: {!r}\n"),
+    ], ids=["crlf", "cr", "blank-line", "form-feed", "no-break-space", "invalid-utf-8",
+            "empty", "directory"])
+    def test_file_bytes(self, tmp_path, capsys, data, code, stdout, stderr):
+        # the pair file is read as decide reads its file; recorded when it
+        # was opened in text mode
+        f = str(tmp_path)
+        if data is not None:
+            f = str(tmp_path / "p.txt")
+            (tmp_path / "p.txt").write_bytes(data)
+        assert run(capsys, ["realize", f]) == (code, stdout, stderr.format(f))
 
 
 class TestGoldenBytes:
@@ -592,6 +618,18 @@ class TestBudget:
         assert (code, out, err) == (
             3, "", "budget exceeded: examined more than 100000 split count vectors\n")
 
+    def test_walk_refused_before_any_bitset(self, tmp_path, capsys, monkeypatch):
+        # 1..4000 and a million 1s: sigma/2 = 4,501,000 is within
+        # MAX_HALF_SUM, but the walk would hold two checkpoints and a block
+        # of 2004 rows, 2006 bitsets of 4,501,001 bits; the size tables
+        # are over their cap too, so no bitset is built at all
+        def no_bitsets(*args):
+            raise AssertionError("bitsets built")
+        monkeypatch.setattr(cli.partition, "_run_sums", no_bitsets)
+        f = write(tmp_path, "d.txt", " ".join(map(str, [*range(1, 4001), *[1] * 1000000])))
+        assert run(capsys, EXACT_0_1 + ["1", f]) == (
+            3, "", "error: count walk of 9029008006 bits exceeds the limit of 1073741824\n")
+
     def test_zero_budget_keeps_its_meaning(self, tmp_path, capsys):
         # the size subset sum's one proposal fails Gale-Ryser, and the walk
         # rules out splits before its first accepted count vector
@@ -614,11 +652,81 @@ class TestBudget:
         assert (got, json.loads(out)["verdict"], err) == (code, verdict, "")
 
 
+NOT_BIGRAPHIC = TestDecide.NO_WITNESS.format("gale-ryser-violation", "Unclassified",
+                                             "NotBipartite")
+
+
+@pytest.mark.parametrize("text, argv, code, stdout, stderr", [
+    # the size subset sum's one proposal fails Gale-Ryser, and the count
+    # walk cuts off 10 index sets, at least 5 splits, before its first
+    # accepted count vector
+    ("3 3 1 7 5 2 5 2 5 5 2 4", EXACT_0_1 + ["4"], 3, "",
+     "budget exceeded: examined more than 4 equal-sum splits\n"),
+    ("3 3 1 7 5 2 5 2 5 5 2 4", EXACT_0_1 + ["5"], 0,
+     '{"realization": [[0, 3], [0, 4], [0, 6], [1, 0], [1, 1], [1, 2], [1, 3], [1, 4], '
+     '[1, 5], [1, 6], [2, 0], [2, 2], [2, 3], [2, 4], [2, 6], [3, 3], [3, 4], [4, 0], '
+     '[4, 3], [4, 4], [4, 5], [4, 6]], "reason": "exact-search", "region": "Unclassified", '
+     '"split": {"u_indices": [0, 3, 4, 5, 6], "v_indices": [1, 2, 7, 8, 9, 10, 11]}, '
+     '"verdict": "Bipartite"}\n', ""),
+    # each equal-sum split fails Gale-Ryser at k = 1: no walk
+    ("4 2 2 2 2", EXACT_0_1 + ["0"], 1, NOT_BIGRAPHIC, ""),
+    # the walk enters no first count below half its run and counts 3 cut
+    # index sets
+    ("4 3 3 3 1 1 1", EXACT_0_1 + ["1"], 3, "",
+     "budget exceeded: examined more than 1 equal-sum splits\n"),
+    ("4 3 3 3 1 1 1", EXACT_0_1 + ["2"], 1, NOT_BIGRAPHIC, ""),
+    # the oracle stops at its fifth count vector, the first below its mirror
+    ("5 2 4 3 3 1 1 1", ["oracle", "--budget", "4"], 1, '{"bipartite": false}\n', ""),
+    ("2 2 2 2", EXACT_0_1 + ["1"], 0,
+     '{"realization": [[0, 0], [0, 1], [1, 0], [1, 1]], "reason": "exact-search", '
+     '"region": "Unclassified", "split": {"u_indices": [0, 1], "v_indices": [2, 3]}, '
+     '"verdict": "Bipartite"}\n', ""),
+    # input #159 of the benchmark's exact-search workload
+    ("8 11 10 8 10 5 5 7 10 4 6 9 6 5 8 10 7 8 4 11",
+     ["decide", "--c1", "1/5", "--c2", "11/20", "--exact", "--budget", "20000"], 0,
+     '{"realization": ['
+     '[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], '
+     '[1, 0], [1, 1], [1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], '
+     '[2, 0], [2, 1], [2, 2], [2, 6], [2, 7], '
+     '[3, 0], [3, 3], [3, 4], [3, 6], [3, 7], '
+     '[4, 0], [4, 1], [4, 2], [4, 3], [4, 4], [4, 6], [4, 7], '
+     '[5, 0], [5, 1], [5, 2], [5, 3], '
+     '[6, 0], [6, 1], [6, 2], [6, 3], [6, 6], [6, 7], '
+     '[7, 0], [7, 1], [7, 2], [7, 3], [7, 4], [7, 7], '
+     '[8, 0], [8, 1], [8, 2], [8, 3], [8, 4], [8, 5], [8, 6], [8, 7], '
+     '[9, 0], [9, 1], [9, 2], [9, 3], [9, 4], [9, 6], [9, 7], '
+     '[10, 0], [10, 1], [10, 2], [10, 3], [10, 4], [10, 5], [10, 6], [10, 7], '
+     '[11, 4], [11, 5], [11, 6], [11, 7]], "reason": "exact-search", "region": "Unclassified", '
+     '"split": {"u_indices": [0, 3, 5, 6, 7, 9, 10, 12, 14, 16, 17, 18], '
+     '"v_indices": [1, 2, 4, 8, 11, 13, 15, 19]}, "verdict": "Bipartite"}\n', ""),
+    # the rows of these pairs span at most 11 bits, so each takes one
+    # compress pass of the row decoder: one run in both rows; a gap in
+    # row 1; six runs in row 0 ({0, 2, ..., 10}) and one in rows 1 and 2
+    ("2 1\n1 1 1", ["realize"], 0, "p bipartite 2 3 3\n0 0\n0 1\n1 2\n", ""),
+    ("2 2\n2 1 1", ["realize"], 0, "p bipartite 2 3 4\n0 0\n0 1\n1 0\n1 2\n", ""),
+    ("6 6 5\n2 1 2 1 2 1 2 1 2 1 2", ["realize"], 0,
+     "p bipartite 3 11 17\n0 0\n0 2\n0 4\n0 6\n0 8\n0 10\n1 0\n1 1\n1 2\n1 3\n1 4\n1 5\n"
+     "2 6\n2 7\n2 8\n2 9\n2 10\n", ""),
+], ids=["cut-budget-4", "cut-budget-5", "refuted-budget-0", "mirror-budget-1",
+        "mirror-budget-2", "oracle-mirror-budget-4", "square-budget-1", "exact-search-159",
+        "realize-one-run", "realize-gap", "realize-six-runs"])
+def test_pinned_run(tmp_path, capsys, text, argv, code, stdout, stderr):
+    f = write(tmp_path, "d.txt", text + "\n")
+    assert run(capsys, argv + [f]) == (code, stdout, stderr)
+
+
+def test_stall_budget_point(tmp_path, capsys):
+    # the padded D' of 1 1 1 1 at (3/20, 2/5), n' = 1604 (see test_decider's TestStall)
+    d_prime = build_hard_instance(DegreeSequence((1, 1, 1, 1)),
+                                  ParamBounds(F(3, 20), F(2, 5))).d_prime
+    f = write(tmp_path, "d.txt", " ".join(map(str, d_prime.degrees)) + "\n")
+    assert run(capsys, ["decide", "--c1", "3/20", "--c2", "2/5", "--exact", "--budget", "20000",
+                        f]) == (3, "", "budget exceeded: examined more than 20000 equal-sum splits\n")
+
+
 class TestLbds:
     def test_worked_example(self, capsys):
-        code, out, _ = run(capsys, ["lbds", "5", "10", "3", "1"])
-        assert code == 0
-        assert out.strip() == "3 3 2 1 1"
+        assert run(capsys, ["lbds", "5", "10", "3", "1"]) == (0, "3 3 2 1 1\n", "")
 
     def test_empty_class(self, capsys):
         code, _, err = run(capsys, ["lbds", "3", "20", "4", "1"])
@@ -873,6 +981,15 @@ class TestUsage:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file" not in err
+
+    def test_out_of_memory_is_no_verdict(self, tmp_path, capsys, monkeypatch):
+        # exit 1 is decide's NotBipartite: memory run out exits 3
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli.decider, "decide_exact", no_memory)
+        f = write(tmp_path, "d.txt", "2 2 2 2\n")
+        assert run(capsys, ["decide", "--c1", "0", "--c2", "1", "--exact", f]) == (
+            3, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"]])
     def test_help_names_every_command(self, capsys, argv):

@@ -108,6 +108,45 @@ class TestHalfSumLimit:
         assert max(halves) <= partition.MAX_HALF_SUM
 
 
+def walk_bits(ds, monkeypatch):
+    """The bits the count walk over ``ds`` would hold, read from its
+    refusal at a limit of 0."""
+    with monkeypatch.context() as patch, \
+            pytest.raises(SizeLimitError, match=r"^count walk of \d+ bits") as exc:
+        patch.setattr(partition, "MAX_WALK_BITS", 0)
+        next(_count_walk(ds.sigma, _value_runs(ds.degrees)))
+    return int(str(exc.value).split()[3])
+
+
+class TestWalkBitsLimit:
+    def test_refused_before_any_bitset(self, monkeypatch):
+        # 3 3 2 2 1 1: one block (``_block(2, 6)`` = 7) of three rows and
+        # one checkpoint, each of sigma/2 + 1 = 7 bits, 28 bits.  At that
+        # limit the walk runs; one bit under it, every walk is refused
+        # before ``_run_sums`` builds a bitset
+        ds = DegreeSequence((3, 3, 2, 2, 1, 1))
+        runs = _value_runs(ds.degrees)
+        walked = list(_count_walk(ds.sigma, runs))
+        monkeypatch.setattr(partition, "MAX_WALK_BITS", 28)
+        assert list(_count_walk(ds.sigma, runs)) == walked
+        monkeypatch.setattr(partition, "MAX_WALK_BITS", 27)
+        monkeypatch.setattr(partition, "_run_sums", None)  # a call raises TypeError
+        for call in (find_equal_sum_split, lambda ds: next(enumerate_equal_sum_splits(ds))):
+            with pytest.raises(SizeLimitError,
+                               match=r"^count walk of 28 bits exceeds the limit of 27$"):
+                call(ds)
+
+    def test_limit_above_the_largest_padded_walk(self, monkeypatch):
+        # the most bits a walk of the tests holds: the padded D' of
+        # 4 3 3 2 2 2 at (3/20, 2/5), six runs, seven bitsets of
+        # sigma/2 + 1 bits (the benchmark's largest: 2 2 1 1 there, six)
+        bounds = ParamBounds(Fraction(3, 20), Fraction(2, 5))
+        bits = [walk_bits(build_hard_instance(DegreeSequence(s), bounds).d_prime, monkeypatch)
+                for s in ((4, 3, 3, 2, 2, 2), (2, 2, 1, 1))]
+        assert bits == [7 * 5_913_609, 6 * 831_604]
+        assert max(bits) <= partition.MAX_WALK_BITS
+
+
 class TestFindSplit:
     def test_witness_invariant(self):
         w = find_equal_sum_split(DegreeSequence((2, 2, 2, 2)))
